@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -63,13 +64,16 @@ def _backend(args):
         raise UsageError(f"unknown backend {name!r}") from None
 
 
-def _char(args):
-    field = getattr(args, "field", None) or "q"
+def _char(field):
+    """The characteristic a field flag or spec field names: q, qt or fp:<p>."""
+    field = str(field or "q")
     if field in {"q", "qt"}:
         return 0
-    if field.startswith("fp:"):
-        return int(field.split(":")[1])
-    raise UsageError(f"unknown field {field!r}")
+    digits = field[3:] if field.startswith("fp:") else ""
+    p = int(digits) if digits.isdecimal() else 0
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise UsageError(f"unknown field {field!r}: use q, qt or fp:<prime>")
+    return p
 
 
 def _bound(args, default=3):
@@ -142,9 +146,7 @@ def _load_matrix(backends, path):
         doc = json.load(handle)
     backend, source = parse_object(backends, doc["source"])
     _, target = parse_object(backends, doc["target"])
-    char = 0 if doc.get("field", "q") in {"q", "qt"} else \
-        int(doc["field"].split(":")[1])
-    family = solve_measures(backend, 2, char=char)
+    family = solve_measures(backend, 2, char=_char(doc.get("field")))
     field = family.field
     entries = {}
     for t, s, label, scalar in doc["entries"]:
@@ -158,7 +160,7 @@ def cmd_compose(args):
     backend2, _, rhs = _load_matrix(backends, args.rhs)
     if backend is not backend2:
         raise UsageError("matrices come from different backends")
-    measure, family = _measure_for(backend, _bound(args), _char(args),
+    measure, family = _measure_for(backend, _bound(args), _char(args.field),
                                    [lhs.source, lhs.target, rhs.source])
     args._measure_desc = family.description
     product = matmul(measure, lhs, rhs)
@@ -172,7 +174,8 @@ def cmd_compose(args):
 def cmd_dim(args):
     backends = _backends(args)
     backend, x = parse_object(backends, args.X)
-    measure, family = _measure_for(backend, _bound(args), _char(args), [x])
+    measure, family = _measure_for(backend, _bound(args), _char(args.field),
+                                   [x])
     args._measure_desc = family.description
     value = categorical_dim(backend, vec(x), measure)
     report = Report("dim", [CheckResult("categorical-dimension", True)])
@@ -183,7 +186,7 @@ def cmd_measure_solve(args):
     backend = _backend(args)
     bound = _bound(args, default=4)
     started = time.monotonic()
-    family = solve_measures(backend, bound, char=_char(args))
+    family = solve_measures(backend, bound, char=_char(args.field))
     args._measure_desc = family.description
     atoms = backend.atoms_up_to(bound)
     payload = {
@@ -208,9 +211,7 @@ def cmd_measure_check(args):
         if doc["backend"] == "finite":
             raise UsageError("pass --group with finite measure specs")
         raise UsageError(f"unknown backend {doc['backend']!r} in spec file")
-    char = 0 if doc.get("field", "q") in {"q", "qt"} else \
-        int(doc["field"].split(":")[1])
-    family = solve_measures(backend, 2, char=char)
+    family = solve_measures(backend, 2, char=_char(doc.get("field")))
     field = family.field
     atom_values = {}
     for label, text in doc.get("atoms", {}).items():
@@ -251,7 +252,8 @@ def _gamma_from_args(args, backend, x, field):
 def cmd_frob_verify(args):
     backends = _backends(args)
     backend, x = parse_object(backends, args.X)
-    measure, family = _measure_for(backend, _bound(args), _char(args), [x])
+    measure, family = _measure_for(backend, _bound(args), _char(args.field),
+                                   [x])
     args._measure_desc = family.description
     started = time.monotonic()
     frob = build_frobenius(backend, x, measure.field)
@@ -267,7 +269,8 @@ def cmd_frob_verify(args):
 def cmd_frob_eidem(args):
     backends = _backends(args)
     backend, x = parse_object(backends, args.B)
-    measure, family = _measure_for(backend, _bound(args), _char(args), [x])
+    measure, family = _measure_for(backend, _bound(args), _char(args.field),
+                                   [x])
     args._measure_desc = family.description
     gamma = _gamma_from_args(args, backend, x, measure.field)
     report = e_idempotent_check(backend, x, gamma, measure)
@@ -281,7 +284,7 @@ def cmd_frob_gamma_of(args):
         with open(text, encoding="utf-8") as handle:
             text = handle.read().strip()
     backend, m = parse_atom_map(backends, text)
-    measure, family = _measure_for(backend, _bound(args), _char(args),
+    measure, family = _measure_for(backend, _bound(args), _char(args.field),
                                    [backend.object_of([m.source])])
     args._measure_desc = family.description
     f = GMap(backend.object_of([m.source]), backend.object_of([m.target]),
@@ -304,7 +307,7 @@ def cmd_pregalois(args):
 
 def cmd_check_linearization(args):
     backend = _backend(args)
-    measure, family = _measure_for(backend, _bound(args), _char(args))
+    measure, family = _measure_for(backend, _bound(args), _char(args.field))
     args._measure_desc = family.description
     started = time.monotonic()
     report = check_linearization(measure, _bound(args))
@@ -314,7 +317,7 @@ def cmd_check_linearization(args):
 def cmd_suite(args):
     backend = _backend(args)
     started = time.monotonic()
-    report = run_suite(backend, _bound(args, default=4), seed=args.seed or 0)
+    report = run_suite(backend, _bound(args, default=4))
     return _emit(args, report, None, started)
 
 
@@ -332,7 +335,6 @@ def build_parser():
         p.add_argument("--group", default=None,
                        help="finite group: S3, C2x4, S4, or cycle notation")
         p.add_argument("--json", default=None, help="write the report here")
-        p.add_argument("--seed", type=int, default=None)
         if backend:
             p.add_argument("--backend", choices=["sym", "line", "finite"])
 

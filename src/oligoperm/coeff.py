@@ -341,10 +341,6 @@ def one(field):
     return Scalar.from_int(field, 1)
 
 
-def _term_count(coeffs):
-    return sum(1 for c in coeffs if c)
-
-
 def _coeff_render(char, c):
     return str(c if char else Fraction(c))
 

@@ -231,8 +231,8 @@ def splitting_idempotent(f, measure):
     return alpha_fn, report
 
 
-def _position_fn(backend, gamma, ps, pair):
-    """Value of a function on a 2-fold space at the marginal of two maps."""
+def _position_fn(backend, ps, pair):
+    """Position of a 2-fold space hit by the joint map of two maps."""
     pos, _ = multi_factor(backend, list(pair), ps)
     return pos
 
@@ -267,7 +267,7 @@ def e_idempotent_check(backend, x, gamma, measure):
     for (i, j) in [(0, 1), (0, 2), (1, 2)]:
         coeffs = {}
         for pos_idx, pos in enumerate(ps3.positions):
-            pair_pos = _position_fn(backend, gamma, ps2,
+            pair_pos = _position_fn(backend, ps2,
                                     (pos.projections[i], pos.projections[j]))
             value = gamma.coeffs.get(pair_pos, zero(field))
             if not value.is_zero():

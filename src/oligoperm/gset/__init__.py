@@ -10,6 +10,7 @@ from .base import (
     GObject,
     LinearRelation,
     ProductOrbit,
+    atom_gmap,
     fiber_product,
     kernel_pair,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "SYM",
     "SymBackend",
     "LineBackend",
+    "atom_gmap",
     "fiber_product",
     "kernel_pair",
     "parse_cycles",

@@ -17,6 +17,15 @@ Conventions used throughout:
   the induced map from ``T`` onto the orbit atom.
 * ``elementary_factorize`` writes an atom map as an isomorphism followed by
   one-coordinate drops; each drop carries an elementary fiber class label.
+
+Every backend instance owns one cache, the plain dict ``backend.cache``,
+created empty with the instance and never shared: a backend and all it has
+memoized are freed together.  It is the only memo of product structure.  Keys
+are tagged tuples: ``("product", a, b)`` holds the orbits of ``a x b``
+(filled by ``product_decompose``, the one memoized backend method), and the
+finite backend's ``("pairs", a, b)`` holds its point-pair index; ``linmat``
+keeps its product spaces under ``("space", factors)`` and its triple-orbit
+completions under ``("completions", ...)``.
 """
 
 from __future__ import annotations
@@ -135,6 +144,9 @@ class Backend:
 
     backend_id = ""
 
+    def __init__(self):
+        self.cache = {}
+
     # Atoms and maps
 
     def unit_atom(self):
@@ -159,6 +171,14 @@ class Backend:
     # Products
 
     def product_decompose(self, a, b):
+        key = ("product", a, b)
+        orbits = self.cache.get(key)
+        if orbits is None:
+            orbits = self.cache[key] = self._decompose(a, b)
+        return orbits
+
+    def _decompose(self, a, b):
+        """The orbits of a x b, uncached."""
         raise NotImplementedError
 
     def product_factor(self, f, g):
@@ -190,9 +210,6 @@ class Backend:
         raise NotImplementedError
 
     # Rendering
-
-    def render_atom(self, a):
-        return a.render()
 
     def parse_atom_label(self, label):
         raise NotImplementedError
@@ -251,6 +268,61 @@ class Backend:
         """Fiber-class multiset of the canonical factorization of an atom map."""
         fact = self.elementary_factorize(f)
         return tuple(sorted(step.fiber_class for step in fact.steps))
+
+
+class TupleBackend(Backend):
+    """Plumbing shared by the infinite backends.
+
+    Atoms are tuple sets labelled ``<prefix>[n]`` with degree n, and atom maps
+    are 1-based coordinate selections.
+    """
+
+    prefix = ""
+
+    def _atom(self, n):
+        return Atom(self.backend_id, n, f"{self.prefix}[{n}]")
+
+    def unit_atom(self):
+        return self._atom(0)
+
+    def atoms_up_to(self, bound):
+        return [self._atom(n) for n in range(bound + 1)]
+
+    def atom_of_arity(self, n):
+        return self._atom(n)
+
+    def identity_map(self, a):
+        return AtomMap(a, a, tuple(range(1, a.degree + 1)))
+
+    def compose_maps(self, outer, inner):
+        if inner.target != outer.source:
+            raise ValueError("atom map composition shape mismatch")
+        sel = tuple(inner.data[j - 1] for j in outer.data)
+        return AtomMap(inner.source, outer.target, sel)
+
+    def is_surjective_map(self, f):
+        # Every coordinate selection is onto: any target tuple extends.
+        return True
+
+    def atom_chain_parent(self, a):
+        n = a.degree
+        if n == 0:
+            return None
+        drop_last = AtomMap(a, self._atom(n - 1), tuple(range(1, n)))
+        (step,) = self.elementary_factorize(drop_last).steps
+        return drop_last, step.fiber_class
+
+    def parse_atom_label(self, label):
+        head = self.prefix + "["
+        if not (label.startswith(head) and label.endswith("]")):
+            raise ValueError(f"bad {self.backend_id} atom label {label!r}")
+        return self._atom(int(label[len(head):-1]))
+
+
+def atom_gmap(backend, f):
+    """An atom map as a map between one-atom objects."""
+    return GMap(backend.object_of([f.source]), backend.object_of([f.target]),
+                ((0, f),))
 
 
 def fiber_product(backend, f, g):

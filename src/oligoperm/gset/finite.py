@@ -112,6 +112,7 @@ class FiniteBackend(Backend):
     backend_id = BACKEND_ID
 
     def __init__(self, generators, n_points):
+        super().__init__()
         self.n_points = n_points
         self.generators = [tuple(g) for g in generators]
         self.elements = sorted(mulclose(self.generators, n_points))
@@ -151,8 +152,6 @@ class FiniteBackend(Backend):
             pts = sorted(cosets, key=lambda c: min(c))
             self._points[atom] = pts
             self._point_index[atom] = {c: i for i, c in enumerate(pts)}
-        self._product_cache = {}
-        self._pair_lookup = {}
 
     # Group plumbing
 
@@ -178,13 +177,6 @@ class FiniteBackend(Backend):
             frontier = new
         subgroups.add(frozenset({self.identity}))
         return sorted(subgroups, key=lambda s: (len(s), tuple(sorted(s))))
-
-    def subgroup_atom(self, subgroup):
-        """The canonical atom whose stabilizer class contains the subgroup."""
-        return self._atoms[self._class_index[frozenset(subgroup)]]
-
-    def atom_points(self, a):
-        return self._points[a]
 
     def act(self, g, a, idx):
         coset = self._points[a][idx]
@@ -223,10 +215,7 @@ class FiniteBackend(Backend):
     def is_surjective_map(self, f):
         return len(set(f.data)) == f.target.degree
 
-    def product_decompose(self, a, b):
-        key = (a, b)
-        if key in self._product_cache:
-            return self._product_cache[key]
+    def _decompose(self, a, b):
         pairs = [(i, j) for i in range(a.degree) for j in range(b.degree)]
         seen = set()
         orbit_sets = []
@@ -248,7 +237,6 @@ class FiniteBackend(Backend):
             orbit_sets.append(orbit)
         orbit_sets.sort(key=lambda o: min(o))
         orbits = []
-        lookup = {}
         for k, orbit in enumerate(orbit_sets):
             rep = min(orbit)
             stab = frozenset(
@@ -266,26 +254,37 @@ class FiniteBackend(Backend):
             for coset in self._points[c]:
                 x = min(coset)
                 g = _pcompose(x, _pinv(conj))
-                pt = (self.act(g, a, rep[0]), self.act(g, b, rep[1]))
-                lookup[pt] = (k, len(data1))
-                data1.append(pt[0])
-                data2.append(pt[1])
+                data1.append(self.act(g, a, rep[0]))
+                data2.append(self.act(g, b, rep[1]))
             orbits.append(
                 ProductOrbit(f"#{k}", c,
                              AtomMap(c, a, tuple(data1)),
                              AtomMap(c, b, tuple(data2)))
             )
-        result = tuple(orbits)
-        self._product_cache[key] = result
-        self._pair_lookup[key] = lookup
-        return result
+        return tuple(orbits)
+
+    def _pair_index(self, a, b):
+        """(point of a, point of b) -> (orbit index, point of its atom)."""
+        key = ("pairs", a, b)
+        index = self.cache.get(key)
+        if index is None:
+            index = self.cache[key] = {
+                (o.proj1.data[p], o.proj2.data[p]): (k, p)
+                for k, o in enumerate(self.product_decompose(a, b))
+                for p in range(o.atom.degree)}
+        return index
+
+    def pair_label(self, a, b, pa, pb):
+        """Label of the orbit of a x b through the point pair (pa, pb)."""
+        k, _ = self._pair_index(a, b)[(pa, pb)]
+        return self.product_decompose(a, b)[k].label
 
     def product_factor(self, f, g):
         if f.source != g.source:
             raise ValueError("product factor needs a common source")
         a, b = f.target, g.target
         orbits = self.product_decompose(a, b)
-        lookup = self._pair_lookup[(a, b)]
+        lookup = self._pair_index(a, b)
         k, _ = lookup[(f.data[0], g.data[0])]
         orbit = orbits[k]
         data = tuple(lookup[(f.data[i], g.data[i])][1] for i in range(f.source.degree))
@@ -294,8 +293,7 @@ class FiniteBackend(Backend):
     def swap_orbit(self, a, b, label):
         k = int(label[1:])
         orbit = self.product_decompose(a, b)[k]
-        self.product_decompose(b, a)
-        lookup_ba = self._pair_lookup[(b, a)]
+        lookup_ba = self._pair_index(b, a)
         p1, p2 = orbit.proj1.data, orbit.proj2.data
         k2, _ = lookup_ba[(p2[0], p1[0])]
         data = tuple(lookup_ba[(p2[i], p1[i])][1] for i in range(orbit.atom.degree))

@@ -12,10 +12,6 @@ from __future__ import annotations
 from .base import AtomMap, GObject
 
 
-def render_atom(atom):
-    return atom.render()
-
-
 def parse_atom(backends, text):
     text = text.strip()
     if ":" not in text:

@@ -27,61 +27,32 @@ cutting an interval gives interval = 2 interval + 1.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .base import (
-    Atom,
     AtomMap,
-    Backend,
     ElementaryStep,
     Factorization,
     LinearRelation,
     ProductOrbit,
+    TupleBackend,
 )
 
-BACKEND_ID = "line"
-
 _ORDER = {"L": 0, "B": 1, "R": 2}
-
-
-def _atom(n):
-    return Atom(BACKEND_ID, n, f"inc[{n}]")
 
 
 def _word_key(word):
     return tuple(_ORDER[ch] for ch in word)
 
 
-class LineBackend(Backend):
-    backend_id = BACKEND_ID
-
-    def unit_atom(self):
-        return _atom(0)
-
-    def atoms_up_to(self, bound):
-        return [_atom(n) for n in range(bound + 1)]
-
-    def atom_of_arity(self, n):
-        return _atom(n)
+class LineBackend(TupleBackend):
+    backend_id = "line"
+    prefix = "inc"
 
     def hom_atoms(self, a, b):
         n, m = a.degree, b.degree
         return [AtomMap(a, b, sel) for sel in itertools.combinations(range(1, n + 1), m)]
 
-    def identity_map(self, a):
-        return AtomMap(a, a, tuple(range(1, a.degree + 1)))
-
-    def compose_maps(self, outer, inner):
-        if inner.target != outer.source:
-            raise ValueError("atom map composition shape mismatch")
-        sel = tuple(inner.data[j - 1] for j in outer.data)
-        return AtomMap(inner.source, outer.target, sel)
-
-    def is_surjective_map(self, f):
-        return True
-
-    @lru_cache(maxsize=None)
-    def product_decompose(self, a, b):
+    def _decompose(self, a, b):
         n, m = a.degree, b.degree
         words = []
 
@@ -101,7 +72,7 @@ class LineBackend(Backend):
         return tuple(self._orbit_of_word(a, b, w) for w in words)
 
     def _orbit_of_word(self, a, b, word):
-        atom = _atom(len(word))
+        atom = self._atom(len(word))
         sel1 = tuple(i + 1 for i, ch in enumerate(word) if ch in "LB")
         sel2 = tuple(i + 1 for i, ch in enumerate(word) if ch in "RB")
         return ProductOrbit(word, atom, AtomMap(atom, a, sel1), AtomMap(atom, b, sel2))
@@ -120,12 +91,12 @@ class LineBackend(Backend):
                 word.append("L")
             else:
                 word.append("R")
-        orbit_atom = _atom(len(union))
+        orbit_atom = self._atom(len(union))
         return "".join(word), AtomMap(f.source, orbit_atom, tuple(union))
 
     def swap_orbit(self, a, b, label):
         swapped = label.translate(str.maketrans("LR", "RL"))
-        atom = _atom(len(label))
+        atom = self._atom(len(label))
         return swapped, AtomMap(atom, atom, tuple(range(1, len(label) + 1)))
 
     # Elementary structure
@@ -142,8 +113,8 @@ class LineBackend(Backend):
             k = len(remaining)
             idx = remaining.index(p) + 1
             steps.append(
-                ElementaryStep(_atom(k), _atom(k - 1), self._drop_class(idx, k),
-                               position=idx)
+                ElementaryStep(self._atom(k), self._atom(k - 1),
+                               self._drop_class(idx, k), position=idx)
             )
             remaining.remove(p)
         iso = self.identity_map(f.source)
@@ -165,13 +136,6 @@ class LineBackend(Backend):
             out.add(tuple(sorted(classes)))
         return out
 
-    def atom_chain_parent(self, a):
-        n = a.degree
-        if n == 0:
-            return None
-        drop_last = AtomMap(a, _atom(n - 1), tuple(range(1, n)))
-        return drop_last, "ray"
-
     def fiber_classes(self, depth):
         return ["ray", "interval"]
 
@@ -186,7 +150,3 @@ class LineBackend(Backend):
             LinearRelation("interval", (("interval", 2),), 1),
         ]
 
-    def parse_atom_label(self, label):
-        if not (label.startswith("inc[") and label.endswith("]")):
-            raise ValueError(f"bad line atom label {label!r}")
-        return _atom(int(label[4:-1]))

@@ -18,16 +18,7 @@ maps and reports the relation as a witness when none matches.
 from __future__ import annotations
 
 from ..report import CheckResult, Report
-from .base import GMap, fiber_product, kernel_pair
-
-
-def _atom_obj(backend, a):
-    return backend.object_of([a])
-
-
-def _atom_gmap(backend, f):
-    return GMap(_atom_obj(backend, f.source), _atom_obj(backend, f.target),
-                ((0, f),))
+from .base import atom_gmap, fiber_product, kernel_pair
 
 
 def check_coproducts(backend, atoms):
@@ -37,7 +28,7 @@ def check_coproducts(backend, atoms):
         for y in atoms[: min(len(atoms), 3)]:
             for z in atoms:
                 pair = backend.object_of([x, y])
-                zobj = _atom_obj(backend, z)
+                zobj = backend.object_of([z])
                 lhs = len(backend.hom_objects(pair, zobj))
                 rhs = (len(backend.hom_atoms(x, z))
                        * len(backend.hom_atoms(y, z)))
@@ -61,7 +52,7 @@ def check_maps_into_coproducts(backend, atoms):
         for y in atoms:
             for z in atoms:
                 target = backend.object_of([y, z])
-                lhs = len(backend.hom_objects(_atom_obj(backend, x), target))
+                lhs = len(backend.hom_objects(backend.object_of([x]), target))
                 rhs = (len(backend.hom_atoms(x, y))
                        + len(backend.hom_atoms(x, z)))
                 if lhs != rhs:
@@ -75,12 +66,12 @@ def check_fiber_products(backend, atoms, universality_degree):
     ok = True
     witness = {}
     for c in atoms:
-        cobj = _atom_obj(backend, c)
+        cobj = backend.object_of([c])
         maps_to_c = [(a, f) for a in atoms for f in backend.hom_atoms(a, c)]
         for a, f in maps_to_c:
             for b, g in maps_to_c:
-                fg = _atom_gmap(backend, f)
-                gg = _atom_gmap(backend, g)
+                fg = atom_gmap(backend, f)
+                gg = atom_gmap(backend, g)
                 pobj, p, q = fiber_product(backend, fg, gg)
                 if backend.compose_gmaps(fg, p) != backend.compose_gmaps(gg, q):
                     ok = False
@@ -92,7 +83,7 @@ def check_fiber_products(backend, atoms, universality_degree):
                 for w in atoms:
                     if w.degree > universality_degree:
                         continue
-                    wobj = _atom_obj(backend, w)
+                    wobj = backend.object_of([w])
                     mediators = {}
                     for m in backend.hom_objects(wobj, pobj):
                         key = (backend.compose_gmaps(p, m),
@@ -103,8 +94,8 @@ def check_fiber_products(backend, atoms, universality_degree):
                             if backend.compose_maps(f, u) != \
                                     backend.compose_maps(g, v):
                                 continue
-                            span = (_atom_gmap(backend, u),
-                                    _atom_gmap(backend, v))
+                            span = (atom_gmap(backend, u),
+                                    atom_gmap(backend, v))
                             count = mediators.get(span, 0)
                             if count != 1:
                                 ok = False
@@ -124,7 +115,7 @@ def check_monos_are_isos(backend, atoms):
     for a in atoms:
         for b in atoms:
             for f in backend.hom_atoms(a, b):
-                kp_obj, _, _ = kernel_pair(backend, _atom_gmap(backend, f))
+                kp_obj, _, _ = kernel_pair(backend, atom_gmap(backend, f))
                 mono = len(kp_obj.atoms) == 1
                 if not mono:
                     continue
@@ -147,8 +138,8 @@ def check_atom_cospans_nonempty(backend, atoms):
                 for f in backend.hom_atoms(a, c):
                     for g in backend.hom_atoms(b, c):
                         pobj, _, _ = fiber_product(
-                            backend, _atom_gmap(backend, f),
-                            _atom_gmap(backend, g))
+                            backend, atom_gmap(backend, f),
+                            atom_gmap(backend, g))
                         if pobj.is_empty():
                             ok = False
                             witness = {"cospan": f"{a.render()} -> {c.render()}"

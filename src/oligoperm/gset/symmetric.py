@@ -20,23 +20,15 @@ the point-cut relations value(c) = value(c+1) + 1 used by the measure solver.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .base import (
-    Atom,
     AtomMap,
-    Backend,
     ElementaryStep,
     Factorization,
     LinearRelation,
     ProductOrbit,
+    TupleBackend,
 )
-
-BACKEND_ID = "sym"
-
-
-def _atom(n):
-    return Atom(BACKEND_ID, n, f"inj[{n}]")
 
 
 def _matching_label(matching):
@@ -56,37 +48,15 @@ def _parse_matching(label):
     return tuple(pairs)
 
 
-class SymBackend(Backend):
-    backend_id = BACKEND_ID
-
-    def unit_atom(self):
-        return _atom(0)
-
-    def atoms_up_to(self, bound):
-        return [_atom(n) for n in range(bound + 1)]
-
-    def atom_of_arity(self, n):
-        return _atom(n)
+class SymBackend(TupleBackend):
+    backend_id = "sym"
+    prefix = "inj"
 
     def hom_atoms(self, a, b):
         n, m = a.degree, b.degree
         return [AtomMap(a, b, sel) for sel in itertools.permutations(range(1, n + 1), m)]
 
-    def identity_map(self, a):
-        return AtomMap(a, a, tuple(range(1, a.degree + 1)))
-
-    def compose_maps(self, outer, inner):
-        if inner.target != outer.source:
-            raise ValueError("atom map composition shape mismatch")
-        sel = tuple(inner.data[j - 1] for j in outer.data)
-        return AtomMap(inner.source, outer.target, sel)
-
-    def is_surjective_map(self, f):
-        # Every coordinate selection is onto: any target tuple extends.
-        return True
-
-    @lru_cache(maxsize=None)
-    def product_decompose(self, a, b):
+    def _decompose(self, a, b):
         n, m = a.degree, b.degree
         orbits = []
         for k in range(min(n, m) + 1):
@@ -102,8 +72,7 @@ class SymBackend(Backend):
     def _orbit_of_matching(self, a, b, matching):
         n, m = a.degree, b.degree
         k = len(matching)
-        atom = _atom(n + m - k)
-        partner = dict(matching)
+        atom = self._atom(n + m - k)
         matched_right = {j for _, j in matching}
         unmatched_right = [j for j in range(1, m + 1) if j not in matched_right]
         proj1 = AtomMap(atom, a, tuple(range(1, n + 1)))
@@ -135,7 +104,7 @@ class SymBackend(Backend):
         matched_right = {j for _, j in matching}
         unmatched_right = [j for j in range(1, b.degree + 1) if j not in matched_right]
         sel = tuple(f.data) + tuple(g.data[j - 1] for j in unmatched_right)
-        orbit_atom = _atom(a.degree + b.degree - len(matching))
+        orbit_atom = self._atom(a.degree + b.degree - len(matching))
         return label, AtomMap(f.source, orbit_atom, sel)
 
     def swap_orbit(self, a, b, label):
@@ -155,7 +124,7 @@ class SymBackend(Backend):
             sel.append(partner_of_right[j] if j in matched_right else right_pos[j])
         for i in unmatched_left:
             sel.append(i)
-        src_atom = _atom(n + m - len(matching))
+        src_atom = self._atom(n + m - len(matching))
         return _matching_label(transposed), AtomMap(src_atom, src_atom, tuple(sel))
 
     # Elementary structure
@@ -167,7 +136,7 @@ class SymBackend(Backend):
         iso = AtomMap(f.source, f.source, tuple(kept + complement))
         steps = []
         for k in range(n, m, -1):
-            steps.append(ElementaryStep(_atom(k), _atom(k - 1),
+            steps.append(ElementaryStep(self._atom(k), self._atom(k - 1),
                                         f"omega-minus[{k - 1}]", position=k))
         return Factorization(iso, tuple(steps))
 
@@ -175,13 +144,6 @@ class SymBackend(Backend):
         # All drop orders give the same class multiset here: removing any one
         # coordinate of an injective k-tuple leaves the complement of k-1 points.
         return {self.mu_map_classes(f)}
-
-    def atom_chain_parent(self, a):
-        n = a.degree
-        if n == 0:
-            return None
-        drop_last = AtomMap(a, _atom(n - 1), tuple(range(1, n)))
-        return drop_last, f"omega-minus[{n - 1}]"
 
     def fiber_classes(self, depth):
         return [f"omega-minus[{c}]" for c in range(depth)]
@@ -198,7 +160,3 @@ class SymBackend(Backend):
             )
         return rels
 
-    def parse_atom_label(self, label):
-        if not (label.startswith("inj[") and label.endswith("]")):
-            raise ValueError(f"bad sym atom label {label!r}")
-        return _atom(int(label[4:-1]))

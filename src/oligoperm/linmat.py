@@ -45,12 +45,10 @@ class ProductSpace:
 
 def tensor_space(backend, factors):
     factors = tuple(factors)
-    cache = getattr(backend, "_ps_cache", None)
-    if cache is None:
-        cache = {}
-        backend._ps_cache = cache
-    if factors in cache:
-        return cache[factors]
+    key = ("space", factors)
+    space = backend.cache.get(key)
+    if space is not None:
+        return space
     if len(factors) == 1:
         obj = factors[0]
         positions = tuple(
@@ -76,7 +74,7 @@ def tensor_space(backend, factors):
         obj = GObject(backend.backend_id, tuple(p.atom for p in raw))
         index = {p.meta: i for i, p in enumerate(raw)}
         space = ProductSpace(backend, factors, obj, tuple(raw), left, index)
-    cache[factors] = space
+    backend.cache[key] = space
     return space
 
 
@@ -153,12 +151,6 @@ def identity_matrix(backend, x, field):
     return InvariantMatrix(backend, x, x, entries)
 
 
-def atom_gmap(backend, f):
-    src = backend.object_of([f.source])
-    tgt = backend.object_of([f.target])
-    return GMap(src, tgt, ((0, f),))
-
-
 def pushforward_matrix(backend, f, field):
     """The indicator of the graph of f, as a matrix Vec_source -> Vec_target."""
     entries = {}
@@ -188,13 +180,10 @@ def _completions(backend, z, y, x, label_zy, label_yx):
     """Triple orbits of z x y x x with the two prescribed marginals, with the
     factor map of the (z, x) marginal: a list of (label_zx, map onto the
     marginal orbit atom)."""
-    cache = getattr(backend, "_completion_cache", None)
-    if cache is None:
-        cache = {}
-        backend._completion_cache = cache
-    key = (z, y, x, label_zy, label_yx)
-    if key in cache:
-        return cache[key]
+    key = ("completions", z, y, x, label_zy, label_yx)
+    result = backend.cache.get(key)
+    if result is not None:
+        return result
     orbit_zy = next(o for o in backend.product_decompose(z, y) if o.label == label_zy)
     out = []
     for orbit in backend.product_decompose(orbit_zy.atom, x):
@@ -205,8 +194,7 @@ def _completions(backend, z, y, x, label_zy, label_yx):
         to_z = backend.compose_maps(orbit_zy.proj1, orbit.proj1)
         label_zx, g = backend.product_factor(to_z, orbit.proj2)
         out.append((label_zx, g))
-    result = tuple(out)
-    cache[key] = result
+    result = backend.cache[key] = tuple(out)
     return result
 
 
@@ -414,23 +402,6 @@ def scalar_entry(matrix, field):
         return zero(field)
     (value,) = matrix.entries.values()
     return value
-
-
-def full_row_rank_on_invariants(measure, matrix):
-    """Whether the induced map on invariant functions is surjective."""
-    backend = matrix.backend
-    field = measure.field
-    columns = []
-    for s in range(len(matrix.source.atoms)):
-        col = matmul(measure, matrix,
-                     column_matrix(backend,
-                                   indicator_fn(matrix.source, s, field), field))
-        fn = column_to_fn(col)
-        columns.append([fn.coeffs.get(t, zero(field))
-                        for t in range(len(matrix.target.atoms))])
-    rows = len(matrix.target.atoms)
-    grid = [[columns[s][t] for s in range(len(columns))] for t in range(rows)]
-    return _rank(grid, field) == rows
 
 
 def pushforward_fn(measure, gmap, fn):

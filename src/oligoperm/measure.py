@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .coeff import RATIONAL, Scalar, one, ratfunc_field, zero
 from .errors import InconsistentSystem, UnknownAtom
+from .gset.base import atom_gmap
 from .report import CheckResult, Report
 
 SOLVE_DEPTH_FACTOR = 4
@@ -330,7 +331,7 @@ def classify_measure(measure, bound):
                     gmap = linmat.product_gmap(
                         backend,
                         backend.identity_gmap(backend.object_of([w])),
-                        linmat.atom_gmap(backend, f),
+                        atom_gmap(backend, f),
                         src, tgt)
                     if not linmat.pushforward_surjective_on_invariants(measure, gmap):
                         normal = False

@@ -16,7 +16,6 @@ abstract computations.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .coeff import RATIONAL, Scalar, zero
 from .linmat import matmul, tensor_space
@@ -33,12 +32,6 @@ def finite_points(backend, obj):
     return out
 
 
-def finite_pair_label(backend, a, b, pa, pb):
-    backend.product_decompose(a, b)
-    k, _ = backend._pair_lookup[(a, b)][(pa, pb)]
-    return f"#{k}"
-
-
 def expand_finite_matrix(backend, matrix, field):
     rows = finite_points(backend, matrix.target)
     cols = finite_points(backend, matrix.source)
@@ -46,8 +39,8 @@ def expand_finite_matrix(backend, matrix, field):
     for (tp, ti) in rows:
         row = []
         for (sp, si) in cols:
-            label = finite_pair_label(backend, matrix.target.atoms[tp],
-                                      matrix.source.atoms[sp], ti, si)
+            label = backend.pair_label(matrix.target.atoms[tp],
+                                       matrix.source.atoms[sp], ti, si)
             row.append(matrix.entries.get((tp, sp, label), zero(field)))
         grid.append(row)
     return grid
@@ -80,14 +73,6 @@ def finite_matmul_agrees(backend, measure, bmat, amat):
     return lhs == rhs
 
 
-def expand_finite_fn(backend, fn, field):
-    out = []
-    for pos, atom in enumerate(fn.carrier.atoms):
-        value = fn.coeffs.get(pos, zero(field))
-        out.extend([value] * atom.degree)
-    return out
-
-
 def bgamma_kernel_dimension(backend, y_obj, gamma, field):
     """Dimension of the kernel of x -> gamma . (x (x) 1 - 1 (x) x) on the
     concrete function space of the finite backend."""
@@ -98,8 +83,8 @@ def bgamma_kernel_dimension(backend, y_obj, gamma, field):
         column = []
         for (p1, i1) in points:
             for (p2, i2) in points:
-                label = finite_pair_label(backend, y_obj.atoms[p1],
-                                          y_obj.atoms[p2], i1, i2)
+                label = backend.pair_label(y_obj.atoms[p1], y_obj.atoms[p2],
+                                           i1, i2)
                 pos = ps2.index[(p1, p2, label)]
                 g = gamma.coeffs.get(pos, zero(field))
                 diff = (1 if (p1, i1) == (yp, yi) else 0) - \
@@ -111,6 +96,26 @@ def bgamma_kernel_dimension(backend, y_obj, gamma, field):
     from .linmat import _rank
 
     return len(points) - _rank(grid, field)
+
+
+def _count_orbits(points, generators, act):
+    """Orbits of a finite action, by union-find over the generators' moves;
+    ``act(g, p)`` is the image of point p under generator g."""
+    index = {p: i for i, p in enumerate(points)}
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for p, i in index.items():
+        for g in generators:
+            ri, rq = find(i), find(index[act(g, p)])
+            if ri != rq:
+                parent[ri] = rq
+    return len({find(i) for i in range(len(points))})
 
 
 # Symmetric backend finite model
@@ -168,31 +173,9 @@ def sym_orbit_count_model(n_points, n, m):
     pairs = [(u, x)
              for u in itertools.permutations(range(n_points), n)
              for x in itertools.permutations(range(n_points), m)]
-    index = {p: i for i, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    for p, i in index.items():
-        u, x = p
-        for g in gens:
-            q = (tuple(g[a] for a in u), tuple(g[a] for a in x))
-            union(i, index[q])
-    return len({find(i) for i in range(len(pairs))})
-
-
-def counting_fraction(value):
-    """Render an exact rational for comparisons in tests."""
-    return Scalar.from_fraction(RATIONAL, Fraction(value))
+    return _count_orbits(
+        pairs, gens,
+        lambda g, p: (tuple(g[a] for a in p[0]), tuple(g[a] for a in p[1])))
 
 
 # Full category-layer oracle for the finite backend
@@ -200,22 +183,9 @@ def counting_fraction(value):
 def finite_orbit_count_on_pairs(backend, a, b):
     """Orbits on point pairs, counted by closure under the generators."""
     pairs = [(i, j) for i in range(a.degree) for j in range(b.degree)]
-    index = {p: k for k, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for (i, j), k in index.items():
-        for g in backend.generators:
-            q = (backend.act(g, a, i), backend.act(g, b, j))
-            rk, rq = find(k), find(index[q])
-            if rk != rq:
-                parent[rk] = rq
-    return len({find(k) for k in range(len(pairs))})
+    return _count_orbits(
+        pairs, backend.generators,
+        lambda g, p: (backend.act(g, a, p[0]), backend.act(g, b, p[1])))
 
 
 def _pair_point_index(backend, ps2):

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 from .coeff import one, zero
 from .errors import ShapeMismatch
-from .gset.base import GMap, GObject
+from .gset.base import GMap, GObject, atom_gmap
 from .linmat import (
     InvariantMatrix,
-    atom_gmap,
     block_tensor,
     column_matrix,
     column_to_fn,

@@ -123,7 +123,7 @@ def _eidem_block(backend, measure, results):
                     "eidem-kernel-pair")
 
 
-def run_suite(backend, bound, seed=0):
+def run_suite(backend, bound):
     """Every checker in the package, composed per backend."""
     results = []
     small = min(bound, 3)

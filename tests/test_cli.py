@@ -1,5 +1,6 @@
 """CLI surface: exit codes, deterministic JSON, file formats."""
 
+import hashlib
 import json
 
 import pytest
@@ -156,22 +157,48 @@ def test_check_linearization(tmp_path):
     assert code == 0
 
 
+def report_sha256(tmp_path):
+    return hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+
+
+# Suite reports are pinned byte for byte: refactors must not move them.
+SUITE_SHA256 = {
+    "sym": "a0e3e9256dcb362b1a95009e1946743d6eff1ab2c5f379e806dddf16ba0c6953",
+    "line": "b30c055eb4932d8dfe957ba98c0c74070e256dd96043e7bb0ed15ab664a31e59",
+    "S3": "0b48a3e677eb27595aa7c7cc828bbc404ecdb2e9498d8bbf02184a970baed91c",
+}
+
+
 def test_suite_finite(tmp_path):
     code, doc = run(tmp_path, "suite", "--backend", "finite", "--group", "S3",
                     "--bound", "6")
     assert code == 0
+    assert report_sha256(tmp_path) == SUITE_SHA256["S3"]
 
 
 def test_suite_infinite_backends(tmp_path):
     for backend in ("sym", "line"):
         code, doc = run(tmp_path, "suite", "--backend", backend, "--bound", "3")
         assert code == 0, [r for r in doc["results"] if r["status"] == "FAIL"]
+        assert report_sha256(tmp_path) == SUITE_SHA256[backend]
 
 
 def test_usage_errors(tmp_path):
     assert main(["pregalois"]) == 2  # missing backend
     assert main(["measure", "solve", "--backend", "finite", "--bound", "4"]) == 2
     assert main(["homdim", "--X", "sym:inj[1]", "--Y", "line:inc[1]"]) == 2
+
+
+def test_field_flag_rejects_non_prime(tmp_path):
+    for field in ("fp:4", "fp:abc", "fp", "fp:0", "r"):
+        assert main(["dim", "--X", "sym:inj[1]", "--field", field]) == 2
+
+
+def test_spec_file_rejects_bad_field(tmp_path):
+    spec = tmp_path / "measure.json"
+    spec.write_text(json.dumps({"backend": "sym", "field": "fp"}),
+                    encoding="utf-8")
+    assert main(["measure", "check", "--spec", str(spec)]) == 2
 
 
 def test_bound_guard(tmp_path, monkeypatch):

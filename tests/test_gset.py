@@ -1,11 +1,21 @@
 """Backend combinatorics against independent counting oracles."""
 
+import gc
 import itertools
+import weakref
 from math import comb, factorial
 
 import pytest
 
-from oligoperm.gset import LINE, SYM, fiber_product, kernel_pair, preset_backend
+from oligoperm.gset import (
+    LINE,
+    SYM,
+    LineBackend,
+    SymBackend,
+    fiber_product,
+    kernel_pair,
+    preset_backend,
+)
 
 
 def delannoy(m, n):
@@ -153,6 +163,18 @@ def test_finite_product_sizes(s3):
         for b in atoms:
             orbits = s3.product_decompose(a, b)
             assert sum(o.atom.degree for o in orbits) == a.degree * b.degree
+
+
+@pytest.mark.parametrize("make", [SymBackend, LineBackend])
+def test_product_cache_dies_with_backend(make):
+    # the memo of product structure belongs to the instance, not the class
+    backend = make()
+    a = backend.atom_of_arity(2)
+    assert backend.product_decompose(a, a)
+    ref = weakref.ref(backend)
+    del backend
+    gc.collect()
+    assert ref() is None
 
 
 def test_sym_product_sizes_in_finite_model():

@@ -6,10 +6,9 @@ import pytest
 
 from oligoperm.coeff import Scalar, one
 from oligoperm.errors import ShapeMismatch
-from oligoperm.gset import LINE, SYM
+from oligoperm.gset import LINE, SYM, atom_gmap
 from oligoperm.linmat import (
     InvariantMatrix,
-    atom_gmap,
     column_matrix,
     constant_fn,
     identity_matrix,
