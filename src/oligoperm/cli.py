@@ -6,7 +6,8 @@ wall-clock timing is printed on the human-readable stream only).
 
 Exit codes: 0 when every check passes, 1 when a check fails, 2 on usage
 errors.  The environment variable OLIGOPERM_MAX_BOUND (default 10) guards
-runaway enumeration bounds.
+runaway enumeration: it caps ``--bound`` and the degree of every atom named in
+an object or map expression.
 """
 
 from __future__ import annotations
@@ -41,11 +42,18 @@ from .suite import run_suite
 SCHEMA = 1
 
 
+def _finite(group):
+    try:
+        return preset_backend(group)
+    except ValueError as exc:
+        raise UsageError(f"bad --group {group!r}: {exc}") from None
+
+
 def _backends(args):
     table = {"sym": SYM, "line": LINE}
     group = getattr(args, "group", None)
     if group:
-        table["finite"] = preset_backend(group)
+        table["finite"] = _finite(group)
     return table
 
 
@@ -57,7 +65,7 @@ def _backend(args):
         group = getattr(args, "group", None)
         if not group:
             raise UsageError("--group is required with --backend finite")
-        return preset_backend(group)
+        return _finite(group)
     try:
         return {"sym": SYM, "line": LINE}[name]
     except KeyError:
@@ -76,14 +84,34 @@ def _char(field):
     return p
 
 
-def _bound(args, default=3):
+def _max_bound():
+    return int(os.environ.get("OLIGOPERM_MAX_BOUND", "10"))
+
+
+def _bound(args, default=3, minimum=0):
     bound = getattr(args, "bound", None)
     if bound is None:
         bound = default
-    guard = int(os.environ.get("OLIGOPERM_MAX_BOUND", "10"))
+    if bound < minimum:
+        raise UsageError(f"--bound {bound} is below {minimum}, the least "
+                         "this command accepts")
+    guard = _max_bound()
     if bound > guard:
         raise UsageError(f"bound {bound} exceeds OLIGOPERM_MAX_BOUND={guard}")
     return bound
+
+
+def _parse(parse, backends, text):
+    """Run a grammar parser on command-line or file input.
+
+    Malformed expressions, unknown backends and atoms of degree above
+    OLIGOPERM_MAX_BOUND are usage errors; the degree is checked before any
+    enumeration starts.
+    """
+    try:
+        return parse(backends, text, max_degree=_max_bound())
+    except ValueError as exc:
+        raise UsageError(f"bad expression {text!r}: {exc}") from None
 
 
 def _measure_for(backend, bound, char, objects=()):
@@ -132,8 +160,8 @@ def cmd_atoms(args):
 
 def cmd_homdim(args):
     backends = _backends(args)
-    backend, x = parse_object(backends, args.X)
-    backend2, y = parse_object(backends, args.Y)
+    backend, x = _parse(parse_object, backends, args.X)
+    backend2, y = _parse(parse_object, backends, args.Y)
     if backend is not backend2:
         raise UsageError("objects come from different backends")
     dim = hom_dimension(backend, vec(x), vec(y))
@@ -144,8 +172,8 @@ def cmd_homdim(args):
 def _load_matrix(backends, path):
     with open(path, encoding="utf-8") as handle:
         doc = json.load(handle)
-    backend, source = parse_object(backends, doc["source"])
-    _, target = parse_object(backends, doc["target"])
+    backend, source = _parse(parse_object, backends, doc["source"])
+    _, target = _parse(parse_object, backends, doc["target"])
     family = solve_measures(backend, 2, char=_char(doc.get("field")))
     field = family.field
     entries = {}
@@ -173,7 +201,7 @@ def cmd_compose(args):
 
 def cmd_dim(args):
     backends = _backends(args)
-    backend, x = parse_object(backends, args.X)
+    backend, x = _parse(parse_object, backends, args.X)
     measure, family = _measure_for(backend, _bound(args), _char(args.field),
                                    [x])
     args._measure_desc = family.description
@@ -184,7 +212,7 @@ def cmd_dim(args):
 
 def cmd_measure_solve(args):
     backend = _backend(args)
-    bound = _bound(args, default=4)
+    bound = _bound(args, default=4, minimum=2)
     started = time.monotonic()
     family = solve_measures(backend, bound, char=_char(args.field))
     args._measure_desc = family.description
@@ -215,7 +243,7 @@ def cmd_measure_check(args):
     field = family.field
     atom_values = {}
     for label, text in doc.get("atoms", {}).items():
-        _, atom = parse_object(backends, label)
+        _, atom = _parse(parse_object, backends, label)
         atom_values[atom.atoms[0]] = parse_scalar(field, text)
     fiber_values = {cls: parse_scalar(field, text)
                     for cls, text in doc.get("fibers", {}).items()}
@@ -251,7 +279,7 @@ def _gamma_from_args(args, backend, x, field):
 
 def cmd_frob_verify(args):
     backends = _backends(args)
-    backend, x = parse_object(backends, args.X)
+    backend, x = _parse(parse_object, backends, args.X)
     measure, family = _measure_for(backend, _bound(args), _char(args.field),
                                    [x])
     args._measure_desc = family.description
@@ -268,7 +296,7 @@ def cmd_frob_verify(args):
 
 def cmd_frob_eidem(args):
     backends = _backends(args)
-    backend, x = parse_object(backends, args.B)
+    backend, x = _parse(parse_object, backends, args.B)
     measure, family = _measure_for(backend, _bound(args), _char(args.field),
                                    [x])
     args._measure_desc = family.description
@@ -283,7 +311,7 @@ def cmd_frob_gamma_of(args):
     if os.path.exists(text):
         with open(text, encoding="utf-8") as handle:
             text = handle.read().strip()
-    backend, m = parse_atom_map(backends, text)
+    backend, m = _parse(parse_atom_map, backends, text)
     measure, family = _measure_for(backend, _bound(args), _char(args.field),
                                    [backend.object_of([m.source])])
     args._measure_desc = family.description
@@ -317,7 +345,8 @@ def cmd_check_linearization(args):
 def cmd_suite(args):
     backend = _backend(args)
     started = time.monotonic()
-    report = run_suite(backend, _bound(args, default=4))
+    # the sym suite's expected pre-Galois witness lives on an atom of degree 2
+    report = run_suite(backend, _bound(args, default=4, minimum=2))
     return _emit(args, report, None, started)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import one, zero
+from .coeff import one
 from .errors import NotSurjective
 from .gset.base import GMap
 from .linmat import (
@@ -27,6 +27,7 @@ from .linmat import (
     block_tensor,
     column_to_fn,
     identity_matrix,
+    marginal,
     matmul,
     multi_factor,
     product_gmap,
@@ -231,12 +232,6 @@ def splitting_idempotent(f, measure):
     return alpha_fn, report
 
 
-def _position_fn(backend, ps, pair):
-    """Position of a 2-fold space hit by the joint map of two maps."""
-    pos, _ = multi_factor(backend, list(pair), ps)
-    return pos
-
-
 def e_idempotent_check(backend, x, gamma, measure):
     """Equivalence-idempotent conditions for an invariant function on X x X."""
     field = measure.field
@@ -257,22 +252,20 @@ def e_idempotent_check(backend, x, gamma, measure):
     swap = wiring_gmap(ps2, ps2, (1, 0))
     swapped = {}
     for i, (j, _m) in enumerate(swap.legs):
-        value = gamma.coeffs.get(j, zero(field))
-        if not value.is_zero():
+        value = gamma.coeffs.get(j)
+        if value is not None and not value.is_zero():
             swapped[i] = value
     results.append(CheckResult(
         "symmetric", SchwartzFn(ps2.object, swapped) == gamma))
 
     lifts = {}
-    for (i, j) in [(0, 1), (0, 2), (1, 2)]:
+    for pair in [(0, 1), (0, 2), (1, 2)]:
         coeffs = {}
-        for pos_idx, pos in enumerate(ps3.positions):
-            pair_pos = _position_fn(backend, ps2,
-                                    (pos.projections[i], pos.projections[j]))
-            value = gamma.coeffs.get(pair_pos, zero(field))
-            if not value.is_zero():
+        for pos_idx, pair_pos in enumerate(marginal(ps3, pair)):
+            value = gamma.coeffs.get(pair_pos)
+            if value is not None and not value.is_zero():
                 coeffs[pos_idx] = value
-        lifts[(i, j)] = SchwartzFn(ps3.object, coeffs)
+        lifts[pair] = SchwartzFn(ps3.object, coeffs)
     p12, p13, p23 = lifts[(0, 1)], lifts[(0, 2)], lifts[(1, 2)]
     triple = (p12.pointwise_mul(p23) == p12.pointwise_mul(p13)
               == p13.pointwise_mul(p23))
@@ -371,14 +364,9 @@ def check_sum_tensor_traces(backend, xa, xb, measure):
 
     beta_a = row_to_fn(trace_pairing(fa, measure))
     beta_b = row_to_fn(trace_pairing(fb, measure))
-    ps2a = tensor_space(backend, [xa, xa])
-    ps2b = tensor_space(backend, [xb, xb])
     coeffs = {}
-    for idx, pos in enumerate(flat4.positions):
-        pa, _ = multi_factor(backend, [pos.projections[0], pos.projections[2]],
-                             ps2a)
-        pb, _ = multi_factor(backend, [pos.projections[1], pos.projections[3]],
-                             ps2b)
+    pairs = zip(marginal(flat4, (0, 2)), marginal(flat4, (1, 3)))
+    for idx, (pa, pb) in enumerate(pairs):
         if pa in beta_a.coeffs and pb in beta_b.coeffs:
             coeffs[idx] = beta_a.coeffs[pa] * beta_b.coeffs[pb]
     rhs = SchwartzFn(flat4.object, coeffs).prune()

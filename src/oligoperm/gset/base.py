@@ -24,8 +24,9 @@ memoized are freed together.  It is the only memo of product structure.  Keys
 are tagged tuples: ``("product", a, b)`` holds the orbits of ``a x b``
 (filled by ``product_decompose``, the one memoized backend method), and the
 finite backend's ``("pairs", a, b)`` holds its point-pair index; ``linmat``
-keeps its product spaces under ``("space", factors)`` and its triple-orbit
-completions under ``("completions", ...)``.
+keeps its product spaces under ``("space", factors)``, its triple-orbit
+completions under ``("completions", ...)`` and its marginal tables (flat
+position -> sub-product position) under ``("marginal", factors, blocks)``.
 """
 
 from __future__ import annotations
@@ -314,9 +315,11 @@ class TupleBackend(Backend):
 
     def parse_atom_label(self, label):
         head = self.prefix + "["
-        if not (label.startswith(head) and label.endswith("]")):
+        digits = label[len(head):-1]
+        if not (label.startswith(head) and label.endswith("]")
+                and digits.isdecimal()):
             raise ValueError(f"bad {self.backend_id} atom label {label!r}")
-        return self._atom(int(label[len(head):-1]))
+        return self._atom(int(digits))
 
 
 def atom_gmap(backend, f):

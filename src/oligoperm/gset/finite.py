@@ -330,9 +330,11 @@ class FiniteBackend(Backend):
         ]
 
     def parse_atom_label(self, label):
-        if not label.startswith("orbit#"):
+        digits = label[len("orbit#"):]
+        if not (label.startswith("orbit#") and digits.isdecimal()
+                and int(digits) < len(self._atoms)):
             raise ValueError(f"bad finite atom label {label!r}")
-        return self._atoms[int(label.split("#")[1])]
+        return self._atoms[int(digits)]
 
 
 def preset_backend(name):

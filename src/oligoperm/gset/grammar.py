@@ -12,24 +12,36 @@ from __future__ import annotations
 from .base import AtomMap, GObject
 
 
-def parse_atom(backends, text):
+def _backend(backends, backend_id):
+    backend_id = backend_id.strip()
+    if backend_id not in backends:
+        raise ValueError(f"unknown backend {backend_id!r}")
+    return backends[backend_id]
+
+
+def parse_atom(backends, text, max_degree=None):
+    """Parse one atom; an atom of degree above ``max_degree`` is refused."""
     text = text.strip()
     if ":" not in text:
         raise ValueError(f"atom expression needs a backend prefix: {text!r}")
     backend_id, label = text.split(":", 1)
-    backend = backends[backend_id.strip()]
-    return backend, backend.parse_atom_label(label.strip())
+    backend = _backend(backends, backend_id)
+    atom = backend.parse_atom_label(label.strip())
+    if max_degree is not None and atom.degree > max_degree:
+        raise ValueError(f"atom {atom.render()} has degree {atom.degree}, "
+                         f"above the limit {max_degree}")
+    return backend, atom
 
 
-def parse_object(backends, text):
+def parse_object(backends, text, max_degree=None):
     parts = [p.strip() for p in text.split("+")]
     backend = None
     atoms = []
     for part in parts:
         if part.endswith(":0"):
-            backend = backends[part.split(":")[0]]
+            backend = _backend(backends, part.split(":")[0])
             continue
-        b, atom = parse_atom(backends, part)
+        b, atom = parse_atom(backends, part, max_degree)
         if backend is None:
             backend = b
         elif b is not backend:
@@ -46,11 +58,16 @@ def render_pattern(m):
     return "[" + ",".join(str(i) for i in m.data) + "]"
 
 
-def parse_atom_map(backends, text):
+def parse_atom_map(backends, text, max_degree=None):
+    """Parse and validate an atom map.  ``max_degree`` is enforced on both
+    atoms before validation, which enumerates the maps between them."""
+    if ":" not in text or text.count("->") != 1:
+        raise ValueError(f"map expression needs the form SRC -> TGT : PATTERN: "
+                         f"{text!r}")
     head, pattern = text.rsplit(":", 1)
     src_txt, tgt_txt = head.split("->")
-    backend, src = parse_atom(backends, src_txt)
-    _, tgt = parse_atom(backends, tgt_txt)
+    backend, src = parse_atom(backends, src_txt, max_degree)
+    _, tgt = parse_atom(backends, tgt_txt, max_degree)
     pattern = pattern.strip()
     if pattern.startswith("drop{"):
         dropped = {int(tok) for tok in pattern[5:-1].split(",") if tok.strip()}

@@ -12,11 +12,17 @@ Product spaces track, for every atom position of an iterated product object,
 the projection maps onto each factor.  They make the wiring maps (diagonals,
 coordinate permutations and collapses) and blocked tensor products of
 morphisms computable without any associator bookkeeping: every composite in
-the category layer is expressed against one flat product space.
+the category layer is expressed against one flat product space.  A marginal
+table (``marginal``) records, once per product space and choice of factors,
+which sub-product position each flat position projects to.  The tables hold
+positions only, never the induced atom maps: those are cheap to recompute
+for the few positions a caller visits, and keeping them for every position
+would hold far more memory for the life of the backend.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .coeff import one, zero
@@ -92,6 +98,26 @@ def multi_factor(backend, maps, space):
     rp, rmap = maps[-1]
     label, g = backend.product_factor(lmap, rmap)
     return space.index[(lpos, rp, label)], g
+
+
+def marginal(space, blocks):
+    """Where each position of ``space`` lands in a sub-product.
+
+    Returns one entry per position of ``space``: the index of the position of
+    ``tensor_space(factors[i] for i in blocks)`` hit by the position's
+    marginal on those factors.  Computed once per (factors, blocks) and kept
+    in the backend cache under ``("marginal", factors, blocks)``.
+    """
+    backend = space.backend
+    blocks = tuple(blocks)
+    key = ("marginal", space.factors, blocks)
+    table = backend.cache.get(key)
+    if table is None:
+        sub = tensor_space(backend, [space.factors[i] for i in blocks])
+        table = backend.cache[key] = tuple(
+            multi_factor(backend, [pos.projections[i] for i in blocks], sub)[0]
+            for pos in space.positions)
+    return table
 
 
 class InvariantMatrix:
@@ -227,6 +253,11 @@ def block_tensor(measure_field, mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
     the sub-product of the target factors in tgt_blocks[k].  The result is a
     matrix from the flat source product to the flat target product; its value
     on an orbit is the product of the factor entries on the orbit's marginals.
+
+    Positions are grouped by their tuple of block positions (one marginal
+    table per block), and only the group pairs on which every factor matrix
+    has support are visited; zero products are pruned by InvariantMatrix.
+    ``measure_field`` is unused: products start from their first entry.
     """
     backend = src_ps.backend
     sub_src = [tensor_space(backend, [src_ps.factors[i] for i in blk])
@@ -237,45 +268,62 @@ def block_tensor(measure_field, mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
         if mat.source != sub_src[k].object or mat.target != sub_tgt[k].object:
             raise ShapeMismatch(f"block {k} does not match its sub-product")
 
-    def block_data(ps, blocks, subs):
-        data = []
-        for pos in ps.positions:
-            per_block = []
-            for k, blk in enumerate(blocks):
-                maps = [pos.projections[i] for i in blk]
-                per_block.append(multi_factor(backend, maps, subs[k]))
-            data.append(per_block)
-        return data
+    def groups(ps, blocks):
+        out = {}
+        tables = [marginal(ps, blk) for blk in blocks]
+        for pos, key in enumerate(zip(*tables)):
+            out.setdefault(key, []).append(pos)
+        return out
 
-    src_data = block_data(src_ps, src_blocks, sub_src)
-    tgt_data = block_data(tgt_ps, tgt_blocks, sub_tgt)
-    support = [
-        {(t, s) for (t, s, _label) in mat.entries}
-        for mat in mats
-    ]
+    def block_maps(ps, blocks, subs, pos):
+        projections = ps.positions[pos].projections
+        return [multi_factor(backend, [projections[i] for i in blk], sub)[1]
+                for blk, sub in zip(blocks, subs)]
+
+    def orbit_value(orbit, tkey, skey, tmaps, smaps):
+        """The product of the block entries on the orbit's marginals, or None
+        at the first block without an entry."""
+        value = None
+        for mat, tpos, spos, tmap, smap in zip(mats, tkey, skey, tmaps, smaps):
+            lbl, _ = backend.product_factor(
+                backend.compose_maps(tmap, orbit.proj1),
+                backend.compose_maps(smap, orbit.proj2))
+            entry = mat.entries.get((tpos, spos, lbl))
+            if entry is None:
+                return None
+            value = entry if value is None else value * entry
+        return value
+
+    src_groups = groups(src_ps, src_blocks)
+    tgt_groups = groups(tgt_ps, tgt_blocks)
+    support = []
+    for mat in mats:
+        by_target = {}
+        for (t, s, _label) in mat.entries:
+            by_target.setdefault(t, set()).add(s)
+        support.append(by_target)
+    src_maps = {}
     out = {}
-    for w, wblocks in enumerate(tgt_data):
-        for u, ublocks in enumerate(src_data):
-            if any((wblocks[k][0], ublocks[k][0]) not in support[k]
-                   for k in range(len(mats))):
-                continue
+    for tkey, ws in tgt_groups.items():
+        skeys = [skey for skey in itertools.product(
+                     *(sup.get(t, ()) for sup, t in zip(support, tkey)))
+                 if skey in src_groups]
+        if not skeys:
+            continue
+        for w in ws:
             watom = tgt_ps.object.atoms[w]
-            uatom = src_ps.object.atoms[u]
-            for orbit in backend.product_decompose(watom, uatom):
-                value = one(measure_field)
-                for k, mat in enumerate(mats):
-                    tpos, tmap = wblocks[k]
-                    spos, smap = ublocks[k]
-                    lbl, _ = backend.product_factor(
-                        backend.compose_maps(tmap, orbit.proj1),
-                        backend.compose_maps(smap, orbit.proj2))
-                    entry = mat.entries.get((tpos, spos, lbl))
-                    if entry is None:
-                        value = None
-                        break
-                    value = value * entry
-                if value is not None and not value.is_zero():
-                    out[(w, u, orbit.label)] = value
+            tmaps = block_maps(tgt_ps, tgt_blocks, sub_tgt, w)
+            for skey in skeys:
+                for u in src_groups[skey]:
+                    smaps = src_maps.get(u)
+                    if smaps is None:
+                        smaps = src_maps[u] = block_maps(
+                            src_ps, src_blocks, sub_src, u)
+                    uatom = src_ps.object.atoms[u]
+                    for orbit in backend.product_decompose(watom, uatom):
+                        value = orbit_value(orbit, tkey, skey, tmaps, smaps)
+                        if value is not None:
+                            out[(w, u, orbit.label)] = value
     return InvariantMatrix(backend, src_ps.object, tgt_ps.object, out)
 
 

@@ -204,3 +204,38 @@ def test_spec_file_rejects_bad_field(tmp_path):
 def test_bound_guard(tmp_path, monkeypatch):
     monkeypatch.setenv("OLIGOPERM_MAX_BOUND", "3")
     assert main(["atoms", "--backend", "sym", "--bound", "5"]) == 2
+
+
+def assert_usage_error(capsys, argv, expect):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and expect in err, err
+    assert "Traceback" not in err
+
+
+def test_bad_atom_label_is_usage_error(capsys):
+    assert_usage_error(capsys, ["dim", "--X", "sym:inj[x]"], "inj[x]")
+
+
+def test_unknown_backend_prefix_is_usage_error(capsys):
+    assert_usage_error(capsys, ["dim", "--X", "foo:inj[1]"],
+                       "unknown backend 'foo'")
+
+
+def test_bad_map_expression_is_usage_error(capsys):
+    assert_usage_error(capsys, ["frob", "gamma-of", "--map", "nonsense"],
+                       "SRC -> TGT : PATTERN")
+
+
+def test_bound_below_command_minimum(capsys):
+    assert_usage_error(capsys, ["measure", "solve", "--backend", "sym",
+                                "--bound", "-3"], "--bound -3 is below 2")
+
+
+def test_atom_degree_guard(capsys, monkeypatch):
+    # refused before anything is enumerated; only the refused form is run
+    assert_usage_error(capsys, ["dim", "--X", "sym:inj[40]", "--bound", "2"],
+                       "degree 40")
+    monkeypatch.setenv("OLIGOPERM_MAX_BOUND", "3")
+    assert_usage_error(capsys, ["frob", "gamma-of", "--map",
+                                "sym:inj[4] -> sym:inj[1] : [1]"], "degree 4")

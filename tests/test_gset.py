@@ -7,6 +7,7 @@ from math import comb, factorial
 
 import pytest
 
+from oligoperm.coeff import RATIONAL
 from oligoperm.gset import (
     LINE,
     SYM,
@@ -16,6 +17,7 @@ from oligoperm.gset import (
     kernel_pair,
     preset_backend,
 )
+from oligoperm.linmat import block_tensor, identity_matrix, tensor_space
 
 
 def delannoy(m, n):
@@ -167,12 +169,20 @@ def test_finite_product_sizes(s3):
 
 @pytest.mark.parametrize("make", [SymBackend, LineBackend])
 def test_product_cache_dies_with_backend(make):
-    # the memo of product structure belongs to the instance, not the class
+    # the memo of product structure belongs to the instance, not the class,
+    # and so do the product spaces and marginal tables linmat keeps in it
     backend = make()
     a = backend.atom_of_arity(2)
     assert backend.product_decompose(a, a)
+    x = backend.object_of([a])
+    ps2 = tensor_space(backend, [x, x])
+    ident = identity_matrix(backend, x, RATIONAL)
+    ident2 = block_tensor(RATIONAL, [ident, ident], ps2, ps2, [[0], [1]],
+                          [[0], [1]])
+    assert ident2 == identity_matrix(backend, ps2.object, RATIONAL)
+    assert any(key[0] == "marginal" for key in backend.cache)
     ref = weakref.ref(backend)
-    del backend
+    del backend, ps2, ident, ident2
     gc.collect()
     assert ref() is None
 

@@ -4,17 +4,20 @@ import itertools
 
 import pytest
 
-from oligoperm.coeff import Scalar, one
+from oligoperm.coeff import RATIONAL, Scalar, one
 from oligoperm.errors import ShapeMismatch
-from oligoperm.gset import LINE, SYM, atom_gmap
+from oligoperm.gset import LINE, SYM, atom_gmap, preset_backend
 from oligoperm.linmat import (
     InvariantMatrix,
+    block_tensor,
     column_matrix,
     constant_fn,
     identity_matrix,
     indicator_fn,
     integrate,
+    marginal,
     matmul,
+    multi_factor,
     pullback_matrix,
     pushforward_matrix,
     tensor_space,
@@ -22,6 +25,7 @@ from oligoperm.linmat import (
     wiring_gmap,
 )
 from oligoperm.measure import solve_measures
+from oligoperm.permcat import hom_basis, tensor, vec
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +201,124 @@ def test_column_matrix_round_trip(mu_t):
     col = column_matrix(SYM, fn, mu_t.field)
     assert col.source == SYM.unit_object()
     assert col.target == x
+
+
+# block_tensor against a dense reference
+
+
+S3 = preset_backend("S3")
+
+
+def small_objects(backend):
+    """Single-atom objects of degree <= 2, plus one two-atom object."""
+    atoms = backend.atoms_up_to(2)
+    return ([backend.object_of([a]) for a in atoms]
+            + [backend.object_of(atoms[:2])])
+
+
+def reference_block_tensor(field, mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
+    """Every (w, u, orbit): each block's label from multi_factor and
+    product_factor, and the product of the block entries."""
+    backend = src_ps.backend
+
+    def factored(ps, blocks):
+        """Per position, per block: (sub-product position, induced map)."""
+        subs = [tensor_space(backend, [ps.factors[i] for i in blk])
+                for blk in blocks]
+        return [[multi_factor(backend, [pos.projections[i] for i in blk], sub)
+                 for blk, sub in zip(blocks, subs)]
+                for pos in ps.positions]
+
+    src_data = factored(src_ps, src_blocks)
+    tgt_data = factored(tgt_ps, tgt_blocks)
+    out = {}
+    for w, wpos in enumerate(tgt_ps.positions):
+        for u, upos in enumerate(src_ps.positions):
+            for orbit in backend.product_decompose(wpos.atom, upos.atom):
+                value = one(field)
+                for mat, (tpos, tmap), (spos, smap) in zip(
+                        mats, tgt_data[w], src_data[u]):
+                    label, _ = backend.product_factor(
+                        backend.compose_maps(tmap, orbit.proj1),
+                        backend.compose_maps(smap, orbit.proj2))
+                    value = value * mat.entry((tpos, spos, label), field)
+                out[(w, u, orbit.label)] = value
+    return InvariantMatrix(backend, src_ps.object, tgt_ps.object, out)
+
+
+def generic_matrix(backend, source, target, field, keep_every=1):
+    """Distinct nonzero values on every keep_every-th orbit of target x source."""
+    entries = {}
+    n = 0
+    for t, b in enumerate(target.atoms):
+        for s, a in enumerate(source.atoms):
+            for orbit in backend.product_decompose(b, a):
+                n += 1
+                if n % keep_every == 0:
+                    entries[(t, s, orbit.label)] = Scalar.from_int(field, n)
+    return InvariantMatrix(backend, source, target, entries)
+
+
+# (source factors, target factors, source blocks, target blocks) as used by
+# frob and permcat; "1" is the unit object, "x" the object under test
+BLOCK_SHAPES = [
+    ("1x", "xx", [[0], [1]], [[0], [1]]),
+    ("xx", "1x", [[0], [1]], [[0], [1]]),
+    ("x1", "xxx", [[0], [1]], [[0], [1, 2]]),
+    ("xxx", "1x", [[0, 1], [2]], [[0], [1]]),
+    ("1x", "xxx", [[0], [1]], [[0, 1], [2]]),
+    ("xxx", "x1", [[0], [1, 2]], [[0], [1]]),
+]
+
+
+@pytest.mark.parametrize("backend", [SYM, LINE, S3], ids=["sym", "line", "S3"])
+@pytest.mark.parametrize("shape", BLOCK_SHAPES,
+                         ids=[f"{s}-{t}" for s, t, _, _ in BLOCK_SHAPES])
+def test_block_tensor_matches_reference(backend, shape):
+    src_word, tgt_word, src_blocks, tgt_blocks = shape
+    field = RATIONAL
+    for x in small_objects(backend):
+        factor = {"1": backend.unit_object(), "x": x}
+        src_ps = tensor_space(backend, [factor[c] for c in src_word])
+        tgt_ps = tensor_space(backend, [factor[c] for c in tgt_word])
+        for keep_every in (1, 3):
+            mats = [
+                generic_matrix(
+                    backend,
+                    tensor_space(backend, [src_ps.factors[i] for i in sblk]).object,
+                    tensor_space(backend, [tgt_ps.factors[i] for i in tblk]).object,
+                    field, keep_every + k)
+                for k, (sblk, tblk) in enumerate(zip(src_blocks, tgt_blocks))]
+            got = block_tensor(field, mats, src_ps, tgt_ps, src_blocks, tgt_blocks)
+            want = reference_block_tensor(field, mats, src_ps, tgt_ps,
+                                          src_blocks, tgt_blocks)
+            assert got == want
+            assert got.entries or not want.entries
+
+
+@pytest.mark.parametrize("backend", [SYM, LINE, S3], ids=["sym", "line", "S3"])
+def test_permcat_tensor_matches_reference(backend):
+    field = RATIONAL
+    objects = small_objects(backend)
+    x, y = objects[1], objects[-1]
+    for f, g in itertools.product(hom_basis(backend, vec(x), vec(y), field),
+                                  hom_basis(backend, vec(y), vec(x), field)):
+        src = tensor_space(backend, [x, y])
+        tgt = tensor_space(backend, [y, x])
+        want = reference_block_tensor(field, [f.matrix, g.matrix], src, tgt,
+                                      [[0], [1]], [[0], [1]])
+        got = tensor(backend, f, g, field).matrix
+        assert got == want and got.entries
+
+
+@pytest.mark.parametrize("backend", [SYM, LINE, S3], ids=["sym", "line", "S3"])
+def test_marginal_matches_multi_factor(backend):
+    for x in small_objects(backend):
+        ps2 = tensor_space(backend, [x, x])
+        ps3 = tensor_space(backend, [x, x, x])
+        for pair in [(0, 1), (0, 2), (1, 2)]:
+            table = marginal(ps3, pair)
+            assert len(table) == len(ps3.positions)
+            for p, pos in enumerate(ps3.positions):
+                maps = [pos.projections[i] for i in pair]
+                assert table[p] == multi_factor(backend, maps, ps2)[0]
