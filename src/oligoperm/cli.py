@@ -7,7 +7,10 @@ wall-clock timing is printed on the human-readable stream only).
 Exit codes: 0 when every check passes, 1 when a check fails, 2 on usage
 errors.  The environment variable OLIGOPERM_MAX_BOUND (default 10) guards
 runaway enumeration: it caps ``--bound`` and the degree of every atom named in
-an object or map expression.
+an object or map expression.  Input files (matrices, ``--gamma`` tables and
+measure specs) are checked by ``_read_json`` and ``_read_entries`` before use:
+a document that is not an object, lacks a key, or has an entry that names no
+orbit is a usage error too.
 """
 
 from __future__ import annotations
@@ -169,16 +172,78 @@ def cmd_homdim(args):
     return _emit(args, report, {"dim": dim})
 
 
-def _load_matrix(backends, path):
+_JSON_TYPES = {dict: "object", list: "list", str: "string"}
+
+
+def _read_json(path, required, optional=None):
+    """A JSON object read from a file.
+
+    ``required`` and ``optional`` map keys to the type their value must
+    have.  A document that is not a JSON object, a missing required key or a
+    value of the wrong type is a usage error.
+    """
     with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise UsageError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path}: expected a JSON object, "
+                         f"not {type(doc).__name__}")
+    for key, kind in {**required, **(optional or {})}.items():
+        if key not in doc:
+            if key in required:
+                raise UsageError(f"{path}: missing key {key!r}")
+        elif not isinstance(doc[key], kind):
+            raise UsageError(f"{path}: {key!r} must be a JSON "
+                             f"{_JSON_TYPES[kind]}")
+    return doc
+
+
+def _read_scalar(path, field, text):
+    if not isinstance(text, str):
+        raise UsageError(f"{path}: scalar {text!r} is not a string")
+    try:
+        return parse_scalar(field, text)
+    except ValueError as exc:
+        raise UsageError(f"{path}: bad scalar {text!r}: {exc}") from None
+
+
+def _read_entries(path, doc, ps, field):
+    """The ``[left, right, label, scalar]`` items of a file's ``entries``
+    list, as {(left, right, label): scalar}.
+
+    ``ps`` is the two-factor product space the entries index: each
+    (left position, right position, orbit label) must be one of its
+    positions.
+    """
+    entries = {}
+    for entry in doc["entries"]:
+        if not (isinstance(entry, list) and len(entry) == 4
+                and all(type(p) is int for p in entry[:2])
+                and isinstance(entry[2], str)):
+            raise UsageError(f"{path}: entry {entry!r} is not a "
+                             "[position, position, label, scalar] list")
+        key = tuple(entry[:3])
+        if key not in ps.index:
+            raise UsageError(f"{path}: entry {entry!r} names no orbit of "
+                             f"{ps.object.render()}")
+        entries[key] = _read_scalar(path, field, entry[3])
+    return entries
+
+
+def _load_matrix(backends, path):
+    doc = _read_json(path, {"source": str, "target": str, "entries": list})
     backend, source = _parse(parse_object, backends, doc["source"])
-    _, target = _parse(parse_object, backends, doc["target"])
+    backend2, target = _parse(parse_object, backends, doc["target"])
+    if backend is not backend2:
+        raise UsageError(f"{path}: source and target come from different "
+                         "backends")
     family = solve_measures(backend, 2, char=_char(doc.get("field")))
     field = family.field
-    entries = {}
-    for t, s, label, scalar in doc["entries"]:
-        entries[(t, s, label)] = parse_scalar(field, scalar)
+    # positions of target x source are the (t, s, label) keys of a matrix
+    entries = _read_entries(path, doc, tensor_space(backend, [target, source]),
+                            field)
     return backend, field, InvariantMatrix(backend, source, target, entries)
 
 
@@ -232,8 +297,8 @@ def cmd_measure_solve(args):
 
 def cmd_measure_check(args):
     backends = _backends(args)
-    with open(args.spec, encoding="utf-8") as handle:
-        doc = json.load(handle)
+    doc = _read_json(args.spec, {"backend": str},
+                     {"atoms": dict, "fibers": dict})
     backend = backends.get(doc["backend"])
     if backend is None:
         if doc["backend"] == "finite":
@@ -243,9 +308,12 @@ def cmd_measure_check(args):
     field = family.field
     atom_values = {}
     for label, text in doc.get("atoms", {}).items():
-        _, atom = _parse(parse_object, backends, label)
-        atom_values[atom.atoms[0]] = parse_scalar(field, text)
-    fiber_values = {cls: parse_scalar(field, text)
+        owner, obj = _parse(parse_object, backends, label)
+        if owner is not backend or len(obj.atoms) != 1:
+            raise UsageError(f"{args.spec}: atoms key {label!r} is not one "
+                             f"{doc['backend']} atom")
+        atom_values[obj.atoms[0]] = _read_scalar(args.spec, field, text)
+    fiber_values = {cls: _read_scalar(args.spec, field, text)
                     for cls, text in doc.get("fibers", {}).items()}
     measure = Measure(backend, field, atom_values, fiber_values,
                       description=f"spec file {args.spec}")
@@ -269,11 +337,9 @@ def _gamma_from_args(args, backend, x, field):
                 label, _ = backend.product_factor(ident, ident)
                 coeffs[ps2.index[(i, i, label)]] = one(field)
         return SchwartzFn(ps2.object, coeffs)
-    with open(args.gamma, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    coeffs = {}
-    for i, j, label, scalar in doc["entries"]:
-        coeffs[ps2.index[(i, j, label)]] = parse_scalar(field, scalar)
+    doc = _read_json(args.gamma, {"entries": list})
+    entries = _read_entries(args.gamma, doc, ps2, field)
+    coeffs = {ps2.index[key]: value for key, value in entries.items()}
     return SchwartzFn(ps2.object, coeffs)
 
 

@@ -468,13 +468,19 @@ def pushforward_fn(measure, gmap, fn):
 
 
 def pushforward_surjective_on_invariants(measure, gmap):
-    field = measure.field
-    rows = len(gmap.target.atoms)
-    grid = [[zero(field) for _ in gmap.source.atoms] for _ in range(rows)]
-    for s in range(len(gmap.source.atoms)):
-        j, m = gmap.legs[s]
-        grid[j][s] = grid[j][s] + measure.mu_map(m)
-    return _rank(grid, field) == rows
+    """Whether pushforward along ``gmap`` is onto the target's invariant
+    functions.
+
+    In the target-by-source matrix of the pushforward, column ``s`` has one
+    possibly nonzero entry, ``mu_map(m)`` in row ``j`` for the leg
+    ``(j, m) = gmap.legs[s]``.  With at most one nonzero entry per column the
+    rank is the number of rows some nonzero entry hits, so the map is onto
+    exactly when every target position is hit by a leg of nonzero fiber
+    measure.  ``mu_map`` is evaluated on every leg, so a measure missing a
+    fiber value raises ``UnknownAtom`` whatever the answer.
+    """
+    hit = {j for j, m in gmap.legs if not measure.mu_map(m).is_zero()}
+    return len(hit) == len(gmap.target.atoms)
 
 
 def _rank(grid, field):

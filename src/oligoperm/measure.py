@@ -310,7 +310,11 @@ def classify_measure(measure, bound):
 
     Normality is probed by pushing invariant functions forward along
     id_W x f for every surjective atom map f and every atom W within the
-    bound, and asking for surjectivity of the induced linear map.
+    bound, and asking for surjectivity of the induced linear map.  That
+    surjectivity is decided by a support count, not by elimination: each
+    source orbit pushes forward onto one target orbit, so the map is onto
+    exactly when every target orbit is hit by a source orbit whose fiber
+    measure is nonzero (see ``linmat.pushforward_surjective_on_invariants``).
     """
     from . import linmat
 

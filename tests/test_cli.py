@@ -239,3 +239,81 @@ def test_atom_degree_guard(capsys, monkeypatch):
     monkeypatch.setenv("OLIGOPERM_MAX_BOUND", "3")
     assert_usage_error(capsys, ["frob", "gamma-of", "--map",
                                 "sym:inj[4] -> sym:inj[1] : [1]"], "degree 4")
+
+
+# Malformed JSON input files are usage errors, checked before any use.
+
+E_NEQ = {"source": "sym:inj[1]", "target": "sym:inj[1]",
+         "entries": [[0, 0, "[]", "1"]]}
+
+
+def write_json(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_matrix_file_missing_key_is_usage_error(tmp_path, capsys):
+    lhs = write_json(tmp_path, "lhs.json",
+                     {k: v for k, v in E_NEQ.items() if k != "target"})
+    rhs = write_json(tmp_path, "rhs.json", E_NEQ)
+    assert_usage_error(capsys, ["compose", "--lhs", lhs, "--rhs", rhs],
+                       "missing key 'target'")
+
+
+def test_matrix_file_not_object_is_usage_error(tmp_path, capsys):
+    lhs = write_json(tmp_path, "lhs.json", [E_NEQ])
+    rhs = write_json(tmp_path, "rhs.json", E_NEQ)
+    assert_usage_error(capsys, ["compose", "--lhs", lhs, "--rhs", rhs],
+                       "expected a JSON object")
+
+
+def test_gamma_file_unknown_label_is_usage_error(tmp_path, capsys):
+    gamma = write_json(tmp_path, "gamma.json",
+                       {"entries": [[0, 0, "nolabel", "1"]]})
+    assert_usage_error(capsys, ["frob", "eidem", "--B", "sym:inj[1]",
+                                "--gamma", gamma], "names no orbit")
+
+
+def test_spec_file_missing_backend_is_usage_error(tmp_path, capsys):
+    spec = write_json(tmp_path, "spec.json", {"field": "qt", "fibers": {}})
+    assert_usage_error(capsys, ["measure", "check", "--spec", spec],
+                       "missing key 'backend'")
+
+
+BAD_MATRIX_FILES = {
+    "short-entry": ({"entries": [[0, 0, "[]"]]}, "is not a [position"),
+    "float-position": ({"entries": [[0.0, 0, "[]", "1"]]}, "is not a [position"),
+    "list-label": ({"entries": [[0, 0, ["[]"], "1"]]}, "is not a [position"),
+    "position-out-of-range": ({"entries": [[0, 1, "[]", "1"]]},
+                              "names no orbit"),
+    "number-scalar": ({"entries": [[0, 0, "[]", 1]]}, "is not a string"),
+    "bad-scalar": ({"entries": [[0, 0, "[]", "1+"]]}, "bad scalar '1+'"),
+    "entries-not-list": ({"entries": {"0": "1"}}, "must be a JSON list"),
+    "mixed-backends": ({"target": "line:inc[1]", "entries": []},
+                       "different backends"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MATRIX_FILES))
+def test_malformed_matrix_file_is_usage_error(tmp_path, capsys, case):
+    change, expect = BAD_MATRIX_FILES[case]
+    lhs = write_json(tmp_path, "lhs.json", {**E_NEQ, **change})
+    rhs = write_json(tmp_path, "rhs.json", E_NEQ)
+    assert_usage_error(capsys, ["compose", "--lhs", lhs, "--rhs", rhs], expect)
+
+
+def test_non_json_file_is_usage_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text("backend = sym", encoding="utf-8")
+    assert_usage_error(capsys, ["measure", "check", "--spec", str(spec)],
+                       "not valid JSON")
+
+
+@pytest.mark.parametrize("key", ["sym:0", "sym:inj[1] + sym:inj[2]",
+                                 "line:inc[1]"])
+def test_spec_atoms_key_must_name_one_atom(tmp_path, capsys, key):
+    spec = write_json(tmp_path, "spec.json",
+                      {"backend": "sym", "field": "qt", "atoms": {key: "t"}})
+    assert_usage_error(capsys, ["measure", "check", "--spec", spec],
+                       "is not one sym atom")

@@ -4,9 +4,10 @@ import itertools
 
 import pytest
 
-from oligoperm.coeff import RATIONAL, Scalar, one
-from oligoperm.errors import ShapeMismatch
-from oligoperm.gset import LINE, SYM, atom_gmap, preset_backend
+from oligoperm import linmat
+from oligoperm.coeff import RATIONAL, Scalar, one, zero
+from oligoperm.errors import ShapeMismatch, UnknownAtom
+from oligoperm.gset import LINE, SYM, GMap, atom_gmap, preset_backend
 from oligoperm.linmat import (
     InvariantMatrix,
     block_tensor,
@@ -20,11 +21,12 @@ from oligoperm.linmat import (
     multi_factor,
     pullback_matrix,
     pushforward_matrix,
+    pushforward_surjective_on_invariants,
     tensor_space,
     transpose,
     wiring_gmap,
 )
-from oligoperm.measure import solve_measures
+from oligoperm.measure import Measure, classify_measure, solve_measures
 from oligoperm.permcat import hom_basis, tensor, vec
 
 
@@ -322,3 +324,68 @@ def test_marginal_matches_multi_factor(backend):
             for p, pos in enumerate(ps3.positions):
                 maps = [pos.projections[i] for i in pair]
                 assert table[p] == multi_factor(backend, maps, ps2)[0]
+
+
+# pushforward surjectivity against the dense rank
+
+
+def dense_pushforward_surjective(measure, gmap):
+    """Rank of the full target x source pushforward matrix, by elimination."""
+    field = measure.field
+    rows = len(gmap.target.atoms)
+    grid = [[zero(field) for _ in gmap.source.atoms] for _ in range(rows)]
+    for s, (j, m) in enumerate(gmap.legs):
+        grid[j][s] = grid[j][s] + measure.mu_map(m)
+    return linmat._rank(grid, field) == rows
+
+
+CLASSIFY_MEASURES = {
+    "sym": lambda: solve_measures(SYM, 3).generic(),
+    "sym-t1": lambda: solve_measures(SYM, 3).specialize(1),
+    "sym-t2": lambda: solve_measures(SYM, 3).specialize(2),
+    "sym-t3": lambda: solve_measures(SYM, 3).specialize(3),
+    "line": lambda: solve_measures(LINE, 3).generic(),
+    "S3": lambda: solve_measures(S3, 3).generic(),
+}
+
+
+@pytest.mark.parametrize("name", list(CLASSIFY_MEASURES))
+def test_pushforward_surjective_matches_dense_rank(name, monkeypatch):
+    # every map classify_measure probes at bound 3, through the public name
+    measure = CLASSIFY_MEASURES[name]()
+    mismatches = []
+    calls = 0
+
+    def checked(measure, gmap):
+        nonlocal calls
+        calls += 1
+        got = pushforward_surjective_on_invariants(measure, gmap)
+        if got != dense_pushforward_surjective(measure, gmap):
+            mismatches.append((gmap.source.render(), gmap.target.render()))
+        return got
+
+    monkeypatch.setattr(linmat, "pushforward_surjective_on_invariants", checked)
+    classify_measure(measure, 3)
+    assert calls > 0 and mismatches == []
+
+
+def test_pushforward_surjective_zero_fiber_leaves_position_unhit():
+    # at t = 1, dropping a point of inj[2] has fiber measure t - 1 = 0
+    family = solve_measures(SYM, 3)
+    a0, a1, a2 = (SYM.atom_of_arity(n) for n in (0, 1, 2))
+    select = SYM.hom_atoms(a2, a1)[0]
+    unhit = GMap(SYM.object_of([a0, a2]), SYM.object_of([a0, a1]),
+                 ((0, SYM.identity_map(a0)), (1, select)))
+    covered = GMap(SYM.object_of([a1, a2]), SYM.object_of([a1]),
+                   ((0, SYM.identity_map(a1)), (0, select)))
+    for t, want_unhit in ((1, False), (5, True)):
+        measure = family.specialize(t)
+        assert measure.mu_map(select).is_zero() is (t == 1)
+        for gmap, want in ((unhit, want_unhit), (covered, True)):
+            assert pushforward_surjective_on_invariants(measure, gmap) is want
+            assert dense_pushforward_surjective(measure, gmap) is want
+    # every leg is evaluated: a missing fiber value raises even after the
+    # identity leg has already hit the only target position
+    no_fibers = Measure(SYM, RATIONAL, {}, {})
+    with pytest.raises(UnknownAtom):
+        pushforward_surjective_on_invariants(no_fibers, covered)

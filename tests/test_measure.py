@@ -160,9 +160,10 @@ def test_classification(sym_family, line_family):
     assert classify_measure(sym_family.generic(), 3) == {
         "regular": True, "normal_within_bound": True}
     at_two = sym_family.specialize(2)
-    verdict = classify_measure(at_two, 4)
-    assert verdict["regular"] is False
-    assert classify_measure(line_family.generic(), 3)["regular"] is True
+    assert classify_measure(at_two, 4) == {
+        "regular": False, "normal_within_bound": False}
+    assert classify_measure(line_family.generic(), 3) == {
+        "regular": True, "normal_within_bound": True}
 
 
 def test_inconsistent_system_raises():
