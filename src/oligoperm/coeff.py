@@ -289,10 +289,16 @@ class Scalar:
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
-        acc = one(self.field)
+        if self.field.kind == "rational":
+            return Scalar(self.field, self.num ** n, self.den ** n)
+        # powers of a coprime pair stay coprime, and of a monic den monic,
+        # so the result is canonical without a gcd
+        char = self.field.char
+        num = den = _p_const(char, 1)
         for _ in range(n):
-            acc = acc * self
-        return acc
+            num = _p_mul(char, num, self.num)
+            den = _p_mul(char, den, self.den)
+        return Scalar(self.field, num, den)
 
     # Specialization
 
@@ -376,6 +382,25 @@ def _poly_render(field, coeffs):
 #   term   := factor (('*'|'/') factor)*
 #   factor := '-' factor | atom ('^' int)?
 #   atom   := integer | variable | '(' expr ')'
+#
+# A power is refused before it is computed when its result would exceed
+# MAX_POWER_SIZE, measured as exponent times the base's size (at least 1).
+
+MAX_POWER_SIZE = 256
+
+
+def _size(value):
+    """Bit length over Q; degree over F_p(t); over Q(t), the larger of the
+    degree and the bit length of the base coefficients."""
+    if value.field.kind == "rational":
+        return max(abs(value.num).bit_length(), value.den.bit_length())
+    size = max(len(value.num), len(value.den)) - 1
+    if value.field.char == 0:
+        for c in value.num + value.den:
+            size = max(size, abs(c.numerator).bit_length(),
+                       c.denominator.bit_length())
+    return size
+
 
 def parse_scalar(field, text):
     tokens = _tokenize(text)
@@ -438,7 +463,11 @@ def _parse_factor(field, tokens, pos):
     if pos < len(tokens) and tokens[pos][0] == "^":
         if pos + 1 >= len(tokens) or tokens[pos + 1][0] != "int":
             raise ValueError("exponent must be an integer literal")
-        value = value ** tokens[pos + 1][1]
+        n = tokens[pos + 1][1]
+        if max(1, _size(value)) * n > MAX_POWER_SIZE:
+            raise ValueError(f"power ^{n} would exceed the scalar size limit "
+                             f"{MAX_POWER_SIZE}")
+        value = value ** n
         pos += 2
     return value, pos
 

@@ -97,7 +97,7 @@ def verify_frobenius(f, measure):
         matmul(measure, f.mult, mu_id) == matmul(measure, f.mult, id_mu)))
     results.append(CheckResult(
         "algebra-commutativity", matmul(measure, f.mult, swap) == f.mult))
-    eta_id = block_tensor(field, [f.unit, ident], unit_right, f.ps2,
+    eta_id = block_tensor([f.unit, ident], unit_right, f.ps2,
                           [[0], [1]], [[0], [1]])
     results.append(CheckResult(
         "algebra-unit", matmul(measure, f.mult, eta_id) == ident))
@@ -112,7 +112,7 @@ def verify_frobenius(f, measure):
         matmul(measure, delta_id, f.comult) == matmul(measure, id_delta, f.comult)))
     results.append(CheckResult(
         "coalgebra-cocommutativity", matmul(measure, swap, f.comult) == f.comult))
-    eps_id = block_tensor(field, [f.counit, ident], f.ps2, unit_right,
+    eps_id = block_tensor([f.counit, ident], f.ps2, unit_right,
                           [[0], [1]], [[0], [1]])
     results.append(CheckResult(
         "coalgebra-counit", matmul(measure, eps_id, f.comult) == ident))
@@ -138,7 +138,7 @@ def trace_form(f, measure):
     ident = identity_matrix(backend, x, field)
     coev, ev = duality_data(backend, vec(x), field)
     right_unit = tensor_space(backend, [x, backend.unit_object()])
-    id_coev = block_tensor(field, [ident, coev.matrix], right_unit, f.ps3,
+    id_coev = block_tensor([ident, coev.matrix], right_unit, f.ps3,
                            [[0], [1]], [[0], [1, 2]])
     mu_id = pullback_matrix(backend, wiring_gmap(f.ps2, f.ps3, (0, 0, 1)), field)
     trace = matmul(measure, ev.matrix, matmul(measure, mu_id, id_coev))
@@ -171,15 +171,15 @@ def check_perfect_pairing(f, measure):
     left_unit = tensor_space(backend, [backend.unit_object(), x])
     right_unit = tensor_space(backend, [x, backend.unit_object()])
 
-    id_alpha = block_tensor(field, [ident, alpha], right_unit, f.ps3,
+    id_alpha = block_tensor([ident, alpha], right_unit, f.ps3,
                             [[0], [1]], [[0], [1, 2]])
-    beta_id = block_tensor(field, [beta, ident], f.ps3, left_unit,
+    beta_id = block_tensor([beta, ident], f.ps3, left_unit,
                            [[0, 1], [2]], [[0], [1]])
     first = matmul(measure, beta_id, id_alpha)
 
-    alpha_id = block_tensor(field, [alpha, ident], left_unit, f.ps3,
+    alpha_id = block_tensor([alpha, ident], left_unit, f.ps3,
                             [[0], [1]], [[0, 1], [2]])
-    id_beta = block_tensor(field, [ident, beta], f.ps3, right_unit,
+    id_beta = block_tensor([ident, beta], f.ps3, right_unit,
                            [[0], [1, 2]], [[0], [1]])
     second = matmul(measure, id_beta, alpha_id)
 

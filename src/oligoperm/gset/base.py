@@ -25,8 +25,10 @@ are tagged tuples: ``("product", a, b)`` holds the orbits of ``a x b``
 (filled by ``product_decompose``, the one memoized backend method), and the
 finite backend's ``("pairs", a, b)`` holds its point-pair index; ``linmat``
 keeps its product spaces under ``("space", factors)``, its triple-orbit
-completions under ``("completions", ...)`` and its marginal tables (flat
-position -> sub-product position) under ``("marginal", factors, blocks)``.
+completions under ``("completions", ...)``, its marginal tables (flat
+position -> sub-product position) under ``("marginal", factors, blocks)``
+and its pair-label tables (orbit of ``a x b`` -> label of the orbit of
+``c x d`` it maps into under ``f x g``) under ``("pair_labels", f, g)``.
 """
 
 from __future__ import annotations

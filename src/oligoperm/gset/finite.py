@@ -26,7 +26,10 @@ from .base import (
 
 BACKEND_ID = "finite"
 
-MAX_GROUP_ORDER = 120
+# The largest group order ``mulclose`` builds.  Subgroup enumeration grows
+# fast with the order: on a 2-core Xeon VM, A5 (order 60) builds in under a
+# second and S5 (order 120) in about ten.
+MAX_GROUP_ORDER = 60
 
 
 def _pcompose(p, q):

@@ -18,6 +18,15 @@ which sub-product position each flat position projects to.  The tables hold
 positions only, never the induced atom maps: those are cheap to recompute
 for the few positions a caller visits, and keeping them for every position
 would hold far more memory for the life of the backend.
+
+A pair-label table (``pair_labels``) records, once per pair of atom maps
+``f: a -> c`` and ``g: b -> d``, the orbit of ``c x d`` that each orbit of
+``a x b`` maps into.  ``block_tensor`` reads every orbit's block labels from
+these tables, and the tensor products of a suite repeat the same few shapes,
+so each table is reused across calls.  The tables hold labels only, and the
+label objects of the ``c x d`` decomposition rather than the fresh strings
+``product_factor`` builds: the decomposition is kept in the cache anyway, so
+a table costs one tuple of references.
 """
 
 from __future__ import annotations
@@ -246,7 +255,29 @@ def matmul(measure, b, a):
     return InvariantMatrix(backend, a.source, b.target, out)
 
 
-def block_tensor(measure_field, mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
+def pair_labels(backend, f, g):
+    """Where each orbit of ``a x b`` lands under ``f x g``.
+
+    For atom maps ``f: a -> c`` and ``g: b -> d``, returns one label per
+    orbit of ``product_decompose(a, b)``, in that order: the label of the
+    orbit of ``c x d`` the orbit maps into.  The labels are the objects of
+    ``product_decompose(c, d)``, not fresh copies.  Computed once per
+    (f, g) and kept in the backend cache under ``("pair_labels", f, g)``.
+    """
+    key = ("pair_labels", f, g)
+    table = backend.cache.get(key)
+    if table is None:
+        canonical = {o.label: o.label
+                     for o in backend.product_decompose(f.target, g.target)}
+        table = backend.cache[key] = tuple(
+            canonical[backend.product_factor(
+                backend.compose_maps(f, orbit.proj1),
+                backend.compose_maps(g, orbit.proj2))[0]]
+            for orbit in backend.product_decompose(f.source, g.source))
+    return table
+
+
+def block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
     """Tensor product of morphisms along a block structure.
 
     ``mats[k]`` maps the sub-product of the source factors in src_blocks[k] to
@@ -256,8 +287,9 @@ def block_tensor(measure_field, mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
 
     Positions are grouped by their tuple of block positions (one marginal
     table per block), and only the group pairs on which every factor matrix
-    has support are visited; zero products are pruned by InvariantMatrix.
-    ``measure_field`` is unused: products start from their first entry.
+    has support are visited.  For each visited (w, u) the label of every
+    orbit's marginal in each block is read from that block's ``pair_labels``
+    table; zero products are pruned by InvariantMatrix.
     """
     backend = src_ps.backend
     sub_src = [tensor_space(backend, [src_ps.factors[i] for i in blk])
@@ -279,20 +311,6 @@ def block_tensor(measure_field, mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
         projections = ps.positions[pos].projections
         return [multi_factor(backend, [projections[i] for i in blk], sub)[1]
                 for blk, sub in zip(blocks, subs)]
-
-    def orbit_value(orbit, tkey, skey, tmaps, smaps):
-        """The product of the block entries on the orbit's marginals, or None
-        at the first block without an entry."""
-        value = None
-        for mat, tpos, spos, tmap, smap in zip(mats, tkey, skey, tmaps, smaps):
-            lbl, _ = backend.product_factor(
-                backend.compose_maps(tmap, orbit.proj1),
-                backend.compose_maps(smap, orbit.proj2))
-            entry = mat.entries.get((tpos, spos, lbl))
-            if entry is None:
-                return None
-            value = entry if value is None else value * entry
-        return value
 
     src_groups = groups(src_ps, src_blocks)
     tgt_groups = groups(tgt_ps, tgt_blocks)
@@ -319,10 +337,22 @@ def block_tensor(measure_field, mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
                     if smaps is None:
                         smaps = src_maps[u] = block_maps(
                             src_ps, src_blocks, sub_src, u)
-                    uatom = src_ps.object.atoms[u]
-                    for orbit in backend.product_decompose(watom, uatom):
-                        value = orbit_value(orbit, tkey, skey, tmaps, smaps)
-                        if value is not None:
+                    blocks = [(mat.entries, tpos, spos,
+                               pair_labels(backend, tmap, smap))
+                              for mat, tpos, spos, tmap, smap
+                              in zip(mats, tkey, skey, tmaps, smaps)]
+                    orbits = backend.product_decompose(
+                        watom, src_ps.object.atoms[u])
+                    for i, orbit in enumerate(orbits):
+                        # the product of the block entries on the orbit's
+                        # marginals, abandoned at the first missing entry
+                        value = None
+                        for entries, tpos, spos, labels in blocks:
+                            entry = entries.get((tpos, spos, labels[i]))
+                            if entry is None:
+                                break
+                            value = entry if value is None else value * entry
+                        else:
                             out[(w, u, orbit.label)] = value
     return InvariantMatrix(backend, src_ps.object, tgt_ps.object, out)
 

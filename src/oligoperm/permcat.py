@@ -104,7 +104,7 @@ def tensor_object(backend, x, y):
 def tensor(backend, f, g, field):
     src = tensor_space(backend, [f.source.underlying, g.source.underlying])
     tgt = tensor_space(backend, [f.target.underlying, g.target.underlying])
-    matrix = block_tensor(field, [f.matrix, g.matrix], src, tgt,
+    matrix = block_tensor([f.matrix, g.matrix], src, tgt,
                           [[0], [1]], [[0], [1]])
     return as_morphism(matrix)
 
@@ -146,15 +146,15 @@ def check_snake_identities(backend, x, measure):
     left_unit = tensor_space(backend, [backend.unit_object(), xobj])
     ident = identity_matrix(backend, xobj, field)
 
-    id_coev = block_tensor(field, [ident, coev.matrix], right_unit, ps3,
+    id_coev = block_tensor([ident, coev.matrix], right_unit, ps3,
                            [[0], [1]], [[0], [1, 2]])
-    ev_id = block_tensor(field, [ev.matrix, ident], ps3, left_unit,
+    ev_id = block_tensor([ev.matrix, ident], ps3, left_unit,
                          [[0, 1], [2]], [[0], [1]])
     first = matmul(measure, ev_id, id_coev)
 
-    coev_id = block_tensor(field, [coev.matrix, ident], left_unit, ps3,
+    coev_id = block_tensor([coev.matrix, ident], left_unit, ps3,
                            [[0], [1]], [[0, 1], [2]])
-    id_ev = block_tensor(field, [ident, ev.matrix], ps3, right_unit,
+    id_ev = block_tensor([ident, ev.matrix], ps3, right_unit,
                          [[0], [1, 2]], [[0], [1]])
     second = matmul(measure, id_ev, coev_id)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -289,6 +290,8 @@ BAD_MATRIX_FILES = {
                               "names no orbit"),
     "number-scalar": ({"entries": [[0, 0, "[]", 1]]}, "is not a string"),
     "bad-scalar": ({"entries": [[0, 0, "[]", "1+"]]}, "bad scalar '1+'"),
+    "huge-power": ({"entries": [[0, 0, "[]", "2^100000000"]]},
+                   "scalar size limit"),
     "entries-not-list": ({"entries": {"0": "1"}}, "must be a JSON list"),
     "mixed-backends": ({"target": "line:inc[1]", "entries": []},
                        "different backends"),
@@ -317,3 +320,21 @@ def test_spec_atoms_key_must_name_one_atom(tmp_path, capsys, key):
                       {"backend": "sym", "field": "qt", "atoms": {key: "t"}})
     assert_usage_error(capsys, ["measure", "check", "--spec", spec],
                        "is not one sym atom")
+
+
+def test_spec_scalar_power_guard(tmp_path, capsys):
+    spec = write_json(tmp_path, "spec.json",
+                      {"backend": "sym", "field": "qt",
+                       "atoms": {"sym:inj[1]": "(t+1)^300"}})
+    assert_usage_error(capsys, ["measure", "check", "--spec", spec],
+                       "scalar size limit")
+
+
+@pytest.mark.parametrize("group", ["(1 2); (1 2 3 4 5)",
+                                   "(1 2); (1 2 3 4 5 6)"],
+                         ids=["S5", "S6"])
+def test_group_order_guard(capsys, group):
+    started = time.monotonic()
+    assert_usage_error(capsys, ["atoms", "--backend", "finite", "--group",
+                                group, "--bound", "2"], "group order exceeds")
+    assert time.monotonic() - started < 5.0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oligoperm.coeff import (
+    MAX_POWER_SIZE,
     RATIONAL,
     Scalar,
     falling_factorial,
@@ -82,6 +83,24 @@ def test_parse_round_trip():
         assert parse_scalar(QT, s.render()) == s
 
 
+@pytest.mark.parametrize("field, text", [
+    (QT, "(t+1)^10"), (RATIONAL, "2^64"), (QT, "2^64"), (QT, "t^0"),
+    (F5A, f"(a+1)^{MAX_POWER_SIZE}"), (QT, "((t+1)/(t-1))^128"),
+])
+def test_power_within_size_limit_parses(field, text):
+    assert not parse_scalar(field, text).is_zero()
+
+
+@pytest.mark.parametrize("field, text", [
+    (QT, "(t+1)^300"), (QT, "((t+1)^64)^64"), (RATIONAL, "2^100000000"),
+    (QT, "2^100000000"), (RATIONAL, "0^100000000"),
+    (F5A, f"(a+1)^{MAX_POWER_SIZE + 1}"), (RATIONAL, "(3/2)^200"),
+])
+def test_power_above_size_limit_is_refused(field, text):
+    with pytest.raises(ValueError, match="size limit"):
+        parse_scalar(field, text)
+
+
 def test_falling_factorial():
     x = t()
     assert falling_factorial(QT, x, 3) == x * (x - 1) * (x - 2)
@@ -132,3 +151,21 @@ def test_evaluate_is_ring_hom(x, y, n):
         return
     assert (x * y).evaluate(n) == ex * ey
     assert (x + y).evaluate(n) == ex + ey
+
+
+@given(scalars_qt, st.integers(-5, 8))
+def test_power_matches_repeated_product_qt(x, n):
+    if n < 0 and x.is_zero():
+        return
+    base = x if n >= 0 else x.inv()
+    acc = one(QT)
+    for _ in range(abs(n)):
+        acc = acc * base
+    assert x ** n == acc
+
+
+@given(scalars_q, st.integers(-5, 8))
+def test_power_matches_repeated_product_q(x, n):
+    if n < 0 and x.is_zero():
+        return
+    assert x ** n == q(x.as_fraction() ** n)

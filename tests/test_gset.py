@@ -17,6 +17,7 @@ from oligoperm.gset import (
     kernel_pair,
     preset_backend,
 )
+from oligoperm.gset.finite import MAX_GROUP_ORDER, mulclose, parse_cycles
 from oligoperm.linmat import block_tensor, identity_matrix, tensor_space
 
 
@@ -167,20 +168,30 @@ def test_finite_product_sizes(s3):
             assert sum(o.atom.degree for o in orbits) == a.degree * b.degree
 
 
+def test_group_order_ceiling():
+    # S4 and A5 (order 60) are within MAX_GROUP_ORDER, S5 is not
+    s4 = preset_backend("S4")
+    assert len(s4.elements) == 24 and len(s4.atoms_up_to(24)) == 11
+    assert len(mulclose(*parse_cycles("(1 2 3); (3 4 5)"))) == MAX_GROUP_ORDER
+    with pytest.raises(ValueError, match="group order exceeds"):
+        mulclose(*parse_cycles("(1 2); (1 2 3 4 5)"))
+
+
 @pytest.mark.parametrize("make", [SymBackend, LineBackend])
 def test_product_cache_dies_with_backend(make):
     # the memo of product structure belongs to the instance, not the class,
-    # and so do the product spaces and marginal tables linmat keeps in it
+    # and so do the product spaces, marginal tables and pair-label tables
+    # linmat keeps in it
     backend = make()
     a = backend.atom_of_arity(2)
     assert backend.product_decompose(a, a)
     x = backend.object_of([a])
     ps2 = tensor_space(backend, [x, x])
     ident = identity_matrix(backend, x, RATIONAL)
-    ident2 = block_tensor(RATIONAL, [ident, ident], ps2, ps2, [[0], [1]],
-                          [[0], [1]])
+    ident2 = block_tensor([ident, ident], ps2, ps2, [[0], [1]], [[0], [1]])
     assert ident2 == identity_matrix(backend, ps2.object, RATIONAL)
     assert any(key[0] == "marginal" for key in backend.cache)
+    assert any(key[0] == "pair_labels" for key in backend.cache)
     ref = weakref.ref(backend)
     del backend, ps2, ident, ident2
     gc.collect()

@@ -89,7 +89,7 @@ def test_trace_form_independent_of_duality_choice(mu_t):
 
     ident = identity_matrix(SYM, x, field)
     right_unit = tensor_space(SYM, [x, SYM.unit_object()])
-    id_coev = block_tensor(field, [ident, coev_swapped], right_unit, frob.ps3,
+    id_coev = block_tensor([ident, coev_swapped], right_unit, frob.ps3,
                            [[0], [1]], [[0], [1, 2]])
     mu_id = pullback_matrix(SYM, wiring_gmap(frob.ps2, frob.ps3, (0, 0, 1)),
                             field)

@@ -291,7 +291,7 @@ def test_block_tensor_matches_reference(backend, shape):
                     tensor_space(backend, [tgt_ps.factors[i] for i in tblk]).object,
                     field, keep_every + k)
                 for k, (sblk, tblk) in enumerate(zip(src_blocks, tgt_blocks))]
-            got = block_tensor(field, mats, src_ps, tgt_ps, src_blocks, tgt_blocks)
+            got = block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks)
             want = reference_block_tensor(field, mats, src_ps, tgt_ps,
                                           src_blocks, tgt_blocks)
             assert got == want
@@ -324,6 +324,28 @@ def test_marginal_matches_multi_factor(backend):
             for p, pos in enumerate(ps3.positions):
                 maps = [pos.projections[i] for i in pair]
                 assert table[p] == multi_factor(backend, maps, ps2)[0]
+
+
+@pytest.mark.parametrize("backend", [SYM, LINE, S3], ids=["sym", "line", "S3"])
+def test_pair_labels_matches_product_factor(backend):
+    atoms = backend.atoms_up_to(2)
+    maps = [f for a in atoms for c in atoms for f in backend.hom_atoms(a, c)]
+    checked = 0
+    for f, g in itertools.product(maps, maps):
+        table = linmat.pair_labels(backend, f, g)
+        orbits = backend.product_decompose(f.source, g.source)
+        assert len(table) == len(orbits)
+        canonical = [o.label for o in
+                     backend.product_decompose(f.target, g.target)]
+        for label, o in zip(table, orbits):
+            want, _ = backend.product_factor(
+                backend.compose_maps(f, o.proj1),
+                backend.compose_maps(g, o.proj2))
+            assert label == want
+            assert any(label is c for c in canonical)
+            checked += 1
+        assert linmat.pair_labels(backend, f, g) is table
+    assert checked > len(maps) ** 2
 
 
 # pushforward surjectivity against the dense rank
