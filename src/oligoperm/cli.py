@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-from .coeff import parse_scalar
+from .coeff import one, parse_scalar
 from .errors import OligopermError, UsageError
 from .frob import (
     build_frobenius,
@@ -33,12 +33,25 @@ from .frob import (
     splitting_idempotent,
     verify_frobenius,
 )
-from .gset import LINE, SYM, GMap, preset_backend
+from .gset import LINE, SYM, atom_gmap, preset_backend
 from .gset.grammar import parse_atom_map, parse_object
 from .gset.pregalois import pregalois_check
-from .linmat import InvariantMatrix, SchwartzFn, matmul, tensor_space
+from .linmat import (
+    InvariantMatrix,
+    SchwartzFn,
+    column_to_fn,
+    constant_fn,
+    matmul,
+    tensor_space,
+)
 from .measure import Measure, check_measure_axioms, solve_measures
-from .permcat import categorical_dim, check_linearization, hom_dimension, vec
+from .permcat import (
+    categorical_dim,
+    check_linearization,
+    duality_data,
+    hom_dimension,
+    vec,
+)
 from .report import CheckResult, Report
 from .suite import run_suite
 
@@ -325,18 +338,11 @@ def cmd_measure_check(args):
 
 def _gamma_from_args(args, backend, x, field):
     ps2 = tensor_space(backend, [x, x])
-    if args.gamma in {"diagonal", "all-ones"}:
-        from .coeff import one
-
-        if args.gamma == "all-ones":
-            coeffs = {i: one(field) for i in range(len(ps2.object.atoms))}
-        else:
-            coeffs = {}
-            for i, atom in enumerate(x.atoms):
-                ident = backend.identity_map(atom)
-                label, _ = backend.product_factor(ident, ident)
-                coeffs[ps2.index[(i, i, label)]] = one(field)
-        return SchwartzFn(ps2.object, coeffs)
+    if args.gamma == "all-ones":
+        return constant_fn(backend, ps2.object, one(field))
+    if args.gamma == "diagonal":
+        coev, _ = duality_data(backend, vec(x), field)
+        return column_to_fn(coev.matrix)
     doc = _read_json(args.gamma, {"entries": list})
     entries = _read_entries(args.gamma, doc, ps2, field)
     coeffs = {ps2.index[key]: value for key, value in entries.items()}
@@ -381,8 +387,7 @@ def cmd_frob_gamma_of(args):
     measure, family = _measure_for(backend, _bound(args), _char(args.field),
                                    [backend.object_of([m.source])])
     args._measure_desc = family.description
-    f = GMap(backend.object_of([m.source]), backend.object_of([m.target]),
-             ((0, m),))
+    f = atom_gmap(backend, m)
     gamma, report = gamma_of_projection(backend, f, measure)
     ps2 = tensor_space(backend, [f.source, f.source])
     payload = {"gamma": [

@@ -385,6 +385,9 @@ def _poly_render(field, coeffs):
 #
 # A power is refused before it is computed when its result would exceed
 # MAX_POWER_SIZE, measured as exponent times the base's size (at least 1).
+# A sum, difference, product or quotient is refused likewise when its two
+# operands' sizes add up to more than MAX_POWER_SIZE: that sum bounds the
+# size of the result.
 
 MAX_POWER_SIZE = 256
 
@@ -437,11 +440,18 @@ def _tokenize(text):
     return tokens
 
 
+def _check_operand_sizes(op, lhs, rhs):
+    if _size(lhs) + _size(rhs) > MAX_POWER_SIZE:
+        raise ValueError(f"{op!r} of these operands would exceed the scalar "
+                         f"size limit {MAX_POWER_SIZE}")
+
+
 def _parse_expr(field, tokens, pos):
     value, pos = _parse_term(field, tokens, pos)
     while pos < len(tokens) and tokens[pos][0] in "+-":
         op = tokens[pos][0]
         rhs, pos = _parse_term(field, tokens, pos + 1)
+        _check_operand_sizes(op, value, rhs)
         value = value + rhs if op == "+" else value - rhs
     return value, pos
 
@@ -451,6 +461,7 @@ def _parse_term(field, tokens, pos):
     while pos < len(tokens) and tokens[pos][0] in "*/":
         op = tokens[pos][0]
         rhs, pos = _parse_factor(field, tokens, pos + 1)
+        _check_operand_sizes(op, value, rhs)
         value = value * rhs if op == "*" else value / rhs
     return value, pos
 

@@ -5,9 +5,14 @@ multiplication = pullback of the diagonal (pointwise product), counit =
 pushforward of the collapse (integrate against one), comultiplication =
 pushforward of the diagonal.  The checks below verify the algebra, coalgebra,
 compatibility and specialness laws; the trace form composite; perfectness of
-the trace pairing via the triangle identities; splitting idempotents; and the
-correspondence between equivalence idempotents and kernel pairs of backend
-surjections.
+the trace pairing; splitting idempotents; and the correspondence between
+equivalence idempotents and kernel pairs of backend surjections.
+
+The perfect-pairing check is ``permcat.triangle_identities`` applied to the
+Frobenius duality (comult o unit, counit o mult); the snake check applies it
+to the diagonal duality.  Checks that verify comult o unit still compute it
+by matrix multiplication, so comparing it with the diagonal coevaluation
+stays a real check.
 
 All structure maps and their tensor paddings are pushforwards or pullbacks of
 explicit coordinate wirings between one flat product space and another, so
@@ -37,7 +42,7 @@ from .linmat import (
     transpose,
     wiring_gmap,
 )
-from .permcat import duality_data, vec
+from .permcat import duality_data, triangle_identities, vec
 from .report import CheckResult, Report
 
 
@@ -162,43 +167,14 @@ def check_trace(f, measure):
 def check_perfect_pairing(f, measure):
     """The pairing counit o mult is perfect: the candidate coevaluation
     comult o unit satisfies both triangle identities."""
-    backend = f.backend
-    field = measure.field
-    x = f.carrier
-    ident = identity_matrix(backend, x, field)
-    beta = trace_pairing(f, measure)
     alpha = matmul(measure, f.comult, f.unit)
-    left_unit = tensor_space(backend, [backend.unit_object(), x])
-    right_unit = tensor_space(backend, [x, backend.unit_object()])
-
-    id_alpha = block_tensor([ident, alpha], right_unit, f.ps3,
-                            [[0], [1]], [[0], [1, 2]])
-    beta_id = block_tensor([beta, ident], f.ps3, left_unit,
-                           [[0, 1], [2]], [[0], [1]])
-    first = matmul(measure, beta_id, id_alpha)
-
-    alpha_id = block_tensor([alpha, ident], left_unit, f.ps3,
-                            [[0], [1]], [[0, 1], [2]])
-    id_beta = block_tensor([ident, beta], f.ps3, right_unit,
-                           [[0], [1, 2]], [[0], [1]])
-    second = matmul(measure, id_beta, alpha_id)
-
+    right_ok, left_ok = triangle_identities(measure, f.carrier, alpha,
+                                            trace_pairing(f, measure))
     results = [
-        CheckResult("pairing-triangle-right", first == ident),
-        CheckResult("pairing-triangle-left", second == ident),
+        CheckResult("pairing-triangle-right", right_ok),
+        CheckResult("pairing-triangle-left", left_ok),
     ]
-    return Report(f"perfect pairing on Vec[{x.render()}]", results)
-
-
-def _diag_mult_matrix(backend, fn, field):
-    """Pointwise multiplication by an invariant function, as an endomatrix."""
-    entries = {}
-    for pos, coeff in fn.coeffs.items():
-        atom = fn.carrier.atoms[pos]
-        ident = backend.identity_map(atom)
-        label, _ = backend.product_factor(ident, ident)
-        entries[(pos, pos, label)] = coeff
-    return InvariantMatrix(backend, fn.carrier, fn.carrier, entries)
+    return Report(f"perfect pairing on Vec[{f.carrier.render()}]", results)
 
 
 def splitting_idempotent(f, measure):
@@ -216,7 +192,11 @@ def splitting_idempotent(f, measure):
 
     pr1 = pullback_matrix(backend, wiring_gmap(f.ps2, f.ps1, (0,)), field)
     pr2 = pullback_matrix(backend, wiring_gmap(f.ps2, f.ps1, (1,)), field)
-    diag_alpha = _diag_mult_matrix(backend, alpha_fn, field)
+    # pointwise multiplication by alpha, on the diagonal of the identity
+    ident = identity_matrix(backend, alpha_fn.carrier, field)
+    diag_alpha = InvariantMatrix(backend, alpha_fn.carrier, alpha_fn.carrier, {
+        key: alpha_fn.coeffs[key[0]]
+        for key in ident.entries if key[0] in alpha_fn.coeffs})
     left = matmul(measure, diag_alpha, pr1)
     right = matmul(measure, diag_alpha, pr2)
     results.append(CheckResult("balanced", left == right))

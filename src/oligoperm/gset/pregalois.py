@@ -250,16 +250,14 @@ def check_effective_relations(backend, atoms):
     return CheckResult("h-effective-equivalence-relations", ok, witness)
 
 
-def pregalois_check(backend, bound, universality_degree=None):
+def pregalois_check(backend, bound):
     """Per-axiom report over the fragment within the bound."""
     atoms = backend.atoms_up_to(bound)
-    if universality_degree is None:
-        universality_degree = min(bound, 2)
     results = [
         check_coproducts(backend, atoms),
         check_atom_decomposition(backend, atoms),
         check_maps_into_coproducts(backend, atoms),
-        check_fiber_products(backend, atoms, universality_degree),
+        check_fiber_products(backend, atoms, min(bound, 2)),
         check_monos_are_isos(backend, atoms),
         check_atom_cospans_nonempty(backend, atoms),
         check_final_object(backend, atoms),

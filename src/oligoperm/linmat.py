@@ -178,12 +178,7 @@ class InvariantMatrix:
 
 
 def identity_matrix(backend, x, field):
-    entries = {}
-    for i, a in enumerate(x.atoms):
-        ident = backend.identity_map(a)
-        label, _ = backend.product_factor(ident, ident)
-        entries[(i, i, label)] = one(field)
-    return InvariantMatrix(backend, x, x, entries)
+    return pushforward_matrix(backend, backend.identity_gmap(x), field)
 
 
 def pushforward_matrix(backend, f, field):

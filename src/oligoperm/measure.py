@@ -187,7 +187,7 @@ def _solve_linear(classes, relations):
     return params, values
 
 
-def solve_measures(backend, bound, char=0, var=None):
+def solve_measures(backend, bound, char=0):
     """Find all measures on the backend's fragment within the bound.
 
     Raises INCONSISTENT when no assignment satisfies the point-cut relations.
@@ -200,9 +200,9 @@ def solve_measures(backend, bound, char=0, var=None):
     relations = backend.fiber_decompositions(depth)
     params, affine = _solve_linear(classes, relations)
     if params:
-        field = ratfunc_field(var or PARAMETER_NAMES[0], char)
+        field = ratfunc_field(PARAMETER_NAMES[0], char)
     elif char:
-        field = ratfunc_field(var or "a", char)
+        field = ratfunc_field("a", char)
     else:
         field = RATIONAL
 

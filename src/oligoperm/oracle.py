@@ -235,7 +235,7 @@ def finite_category_oracle(backend, measure, bound):
         basis = hom_basis(backend, xa, xa, field)
         for f in basis:
             for g in basis:
-                prod = tensor(backend, f, g, field)
+                prod = tensor(backend, f, g)
                 src2 = tensor_space(backend, [xa.underlying, xa.underlying])
                 lookup_src = _pair_point_index(backend, src2)
                 lookup_tgt = lookup_src

@@ -2,8 +2,12 @@
 
 Objects are formal vector spaces Vec_X with X an object of a backend; the
 morphisms Vec_X -> Vec_Y are the invariant matrices on Y x X and composition
-is integral matrix multiplication.  Every object is self-dual via the diagonal
-indicators, and the categorical dimension of Vec_X is the measure of X.
+is integral matrix multiplication.  Every object is self-dual: its duality
+data is the indicator of the diagonal of X x X as a column (coevaluation) and
+its transpose (evaluation).  The snake check here and the perfect-pairing
+check in ``frob`` are ``triangle_identities`` applied to two dualities, this
+one and the Frobenius pairing.  The categorical dimension of Vec_X is the
+measure of X.
 
 The linearization checker verifies that the pushforward/pullback assignment is
 an additive, plenary balanced functor, and re-extracts the measure from it in
@@ -21,6 +25,7 @@ from .errors import ShapeMismatch
 from .gset.base import GMap, GObject, atom_gmap
 from .linmat import (
     InvariantMatrix,
+    SchwartzFn,
     block_tensor,
     column_matrix,
     column_to_fn,
@@ -33,7 +38,7 @@ from .linmat import (
     pushforward_matrix,
     scalar_entry,
     tensor_space,
-    unit_orbit_label,
+    transpose,
     wiring_gmap,
 )
 from .report import CheckResult, Report
@@ -101,7 +106,7 @@ def tensor_object(backend, x, y):
     return vec(tensor_space(backend, [x.underlying, y.underlying]).object)
 
 
-def tensor(backend, f, g, field):
+def tensor(backend, f, g):
     src = tensor_space(backend, [f.source.underlying, g.source.underlying])
     tgt = tensor_space(backend, [f.target.underlying, g.target.underlying])
     matrix = block_tensor([f.matrix, g.matrix], src, tgt,
@@ -117,52 +122,50 @@ def symmetry(backend, x, y, field):
 
 
 def duality_data(backend, x, field):
-    """Self-duality of Vec_X: both structure maps are diagonal indicators."""
+    """Self-duality of Vec_X: coev is the indicator of the diagonal of X x X,
+    as a column, and ev is its transpose."""
+    ps1 = tensor_space(backend, [x.underlying])
     ps2 = tensor_space(backend, [x.underlying, x.underlying])
-    entries = {}
-    for i, atom in enumerate(x.underlying.atoms):
-        ident = backend.identity_map(atom)
-        label, _ = backend.product_factor(ident, ident)
-        pos = ps2.index[(i, i, label)]
-        entries[(pos, 0, unit_orbit_label(backend, ps2.object.atoms[pos]))] = \
-            one(field)
-    coev = InvariantMatrix(backend, backend.unit_object(), ps2.object, entries)
-    ev_entries = {}
-    for (pos, _z, _lbl), value in coev.entries.items():
-        atom = ps2.object.atoms[pos]
-        orbit = backend.product_decompose(backend.unit_atom(), atom)[0]
-        ev_entries[(0, pos, orbit.label)] = value
-    ev = InvariantMatrix(backend, ps2.object, backend.unit_object(), ev_entries)
-    return as_morphism(coev), as_morphism(ev)
+    diagonal = SchwartzFn(ps2.object, {
+        pos: one(field) for pos, _m in wiring_gmap(ps1, ps2, (0, 0)).legs})
+    coev = column_matrix(backend, diagonal, field)
+    return as_morphism(coev), as_morphism(transpose(coev))
+
+
+def triangle_identities(measure, x, coev, ev):
+    """The two triangle identities of a duality pairing on Vec_X.
+
+    ``coev: 1 -> X (x) X`` and ``ev: X (x) X -> 1`` are invariant matrices.
+    Returns whether (ev (x) id)(id (x) coev) and (id (x) ev)(coev (x) id) are
+    each the identity of Vec_X, as (right_ok, left_ok).
+    """
+    backend = measure.backend
+    ps3 = tensor_space(backend, [x, x, x])
+    right_unit = tensor_space(backend, [x, backend.unit_object()])
+    left_unit = tensor_space(backend, [backend.unit_object(), x])
+    ident = identity_matrix(backend, x, measure.field)
+
+    id_coev = block_tensor([ident, coev], right_unit, ps3,
+                           [[0], [1]], [[0], [1, 2]])
+    ev_id = block_tensor([ev, ident], ps3, left_unit,
+                         [[0, 1], [2]], [[0], [1]])
+    coev_id = block_tensor([coev, ident], left_unit, ps3,
+                           [[0], [1]], [[0, 1], [2]])
+    id_ev = block_tensor([ident, ev], ps3, right_unit,
+                         [[0], [1, 2]], [[0], [1]])
+    return (matmul(measure, ev_id, id_coev) == ident,
+            matmul(measure, id_ev, coev_id) == ident)
 
 
 def check_snake_identities(backend, x, measure):
     """The two triangle identities for the self-duality of Vec_X."""
-    field = measure.field
-    xobj = x.underlying
-    coev, ev = duality_data(backend, x, field)
-    ps3 = tensor_space(backend, [xobj, xobj, xobj])
-    right_unit = tensor_space(backend, [xobj, backend.unit_object()])
-    left_unit = tensor_space(backend, [backend.unit_object(), xobj])
-    ident = identity_matrix(backend, xobj, field)
-
-    id_coev = block_tensor([ident, coev.matrix], right_unit, ps3,
-                           [[0], [1]], [[0], [1, 2]])
-    ev_id = block_tensor([ev.matrix, ident], ps3, left_unit,
-                         [[0, 1], [2]], [[0], [1]])
-    first = matmul(measure, ev_id, id_coev)
-
-    coev_id = block_tensor([coev.matrix, ident], left_unit, ps3,
-                           [[0], [1]], [[0, 1], [2]])
-    id_ev = block_tensor([ident, ev.matrix], ps3, right_unit,
-                         [[0], [1, 2]], [[0], [1]])
-    second = matmul(measure, id_ev, coev_id)
-
+    coev, ev = duality_data(backend, x, measure.field)
+    right_ok, left_ok = triangle_identities(measure, x.underlying,
+                                            coev.matrix, ev.matrix)
+    witness = {"object": x.render()}
     results = [
-        CheckResult("snake-right", first == ident,
-                    {} if first == ident else {"object": x.render()}),
-        CheckResult("snake-left", second == ident,
-                    {} if second == ident else {"object": x.render()}),
+        CheckResult("snake-right", right_ok, {} if right_ok else witness),
+        CheckResult("snake-left", left_ok, {} if left_ok else witness),
     ]
     return Report(f"snake identities on {x.render()}", results)
 

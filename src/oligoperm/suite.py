@@ -21,7 +21,7 @@ from .frob import (
     splitting_idempotent,
     verify_frobenius,
 )
-from .gset import GMap
+from .gset import atom_gmap
 from .gset.pregalois import pregalois_check
 from .linmat import InvariantMatrix, column_to_fn, constant_fn, matmul, tensor_space
 from .measure import check_measure_axioms, classify_measure, solve_measures
@@ -35,6 +35,7 @@ from .permcat import (
     categorical_dim,
     check_linearization,
     check_snake_identities,
+    duality_data,
     hom_dimension,
     vec,
 )
@@ -82,8 +83,7 @@ def _gamma_block(backend, measure, atoms, results, kernel_dims=False):
     for a in atoms:
         for b in atoms:
             for m in backend.hom_atoms(a, b):
-                f = GMap(backend.object_of([a]), backend.object_of([b]),
-                         ((0, m),))
+                f = atom_gmap(backend, m)
                 if not backend.is_surjective_map(m):
                     continue
                 _, rep = gamma_of_projection(backend, f, measure)
@@ -103,11 +103,11 @@ def _gamma_block(backend, measure, atoms, results, kernel_dims=False):
 
 def _eidem_block(backend, measure, results):
     x = backend.object_of([backend.atoms_up_to(2)[-1]])
-    frob = build_frobenius(backend, x, measure.field)
-    alpha = column_to_fn(matmul(measure, frob.comult, frob.unit))
+    coev, _ = duality_data(backend, vec(x), measure.field)
     ps2 = tensor_space(backend, [x, x])
     ones = constant_fn(backend, ps2.object, one(measure.field))
-    _absorb(results, e_idempotent_check(backend, x, alpha, measure),
+    _absorb(results, e_idempotent_check(backend, x, column_to_fn(coev.matrix),
+                                        measure),
             "eidem-diagonal")
     _absorb(results, e_idempotent_check(backend, x, ones, measure),
             "eidem-all-ones")
@@ -117,7 +117,7 @@ def _eidem_block(backend, measure, results):
         b = smaller[-1]
         maps = [m for m in backend.hom_atoms(a, b) if backend.is_surjective_map(m)]
         if maps:
-            f = GMap(x, backend.object_of([b]), ((0, maps[0]),))
+            f = atom_gmap(backend, maps[0])
             gamma = kernel_pair_gamma(backend, f, measure.field)
             _absorb(results, e_idempotent_check(backend, x, gamma, measure),
                     "eidem-kernel-pair")

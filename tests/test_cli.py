@@ -167,14 +167,16 @@ SUITE_SHA256 = {
     "sym": "a0e3e9256dcb362b1a95009e1946743d6eff1ab2c5f379e806dddf16ba0c6953",
     "line": "b30c055eb4932d8dfe957ba98c0c74070e256dd96043e7bb0ed15ab664a31e59",
     "S3": "0b48a3e677eb27595aa7c7cc828bbc404ecdb2e9498d8bbf02184a970baed91c",
+    "S4": "fe901fdc71069a06084e7b8c77373b457f043d624a6033be075803d820961372",
 }
 
 
 def test_suite_finite(tmp_path):
-    code, doc = run(tmp_path, "suite", "--backend", "finite", "--group", "S3",
-                    "--bound", "6")
-    assert code == 0
-    assert report_sha256(tmp_path) == SUITE_SHA256["S3"]
+    for group in ("S3", "S4"):
+        code, doc = run(tmp_path, "suite", "--backend", "finite",
+                        "--group", group, "--bound", "6")
+        assert code == 0
+        assert report_sha256(tmp_path) == SUITE_SHA256[group]
 
 
 def test_suite_infinite_backends(tmp_path):
@@ -326,6 +328,14 @@ def test_spec_scalar_power_guard(tmp_path, capsys):
     spec = write_json(tmp_path, "spec.json",
                       {"backend": "sym", "field": "qt",
                        "atoms": {"sym:inj[1]": "(t+1)^300"}})
+    assert_usage_error(capsys, ["measure", "check", "--spec", spec],
+                       "scalar size limit")
+
+
+def test_spec_scalar_product_guard(tmp_path, capsys):
+    spec = write_json(tmp_path, "spec.json", {
+        "backend": "sym", "field": "qt",
+        "atoms": {"sym:inj[1]": "(t+1)^256*(t+1)^256*(t+1)^256*(t+1)^256"}})
     assert_usage_error(capsys, ["measure", "check", "--spec", spec],
                        "scalar size limit")
 

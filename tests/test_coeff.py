@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,7 @@ def test_parse_round_trip():
 @pytest.mark.parametrize("field, text", [
     (QT, "(t+1)^10"), (RATIONAL, "2^64"), (QT, "2^64"), (QT, "t^0"),
     (F5A, f"(a+1)^{MAX_POWER_SIZE}"), (QT, "((t+1)/(t-1))^128"),
+    (QT, "(t+1)^128*(t+1)^64"), (QT, "t - 1"), (QT, "(t+1)^128/(t-1)^128"),
 ])
 def test_power_within_size_limit_parses(field, text):
     assert not parse_scalar(field, text).is_zero()
@@ -99,6 +101,20 @@ def test_power_within_size_limit_parses(field, text):
 def test_power_above_size_limit_is_refused(field, text):
     with pytest.raises(ValueError, match="size limit"):
         parse_scalar(field, text)
+
+
+@pytest.mark.parametrize("field, text", [
+    (QT, "(t+1)^256*(t+1)^256*(t+1)^256*(t+1)^256"),
+    (QT, "(t+1)^200+(t+1)^100"), (QT, "(t+1)^200-(t+1)^100"),
+    (QT, "(t+1)^256/(t-1)^256"), (RATIONAL, "2^200*2^100"),
+])
+def test_operands_above_size_limit_are_refused_before_computing(field, text):
+    # unbounded, the four-factor product takes seconds; refused, the time
+    # is the two allowed powers computed before the first '*'
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="size limit"):
+        parse_scalar(field, text)
+    assert time.monotonic() - started < 2.0
 
 
 def test_falling_factorial():

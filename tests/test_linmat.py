@@ -309,7 +309,7 @@ def test_permcat_tensor_matches_reference(backend):
         tgt = tensor_space(backend, [y, x])
         want = reference_block_tensor(field, [f.matrix, g.matrix], src, tgt,
                                       [[0], [1]], [[0], [1]])
-        got = tensor(backend, f, g, field).matrix
+        got = tensor(backend, f, g).matrix
         assert got == want and got.entries
 
 

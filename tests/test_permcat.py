@@ -1,14 +1,22 @@
 """Category layer: hom spaces, tensor, duality, dimensions, linearization."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from oligoperm.coeff import Scalar, one
+from oligoperm import permcat
+from oligoperm.coeff import RATIONAL, Scalar, one
 from oligoperm.gset import LINE, SYM, preset_backend
-from oligoperm.linmat import matmul, tensor_space
+from oligoperm.linmat import (
+    InvariantMatrix,
+    identity_matrix,
+    matmul,
+    tensor_space,
+)
 from oligoperm.measure import solve_measures
 from oligoperm.permcat import (
+    as_morphism,
     categorical_dim,
     check_linearization,
     check_snake_identities,
@@ -21,6 +29,7 @@ from oligoperm.permcat import (
     symmetry,
     tensor,
     tensor_object,
+    triangle_identities,
     unit_object,
     vec,
 )
@@ -85,7 +94,7 @@ def test_tensor_of_identities_is_identity(mu_t):
     idx = identity(SYM, x, mu_t.field)
     idy = identity(SYM, y, mu_t.field)
     prod = tensor_object(SYM, x, y)
-    assert tensor(SYM, idx, idy, mu_t.field).matrix == \
+    assert tensor(SYM, idx, idy).matrix == \
         identity(SYM, prod, mu_t.field).matrix
 
 
@@ -98,9 +107,9 @@ def test_interchange_law(mu_t):
     x = vec_sym(1)
     basis = hom_basis(SYM, x, x, mu_t.field)
     for f1, f2, g1, g2 in itertools.product(basis, repeat=4):
-        lhs = compose(mu_t, tensor(SYM, f1, g1, mu_t.field),
-                      tensor(SYM, f2, g2, mu_t.field))
-        rhs = tensor(SYM, compose(mu_t, f1, f2), compose(mu_t, g1, g2), mu_t.field)
+        lhs = compose(mu_t, tensor(SYM, f1, g1),
+                      tensor(SYM, f2, g2))
+        rhs = tensor(SYM, compose(mu_t, f1, f2), compose(mu_t, g1, g2))
         assert lhs.matrix == rhs.matrix
 
 
@@ -125,6 +134,62 @@ def test_snake_identities_finite():
     for atom in backend.atoms_up_to(3):
         assert check_snake_identities(backend, vec(backend.object_of([atom])),
                                       measure).passed
+
+
+def test_triangle_identities_are_not_vacuous(mu_t, monkeypatch):
+    x = vec_sym(1)
+    coev, ev = duality_data(SYM, x, mu_t.field)
+    doubled = coev.matrix.scale(Scalar.from_int(mu_t.field, 2))
+    halved = ev.matrix.scale(Scalar.from_fraction(mu_t.field, Fraction(1, 2)))
+    assert triangle_identities(mu_t, x.underlying, doubled, ev.matrix) == \
+        (False, False)
+    assert triangle_identities(mu_t, x.underlying, doubled, halved) == \
+        (True, True)
+
+    monkeypatch.setattr(permcat, "duality_data",
+                        lambda backend, x, field: (as_morphism(doubled), ev))
+    report = check_snake_identities(SYM, x, mu_t)
+    assert [r.name for r in report.failures()] == ["snake-right", "snake-left"]
+    for r in report.failures():
+        assert r.witness == {"object": "Vec[sym:inj[1]]"}
+
+
+def diagonal_labels(backend, x):
+    """Per atom position of x, the label of its diagonal orbit in x x x."""
+    labels = []
+    for a in x.atoms:
+        ident = backend.identity_map(a)
+        labels.append(backend.product_factor(ident, ident)[0])
+    return labels
+
+
+@pytest.mark.parametrize("backend", [SYM, LINE, preset_backend("S3")],
+                         ids=["sym", "line", "S3"])
+def test_diagonal_structure_maps_match_hand_built(backend):
+    field = RATIONAL
+    unit = backend.unit_object()
+    a1, a2 = backend.atoms_up_to(3)[1:3]
+    for x in (backend.object_of([a2]), backend.object_of([a1, a2]),
+              backend.object_of([a1, a1])):
+        labels = diagonal_labels(backend, x)
+        ident = InvariantMatrix(backend, x, x, {
+            (i, i, label): one(field) for i, label in enumerate(labels)})
+        assert identity_matrix(backend, x, field) == ident
+
+        ps2 = tensor_space(backend, [x, x])
+        coev_entries, ev_entries = {}, {}
+        for i, label in enumerate(labels):
+            pos = ps2.index[(i, i, label)]
+            atom = ps2.object.atoms[pos]
+            to_unit = backend.product_decompose(atom, backend.unit_atom())
+            from_unit = backend.product_decompose(backend.unit_atom(), atom)
+            coev_entries[(pos, 0, to_unit[0].label)] = one(field)
+            ev_entries[(0, pos, from_unit[0].label)] = one(field)
+        coev, ev = duality_data(backend, vec(x), field)
+        assert coev.matrix == InvariantMatrix(backend, unit, ps2.object,
+                                              coev_entries)
+        assert ev.matrix == InvariantMatrix(backend, ps2.object, unit,
+                                            ev_entries)
 
 
 def test_categorical_dims(mu_t, mu_line):
