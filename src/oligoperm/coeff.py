@@ -292,12 +292,18 @@ class Scalar:
         if self.field.kind == "rational":
             return Scalar(self.field, self.num ** n, self.den ** n)
         # powers of a coprime pair stay coprime, and of a monic den monic,
-        # so the result is canonical without a gcd
+        # so the result is canonical without a gcd; square and multiply
         char = self.field.char
         num = den = _p_const(char, 1)
-        for _ in range(n):
-            num = _p_mul(char, num, self.num)
-            den = _p_mul(char, den, self.den)
+        base_num, base_den = self.num, self.den
+        while n:
+            if n & 1:
+                num = _p_mul(char, num, base_num)
+                den = _p_mul(char, den, base_den)
+            n >>= 1
+            if n:
+                base_num = _p_mul(char, base_num, base_num)
+                base_den = _p_mul(char, base_den, base_den)
         return Scalar(self.field, num, den)
 
     # Specialization
@@ -387,7 +393,8 @@ def _poly_render(field, coeffs):
 # MAX_POWER_SIZE, measured as exponent times the base's size (at least 1).
 # A sum, difference, product or quotient is refused likewise when its two
 # operands' sizes add up to more than MAX_POWER_SIZE: that sum bounds the
-# size of the result.
+# size of the result.  An integer literal is refused when its own size
+# exceeds MAX_POWER_SIZE.
 
 MAX_POWER_SIZE = 256
 
@@ -488,7 +495,11 @@ def _parse_atom(field, tokens, pos):
         raise ValueError("unexpected end of scalar expression")
     kind, payload = tokens[pos]
     if kind == "int":
-        return Scalar.from_int(field, payload), pos + 1
+        value = Scalar.from_int(field, payload)
+        if _size(value) > MAX_POWER_SIZE:
+            raise ValueError(f"integer literal of size {_size(value)} exceeds "
+                             f"the scalar size limit {MAX_POWER_SIZE}")
+        return value, pos + 1
     if kind == "var":
         if field.kind != "ratfunc" or payload != field.var:
             raise ValueError(f"unknown variable {payload!r} for field {field.render()}")

@@ -22,13 +22,15 @@ Every backend instance owns one cache, the plain dict ``backend.cache``,
 created empty with the instance and never shared: a backend and all it has
 memoized are freed together.  It is the only memo of product structure.  Keys
 are tagged tuples: ``("product", a, b)`` holds the orbits of ``a x b``
-(filled by ``product_decompose``, the one memoized backend method), and the
-finite backend's ``("pairs", a, b)`` holds its point-pair index; ``linmat``
-keeps its product spaces under ``("space", factors)``, its triple-orbit
-completions under ``("completions", ...)``, its marginal tables (flat
-position -> sub-product position) under ``("marginal", factors, blocks)``
-and its pair-label tables (orbit of ``a x b`` -> label of the orbit of
-``c x d`` it maps into under ``f x g``) under ``("pair_labels", f, g)``.
+(filled by ``product_decompose``, the one memoized backend method), the
+finite backend's ``("pairs", a, b)`` holds its point-pair index and its
+``("act", a, g)`` the permutation of a's points by the group element g;
+``linmat`` keeps its product spaces under ``("space", factors)``, its
+triple-orbit completions under ``("completions", ...)``, its marginal tables
+(flat position -> sub-product position) under ``("marginal", factors,
+blocks)`` and its pair-label tables (orbit of ``a x b`` -> label of the
+orbit of ``c x d`` it maps into under ``f x g``) under
+``("pair_labels", f, g)``.
 """
 
 from __future__ import annotations

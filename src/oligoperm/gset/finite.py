@@ -146,15 +146,17 @@ class FiniteBackend(Backend):
             Atom(BACKEND_ID, order // len(rep), f"orbit#{k}")
             for k, rep in enumerate(self._reps)
         ]
+        # an atom's points are the left cosets g.H of its subgroup H, and
+        # _coset_of maps each group element to the point of its coset
         self._points = {}
-        self._point_index = {}
+        self._coset_of = {}
         for atom, rep in zip(self._atoms, self._reps):
             cosets = set()
             for g in self.elements:
                 cosets.add(frozenset(_pcompose(g, h) for h in rep))
             pts = sorted(cosets, key=lambda c: min(c))
             self._points[atom] = pts
-            self._point_index[atom] = {c: i for i, c in enumerate(pts)}
+            self._coset_of[atom] = {x: i for i, c in enumerate(pts) for x in c}
 
     # Group plumbing
 
@@ -181,9 +183,20 @@ class FiniteBackend(Backend):
         subgroups.add(frozenset({self.identity}))
         return sorted(subgroups, key=lambda s: (len(s), tuple(sorted(s))))
 
+    def act_table(self, g, a):
+        """The permutation of a's points by the group element g, as a tuple:
+        g maps the coset x.H to the coset of g.x.  Built on first use and
+        kept in ``cache`` under ``("act", a, g)``."""
+        key = ("act", a, g)
+        table = self.cache.get(key)
+        if table is None:
+            coset_of = self._coset_of[a]
+            table = self.cache[key] = tuple(
+                coset_of[_pcompose(g, min(coset))] for coset in self._points[a])
+        return table
+
     def act(self, g, a, idx):
-        coset = self._points[a][idx]
-        return self._point_index[a][frozenset(_pcompose(g, x) for x in coset)]
+        return self.act_table(g, a)[idx]
 
     # Backend interface
 
@@ -196,14 +209,10 @@ class FiniteBackend(Backend):
     def hom_atoms(self, a, b):
         h_rep = self._reps[int(a.label.split("#")[1])]
         out = []
-        for q, coset in enumerate(self._points[b]):
-            if all(frozenset(_pcompose(h, x) for x in coset) == coset for h in h_rep):
-                data = []
-                for src in self._points[a]:
-                    rep = min(src)
-                    img = frozenset(_pcompose(rep, x) for x in coset)
-                    data.append(self._point_index[b][img])
-                out.append(AtomMap(a, b, tuple(data)))
+        for q in range(b.degree):
+            if all(self.act(h, b, q) == q for h in h_rep):
+                data = tuple(self.act(min(src), b, q) for src in self._points[a])
+                out.append(AtomMap(a, b, data))
         return out
 
     def identity_map(self, a):
@@ -220,6 +229,8 @@ class FiniteBackend(Backend):
 
     def _decompose(self, a, b):
         pairs = [(i, j) for i in range(a.degree) for j in range(b.degree)]
+        moves = [(self.act_table(g, a), self.act_table(g, b))
+                 for g in self.generators]
         seen = set()
         orbit_sets = []
         for p in pairs:
@@ -230,8 +241,8 @@ class FiniteBackend(Backend):
             while frontier:
                 nxt = []
                 for (i, j) in frontier:
-                    for g in self.generators:
-                        q = (self.act(g, a, i), self.act(g, b, j))
+                    for ta, tb in moves:
+                        q = (ta[i], tb[j])
                         if q not in orbit:
                             orbit.add(q)
                             nxt.append(q)

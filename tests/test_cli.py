@@ -340,6 +340,13 @@ def test_spec_scalar_product_guard(tmp_path, capsys):
                        "scalar size limit")
 
 
+def test_spec_integer_literal_guard(tmp_path, capsys):
+    spec = write_json(tmp_path, "spec.json", {
+        "backend": "sym", "field": "qt", "atoms": {"sym:inj[1]": "9" * 400}})
+    assert_usage_error(capsys, ["measure", "check", "--spec", spec],
+                       "scalar size limit")
+
+
 @pytest.mark.parametrize("group", ["(1 2); (1 2 3 4 5)",
                                    "(1 2); (1 2 3 4 5 6)"],
                          ids=["S5", "S6"])

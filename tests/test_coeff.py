@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -88,15 +89,26 @@ def test_parse_round_trip():
     (QT, "(t+1)^10"), (RATIONAL, "2^64"), (QT, "2^64"), (QT, "t^0"),
     (F5A, f"(a+1)^{MAX_POWER_SIZE}"), (QT, "((t+1)/(t-1))^128"),
     (QT, "(t+1)^128*(t+1)^64"), (QT, "t - 1"), (QT, "(t+1)^128/(t-1)^128"),
+    (QT, "(t+1)^0"), (QT, "(t+1)^1"), (QT, "(t+1)^2"), (QT, "(t+1)^255"),
+    (QT, "(t+1)^256"), (RATIONAL, str(2**256 - 1)), (QT, str(2**256 - 1)),
 ])
 def test_power_within_size_limit_parses(field, text):
     assert not parse_scalar(field, text).is_zero()
+
+
+@pytest.mark.parametrize("field", [QT, F5A])
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256])
+def test_power_of_binomial_has_binomial_coefficients(field, n):
+    base = Scalar.variable(field) + 1
+    expected = Scalar.make(field, [comb(n, k) for k in range(n + 1)], [1])
+    assert base ** n == expected
 
 
 @pytest.mark.parametrize("field, text", [
     (QT, "(t+1)^300"), (QT, "((t+1)^64)^64"), (RATIONAL, "2^100000000"),
     (QT, "2^100000000"), (RATIONAL, "0^100000000"),
     (F5A, f"(a+1)^{MAX_POWER_SIZE + 1}"), (RATIONAL, "(3/2)^200"),
+    (RATIONAL, "9" * 400), (QT, "9" * 400), (RATIONAL, str(2**256)),
 ])
 def test_power_above_size_limit_is_refused(field, text):
     with pytest.raises(ValueError, match="size limit"):
