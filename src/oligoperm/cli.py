@@ -10,7 +10,8 @@ runaway enumeration: it caps ``--bound`` and the degree of every atom named in
 an object or map expression.  Input files (matrices, ``--gamma`` tables and
 measure specs) are checked by ``_read_json`` and ``_read_entries`` before use:
 a document that is not an object, lacks a key, or has an entry that names no
-orbit is a usage error too.
+orbit is a usage error too, and so is a matrix file whose field has another
+characteristic than ``--field``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .permcat import (
     check_linearization,
     duality_data,
     hom_dimension,
-    vec,
 )
 from .report import CheckResult, Report
 from .suite import run_suite
@@ -180,7 +180,7 @@ def cmd_homdim(args):
     backend2, y = _parse(parse_object, backends, args.Y)
     if backend is not backend2:
         raise UsageError("objects come from different backends")
-    dim = hom_dimension(backend, vec(x), vec(y))
+    dim = hom_dimension(backend, x, y)
     report = Report("homdim", [CheckResult("hom-dimension", True)])
     return _emit(args, report, {"dim": dim})
 
@@ -245,30 +245,42 @@ def _read_entries(path, doc, ps, field):
     return entries
 
 
-def _load_matrix(backends, path):
-    doc = _read_json(path, {"source": str, "target": str, "entries": list})
+def _matrix_file(backends, path, char):
+    """A matrix file's document, backend, source and target.
+
+    The file's ``"field"`` (default q) must have the characteristic ``char``
+    of ``--field``.  Its entries are read once the measure, and with it the
+    field, is known.
+    """
+    doc = _read_json(path, {"source": str, "target": str, "entries": list},
+                     {"field": str})
     backend, source = _parse(parse_object, backends, doc["source"])
     backend2, target = _parse(parse_object, backends, doc["target"])
     if backend is not backend2:
         raise UsageError(f"{path}: source and target come from different "
                          "backends")
-    family = solve_measures(backend, 2, char=_char(doc.get("field")))
-    field = family.field
-    # positions of target x source are the (t, s, label) keys of a matrix
-    entries = _read_entries(path, doc, tensor_space(backend, [target, source]),
-                            field)
-    return backend, field, InvariantMatrix(backend, source, target, entries)
+    field = doc.get("field", "q")
+    if _char(field) != char:
+        raise UsageError(f"{path}: field {field!r} has characteristic "
+                         f"{_char(field)}, --field has {char}")
+    return doc, backend, source, target
 
 
 def cmd_compose(args):
     backends = _backends(args)
-    backend, field, lhs = _load_matrix(backends, args.lhs)
-    backend2, _, rhs = _load_matrix(backends, args.rhs)
+    char = _char(args.field)
+    paths = (args.lhs, args.rhs)
+    files = [_matrix_file(backends, path, char) for path in paths]
+    (_, backend, source, target), (_, backend2, rhs_source, _) = files
     if backend is not backend2:
         raise UsageError("matrices come from different backends")
-    measure, family = _measure_for(backend, _bound(args), _char(args.field),
-                                   [lhs.source, lhs.target, rhs.source])
+    measure, family = _measure_for(backend, _bound(args), char,
+                                   [source, target, rhs_source])
     args._measure_desc = family.description
+    # positions of target x source are the (t, s, label) keys of a matrix
+    lhs, rhs = (InvariantMatrix(backend, s, t, _read_entries(
+                    path, doc, tensor_space(backend, [t, s]), measure.field))
+                for path, (doc, _, s, t) in zip(paths, files))
     product = matmul(measure, lhs, rhs)
     report = Report("compose", [CheckResult("compose", True)])
     payload = {"source": product.source.render(),
@@ -283,7 +295,7 @@ def cmd_dim(args):
     measure, family = _measure_for(backend, _bound(args), _char(args.field),
                                    [x])
     args._measure_desc = family.description
-    value = categorical_dim(backend, vec(x), measure)
+    value = categorical_dim(backend, x, measure)
     report = Report("dim", [CheckResult("categorical-dimension", True)])
     return _emit(args, report, {"dim": value.render()})
 
@@ -339,10 +351,10 @@ def cmd_measure_check(args):
 def _gamma_from_args(args, backend, x, field):
     ps2 = tensor_space(backend, [x, x])
     if args.gamma == "all-ones":
-        return constant_fn(backend, ps2.object, one(field))
+        return constant_fn(ps2.object, one(field))
     if args.gamma == "diagonal":
-        coev, _ = duality_data(backend, vec(x), field)
-        return column_to_fn(coev.matrix)
+        coev, _ = duality_data(backend, x, field)
+        return column_to_fn(coev)
     doc = _read_json(args.gamma, {"entries": list})
     entries = _read_entries(args.gamma, doc, ps2, field)
     coeffs = {ps2.index[key]: value for key, value in entries.items()}

@@ -42,7 +42,7 @@ from .linmat import (
     transpose,
     wiring_gmap,
 )
-from .permcat import duality_data, triangle_identities, vec
+from .permcat import duality_data, triangle_identities
 from .report import CheckResult, Report
 
 
@@ -141,12 +141,12 @@ def trace_form(f, measure):
     field = measure.field
     x = f.carrier
     ident = identity_matrix(backend, x, field)
-    coev, ev = duality_data(backend, vec(x), field)
+    coev, ev = duality_data(backend, x, field)
     right_unit = tensor_space(backend, [x, backend.unit_object()])
-    id_coev = block_tensor([ident, coev.matrix], right_unit, f.ps3,
+    id_coev = block_tensor([ident, coev], right_unit, f.ps3,
                            [[0], [1]], [[0], [1, 2]])
     mu_id = pullback_matrix(backend, wiring_gmap(f.ps2, f.ps3, (0, 0, 1)), field)
-    trace = matmul(measure, ev.matrix, matmul(measure, mu_id, id_coev))
+    trace = matmul(measure, ev, matmul(measure, mu_id, id_coev))
     return trace
 
 
@@ -204,9 +204,9 @@ def splitting_idempotent(f, measure):
     # round trips: x -> (x(x)1)alpha recovers the comultiplication, and
     # evaluating the comultiplication at the unit recovers alpha
     results.append(CheckResult("splitting-recovers-comult", left == f.comult))
-    coev, _ = duality_data(backend, vec(f.carrier), field)
+    coev, _ = duality_data(backend, f.carrier, field)
     results.append(CheckResult("equals-diagonal-coevaluation",
-                               alpha_col == coev.matrix))
+                               alpha_col == coev))
 
     report = Report(f"splitting idempotent on Vec[{f.carrier.render()}]", results)
     return alpha_fn, report

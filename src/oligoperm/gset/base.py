@@ -140,9 +140,6 @@ class GMap:
     target: GObject
     legs: tuple  # per source position: (target position, AtomMap)
 
-    def leg(self, i):
-        return self.legs[i]
-
 
 class Backend:
     """Interface shared by the three shipped backends."""

@@ -66,7 +66,6 @@ def check_fiber_products(backend, atoms, universality_degree):
     ok = True
     witness = {}
     for c in atoms:
-        cobj = backend.object_of([c])
         maps_to_c = [(a, f) for a in atoms for f in backend.hom_atoms(a, c)]
         for a, f in maps_to_c:
             for b, g in maps_to_c:

@@ -407,7 +407,7 @@ class SchwartzFn:
         return SchwartzFn(self.carrier, out).prune()
 
 
-def constant_fn(backend, x, scalar):
+def constant_fn(x, scalar):
     return SchwartzFn(x, {i: scalar for i in range(len(x.atoms))}).prune()
 
 
@@ -428,7 +428,7 @@ def unit_orbit_label(backend, a):
     return orbit.label
 
 
-def column_matrix(backend, fn, field):
+def column_matrix(backend, fn):
     """A function on X as a matrix Vec_1 -> Vec_X."""
     unit = backend.unit_object()
     entries = {}
@@ -439,7 +439,6 @@ def column_matrix(backend, fn, field):
 
 
 def column_to_fn(matrix):
-    backend = matrix.backend
     coeffs = {}
     for (pos, _zero, _label), value in matrix.entries.items():
         coeffs[pos] = value
@@ -508,7 +507,7 @@ def pushforward_surjective_on_invariants(measure, gmap):
     return len(hit) == len(gmap.target.atoms)
 
 
-def _rank(grid, field):
+def _rank(grid):
     grid = [row[:] for row in grid]
     rank = 0
     cols = len(grid[0]) if grid else 0

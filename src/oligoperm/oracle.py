@@ -35,7 +35,7 @@ from .linmat import matmul, tensor_space
 
 # Finite backend expansion
 
-def finite_points(backend, obj):
+def finite_points(obj):
     """Global point list of an object: (atom position, point index) pairs."""
     out = []
     for pos, atom in enumerate(obj.atoms):
@@ -89,7 +89,7 @@ def bgamma_kernel_dimension(backend, y_obj, gamma, field):
     """Dimension of the kernel of x -> gamma . (x (x) 1 - 1 (x) x) on the
     concrete function space of the finite backend."""
     ps2 = tensor_space(backend, [y_obj, y_obj])
-    points = finite_points(backend, y_obj)
+    points = finite_points(y_obj)
     z = zero(field)
     columns = []
     for y in points:
@@ -106,7 +106,7 @@ def bgamma_kernel_dimension(backend, y_obj, gamma, field):
     grid = [[columns[c][r] for c in range(len(columns))] for r in range(rows)]
     from .linmat import _rank
 
-    return len(points) - _rank(grid, field)
+    return len(points) - _rank(grid)
 
 
 def _count_orbits(size, moves):
@@ -219,7 +219,7 @@ def finite_orbit_count_on_pairs(backend, a, b):
          for g in backend.generators])
 
 
-def _pair_point_index(backend, ps2):
+def _pair_point_index(ps2):
     """(factor positions and factor points) -> (product position, point)."""
     out = {}
     for w, pos in enumerate(ps2.positions):
@@ -233,8 +233,8 @@ def _pair_rows(backend, x):
     """Row of x (x) x's literal matrix through each point pair (y1, y2) of the
     one-atom object x, as a nested list indexed [y1][y2]."""
     ps2 = tensor_space(backend, [x, x])
-    lookup = _pair_point_index(backend, ps2)
-    flat = {pt: n for n, pt in enumerate(finite_points(backend, ps2.object))}
+    lookup = _pair_point_index(ps2)
+    flat = {pt: n for n, pt in enumerate(finite_points(ps2.object))}
     degree = x.atoms[0].degree
     return [[flat[lookup[(0, y1, 0, y2)]] for y2 in range(degree)]
             for y1 in range(degree)]
@@ -244,13 +244,13 @@ def finite_category_oracle(backend, measure, bound):
     """Hom spaces, composition, tensor, duality and Frobenius structure of the
     finite backend against explicit permutation-matrix linear algebra."""
     from .frob import build_frobenius
-    from .permcat import duality_data, hom_basis, hom_dimension, tensor, vec
+    from .permcat import duality_data, hom_basis, hom_dimension, tensor
     from .report import CheckResult, Report
 
     field = measure.field
     z, u = zero(field), one(field)
     atoms = backend.atoms_up_to(bound)
-    xs = {a: vec(backend.object_of([a])) for a in atoms}
+    xs = {a: backend.object_of([a]) for a in atoms}
     results = []
 
     dims_ok = all(
@@ -263,7 +263,7 @@ def finite_category_oracle(backend, measure, bound):
     bases = {}
     for a in atoms:
         for b in atoms:
-            bases[a, b] = [(f, expand_finite_matrix(backend, f.matrix, field))
+            bases[a, b] = [(f, expand_finite_matrix(backend, f, field))
                            for f in hom_basis(backend, xs[a], xs[b], field)]
 
     compose_ok = True
@@ -272,20 +272,20 @@ def finite_category_oracle(backend, measure, bound):
             for c in atoms:
                 for bm, bgrid in bases[b, c]:
                     for am, agrid in bases[a, b]:
-                        composed = matmul(measure, bm.matrix, am.matrix)
+                        composed = matmul(measure, bm, am)
                         if (expand_finite_matrix(backend, composed, field)
                                 != literal_product(bgrid, agrid, field)):
                             compose_ok = False
     results.append(CheckResult("composition-is-matrix-product", compose_ok))
 
-    pair_rows = {a: _pair_rows(backend, xs[a].underlying) for a in atoms}
+    pair_rows = {a: _pair_rows(backend, xs[a]) for a in atoms}
     tensor_ok = True
     for a in atoms:
         rows = pair_rows[a]
         pairs = [(y1, y2) for y1 in range(a.degree) for y2 in range(a.degree)]
         for f, fgrid in bases[a, a]:
             for g, ggrid in bases[a, a]:
-                pgrid = expand_finite_matrix(backend, tensor(backend, f, g).matrix,
+                pgrid = expand_finite_matrix(backend, tensor(backend, f, g),
                                              field)
                 for y1, y2 in pairs:
                     prow = pgrid[rows[y1][y2]]
@@ -301,12 +301,12 @@ def finite_category_oracle(backend, measure, bound):
     for a in atoms:
         rows = pair_rows[a]
         coev, _ = duality_data(backend, xs[a], field)
-        cgrid = expand_finite_matrix(backend, coev.matrix, field)
+        cgrid = expand_finite_matrix(backend, coev, field)
         for y1 in range(a.degree):
             for y2 in range(a.degree):
                 if cgrid[rows[y1][y2]][0] != (u if y1 == y2 else z):
                     duality_ok = False
-        frob = build_frobenius(backend, xs[a].underlying, field)
+        frob = build_frobenius(backend, xs[a], field)
         mgrid = expand_finite_matrix(backend, frob.mult, field)
         ugrid = expand_finite_matrix(backend, frob.unit, field)
         egrid = expand_finite_matrix(backend, frob.counit, field)

@@ -1,13 +1,18 @@
 """The tensor category of free permutation objects.
 
-Objects are formal vector spaces Vec_X with X an object of a backend; the
-morphisms Vec_X -> Vec_Y are the invariant matrices on Y x X and composition
-is integral matrix multiplication.  Every object is self-dual: its duality
-data is the indicator of the diagonal of X x X as a column (coevaluation) and
-its transpose (evaluation).  The snake check here and the perfect-pairing
-check in ``frob`` are ``triangle_identities`` applied to two dualities, this
-one and the Frobenius pairing.  The categorical dimension of Vec_X is the
-measure of X.
+Objects are the backend's ``GObject``s: X stands for the formal vector space
+Vec_X.  Morphisms are ``InvariantMatrix``es: Vec_X -> Vec_Y is an invariant
+matrix on Y x X, which carries X and Y as its source and target.  The unit
+object is ``backend.unit_object()``, identities are ``identity_matrix``,
+composition is ``matmul`` (integral matrix multiplication) and the tensor of
+objects is ``tensor_space(backend, [x, y]).object``.  Reports render X as
+``Vec[X]``.
+
+Every object is self-dual: its duality data is the indicator of the diagonal
+of X x X as a column (coevaluation) and its transpose (evaluation).  The
+snake check here and the perfect-pairing check in ``frob`` are
+``triangle_identities`` applied to two dualities, this one and the Frobenius
+pairing.  The categorical dimension of Vec_X is the measure of X.
 
 The linearization checker verifies that the pushforward/pullback assignment is
 an additive, plenary balanced functor, and re-extracts the measure from it in
@@ -18,11 +23,8 @@ measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coeff import one, zero
-from .errors import ShapeMismatch
-from .gset.base import GMap, GObject, atom_gmap
+from .gset.base import GMap, atom_gmap
 from .linmat import (
     InvariantMatrix,
     SchwartzFn,
@@ -31,7 +33,6 @@ from .linmat import (
     column_to_fn,
     constant_fn,
     identity_matrix,
-    indicator_fn,
     matmul,
     pullback_matrix,
     pushforward_fn,
@@ -44,92 +45,46 @@ from .linmat import (
 from .report import CheckResult, Report
 
 
-@dataclass(frozen=True)
-class PermObject:
-    underlying: GObject
-
-    def render(self):
-        return f"Vec[{self.underlying.render()}]"
-
-
-@dataclass(frozen=True)
-class PermMorphism:
-    source: PermObject
-    target: PermObject
-    matrix: InvariantMatrix
-
-
-def vec(x):
-    return PermObject(x)
-
-
-def unit_object(backend):
-    return PermObject(backend.unit_object())
-
-
-def as_morphism(matrix):
-    return PermMorphism(vec(matrix.source), vec(matrix.target), matrix)
-
-
-def identity(backend, x, field):
-    return as_morphism(identity_matrix(backend, x.underlying, field))
-
-
 def hom_basis(backend, x, y, field):
     """Orbit-indicator basis of Hom(Vec_X, Vec_Y)."""
     out = []
-    for iy, b in enumerate(y.underlying.atoms):
-        for ix, a in enumerate(x.underlying.atoms):
+    for iy, b in enumerate(y.atoms):
+        for ix, a in enumerate(x.atoms):
             for orbit in backend.product_decompose(b, a):
-                matrix = InvariantMatrix(
-                    backend, x.underlying, y.underlying,
-                    {(iy, ix, orbit.label): one(field)})
-                out.append(as_morphism(matrix))
+                out.append(InvariantMatrix(backend, x, y,
+                                           {(iy, ix, orbit.label): one(field)}))
     return out
 
 
 def hom_dimension(backend, x, y):
     total = 0
-    for b in y.underlying.atoms:
-        for a in x.underlying.atoms:
+    for b in y.atoms:
+        for a in x.atoms:
             total += len(backend.product_decompose(b, a))
     return total
 
 
-def compose(measure, g, f):
-    if f.target != g.source:
-        raise ShapeMismatch("composition shape mismatch")
-    return as_morphism(matmul(measure, g.matrix, f.matrix))
-
-
-def tensor_object(backend, x, y):
-    return vec(tensor_space(backend, [x.underlying, y.underlying]).object)
-
-
 def tensor(backend, f, g):
-    src = tensor_space(backend, [f.source.underlying, g.source.underlying])
-    tgt = tensor_space(backend, [f.target.underlying, g.target.underlying])
-    matrix = block_tensor([f.matrix, g.matrix], src, tgt,
-                          [[0], [1]], [[0], [1]])
-    return as_morphism(matrix)
+    src = tensor_space(backend, [f.source, g.source])
+    tgt = tensor_space(backend, [f.target, g.target])
+    return block_tensor([f, g], src, tgt, [[0], [1]], [[0], [1]])
 
 
 def symmetry(backend, x, y, field):
-    src = tensor_space(backend, [x.underlying, y.underlying])
-    tgt = tensor_space(backend, [y.underlying, x.underlying])
-    return as_morphism(pushforward_matrix(backend, wiring_gmap(src, tgt, (1, 0)),
-                                          field))
+    src = tensor_space(backend, [x, y])
+    tgt = tensor_space(backend, [y, x])
+    return pushforward_matrix(backend, wiring_gmap(src, tgt, (1, 0)), field)
 
 
 def duality_data(backend, x, field):
     """Self-duality of Vec_X: coev is the indicator of the diagonal of X x X,
     as a column, and ev is its transpose."""
-    ps1 = tensor_space(backend, [x.underlying])
-    ps2 = tensor_space(backend, [x.underlying, x.underlying])
+    ps1 = tensor_space(backend, [x])
+    ps2 = tensor_space(backend, [x, x])
     diagonal = SchwartzFn(ps2.object, {
         pos: one(field) for pos, _m in wiring_gmap(ps1, ps2, (0, 0)).legs})
-    coev = column_matrix(backend, diagonal, field)
-    return as_morphism(coev), as_morphism(transpose(coev))
+    coev = column_matrix(backend, diagonal)
+    return coev, transpose(coev)
 
 
 def triangle_identities(measure, x, coev, ev):
@@ -160,14 +115,14 @@ def triangle_identities(measure, x, coev, ev):
 def check_snake_identities(backend, x, measure):
     """The two triangle identities for the self-duality of Vec_X."""
     coev, ev = duality_data(backend, x, measure.field)
-    right_ok, left_ok = triangle_identities(measure, x.underlying,
-                                            coev.matrix, ev.matrix)
-    witness = {"object": x.render()}
+    right_ok, left_ok = triangle_identities(measure, x, coev, ev)
+    name = f"Vec[{x.render()}]"
+    witness = {"object": name}
     results = [
         CheckResult("snake-right", right_ok, {} if right_ok else witness),
         CheckResult("snake-left", left_ok, {} if left_ok else witness),
     ]
-    return Report(f"snake identities on {x.render()}", results)
+    return Report(f"snake identities on {name}", results)
 
 
 def categorical_dim(backend, x, measure):
@@ -175,17 +130,8 @@ def categorical_dim(backend, x, measure):
     field = measure.field
     coev, ev = duality_data(backend, x, field)
     swap = symmetry(backend, x, x, field)
-    loop = matmul(measure, ev.matrix, matmul(measure, swap.matrix, coev.matrix))
+    loop = matmul(measure, ev, matmul(measure, swap, coev))
     return scalar_entry(loop, field)
-
-
-def gamma_invariants(backend, x, field):
-    """Orbit-indicator basis of the invariants Hom(Vec_1, Vec_X)."""
-    out = []
-    for pos in range(len(x.underlying.atoms)):
-        fn = indicator_fn(x.underlying, pos, field)
-        out.append(as_morphism(column_matrix(backend, fn, field)))
-    return out
 
 
 def coproduct_with_inclusions(backend, x, y):
@@ -242,12 +188,12 @@ def check_linearization(measure, bound):
     plenary_ok = True
     witness = {}
     for a in atoms:
-        x = vec(backend.object_of([a]))
-        dim = hom_dimension(backend, x, unit_object(backend))
-        alpha = pushforward_matrix(backend,
-                                   backend.collapse_gmap(x.underlying), field)
-        basis = hom_basis(backend, x, unit_object(backend), field)
-        if dim != 1 or len(basis) != 1 or basis[0].matrix != alpha:
+        x = backend.object_of([a])
+        unit = backend.unit_object()
+        dim = hom_dimension(backend, x, unit)
+        alpha = pushforward_matrix(backend, backend.collapse_gmap(x), field)
+        basis = hom_basis(backend, x, unit, field)
+        if dim != 1 or len(basis) != 1 or basis[0] != alpha:
             plenary_ok = False
             witness = {"atom": a.render(), "dim": str(dim)}
     results.append(CheckResult("plenary", plenary_ok, witness))
@@ -290,8 +236,7 @@ def check_linearization(measure, bound):
             for f in backend.hom_atoms(a, b):
                 x = backend.object_of([a])
                 y = backend.object_of([b])
-                beta_x = column_matrix(backend, constant_fn(backend, x, one(field)),
-                                       field)
+                beta_x = column_matrix(backend, constant_fn(x, one(field)))
                 a_f = pushforward_matrix(backend, atom_gmap(backend, f), field)
                 image = column_to_fn(matmul(measure, a_f, beta_x))
                 extracted = image.coeffs.get(0, zero(field))
@@ -316,9 +261,8 @@ def check_linearization(measure, bound):
                 x = backend.object_of([a])
                 y = backend.object_of([b])
                 gmap = atom_gmap(backend, f)
-                image = pushforward_fn(measure, gmap, constant_fn(backend, x,
-                                                                  one(field)))
-                expected = constant_fn(backend, y, measure.mu_map(f))
+                image = pushforward_fn(measure, gmap, constant_fn(x, one(field)))
+                expected = constant_fn(y, measure.mu_map(f))
                 if image != expected:
                     pushforward_ok = False
                     witness = {"map": f"{a.render()} -> {b.render()} {f.data}"}

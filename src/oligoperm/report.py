@@ -47,10 +47,3 @@ class Report:
             if r.name == name:
                 return r
         raise KeyError(name)
-
-    def to_dict(self):
-        return {
-            "title": self.title,
-            "status": "PASS" if self.passed else "FAIL",
-            "results": [r.to_dict() for r in self.results],
-        }

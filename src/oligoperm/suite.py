@@ -37,7 +37,6 @@ from .permcat import (
     check_snake_identities,
     duality_data,
     hom_dimension,
-    vec,
 )
 from .report import CheckResult, Report
 
@@ -72,7 +71,7 @@ def _frobenius_block(backend, measure, atoms, results):
                 f"pairing[{atom.label}]")
         _, rep = splitting_idempotent(frob, measure)
         _absorb(results, rep, f"splitting[{atom.label}]")
-        _absorb(results, check_snake_identities(backend, vec(obj), measure),
+        _absorb(results, check_snake_identities(backend, obj, measure),
                 f"snake[{atom.label}]")
 
 
@@ -103,11 +102,10 @@ def _gamma_block(backend, measure, atoms, results, kernel_dims=False):
 
 def _eidem_block(backend, measure, results):
     x = backend.object_of([backend.atoms_up_to(2)[-1]])
-    coev, _ = duality_data(backend, vec(x), measure.field)
+    coev, _ = duality_data(backend, x, measure.field)
     ps2 = tensor_space(backend, [x, x])
-    ones = constant_fn(backend, ps2.object, one(measure.field))
-    _absorb(results, e_idempotent_check(backend, x, column_to_fn(coev.matrix),
-                                        measure),
+    ones = constant_fn(ps2.object, one(measure.field))
+    _absorb(results, e_idempotent_check(backend, x, column_to_fn(coev), measure),
             "eidem-diagonal")
     _absorb(results, e_idempotent_check(backend, x, ones, measure),
             "eidem-all-ones")
@@ -206,16 +204,17 @@ def _sym_suite(backend, family, measure, bound, results):
     dims_ok = True
     for n in range(min(bound, 3) + 1):
         for m in range(min(bound, 3) + 1):
-            lhs = hom_dimension(backend, vec(backend.object_of(
-                [backend.atom_of_arity(n)])),
-                vec(backend.object_of([backend.atom_of_arity(m)])))
+            lhs = hom_dimension(
+                backend,
+                backend.object_of([backend.atom_of_arity(n)]),
+                backend.object_of([backend.atom_of_arity(m)]))
             if lhs != sym_orbit_count_model(8, n, m):
                 dims_ok = False
     results.append(CheckResult("hom-dims-match-model-orbits", dims_ok))
 
     results.append(CheckResult(
         "dimension-of-line-object",
-        categorical_dim(backend, vec(x), measure) == t))
+        categorical_dim(backend, x, measure) == t))
 
     mutant = measure.with_perturbed_atom(backend.atom_of_arity(2), one(field))
     mutant_report = check_measure_axioms(mutant, 3)
@@ -274,13 +273,13 @@ def _line_suite(backend, family, measure, bound, results):
         for m in range(min(bound, 3) + 1):
             lhs = hom_dimension(
                 backend,
-                vec(backend.object_of([backend.atom_of_arity(n)])),
-                vec(backend.object_of([backend.atom_of_arity(m)])))
+                backend.object_of([backend.atom_of_arity(n)]),
+                backend.object_of([backend.atom_of_arity(m)]))
             if lhs != delannoy_number(n, m):
                 dims_ok = False
     results.append(CheckResult("hom-dims-are-delannoy", dims_ok))
 
-    x = vec(backend.object_of([backend.atom_of_arity(1)]))
+    x = backend.object_of([backend.atom_of_arity(1)])
     results.append(CheckResult(
         "dimension-of-line-object",
         categorical_dim(backend, x, measure) == Scalar.from_int(field, -1)))

@@ -41,7 +41,7 @@ from oligoperm.oracle import (
     finite_category_oracle,
     sym_orbit_count_model,
 )
-from oligoperm.permcat import categorical_dim, check_linearization, hom_dimension, vec
+from oligoperm.permcat import categorical_dim, check_linearization, hom_dimension
 
 pytestmark = pytest.mark.acceptance
 
@@ -118,16 +118,16 @@ def test_criterion_3_hom_dimensions():
         for m in range(4):
             dim = hom_dimension(
                 LINE,
-                vec(LINE.object_of([LINE.atom_of_arity(n)])),
-                vec(LINE.object_of([LINE.atom_of_arity(m)])))
+                LINE.object_of([LINE.atom_of_arity(n)]),
+                LINE.object_of([LINE.atom_of_arity(m)]))
             ok = ok and dim == table[n, m]
 
     for n in range(4):
         for m in range(4):
             dim = hom_dimension(
                 SYM,
-                vec(SYM.object_of([SYM.atom_of_arity(n)])),
-                vec(SYM.object_of([SYM.atom_of_arity(m)])))
+                SYM.object_of([SYM.atom_of_arity(n)]),
+                SYM.object_of([SYM.atom_of_arity(m)]))
             ok = ok and dim == sym_orbit_count_model(8, n, m)
     assert verdict(3, ok)
 
@@ -233,7 +233,7 @@ def test_criterion_9_e_idempotents(sym_family, line_family):
     from oligoperm.linmat import column_to_fn
 
     diagonal = column_to_fn(matmul(measure, frob.comult, frob.unit))
-    all_ones = constant_fn(SYM, ps2.object, one(field))
+    all_ones = constant_fn(ps2.object, one(field))
     a2, a1 = SYM.atom_of_arity(2), SYM.atom_of_arity(1)
     select_first = [m for m in SYM.hom_atoms(a2, a1) if m.data == (1,)][0]
     first_map = GMap(x, SYM.object_of([a1]), ((0, select_first),))
@@ -279,9 +279,9 @@ def test_criterion_10_pregalois_and_dims(sym_family, line_family):
     mu_t = sym_family.generic()
     t = Scalar.variable(mu_t.field)
     ok = ok and categorical_dim(
-        SYM, vec(SYM.object_of([SYM.atom_of_arity(1)])), mu_t) == t
+        SYM, SYM.object_of([SYM.atom_of_arity(1)]), mu_t) == t
     mu_line = line_family.generic()
     ok = ok and categorical_dim(
-        LINE, vec(LINE.object_of([LINE.atom_of_arity(1)])), mu_line) == \
+        LINE, LINE.object_of([LINE.atom_of_arity(1)]), mu_line) == \
         Scalar.from_int(mu_line.field, -1)
     assert verdict(10, ok)

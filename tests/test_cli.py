@@ -308,6 +308,30 @@ def test_malformed_matrix_file_is_usage_error(tmp_path, capsys, case):
     assert_usage_error(capsys, ["compose", "--lhs", lhs, "--rhs", rhs], expect)
 
 
+LINE_IDENTITY = {"field": "fp:7", "source": "line:inc[1]",
+                 "target": "line:inc[1]", "entries": [[0, 0, "B", "1"]]}
+
+
+def test_compose_files_in_fp(tmp_path):
+    path = write_json(tmp_path, "ident.json", LINE_IDENTITY)
+    code, doc = run(tmp_path, "compose", "--lhs", path, "--rhs", path,
+                    "--field", "fp:7")
+    assert code == 0
+    assert doc["payload"]["entries"] == [[0, 0, "B", "1"]]
+
+
+@pytest.mark.parametrize("file_field, flag", [
+    ("fp:7", []), ("fp:7", ["--field", "fp:5"]), ("q", ["--field", "fp:7"]),
+    ("qt", ["--field", "fp:7"])],
+    ids=["fp7-vs-default", "fp7-vs-fp5", "q-vs-fp7", "qt-vs-fp7"])
+def test_compose_field_mismatch_is_usage_error(tmp_path, capsys, file_field,
+                                               flag):
+    path = write_json(tmp_path, "ident.json",
+                      {**LINE_IDENTITY, "field": file_field})
+    assert_usage_error(capsys, ["compose", "--lhs", path, "--rhs", path,
+                                *flag], "has characteristic")
+
+
 def test_non_json_file_is_usage_error(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text("backend = sym", encoding="utf-8")

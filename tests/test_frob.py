@@ -160,7 +160,7 @@ def test_e_idempotent_diagonal_and_all_ones(mu_t):
     alpha = column_to_fn(matmul(mu_t, f.comult, f.unit))
     assert e_idempotent_check(SYM, x, alpha, mu_t).passed
 
-    all_ones = constant_fn(SYM, ps2.object, one(mu_t.field))
+    all_ones = constant_fn(ps2.object, one(mu_t.field))
     assert e_idempotent_check(SYM, x, all_ones, mu_t).passed
 
 

@@ -10,28 +10,23 @@ from oligoperm.coeff import RATIONAL, Scalar, one
 from oligoperm.gset import LINE, SYM, preset_backend
 from oligoperm.linmat import (
     InvariantMatrix,
+    column_matrix,
     identity_matrix,
+    indicator_fn,
     matmul,
     tensor_space,
 )
 from oligoperm.measure import solve_measures
 from oligoperm.permcat import (
-    as_morphism,
     categorical_dim,
     check_linearization,
     check_snake_identities,
-    compose,
     duality_data,
-    gamma_invariants,
     hom_basis,
     hom_dimension,
-    identity,
     symmetry,
     tensor,
-    tensor_object,
     triangle_identities,
-    unit_object,
-    vec,
 )
 
 
@@ -45,12 +40,12 @@ def mu_line():
     return solve_measures(LINE, 4).generic()
 
 
-def vec_sym(n):
-    return vec(SYM.object_of([SYM.atom_of_arity(n)]))
+def sym_obj(n):
+    return SYM.object_of([SYM.atom_of_arity(n)])
 
 
-def vec_line(n):
-    return vec(LINE.object_of([LINE.atom_of_arity(n)]))
+def line_obj(n):
+    return LINE.object_of([LINE.atom_of_arity(n)])
 
 
 def delannoy(m, n):
@@ -63,91 +58,86 @@ def delannoy(m, n):
 
 
 def test_hom_dimensions(mu_t):
-    assert hom_dimension(SYM, vec_sym(1), vec_sym(1)) == 2
-    assert hom_dimension(SYM, vec_sym(2), vec_sym(2)) == 7
-    assert len(hom_basis(SYM, vec_sym(2), vec_sym(2), mu_t.field)) == 7
+    assert hom_dimension(SYM, sym_obj(1), sym_obj(1)) == 2
+    assert hom_dimension(SYM, sym_obj(2), sym_obj(2)) == 7
+    assert len(hom_basis(SYM, sym_obj(2), sym_obj(2), mu_t.field)) == 7
 
 
 def test_line_hom_dimensions_are_delannoy():
     for n in range(4):
         for m in range(4):
-            assert hom_dimension(LINE, vec_line(n), vec_line(m)) == delannoy(n, m)
-    assert hom_dimension(LINE, vec_line(2), vec_line(2)) == 13
-    assert hom_dimension(LINE, vec_line(3), vec_line(3)) == 63
+            assert hom_dimension(LINE, line_obj(n), line_obj(m)) == delannoy(n, m)
+    assert hom_dimension(LINE, line_obj(2), line_obj(2)) == 13
+    assert hom_dimension(LINE, line_obj(3), line_obj(3)) == 63
 
 
 def test_hom_dimension_symmetric(mu_t):
-    for x, y in itertools.product([vec_sym(0), vec_sym(1), vec_sym(2)], repeat=2):
+    for x, y in itertools.product([sym_obj(0), sym_obj(1), sym_obj(2)], repeat=2):
         assert hom_dimension(SYM, x, y) == hom_dimension(SYM, y, x)
 
 
 def test_compose_unit_law(mu_t):
-    x = vec_sym(2)
-    ident = identity(SYM, x, mu_t.field)
+    x = sym_obj(2)
+    ident = identity_matrix(SYM, x, mu_t.field)
     for f in hom_basis(SYM, x, x, mu_t.field):
-        assert compose(mu_t, f, ident).matrix == f.matrix
-        assert compose(mu_t, ident, f).matrix == f.matrix
+        assert matmul(mu_t, f, ident) == f
+        assert matmul(mu_t, ident, f) == f
 
 
 def test_tensor_of_identities_is_identity(mu_t):
-    x, y = vec_sym(1), vec_sym(2)
-    idx = identity(SYM, x, mu_t.field)
-    idy = identity(SYM, y, mu_t.field)
-    prod = tensor_object(SYM, x, y)
-    assert tensor(SYM, idx, idy).matrix == \
-        identity(SYM, prod, mu_t.field).matrix
+    x, y = sym_obj(1), sym_obj(2)
+    idx = identity_matrix(SYM, x, mu_t.field)
+    idy = identity_matrix(SYM, y, mu_t.field)
+    prod = tensor_space(SYM, [x, y]).object
+    assert tensor(SYM, idx, idy) == identity_matrix(SYM, prod, mu_t.field)
 
 
-def test_tensor_object_decomposition(mu_t):
-    prod = tensor_object(SYM, vec_sym(1), vec_sym(1))
-    assert sorted(a.degree for a in prod.underlying.atoms) == [1, 2]
+def test_tensor_space_decomposition(mu_t):
+    prod = tensor_space(SYM, [sym_obj(1), sym_obj(1)]).object
+    assert sorted(a.degree for a in prod.atoms) == [1, 2]
 
 
 def test_interchange_law(mu_t):
-    x = vec_sym(1)
+    x = sym_obj(1)
     basis = hom_basis(SYM, x, x, mu_t.field)
     for f1, f2, g1, g2 in itertools.product(basis, repeat=4):
-        lhs = compose(mu_t, tensor(SYM, f1, g1),
-                      tensor(SYM, f2, g2))
-        rhs = tensor(SYM, compose(mu_t, f1, f2), compose(mu_t, g1, g2))
-        assert lhs.matrix == rhs.matrix
+        lhs = matmul(mu_t, tensor(SYM, f1, g1), tensor(SYM, f2, g2))
+        rhs = tensor(SYM, matmul(mu_t, f1, f2), matmul(mu_t, g1, g2))
+        assert lhs == rhs
 
 
 def test_symmetry_squares_to_identity(mu_t):
-    x, y = vec_sym(1), vec_sym(2)
+    x, y = sym_obj(1), sym_obj(2)
     s1 = symmetry(SYM, x, y, mu_t.field)
     s2 = symmetry(SYM, y, x, mu_t.field)
-    prod = tensor_object(SYM, x, y)
-    assert matmul(mu_t, s2.matrix, s1.matrix) == \
-        identity(SYM, prod, mu_t.field).matrix
+    prod = tensor_space(SYM, [x, y]).object
+    assert matmul(mu_t, s2, s1) == identity_matrix(SYM, prod, mu_t.field)
 
 
 def test_snake_identities(mu_t, mu_line):
-    assert check_snake_identities(SYM, vec_sym(1), mu_t).passed
-    assert check_snake_identities(SYM, vec_sym(2), mu_t).passed
-    assert check_snake_identities(LINE, vec_line(2), mu_line).passed
+    assert check_snake_identities(SYM, sym_obj(1), mu_t).passed
+    assert check_snake_identities(SYM, sym_obj(2), mu_t).passed
+    assert check_snake_identities(LINE, line_obj(2), mu_line).passed
 
 
 def test_snake_identities_finite():
     backend = preset_backend("S3")
     measure = solve_measures(backend, 6).generic()
     for atom in backend.atoms_up_to(3):
-        assert check_snake_identities(backend, vec(backend.object_of([atom])),
+        assert check_snake_identities(backend, backend.object_of([atom]),
                                       measure).passed
 
 
 def test_triangle_identities_are_not_vacuous(mu_t, monkeypatch):
-    x = vec_sym(1)
+    x = sym_obj(1)
     coev, ev = duality_data(SYM, x, mu_t.field)
-    doubled = coev.matrix.scale(Scalar.from_int(mu_t.field, 2))
-    halved = ev.matrix.scale(Scalar.from_fraction(mu_t.field, Fraction(1, 2)))
-    assert triangle_identities(mu_t, x.underlying, doubled, ev.matrix) == \
-        (False, False)
-    assert triangle_identities(mu_t, x.underlying, doubled, halved) == \
-        (True, True)
+    doubled = coev.scale(Scalar.from_int(mu_t.field, 2))
+    halved = ev.scale(Scalar.from_fraction(mu_t.field, Fraction(1, 2)))
+    assert triangle_identities(mu_t, x, doubled, ev) == (False, False)
+    assert triangle_identities(mu_t, x, doubled, halved) == (True, True)
 
     monkeypatch.setattr(permcat, "duality_data",
-                        lambda backend, x, field: (as_morphism(doubled), ev))
+                        lambda backend, x, field: (doubled, ev))
     report = check_snake_identities(SYM, x, mu_t)
     assert [r.name for r in report.failures()] == ["snake-right", "snake-left"]
     for r in report.failures():
@@ -185,38 +175,43 @@ def test_diagonal_structure_maps_match_hand_built(backend):
             from_unit = backend.product_decompose(backend.unit_atom(), atom)
             coev_entries[(pos, 0, to_unit[0].label)] = one(field)
             ev_entries[(0, pos, from_unit[0].label)] = one(field)
-        coev, ev = duality_data(backend, vec(x), field)
-        assert coev.matrix == InvariantMatrix(backend, unit, ps2.object,
-                                              coev_entries)
-        assert ev.matrix == InvariantMatrix(backend, ps2.object, unit,
-                                            ev_entries)
+        coev, ev = duality_data(backend, x, field)
+        assert coev == InvariantMatrix(backend, unit, ps2.object, coev_entries)
+        assert ev == InvariantMatrix(backend, ps2.object, unit, ev_entries)
 
 
 def test_categorical_dims(mu_t, mu_line):
     t = Scalar.variable(mu_t.field)
-    assert categorical_dim(SYM, vec_sym(1), mu_t) == t
-    assert categorical_dim(SYM, unit_object(SYM), mu_t) == one(mu_t.field)
-    assert categorical_dim(LINE, vec_line(1), mu_line) == \
+    assert categorical_dim(SYM, sym_obj(1), mu_t) == t
+    assert categorical_dim(SYM, SYM.unit_object(), mu_t) == one(mu_t.field)
+    assert categorical_dim(LINE, line_obj(1), mu_line) == \
         Scalar.from_int(mu_line.field, -1)
 
 
 def test_dim_multiplicative_additive(mu_t):
-    x, y = vec_sym(1), vec_sym(2)
-    prod = tensor_object(SYM, x, y)
+    x, y = sym_obj(1), sym_obj(2)
+    prod = tensor_space(SYM, [x, y]).object
     assert categorical_dim(SYM, prod, mu_t) == \
         categorical_dim(SYM, x, mu_t) * categorical_dim(SYM, y, mu_t)
-    both = vec(x.underlying + y.underlying)
+    both = x + y
     assert categorical_dim(SYM, both, mu_t) == \
         categorical_dim(SYM, x, mu_t) + categorical_dim(SYM, y, mu_t)
 
 
-def test_gamma_invariants(mu_t):
-    assert len(gamma_invariants(SYM, vec_sym(1), mu_t.field)) == 1
-    two_atoms = vec(SYM.object_of([SYM.atom_of_arity(1), SYM.atom_of_arity(2)]))
-    assert len(gamma_invariants(SYM, two_atoms, mu_t.field)) == 2
-    prod = tensor_object(SYM, vec_sym(1), vec_sym(1))
-    assert len(gamma_invariants(SYM, prod, mu_t.field)) == \
-        len(SYM.product_decompose(SYM.atom_of_arity(1), SYM.atom_of_arity(1)))
+def test_gamma_invariant_basis():
+    """Hom(1, X) has the columns of X's orbit indicators as its basis, in
+    atom order, on a multi-atom object and on a product space."""
+    field = RATIONAL
+    for backend in (SYM, LINE, preset_backend("S3")):
+        unit = backend.unit_object()
+        a1, a2 = backend.atoms_up_to(3)[1:3]
+        prod = tensor_space(backend, [backend.object_of([a1]),
+                                      backend.object_of([a2])]).object
+        assert len(prod.atoms) == len(backend.product_decompose(a1, a2))
+        for x in (backend.object_of([a1, a2]), prod):
+            columns = [column_matrix(backend, indicator_fn(x, pos, field))
+                       for pos in range(len(x.atoms))]
+            assert hom_basis(backend, unit, x, field) == columns
 
 
 def test_linearization_passes(mu_t, mu_line):
