@@ -271,9 +271,12 @@ def cmd_compose(args):
     char = _char(args.field)
     paths = (args.lhs, args.rhs)
     files = [_matrix_file(backends, path, char) for path in paths]
-    (_, backend, source, target), (_, backend2, rhs_source, _) = files
+    (_, backend, source, target), (_, backend2, rhs_source, rhs_target) = files
     if backend is not backend2:
         raise UsageError("matrices come from different backends")
+    if rhs_target != source:
+        raise UsageError(f"cannot compose: lhs source {source.render()} is "
+                         f"not rhs target {rhs_target.render()}")
     measure, family = _measure_for(backend, _bound(args), char,
                                    [source, target, rhs_source])
     args._measure_desc = family.description

@@ -22,9 +22,13 @@ Every backend instance owns one cache, the plain dict ``backend.cache``,
 created empty with the instance and never shared: a backend and all it has
 memoized are freed together.  It is the only memo of product structure.  Keys
 are tagged tuples: ``("product", a, b)`` holds the orbits of ``a x b``
-(filled by ``product_decompose``, the one memoized backend method), the
-finite backend's ``("pairs", a, b)`` holds its point-pair index and its
-``("act", a, g)`` the permutation of a's points by the group element g;
+(filled by ``product_decompose``); the tuple backends keep their one atom
+per degree under ``("atom", n)`` and their factor table under
+``("factor",)``, a dict from the plain-int key ``(source degree, f.data,
+g.data)`` to what ``product_factor(f, g)`` returns; the finite backend's
+``("hom", a, b)`` holds the tuple of maps ``a -> b``, its ``("pairs", a,
+b)`` its point-pair index and its ``("act", a, g)`` the permutation of a's
+points by the group element g;
 ``linmat`` keeps its product spaces under ``("space", factors)``, its
 triple-orbit completions under ``("completions", ...)``, its marginal tables
 (flat position -> sub-product position) under ``("marginal", factors,
@@ -39,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Atom:
     """A transitive piece, identified by its canonical label.
 
@@ -55,7 +59,7 @@ class Atom:
         return f"{self.backend_id}:{self.label}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomMap:
     """An equivariant map between two atoms, in backend-specific encoding.
 
@@ -69,7 +73,7 @@ class AtomMap:
     data: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductOrbit:
     label: str
     atom: Atom
@@ -282,7 +286,12 @@ class TupleBackend(Backend):
     prefix = ""
 
     def _atom(self, n):
-        return Atom(self.backend_id, n, f"{self.prefix}[{n}]")
+        key = ("atom", n)
+        atom = self.cache.get(key)
+        if atom is None:
+            atom = self.cache[key] = Atom(self.backend_id, n,
+                                          f"{self.prefix}[{n}]")
+        return atom
 
     def unit_atom(self):
         return self._atom(0)
@@ -297,10 +306,30 @@ class TupleBackend(Backend):
         return AtomMap(a, a, tuple(range(1, a.degree + 1)))
 
     def compose_maps(self, outer, inner):
-        if inner.target != outer.source:
+        if inner.target is not outer.source and inner.target != outer.source:
             raise ValueError("atom map composition shape mismatch")
-        sel = tuple(inner.data[j - 1] for j in outer.data)
+        data = inner.data
+        sel = tuple([data[j - 1] for j in outer.data])
         return AtomMap(inner.source, outer.target, sel)
+
+    def product_factor(self, f, g):
+        source = f.source
+        if g.source is not source and g.source != source:
+            raise ValueError("product factor needs a common source")
+        # a coordinate selection is its own value: the factoring depends on
+        # the source degree and the two selections alone
+        table = self.cache.get(("factor",))
+        if table is None:
+            table = self.cache[("factor",)] = {}
+        key = (source.degree, f.data, g.data)
+        found = table.get(key)
+        if found is None:
+            found = table[key] = self._factor(f, g)
+        return found
+
+    def _factor(self, f, g):
+        """``product_factor`` uncached, for maps with a common source."""
+        raise NotImplementedError
 
     def is_surjective_map(self, f):
         # Every coordinate selection is onto: any target tuple extends.

@@ -207,13 +207,18 @@ class FiniteBackend(Backend):
         return [a for a in self._atoms if a.degree <= bound]
 
     def hom_atoms(self, a, b):
-        h_rep = self._reps[int(a.label.split("#")[1])]
-        out = []
-        for q in range(b.degree):
-            if all(self.act(h, b, q) == q for h in h_rep):
-                data = tuple(self.act(min(src), b, q) for src in self._points[a])
-                out.append(AtomMap(a, b, data))
-        return out
+        """The maps a -> b, one per point of b fixed by a's subgroup.  Built
+        on first use and kept in ``cache`` under ``("hom", a, b)``."""
+        key = ("hom", a, b)
+        maps = self.cache.get(key)
+        if maps is None:
+            h_rep = self._reps[int(a.label.split("#")[1])]
+            maps = self.cache[key] = tuple(
+                AtomMap(a, b, tuple(self.act(min(src), b, q)
+                                    for src in self._points[a]))
+                for q in range(b.degree)
+                if all(self.act(h, b, q) == q for h in h_rep))
+        return maps
 
     def identity_map(self, a):
         return AtomMap(a, a, tuple(range(a.degree)))

@@ -77,9 +77,7 @@ class LineBackend(TupleBackend):
         sel2 = tuple(i + 1 for i, ch in enumerate(word) if ch in "RB")
         return ProductOrbit(word, atom, AtomMap(atom, a, sel1), AtomMap(atom, b, sel2))
 
-    def product_factor(self, f, g):
-        if f.source != g.source:
-            raise ValueError("product factor needs a common source")
+    def _factor(self, f, g):
         left = set(f.data)
         right = set(g.data)
         union = sorted(left | right)

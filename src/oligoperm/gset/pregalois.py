@@ -162,56 +162,82 @@ def check_final_object(backend, atoms):
 # Equivalence relations
 
 
-def _triple_table(backend, x):
-    """All (label12, label23, label13) marginal triples of orbits of X^3."""
-    table = []
+def _triple_table(backend, x, index):
+    """The composition table of the orbits of X x X, read off the orbits of
+    X^3: (index of label12, index of label23) -> bit mask of the label13
+    indices of the orbits with those marginals."""
+    table = {}
     for omega in backend.product_decompose(x, x):
+        i12 = index[omega.label]
         for orbit in backend.product_decompose(omega.atom, x):
             to_first = backend.compose_maps(omega.proj1, orbit.proj1)
             to_second = backend.compose_maps(omega.proj2, orbit.proj1)
             l23, _ = backend.product_factor(to_second, orbit.proj2)
             l13, _ = backend.product_factor(to_first, orbit.proj2)
-            table.append((omega.label, l23, l13))
+            key = (i12, index[l23])
+            table[key] = table.get(key, 0) | 1 << index[l13]
     return table
 
 
-def _closure(labels, diag, swap, table):
-    current = set(labels) | {diag}
-    changed = True
-    while changed:
-        changed = False
-        for lbl in list(current):
-            if swap[lbl] not in current:
-                current.add(swap[lbl])
-                changed = True
-        for l12, l23, l13 in table:
-            if l12 in current and l23 in current and l13 not in current:
-                current.add(l13)
-                changed = True
-    return frozenset(current)
+def _bits(mask):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _closure(closed, extra, swap, table):
+    """The least relation containing the masks closed | extra that is closed
+    under swap and composition, where closed is already closed: only pairs
+    with a newly added orbit can compose to anything new (semi-naive)."""
+    full = (1 << len(swap)) - 1
+    current = closed | extra
+    members = list(_bits(closed))
+    work = list(_bits(extra & ~closed))
+    while work:
+        k = work.pop()
+        members.append(k)
+        found = 1 << swap[k]
+        for j in members:
+            found |= table.get((k, j), 0) | table.get((j, k), 0)
+        found &= ~current
+        if found:
+            current |= found
+            if current == full:
+                break
+            work.extend(_bits(found))
+    return current
 
 
 def internal_equivalence_relations(backend, x):
     """All orbit-unions of X x X that are reflexive, symmetric, transitive."""
     orbits = backend.product_decompose(x, x)
+    labels = [o.label for o in orbits]
+    index = {label: k for k, label in enumerate(labels)}
     ident = backend.identity_map(x)
     diag, _ = backend.product_factor(ident, ident)
-    swap = {o.label: backend.swap_orbit(x, x, o.label)[0] for o in orbits}
-    table = _triple_table(backend, x)
-    principal = {_closure({o.label}, diag, swap, table) for o in orbits}
-    principal.add(_closure(set(), diag, swap, table))
+    swap = [index[backend.swap_orbit(x, x, label)[0]] for label in labels]
+    table = _triple_table(backend, x, index)
+    least = _closure(0, 1 << index[diag], swap, table)
+    principal = {_closure(least, 1 << k, swap, table)
+                 for k in range(len(labels))}
+    principal.add(least)
     relations = set(principal)
     frontier = set(principal)
     while frontier:
         new = set()
         for r in frontier:
             for p in principal:
-                joined = _closure(r | p, diag, swap, table)
+                if p & ~r == 0:
+                    continue  # r is closed, so joining p gives r again
+                joined = _closure(r, p, swap, table)
                 if joined not in relations:
                     relations.add(joined)
                     new.add(joined)
         frontier = new
-    return sorted(relations, key=lambda r: (len(r), sorted(r)))
+    out = [frozenset(labels[k] for k in _bits(r)) for r in relations]
+    return sorted(out, key=lambda r: (len(r), sorted(r)))
 
 
 def quotient_of_relation(backend, x, relation):

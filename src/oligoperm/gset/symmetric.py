@@ -88,9 +88,7 @@ class SymBackend(TupleBackend):
         proj2 = AtomMap(atom, b, tuple(sel2))
         return ProductOrbit(_matching_label(matching), atom, proj1, proj2)
 
-    def product_factor(self, f, g):
-        if f.source != g.source:
-            raise ValueError("product factor needs a common source")
+    def _factor(self, f, g):
         a, b = f.target, g.target
         matching = tuple(
             sorted(

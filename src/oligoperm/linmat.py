@@ -24,8 +24,8 @@ A pair-label table (``pair_labels``) records, once per pair of atom maps
 ``a x b`` maps into.  ``block_tensor`` reads every orbit's block labels from
 these tables, and the tensor products of a suite repeat the same few shapes,
 so each table is reused across calls.  The tables hold labels only, and the
-label objects of the ``c x d`` decomposition rather than the fresh strings
-``product_factor`` builds: the decomposition is kept in the cache anyway, so
+label objects of the ``c x d`` decomposition rather than the strings
+``product_factor`` returns: the decomposition is kept in the cache anyway, so
 a table costs one tuple of references.
 """
 
@@ -39,7 +39,7 @@ from .errors import ShapeMismatch
 from .gset.base import GMap, GObject
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PSPosition:
     atom: object
     projections: tuple  # one (position in factor object, AtomMap) per factor

@@ -332,6 +332,19 @@ def test_compose_field_mismatch_is_usage_error(tmp_path, capsys, file_field,
                                 *flag], "has characteristic")
 
 
+def test_compose_shapes_that_do_not_chain_is_usage_error(tmp_path, capsys):
+    # lhs: inj[1] -> inj[1] after rhs: inj[1] -> inj[2] does not chain
+    lhs = write_json(tmp_path, "lhs.json", {
+        "field": "qt", "source": "sym:inj[1]", "target": "sym:inj[1]",
+        "entries": [[0, 0, "[]", "1"]]})
+    rhs = write_json(tmp_path, "rhs.json", {
+        "field": "qt", "source": "sym:inj[1]", "target": "sym:inj[2]",
+        "entries": [[0, 0, "[1>1]", "1"]]})
+    assert_usage_error(capsys, ["compose", "--lhs", lhs, "--rhs", rhs,
+                                "--field", "qt"],
+                       "lhs source sym:inj[1] is not rhs target sym:inj[2]")
+
+
 def test_non_json_file_is_usage_error(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text("backend = sym", encoding="utf-8")

@@ -177,25 +177,84 @@ def test_group_order_ceiling():
         mulclose(*parse_cycles("(1 2); (1 2 3 4 5)"))
 
 
-@pytest.mark.parametrize("make", [SymBackend, LineBackend])
-def test_product_cache_dies_with_backend(make):
+@pytest.mark.parametrize("make, tags", [
+    (SymBackend, {"atom", "factor"}),
+    (LineBackend, {"atom", "factor"}),
+    (lambda: preset_backend("S3"), {"hom", "act", "pairs"}),
+], ids=["SymBackend", "LineBackend", "S3"])
+def test_product_cache_dies_with_backend(make, tags):
     # the memo of product structure belongs to the instance, not the class,
-    # and so do the product spaces, marginal tables and pair-label tables
-    # linmat keeps in it
+    # and so do the interned atoms, the factor table, the finite hom sets and
+    # the product spaces, marginal tables and pair-label tables linmat keeps
+    # in it
+    def fill(backend):
+        a = backend.atoms_up_to(2)[-1]
+        assert backend.product_decompose(a, a)
+        homs = backend.hom_atoms(a, backend.unit_atom())
+        x = backend.object_of([a])
+        ps2 = tensor_space(backend, [x, x])
+        ident = identity_matrix(backend, x, RATIONAL)
+        ident2 = block_tensor([ident, ident], ps2, ps2, [[0], [1]], [[0], [1]])
+        assert ident2 == identity_matrix(backend, ps2.object, RATIONAL)
+        return a, homs
+
     backend = make()
-    a = backend.atom_of_arity(2)
-    assert backend.product_decompose(a, a)
-    x = backend.object_of([a])
-    ps2 = tensor_space(backend, [x, x])
-    ident = identity_matrix(backend, x, RATIONAL)
-    ident2 = block_tensor([ident, ident], ps2, ps2, [[0], [1]], [[0], [1]])
-    assert ident2 == identity_matrix(backend, ps2.object, RATIONAL)
-    assert any(key[0] == "marginal" for key in backend.cache)
-    assert any(key[0] == "pair_labels" for key in backend.cache)
+    a, homs = fill(backend)
+    present = {key[0] for key in backend.cache}
+    assert tags | {"product", "marginal", "pair_labels"} <= present
+    if "factor" in tags:
+        assert backend.cache[("factor",)]
+        assert backend.atoms_up_to(2)[-1] is a
+    if "hom" in tags:
+        assert isinstance(homs, tuple)
+        assert backend.hom_atoms(a, backend.unit_atom()) is homs
+    # a second backend builds its own entries and shares none
+    other = make()
+    fill(other)
+    for key, value in backend.cache.items():
+        if key in other.cache and value != ():
+            assert other.cache[key] is not value, key
+    if "factor" in tags:
+        theirs = other.cache[("factor",)]
+        for key, value in backend.cache[("factor",)].items():
+            assert theirs.get(key) is not value
     ref = weakref.ref(backend)
-    del backend, ps2, ident, ident2
+    del backend, a, homs
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("backend", [SymBackend(), LineBackend()],
+                         ids=["sym", "line"])
+def test_product_factor_memo_matches_uncached(backend):
+    # every joint map out of an atom of degree <= 3, factored cold and warm
+    atoms = backend.atoms_up_to(3)
+    pairs = 0
+    for t in atoms:
+        maps = [f for b in atoms for f in backend.hom_atoms(t, b)]
+        for f, g in itertools.product(maps, repeat=2):
+            expected = backend._factor(f, g)
+            assert backend.product_factor(f, g) == expected
+            assert backend.product_factor(f, g) == expected
+            pairs += 1
+    assert pairs == len(backend.cache[("factor",)])
+
+
+@pytest.mark.parametrize("make", [SymBackend, LineBackend],
+                         ids=["sym", "line"])
+def test_product_factor_refuses_distinct_sources(make):
+    # the memo key holds the source degree of the first map only, so the
+    # source check must run before every lookup, warm or cold
+    backend = make()
+    f = backend.hom_atoms(backend.atom_of_arity(2), backend.atom_of_arity(1))[0]
+    g = backend.hom_atoms(backend.atom_of_arity(3), backend.atom_of_arity(1))[0]
+    assert f.data == g.data
+    for _ in range(2):
+        for left, right in [(f, g), (g, f)]:
+            with pytest.raises(ValueError, match="common source"):
+                backend.product_factor(left, right)
+        backend.product_factor(f, f)
+        backend.product_factor(g, g)
 
 
 def test_sym_product_sizes_in_finite_model():

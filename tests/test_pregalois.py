@@ -1,10 +1,13 @@
 """Axiom checker: the finite backend passes everything, the symmetric
 fragment fails exactly effectivity with the coordinate-swap witness."""
 
+import random
+
 import pytest
 
-from oligoperm.gset import LINE, SYM, preset_backend
+from oligoperm.gset import LINE, SYM, LineBackend, SymBackend, preset_backend
 from oligoperm.gset.pregalois import (
+    _closure,
     internal_equivalence_relations,
     pregalois_check,
     quotient_of_relation,
@@ -84,3 +87,104 @@ def test_finite_relation_count_matches_subgroups():
     backend = preset_backend("S3")
     regular = backend.atoms_up_to(6)[-1]
     assert len(internal_equivalence_relations(backend, regular)) == 6
+
+
+def naive_relations(backend, x):
+    """The equivalence relations on x by the naive fixpoint: every closure
+    rescans the full list of marginal triples of X^3 until nothing changes."""
+    table = []
+    for omega in backend.product_decompose(x, x):
+        for orbit in backend.product_decompose(omega.atom, x):
+            to_first = backend.compose_maps(omega.proj1, orbit.proj1)
+            to_second = backend.compose_maps(omega.proj2, orbit.proj1)
+            l23, _ = backend.product_factor(to_second, orbit.proj2)
+            l13, _ = backend.product_factor(to_first, orbit.proj2)
+            table.append((omega.label, l23, l13))
+    ident = backend.identity_map(x)
+    diag, _ = backend.product_factor(ident, ident)
+    orbits = backend.product_decompose(x, x)
+    swap = {o.label: backend.swap_orbit(x, x, o.label)[0] for o in orbits}
+
+    def closure(labels):
+        current = set(labels) | {diag}
+        changed = True
+        while changed:
+            changed = False
+            for lbl in list(current):
+                if swap[lbl] not in current:
+                    current.add(swap[lbl])
+                    changed = True
+            for l12, l23, l13 in table:
+                if l12 in current and l23 in current and l13 not in current:
+                    current.add(l13)
+                    changed = True
+        return frozenset(current)
+
+    principal = {closure({o.label}) for o in orbits} | {closure(set())}
+    relations = set(principal)
+    frontier = set(principal)
+    while frontier:
+        new = set()
+        for r in frontier:
+            for p in principal:
+                joined = closure(r | p)
+                if joined not in relations:
+                    relations.add(joined)
+                    new.add(joined)
+        frontier = new
+    return sorted(relations, key=lambda r: (len(r), sorted(r)))
+
+
+DIFFERENTIAL_ATOMS = (
+    [(f"sym-{n}", SymBackend, n) for n in range(4)]
+    + [(f"line-{n}", LineBackend, n) for n in range(4)]
+    + [(f"S3-{k}", lambda: preset_backend("S3"), k) for k in range(4)])
+
+
+@pytest.mark.parametrize("make, k", [(m, k) for _, m, k in DIFFERENTIAL_ATOMS],
+                         ids=[name for name, _, _ in DIFFERENTIAL_ATOMS])
+def test_relations_match_naive_fixpoint(make, k):
+    backend = make()
+    x = backend.atoms_up_to(6)[k]
+    assert internal_equivalence_relations(backend, x) == \
+        naive_relations(backend, x)
+
+
+def test_line_inc3_has_eight_relations():
+    x = LINE.atom_of_arity(3)
+    assert len(internal_equivalence_relations(LINE, x)) == 8
+
+
+def test_closure_matches_naive_on_random_tables():
+    # random composition tables on six labels, with a random swap
+    # involution: the semi-naive closure of a closed mask plus extra labels
+    # equals the naive fixpoint over the whole table
+    rng = random.Random(7)
+    n = 6
+
+    def naive(mask, swap, table):
+        while True:
+            grown = mask
+            for k in range(n):
+                if mask >> k & 1:
+                    grown |= 1 << swap[k]
+            for (i, j), lands in table.items():
+                if mask >> i & 1 and mask >> j & 1:
+                    grown |= lands
+            if grown == mask:
+                return mask
+            mask = grown
+
+    for _ in range(300):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        swap = list(range(n))
+        for a, b in zip(perm[::2], perm[1::2]):
+            if rng.random() < 0.5:
+                swap[a], swap[b] = b, a
+        table = {(i, j): 1 << rng.randrange(n)
+                 for i in range(n) for j in range(n) if rng.random() < 0.15}
+        closed = naive(rng.getrandbits(n) & rng.getrandbits(n), swap, table)
+        extra = rng.getrandbits(n) & rng.getrandbits(n)
+        assert _closure(closed, extra, swap, table) == \
+            naive(closed | extra, swap, table)
