@@ -24,7 +24,7 @@ import sys
 import time
 
 from .coeff import one, parse_scalar
-from .errors import OligopermError, UsageError
+from .errors import DivisionByZero, OligopermError, UsageError
 from .frob import (
     build_frobenius,
     check_perfect_pairing,
@@ -218,7 +218,7 @@ def _read_scalar(path, field, text):
         raise UsageError(f"{path}: scalar {text!r} is not a string")
     try:
         return parse_scalar(field, text)
-    except ValueError as exc:
+    except (ValueError, DivisionByZero) as exc:
         raise UsageError(f"{path}: bad scalar {text!r}: {exc}") from None
 
 

@@ -2,19 +2,28 @@
 
 Three coefficient fields are supported: the rationals, rational functions in
 one variable over the rationals, and rational functions in one variable over a
-prime field.  Every scalar is kept in a canonical form (fully reduced
-fractions, positive integer denominators, monic polynomial denominators), so
-equality of scalars is structural equality and is decidable everywhere
-downstream.
+prime field.  A scalar is a fraction in lowest terms over a ring of integers,
+so equality of scalars is structural equality and is decidable everywhere
+downstream.  Over Q it is two coprime ints, the denominator positive.  Over
+Q(t) it is two integer polynomials coprime in Z[t] (no common factor, not even
+a constant one), the denominator's leading coefficient positive.  Over F_p(t)
+it is two coprime polynomials with coefficients in 0..p-1, the denominator
+monic.  ``render`` and the size measure read a Q(t) scalar in its
+monic-denominator form over Q, the form reports print.
 
-Polynomials are dense coefficient tuples, low degree first.  Degrees in this
-package stay small (a few dozen at most), so nothing sparse is needed.
+Sums and products cancel across their operands before they multiply
+(Henrici's method, as in ``fractions.Fraction``), so a gcd of polynomials runs
+only when both have positive degree; against a constant it costs integer gcds
+at most.  Polynomials are dense coefficient tuples, low degree first, with no
+trailing zeros.  Degrees in this package stay small (a few dozen at most), so
+nothing sparse is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DivisionByZero, FieldMismatch, PoleAtPoint
 
@@ -48,35 +57,8 @@ def ratfunc_field(var, char=0):
     return Field("ratfunc", char, var)
 
 
-# Base coefficient helpers.  Base coefficients are Fraction (char 0) or plain
-# ints reduced mod p (char p).
-
-def _b_norm(char, x):
-    if char:
-        return x % char
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _b_add(char, x, y):
-    return (x + y) % char if char else x + y
-
-
-def _b_sub(char, x, y):
-    return (x - y) % char if char else x - y
-
-
-def _b_mul(char, x, y):
-    return (x * y) % char if char else x * y
-
-
-def _b_inv(char, x):
-    if char:
-        return pow(x, char - 2, char)
-    return 1 / x
-
-
-# Dense polynomial helpers.  A polynomial is a tuple of base coefficients with
-# no trailing zeros; the zero polynomial is ().
+# Polynomials over Z (char 0) or F_p (char p).  Over both rings the product of
+# two nonzero polynomials has a nonzero leading coefficient.
 
 def _p_trim(coeffs):
     n = len(coeffs)
@@ -86,69 +68,80 @@ def _p_trim(coeffs):
 
 
 def _p_add(char, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else _b_norm(char, 0)
-        y = b[i] if i < len(b) else _b_norm(char, 0)
-        out.append(_b_add(char, x, y))
-    return _p_trim(out)
+    if len(a) < len(b):
+        a, b = b, a
+    out = [x + y for x, y in zip(a, b)]
+    if char:
+        out = [x % char for x in out]
+    return _p_trim(out + list(a[len(b):]))
 
 
 def _p_neg(char, a):
-    return tuple(_b_sub(char, _b_norm(char, 0), x) for x in a)
+    return tuple(-x % char for x in a) if char else tuple(-x for x in a)
 
 
 def _p_mul(char, a, b):
     if not a or not b:
         return ()
-    out = [_b_norm(char, 0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if not x:
-            continue
         for j, y in enumerate(b):
-            out[i + j] = _b_add(char, out[i + j], _b_mul(char, x, y))
-    return _p_trim(out)
+            out[i + j] += x * y
+    return tuple(x % char for x in out) if char else tuple(out)
 
 
 def _p_divmod(char, a, b):
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    a = list(a)
-    q = [_b_norm(char, 0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = _b_inv(char, b[-1])
-    while len(a) >= len(b):
-        if not a[-1]:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = _b_mul(char, a[-1], inv_lead)
-        q[shift] = c
+    """Quotient and remainder of a by b over F_p.  Over Z each step must
+    divide exactly: b divides a, or a was multiplied by a power of b's
+    leading coefficient (a pseudo-remainder)."""
+    n = len(b)
+    rem = list(a)
+    quo = [0] * max(len(a) - n + 1, 0)
+    inv = pow(b[-1], -1, char) if char else 0
+    for shift in range(len(a) - n, -1, -1):
+        lead = rem[shift + n - 1]
+        c = quo[shift] = lead * inv % char if char else lead // b[-1]
         for i, y in enumerate(b):
-            a[shift + i] = _b_sub(char, a[shift + i], _b_mul(char, c, y))
-        a.pop()
-    return _p_trim(q), _p_trim(a)
+            rem[shift + i] -= c * y
+    rem = rem[:n - 1]
+    return tuple(quo), _p_trim([x % char for x in rem] if char else rem)
+
+
+def _p_primitive(a):
+    g = gcd(*a)
+    return a if g == 1 else tuple(x // g for x in a)
 
 
 def _p_gcd(char, a, b):
-    while b:
-        _, r = _p_divmod(char, a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    inv_lead = _b_inv(char, a[-1])
-    return tuple(_b_mul(char, x, inv_lead) for x in a)
+    """The gcd of two nonzero polynomials: monic over F_p, with a positive
+    leading coefficient over Z."""
+    if len(a) == 1 or len(b) == 1:
+        return (1,) if char else (gcd(*a, *b),)
+    if char:
+        while b:
+            a, b = b, _p_divmod(char, a, b)[1]
+        return _p_divmod(char, a, (a[-1],))[0]
+    content = gcd(*a, *b)
+    a, b = sorted((_p_primitive(a), _p_primitive(b)), key=len, reverse=True)
+    while b:  # primitive remainder sequence
+        r = _p_divmod(0, [x * b[-1] ** (len(a) - len(b) + 1) for x in a], b)[1]
+        a, b = b, _p_primitive(r) if r else ()
+    content = content if a[-1] > 0 else -content
+    return tuple(content * x for x in a)
 
 
-def _p_const(char, x):
-    x = _b_norm(char, x)
-    return (x,) if x else ()
+def _p_cancel(char, a, b):
+    """a and b divided by their gcd."""
+    g = _p_gcd(char, a, b)
+    if g == (1,):
+        return a, b
+    return _p_divmod(char, a, g)[0], _p_divmod(char, b, g)[0]
 
 
-def _p_eval(char, a, point):
-    acc = _b_norm(char, 0)
+def _p_eval(a, point):
+    acc = 0
     for c in reversed(a):
-        acc = _b_add(char, _b_mul(char, acc, point), c)
+        acc = acc * point + c
     return acc
 
 
@@ -164,62 +157,79 @@ class Scalar:
 
     @staticmethod
     def from_int(field, n):
-        return Scalar.from_fraction(field, Fraction(n))
+        if field.kind == "rational":
+            return Scalar(field, n, 1)
+        if field.char:
+            n %= field.char
+        return Scalar(field, (n,) if n else (), (1,))
 
     @staticmethod
     def from_fraction(field, q):
         q = Fraction(q)
+        n, d = q.numerator, q.denominator
         if field.kind == "rational":
-            return Scalar(field, q.numerator, q.denominator)
+            return Scalar(field, n, d)
         char = field.char
         if char:
-            if q.denominator % char == 0:
+            if d % char == 0:
                 raise DivisionByZero(f"{q} has no image in characteristic {char}")
-            n = (q.numerator * _b_inv(char, q.denominator % char)) % char
-            return Scalar(field, _p_const(char, n), _p_const(char, 1))
-        return Scalar(field, _p_const(0, q), _p_const(0, 1))
+            return Scalar.from_int(field, n * pow(d, -1, char))
+        return Scalar(field, (n,) if n else (), (d,))
 
     @staticmethod
     def variable(field):
         if field.kind != "ratfunc":
             raise FieldMismatch("only rational function fields have a variable")
-        zero = _b_norm(field.char, 0)
-        one = _b_norm(field.char, 1)
-        return Scalar(field, (zero, one), (one,))
+        return Scalar(field, (0, 1), (1,))
 
     @staticmethod
     def make(field, num, den):
-        """Normalize a raw numerator/denominator pair into a Scalar."""
+        """Normalize a raw numerator/denominator pair into a Scalar: two ints
+        over Q; over Q(t) int or Fraction coefficient lists, over F_p(t) int
+        ones, low degree first."""
         if field.kind == "rational":
             if den == 0:
                 raise DivisionByZero("zero denominator")
-            q = Fraction(num, den)
-            return Scalar(field, q.numerator, q.denominator)
+            g = gcd(num, den)
+            g = -g if den < 0 else g
+            return Scalar(field, num // g, den // g)
         char = field.char
-        num = _p_trim(tuple(_b_norm(char, c) for c in num))
-        den = _p_trim(tuple(_b_norm(char, c) for c in den))
+        if char:
+            num = _p_trim([c % char for c in num])
+            den = _p_trim([c % char for c in den])
+        else:
+            scale = lcm(*(c.denominator for c in (*num, *den)))
+            num = _p_trim([c.numerator * (scale // c.denominator) for c in num])
+            den = _p_trim([c.numerator * (scale // c.denominator) for c in den])
         if not den:
             raise DivisionByZero("zero denominator")
         if not num:
-            return Scalar(field, (), _p_const(char, 1))
-        g = _p_gcd(char, num, den)
-        if len(g) > 1 or (g and g[0] != _b_norm(char, 1)):
-            num, _ = _p_divmod(char, num, g)
-            den, _ = _p_divmod(char, den, g)
-        inv_lead = _b_inv(char, den[-1])
-        num = tuple(_b_mul(char, c, inv_lead) for c in num)
-        den = tuple(_b_mul(char, c, inv_lead) for c in den)
+            return zero(field)
+        return Scalar._normal(field, *_p_cancel(char, num, den))
+
+    @staticmethod
+    def _normal(field, num, den):
+        """The Scalar num/den of coprime num and den, divided by the unit
+        that makes the denominator monic over F_p, its leading coefficient
+        positive over Z."""
+        char = field.char
+        unit = (den[-1] if char else -1 if den[-1] < 0 else 1,)
+        if unit != (1,):
+            num, den = _p_divmod(char, num, unit)[0], _p_divmod(char, den, unit)[0]
         return Scalar(field, num, den)
 
     # Predicates
 
     def is_zero(self):
-        if self.field.kind == "rational":
-            return self.num == 0
         return not self.num
 
     def is_one(self):
         return self == one(self.field)
+
+    def is_constant(self):
+        """Whether the value is free of the variable (always so over Q)."""
+        return self.field.kind == "rational" or (len(self.num) <= 1
+                                                 and len(self.den) == 1)
 
     # Arithmetic
 
@@ -236,20 +246,35 @@ class Scalar:
         other = self._check(other)
         if other is NotImplemented:
             return other
-        if self.field.kind == "rational":
-            return Scalar.make(self.field, self.num * other.den + other.num * self.den,
-                               self.den * other.den)
-        char = self.field.char
-        num = _p_add(char, _p_mul(char, self.num, other.den),
-                     _p_mul(char, other.num, self.den))
-        return Scalar.make(self.field, num, _p_mul(char, self.den, other.den))
+        field = self.field
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if field.kind == "rational":
+            g = gcd(d1, d2)
+            if g == 1:
+                return Scalar(field, n1 * d2 + n2 * d1, d1 * d2)
+            s = d1 // g
+            t = n1 * (d2 // g) + n2 * s
+            g2 = gcd(t, g)
+            return Scalar(field, t // g2, s * (d2 // g2))
+        char = field.char
+        g = _p_gcd(char, d1, d2)
+        if g == (1,):
+            return Scalar(field, _p_add(char, _p_mul(char, n1, d2),
+                                        _p_mul(char, n2, d1)),
+                          _p_mul(char, d1, d2))
+        s, d2 = _p_divmod(char, d1, g)[0], _p_divmod(char, d2, g)[0]
+        t = _p_add(char, _p_mul(char, n1, d2), _p_mul(char, n2, s))
+        if not t:
+            return zero(field)
+        t, g = _p_cancel(char, t, g)
+        return Scalar(field, t, _p_mul(char, _p_mul(char, s, d2), g))
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.field.kind == "rational":
             return Scalar(self.field, -self.num, self.den)
-        return Scalar.make(self.field, _p_neg(self.field.char, self.num), self.den)
+        return Scalar(self.field, _p_neg(self.field.char, self.num), self.den)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -264,18 +289,28 @@ class Scalar:
         other = self._check(other)
         if other is NotImplemented:
             return other
-        if self.field.kind == "rational":
-            return Scalar.make(self.field, self.num * other.num, self.den * other.den)
-        char = self.field.char
-        return Scalar.make(self.field, _p_mul(char, self.num, other.num),
-                           _p_mul(char, self.den, other.den))
+        field = self.field
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if field.kind == "rational":
+            g1, g2 = gcd(n1, d2), gcd(n2, d1)
+            return Scalar(field, (n1 // g1) * (n2 // g2),
+                          (d1 // g2) * (d2 // g1))
+        if not n1 or not n2:
+            return zero(field)
+        char = field.char
+        n1, d2 = _p_cancel(char, n1, d2)
+        n2, d1 = _p_cancel(char, n2, d1)
+        return Scalar(field, _p_mul(char, n1, n2), _p_mul(char, d1, d2))
 
     __rmul__ = __mul__
 
     def inv(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        return Scalar.make(self.field, self.den, self.num)
+        if self.field.kind == "rational":
+            sign = -1 if self.num < 0 else 1
+            return Scalar(self.field, sign * self.den, sign * self.num)
+        return Scalar._normal(self.field, self.den, self.num)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -291,10 +326,11 @@ class Scalar:
             return self.inv() ** (-n)
         if self.field.kind == "rational":
             return Scalar(self.field, self.num ** n, self.den ** n)
-        # powers of a coprime pair stay coprime, and of a monic den monic,
-        # so the result is canonical without a gcd; square and multiply
+        # powers of a coprime pair stay coprime, and of a normalized den
+        # normalized, so the result is canonical without a gcd; square and
+        # multiply
         char = self.field.char
-        num = den = _p_const(char, 1)
+        num = den = (1,)
         base_num, base_den = self.num, self.den
         while n:
             if n & 1:
@@ -313,48 +349,63 @@ class Scalar:
         if self.field.kind != "ratfunc" or self.field.char != 0:
             raise FieldMismatch("evaluate applies to rational function fields over Q")
         point = Fraction(point)
-        den = _p_eval(0, self.den, point)
+        den = _p_eval(self.den, point)
         if den == 0:
             raise PoleAtPoint(f"denominator vanishes at {point}")
-        return Scalar.from_fraction(RATIONAL, _p_eval(0, self.num, point) / den)
+        return Scalar.from_fraction(RATIONAL, _p_eval(self.num, point) / den)
 
     def as_fraction(self):
         """Return the value as a Fraction when it is a constant over Q."""
         if self.field.kind == "rational":
             return Fraction(self.num, self.den)
-        if self.field.char == 0 and len(self.num) <= 1 and self.den == _p_const(0, 1):
-            return self.num[0] if self.num else Fraction(0)
+        if self.field.char == 0 and self.is_constant():
+            return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
         raise FieldMismatch(f"{self.render()} is not a rational constant")
 
     # Rendering
 
+    def _monic(self):
+        """Numerator and denominator coefficients with the denominator monic:
+        Fractions over Q(t), the stored ints over F_p(t)."""
+        if self.field.char:
+            return self.num, self.den
+        lead = self.den[-1]
+        return (tuple(Fraction(c, lead) for c in self.num),
+                tuple(Fraction(c, lead) for c in self.den))
+
     def render(self):
         if self.field.kind == "rational":
             return str(Fraction(self.num, self.den))
-        num = _poly_render(self.field, self.num)
-        if self.den == _p_const(self.field.char, 1):
+        num_coeffs, den_coeffs = self._monic()
+        num = _poly_render(self.field, num_coeffs)
+        if len(den_coeffs) == 1:
             return num
-        den = _poly_render(self.field, self.den)
         if len(self.num) > 1 or "/" in num or num.startswith("-"):
             num = f"({num})"
-        if len(self.den) > 1:
-            den = f"({den})"
-        return f"{num}/{den}"
+        return f"{num}/({_poly_render(self.field, den_coeffs)})"
 
     def __str__(self):
         return self.render()
 
 
+# The zero and one of each field, built once: arithmetic asks for them often.
+_CONSTANTS = {}
+
+
+def _constants(field):
+    pair = _CONSTANTS.get(field)
+    if pair is None:
+        pair = _CONSTANTS[field] = (Scalar.from_int(field, 0),
+                                    Scalar.from_int(field, 1))
+    return pair
+
+
 def zero(field):
-    return Scalar.from_int(field, 0)
+    return _constants(field)[0]
 
 
 def one(field):
-    return Scalar.from_int(field, 1)
-
-
-def _coeff_render(char, c):
-    return str(c if char else Fraction(c))
+    return _constants(field)[1]
 
 
 def _poly_render(field, coeffs):
@@ -367,15 +418,15 @@ def _poly_render(field, coeffs):
         if not c:
             continue
         if i == 0:
-            mon = _coeff_render(field.char, c)
+            mon = str(c)
         else:
             head = f"{var}^{i}" if i > 1 else var
-            if c == _b_norm(field.char, 1):
+            if c == 1:
                 mon = head
-            elif field.char == 0 and c == Fraction(-1):
+            elif field.char == 0 and c == -1:
                 mon = f"-{head}"
             else:
-                mon = f"{_coeff_render(field.char, c)}*{head}"
+                mon = f"{c}*{head}"
         parts.append(mon)
     out = parts[0]
     for mon in parts[1:]:
@@ -404,9 +455,10 @@ def _size(value):
     degree and the bit length of the base coefficients."""
     if value.field.kind == "rational":
         return max(abs(value.num).bit_length(), value.den.bit_length())
-    size = max(len(value.num), len(value.den)) - 1
+    num, den = value._monic()
+    size = max(len(num), len(den)) - 1
     if value.field.char == 0:
-        for c in value.num + value.den:
+        for c in num + den:
             size = max(size, abs(c.numerator).bit_length(),
                        c.denominator.bit_length())
     return size

@@ -250,15 +250,13 @@ def _identity_results(measure, bound):
             witness = {}
             if not ok:
                 diff = lhs - rhs
-                constant = (diff.field.kind == "rational"
-                            or (len(diff.num) <= 1 and len(diff.den) <= 1))
                 witness = {
                     "pair": f"{a.render()} x {b.render()}",
                     "lhs": lhs.render(),
                     "rhs": rhs.render(),
                     "orbits": ", ".join(orbit_labels),
                     "identity": f"{lhs.render()} = {rhs.render()}",
-                    "constant_failure": "yes" if constant else "no",
+                    "constant_failure": "yes" if diff.is_constant() else "no",
                 }
             results.append(CheckResult(f"product[{a.label}*{b.label}]", ok, witness))
     for a in atoms:

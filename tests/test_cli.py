@@ -292,6 +292,8 @@ BAD_MATRIX_FILES = {
                               "names no orbit"),
     "number-scalar": ({"entries": [[0, 0, "[]", 1]]}, "is not a string"),
     "bad-scalar": ({"entries": [[0, 0, "[]", "1+"]]}, "bad scalar '1+'"),
+    "zero-denominator": ({"entries": [[0, 0, "[]", "1/0"]]},
+                         "bad scalar '1/0': inverse of zero"),
     "huge-power": ({"entries": [[0, 0, "[]", "2^100000000"]]},
                    "scalar size limit"),
     "entries-not-list": ({"entries": {"0": "1"}}, "must be a JSON list"),
@@ -318,6 +320,23 @@ def test_compose_files_in_fp(tmp_path):
                     "--field", "fp:7")
     assert code == 0
     assert doc["payload"]["entries"] == [[0, 0, "B", "1"]]
+
+
+def test_scalar_without_image_in_fp_is_usage_error(tmp_path, capsys):
+    # 7 is zero in F7, so 1/7 divides by zero
+    path = write_json(tmp_path, "ident.json",
+                      {**LINE_IDENTITY, "entries": [[0, 0, "B", "1/7"]]})
+    assert_usage_error(capsys, ["compose", "--lhs", path, "--rhs", path,
+                                "--field", "fp:7"],
+                       f"{path}: bad scalar '1/7': inverse of zero")
+
+
+def test_spec_file_zero_denominator_is_usage_error(tmp_path, capsys):
+    spec = write_json(tmp_path, "spec.json",
+                      {"backend": "sym", "field": "qt",
+                       "atoms": {"sym:inj[1]": "t/(t - t)"}})
+    assert_usage_error(capsys, ["measure", "check", "--spec", spec],
+                       f"{spec}: bad scalar 't/(t - t)': inverse of zero")
 
 
 @pytest.mark.parametrize("file_field, flag", [

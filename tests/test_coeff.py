@@ -1,14 +1,16 @@
+import operator
 import time
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oligoperm.coeff import (
     MAX_POWER_SIZE,
     RATIONAL,
     Scalar,
+    _size,
     falling_factorial,
     one,
     parse_scalar,
@@ -19,6 +21,7 @@ from oligoperm.errors import DivisionByZero, FieldMismatch, PoleAtPoint
 
 QT = ratfunc_field("t")
 F5A = ratfunc_field("a", 5)
+F7 = ratfunc_field("t", 7)
 
 
 def q(n, d=1):
@@ -197,3 +200,222 @@ def test_power_matches_repeated_product_q(x, n):
     if n < 0 and x.is_zero():
         return
     assert x ** n == q(x.as_fraction() ** n)
+
+
+def test_is_constant():
+    for field in (QT, F7):
+        x = Scalar.variable(field)
+        for value in (zero(field), one(field), one(field) / 3, -one(field)):
+            assert value.is_constant()
+        for value in (x, one(field) / x, (x * x + 1) / (x + 2), x ** 7 - x):
+            assert not value.is_constant()
+    assert q(5, 3).is_constant() and zero(RATIONAL).is_constant()
+
+
+def test_constants_are_interned():
+    for field in (RATIONAL, QT, F7):
+        assert one(field) is one(field) and zero(field) is zero(field)
+        assert one(field).is_one() and zero(field).is_zero()
+        assert one(field) == Scalar.from_int(field, 1)
+        assert zero(field) == Scalar.from_int(field, 0)
+
+
+# Reports print scalars, so these strings are pinned byte for byte, quirks
+# included: a lone monomial denominator keeps its parentheses, and a negative
+# or fractional numerator over a polynomial is wrapped too.
+RENDER_PINS = [
+    (RATIONAL, "1/9", "1/9"),
+    (RATIONAL, "-12/16", "-3/4"),
+    (RATIONAL, "0", "0"),
+    (RATIONAL, "2^70", "1180591620717411303424"),
+    (QT, "2/t", "2/(t)"),
+    (QT, "-t/2", "-1/2*t"),
+    (QT, "0", "0"),
+    (QT, "-7/3", "-7/3"),
+    (QT, "1/(2*t - 2)", "(1/2)/(t - 1)"),
+    (QT, "(t^2 - 1)/(2*t + 2)", "1/2*t - 1/2"),
+    (QT, "(3*t + 1)/(6*t^2 - 4)", "(1/2*t + 1/6)/(t^2 - 2/3)"),
+    (QT, "-(t + 1)/(t - 1)", "(-t - 1)/(t - 1)"),
+    (QT, "t^3/3 - t/6 + 5/4", "1/3*t^3 - 1/6*t + 5/4"),
+    (QT, "(t - 1)^2/(t + 1)^3", "(t^2 - 2*t + 1)/(t^3 + 3*t^2 + 3*t + 1)"),
+    (QT, "-1/(t^2 + t)", "(-1)/(t^2 + t)"),
+    (QT, "(4*t^2 - 6)/(10*t)", "(2/5*t^2 - 3/5)/(t)"),
+    (QT, "t - t^2", "-t^2 + t"),
+    (F7, "t^7", "t^7"),
+    (F7, "(t + 1)^7", "t^7 + 1"),
+    (F7, "1/(3*t + 3)", "5/(t + 1)"),
+    (F7, "6*t - 1", "6*t + 6"),
+    (F7, "-t", "6*t"),
+    (F7, "t/3", "5*t"),
+    (F7, "(2*t^2 + 1)/(4*t)", "(4*t^2 + 2)/(t)"),
+    (F7, "1/3", "5"),
+    (F5A, "(a + 1)^5", "a^5 + 1"),
+    (F5A, "(a^2 + 4)/(2*a + 2)", "3*a + 2"),
+]
+
+
+@pytest.mark.parametrize("field, text, rendered", RENDER_PINS)
+def test_render_pinned(field, text, rendered):
+    value = parse_scalar(field, text)
+    assert value.render() == rendered
+    assert parse_scalar(field, rendered) == value
+
+
+# Differential tests: random expression trees evaluated here and by an
+# outside implementation (sympy's polynomial arithmetic and cancel over Q and
+# GF(7), fractions.Fraction over Q) must agree on the value, on the canonical
+# form and on where division by zero occurs.
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+       "/": operator.truediv, "^": operator.pow}
+
+
+def expressions(variable=True):
+    leaf = st.integers(-9, 9).map(lambda k: ("int", k))
+    if variable:
+        leaf = leaf | st.just(("var",))
+    return st.recursive(leaf, lambda sub: (
+        st.tuples(st.sampled_from("+-*/"), sub, sub)
+        | st.tuples(st.just("^"), sub, st.integers(-2, 3))), max_leaves=6)
+
+
+def evaluate_tree(tree, leaf, ops):
+    """The value of tree, or None when it divides by zero anywhere."""
+    if tree[0] in ("int", "var"):
+        return leaf(tree)
+    lhs = evaluate_tree(tree[1], leaf, ops)
+    rhs = tree[2] if tree[0] == "^" else evaluate_tree(tree[2], leaf, ops)
+    if lhs is None or rhs is None:
+        return None
+    return ops[tree[0]](lhs, rhs)
+
+
+def guarded(op):
+    def apply(x, y):
+        try:
+            return op(x, y)
+        except ZeroDivisionError:
+            return None
+    return apply
+
+
+def ours(field, tree):
+    def leaf(tree):
+        if tree[0] == "var":
+            return Scalar.variable(field)
+        return Scalar.from_int(field, tree[1])
+
+    return evaluate_tree(tree, leaf, {op: guarded(f) for op, f in OPS.items()})
+
+
+def fraction_value(tree):
+    return evaluate_tree(tree, lambda tree: Fraction(tree[1]),
+                         {op: guarded(f) for op, f in OPS.items()})
+
+
+def oracle(sympy, domain, tree):
+    """sympy's canonical form of tree, a numerator and a monic denominator
+    Poly, or None when tree divides by zero anywhere."""
+    t = sympy.Symbol("t")
+
+    def leaf(tree):
+        value = t if tree[0] == "var" else tree[1]
+        return sympy.Poly(value, t, domain=domain), sympy.Poly(1, t, domain=domain)
+
+    def power(x, n):
+        num, den = x if n >= 0 else x[::-1]
+        return None if den.is_zero else (num ** abs(n), den ** abs(n))
+
+    ops = {
+        "+": lambda x, y: (x[0] * y[1] + y[0] * x[1], x[1] * y[1]),
+        "-": lambda x, y: (x[0] * y[1] - y[0] * x[1], x[1] * y[1]),
+        "*": lambda x, y: (x[0] * y[0], x[1] * y[1]),
+        "/": lambda x, y: None if y[0].is_zero else (x[0] * y[1], x[1] * y[0]),
+        "^": power,
+    }
+    pair = evaluate_tree(tree, leaf, ops)
+    if pair is None:
+        return None
+    content, num, den = (sympy.Poly(part, t, domain=domain)
+                         for part in sympy.cancel(pair))
+    return (content * num).quo_ground(den.LC()), den.monic()
+
+
+def rendered_parts(text):
+    """The numerator and denominator texts of a rendered scalar."""
+    if "/(" not in text:
+        return text, "1"
+    num, den = text.rsplit("/(", 1)
+    if num.startswith("("):
+        num = num[1:-1]
+    return num, den[:-1]
+
+
+def monic_form_size(field, num, den):
+    """The size measure read off sympy's numerator and monic denominator:
+    the degree over F_p(t); over Q(t) the larger of the degree and the bit
+    lengths of the coefficients' numerators and denominators."""
+    coeffs = [c for poly in (num, den) if not poly.is_zero
+              for c in poly.all_coeffs()]
+    size = max(len(poly.all_coeffs()) if not poly.is_zero else 0
+               for poly in (num, den)) - 1
+    if field.char == 0:
+        for c in coeffs:
+            size = max(size, abs(int(c.p)).bit_length(), int(c.q).bit_length())
+    return size
+
+
+@pytest.mark.parametrize("field", [QT, F7], ids=["Q(t)", "F7(t)"])
+@settings(max_examples=150, deadline=None)
+@given(tree=expressions())
+def test_matches_sympy_cancel(field, tree):
+    sympy = pytest.importorskip("sympy")
+    domain = sympy.GF(field.char) if field.char else sympy.QQ
+    t = sympy.Symbol("t")
+    value, want = ours(field, tree), oracle(sympy, domain, tree)
+    assert (value is None) == (want is None)
+    assume(value is not None)
+    num, den = want
+    text = value.render()
+    for part, poly in zip(rendered_parts(text), want):
+        assert sympy.Poly(sympy.sympify(part.replace("^", "**")), t,
+                          domain=domain) == poly
+    sympy_text = f"({num.as_expr()})/({den.as_expr()})".replace("**", "^")
+    assert parse_scalar(field, sympy_text).render() == text
+    assert _size(value) == monic_form_size(field, num, den)
+    if field.char == 0:
+        for point in range(-3, 4):
+            if den.eval(point) == 0:
+                with pytest.raises(PoleAtPoint):
+                    value.evaluate(point)
+            else:
+                expected = num.eval(point) / den.eval(point)
+                assert value.evaluate(point) == q(int(expected.p), int(expected.q))
+
+
+@pytest.mark.parametrize("field", [QT, F7], ids=["Q(t)", "F7(t)"])
+@settings(max_examples=60, deadline=None)
+@given(trees=st.lists(expressions(), min_size=3, max_size=3))
+def test_field_axioms_on_expressions(field, trees):
+    values = [ours(field, tree) for tree in trees]
+    assume(None not in values)
+    x, y, z = values
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + y == y + x and x * y == y * x
+    assert x - x == zero(field) and x + zero(field) == x and x * one(field) == x
+    if not x.is_zero():
+        assert x * x.inv() == one(field) and (y / x) * x == y
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=expressions(variable=False))
+def test_rational_matches_fraction(tree):
+    value, want = ours(RATIONAL, tree), fraction_value(tree)
+    assert (value is None) == (want is None)
+    assume(value is not None)
+    assert value.as_fraction() == want and value.render() == str(want)
+    assert value == Scalar.from_fraction(RATIONAL, want)
+    assert _size(value) == max(abs(want.numerator).bit_length(),
+                               want.denominator.bit_length())
