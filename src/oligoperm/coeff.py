@@ -238,7 +238,7 @@ class Scalar:
             other = Scalar.from_int(self.field, other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch(f"{self.field.render()} vs {other.field.render()}")
         return other
 

@@ -28,10 +28,6 @@ class UnknownAtom(OligopermError):
     code = "UNKNOWN_ATOM"
 
 
-class NotFactorizable(OligopermError):
-    code = "NOT_FACTORIZABLE"
-
-
 class ShapeMismatch(OligopermError):
     code = "SHAPE_MISMATCH"
 

@@ -36,6 +36,7 @@ from .linmat import (
     matmul,
     multi_factor,
     product_gmap,
+    projection,
     pullback_matrix,
     pushforward_matrix,
     tensor_space,
@@ -261,8 +262,8 @@ def kernel_pair_gamma(backend, f, field):
     y = f.source
     ps2 = tensor_space(backend, [y, y])
     coeffs = {}
-    for idx, pos in enumerate(ps2.positions):
-        (i, p1), (j, p2) = pos.projections
+    for idx in range(len(ps2.positions)):
+        (i, p1), (j, p2) = projection(ps2, idx, 0), projection(ps2, idx, 1)
         ti, m1 = f.legs[i]
         tj, m2 = f.legs[j]
         if ti == tj and backend.compose_maps(m1, p1) == backend.compose_maps(m2, p2):
@@ -358,9 +359,9 @@ def check_sum_tensor_traces(backend, xa, xb, measure):
 def _unflatten_gmap(backend, flat4, square, prod):
     """(a, b, a', b') -> ((a, b), (a', b')) between the two product spaces."""
     legs = []
-    for pos in flat4.positions:
-        (ia, ma), (ib, mb), (ia2, ma2), (ib2, mb2) = pos.projections
-        left = multi_factor(backend, [(ia, ma), (ib, mb)], prod)
-        right = multi_factor(backend, [(ia2, ma2), (ib2, mb2)], prod)
+    for p in range(len(flat4.positions)):
+        maps = [projection(flat4, p, i) for i in range(4)]
+        left = multi_factor(backend, maps[:2], prod)
+        right = multi_factor(backend, maps[2:], prod)
         legs.append(multi_factor(backend, [left, right], square))
     return GMap(flat4.object, square.object, tuple(legs))

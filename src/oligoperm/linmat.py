@@ -8,16 +8,18 @@ measure of the fiber of the triple orbit over the pair orbit.  Fiber measures
 are always computed as fiber-class products of the orbit projection map, never
 as a quotient of atom values, so non-regular measures are fully supported.
 
-Product spaces track, for every atom position of an iterated product object,
-the projection maps onto each factor.  They make the wiring maps (diagonals,
+A product space is an iterated product object ``(X1 x ... x Xk-1) x Xk``.
+Each of its atom positions holds its row (left position, right position,
+orbit label) and a reference to that orbit of the decomposition the backend
+cache keeps anyway, never a map per factor.  ``projection`` derives a
+position's map onto any factor by walking the left chain, for the few
+positions a caller visits.  Product spaces make the wiring maps (diagonals,
 coordinate permutations and collapses) and blocked tensor products of
 morphisms computable without any associator bookkeeping: every composite in
 the category layer is expressed against one flat product space.  A marginal
 table (``marginal``) records, once per product space and choice of factors,
-which sub-product position each flat position projects to.  The tables hold
-positions only, never the induced atom maps: those are cheap to recompute
-for the few positions a caller visits, and keeping them for every position
-would hold far more memory for the life of the backend.
+which sub-product position each flat position projects to; it is read off
+the left space's tables.
 
 A pair-label table (``pair_labels``) records, once per pair of atom maps
 ``f: a -> c`` and ``g: b -> d``, the orbit of ``c x d`` that each orbit of
@@ -42,12 +44,12 @@ from .gset.base import GMap, GObject
 @dataclass(frozen=True, slots=True)
 class PSPosition:
     atom: object
-    projections: tuple  # one (position in factor object, AtomMap) per factor
     meta: tuple  # (left position, right position, orbit label) or ()
+    orbit: object  # the ProductOrbit of the row, or None for one factor
 
 
 class ProductSpace:
-    """An iterated product of objects with per-position factor projections."""
+    """An iterated product of objects, built as (left space) x (last factor)."""
 
     def __init__(self, backend, factors, obj, positions, left, index):
         self.backend = backend
@@ -66,31 +68,36 @@ def tensor_space(backend, factors):
         return space
     if len(factors) == 1:
         obj = factors[0]
-        positions = tuple(
-            PSPosition(a, ((i, backend.identity_map(a)),), ())
-            for i, a in enumerate(obj.atoms)
-        )
+        positions = tuple(PSPosition(a, (), None) for a in obj.atoms)
         space = ProductSpace(backend, factors, obj, positions, None, {})
     else:
         left = tensor_space(backend, factors[:-1])
-        right = factors[-1]
-        raw = []
-        for lp, lpos in enumerate(left.positions):
-            for rp, ratom in enumerate(right.atoms):
-                for orbit in backend.product_decompose(lpos.atom, ratom):
-                    projections = tuple(
-                        (fp, backend.compose_maps(m, orbit.proj1))
-                        for fp, m in lpos.projections
-                    ) + ((rp, orbit.proj2),)
-                    raw.append(
-                        PSPosition(orbit.atom, projections, (lp, rp, orbit.label))
-                    )
-        raw.sort(key=lambda p: (p.atom, p.meta))
+        raw = [PSPosition(orbit.atom, (lp, rp, orbit.label), orbit)
+               for lp, lpos in enumerate(left.positions)
+               for rp, ratom in enumerate(factors[-1].atoms)
+               for orbit in backend.product_decompose(lpos.atom, ratom)]
+        rank = {a: r for r, a in enumerate(sorted({p.atom for p in raw}))}
+        raw.sort(key=lambda p: (rank[p.atom], p.meta))
         obj = GObject(backend.backend_id, tuple(p.atom for p in raw))
         index = {p.meta: i for i, p in enumerate(raw)}
         space = ProductSpace(backend, factors, obj, tuple(raw), left, index)
     backend.cache[key] = space
     return space
+
+
+def projection(space, p, i):
+    """Position ``p``'s projection onto factor ``i``: the position in that
+    factor and the AtomMap onto its atom, composed down the left chain."""
+    pos = space.positions[p]
+    if pos.orbit is None:
+        return p, space.backend.identity_map(pos.atom)
+    lp, rp, _label = pos.meta
+    if i == len(space.factors) - 1:
+        return rp, pos.orbit.proj2
+    if len(space.factors) == 2:
+        return lp, pos.orbit.proj1
+    fp, m = projection(space.left, lp, i)
+    return fp, space.backend.compose_maps(m, pos.orbit.proj1)
 
 
 def multi_factor(backend, maps, space):
@@ -112,20 +119,49 @@ def multi_factor(backend, maps, space):
 def marginal(space, blocks):
     """Where each position of ``space`` lands in a sub-product.
 
-    Returns one entry per position of ``space``: the index of the position of
+    ``blocks`` is a strictly increasing tuple of factor indices.  Returns one
+    entry per position of ``space``: the index of the position of
     ``tensor_space(factors[i] for i in blocks)`` hit by the position's
     marginal on those factors.  Computed once per (factors, blocks) and kept
     in the backend cache under ``("marginal", factors, blocks)``.
+
+    Every table is read off the left space: blocks inside it are its own
+    table at the row's left position, and the last factor is the row's right
+    position.  A block that mixes the last factor with earlier ones factors
+    each left position once onto the earlier ones; each orbit above it is
+    then one pair-label read.
     """
     backend = space.backend
     blocks = tuple(blocks)
+    if any(a >= b for a, b in zip(blocks, blocks[1:])):
+        raise ValueError(f"marginal blocks {blocks} are not increasing")
     key = ("marginal", space.factors, blocks)
     table = backend.cache.get(key)
-    if table is None:
+    if table is not None:
+        return table
+    last = len(space.factors) - 1
+    if blocks == tuple(range(last + 1)):
+        table = tuple(range(len(space.positions)))
+    elif blocks == (last,):
+        table = tuple(pos.meta[1] for pos in space.positions)
+    elif blocks[-1] < last:
+        inner = marginal(space.left, blocks)
+        table = tuple(inner[pos.meta[0]] for pos in space.positions)
+    else:
         sub = tensor_space(backend, [space.factors[i] for i in blocks])
-        table = backend.cache[key] = tuple(
-            multi_factor(backend, [pos.projections[i] for i in blocks], sub)[0]
-            for pos in space.positions)
+        hits = [None] * len(space.positions)
+        for lp, lpos in enumerate(space.left.positions):
+            s, g = multi_factor(
+                backend, [projection(space.left, lp, i) for i in blocks[:-1]],
+                sub.left)
+            for rp, ratom in enumerate(space.factors[-1].atoms):
+                labels = pair_labels(backend, g, backend.identity_map(ratom))
+                for orbit, label in zip(
+                        backend.product_decompose(lpos.atom, ratom), labels):
+                    hits[space.index[(lp, rp, orbit.label)]] = (
+                        sub.index[(s, rp, label)])
+        table = tuple(hits)
+    backend.cache[key] = table
     return table
 
 
@@ -302,9 +338,9 @@ def block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
             out.setdefault(key, []).append(pos)
         return out
 
-    def block_maps(ps, blocks, subs, pos):
-        projections = ps.positions[pos].projections
-        return [multi_factor(backend, [projections[i] for i in blk], sub)[1]
+    def block_maps(ps, blocks, subs, p):
+        return [multi_factor(backend, [projection(ps, p, i) for i in blk],
+                             sub)[1]
                 for blk, sub in zip(blocks, subs)]
 
     src_groups = groups(src_ps, src_blocks)
@@ -355,8 +391,8 @@ def block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
 def product_gmap(backend, f, g, src_ps, tgt_ps):
     """The object-level map f x g between the given product spaces."""
     legs = []
-    for pos in src_ps.positions:
-        (i, p1), (j, p2) = pos.projections
+    for p in range(len(src_ps.positions)):
+        (i, p1), (j, p2) = projection(src_ps, p, 0), projection(src_ps, p, 1)
         ti, m1 = f.legs[i]
         tj, m2 = g.legs[j]
         maps = [(ti, backend.compose_maps(m1, p1)), (tj, backend.compose_maps(m2, p2))]
@@ -371,8 +407,8 @@ def wiring_gmap(src_ps, tgt_ps, route):
         if tgt_ps.factors[j] != src_ps.factors[i]:
             raise ShapeMismatch("wiring route factor mismatch")
     legs = []
-    for pos in src_ps.positions:
-        maps = [pos.projections[i] for i in route]
+    for p in range(len(src_ps.positions)):
+        maps = [projection(src_ps, p, i) for i in route]
         legs.append(multi_factor(backend, maps, tgt_ps))
     return GMap(src_ps.object, tgt_ps.object, tuple(legs))
 
@@ -409,17 +445,6 @@ class SchwartzFn:
 
 def constant_fn(x, scalar):
     return SchwartzFn(x, {i: scalar for i in range(len(x.atoms))}).prune()
-
-
-def indicator_fn(x, pos, field):
-    return SchwartzFn(x, {pos: one(field)})
-
-
-def integrate(measure, fn):
-    total = zero(measure.field)
-    for pos, coeff in fn.coeffs.items():
-        total = total + coeff * measure.mu_atom(fn.carrier.atoms[pos])
-    return total
 
 
 def unit_orbit_label(backend, a):

@@ -17,9 +17,9 @@ backend tabulates each group element's permutation of an atom's points
 ``u * width + x``.  One union-find over these integers counts the orbits.
 The counts use only the generators' action and never ``product_decompose``,
 ``product_factor`` or ``linmat``, so they stay independent of the orbit
-enumeration they check.  The matrix checks use ``pair_label`` and
-``tensor_space`` only to address entries of the matrices under test and
-compute the products they compare against literally.
+enumeration they check.  The matrix checks use ``pair_label``,
+``tensor_space`` and ``projection`` only to address entries of the matrices
+under test and compute the products they compare against literally.
 
 Both are used by the acceptance suite; nothing here feeds back into the
 abstract computations.
@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 
 from .coeff import RATIONAL, one, zero
-from .linmat import matmul, tensor_space
+from .linmat import matmul, projection, tensor_space
 
 
 # Finite backend expansion
@@ -171,14 +171,6 @@ def expand_sym_matrix(matrix, n_points):
     return grid
 
 
-def sym_matmul_agrees(measure, bmat, amat, n_points):
-    composed = matmul(measure, bmat, amat)
-    lhs = expand_sym_matrix(composed, n_points)
-    rhs = literal_product(expand_sym_matrix(bmat, n_points),
-                          expand_sym_matrix(amat, n_points), RATIONAL)
-    return lhs == rhs
-
-
 def _sym_generators(n_points):
     """The transposition (0 1) and the cycle i -> i + 1, which generate the
     full symmetric group on n_points points."""
@@ -223,7 +215,7 @@ def _pair_point_index(ps2):
     """(factor positions and factor points) -> (product position, point)."""
     out = {}
     for w, pos in enumerate(ps2.positions):
-        (i, p1), (j, p2) = pos.projections
+        (i, p1), (j, p2) = projection(ps2, w, 0), projection(ps2, w, 1)
         for k in range(pos.atom.degree):
             out[(i, p1.data[k], j, p2.data[k])] = (w, k)
     return out

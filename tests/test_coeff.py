@@ -74,6 +74,10 @@ def test_division_by_zero():
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         q(1) + t()
+    # two ratfunc_field calls give equal but distinct fields, which combine
+    other = ratfunc_field("t")
+    assert other is not QT and other == QT
+    assert Scalar.variable(other) + t() == t() * 2
 
 
 def test_char_p_arithmetic():
@@ -336,9 +340,11 @@ def oracle(sympy, domain, tree):
     pair = evaluate_tree(tree, leaf, ops)
     if pair is None:
         return None
-    content, num, den = (sympy.Poly(part, t, domain=domain)
-                         for part in sympy.cancel(pair))
-    return (content * num).quo_ground(den.LC()), den.monic()
+    # an explicit gcd: sympy.cancel on a pair of GF(p) Polys can leave a
+    # common factor, e.g. (2t + 4, (t + 2)^2) over GF(7)
+    gcd = pair[0].gcd(pair[1])
+    num, den = pair[0].quo(gcd), pair[1].quo(gcd)
+    return num.quo_ground(den.LC()), den.monic()
 
 
 def rendered_parts(text):

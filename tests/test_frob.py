@@ -18,7 +18,14 @@ from oligoperm.frob import (
     verify_frobenius,
 )
 from oligoperm.gset import LINE, SYM, GMap, preset_backend
-from oligoperm.linmat import SchwartzFn, constant_fn, matmul, scalar_entry, tensor_space
+from oligoperm.linmat import (
+    SchwartzFn,
+    constant_fn,
+    matmul,
+    projection,
+    scalar_entry,
+    tensor_space,
+)
 from oligoperm.measure import solve_measures
 
 
@@ -147,7 +154,7 @@ def test_splitting_idempotent(mu_t, mu_line, s3, mu_s3):
         ps2 = tensor_space(backend, [obj, obj])
         diag = {i for i, p in enumerate(ps2.positions)
                 if p.atom.degree == obj.atoms[0].degree
-                and p.projections[0][1] == p.projections[1][1]}
+                and projection(ps2, i, 0)[1] == projection(ps2, i, 1)[1]}
         assert set(alpha.coeffs) == diag
 
 

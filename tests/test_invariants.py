@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oligoperm.coeff import Scalar, one
+from oligoperm.coeff import RATIONAL, Scalar, one
 from oligoperm.frob import build_frobenius, kernel_pair_gamma, trace_form
 from oligoperm.gset import LINE, SYM, GMap, preset_backend
 from oligoperm.linmat import (
@@ -18,7 +18,7 @@ from oligoperm.linmat import (
     wiring_gmap,
 )
 from oligoperm.measure import solve_measures
-from oligoperm.oracle import sym_matmul_agrees
+from oligoperm.oracle import expand_sym_matrix, literal_product
 from oligoperm.permcat import duality_data, hom_basis
 
 
@@ -95,6 +95,16 @@ def test_trace_form_independent_of_duality_choice(mu_t):
                             field)
     recomputed = matmul(mu_t, ev_swapped, matmul(mu_t, mu_id, id_coev))
     assert recomputed == baseline
+
+
+def sym_matmul_agrees(measure, bmat, amat, n_points):
+    """Integral composition against the literal product of the two matrices
+    expanded over the injective tuples of an n_points-point model."""
+    composed = matmul(measure, bmat, amat)
+    lhs = expand_sym_matrix(composed, n_points)
+    rhs = literal_product(expand_sym_matrix(bmat, n_points),
+                          expand_sym_matrix(amat, n_points), RATIONAL)
+    return lhs == rhs
 
 
 def test_sym_model_matmul_oracle(mu_t):

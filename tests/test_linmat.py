@@ -10,15 +10,15 @@ from oligoperm.errors import ShapeMismatch, UnknownAtom
 from oligoperm.gset import LINE, SYM, GMap, atom_gmap, preset_backend
 from oligoperm.linmat import (
     InvariantMatrix,
+    SchwartzFn,
     block_tensor,
     column_matrix,
     constant_fn,
     identity_matrix,
-    indicator_fn,
-    integrate,
     marginal,
     matmul,
     multi_factor,
+    projection,
     pullback_matrix,
     pushforward_matrix,
     pushforward_surjective_on_invariants,
@@ -46,6 +46,20 @@ def omega(n):
 
 def line_obj(n):
     return LINE.object_of([LINE.atom_of_arity(n)])
+
+
+def indicator_fn(x, pos, field):
+    """The indicator of one atom position of x."""
+    return SchwartzFn(x, {pos: one(field)})
+
+
+def integrate(measure, fn):
+    """The integral of an invariant function: each coefficient times the
+    measure of its atom."""
+    total = zero(measure.field)
+    for pos, coeff in fn.coeffs.items():
+        total = total + coeff * measure.mu_atom(fn.carrier.atoms[pos])
+    return total
 
 
 def endo_basis(backend, x, field):
@@ -227,9 +241,9 @@ def reference_block_tensor(field, mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
         """Per position, per block: (sub-product position, induced map)."""
         subs = [tensor_space(backend, [ps.factors[i] for i in blk])
                 for blk in blocks]
-        return [[multi_factor(backend, [pos.projections[i] for i in blk], sub)
+        return [[multi_factor(backend, [projection(ps, p, i) for i in blk], sub)
                  for blk, sub in zip(blocks, subs)]
-                for pos in ps.positions]
+                for p in range(len(ps.positions))]
 
     src_data = factored(src_ps, src_blocks)
     tgt_data = factored(tgt_ps, tgt_blocks)
@@ -313,17 +327,66 @@ def test_permcat_tensor_matches_reference(backend):
         assert got == want and got.entries
 
 
+def reference_projections(ps):
+    """Per position, per factor: (position in the factor, AtomMap), composed
+    eagerly down the left chain from each row's orbit of the decomposition."""
+    backend = ps.backend
+    if len(ps.factors) == 1:
+        return [((i, backend.identity_map(a)),)
+                for i, a in enumerate(ps.object.atoms)]
+    left = reference_projections(ps.left)
+    out = []
+    for pos in ps.positions:
+        lp, rp, label = pos.meta
+        (orbit,) = [o for o in backend.product_decompose(
+                        ps.left.object.atoms[lp], ps.factors[-1].atoms[rp])
+                    if o.label == label]
+        assert orbit.atom == pos.atom
+        out.append(tuple((fp, backend.compose_maps(m, orbit.proj1))
+                         for fp, m in left[lp]) + ((rp, orbit.proj2),))
+    return out
+
+
 @pytest.mark.parametrize("backend", [SYM, LINE, S3], ids=["sym", "line", "S3"])
 def test_marginal_matches_multi_factor(backend):
-    for x in small_objects(backend):
-        ps2 = tensor_space(backend, [x, x])
-        ps3 = tensor_space(backend, [x, x, x])
-        for pair in [(0, 1), (0, 2), (1, 2)]:
-            table = marginal(ps3, pair)
-            assert len(table) == len(ps3.positions)
-            for p, pos in enumerate(ps3.positions):
-                maps = [pos.projections[i] for i in pair]
-                assert table[p] == multi_factor(backend, maps, ps2)[0]
+    """Every strictly increasing block choice of 3- and 4-fold products."""
+    objects = small_objects(backend)
+    # a 4-fold power only where the cube is small: line's inc[2]^4 has
+    # 23,917 positions
+    products = ([[x] * 3 for x in objects]
+                + [[x] * 4 for x in objects
+                   if len(tensor_space(backend, [x] * 3).positions) <= 100]
+                + [[objects[1], objects[-1], objects[1], objects[-1]]])
+    for factors in products:
+        ps = tensor_space(backend, factors)
+        reference = reference_projections(ps)
+        for p, maps in enumerate(reference):
+            assert [projection(ps, p, i) for i in range(len(factors))] == list(maps)
+        for size in range(1, len(factors) + 1):
+            for blocks in itertools.combinations(range(len(factors)), size):
+                sub = tensor_space(backend, [factors[i] for i in blocks])
+                table = marginal(ps, blocks)
+                assert table == tuple(
+                    multi_factor(backend, [maps[i] for i in blocks], sub)[0]
+                    for maps in reference)
+    with pytest.raises(ValueError):
+        marginal(ps, (1, 0))
+
+
+def test_tensor_space_composes_no_maps(monkeypatch):
+    """A product space is built from the decompositions alone."""
+    backend = type(LINE)()
+    calls = []
+    compose = backend.compose_maps
+
+    def counted(outer, inner):
+        calls.append((outer, inner))
+        return compose(outer, inner)
+
+    monkeypatch.setattr(backend, "compose_maps", counted)
+    x = backend.object_of([backend.atom_of_arity(2)])
+    ps = tensor_space(backend, [x, x, x])
+    assert ps.positions and not calls
 
 
 @pytest.mark.parametrize("backend", [SYM, LINE, S3], ids=["sym", "line", "S3"])

@@ -10,9 +10,9 @@ from oligoperm.coeff import RATIONAL, Scalar, one
 from oligoperm.gset import LINE, SYM, preset_backend
 from oligoperm.linmat import (
     InvariantMatrix,
+    SchwartzFn,
     column_matrix,
     identity_matrix,
-    indicator_fn,
     matmul,
     tensor_space,
 )
@@ -196,6 +196,11 @@ def test_dim_multiplicative_additive(mu_t):
     both = x + y
     assert categorical_dim(SYM, both, mu_t) == \
         categorical_dim(SYM, x, mu_t) + categorical_dim(SYM, y, mu_t)
+
+
+def indicator_fn(x, pos, field):
+    """The indicator of one atom position of x."""
+    return SchwartzFn(x, {pos: one(field)})
 
 
 def test_gamma_invariant_basis():
