@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import one
+from .coeff import one, zero
 from .errors import NotSurjective
 from .gset.base import GMap
 from .linmat import (
@@ -213,8 +213,30 @@ def splitting_idempotent(f, measure):
     return alpha_fn, report
 
 
+def _coherent(a, b, c):
+    """Whether g12 g23 == g12 g13 == g13 g23 for values with ids a, b, c
+    (0 for zero, equal ids for equal values): at most one is nonzero, or all
+    three are nonzero and equal."""
+    if a and b and c:
+        return a == b == c
+    return (a, b, c).count(0) >= 2
+
+
 def e_idempotent_check(backend, x, gamma, measure):
-    """Equivalence-idempotent conditions for an invariant function on X x X."""
+    """Equivalence-idempotent conditions for an invariant function on X x X.
+
+    Triple coherence asks that g12 g23, g12 g13 and g13 g23 agree on X x X x X,
+    where gij is gamma pulled back along the projection onto factors i and j.
+    Every field here is an integral domain, so at one position, with values
+    a, b, c of g12, g13, g23: if at most one is nonzero, all three products
+    are zero; if exactly two are nonzero, one product is nonzero and the
+    other two are zero; if all three are nonzero, ac = ab and ab = bc cancel
+    to c = b and a = c.  So the check multiplies nothing: it gives each
+    distinct nonzero value of gamma an id, collects the distinct id triples
+    over the three marginal tables, and tests each.  On a failure it scans
+    again for the first bad position and reports its atom, its three pair
+    orbits and gamma's three values there.
+    """
     field = measure.field
     ps2 = tensor_space(backend, [x, x])
     ps3 = tensor_space(backend, [x, x, x])
@@ -239,20 +261,32 @@ def e_idempotent_check(backend, x, gamma, measure):
     results.append(CheckResult(
         "symmetric", SchwartzFn(ps2.object, swapped) == gamma))
 
-    lifts = {}
-    for pair in [(0, 1), (0, 2), (1, 2)]:
-        coeffs = {}
-        for pos_idx, pair_pos in enumerate(marginal(ps3, pair)):
-            value = gamma.coeffs.get(pair_pos)
-            if value is not None and not value.is_zero():
-                coeffs[pos_idx] = value
-        lifts[pair] = SchwartzFn(ps3.object, coeffs)
-    p12, p13, p23 = lifts[(0, 1)], lifts[(0, 2)], lifts[(1, 2)]
-    triple = (p12.pointwise_mul(p23) == p12.pointwise_mul(p13)
-              == p13.pointwise_mul(p23))
-    results.append(CheckResult("triple-coherence", triple))
+    value_ids = {}
+    ids = [0] * len(ps2.positions)
+    for pos, value in gamma.coeffs.items():
+        if not value.is_zero():
+            ids[pos] = value_ids.setdefault(value, len(value_ids) + 1)
+    tables = [marginal(ps3, pair) for pair in ((0, 1), (0, 2), (1, 2))]
+    id_triples = set(zip(*(map(ids.__getitem__, table) for table in tables)))
+    triple = all(_coherent(*t) for t in id_triples)
+    witness = {}
+    if not triple:
+        witness = _coherence_witness(ps2, ps3, gamma, ids, tables, field)
+    results.append(CheckResult("triple-coherence", triple, witness))
 
     return Report("equivalence idempotent checks", results)
+
+
+def _coherence_witness(ps2, ps3, gamma, ids, tables, field):
+    """The first triple-space position where triple coherence fails: its
+    atom, and per factor pair the pair orbit it projects to and gamma there."""
+    p, hits = next((p, hits) for p, hits in enumerate(zip(*tables))
+                   if not _coherent(*(ids[h] for h in hits)))
+    witness = {"atom": ps3.positions[p].atom.render()}
+    for pair, h in zip(("12", "13", "23"), hits):
+        witness[f"orbit-{pair}"] = ps2.positions[h].meta[2]
+        witness[f"gamma-{pair}"] = gamma.coeffs.get(h, zero(field)).render()
+    return witness
 
 
 def kernel_pair_gamma(backend, f, field):

@@ -9,17 +9,23 @@ Two expansions ground the abstract layer in literal linear algebra:
   n-tuples over N points, evaluate matrix entries at parameter value N, and
   compare against the literal product.
 
-Orbit counts on pairs back the hom dimensions of both backends.  Model
-points are integers: the symmetric model indexes the injective k-tuples once
-per k and tabulates each generator as an index array over them, the finite
-backend tabulates each group element's permutation of an atom's points
+Orbit counts back the hom dimensions of both backends, each by one
+union-find over integer points.  The finite backend counts orbits on pairs:
+it tabulates each group element's permutation of an atom's points
 (``FiniteBackend.act_table``), and a pair (u, x) is the integer
-``u * width + x``.  One union-find over these integers counts the orbits.
-The counts use only the generators' action and never ``product_decompose``,
-``product_factor`` or ``linmat``, so they stay independent of the orbit
-enumeration they check.  The matrix checks use ``pair_label``,
-``tensor_space`` and ``projection`` only to address entries of the matrices
-under test and compute the products they compare against literally.
+``u * width + x``.  The symmetric model counts the orbits of a stabilizer
+instead.  S_N is transitive on the injective n-tuples, so its orbits on pairs
+(u, x) match the orbits of the stabilizer of u0 = (0, ..., n-1) on the
+m-tuples x; that stabilizer is Sym({n, ..., N-1}), generated by one
+transposition and one cycle of the free points, each tabulated as an index
+array over the m-tuples.  At N = 8 and n = m = 3 that is 336 points instead
+of 112,896 pairs.  The counts use only the generators' action on model
+points and never ``product_decompose``, ``product_factor`` or ``linmat``, so
+they stay independent of the orbit enumeration they check; the reduction is
+a fact about the group action, not about how the backend enumerates orbits.
+The matrix checks use ``pair_label``, ``tensor_space`` and ``projection``
+only to address entries of the matrices under test and compute the products
+they compare against literally.
 
 Both are used by the acceptance suite; nothing here feeds back into the
 abstract computations.
@@ -171,33 +177,39 @@ def expand_sym_matrix(matrix, n_points):
     return grid
 
 
-def _sym_generators(n_points):
-    """The transposition (0 1) and the cycle i -> i + 1, which generate the
-    full symmetric group on n_points points."""
+def _stabilizer_moves(n_points, n, tuples):
+    """The moves on ``tuples`` (the model's injective tuples of one length),
+    as index arrays, of the transposition (n n+1) and the cycle
+    n -> n+1 -> ... -> N-1 -> n.  Together they generate Sym({n, ..., N-1}),
+    the stabilizer of the n-tuple (0, ..., n-1); with fewer than two free
+    points that stabilizer is trivial and has no moves."""
+    free = list(range(n, n_points))
+    if len(free) < 2:
+        return []
     transposition = list(range(n_points))
-    transposition[0], transposition[1] = 1, 0
-    return [tuple(transposition),
-            tuple((i + 1) % n_points for i in range(n_points))]
-
-
-def _sym_tuple_moves(n_points, k):
-    """Each generator's move on the injective k-tuples over n_points points,
-    as an index array over ``sym_model_points(k, n_points)``."""
-    tuples = sym_model_points(k, n_points)
-    index = {u: i for i, u in enumerate(tuples)}
-    return [[index[tuple(g[a] for a in u)] for u in tuples]
-            for g in _sym_generators(n_points)]
+    transposition[n], transposition[n + 1] = n + 1, n
+    cycle = list(range(n_points))
+    for a, b in zip(free, free[1:] + free[:1]):
+        cycle[a] = b
+    index = {x: i for i, x in enumerate(tuples)}
+    return [[index[tuple(g[a] for a in x)] for x in tuples]
+            for g in (transposition, cycle)]
 
 
 def sym_orbit_count_model(n_points, n, m):
-    """Number of orbits of the full symmetric group on pairs of injective
-    tuples, counted by closure under two generators."""
-    moves = {k: _sym_tuple_moves(n_points, k) for k in {n, m}}
-    width = len(moves[m][0])
-    return _count_orbits(
-        len(moves[n][0]) * width,
-        [_pair_moves(left, right, width)
-         for left, right in zip(moves[n], moves[m])])
+    """Number of orbits of the symmetric group on n_points points on pairs of
+    an injective n-tuple and an injective m-tuple.
+
+    The group is transitive on the n-tuples, so these orbits match the orbits
+    of the stabilizer of u0 = (0, ..., n-1) on the m-tuples: one union-find
+    over ``sym_model_points(m, n_points)`` under that stabilizer's two
+    generators.  With fewer than n + m points some matchings of a pair cannot
+    occur and the model would undercount, so that case raises ValueError."""
+    if n_points < n + m:
+        raise ValueError(
+            f"{n_points} points cannot model pairs of {n}- and {m}-tuples")
+    tuples = sym_model_points(m, n_points)
+    return _count_orbits(len(tuples), _stabilizer_moves(n_points, n, tuples))
 
 
 # Full category-layer oracle for the finite backend

@@ -143,6 +143,23 @@ def test_frob_eidem_file(tmp_path):
     assert code == 0
 
 
+def test_frob_eidem_reports_triple_coherence_witness(tmp_path):
+    # agreeing in coordinate 1 or in coordinate 2 is not transitive
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps({
+        "entries": [[0, 0, label, "1"]
+                    for label in ("[1>1,2>2]", "[1>1]", "[2>2]")],
+    }), encoding="utf-8")
+    code, doc = run(tmp_path, "frob", "eidem", "--B", "sym:inj[2]",
+                    "--gamma", str(gamma), "--field", "qt")
+    assert code == 1
+    failing = [r for r in doc["results"] if r["status"] == "FAIL"]
+    assert [r["check"] for r in failing] == ["triple-coherence"]
+    assert sorted(failing[0]["witness"]) == [
+        "atom", "gamma-12", "gamma-13", "gamma-23",
+        "orbit-12", "orbit-13", "orbit-23"]
+
+
 def test_frob_gamma_of(tmp_path):
     code, doc = run(tmp_path, "frob", "gamma-of",
                     "--map", "sym:inj[2] -> sym:inj[1] : [1]",

@@ -1,8 +1,9 @@
 """Frobenius structure, trace data, splitting and equivalence idempotents."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oligoperm.coeff import Scalar, one
+from oligoperm.coeff import Scalar, one, zero
 from oligoperm.errors import NotSurjective
 from oligoperm.frob import (
     build_frobenius,
@@ -21,6 +22,7 @@ from oligoperm.gset import LINE, SYM, GMap, preset_backend
 from oligoperm.linmat import (
     SchwartzFn,
     constant_fn,
+    marginal,
     matmul,
     projection,
     scalar_entry,
@@ -180,6 +182,8 @@ def test_e_idempotent_first_coordinate(mu_t):
     gamma = kernel_pair_gamma(SYM, f, mu_t.field)
     report = e_idempotent_check(SYM, x, gamma, mu_t)
     assert report.passed, [r.name for r in report.failures()]
+    assert report.result("triple-coherence").to_dict() == {
+        "check": "triple-coherence", "status": "PASS"}
     labels = {tensor_space(SYM, [x, x]).positions[i].meta[2]
               for i in gamma.coeffs}
     assert labels == {"[1>1]", "[1>1,2>2]"}
@@ -195,6 +199,146 @@ def test_e_idempotent_rejects_asymmetric(mu_t):
     gamma = SchwartzFn(ps2.object, coeffs)
     report = e_idempotent_check(SYM, x, gamma, mu_t)
     assert not report.result("symmetric").passed
+
+
+def test_coordinate_agreement_fails_only_triple_coherence(mu_t):
+    # "agree in coordinate 1 or in coordinate 2" is idempotent, symmetric and
+    # dominates the diagonal, but not transitive
+    x = sym_obj(2)
+    ps2 = tensor_space(SYM, [x, x])
+    related = {"[1>1]", "[2>2]", "[1>1,2>2]"}
+    gamma = SchwartzFn(ps2.object, {i: one(mu_t.field)
+                                    for i, p in enumerate(ps2.positions)
+                                    if p.meta[2] in related})
+    report = e_idempotent_check(SYM, x, gamma, mu_t)
+    assert [r.name for r in report.failures()] == ["triple-coherence"]
+    witness = report.result("triple-coherence").witness
+    assert witness["atom"].startswith("sym:inj[")
+    pairs = ("12", "13", "23")
+    assert sorted(witness[f"gamma-{p}"] for p in pairs) == ["0", "1", "1"]
+    for p in pairs:
+        assert ((witness[f"orbit-{p}"] in related)
+                == (witness[f"gamma-{p}"] == "1"))
+
+
+def test_flipped_kernel_pair_entry_fails_triple_coherence(mu_line):
+    x = line_obj(2)
+    a1 = LINE.atom_of_arity(1)
+    ps2 = tensor_space(LINE, [x, x])
+    for m in LINE.hom_atoms(x.atoms[0], a1):
+        f = GMap(x, LINE.object_of([a1]), ((0, m),))
+        gamma = kernel_pair_gamma(LINE, f, mu_line.field)
+        assert e_idempotent_check(LINE, x, gamma, mu_line).passed
+        for i in range(len(ps2.positions)):
+            coeffs = dict(gamma.coeffs)
+            if coeffs.pop(i, None) is None:
+                coeffs[i] = one(mu_line.field)
+            report = e_idempotent_check(LINE, x, SchwartzFn(ps2.object, coeffs),
+                                        mu_line)
+            result = report.result("triple-coherence")
+            assert not result.passed
+            assert set(result.witness) == {
+                "atom", "orbit-12", "gamma-12", "orbit-13", "gamma-13",
+                "orbit-23", "gamma-23"}
+
+
+def test_two_equal_of_three_nonzero_fails_triple_coherence(mu_t):
+    # on P + Q, gamma = 1 on every pair whose first (or last) point is in P
+    # and t on the rest: every triple-space position sees at least two equal
+    # values, and some see 1, 1, t
+    a1 = SYM.atom_of_arity(1)
+    x = SYM.object_of([a1, a1])
+    ps2 = tensor_space(SYM, [x, x])
+    t = Scalar.variable(mu_t.field)
+    for side in (0, 1):
+        gamma = SchwartzFn(ps2.object, {
+            i: one(mu_t.field) if p.meta[side] == 0 else t
+            for i, p in enumerate(ps2.positions)})
+        result = e_idempotent_check(SYM, x, gamma, mu_t).result(
+            "triple-coherence")
+        assert not result.passed
+        assert not reference_triple_coherence(SYM, x, gamma)
+        assert sorted(result.witness[f"gamma-{p}"] for p in ("12", "13", "23")
+                      ) in (["1", "1", "t"], ["1", "t", "t"])
+
+
+def reference_triple_coherence(backend, x, gamma):
+    """Triple coherence by its definition: gamma lifted to X x X x X along
+    the three pair projections, then the three pointwise products compared."""
+    ps3 = tensor_space(backend, [x, x, x])
+    lifts = []
+    for pair in [(0, 1), (0, 2), (1, 2)]:
+        coeffs = {}
+        for pos_idx, pair_pos in enumerate(marginal(ps3, pair)):
+            value = gamma.coeffs.get(pair_pos)
+            if value is not None and not value.is_zero():
+                coeffs[pos_idx] = value
+        lifts.append(SchwartzFn(ps3.object, coeffs))
+    p12, p13, p23 = lifts
+    return (p12.pointwise_mul(p23) == p12.pointwise_mul(p13)
+            == p13.pointwise_mul(p23))
+
+
+def _int(n):
+    return lambda field: Scalar.from_int(field, n)
+
+
+def _t(field):
+    return Scalar.variable(field)
+
+
+# each value of gamma by several routes, so equal values arrive as distinct
+# objects built by different arithmetic
+VALUE_ROUTES = {
+    "0": [zero, lambda f: one(f) - one(f), _int(0),
+          lambda f: _int(2)(f) - one(f) - one(f)],
+    "1": [one, _int(1), lambda f: _int(2)(f) / _int(2)(f),
+          lambda f: _int(-1)(f) * _int(-1)(f)],
+    "-1": [lambda f: -one(f), lambda f: zero(f) - one(f),
+           lambda f: Scalar.from_fraction(f, -1), lambda f: one(f) - _int(2)(f)],
+    "2": [_int(2), lambda f: one(f) + one(f), lambda f: _int(4)(f) / _int(2)(f)],
+    "t": [_t, lambda f: _t(f) * _t(f) / _t(f), lambda f: (_t(f) + one(f)) - one(f),
+          lambda f: _t(f) * (_t(f) + one(f)) / (_t(f) + one(f))],
+}
+
+
+@pytest.fixture(scope="module")
+def eidem_cases(mu_t, mu_line, s3, mu_s3):
+    a2, a3, a6 = s3.atoms_up_to(6)[1:]
+    sym1 = SYM.atom_of_arity(1)
+    return {
+        "sym:inj[1]": (SYM, sym_obj(1), mu_t),
+        "sym:inj[2]": (SYM, sym_obj(2), mu_t),
+        "sym:inj[1]+inj[1]": (SYM, SYM.object_of([sym1, sym1]), mu_t),
+        "line:inc[1]": (LINE, line_obj(1), mu_line),
+        "line:inc[2]": (LINE, line_obj(2), mu_line),
+        "S3:degree-3": (s3, s3.object_of([a3]), mu_s3),
+        "S3:degree-6": (s3, s3.object_of([a6]), mu_s3),
+        "S3:degree-2+3": (s3, s3.object_of([a2, a3]), mu_s3),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "sym:inj[1]", "sym:inj[2]", "sym:inj[1]+inj[1]", "line:inc[1]",
+    "line:inc[2]", "S3:degree-3", "S3:degree-6", "S3:degree-2+3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_triple_coherence_matches_reference(eidem_cases, case, data):
+    backend, x, measure = eidem_cases[case]
+    field = measure.field
+    names = [v for v in VALUE_ROUTES if v != "t" or field.kind == "ratfunc"]
+    if data.draw(st.booleans(), label="one value"):
+        names = [data.draw(st.sampled_from(names), label="value")]
+    ps2 = tensor_space(backend, [x, x])
+    drawn = data.draw(st.dictionaries(
+        st.integers(0, len(ps2.positions) - 1),
+        st.sampled_from(names).flatmap(
+            lambda v: st.sampled_from(VALUE_ROUTES[v]))), label="gamma")
+    gamma = SchwartzFn(ps2.object, {i: route(field)
+                                    for i, route in drawn.items()})
+    report = e_idempotent_check(backend, x, gamma, measure)
+    assert (report.result("triple-coherence").passed
+            == reference_triple_coherence(backend, x, gamma))
 
 
 def test_gamma_of_projection_round_trips(mu_t, mu_line):

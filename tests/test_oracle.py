@@ -8,6 +8,7 @@ the probes at the end check that a wrong answer makes the oracle FAIL.
 """
 
 import itertools
+from math import comb, factorial
 
 import pytest
 
@@ -76,6 +77,34 @@ def test_sym_orbit_count_matches_reference(n, m):
 def test_sym_orbit_counts_are_the_known_sequence():
     counts = [sym_orbit_count_model(8, n, m) for n in range(4) for m in range(4)]
     assert counts == [1, 1, 1, 1, 1, 2, 3, 4, 1, 3, 7, 13, 1, 4, 13, 34]
+
+
+def partial_matchings(n, m):
+    """Orbits of pairs of injective n- and m-tuples on infinitely many
+    points: one per partial injective matching of their coordinates."""
+    return sum(comb(n, k) * comb(m, k) * factorial(k)
+               for k in range(min(n, m) + 1))
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(6) for m in range(6)])
+def test_sym_orbit_count_is_the_partial_matching_count(n, m):
+    assert sym_orbit_count_model(max(8, n + m), n, m) == partial_matchings(n, m)
+
+
+def test_sym_orbit_count_of_five_tuples():
+    assert sym_orbit_count_model(10, 5, 5) == 1546
+
+
+def test_too_few_points_undercount():
+    # two 2-tuples over 3 points always share a point: the empty matching
+    # has no pair, so the full-pair count is one short
+    assert reference_sym_orbit_count(3, 2, 2) == partial_matchings(2, 2) - 1
+
+
+@pytest.mark.parametrize("n_points, n, m", [(8, 5, 4), (8, 4, 5), (3, 2, 2)])
+def test_sym_orbit_count_rejects_too_few_points(n_points, n, m):
+    with pytest.raises(ValueError):
+        sym_orbit_count_model(n_points, n, m)
 
 
 def coset_action(backend, g, a, idx):
