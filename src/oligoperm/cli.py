@@ -543,7 +543,9 @@ def main(argv=None):
     except OligopermError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a path that is missing, a directory or otherwise unreadable or
+        # unwritable
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

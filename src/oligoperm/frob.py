@@ -14,9 +14,12 @@ to the diagonal duality.  Checks that verify comult o unit still compute it
 by matrix multiplication, so comparing it with the diagonal coevaluation
 stays a real check.
 
-All structure maps and their tensor paddings are pushforwards or pullbacks of
-explicit coordinate wirings between one flat product space and another, so
-the only engine underneath is integral matrix multiplication.
+All structure maps, and the associativity and coassociativity paddings, are
+pushforwards or pullbacks of explicit coordinate wirings between one flat
+product space and another.  The unit and counit paddings (``eta_id`` and
+``eps_id`` in ``verify_frobenius``, ``id_coev`` in ``trace_form``) and those
+of ``permcat.triangle_identities`` are instead tensor products of matrices,
+built by ``linmat.block_tensor``.
 """
 
 from __future__ import annotations

@@ -4,8 +4,6 @@ from .base import (
     Atom,
     AtomMap,
     Backend,
-    ElementaryStep,
-    Factorization,
     GMap,
     GObject,
     LinearRelation,
@@ -25,8 +23,6 @@ __all__ = [
     "Atom",
     "AtomMap",
     "Backend",
-    "ElementaryStep",
-    "Factorization",
     "FiniteBackend",
     "GMap",
     "GObject",

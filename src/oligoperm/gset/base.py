@@ -15,8 +15,9 @@ Conventions used throughout:
 * ``product_factor(f, g)`` factors a joint map ``(f, g): T -> a x b`` through
   the decomposition: it returns the label of the orbit hit by the image and
   the induced map from ``T`` onto the orbit atom.
-* ``elementary_factorize`` writes an atom map as an isomorphism followed by
-  one-coordinate drops; each drop carries an elementary fiber class label.
+* ``elementary_factorize(f)`` returns the fiber-class labels of one canonical
+  chain of elementary drops that realizes the atom map, in drop order.  The
+  measure of the map is the product of the class values.
 
 Every backend instance owns one cache, the plain dict ``backend.cache``,
 created empty with the instance and never shared: a backend and all it has
@@ -79,26 +80,6 @@ class ProductOrbit:
     atom: Atom
     proj1: AtomMap
     proj2: AtomMap
-
-
-@dataclass(frozen=True)
-class ElementaryStep:
-    """One coordinate drop, with the class of its fiber.
-
-    ``position`` is the 1-based coordinate removed from the step's source (0
-    for the finite backend, whose single step is not a coordinate drop).
-    """
-
-    source: Atom
-    target: Atom
-    fiber_class: str
-    position: int = 0
-
-
-@dataclass(frozen=True)
-class Factorization:
-    iso: AtomMap
-    steps: tuple
 
 
 @dataclass(frozen=True)
@@ -197,15 +178,18 @@ class Backend:
     # Elementary fiber structure
 
     def elementary_factorize(self, f):
+        """The fiber classes of f's canonical drop chain, in drop order."""
         raise NotImplementedError
 
     def factorization_class_multisets(self, f):
-        """All multisets of fiber classes over the admissible drop orders."""
-        raise NotImplementedError
+        """All multisets of fiber classes over the admissible drop orders.
+        By default only the canonical chain is admissible."""
+        return {self.mu_map_classes(f)}
 
     def atom_chain_parent(self, a):
-        """Canonical one-drop map a -> parent with its fiber class, or None
-        for the unit atom.  Chains ground atom measures in fiber classes."""
+        """``(parent atom, fiber class)`` of a's canonical one-drop map, or
+        None for the unit atom.  Chains ground atom measures in fiber
+        classes."""
         raise NotImplementedError
 
     def fiber_classes(self, depth):
@@ -271,9 +255,8 @@ class Backend:
         return hit == set(range(len(f.target.atoms)))
 
     def mu_map_classes(self, f):
-        """Fiber-class multiset of the canonical factorization of an atom map."""
-        fact = self.elementary_factorize(f)
-        return tuple(sorted(step.fiber_class for step in fact.steps))
+        """Fiber-class multiset of the canonical drop chain of an atom map."""
+        return tuple(sorted(self.elementary_factorize(f)))
 
 
 class TupleBackend(Backend):
@@ -339,9 +322,9 @@ class TupleBackend(Backend):
         n = a.degree
         if n == 0:
             return None
-        drop_last = AtomMap(a, self._atom(n - 1), tuple(range(1, n)))
-        (step,) = self.elementary_factorize(drop_last).steps
-        return drop_last, step.fiber_class
+        parent = self._atom(n - 1)
+        (cls,) = self.elementary_factorize(AtomMap(a, parent, tuple(range(1, n))))
+        return parent, cls
 
     def parse_atom_label(self, label):
         head = self.prefix + "["

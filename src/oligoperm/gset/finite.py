@@ -14,15 +14,7 @@ it is why counting is the only measure here.
 
 from __future__ import annotations
 
-from .base import (
-    Atom,
-    AtomMap,
-    Backend,
-    ElementaryStep,
-    Factorization,
-    LinearRelation,
-    ProductOrbit,
-)
+from .base import Atom, AtomMap, Backend, LinearRelation, ProductOrbit
 
 BACKEND_ID = "finite"
 
@@ -69,7 +61,8 @@ def parse_cycles(text, n_points=None):
     """Parse cycle notation like "(1 2)(3 4); (1 2 3)" into permutation tuples.
 
     Points are 1-based in the notation.  Separate generators with ';' or ','
-    outside parentheses.
+    outside parentheses.  Text that names no point, an empty cycle, a point
+    below 1 and a point repeated within one generator raise ValueError.
     """
     gens_txt = []
     depth = 0
@@ -90,16 +83,27 @@ def parse_cycles(text, n_points=None):
     max_point = 0
     for txt in gens_txt:
         cycles = []
+        moved = set()
         body = txt.strip()
         while body:
             if not body.startswith("("):
                 raise ValueError(f"bad cycle notation: {text!r}")
             end = body.index(")")
             pts = [int(tok) for tok in body[1:end].replace(",", " ").split()]
+            if not pts:
+                raise ValueError(f"empty cycle in {text!r}")
+            if min(pts) < 1:
+                raise ValueError(f"points are numbered from 1: {text!r}")
+            if len(set(pts)) < len(pts) or moved.intersection(pts):
+                raise ValueError(
+                    f"a point repeats within the generator {txt.strip()!r}")
+            moved.update(pts)
             cycles.append(pts)
             max_point = max(max_point, *pts)
             body = body[end + 1:].strip()
         cycles_per_gen.append(cycles)
+    if not max_point:
+        raise ValueError(f"no cycle in {text!r}")
     n = n_points or max_point
     gens = []
     for cycles in cycles_per_gen:
@@ -322,19 +326,15 @@ class FiniteBackend(Backend):
     # Elementary structure
 
     def elementary_factorize(self, f):
-        m = f.source.degree // f.target.degree
-        step = ElementaryStep(f.source, f.target, f"size[{m}]")
-        steps = () if f.source.degree == f.target.degree else (step,)
-        return Factorization(self.identity_map(f.source), steps)
-
-    def factorization_class_multisets(self, f):
-        return {self.mu_map_classes(f)}
+        # one step whose fiber has |a|/|b| points; none for a bijection
+        n, m = f.source.degree, f.target.degree
+        return () if n == m else (f"size[{n // m}]",)
 
     def atom_chain_parent(self, a):
+        # the collapse onto the one-point atom
         if a == self.unit_atom():
             return None
-        collapse = AtomMap(a, self.unit_atom(), tuple(0 for _ in range(a.degree)))
-        return collapse, f"size[{a.degree}]"
+        return self.unit_atom(), f"size[{a.degree}]"
 
     def fiber_classes(self, depth):
         degrees = {a.degree for a in self._atoms}

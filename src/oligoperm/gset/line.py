@@ -28,14 +28,7 @@ from __future__ import annotations
 
 import itertools
 
-from .base import (
-    AtomMap,
-    ElementaryStep,
-    Factorization,
-    LinearRelation,
-    ProductOrbit,
-    TupleBackend,
-)
+from .base import AtomMap, LinearRelation, ProductOrbit, TupleBackend
 
 _ORDER = {"L": 0, "B": 1, "R": 2}
 
@@ -99,40 +92,30 @@ class LineBackend(TupleBackend):
 
     # Elementary structure
 
-    def _drop_class(self, position, arity):
-        return "ray" if position == 1 or position == arity else "interval"
+    def _drop_classes(self, n, order):
+        """Classes of dropping the coordinates ``order`` of inc[n], one at a
+        time and in that order."""
+        remaining = list(range(1, n + 1))
+        classes = []
+        for p in order:
+            idx = remaining.index(p) + 1
+            classes.append("ray" if idx == 1 or idx == len(remaining)
+                           else "interval")
+            remaining.remove(p)
+        return tuple(classes)
 
     def elementary_factorize(self, f):
+        # the canonical chain drops the missing coordinates from the highest
         n = f.source.degree
         kept = set(f.data)
-        remaining = list(range(1, n + 1))
-        steps = []
-        for p in sorted((i for i in range(1, n + 1) if i not in kept), reverse=True):
-            k = len(remaining)
-            idx = remaining.index(p) + 1
-            steps.append(
-                ElementaryStep(self._atom(k), self._atom(k - 1),
-                               self._drop_class(idx, k), position=idx)
-            )
-            remaining.remove(p)
-        iso = self.identity_map(f.source)
-        return Factorization(iso, tuple(steps))
+        return self._drop_classes(n, [p for p in range(n, 0, -1) if p not in kept])
 
     def factorization_class_multisets(self, f):
         n = f.source.degree
         kept = set(f.data)
-        complement = [i for i in range(1, n + 1) if i not in kept]
-        out = set()
-        for order in itertools.permutations(complement):
-            remaining = list(range(1, n + 1))
-            classes = []
-            for p in order:
-                k = len(remaining)
-                idx = remaining.index(p) + 1
-                classes.append(self._drop_class(idx, k))
-                remaining.remove(p)
-            out.add(tuple(sorted(classes)))
-        return out
+        missing = [p for p in range(1, n + 1) if p not in kept]
+        return {tuple(sorted(self._drop_classes(n, order)))
+                for order in itertools.permutations(missing)}
 
     def fiber_classes(self, depth):
         return ["ray", "interval"]

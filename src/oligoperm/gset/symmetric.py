@@ -21,14 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from .base import (
-    AtomMap,
-    ElementaryStep,
-    Factorization,
-    LinearRelation,
-    ProductOrbit,
-    TupleBackend,
-)
+from .base import AtomMap, LinearRelation, ProductOrbit, TupleBackend
 
 
 def _matching_label(matching):
@@ -128,20 +121,10 @@ class SymBackend(TupleBackend):
     # Elementary structure
 
     def elementary_factorize(self, f):
-        n, m = f.source.degree, f.target.degree
-        kept = list(f.data)
-        complement = [i for i in range(1, n + 1) if i not in set(kept)]
-        iso = AtomMap(f.source, f.source, tuple(kept + complement))
-        steps = []
-        for k in range(n, m, -1):
-            steps.append(ElementaryStep(self._atom(k), self._atom(k - 1),
-                                        f"omega-minus[{k - 1}]", position=k))
-        return Factorization(iso, tuple(steps))
-
-    def factorization_class_multisets(self, f):
-        # All drop orders give the same class multiset here: removing any one
-        # coordinate of an injective k-tuple leaves the complement of k-1 points.
-        return {self.mu_map_classes(f)}
+        # Removing any one coordinate of an injective k-tuple leaves the
+        # complement of k-1 points, so every drop order gives these classes.
+        return tuple(f"omega-minus[{k - 1}]"
+                     for k in range(f.source.degree, f.target.degree, -1))
 
     def fiber_classes(self, depth):
         return [f"omega-minus[{c}]" for c in range(depth)]

@@ -26,7 +26,8 @@ from .report import CheckResult, Report
 
 SOLVE_DEPTH_FACTOR = 4
 
-PARAMETER_NAMES = ("t", "u", "v", "w")
+# The one parameter of a solved family: measure fields are Q(t) or F_p(t).
+PARAMETER = "t"
 
 
 @dataclass
@@ -52,11 +53,11 @@ class Measure:
         if parent is None:
             value = one(self.field)
         else:
-            _, cls = parent
+            parent_atom, cls = parent
             if cls not in self.fiber_values:
                 raise UnknownAtom(f"no fiber value for {cls} while extending to "
                                   f"{a.render()}")
-            value = self.fiber_values[cls] * self.mu_atom(parent[0].target)
+            value = self.fiber_values[cls] * self.mu_atom(parent_atom)
         self.atom_values[a] = value
         return value
 
@@ -67,14 +68,13 @@ class Measure:
         return total
 
     def mu_map(self, f):
-        """Product of fiber values along the canonical factorization of an
-        atom map; the common fiber measure of the map."""
-        fact = self.backend.elementary_factorize(f)
+        """The fiber measure of an atom map: the product of the values of the
+        fiber classes that ``backend.elementary_factorize`` lists for it."""
         value = one(self.field)
-        for step in fact.steps:
-            if step.fiber_class not in self.fiber_values:
-                raise UnknownAtom(f"no fiber value for {step.fiber_class}")
-            value = value * self.fiber_values[step.fiber_class]
+        for cls in self.backend.elementary_factorize(f):
+            if cls not in self.fiber_values:
+                raise UnknownAtom(f"no fiber value for {cls}")
+            value = value * self.fiber_values[cls]
         return value
 
     def with_perturbed_atom(self, a, delta):
@@ -88,8 +88,8 @@ class Measure:
         atom_values[a] = new_value
         parent = self.backend.atom_chain_parent(a)
         if parent is not None:
-            drop, cls = parent
-            parent_value = self.mu_atom(drop.target)
+            parent_atom, cls = parent
+            parent_value = self.mu_atom(parent_atom)
             if not parent_value.is_zero():
                 fiber_values[cls] = new_value / parent_value
         return Measure(self.backend, self.field, atom_values, fiber_values,
@@ -128,9 +128,10 @@ def _solve_linear(classes, relations):
     """Solve the point-cut relations over Q.
 
     Returns (parameters, values) where values maps each class to an affine
-    expression {param_name_or_None: Fraction}; the None key is the constant.
-    Unknown order is reversed so that the earliest classes (the ones atom
-    chains start from) end up as the free parameters.
+    expression {PARAMETER or None: Fraction}; the None key is the constant.
+    Unknown order is reversed so that the earliest class (the one atom chains
+    start from) ends up as the free parameter.  More than one free class is
+    an INCONSISTENT system: a family has at most one parameter.
     """
     cols = list(reversed(classes))
     col_index = {c: i for i, c in enumerate(cols)}
@@ -164,33 +165,27 @@ def _solve_linear(classes, relations):
         if all(x == 0 for x in rows[i][:-1]) and rows[i][-1] != 0:
             raise InconsistentSystem("point-cut relations have no solution")
     free_cols = [c for c in range(len(cols)) if c not in pivot_of_col]
-    free_cols.sort(key=lambda c: -c)  # prefer the earliest class as parameter
-    if len(free_cols) > len(PARAMETER_NAMES):
-        raise InconsistentSystem("more free parameters than supported")
-    param_of_col = {c: PARAMETER_NAMES[i] for i, c in enumerate(free_cols)}
+    if len(free_cols) > 1:
+        names = ", ".join(cols[c] for c in reversed(free_cols))
+        raise InconsistentSystem(
+            f"classes {names} are all free; a measure family has one parameter")
     values = {}
     for c, cls in enumerate(cols):
-        if c in param_of_col:
-            values[cls] = {param_of_col[c]: Fraction(1), None: Fraction(0)}
-            continue
         if c in pivot_of_col:
             row = rows[pivot_of_col[c]]
-            expr = {None: row[-1]}
-            for c2 in free_cols:
-                if row[c2] != 0:
-                    expr[param_of_col[c2]] = -row[c2]
-            values[cls] = expr
+            values[cls] = {None: row[-1]}
+            if free_cols and row[free_cols[0]] != 0:
+                values[cls][PARAMETER] = -row[free_cols[0]]
         else:
-            # unconstrained class that exceeded the parameter budget
-            raise InconsistentSystem(f"class {cls} is unconstrained")
-    params = [param_of_col[c] for c in sorted(free_cols, key=lambda c: -c)]
-    return params, values
+            values[cls] = {PARAMETER: Fraction(1), None: Fraction(0)}
+    return [PARAMETER] if free_cols else [], values
 
 
 def solve_measures(backend, bound, char=0):
     """Find all measures on the backend's fragment within the bound.
 
-    Raises INCONSISTENT when no assignment satisfies the point-cut relations.
+    Raises INCONSISTENT when no assignment satisfies the point-cut relations,
+    or when they leave more than one fiber class free.
     Residual identities that fail to vanish are returned on the family.
     """
     if bound < 2:
@@ -200,18 +195,17 @@ def solve_measures(backend, bound, char=0):
     relations = backend.fiber_decompositions(depth)
     params, affine = _solve_linear(classes, relations)
     if params:
-        field = ratfunc_field(PARAMETER_NAMES[0], char)
+        field = ratfunc_field(PARAMETER, char)
     elif char:
         field = ratfunc_field("a", char)
     else:
         field = RATIONAL
 
     def to_scalar(expr):
-        acc = Scalar.from_fraction(field, expr.get(None, Fraction(0)))
-        for name, coeff in expr.items():
-            if name is None:
-                continue
-            acc = acc + Scalar.from_fraction(field, coeff) * Scalar.variable(field)
+        acc = Scalar.from_fraction(field, expr[None])
+        if PARAMETER in expr:
+            acc = acc + (Scalar.from_fraction(field, expr[PARAMETER])
+                         * Scalar.variable(field))
         return acc
 
     fiber_values = {cls: to_scalar(affine[cls]) for cls in classes}

@@ -420,6 +420,35 @@ def test_spec_integer_literal_guard(tmp_path, capsys):
                        "scalar size limit")
 
 
+@pytest.mark.parametrize("group", ["()", "(1 2 1)", "(1 2)(2 3)", "(0 1)", "   "],
+                         ids=["empty-cycle", "repeated-point",
+                              "overlapping-cycles", "point-zero", "blank"])
+def test_group_that_is_not_a_permutation_is_usage_error(capsys, group):
+    assert_usage_error(capsys, ["atoms", "--backend", "finite", "--group",
+                                group, "--bound", "2"], "bad --group")
+
+
+@pytest.mark.parametrize("flag", ["--spec", "--lhs", "--rhs", "--gamma",
+                                  "--map", "--json"])
+def test_directory_path_is_usage_error(tmp_path, capsys, flag):
+    matrix = write_json(tmp_path, "ident.json", LINE_IDENTITY)
+    directory = str(tmp_path)
+    argv = {
+        "--spec": ["measure", "check", "--spec", directory],
+        "--lhs": ["compose", "--lhs", directory, "--rhs", matrix,
+                  "--field", "fp:7"],
+        "--rhs": ["compose", "--lhs", matrix, "--rhs", directory,
+                  "--field", "fp:7"],
+        "--gamma": ["frob", "eidem", "--B", "sym:inj[1]", "--gamma",
+                    directory, "--field", "qt"],
+        "--map": ["frob", "gamma-of", "--map", directory, "--field", "qt"],
+        "--json": ["atoms", "--backend", "sym", "--bound", "1",
+                   "--json", directory],
+    }[flag]
+    # the quoted path names the directory, not the matrix file inside it
+    assert_usage_error(capsys, argv, repr(directory))
+
+
 @pytest.mark.parametrize("group", ["(1 2); (1 2 3 4 5)",
                                    "(1 2); (1 2 3 4 5 6)"],
                          ids=["S5", "S6"])

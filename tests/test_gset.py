@@ -367,20 +367,17 @@ def test_kernel_pair_of_selection():
 def test_sym_factorize_classes():
     a3, a1 = SYM.atom_of_arity(3), SYM.atom_of_arity(1)
     f = [m for m in SYM.hom_atoms(a3, a1) if m.data == (1,)][0]
-    fact = SYM.elementary_factorize(f)
-    assert [s.fiber_class for s in fact.steps] == ["omega-minus[2]", "omega-minus[1]"]
+    assert SYM.elementary_factorize(f) == ("omega-minus[2]", "omega-minus[1]")
 
 
 def test_line_factorize_classes():
     a2, a1 = LINE.atom_of_arity(2), LINE.atom_of_arity(1)
     select_smaller = [m for m in LINE.hom_atoms(a2, a1) if m.data == (1,)][0]
-    fact = LINE.elementary_factorize(select_smaller)
-    assert [s.fiber_class for s in fact.steps] == ["ray"]
+    assert LINE.elementary_factorize(select_smaller) == ("ray",)
 
     a3 = LINE.atom_of_arity(3)
     drop_middle = [m for m in LINE.hom_atoms(a3, a2) if m.data == (1, 3)][0]
-    fact = LINE.elementary_factorize(drop_middle)
-    assert [s.fiber_class for s in fact.steps] == ["interval"]
+    assert LINE.elementary_factorize(drop_middle) == ("interval",)
 
 
 def test_line_multiset_paths():
@@ -390,23 +387,44 @@ def test_line_multiset_paths():
     assert multisets == {("ray", "ray"), ("interval", "ray")}
 
 
+def test_drop_classes_closed_form():
+    # On line ray = interval = -1, so no measure value can tell the two
+    # classes apart; the classes themselves are checked here, for every map
+    # between atoms of degree at most 5.
+    for n in range(6):
+        for m in range(n + 1):
+            sym_classes = tuple(f"omega-minus[{k}]" for k in range(n - 1, m - 1, -1))
+            for f in SYM.hom_atoms(SYM.atom_of_arity(n), SYM.atom_of_arity(m)):
+                assert SYM.elementary_factorize(f) == sym_classes
+            for f in LINE.hom_atoms(LINE.atom_of_arity(n), LINE.atom_of_arity(m)):
+                # the missing coordinates drop from the highest down; a drop
+                # is a ray when it is coordinate 1 or no kept one lies above
+                line_classes = tuple(
+                    "ray" if p == 1 or p > max(f.data, default=0) else "interval"
+                    for p in range(n, 0, -1) if p not in f.data)
+                assert LINE.elementary_factorize(f) == line_classes
+        if n:
+            assert SYM.atom_chain_parent(SYM.atom_of_arity(n)) == (
+                SYM.atom_of_arity(n - 1), f"omega-minus[{n - 1}]")
+            assert LINE.atom_chain_parent(LINE.atom_of_arity(n)) == (
+                LINE.atom_of_arity(n - 1), "ray")
+    assert SYM.atom_chain_parent(SYM.unit_atom()) is None
+    assert LINE.atom_chain_parent(LINE.unit_atom()) is None
+
+
 def test_finite_factorize(s3):
-    atoms = s3.atoms_up_to(6)
-    f = s3.hom_atoms(atoms[3], atoms[2])[0]
-    fact = s3.elementary_factorize(f)
-    assert [s.fiber_class for s in fact.steps] == ["size[2]"]
-
-
-def test_factorization_recomposes():
-    # iso followed by the recorded per-step drops recovers the map
-    for backend, mk in [(SYM, SYM.atom_of_arity), (LINE, LINE.atom_of_arity)]:
-        for n, m in [(3, 1), (3, 2), (2, 0), (4, 2)]:
-            for f in backend.hom_atoms(mk(n), mk(m)):
-                fact = backend.elementary_factorize(f)
-                current = fact.iso
-                for step in fact.steps:
-                    k = step.source.degree
-                    sel = tuple(i for i in range(1, k + 1) if i != step.position)
-                    drop = type(f)(step.source, step.target, sel)
-                    current = backend.compose_maps(drop, current)
-                assert current == f
+    # every map between atoms of S3 and of S4: one drop whose fiber has
+    # |a|/|b| points, none between atoms of equal degree
+    for backend in (s3, preset_backend("S4")):
+        atoms = backend.atoms_up_to(len(backend.elements))
+        for a in atoms:
+            for b in atoms:
+                expected = (() if a.degree == b.degree
+                            else (f"size[{a.degree // b.degree}]",))
+                for f in backend.hom_atoms(a, b):
+                    assert backend.elementary_factorize(f) == expected
+            parent = backend.atom_chain_parent(a)
+            if a == backend.unit_atom():
+                assert parent is None
+            else:
+                assert parent == (backend.unit_atom(), f"size[{a.degree}]")

@@ -184,6 +184,20 @@ def test_inconsistent_system_raises():
         solve_measures(Contradictory(), 2)
 
 
+def test_two_free_classes_raise():
+    # without point-cut relations both line classes are free; a family has
+    # one parameter, so that is an inconsistent system, not a family in t, u
+    from oligoperm.errors import InconsistentSystem
+    from oligoperm.gset import LineBackend
+
+    class Unconstrained(LineBackend):
+        def fiber_decompositions(self, depth):
+            return []
+
+    with pytest.raises(InconsistentSystem, match="ray, interval"):
+        solve_measures(Unconstrained(), 3)
+
+
 def test_unknown_atom_extension(sym_family):
     # lazy chain extension fills atoms beyond the solved table, and reports
     # UNKNOWN_ATOM when the fiber table runs out
