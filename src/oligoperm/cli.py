@@ -7,7 +7,8 @@ wall-clock timing is printed on the human-readable stream only).
 Exit codes: 0 when every check passes, 1 when a check fails, 2 on usage
 errors.  The environment variable OLIGOPERM_MAX_BOUND (default 10) guards
 runaway enumeration: it caps ``--bound`` and the degree of every atom named in
-an object or map expression.  Input files (matrices, ``--gamma`` tables and
+an object or map expression, and a value that is not an integer is a usage
+error.  Input files (matrices, ``--gamma`` tables and
 measure specs) are checked by ``_read_json`` and ``_read_entries`` before use:
 a document that is not an object, lacks a key, or has an entry that names no
 orbit is a usage error too, and so is a matrix file whose field has another
@@ -101,7 +102,12 @@ def _char(field):
 
 
 def _max_bound():
-    return int(os.environ.get("OLIGOPERM_MAX_BOUND", "10"))
+    text = os.environ.get("OLIGOPERM_MAX_BOUND", "10")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"OLIGOPERM_MAX_BOUND={text!r} is not an "
+                         "integer") from None
 
 
 def _bound(args, default=3, minimum=0):
@@ -516,6 +522,23 @@ def build_parser():
     return parser
 
 
+def _echo(argv):
+    """The command line without its output path, so that where a report is
+    saved never changes its bytes.  Drops every form argparse takes for
+    ``--json``: ``--json P``, ``--json=P`` and the abbreviations ``--js P``,
+    ``--j=P`` and so on (no other option starts with ``--j``)."""
+    echo = []
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, _path = token.partition("=")
+        if len(name) > 2 and "--json".startswith(name):
+            if not eq:
+                next(tokens, None)
+            continue
+        echo.append(token)
+    return echo
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -523,17 +546,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    echo = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token == "--json":
-            skip = True
-            continue
-        echo.append(token)
-    args.echo = echo
+    args.echo = _echo(argv)
     args._measure_desc = ""
     try:
         return args.func(args)

@@ -35,7 +35,9 @@ triple-orbit completions under ``("completions", ...)``, its marginal tables
 (flat position -> sub-product position) under ``("marginal", factors,
 blocks)`` and its pair-label tables (orbit of ``a x b`` -> label of the
 orbit of ``c x d`` it maps into under ``f x g``) under
-``("pair_labels", f, g)``.
+``("pair_labels", f, g)``; only the one-sided tables (``f`` or ``g`` an
+identity) are factored, and a two-sided table is read through its
+``(f, 1)`` and ``(1, g)`` entries.
 """
 
 from __future__ import annotations

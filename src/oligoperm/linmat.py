@@ -25,10 +25,13 @@ A pair-label table (``pair_labels``) records, once per pair of atom maps
 ``f: a -> c`` and ``g: b -> d``, the orbit of ``c x d`` that each orbit of
 ``a x b`` maps into.  ``block_tensor`` reads every orbit's block labels from
 these tables, and the tensor products of a suite repeat the same few shapes,
-so each table is reused across calls.  The tables hold labels only, and the
-label objects of the ``c x d`` decomposition rather than the strings
-``product_factor`` returns: the decomposition is kept in the cache anyway, so
-a table costs one tuple of references.
+so each table is reused across calls.  Only a one-sided table, ``f x 1`` or
+``1 x g``, factors its orbits.  A two-sided one is read through those two,
+since ``f x g = (f x 1) o (1 x g)``: the same ``f`` and the same ``g`` recur
+across many pairs, and ``marginal`` shares the ``g x 1`` tables.  The tables
+hold labels only, and the label objects of the ``c x d`` decomposition rather
+than the strings ``product_factor`` returns: the decomposition is kept in the
+cache anyway, so a table costs one tuple of references.
 """
 
 from __future__ import annotations
@@ -294,17 +297,34 @@ def pair_labels(backend, f, g):
     orbit of ``c x d`` the orbit maps into.  The labels are the objects of
     ``product_decompose(c, d)``, not fresh copies.  Computed once per
     (f, g) and kept in the backend cache under ``("pair_labels", f, g)``.
+
+    A table with an identity side factors each orbit once, composing only on
+    the other side.  Otherwise ``f x g = (f x 1_d) o (1_a x g)``, and an
+    equivariant map sends orbits onto orbits, so the table is read through
+    those two one-sided tables with no composition or factoring of its own.
     """
     key = ("pair_labels", f, g)
     table = backend.cache.get(key)
-    if table is None:
+    if table is not None:
+        return table
+    a, d = f.source, g.target
+    f_is_id = f == backend.identity_map(a)
+    g_is_id = g == backend.identity_map(d)
+    if f_is_id or g_is_id:
+        compose, factor = backend.compose_maps, backend.product_factor
         canonical = {o.label: o.label
-                     for o in backend.product_decompose(f.target, g.target)}
-        table = backend.cache[key] = tuple(
-            canonical[backend.product_factor(
-                backend.compose_maps(f, orbit.proj1),
-                backend.compose_maps(g, orbit.proj2))[0]]
-            for orbit in backend.product_decompose(f.source, g.source))
+                     for o in backend.product_decompose(f.target, d)}
+        table = tuple([
+            canonical[factor(o.proj1 if f_is_id else compose(f, o.proj1),
+                             o.proj2 if g_is_id else compose(g, o.proj2))[0]]
+            for o in backend.product_decompose(a, g.source)])
+    else:
+        right = pair_labels(backend, backend.identity_map(a), g)
+        left = pair_labels(backend, f, backend.identity_map(d))
+        index = {o.label: i
+                 for i, o in enumerate(backend.product_decompose(a, d))}
+        table = tuple(left[index[label]] for label in right)
+    backend.cache[key] = table
     return table
 
 

@@ -226,6 +226,22 @@ def test_bound_guard(tmp_path, monkeypatch):
     assert main(["atoms", "--backend", "sym", "--bound", "5"]) == 2
 
 
+@pytest.mark.parametrize("flag", [["--json", "{}"], ["--json={}"],
+                                  ["--js", "{}"], ["--j={}"]],
+                         ids=["json", "json=", "js", "j="])
+def test_report_leaves_out_its_path(tmp_path, flag):
+    """Where a report is saved, in any form argparse takes, never enters it."""
+    argv = ["atoms", "--backend", "sym", "--bound", "2"]
+    want = tmp_path / "want.json"
+    assert main([*argv, "--json", str(want)]) == 0
+    out = tmp_path / "elsewhere" / "report.json"
+    out.parent.mkdir()
+    assert main([*argv, *(t.format(out) for t in flag)]) == 0
+    assert out.read_bytes() == want.read_bytes()
+    assert json.loads(want.read_text(encoding="utf-8"))["command"] == (
+        " ".join(argv))
+
+
 def assert_usage_error(capsys, argv, expect):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -245,6 +261,12 @@ def test_unknown_backend_prefix_is_usage_error(capsys):
 def test_bad_map_expression_is_usage_error(capsys):
     assert_usage_error(capsys, ["frob", "gamma-of", "--map", "nonsense"],
                        "SRC -> TGT : PATTERN")
+
+
+def test_non_integer_max_bound_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("OLIGOPERM_MAX_BOUND", "abc")
+    assert_usage_error(capsys, ["atoms", "--backend", "sym"],
+                       "OLIGOPERM_MAX_BOUND='abc' is not an integer")
 
 
 def test_bound_below_command_minimum(capsys):

@@ -389,26 +389,70 @@ def test_tensor_space_composes_no_maps(monkeypatch):
     assert ps.positions and not calls
 
 
-@pytest.mark.parametrize("backend", [SYM, LINE, S3], ids=["sym", "line", "S3"])
-def test_pair_labels_matches_product_factor(backend):
-    atoms = backend.atoms_up_to(2)
-    maps = [f for a in atoms for c in atoms for f in backend.hom_atoms(a, c)]
+# a fresh backend (empty cache) and the atom bound of its pair-label tests;
+# 6 takes every atom of S3
+PAIR_LABEL_BACKENDS = {
+    "sym": (lambda: type(SYM)(), 3),
+    "line": (lambda: type(LINE)(), 3),
+    "S3": (lambda: preset_backend("S3"), 6),
+}
+
+
+def hom_maps(backend, bound):
+    atoms = backend.atoms_up_to(bound)
+    return [f for a in atoms for c in atoms for f in backend.hom_atoms(a, c)]
+
+
+@pytest.mark.parametrize("name", list(PAIR_LABEL_BACKENDS))
+def test_pair_labels_matches_product_factor(name):
+    """Every table, two-sided ones read through their one-sided tables,
+    agrees with compose-then-factor when built (cold) and when reread
+    from the cache (warm)."""
+    make, bound = PAIR_LABEL_BACKENDS[name]
+    backend = make()
+    maps = hom_maps(backend, bound)
+    tables = {}
     checked = 0
     for f, g in itertools.product(maps, maps):
-        table = linmat.pair_labels(backend, f, g)
+        table = tables[(f, g)] = linmat.pair_labels(backend, f, g)
         orbits = backend.product_decompose(f.source, g.source)
         assert len(table) == len(orbits)
-        canonical = [o.label for o in
-                     backend.product_decompose(f.target, g.target)]
+        canonical = {id(o.label)
+                     for o in backend.product_decompose(f.target, g.target)}
         for label, o in zip(table, orbits):
             want, _ = backend.product_factor(
                 backend.compose_maps(f, o.proj1),
                 backend.compose_maps(g, o.proj2))
             assert label == want
-            assert any(label is c for c in canonical)
+            assert id(label) in canonical
             checked += 1
+    for (f, g), table in tables.items():
         assert linmat.pair_labels(backend, f, g) is table
     assert checked > len(maps) ** 2
+
+
+@pytest.mark.parametrize("name", list(PAIR_LABEL_BACKENDS))
+def test_two_sided_pair_labels_compose_no_maps(name, monkeypatch):
+    """With its (1 x g) and (f x 1) tables cached, the table of f x g is
+    read through them: no composition and no factoring."""
+    make, bound = PAIR_LABEL_BACKENDS[name]
+    backend = make()
+    maps = [m for m in hom_maps(backend, bound)
+            if m != backend.identity_map(m.source)]
+    f, g = maps[-1], maps[-2]
+    linmat.pair_labels(backend, backend.identity_map(f.source), g)
+    linmat.pair_labels(backend, f, backend.identity_map(g.target))
+    calls = []
+    for method in ("compose_maps", "product_factor"):
+        original = getattr(backend, method)
+
+        def counted(*args, _original=original, _method=method):
+            calls.append(_method)
+            return _original(*args)
+
+        monkeypatch.setattr(backend, method, counted)
+    table = linmat.pair_labels(backend, f, g)
+    assert table and not calls
 
 
 # pushforward surjectivity against the dense rank
