@@ -34,10 +34,8 @@ points by the group element g;
 triple-orbit completions under ``("completions", ...)``, its marginal tables
 (flat position -> sub-product position) under ``("marginal", factors,
 blocks)`` and its pair-label tables (orbit of ``a x b`` -> label of the
-orbit of ``c x d`` it maps into under ``f x g``) under
-``("pair_labels", f, g)``; only the one-sided tables (``f`` or ``g`` an
-identity) are factored, and a two-sided table is read through its
-``(f, 1)`` and ``(1, g)`` entries.
+orbit of ``c x b`` it maps into under ``f x 1``, for ``f: a -> c``) under
+``("pair_labels", f, b)``.
 """
 
 from __future__ import annotations

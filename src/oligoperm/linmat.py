@@ -21,22 +21,20 @@ table (``marginal``) records, once per product space and choice of factors,
 which sub-product position each flat position projects to; it is read off
 the left space's tables.
 
-A pair-label table (``pair_labels``) records, once per pair of atom maps
-``f: a -> c`` and ``g: b -> d``, the orbit of ``c x d`` that each orbit of
-``a x b`` maps into.  ``block_tensor`` reads every orbit's block labels from
-these tables, and the tensor products of a suite repeat the same few shapes,
-so each table is reused across calls.  Only a one-sided table, ``f x 1`` or
-``1 x g``, factors its orbits.  A two-sided one is read through those two,
-since ``f x g = (f x 1) o (1 x g)``: the same ``f`` and the same ``g`` recur
-across many pairs, and ``marginal`` shares the ``g x 1`` tables.  The tables
-hold labels only, and the label objects of the ``c x d`` decomposition rather
-than the strings ``product_factor`` returns: the decomposition is kept in the
-cache anyway, so a table costs one tuple of references.
+A pair-label table (``pair_labels``) records, once per atom map
+``f: a -> c`` and atom ``b``, the orbit of ``c x b`` that each orbit of
+``a x b`` maps into under ``f x 1``.  ``marginal``'s mixed blocks read one
+per left position and last-factor atom; the tables hold the label objects of
+the ``c x b`` decomposition, which the cache keeps anyway, so a table costs
+one tuple of references.
+
+``block_tensor`` walks neither flat space.  It enumerates the nonzero
+output orbits directly from the factor matrices' entries, as orbits of the
+products of the entries' orbit atoms, so its work follows the output.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .coeff import one, zero
@@ -158,7 +156,7 @@ def marginal(space, blocks):
                 backend, [projection(space.left, lp, i) for i in blocks[:-1]],
                 sub.left)
             for rp, ratom in enumerate(space.factors[-1].atoms):
-                labels = pair_labels(backend, g, backend.identity_map(ratom))
+                labels = pair_labels(backend, g, ratom)
                 for orbit, label in zip(
                         backend.product_decompose(lpos.atom, ratom), labels):
                     hits[space.index[(lp, rp, orbit.label)]] = (
@@ -289,41 +287,25 @@ def matmul(measure, b, a):
     return InvariantMatrix(backend, a.source, b.target, out)
 
 
-def pair_labels(backend, f, g):
-    """Where each orbit of ``a x b`` lands under ``f x g``.
+def pair_labels(backend, f, b):
+    """Where each orbit of ``a x b`` lands under ``f x 1_b``.
 
-    For atom maps ``f: a -> c`` and ``g: b -> d``, returns one label per
+    For an atom map ``f: a -> c`` and an atom ``b``, returns one label per
     orbit of ``product_decompose(a, b)``, in that order: the label of the
-    orbit of ``c x d`` the orbit maps into.  The labels are the objects of
-    ``product_decompose(c, d)``, not fresh copies.  Computed once per
-    (f, g) and kept in the backend cache under ``("pair_labels", f, g)``.
-
-    A table with an identity side factors each orbit once, composing only on
-    the other side.  Otherwise ``f x g = (f x 1_d) o (1_a x g)``, and an
-    equivariant map sends orbits onto orbits, so the table is read through
-    those two one-sided tables with no composition or factoring of its own.
+    orbit of ``c x b`` the orbit maps into.  The labels are the objects of
+    ``product_decompose(c, b)``, not fresh copies.  Computed once per
+    (f, b) and kept in the backend cache under ``("pair_labels", f, b)``.
     """
-    key = ("pair_labels", f, g)
+    key = ("pair_labels", f, b)
     table = backend.cache.get(key)
     if table is not None:
         return table
-    a, d = f.source, g.target
-    f_is_id = f == backend.identity_map(a)
-    g_is_id = g == backend.identity_map(d)
-    if f_is_id or g_is_id:
-        compose, factor = backend.compose_maps, backend.product_factor
-        canonical = {o.label: o.label
-                     for o in backend.product_decompose(f.target, d)}
-        table = tuple([
-            canonical[factor(o.proj1 if f_is_id else compose(f, o.proj1),
-                             o.proj2 if g_is_id else compose(g, o.proj2))[0]]
-            for o in backend.product_decompose(a, g.source)])
-    else:
-        right = pair_labels(backend, backend.identity_map(a), g)
-        left = pair_labels(backend, f, backend.identity_map(d))
-        index = {o.label: i
-                 for i, o in enumerate(backend.product_decompose(a, d))}
-        table = tuple(left[index[label]] for label in right)
+    canonical = {o.label: o.label
+                 for o in backend.product_decompose(f.target, b)}
+    table = tuple([
+        canonical[backend.product_factor(
+            backend.compose_maps(f, o.proj1), o.proj2)[0]]
+        for o in backend.product_decompose(f.source, b)])
     backend.cache[key] = table
     return table
 
@@ -332,79 +314,67 @@ def block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
     """Tensor product of morphisms along a block structure.
 
     ``mats[k]`` maps the sub-product of the source factors in src_blocks[k] to
-    the sub-product of the target factors in tgt_blocks[k].  The result is a
-    matrix from the flat source product to the flat target product; its value
-    on an orbit is the product of the factor entries on the orbit's marginals.
+    the sub-product of the target factors in tgt_blocks[k]; the blocks of a
+    side partition its factors.  The result is a matrix from the flat source
+    product to the flat target product; its value on an orbit is the product
+    of the factor entries on the orbit's marginals.
 
-    Positions are grouped by their tuple of block positions (one marginal
-    table per block), and only the group pairs on which every factor matrix
-    has support are visited.  For each visited (w, u) the label of every
-    orbit's marginal in each block is read from that block's ``pair_labels``
-    table; zero products are pruned by InvariantMatrix.
+    The output is enumerated from the entries, never from the flat spaces.
+    The nonzero orbits of ``M (x) N`` are in bijection with the triples
+    ``(e1, e2, o)``: an entry of ``M`` on an orbit ``O1``, an entry of ``N``
+    on an orbit ``O2``, and an orbit ``o`` of ``O1.atom x O2.atom``; with
+    more blocks the product nests from the left.  Each triple carries maps
+    from its atom onto every factor of both sides, composed down one level
+    per block, and is placed by one ``multi_factor`` into each flat space and
+    one ``product_factor`` of the two induced maps.
     """
     backend = src_ps.backend
-    sub_src = [tensor_space(backend, [src_ps.factors[i] for i in blk])
-               for blk in src_blocks]
-    sub_tgt = [tensor_space(backend, [tgt_ps.factors[i] for i in blk])
-               for blk in tgt_blocks]
+    sides = []
+    for ps, blocks in ((tgt_ps, tgt_blocks), (src_ps, src_blocks)):
+        # a triple's legs run in block order; slot[i] is where factor i's sits
+        order = [i for blk in blocks for i in blk]
+        if sorted(order) != list(range(len(ps.factors))):
+            raise ShapeMismatch("blocks do not partition the product's factors")
+        sides.append(([tensor_space(backend, [ps.factors[i] for i in blk])
+                       for blk in blocks],
+                      [order.index(i) for i in range(len(order))]))
+    (sub_tgt, tgt_slot), (sub_src, src_slot) = sides
     for k, mat in enumerate(mats):
         if mat.source != sub_src[k].object or mat.target != sub_tgt[k].object:
             raise ShapeMismatch(f"block {k} does not match its sub-product")
 
-    def groups(ps, blocks):
-        out = {}
-        tables = [marginal(ps, blk) for blk in blocks]
-        for pos, key in enumerate(zip(*tables)):
-            out.setdefault(key, []).append(pos)
+    def along(legs, m):
+        return [(fp, backend.compose_maps(lm, m)) for fp, lm in legs]
+
+    def entries(k):
+        """Block k's entries: (orbit atom, value, legs onto its target
+        factors, legs onto its source factors)."""
+        tsub, ssub = sub_tgt[k], sub_src[k]
+        out = []
+        for (t, s, label), value in mats[k].entries.items():
+            orbit = next(o for o in backend.product_decompose(
+                tsub.object.atoms[t], ssub.object.atoms[s]) if o.label == label)
+            out.append((
+                orbit.atom, value,
+                along([projection(tsub, t, j) for j in range(len(tsub.factors))],
+                      orbit.proj1),
+                along([projection(ssub, s, j) for j in range(len(ssub.factors))],
+                      orbit.proj2)))
         return out
 
-    def block_maps(ps, blocks, subs, p):
-        return [multi_factor(backend, [projection(ps, p, i) for i in blk],
-                             sub)[1]
-                for blk, sub in zip(blocks, subs)]
-
-    src_groups = groups(src_ps, src_blocks)
-    tgt_groups = groups(tgt_ps, tgt_blocks)
-    support = []
-    for mat in mats:
-        by_target = {}
-        for (t, s, _label) in mat.entries:
-            by_target.setdefault(t, set()).add(s)
-        support.append(by_target)
-    src_maps = {}
+    partial = entries(0)
+    for k in range(1, len(mats)):
+        partial = [(o.atom, v1 * v2,
+                    along(t1, o.proj1) + along(t2, o.proj2),
+                    along(s1, o.proj1) + along(s2, o.proj2))
+                   for a2, v2, t2, s2 in entries(k)
+                   for a1, v1, t1, s1 in partial
+                   for o in backend.product_decompose(a1, a2)]
     out = {}
-    for tkey, ws in tgt_groups.items():
-        skeys = [skey for skey in itertools.product(
-                     *(sup.get(t, ()) for sup, t in zip(support, tkey)))
-                 if skey in src_groups]
-        if not skeys:
-            continue
-        for w in ws:
-            watom = tgt_ps.object.atoms[w]
-            tmaps = block_maps(tgt_ps, tgt_blocks, sub_tgt, w)
-            for skey in skeys:
-                for u in src_groups[skey]:
-                    smaps = src_maps.get(u)
-                    if smaps is None:
-                        smaps = src_maps[u] = block_maps(
-                            src_ps, src_blocks, sub_src, u)
-                    blocks = [(mat.entries, tpos, spos,
-                               pair_labels(backend, tmap, smap))
-                              for mat, tpos, spos, tmap, smap
-                              in zip(mats, tkey, skey, tmaps, smaps)]
-                    orbits = backend.product_decompose(
-                        watom, src_ps.object.atoms[u])
-                    for i, orbit in enumerate(orbits):
-                        # the product of the block entries on the orbit's
-                        # marginals, abandoned at the first missing entry
-                        value = None
-                        for entries, tpos, spos, labels in blocks:
-                            entry = entries.get((tpos, spos, labels[i]))
-                            if entry is None:
-                                break
-                            value = entry if value is None else value * entry
-                        else:
-                            out[(w, u, orbit.label)] = value
+    for _atom, value, tlegs, slegs in partial:
+        w, gw = multi_factor(backend, [tlegs[j] for j in tgt_slot], tgt_ps)
+        u, gu = multi_factor(backend, [slegs[j] for j in src_slot], src_ps)
+        out[(w, u, backend.product_factor(gw, gu)[0])] = value
     return InvariantMatrix(backend, src_ps.object, tgt_ps.object, out)
 
 

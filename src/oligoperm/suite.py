@@ -138,9 +138,11 @@ def run_suite(backend, bound):
         "solver-residual-empty", not family.residual,
         {} if not family.residual else {"residual": "; ".join(family.residual)}))
     _absorb(results, check_measure_axioms(measure, bound), "measure-axioms")
+    # the generic measure is regular and normal by the classification
     verdict = classify_measure(measure, small)
+    passed = verdict["regular"] and verdict["normal_within_bound"]
     results.append(CheckResult(
-        "measure-classification", True,
+        "measure-classification", passed, {} if passed else dict(verdict),
         note=f"regular={verdict['regular']} "
              f"normal_within_bound={verdict['normal_within_bound']}"))
 

@@ -187,6 +187,13 @@ SUITE_SHA256 = {
     "S4": "fe901fdc71069a06084e7b8c77373b457f043d624a6033be075803d820961372",
 }
 
+# pre-Galois reports at bound 3, pinned the same way: sym fails with its
+# swap witness, line passes
+PREGALOIS_SHA256 = {
+    "sym": "c34c5020894117da100b05b52370930c5fdadca44e46c78dc5c27735a86e014e",
+    "line": "72b31270ae26119259975df09c6d7f77ec6eea441cf19cf1d045c53f4ace5d41",
+}
+
 
 def test_suite_finite(tmp_path):
     for group in ("S3", "S4"):
@@ -201,6 +208,14 @@ def test_suite_infinite_backends(tmp_path):
         code, doc = run(tmp_path, "suite", "--backend", backend, "--bound", "3")
         assert code == 0, [r for r in doc["results"] if r["status"] == "FAIL"]
         assert report_sha256(tmp_path) == SUITE_SHA256[backend]
+
+
+def test_pregalois_reports_pinned(tmp_path):
+    for backend, want_code in (("sym", 1), ("line", 0)):
+        code, _doc = run(tmp_path, "pregalois", "--backend", backend,
+                         "--bound", "3")
+        assert code == want_code
+        assert report_sha256(tmp_path) == PREGALOIS_SHA256[backend]
 
 
 def test_usage_errors(tmp_path):

@@ -26,6 +26,7 @@ from oligoperm.linmat import (
     transpose,
     wiring_gmap,
 )
+from oligoperm.frob import build_frobenius
 from oligoperm.measure import Measure, classify_measure, solve_measures
 from oligoperm.permcat import hom_basis, tensor
 
@@ -275,8 +276,10 @@ def generic_matrix(backend, source, target, field, keep_every=1):
     return InvariantMatrix(backend, source, target, entries)
 
 
-# (source factors, target factors, source blocks, target blocks) as used by
-# frob and permcat; "1" is the unit object, "x" the object under test
+# (source factors, target factors, source blocks, target blocks): the first
+# six as used by frob and permcat, then three blocks, and blocks that take
+# non-adjacent source factors and feed the target factors out of order; "1"
+# is the unit object, "x" the object under test
 BLOCK_SHAPES = [
     ("1x", "xx", [[0], [1]], [[0], [1]]),
     ("xx", "1x", [[0], [1]], [[0], [1]]),
@@ -284,32 +287,106 @@ BLOCK_SHAPES = [
     ("xxx", "1x", [[0, 1], [2]], [[0], [1]]),
     ("1x", "xxx", [[0], [1]], [[0, 1], [2]]),
     ("xxx", "x1", [[0], [1, 2]], [[0], [1]]),
+    ("xxx", "xxx", [[0], [1], [2]], [[0], [1], [2]]),
+    ("xxx", "xx1", [[0, 2], [1]], [[1, 2], [0]]),
 ]
+
+# the dense reference visits every (w, u) pair; the flat spaces of the
+# shapes without a unit factor stay below this many pairs
+REFERENCE_PAIRS = 1000
+
+
+def block_cases(backend, shape):
+    """The (source space, target space) pairs a shape is checked on."""
+    src_word, tgt_word, _, _ = shape
+    for x in small_objects(backend):
+        factor = {"1": backend.unit_object(), "x": x}
+        src_ps = tensor_space(backend, [factor[c] for c in src_word])
+        tgt_ps = tensor_space(backend, [factor[c] for c in tgt_word])
+        if len(src_ps.positions) * len(tgt_ps.positions) <= REFERENCE_PAIRS:
+            yield src_ps, tgt_ps
+
+
+def block_mats(src_ps, tgt_ps, src_blocks, tgt_blocks, field, keep_every):
+    """A generic matrix per block, each on its own sparsity pattern."""
+    backend = src_ps.backend
+    return [
+        generic_matrix(
+            backend,
+            tensor_space(backend, [src_ps.factors[i] for i in sblk]).object,
+            tensor_space(backend, [tgt_ps.factors[i] for i in tblk]).object,
+            field, keep_every + k)
+        for k, (sblk, tblk) in enumerate(zip(src_blocks, tgt_blocks))]
 
 
 @pytest.mark.parametrize("backend", [SYM, LINE, S3], ids=["sym", "line", "S3"])
 @pytest.mark.parametrize("shape", BLOCK_SHAPES,
                          ids=[f"{s}-{t}" for s, t, _, _ in BLOCK_SHAPES])
 def test_block_tensor_matches_reference(backend, shape):
-    src_word, tgt_word, src_blocks, tgt_blocks = shape
+    _, _, src_blocks, tgt_blocks = shape
     field = RATIONAL
-    for x in small_objects(backend):
-        factor = {"1": backend.unit_object(), "x": x}
-        src_ps = tensor_space(backend, [factor[c] for c in src_word])
-        tgt_ps = tensor_space(backend, [factor[c] for c in tgt_word])
+    cases = 0
+    for src_ps, tgt_ps in block_cases(backend, shape):
+        cases += 1
         for keep_every in (1, 3):
-            mats = [
-                generic_matrix(
-                    backend,
-                    tensor_space(backend, [src_ps.factors[i] for i in sblk]).object,
-                    tensor_space(backend, [tgt_ps.factors[i] for i in tblk]).object,
-                    field, keep_every + k)
-                for k, (sblk, tblk) in enumerate(zip(src_blocks, tgt_blocks))]
+            mats = block_mats(src_ps, tgt_ps, src_blocks, tgt_blocks, field,
+                              keep_every)
             got = block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks)
             want = reference_block_tensor(field, mats, src_ps, tgt_ps,
                                           src_blocks, tgt_blocks)
             assert got == want
             assert got.entries or not want.entries
+    assert cases >= 3
+
+
+@pytest.mark.parametrize("backend", [SYM, LINE, S3], ids=["sym", "line", "S3"])
+@pytest.mark.parametrize("shape", BLOCK_SHAPES,
+                         ids=[f"{s}-{t}" for s, t, _, _ in BLOCK_SHAPES])
+def test_block_tensor_with_an_empty_block_is_zero(backend, shape):
+    _, _, src_blocks, tgt_blocks = shape
+    field = RATIONAL
+    src_ps, tgt_ps = list(block_cases(backend, shape))[1]
+    for k in range(len(src_blocks)):
+        mats = block_mats(src_ps, tgt_ps, src_blocks, tgt_blocks, field, 1)
+        mats[k] = InvariantMatrix(backend, mats[k].source, mats[k].target)
+        got = block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks)
+        assert got.is_zero()
+        assert got == reference_block_tensor(field, mats, src_ps, tgt_ps,
+                                              src_blocks, tgt_blocks)
+
+
+def test_block_tensor_rejects_blocks_that_miss_a_factor():
+    x = omega(1)
+    ps2 = tensor_space(SYM, [x, x])
+    ident = identity_matrix(SYM, x, RATIONAL)
+    for blocks in ([[0], [0]], [[0]]):
+        with pytest.raises(ShapeMismatch):
+            block_tensor([ident] * len(blocks), ps2, ps2, blocks, [[0], [1]])
+
+
+@pytest.mark.parametrize("make", [type(SYM), type(LINE)], ids=["sym", "line"])
+def test_block_tensor_work_follows_the_output(make, monkeypatch):
+    """unit (x) id on a degree-3 atom costs a few compositions and factorings
+    per nonzero output orbit, not a walk of the flat spaces."""
+    backend = make()
+    x = backend.object_of([backend.atom_of_arity(3)])
+    f = build_frobenius(backend, x, RATIONAL)
+    ident = identity_matrix(backend, x, RATIONAL)
+    unit_right = tensor_space(backend, [backend.unit_object(), x])
+    calls = {"compose_maps": 0, "product_factor": 0}
+    for method in calls:
+        original = getattr(backend, method)
+
+        def counted(*args, _original=original, _method=method):
+            calls[_method] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(backend, method, counted)
+    eta_id = block_tensor([f.unit, ident], unit_right, f.ps2,
+                          [[0], [1]], [[0], [1]])
+    assert len(eta_id.entries) >= 30
+    for method, n in calls.items():
+        assert n <= 8 * len(eta_id.entries), method
 
 
 @pytest.mark.parametrize("backend", [SYM, LINE, S3], ids=["sym", "line", "S3"])
@@ -405,54 +482,29 @@ def hom_maps(backend, bound):
 
 @pytest.mark.parametrize("name", list(PAIR_LABEL_BACKENDS))
 def test_pair_labels_matches_product_factor(name):
-    """Every table, two-sided ones read through their one-sided tables,
-    agrees with compose-then-factor when built (cold) and when reread
-    from the cache (warm)."""
+    """Every f x 1 table agrees with compose-then-factor when built (cold)
+    and when reread from the cache (warm)."""
     make, bound = PAIR_LABEL_BACKENDS[name]
     backend = make()
+    atoms = backend.atoms_up_to(bound)
     maps = hom_maps(backend, bound)
     tables = {}
     checked = 0
-    for f, g in itertools.product(maps, maps):
-        table = tables[(f, g)] = linmat.pair_labels(backend, f, g)
-        orbits = backend.product_decompose(f.source, g.source)
+    for f, b in itertools.product(maps, atoms):
+        table = tables[(f, b)] = linmat.pair_labels(backend, f, b)
+        orbits = backend.product_decompose(f.source, b)
         assert len(table) == len(orbits)
         canonical = {id(o.label)
-                     for o in backend.product_decompose(f.target, g.target)}
+                     for o in backend.product_decompose(f.target, b)}
         for label, o in zip(table, orbits):
             want, _ = backend.product_factor(
-                backend.compose_maps(f, o.proj1),
-                backend.compose_maps(g, o.proj2))
+                backend.compose_maps(f, o.proj1), o.proj2)
             assert label == want
             assert id(label) in canonical
             checked += 1
-    for (f, g), table in tables.items():
-        assert linmat.pair_labels(backend, f, g) is table
-    assert checked > len(maps) ** 2
-
-
-@pytest.mark.parametrize("name", list(PAIR_LABEL_BACKENDS))
-def test_two_sided_pair_labels_compose_no_maps(name, monkeypatch):
-    """With its (1 x g) and (f x 1) tables cached, the table of f x g is
-    read through them: no composition and no factoring."""
-    make, bound = PAIR_LABEL_BACKENDS[name]
-    backend = make()
-    maps = [m for m in hom_maps(backend, bound)
-            if m != backend.identity_map(m.source)]
-    f, g = maps[-1], maps[-2]
-    linmat.pair_labels(backend, backend.identity_map(f.source), g)
-    linmat.pair_labels(backend, f, backend.identity_map(g.target))
-    calls = []
-    for method in ("compose_maps", "product_factor"):
-        original = getattr(backend, method)
-
-        def counted(*args, _original=original, _method=method):
-            calls.append(_method)
-            return _original(*args)
-
-        monkeypatch.setattr(backend, method, counted)
-    table = linmat.pair_labels(backend, f, g)
-    assert table and not calls
+    for (f, b), table in tables.items():
+        assert linmat.pair_labels(backend, f, b) is table
+    assert checked > len(maps) * len(atoms)
 
 
 # pushforward surjectivity against the dense rank
