@@ -28,14 +28,13 @@ from dataclasses import dataclass
 
 from .coeff import one, zero
 from .errors import NotSurjective
-from .gset.base import GMap
+from .gset.base import GMap, triple_orbits, triple_table
 from .linmat import (
     InvariantMatrix,
     SchwartzFn,
     block_tensor,
     column_to_fn,
     identity_matrix,
-    marginal,
     matmul,
     multi_factor,
     product_gmap,
@@ -235,14 +234,15 @@ def e_idempotent_check(backend, x, gamma, measure):
     are zero; if exactly two are nonzero, one product is nonzero and the
     other two are zero; if all three are nonzero, ac = ab and ab = bc cancel
     to c = b and a = c.  So the check multiplies nothing: it gives each
-    distinct nonzero value of gamma an id, collects the distinct id triples
-    over the three marginal tables, and tests each.  On a failure it scans
-    again for the first bad position and reports its atom, its three pair
-    orbits and gamma's three values there.
+    distinct nonzero value of gamma an id and tests the distinct id triples
+    on the orbits of X x X x X.  It never builds X x X x X: per atom triple
+    of X it reads ``triple_table`` (which 13 orbits occur with each pair of
+    12 and 23 orbits).  On a failure it reports the first bad position in
+    ``tensor_space([X, X, X])`` order: its atom, its three pair orbits and
+    gamma's three values there.
     """
     field = measure.field
     ps2 = tensor_space(backend, [x, x])
-    ps3 = tensor_space(backend, [x, x, x])
     if gamma.carrier != ps2.object:
         raise ValueError("gamma must live on the square of its object")
     results = []
@@ -269,24 +269,53 @@ def e_idempotent_check(backend, x, gamma, measure):
     for pos, value in gamma.coeffs.items():
         if not value.is_zero():
             ids[pos] = value_ids.setdefault(value, len(value_ids) + 1)
-    tables = [marginal(ps3, pair) for pair in ((0, 1), (0, 2), (1, 2))]
-    id_triples = set(zip(*(map(ids.__getitem__, table) for table in tables)))
-    triple = all(_coherent(*t) for t in id_triples)
+    atoms = x.atoms
+    # per atom pair (i, j) of X, the ps2 position of each orbit of the pair
+    where = {(i, j): [ps2.index[(i, j, o.label)]
+                      for o in backend.product_decompose(atoms[i], atoms[j])]
+             for i in range(len(atoms)) for j in range(len(atoms))}
+    bad = []
+    for (i, j), at_ij in where.items():
+        for k in range(len(atoms)):
+            ids_23 = [ids[h] for h in where[j, k]]
+            id_masks = {}
+            for i_13, h in enumerate(where[i, k]):
+                id_masks[ids[h]] = id_masks.get(ids[h], 0) | 1 << i_13
+            found = set()
+            for (i_12, i_23), mask in triple_table(
+                    backend, atoms[i], atoms[j], atoms[k]).items():
+                a, c = ids[at_ij[i_12]], ids_23[i_23]
+                if a or c:  # with g12 = g23 = 0 every position is coherent
+                    found.update((a, b, c) for b, m in id_masks.items()
+                                 if mask & m)
+            if not all(_coherent(*t) for t in found):
+                bad.append((i, j, k))
     witness = {}
-    if not triple:
-        witness = _coherence_witness(ps2, ps3, gamma, ids, tables, field)
-    results.append(CheckResult("triple-coherence", triple, witness))
+    if bad:
+        witness = _coherence_witness(backend, ps2, gamma, ids, where, bad,
+                                     field)
+    results.append(CheckResult("triple-coherence", not bad, witness))
 
     return Report("equivalence idempotent checks", results)
 
 
-def _coherence_witness(ps2, ps3, gamma, ids, tables, field):
+def _coherence_witness(backend, ps2, gamma, ids, where, bad, field):
     """The first triple-space position where triple coherence fails: its
-    atom, and per factor pair the pair orbit it projects to and gamma there."""
-    p, hits = next((p, hits) for p, hits in enumerate(zip(*tables))
-                   if not _coherent(*(ids[h] for h in hits)))
-    witness = {"atom": ps3.positions[p].atom.render()}
-    for pair, h in zip(("12", "13", "23"), hits):
+    atom, and per factor pair the pair orbit it projects to and gamma there.
+    A position of ``tensor_space([X, X, X])`` sorts by its atom, then its row
+    (12 position, third factor, label), so the minimum of that key over the
+    failing orbits of the failing atom triples is the first one."""
+    atoms = ps2.factors[0].atoms
+    atom, h12, _k, _label, h13, h23 = min(
+        (orbit.atom, h12, k, orbit.label, h13, h23)
+        for i, j, k in bad
+        for i_12, i_23, i_13, orbit in triple_orbits(
+            backend, atoms[i], atoms[j], atoms[k])
+        for h12, h13, h23 in [(where[i, j][i_12], where[i, k][i_13],
+                               where[j, k][i_23])]
+        if not _coherent(ids[h12], ids[h13], ids[h23]))
+    witness = {"atom": atom.render()}
+    for pair, h in zip(("12", "13", "23"), (h12, h13, h23)):
         witness[f"orbit-{pair}"] = ps2.positions[h].meta[2]
         witness[f"gamma-{pair}"] = gamma.coeffs.get(h, zero(field)).render()
     return witness
@@ -363,16 +392,16 @@ def check_sum_tensor_traces(backend, xa, xb, measure):
     sum2 = tensor_space(backend, [obj, obj])
     inc_aa = product_gmap(backend, inc_a, inc_a, ps_aa, sum2)
     inc_ab = product_gmap(backend, inc_a, inc_b, ps_ab, sum2)
+    pairing_a = trace_pairing(fa, measure)
     results.append(CheckResult(
         "sum-pairing-diagonal-block",
-        pullback_fn(inc_aa, beta_sum)
-        == row_to_fn(trace_pairing(fa, measure))))
+        pullback_fn(inc_aa, beta_sum) == row_to_fn(pairing_a)))
     results.append(CheckResult(
         "sum-pairing-cross-block",
         not pullback_fn(inc_ab, beta_sum).coeffs))
 
-    # tensor product: the pairing of the product object is the product of the
-    # pairings, compared on the flattened four-fold product
+    # tensor product: the pairing of the product object is the tensor product
+    # of the pairings, compared on the flattened four-fold product
     prod = tensor_space(backend, [xa, xb])
     fprod = build_frobenius(backend, prod.object, field)
     flat4 = tensor_space(backend, [xa, xb, xa, xb])
@@ -380,14 +409,9 @@ def check_sum_tensor_traces(backend, xa, xb, measure):
     unflatten = _unflatten_gmap(backend, flat4, square, prod)
     lhs = pullback_fn(unflatten, row_to_fn(trace_pairing(fprod, measure)))
 
-    beta_a = row_to_fn(trace_pairing(fa, measure))
-    beta_b = row_to_fn(trace_pairing(fb, measure))
-    coeffs = {}
-    pairs = zip(marginal(flat4, (0, 2)), marginal(flat4, (1, 3)))
-    for idx, (pa, pb) in enumerate(pairs):
-        if pa in beta_a.coeffs and pb in beta_b.coeffs:
-            coeffs[idx] = beta_a.coeffs[pa] * beta_b.coeffs[pb]
-    rhs = SchwartzFn(flat4.object, coeffs).prune()
+    unit_sq = tensor_space(backend, [backend.unit_object()] * 2)
+    rhs = row_to_fn(block_tensor([pairing_a, trace_pairing(fb, measure)],
+                                 flat4, unit_sq, [[0, 2], [1, 3]], [[0], [1]]))
     results.append(CheckResult("tensor-pairing-factorizes", lhs == rhs))
 
     return Report("sum and tensor trace assembly", results)

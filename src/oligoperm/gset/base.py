@@ -30,12 +30,15 @@ g.data)`` to what ``product_factor(f, g)`` returns; the finite backend's
 ``("hom", a, b)`` holds the tuple of maps ``a -> b``, its ``("pairs", a,
 b)`` its point-pair index and its ``("act", a, g)`` the permutation of a's
 points by the group element g;
-``linmat`` keeps its product spaces under ``("space", factors)``, its
-triple-orbit completions under ``("completions", ...)``, its marginal tables
-(flat position -> sub-product position) under ``("marginal", factors,
-blocks)`` and its pair-label tables (orbit of ``a x b`` -> label of the
-orbit of ``c x b`` it maps into under ``f x 1``, for ``f: a -> c``) under
-``("pair_labels", f, b)``.
+``triple_table`` keeps its table for atoms ``a, b, c`` under ``("triples",
+a, b, c)``; ``linmat`` keeps its product spaces under ``("space", factors)``
+and its triple-orbit completions under ``("completions", ...)``.
+
+``triple_orbits(backend, a, b, c)`` is the one walk of the orbits of
+``a x b x c`` by their three pair orbits, and ``triple_table`` records which
+``(ab, bc, ac)`` index triples it meets.  The pre-Galois closure reads the
+table as the composition table of the orbits of ``X x X``, and triple
+coherence as the pair-orbit triples of ``X x X x X``.
 """
 
 from __future__ import annotations
@@ -377,3 +380,34 @@ def fiber_product(backend, f, g):
 
 def kernel_pair(backend, f):
     return fiber_product(backend, f, f)
+
+
+def triple_orbits(backend, a, b, c):
+    """Each orbit of ``(a x b) x c`` as ``(i_ab, i_bc, i_ac, orbit)``: the
+    indices, in ``product_decompose`` order, of the orbits of ``a x b``,
+    ``b x c`` and ``a x c`` it projects to, and the orbit itself, one of
+    ``product_decompose(omega.atom, c)`` for the orbit ``omega`` number
+    ``i_ab`` of ``a x b``."""
+    index_bc = {o.label: k for k, o in enumerate(backend.product_decompose(b, c))}
+    index_ac = {o.label: k for k, o in enumerate(backend.product_decompose(a, c))}
+    for i_ab, omega in enumerate(backend.product_decompose(a, b)):
+        for orbit in backend.product_decompose(omega.atom, c):
+            to_a = backend.compose_maps(omega.proj1, orbit.proj1)
+            to_b = backend.compose_maps(omega.proj2, orbit.proj1)
+            l_bc, _ = backend.product_factor(to_b, orbit.proj2)
+            l_ac, _ = backend.product_factor(to_a, orbit.proj2)
+            yield i_ab, index_bc[l_bc], index_ac[l_ac], orbit
+
+
+def triple_table(backend, a, b, c):
+    """``(i_ab, i_bc) -> bit mask of the i_ac`` over the orbits of
+    ``a x b x c``, kept in the backend cache under ``("triples", a, b, c)``."""
+    key = ("triples", a, b, c)
+    table = backend.cache.get(key)
+    if table is None:
+        table = {}
+        for i_ab, i_bc, i_ac, _orbit in triple_orbits(backend, a, b, c):
+            pair = (i_ab, i_bc)
+            table[pair] = table.get(pair, 0) | 1 << i_ac
+        backend.cache[key] = table
+    return table

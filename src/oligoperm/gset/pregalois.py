@@ -18,7 +18,7 @@ maps and reports the relation as a witness when none matches.
 from __future__ import annotations
 
 from ..report import CheckResult, Report
-from .base import atom_gmap, fiber_product, kernel_pair
+from .base import atom_gmap, fiber_product, kernel_pair, triple_table
 
 
 def check_coproducts(backend, atoms):
@@ -162,23 +162,6 @@ def check_final_object(backend, atoms):
 # Equivalence relations
 
 
-def _triple_table(backend, x, index):
-    """The composition table of the orbits of X x X, read off the orbits of
-    X^3: (index of label12, index of label23) -> bit mask of the label13
-    indices of the orbits with those marginals."""
-    table = {}
-    for omega in backend.product_decompose(x, x):
-        i12 = index[omega.label]
-        for orbit in backend.product_decompose(omega.atom, x):
-            to_first = backend.compose_maps(omega.proj1, orbit.proj1)
-            to_second = backend.compose_maps(omega.proj2, orbit.proj1)
-            l23, _ = backend.product_factor(to_second, orbit.proj2)
-            l13, _ = backend.product_factor(to_first, orbit.proj2)
-            key = (i12, index[l23])
-            table[key] = table.get(key, 0) | 1 << index[l13]
-    return table
-
-
 def _bits(mask):
     """The indices of the set bits of mask, lowest first."""
     while mask:
@@ -218,7 +201,7 @@ def internal_equivalence_relations(backend, x):
     ident = backend.identity_map(x)
     diag, _ = backend.product_factor(ident, ident)
     swap = [index[backend.swap_orbit(x, x, label)[0]] for label in labels]
-    table = _triple_table(backend, x, index)
+    table = triple_table(backend, x, x, x)
     least = _closure(0, 1 << index[diag], swap, table)
     principal = {_closure(least, 1 << k, swap, table)
                  for k in range(len(labels))}

@@ -16,21 +16,15 @@ position's map onto any factor by walking the left chain, for the few
 positions a caller visits.  Product spaces make the wiring maps (diagonals,
 coordinate permutations and collapses) and blocked tensor products of
 morphisms computable without any associator bookkeeping: every composite in
-the category layer is expressed against one flat product space.  A marginal
-table (``marginal``) records, once per product space and choice of factors,
-which sub-product position each flat position projects to; it is read off
-the left space's tables.
-
-A pair-label table (``pair_labels``) records, once per atom map
-``f: a -> c`` and atom ``b``, the orbit of ``c x b`` that each orbit of
-``a x b`` maps into under ``f x 1``.  ``marginal``'s mixed blocks read one
-per left position and last-factor atom; the tables hold the label objects of
-the ``c x b`` decomposition, which the cache keeps anyway, so a table costs
-one tuple of references.
+the category layer is expressed against one flat product space.
 
 ``block_tensor`` walks neither flat space.  It enumerates the nonzero
 output orbits directly from the factor matrices' entries, as orbits of the
-products of the entries' orbit atoms, so its work follows the output.
+products of the entries' orbit atoms, so its work follows the output.  A
+product of functions on sub-products, such as the pairing of a tensor
+product read on ``X x Y x X x Y``, is a ``block_tensor`` of rows, so no
+table of where each flat position lands is kept.  Which triples of pair
+orbits occur on ``X x X x X`` is ``gset.base.triple_table``.
 """
 
 from __future__ import annotations
@@ -115,55 +109,6 @@ def multi_factor(backend, maps, space):
     rp, rmap = maps[-1]
     label, g = backend.product_factor(lmap, rmap)
     return space.index[(lpos, rp, label)], g
-
-
-def marginal(space, blocks):
-    """Where each position of ``space`` lands in a sub-product.
-
-    ``blocks`` is a strictly increasing tuple of factor indices.  Returns one
-    entry per position of ``space``: the index of the position of
-    ``tensor_space(factors[i] for i in blocks)`` hit by the position's
-    marginal on those factors.  Computed once per (factors, blocks) and kept
-    in the backend cache under ``("marginal", factors, blocks)``.
-
-    Every table is read off the left space: blocks inside it are its own
-    table at the row's left position, and the last factor is the row's right
-    position.  A block that mixes the last factor with earlier ones factors
-    each left position once onto the earlier ones; each orbit above it is
-    then one pair-label read.
-    """
-    backend = space.backend
-    blocks = tuple(blocks)
-    if any(a >= b for a, b in zip(blocks, blocks[1:])):
-        raise ValueError(f"marginal blocks {blocks} are not increasing")
-    key = ("marginal", space.factors, blocks)
-    table = backend.cache.get(key)
-    if table is not None:
-        return table
-    last = len(space.factors) - 1
-    if blocks == tuple(range(last + 1)):
-        table = tuple(range(len(space.positions)))
-    elif blocks == (last,):
-        table = tuple(pos.meta[1] for pos in space.positions)
-    elif blocks[-1] < last:
-        inner = marginal(space.left, blocks)
-        table = tuple(inner[pos.meta[0]] for pos in space.positions)
-    else:
-        sub = tensor_space(backend, [space.factors[i] for i in blocks])
-        hits = [None] * len(space.positions)
-        for lp, lpos in enumerate(space.left.positions):
-            s, g = multi_factor(
-                backend, [projection(space.left, lp, i) for i in blocks[:-1]],
-                sub.left)
-            for rp, ratom in enumerate(space.factors[-1].atoms):
-                labels = pair_labels(backend, g, ratom)
-                for orbit, label in zip(
-                        backend.product_decompose(lpos.atom, ratom), labels):
-                    hits[space.index[(lp, rp, orbit.label)]] = (
-                        sub.index[(s, rp, label)])
-        table = tuple(hits)
-    backend.cache[key] = table
-    return table
 
 
 class InvariantMatrix:
@@ -285,29 +230,6 @@ def matmul(measure, b, a):
                 key = (iz, ix, label_zx)
                 out[key] = out[key] + term if key in out else term
     return InvariantMatrix(backend, a.source, b.target, out)
-
-
-def pair_labels(backend, f, b):
-    """Where each orbit of ``a x b`` lands under ``f x 1_b``.
-
-    For an atom map ``f: a -> c`` and an atom ``b``, returns one label per
-    orbit of ``product_decompose(a, b)``, in that order: the label of the
-    orbit of ``c x b`` the orbit maps into.  The labels are the objects of
-    ``product_decompose(c, b)``, not fresh copies.  Computed once per
-    (f, b) and kept in the backend cache under ``("pair_labels", f, b)``.
-    """
-    key = ("pair_labels", f, b)
-    table = backend.cache.get(key)
-    if table is not None:
-        return table
-    canonical = {o.label: o.label
-                 for o in backend.product_decompose(f.target, b)}
-    table = tuple([
-        canonical[backend.product_factor(
-            backend.compose_maps(f, o.proj1), o.proj2)[0]]
-        for o in backend.product_decompose(f.source, b)])
-    backend.cache[key] = table
-    return table
 
 
 def block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks):

@@ -23,9 +23,9 @@ of 112,896 pairs.  The counts use only the generators' action on model
 points and never ``product_decompose``, ``product_factor`` or ``linmat``, so
 they stay independent of the orbit enumeration they check; the reduction is
 a fact about the group action, not about how the backend enumerates orbits.
-The matrix checks use ``pair_label``, ``tensor_space`` and ``projection``
-only to address entries of the matrices under test and compute the products
-they compare against literally.
+The matrix checks use orbit projections, ``pair_label``, ``tensor_space``
+and ``projection`` only to address entries of the matrices under test and
+compute the products they compare against literally.
 
 Both are used by the acceptance suite; nothing here feeds back into the
 abstract computations.
@@ -53,7 +53,9 @@ def finite_points(obj):
 def expand_finite_matrix(backend, matrix, field):
     """The literal matrix: rows are the target's points and columns the
     source's, both in ``finite_points`` order.  It is filled one (target
-    atom, source atom) block at a time; a block with no entries is zero."""
+    atom, source atom) block at a time; a block with no entries is zero, and
+    a nonzero block writes each orbit's value at the point pairs its two
+    projections list."""
     z = zero(field)
     blocks = {}
     for (tp, sp, label), value in matrix.entries.items():
@@ -63,12 +65,15 @@ def expand_finite_matrix(backend, matrix, field):
         rows = [[] for _ in range(ta.degree)]
         for sp, sa in enumerate(matrix.source.atoms):
             block = blocks.get((tp, sp))
-            for ti, row in enumerate(rows):
-                if block is None:
-                    row.extend([z] * sa.degree)
-                else:
-                    row.extend(block.get(backend.pair_label(ta, sa, ti, si), z)
-                               for si in range(sa.degree))
+            cells = [[z] * sa.degree for _ in rows]
+            if block is not None:
+                for orbit in backend.product_decompose(ta, sa):
+                    value = block.get(orbit.label)
+                    if value is not None:
+                        for ti, si in zip(orbit.proj1.data, orbit.proj2.data):
+                            cells[ti][si] = value
+            for row, cell_row in zip(rows, cells):
+                row.extend(cell_row)
         grid.extend(rows)
     return grid
 

@@ -19,14 +19,19 @@ from oligoperm.frob import (
     verify_frobenius,
 )
 from oligoperm.gset import LINE, SYM, GMap, preset_backend
+from oligoperm import frob
 from oligoperm.linmat import (
+    InvariantMatrix,
     SchwartzFn,
     constant_fn,
-    marginal,
     matmul,
+    multi_factor,
     projection,
+    pullback_fn,
+    row_to_fn,
     scalar_entry,
     tensor_space,
+    wiring_gmap,
 )
 from oligoperm.measure import solve_measures
 
@@ -257,26 +262,35 @@ def test_two_equal_of_three_nonzero_fails_triple_coherence(mu_t):
         result = e_idempotent_check(SYM, x, gamma, mu_t).result(
             "triple-coherence")
         assert not result.passed
-        assert not reference_triple_coherence(SYM, x, gamma)
+        assert result.witness == reference_triple_coherence(
+            SYM, x, gamma, mu_t.field)
         assert sorted(result.witness[f"gamma-{p}"] for p in ("12", "13", "23")
                       ) in (["1", "1", "t"], ["1", "t", "t"])
 
 
-def reference_triple_coherence(backend, x, gamma):
+def reference_triple_coherence(backend, x, gamma, field):
     """Triple coherence by its definition: gamma lifted to X x X x X along
-    the three pair projections, then the three pointwise products compared."""
+    the three pair projections, then the three pointwise products compared.
+    Returns {} when they agree, and otherwise the check's witness at the
+    first position of X x X x X where they differ."""
+    ps2 = tensor_space(backend, [x, x])
     ps3 = tensor_space(backend, [x, x, x])
-    lifts = []
-    for pair in [(0, 1), (0, 2), (1, 2)]:
-        coeffs = {}
-        for pos_idx, pair_pos in enumerate(marginal(ps3, pair)):
-            value = gamma.coeffs.get(pair_pos)
-            if value is not None and not value.is_zero():
-                coeffs[pos_idx] = value
-        lifts.append(SchwartzFn(ps3.object, coeffs))
-    p12, p13, p23 = lifts
-    return (p12.pointwise_mul(p23) == p12.pointwise_mul(p13)
-            == p13.pointwise_mul(p23))
+    wirings = [wiring_gmap(ps3, ps2, pair) for pair in ((0, 1), (0, 2), (1, 2))]
+    p12, p13, p23 = (pullback_fn(w, gamma) for w in wirings)
+    products = (p12.pointwise_mul(p23), p12.pointwise_mul(p13),
+                p13.pointwise_mul(p23))
+    if products[0] == products[1] == products[2]:
+        return {}
+    z = zero(field)
+    p = next(p for p in range(len(ps3.positions))
+             if not (products[0].coeffs.get(p, z) == products[1].coeffs.get(p, z)
+                     == products[2].coeffs.get(p, z)))
+    witness = {"atom": ps3.positions[p].atom.render()}
+    for pair, w in zip(("12", "13", "23"), wirings):
+        h = w.legs[p][0]
+        witness[f"orbit-{pair}"] = ps2.positions[h].meta[2]
+        witness[f"gamma-{pair}"] = gamma.coeffs.get(h, z).render()
+    return witness
 
 
 def _int(n):
@@ -336,9 +350,12 @@ def test_triple_coherence_matches_reference(eidem_cases, case, data):
             lambda v: st.sampled_from(VALUE_ROUTES[v]))), label="gamma")
     gamma = SchwartzFn(ps2.object, {i: route(field)
                                     for i, route in drawn.items()})
-    report = e_idempotent_check(backend, x, gamma, measure)
-    assert (report.result("triple-coherence").passed
-            == reference_triple_coherence(backend, x, gamma))
+    result = e_idempotent_check(backend, x, gamma, measure).result(
+        "triple-coherence")
+    # on a FAIL the witness is the first bad position of X x X x X
+    expected = reference_triple_coherence(backend, x, gamma, field)
+    assert result.passed == (not expected)
+    assert result.witness == expected
 
 
 def test_gamma_of_projection_round_trips(mu_t, mu_line):
@@ -415,3 +432,59 @@ def test_sum_tensor_traces(mu_t, mu_line):
     assert report.passed, [r.name for r in report.failures()]
     report = check_sum_tensor_traces(SYM, SYM.unit_object(), sym_obj(2), mu_t)
     assert report.passed, [r.name for r in report.failures()]
+
+
+def reference_pairing_product(backend, xa, xb, measure):
+    """beta_a(a, a') beta_b(b, b') on each position (a, b, a', b') of
+    X_a x X_b x X_a x X_b, from its projections one position at a time."""
+    flat4 = tensor_space(backend, [xa, xb, xa, xb])
+    betas = [(row_to_fn(trace_pairing(build_frobenius(backend, x, measure.field),
+                                      measure)), tensor_space(backend, [x, x]))
+             for x in (xa, xb)]
+    coeffs = {}
+    for p in range(len(flat4.positions)):
+        maps = [projection(flat4, p, i) for i in range(4)]
+        values = [beta.coeffs.get(multi_factor(backend, [maps[u], maps[v]],
+                                               ps)[0])
+                  for (beta, ps), (u, v) in zip(betas, ((0, 2), (1, 3)))]
+        if None not in values:
+            coeffs[p] = values[0] * values[1]
+    return SchwartzFn(flat4.object, coeffs).prune()
+
+
+@pytest.mark.parametrize("name, na, nb", [("sym", 1, 1), ("line", 1, 2),
+                                          ("sym", 0, 2)])
+def test_tensor_pairing_rhs_matches_reference(monkeypatch, mu_t, mu_line,
+                                              name, na, nb):
+    """The block_tensor side of tensor-pairing-factorizes is the product of
+    the two pairings position by position, and dropping any one of its
+    entries turns the check to FAIL."""
+    backend, measure, obj = {"sym": (SYM, mu_t, sym_obj),
+                             "line": (LINE, mu_line, line_obj)}[name]
+    xa, xb = obj(na), obj(nb)
+    real = frob.block_tensor
+    seen = []
+
+    def record(mats, src_ps, *rest):
+        out = real(mats, src_ps, *rest)
+        if len(src_ps.factors) == 4:
+            seen.append(out)
+        return out
+
+    monkeypatch.setattr(frob, "block_tensor", record)
+    assert check_sum_tensor_traces(backend, xa, xb, measure).passed
+    (rhs,) = seen
+    assert row_to_fn(rhs) == reference_pairing_product(backend, xa, xb,
+                                                       measure)
+    assert rhs.entries
+    for key in rhs.entries:
+        def drop_one(*args, key=key):
+            out = real(*args)
+            entries = {k: v for k, v in out.entries.items() if k != key}
+            return InvariantMatrix(out.backend, out.source, out.target,
+                                   entries)
+
+        monkeypatch.setattr(frob, "block_tensor", drop_one)
+        result = check_sum_tensor_traces(backend, xa, xb, measure).result(
+            "tensor-pairing-factorizes")
+        assert not result.passed, key

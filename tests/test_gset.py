@@ -17,7 +17,8 @@ from oligoperm.gset import (
     preset_backend,
 )
 from oligoperm.gset.finite import MAX_GROUP_ORDER, mulclose, parse_cycles
-from oligoperm.linmat import marginal, tensor_space
+from oligoperm.gset.base import triple_orbits, triple_table
+from oligoperm.linmat import multi_factor, projection, tensor_space
 
 
 def delannoy(m, n):
@@ -176,6 +177,56 @@ def test_group_order_ceiling():
         mulclose(*parse_cycles("(1 2); (1 2 3 4 5)"))
 
 
+# a fresh backend (empty cache) and the atom bound of its triple-table test;
+# 6 takes every atom of S3
+TRIPLE_BACKENDS = {
+    "sym": (SymBackend, 3),
+    "line": (LineBackend, 3),
+    "S3": (lambda: preset_backend("S3"), 6),
+}
+
+
+def brute_triple_table(backend, a, b, c):
+    """(i_ab, i_bc) -> mask of i_ac, read position by position off
+    tensor_space([a, b, c]) through projection and multi_factor, and the
+    number of positions."""
+    objs = [backend.object_of([atom]) for atom in (a, b, c)]
+    ps = tensor_space(backend, objs)
+    pairs = []
+    for u, v in ((0, 1), (1, 2), (0, 2)):
+        order = {o.label: k for k, o in enumerate(backend.product_decompose(
+            objs[u].atoms[0], objs[v].atoms[0]))}
+        pairs.append((u, v, tensor_space(backend, [objs[u], objs[v]]), order))
+    table = {}
+    for p in range(len(ps.positions)):
+        maps = [projection(ps, p, i) for i in range(3)]
+        i_ab, i_bc, i_ac = (
+            order[sub.positions[multi_factor(
+                backend, [maps[u], maps[v]], sub)[0]].meta[2]]
+            for u, v, sub, order in pairs)
+        table[i_ab, i_bc] = table.get((i_ab, i_bc), 0) | 1 << i_ac
+    return table, len(ps.positions)
+
+
+@pytest.mark.parametrize("name", list(TRIPLE_BACKENDS))
+def test_triple_table_matches_brute_force(name):
+    """Every atom triple, equal atoms or not: the table built cold equals
+    the brute-force read, the walk meets each orbit of a x b x c once, and a
+    reread returns the cached table itself."""
+    make, bound = TRIPLE_BACKENDS[name]
+    backend = make()
+    atoms = backend.atoms_up_to(bound)
+    tables = {}
+    for a, b, c in itertools.product(atoms, repeat=3):
+        want, size = brute_triple_table(backend, a, b, c)
+        table = tables[a, b, c] = triple_table(backend, a, b, c)
+        assert table == want, (a, b, c)
+        assert sum(1 for _ in triple_orbits(backend, a, b, c)) == size
+    for (a, b, c), table in tables.items():
+        assert triple_table(backend, a, b, c) is table
+    assert len({len(t) for t in tables.values()}) > 1
+
+
 @pytest.mark.parametrize("make, tags", [
     (SymBackend, {"atom", "factor"}),
     (LineBackend, {"atom", "factor"}),
@@ -183,22 +234,21 @@ def test_group_order_ceiling():
 ], ids=["SymBackend", "LineBackend", "S3"])
 def test_product_cache_dies_with_backend(make, tags):
     # the memo of product structure belongs to the instance, not the class,
-    # and so do the interned atoms, the factor table, the finite hom sets and
-    # the product spaces, marginal tables and pair-label tables linmat keeps
-    # in it
+    # and so do the interned atoms, the factor table, the finite hom sets,
+    # the triple tables and the product spaces linmat keeps in it
     def fill(backend):
         a = backend.atoms_up_to(2)[-1]
         assert backend.product_decompose(a, a)
         homs = backend.hom_atoms(a, backend.unit_atom())
         x = backend.object_of([a])
-        # a mixed-block marginal reads g x 1 pair-label tables
-        assert marginal(tensor_space(backend, [x, x, x]), (0, 2))
+        assert tensor_space(backend, [x, x, x]).positions
+        assert triple_table(backend, a, a, a)
         return a, homs
 
     backend = make()
     a, homs = fill(backend)
     present = {key[0] for key in backend.cache}
-    assert tags | {"product", "marginal", "pair_labels"} <= present
+    assert tags | {"product", "space", "triples"} <= present
     if "factor" in tags:
         assert backend.cache[("factor",)]
         assert backend.atoms_up_to(2)[-1] is a

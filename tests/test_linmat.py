@@ -15,7 +15,6 @@ from oligoperm.linmat import (
     column_matrix,
     constant_fn,
     identity_matrix,
-    marginal,
     matmul,
     multi_factor,
     projection,
@@ -426,7 +425,8 @@ def reference_projections(ps):
 
 @pytest.mark.parametrize("backend", [SYM, LINE, S3], ids=["sym", "line", "S3"])
 def test_marginal_matches_multi_factor(backend):
-    """Every strictly increasing block choice of 3- and 4-fold products."""
+    """Each position's projection onto every factor of 3- and 4-fold
+    products matches the maps composed down its rows."""
     objects = small_objects(backend)
     # a 4-fold power only where the cube is small: line's inc[2]^4 has
     # 23,917 positions
@@ -436,18 +436,8 @@ def test_marginal_matches_multi_factor(backend):
                 + [[objects[1], objects[-1], objects[1], objects[-1]]])
     for factors in products:
         ps = tensor_space(backend, factors)
-        reference = reference_projections(ps)
-        for p, maps in enumerate(reference):
+        for p, maps in enumerate(reference_projections(ps)):
             assert [projection(ps, p, i) for i in range(len(factors))] == list(maps)
-        for size in range(1, len(factors) + 1):
-            for blocks in itertools.combinations(range(len(factors)), size):
-                sub = tensor_space(backend, [factors[i] for i in blocks])
-                table = marginal(ps, blocks)
-                assert table == tuple(
-                    multi_factor(backend, [maps[i] for i in blocks], sub)[0]
-                    for maps in reference)
-    with pytest.raises(ValueError):
-        marginal(ps, (1, 0))
 
 
 def test_tensor_space_composes_no_maps(monkeypatch):
@@ -464,47 +454,6 @@ def test_tensor_space_composes_no_maps(monkeypatch):
     x = backend.object_of([backend.atom_of_arity(2)])
     ps = tensor_space(backend, [x, x, x])
     assert ps.positions and not calls
-
-
-# a fresh backend (empty cache) and the atom bound of its pair-label tests;
-# 6 takes every atom of S3
-PAIR_LABEL_BACKENDS = {
-    "sym": (lambda: type(SYM)(), 3),
-    "line": (lambda: type(LINE)(), 3),
-    "S3": (lambda: preset_backend("S3"), 6),
-}
-
-
-def hom_maps(backend, bound):
-    atoms = backend.atoms_up_to(bound)
-    return [f for a in atoms for c in atoms for f in backend.hom_atoms(a, c)]
-
-
-@pytest.mark.parametrize("name", list(PAIR_LABEL_BACKENDS))
-def test_pair_labels_matches_product_factor(name):
-    """Every f x 1 table agrees with compose-then-factor when built (cold)
-    and when reread from the cache (warm)."""
-    make, bound = PAIR_LABEL_BACKENDS[name]
-    backend = make()
-    atoms = backend.atoms_up_to(bound)
-    maps = hom_maps(backend, bound)
-    tables = {}
-    checked = 0
-    for f, b in itertools.product(maps, atoms):
-        table = tables[(f, b)] = linmat.pair_labels(backend, f, b)
-        orbits = backend.product_decompose(f.source, b)
-        assert len(table) == len(orbits)
-        canonical = {id(o.label)
-                     for o in backend.product_decompose(f.target, b)}
-        for label, o in zip(table, orbits):
-            want, _ = backend.product_factor(
-                backend.compose_maps(f, o.proj1), o.proj2)
-            assert label == want
-            assert id(label) in canonical
-            checked += 1
-    for (f, b), table in tables.items():
-        assert linmat.pair_labels(backend, f, b) is table
-    assert checked > len(maps) * len(atoms)
 
 
 # pushforward surjectivity against the dense rank

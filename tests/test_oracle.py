@@ -136,13 +136,15 @@ def test_finite_pair_orbit_count_matches_reference(group):
 
 
 def reference_expand(backend, matrix, field):
-    """The literal matrix, one pair_label lookup per entry."""
+    """The literal matrix, one entry at a time: each point pair's label is
+    that of the orbit whose two projections pass through it."""
     grid = []
     for (tp, ti) in finite_points(matrix.target):
         row = []
         for (sp, si) in finite_points(matrix.source):
-            label = backend.pair_label(matrix.target.atoms[tp],
-                                       matrix.source.atoms[sp], ti, si)
+            (label,) = [o.label for o in backend.product_decompose(
+                            matrix.target.atoms[tp], matrix.source.atoms[sp])
+                        if (ti, si) in zip(o.proj1.data, o.proj2.data)]
             row.append(matrix.entries.get((tp, sp, label), zero(field)))
         grid.append(row)
     return grid
