@@ -437,10 +437,21 @@ def pushforward_surjective_on_invariants(measure, gmap):
     ``(j, m) = gmap.legs[s]``.  With at most one nonzero entry per column the
     rank is the number of rows some nonzero entry hits, so the map is onto
     exactly when every target position is hit by a leg of nonzero fiber
-    measure.  ``mu_map`` is evaluated on every leg, so a measure missing a
-    fiber value raises ``UnknownAtom`` whatever the answer.
+    measure.  ``mu_map`` depends on a leg only through its tuple of fiber
+    classes, so whether it vanishes is decided once per distinct tuple among
+    the legs; every tuple is evaluated, so a measure missing a fiber value
+    raises ``UnknownAtom`` whatever the answer.
     """
-    hit = {j for j, m in gmap.legs if not measure.mu_map(m).is_zero()}
+    factorize = measure.backend.elementary_factorize
+    vanishes = {}
+    hit = set()
+    for j, m in gmap.legs:
+        classes = factorize(m)
+        zero = vanishes.get(classes)
+        if zero is None:
+            zero = vanishes[classes] = measure.mu_map(m).is_zero()
+        if not zero:
+            hit.add(j)
     return len(hit) == len(gmap.target.atoms)
 
 

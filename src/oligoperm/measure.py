@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .coeff import RATIONAL, Scalar, one, ratfunc_field, zero
 from .errors import InconsistentSystem, UnknownAtom
-from .gset.base import atom_gmap
+from .gset.base import GMap
 from .report import CheckResult, Report
 
 SOLVE_DEPTH_FACTOR = 4
@@ -300,13 +300,21 @@ def check_measure_axioms(measure, bound):
 def classify_measure(measure, bound):
     """Regularity is exact; normality is bounded evidence, not a proof.
 
-    Normality is probed by pushing invariant functions forward along
-    id_W x f for every surjective atom map f and every atom W within the
-    bound, and asking for surjectivity of the induced linear map.  That
-    surjectivity is decided by a support count, not by elimination: each
-    source orbit pushes forward onto one target orbit, so the map is onto
-    exactly when every target orbit is hit by a source orbit whose fiber
-    measure is nonzero (see ``linmat.pushforward_surjective_on_invariants``).
+    Normality asks that pushing invariant functions forward along id_W x f be
+    onto for every surjective atom map f and every atom W within the bound.
+    Only the single drops are probed: the surjective f with one fiber class
+    in ``backend.elementary_factorize(f)``.  That suffices when pushforward
+    is functorial, which holds for any measure that passes the
+    multiplicativity checks of ``check_measure_axioms``.  An isomorphism
+    pushes forward bijectively and every surjective atom map is an
+    isomorphism followed by a chain of single drops, so id_W x f is onto for
+    every surjective f exactly when it is onto for every single drop.
+
+    Each probe's legs are read off the orbits of W x a: an orbit o goes to the
+    orbit of W x b that factors (o.proj1, f o o.proj2).  Surjectivity is then
+    a support count, not an elimination: the map is onto exactly when every
+    target orbit is hit by a source orbit whose fiber measure is nonzero (see
+    ``linmat.pushforward_surjective_on_invariants``).
     """
     from . import linmat
 
@@ -317,18 +325,21 @@ def classify_measure(measure, bound):
     for a in atoms:
         for b in atoms:
             for f in backend.hom_atoms(a, b):
-                if not backend.is_surjective_map(f):
+                if not (backend.is_surjective_map(f)
+                        and len(backend.elementary_factorize(f)) == 1):
                     continue
                 for w in atoms:
                     src = linmat.tensor_space(backend, [backend.object_of([w]),
                                                         backend.object_of([a])])
                     tgt = linmat.tensor_space(backend, [backend.object_of([w]),
                                                         backend.object_of([b])])
-                    gmap = linmat.product_gmap(
-                        backend,
-                        backend.identity_gmap(backend.object_of([w])),
-                        atom_gmap(backend, f),
-                        src, tgt)
+                    legs = []
+                    for pos in src.positions:
+                        orbit = pos.orbit
+                        label, m = backend.product_factor(
+                            orbit.proj1, backend.compose_maps(f, orbit.proj2))
+                        legs.append((tgt.index[(0, 0, label)], m))
+                    gmap = GMap(src.object, tgt.object, tuple(legs))
                     if not linmat.pushforward_surjective_on_invariants(measure, gmap):
                         normal = False
     return {"regular": regular, "normal_within_bound": normal}

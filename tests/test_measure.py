@@ -1,13 +1,16 @@
 """Measure solving, evaluation and the axiom checker."""
 
+import functools
+import re
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from oligoperm import linmat
 from oligoperm.coeff import RATIONAL, Scalar, falling_factorial, one
 from oligoperm.errors import UnknownAtom
-from oligoperm.gset import LINE, SYM, preset_backend
+from oligoperm.gset import LINE, SYM, atom_gmap, preset_backend
 from oligoperm.measure import (
     Measure,
     check_measure_axioms,
@@ -163,6 +166,135 @@ def test_classification(sym_family, line_family):
     assert classify_measure(at_two, 4) == {
         "regular": False, "normal_within_bound": False}
     assert classify_measure(line_family.generic(), 3) == {
+        "regular": True, "normal_within_bound": True}
+
+
+@functools.cache
+def every_surjection_probes(backend, bound):
+    """The unreduced probe set: ``id_W x f`` as a full ``product_gmap`` for
+    every surjective atom map f, not only the single drops."""
+    atoms = backend.atoms_up_to(bound)
+    probes = []
+    for a in atoms:
+        for b in atoms:
+            for f in backend.hom_atoms(a, b):
+                if not backend.is_surjective_map(f):
+                    continue
+                for w in atoms:
+                    x = backend.object_of([w])
+                    src = linmat.tensor_space(backend, [x, backend.object_of([a])])
+                    tgt = linmat.tensor_space(backend, [x, backend.object_of([b])])
+                    probes.append(linmat.product_gmap(
+                        backend, backend.identity_gmap(x), atom_gmap(backend, f),
+                        src, tgt))
+    return tuple(probes)
+
+
+def reference_classification(measure, bound):
+    """``classify_measure`` by its definition: a pushforward is onto when
+    every target orbit is hit by a leg of nonzero fiber measure."""
+    atoms = measure.backend.atoms_up_to(bound)
+    normal = all(
+        len({j for j, m in gmap.legs if not measure.mu_map(m).is_zero()})
+        == len(gmap.target.atoms)
+        for gmap in every_surjection_probes(measure.backend, bound))
+    return {"regular": all(not measure.mu_atom(a).is_zero() for a in atoms),
+            "normal_within_bound": normal}
+
+
+PERTURBED = ("sym-generic", "line-generic", "S3")
+
+
+@pytest.fixture(scope="module")
+def verdict_cases(sym_family, line_family, s3_measure):
+    cases = {"sym-generic": (sym_family.generic(), 4)}
+    for t in (0, 1, 2, 3, 5):
+        cases[f"sym-t{t}"] = (sym_family.specialize(t), 4)
+    cases["line-generic"] = (line_family.generic(), 4)
+    cases["S3"] = (s3_measure, 6)
+    for group in ("S4", "C2x4"):
+        cases[group] = (solve_measures(preset_backend(group), 6).generic(), 6)
+    for name in PERTURBED:
+        measure, bound = cases[name]
+        backend = measure.backend
+        atoms = [a for a in backend.atoms_up_to(bound) if a != backend.unit_atom()]
+        for k, a in enumerate(atoms[:3], start=1):
+            cases[f"{name}+1@{k}"] = (
+                measure.with_perturbed_atom(a, one(measure.field)), bound)
+            cases[f"{name}-mu@{k}"] = (
+                measure.with_perturbed_atom(a, -measure.mu_atom(a)), bound)
+    return cases
+
+
+# case -> normal_within_bound, so both answers are pinned
+VERDICT_CASES = {
+    "sym-generic": True, "sym-t0": False, "sym-t1": False, "sym-t2": False,
+    "sym-t3": False, "sym-t5": True, "line-generic": True,
+    "S3": True, "S4": True, "C2x4": True,
+    "sym-generic+1@1": True, "sym-generic-mu@1": False,
+    "sym-generic+1@2": True, "sym-generic-mu@2": False,
+    "sym-generic+1@3": True, "sym-generic-mu@3": False,
+    "line-generic+1@1": False, "line-generic-mu@1": False,
+    "line-generic+1@2": True, "line-generic-mu@2": False,
+    "line-generic+1@3": False, "line-generic-mu@3": False,
+    "S3+1@1": True, "S3-mu@1": False, "S3+1@2": True, "S3-mu@2": False,
+    "S3+1@3": True, "S3-mu@3": False,
+}
+
+
+@pytest.mark.parametrize("name", list(VERDICT_CASES))
+def test_single_drop_classification_matches_every_surjection(name, verdict_cases):
+    measure, bound = verdict_cases[name]
+    got = classify_measure(measure, bound)
+    assert got == reference_classification(measure, bound)
+    assert got["normal_within_bound"] is VERDICT_CASES[name]
+
+
+def test_classification_work_is_bounded(sym_family, monkeypatch):
+    # 33 single drops inj[n] -> inj[n-1] for n <= 4, times 5 atoms W, and the
+    # zero test once per fiber-class tuple of a probe
+    measure = sym_family.specialize(2)
+    probes = 0
+    mu_map_calls = 0
+    surjective = linmat.pushforward_surjective_on_invariants
+    mu_map = Measure.mu_map
+
+    def counted_probe(measure, gmap):
+        nonlocal probes
+        probes += 1
+        return surjective(measure, gmap)
+
+    def counted_mu_map(self, f):
+        nonlocal mu_map_calls
+        mu_map_calls += 1
+        return mu_map(self, f)
+
+    def no_product_gmap(*args):
+        raise AssertionError("classify_measure built a product_gmap")
+
+    monkeypatch.setattr(linmat, "pushforward_surjective_on_invariants", counted_probe)
+    monkeypatch.setattr(linmat, "product_gmap", no_product_gmap)
+    monkeypatch.setattr(Measure, "mu_map", counted_mu_map)
+    assert classify_measure(measure, 4) == {
+        "regular": False, "normal_within_bound": False}
+    assert probes == 165
+    assert mu_map_calls <= 1000
+
+
+def test_classify_raises_on_missing_top_fiber_class(sym_family):
+    # atom values are complete, so only a leg of degree 2 * bound, the
+    # disjoint orbit of W x a with W = a = inj[bound], reaches the top class
+    bound = 4
+    top = 2 * bound - 1
+
+    def fibers_through(last):
+        classes = [f"omega-minus[{c}]" for c in range(last + 1)]
+        fibers = {c: sym_family.fiber_values[c] for c in classes}
+        return Measure(SYM, sym_family.field, dict(sym_family.atom_values), fibers)
+
+    with pytest.raises(UnknownAtom, match=re.escape(f"omega-minus[{top}]")):
+        classify_measure(fibers_through(top - 1), bound)
+    assert classify_measure(fibers_through(top), bound) == {
         "regular": True, "normal_within_bound": True}
 
 
