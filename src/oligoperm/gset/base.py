@@ -36,9 +36,11 @@ and its triple-orbit completions under ``("completions", ...)``.
 
 ``triple_orbits(backend, a, b, c)`` is the one walk of the orbits of
 ``a x b x c`` by their three pair orbits, and ``triple_table`` records which
-``(ab, bc, ac)`` index triples it meets.  The pre-Galois closure reads the
-table as the composition table of the orbits of ``X x X``, and triple
-coherence as the pair-orbit triples of ``X x X x X``.
+``(ab, bc, ac)`` index triples it meets.  The walk factors through one image
+table per distinct projection of an orbit of ``a x b`` onto a or b, kept
+only for the walk, not per orbit of the triple product.  The pre-Galois
+closure reads the table as the composition table of the orbits of
+``X x X``, and triple coherence as the pair-orbit triples of ``X x X x X``.
 """
 
 from __future__ import annotations
@@ -387,16 +389,32 @@ def triple_orbits(backend, a, b, c):
     indices, in ``product_decompose`` order, of the orbits of ``a x b``,
     ``b x c`` and ``a x c`` it projects to, and the orbit itself, one of
     ``product_decompose(omega.atom, c)`` for the orbit ``omega`` number
-    ``i_ab`` of ``a x b``."""
-    index_bc = {o.label: k for k, o in enumerate(backend.product_decompose(b, c))}
-    index_ac = {o.label: k for k, o in enumerate(backend.product_decompose(a, c))}
+    ``i_ab`` of ``a x b``.
+
+    The ``a x c`` index of an orbit of ``omega.atom x c`` depends only on
+    that orbit and ``p = omega.proj1``: it is where ``p x 1`` sends it.  So
+    the walk factors once per distinct projection p, for its image table
+    (the ``p.target x c`` index of each orbit of ``p.source x c``), and reads
+    both the ``a x c`` and the ``b x c`` index off those tables."""
+    index = {target: {o.label: k for k, o in
+                      enumerate(backend.product_decompose(target, c))}
+             for target in (a, b)}
+    images = {}
+
+    def image(p):
+        table = images.get(p)
+        if table is None:
+            at = index[p.target]
+            table = images[p] = [
+                at[backend.product_factor(
+                    backend.compose_maps(p, o.proj1), o.proj2)[0]]
+                for o in backend.product_decompose(p.source, c)]
+        return table
+
     for i_ab, omega in enumerate(backend.product_decompose(a, b)):
-        for orbit in backend.product_decompose(omega.atom, c):
-            to_a = backend.compose_maps(omega.proj1, orbit.proj1)
-            to_b = backend.compose_maps(omega.proj2, orbit.proj1)
-            l_bc, _ = backend.product_factor(to_b, orbit.proj2)
-            l_ac, _ = backend.product_factor(to_a, orbit.proj2)
-            yield i_ab, index_bc[l_bc], index_ac[l_ac], orbit
+        yield from zip(itertools.repeat(i_ab), image(omega.proj2),
+                       image(omega.proj1),
+                       backend.product_decompose(omega.atom, c))
 
 
 def triple_table(backend, a, b, c):

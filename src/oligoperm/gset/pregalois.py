@@ -4,15 +4,18 @@ Eight axioms are verified on the fragment within a bound: existence and
 universal properties of finite coproducts (a)-(c), fiber products and the
 final object (d), monomorphisms of atoms being isomorphisms (e), non-emptiness
 of atom fiber products (f), atomicity of the final object (g), and
-effectivity of internal equivalence relations (h).
+effectivity of internal equivalence relations (h).  A failing axiom reports
+its first failing instance and, under a ``failing-...`` key, how many
+instances failed.
 
 Internal equivalence relations on an atom X are unions of orbits of X x X
 containing the diagonal, closed under the swap, and closed under relational
 composition.  They are enumerated as joins of principal closures, which is
 exhaustive: every relation is the join of the closures of the orbits it
 contains.  Axiom (h) asks each of them to be the kernel pair of a surjection
-onto an object of the fragment; the checker searches all candidate quotient
-maps and reports the relation as a witness when none matches.
+onto an object of the fragment.  The checker computes the kernel pair of
+every surjection out of X once (``quotients_by_kernel``), and reports a
+relation as a witness when no surjection has it as its kernel pair.
 """
 
 from __future__ import annotations
@@ -21,9 +24,19 @@ from ..report import CheckResult, Report
 from .base import atom_gmap, fiber_product, kernel_pair, triple_table
 
 
-def check_coproducts(backend, atoms):
-    ok = True
+def _verdict(name, failures, counted, note=""):
+    """A check that passes when failures is empty; otherwise its witness is
+    the first failure with the number of failures under
+    ``failing-<counted>``."""
     witness = {}
+    if failures:
+        witness = dict(failures[0])
+        witness[f"failing-{counted}"] = str(len(failures))
+    return CheckResult(name, not failures, witness, note=note)
+
+
+def check_coproducts(backend, atoms):
+    failures = []
     for x in atoms[: min(len(atoms), 3)]:
         for y in atoms[: min(len(atoms), 3)]:
             for z in atoms:
@@ -33,11 +46,10 @@ def check_coproducts(backend, atoms):
                 rhs = (len(backend.hom_atoms(x, z))
                        * len(backend.hom_atoms(y, z)))
                 if lhs != rhs:
-                    ok = False
-                    witness = {"objects": f"{x.render()} + {y.render()} -> "
-                                          f"{z.render()}"}
-    return CheckResult("a-coproducts", ok, witness,
-                       note="maps out of a coproduct are leg tuples")
+                    failures.append({"objects": f"{x.render()} + {y.render()}"
+                                                f" -> {z.render()}"})
+    return _verdict("a-coproducts", failures, "instances",
+                    note="maps out of a coproduct are leg tuples")
 
 
 def check_atom_decomposition(backend, atoms):
@@ -46,8 +58,7 @@ def check_atom_decomposition(backend, atoms):
 
 
 def check_maps_into_coproducts(backend, atoms):
-    ok = True
-    witness = {}
+    failures = []
     for x in atoms:
         for y in atoms:
             for z in atoms:
@@ -56,15 +67,13 @@ def check_maps_into_coproducts(backend, atoms):
                 rhs = (len(backend.hom_atoms(x, y))
                        + len(backend.hom_atoms(x, z)))
                 if lhs != rhs:
-                    ok = False
-                    witness = {"instance": f"{x.render()} -> {y.render()} "
-                                           f"+ {z.render()}"}
-    return CheckResult("c-atom-maps-into-coproducts", ok, witness)
+                    failures.append({"instance": f"{x.render()} -> "
+                                                 f"{y.render()} + {z.render()}"})
+    return _verdict("c-atom-maps-into-coproducts", failures, "instances")
 
 
 def check_fiber_products(backend, atoms, universality_degree):
-    ok = True
-    witness = {}
+    failures = []
     for c in atoms:
         maps_to_c = [(a, f) for a in atoms for f in backend.hom_atoms(a, c)]
         for a, f in maps_to_c:
@@ -73,9 +82,8 @@ def check_fiber_products(backend, atoms, universality_degree):
                 gg = atom_gmap(backend, g)
                 pobj, p, q = fiber_product(backend, fg, gg)
                 if backend.compose_gmaps(fg, p) != backend.compose_gmaps(gg, q):
-                    ok = False
-                    witness = {"cospan": f"{a.render()} -> {c.render()} <- "
-                                         f"{b.render()}"}
+                    failures.append({"cospan": f"{a.render()} -> "
+                                               f"{c.render()} <- {b.render()}"})
                     continue
                 if max(a.degree, b.degree, c.degree) > universality_degree:
                     continue
@@ -97,20 +105,18 @@ def check_fiber_products(backend, atoms, universality_degree):
                                     atom_gmap(backend, v))
                             count = mediators.get(span, 0)
                             if count != 1:
-                                ok = False
-                                witness = {
+                                failures.append({
                                     "cospan": f"{a.render()} -> {c.render()} "
                                               f"<- {b.render()}",
                                     "span-source": w.render(),
                                     "mediators": str(count),
-                                }
-    return CheckResult("d-fiber-products", ok, witness,
-                       note="universal property checked on enumerated spans")
+                                })
+    return _verdict("d-fiber-products", failures, "instances",
+                    note="universal property checked on enumerated spans")
 
 
 def check_monos_are_isos(backend, atoms):
-    ok = True
-    witness = {}
+    failures = []
     for a in atoms:
         for b in atoms:
             for f in backend.hom_atoms(a, b):
@@ -123,14 +129,13 @@ def check_monos_are_isos(backend, atoms):
                     and backend.compose_maps(f, g) == backend.identity_map(b)
                     for g in backend.hom_atoms(b, a))
                 if not iso:
-                    ok = False
-                    witness = {"map": f"{a.render()} -> {b.render()} {f.data}"}
-    return CheckResult("e-monos-are-isos", ok, witness)
+                    failures.append(
+                        {"map": f"{a.render()} -> {b.render()} {f.data}"})
+    return _verdict("e-monos-are-isos", failures, "maps")
 
 
 def check_atom_cospans_nonempty(backend, atoms):
-    ok = True
-    witness = {}
+    failures = []
     for c in atoms:
         for a in atoms:
             for b in atoms:
@@ -140,23 +145,21 @@ def check_atom_cospans_nonempty(backend, atoms):
                             backend, atom_gmap(backend, f),
                             atom_gmap(backend, g))
                         if pobj.is_empty():
-                            ok = False
-                            witness = {"cospan": f"{a.render()} -> {c.render()}"
-                                                 f" <- {b.render()}"}
-    return CheckResult("f-atom-cospans-nonempty", ok, witness)
+                            failures.append({
+                                "cospan": f"{a.render()} -> {c.render()}"
+                                          f" <- {b.render()}"})
+    return _verdict("f-atom-cospans-nonempty", failures, "cospans")
 
 
 def check_final_object(backend, atoms):
-    ok = True
-    witness = {}
+    failures = []
     unit = backend.unit_atom()
     for a in atoms:
         count = len(backend.hom_atoms(a, unit))
         if count != 1:
-            ok = False
-            witness = {"atom": a.render(), "maps-to-final": str(count)}
-    return CheckResult("g-final-object-atomic", ok, witness,
-                       note="the final object is a single atom")
+            failures.append({"atom": a.render(), "maps-to-final": str(count)})
+    return _verdict("g-final-object-atomic", failures, "atoms",
+                    note="the final object is a single atom")
 
 
 # Equivalence relations
@@ -223,39 +226,37 @@ def internal_equivalence_relations(backend, x):
     return sorted(out, key=lambda r: (len(r), sorted(r)))
 
 
-def quotient_of_relation(backend, x, relation):
-    """A surjection whose kernel pair is the relation, if one exists."""
+def quotients_by_kernel(backend, x):
+    """The surjections out of the atom x by kernel pair.  Each kernel pair,
+    the frozenset of the labels of the orbits of x x x on which the map
+    agrees, is mapped to the first surjection ``(q_atom, q)`` that has it,
+    in ``atoms_up_to(x.degree)`` then ``hom_atoms`` order."""
     orbits = backend.product_decompose(x, x)
+    quotients = {}
     for q_atom in backend.atoms_up_to(x.degree):
         for q in backend.hom_atoms(x, q_atom):
             if not backend.is_surjective_map(q):
                 continue
-            kernel = {
+            kernel = frozenset(
                 o.label for o in orbits
                 if backend.compose_maps(q, o.proj1)
-                == backend.compose_maps(q, o.proj2)
-            }
-            if kernel == relation:
-                return q_atom, q
-    return None
+                == backend.compose_maps(q, o.proj2))
+            quotients.setdefault(kernel, (q_atom, q))
+    return quotients
 
 
 def check_effective_relations(backend, atoms):
-    ok = True
-    witnesses = []
+    failures = []
     for x in atoms:
+        quotients = quotients_by_kernel(backend, x)
         for relation in internal_equivalence_relations(backend, x):
-            if quotient_of_relation(backend, x, relation) is None:
-                ok = False
-                witnesses.append({
+            if relation not in quotients:
+                failures.append({
                     "atom": x.render(),
                     "relation-orbits": ", ".join(sorted(relation)),
                 })
-    witness = {}
-    if witnesses:
-        witness = dict(witnesses[0])
-        witness["failing-relations"] = str(len(witnesses))
-    return CheckResult("h-effective-equivalence-relations", ok, witness)
+    return _verdict("h-effective-equivalence-relations", failures,
+                    "relations")
 
 
 def pregalois_check(backend, bound):

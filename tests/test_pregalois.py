@@ -8,9 +8,10 @@ import pytest
 from oligoperm.gset import LINE, SYM, LineBackend, SymBackend, preset_backend
 from oligoperm.gset.pregalois import (
     _closure,
+    check_effective_relations,
     internal_equivalence_relations,
     pregalois_check,
-    quotient_of_relation,
+    quotients_by_kernel,
 )
 
 
@@ -44,6 +45,22 @@ def test_sym_witness_is_swap_relation(sym_report):
     assert witness["relation-orbits"] == "[1>1,2>2], [1>2,2>1]"
 
 
+class TwoMapsToFinal(SymBackend):
+    """The sym fragment with every map to the unit atom listed twice."""
+
+    def hom_atoms(self, a, b):
+        maps = super().hom_atoms(a, b)
+        return maps + maps if b == self.unit_atom() else maps
+
+
+def test_final_object_fails_on_first_atom():
+    report = pregalois_check(TwoMapsToFinal(), 2)
+    result = report.result("g-final-object-atomic")
+    assert not result.passed
+    assert result.witness == {"atom": "sym:inj[0]", "maps-to-final": "2",
+                              "failing-atoms": "3"}
+
+
 def test_line_first_seven_axioms_pass(line_report):
     for r in line_report.results:
         if not r.name.startswith("h-"):
@@ -62,23 +79,25 @@ def test_sym_relations_on_pairs():
 
 def test_sym_quotients():
     x = SYM.atom_of_arity(2)
+    quotients = quotients_by_kernel(SYM, x)
     diag = frozenset({"[1>1,2>2]"})
-    found = quotient_of_relation(SYM, x, diag)
+    found = quotients.get(diag)
     assert found is not None and found[0].degree == 2  # the identity map
 
     same_first = frozenset({"[1>1,2>2]", "[1>1]"})
-    found = quotient_of_relation(SYM, x, same_first)
+    found = quotients.get(same_first)
     assert found is not None and found[0].degree == 1
 
     swap = frozenset({"[1>1,2>2]", "[1>2,2>1]"})
-    assert quotient_of_relation(SYM, x, swap) is None
+    assert quotients.get(swap) is None
 
 
 def test_finite_relations_all_effective():
     backend = preset_backend("S3")
     regular = backend.atoms_up_to(6)[-1]
+    quotients = quotients_by_kernel(backend, regular)
     for relation in internal_equivalence_relations(backend, regular):
-        assert quotient_of_relation(backend, regular, relation) is not None
+        assert quotients.get(relation) is not None
 
 
 def test_finite_relation_count_matches_subgroups():
@@ -188,3 +207,53 @@ def test_closure_matches_naive_on_random_tables():
         extra = rng.getrandbits(n) & rng.getrandbits(n)
         assert _closure(closed, extra, swap, table) == \
             naive(closed | extra, swap, table)
+
+
+def per_relation_quotient(backend, x, relation):
+    """The reference search: a surjection whose kernel pair is the relation,
+    found by computing the kernel pair of every surjection out of x."""
+    orbits = backend.product_decompose(x, x)
+    for q_atom in backend.atoms_up_to(x.degree):
+        for q in backend.hom_atoms(x, q_atom):
+            if not backend.is_surjective_map(q):
+                continue
+            kernel = {
+                o.label for o in orbits
+                if backend.compose_maps(q, o.proj1)
+                == backend.compose_maps(q, o.proj2)
+            }
+            if kernel == relation:
+                return q_atom, q
+    return None
+
+
+@pytest.mark.parametrize("make, bound", [
+    (SymBackend, 3),
+    (LineBackend, 3),
+    (lambda: preset_backend("S3"), 6),
+    (lambda: preset_backend("S4"), 6),
+], ids=["sym", "line", "S3", "S4"])
+def test_effectivity_matches_per_relation_search(make, bound):
+    """One kernel pair per surjection and atom gives the per-relation
+    search's verdict, first witness, failure count, and first quotient."""
+    backend = make()
+    atoms = backend.atoms_up_to(bound)
+    failing = []
+    for x in atoms:
+        quotients = quotients_by_kernel(backend, x)
+        for relation in internal_equivalence_relations(backend, x):
+            found = per_relation_quotient(backend, x, relation)
+            assert quotients.get(relation) == found
+            if found is None:
+                failing.append((x, relation))
+    result = check_effective_relations(backend, atoms)
+    assert result.passed == (not failing)
+    if failing:
+        x, relation = failing[0]
+        assert result.witness == {
+            "atom": x.render(),
+            "relation-orbits": ", ".join(sorted(relation)),
+            "failing-relations": str(len(failing)),
+        }
+    else:
+        assert result.witness == {}
