@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .coeff import one, zero
 from .errors import NotSurjective
-from .gset.base import GMap, triple_orbits, triple_table
+from .gset.base import GMap, agreeing_orbits, triple_orbits, triple_table
 from .linmat import (
     InvariantMatrix,
     SchwartzFn,
@@ -325,15 +325,11 @@ def kernel_pair_gamma(backend, f, field):
     """Indicator of the kernel pair of a surjection, on the source square."""
     if not backend.is_surjective_gmap(f):
         raise NotSurjective(f"{f.source.render()} -> {f.target.render()}")
-    y = f.source
-    ps2 = tensor_space(backend, [y, y])
-    coeffs = {}
-    for idx in range(len(ps2.positions)):
-        (i, p1), (j, p2) = projection(ps2, idx, 0), projection(ps2, idx, 1)
-        ti, m1 = f.legs[i]
-        tj, m2 = f.legs[j]
-        if ti == tj and backend.compose_maps(m1, p1) == backend.compose_maps(m2, p2):
-            coeffs[idx] = one(field)
+    ps2 = tensor_space(backend, [f.source, f.source])
+    coeffs = {ps2.index[(i, j, o.label)]: one(field)
+              for i, (ti, m1) in enumerate(f.legs)
+              for j, (tj, m2) in enumerate(f.legs) if ti == tj
+              for o in agreeing_orbits(backend, m1, m2)}
     return SchwartzFn(ps2.object, coeffs)
 
 

@@ -10,7 +10,6 @@ from .base import (
     ProductOrbit,
     atom_gmap,
     fiber_product,
-    kernel_pair,
 )
 from .finite import FiniteBackend, parse_cycles, preset_backend
 from .line import LineBackend
@@ -34,7 +33,6 @@ __all__ = [
     "LineBackend",
     "atom_gmap",
     "fiber_product",
-    "kernel_pair",
     "parse_cycles",
     "preset_backend",
 ]

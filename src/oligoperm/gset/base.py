@@ -34,6 +34,12 @@ points by the group element g;
 a, b, c)``; ``linmat`` keeps its product spaces under ``("space", factors)``
 and its triple-orbit completions under ``("completions", ...)``.
 
+``agreeing_orbits(backend, f, g)`` is the one kernel-pair and fiber-product
+filter: the orbits of ``a x b`` on which two atom maps ``f: a -> c`` and
+``g: b -> c`` agree.  ``fiber_product`` collects them per pair of legs into
+one atom; the pre-Galois checks and ``frob.kernel_pair_gamma`` read them
+without building an object.
+
 ``triple_orbits(backend, a, b, c)`` is the one walk of the orbits of
 ``a x b x c`` by their three pair orbits, and ``triple_table`` records which
 ``(ab, bc, ac)`` index triples it meets.  The walk factors through one image
@@ -111,9 +117,6 @@ class GObject:
         if other.backend_id != self.backend_id:
             raise ValueError("cannot form a coproduct across backends")
         return GObject.of(self.backend_id, self.atoms + other.atoms)
-
-    def is_empty(self):
-        return not self.atoms
 
     def render(self):
         if not self.atoms:
@@ -346,29 +349,29 @@ def atom_gmap(backend, f):
                 ((0, f),))
 
 
-def fiber_product(backend, f, g):
-    """The fiber product of f: X -> Z and g: Y -> Z, with its projections.
+def agreeing_orbits(backend, f, g):
+    """The orbits of ``f.source x g.source``, in ``product_decompose`` order,
+    on which the atom maps f and g into one atom agree."""
+    for orbit in backend.product_decompose(f.source, g.source):
+        if (backend.compose_maps(f, orbit.proj1)
+                == backend.compose_maps(g, orbit.proj2)):
+            yield orbit
 
-    Computed by filtering the orbit decompositions of the atom-pair products
-    on which the two composites into Z agree.
-    """
+
+def fiber_product(backend, f, g):
+    """The fiber product of f: X -> Z and g: Y -> Z, with its projections:
+    the agreeing orbits of each pair of legs into one atom of Z."""
     if f.target != g.target:
         raise ValueError("fiber product needs a shared target")
     x, y = f.source, g.source
     atoms = []
     legs1 = []
     legs2 = []
-    for i, a in enumerate(x.atoms):
-        zi, ma = f.legs[i]
-        for j, b in enumerate(y.atoms):
-            zj, mb = g.legs[j]
-            if zi != zj:
-                continue
-            for orbit in backend.product_decompose(a, b):
-                left = backend.compose_maps(ma, orbit.proj1)
-                right = backend.compose_maps(mb, orbit.proj2)
-                if left == right:
-                    atoms.append((orbit.atom, i, orbit.proj1, j, orbit.proj2))
+    for i, (zi, ma) in enumerate(f.legs):
+        for j, (zj, mb) in enumerate(g.legs):
+            if zi == zj:
+                atoms.extend((o.atom, i, o.proj1, j, o.proj2)
+                             for o in agreeing_orbits(backend, ma, mb))
     atoms.sort(key=lambda item: (item[0], item[1], item[3]))
     obj_atoms = []
     for atom, i, p1, j, p2 in atoms:
@@ -378,10 +381,6 @@ def fiber_product(backend, f, g):
     # GObject.of sorts; the explicit sort above keeps legs aligned with it.
     obj = GObject(backend.backend_id, tuple(obj_atoms))
     return obj, GMap(obj, x, tuple(legs1)), GMap(obj, y, tuple(legs2))
-
-
-def kernel_pair(backend, f):
-    return fiber_product(backend, f, f)
 
 
 def triple_orbits(backend, a, b, c):

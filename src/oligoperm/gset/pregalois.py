@@ -16,12 +16,19 @@ contains.  Axiom (h) asks each of them to be the kernel pair of a surjection
 onto an object of the fragment.  The checker computes the kernel pair of
 every surjection out of X once (``quotients_by_kernel``), and reports a
 relation as a witness when no surjection has it as its kernel pair.
+
+Kernel pairs and fiber products of atom maps are read off one filter,
+``base.agreeing_orbits``: the orbits of ``a x b`` on which two maps into one
+atom agree.  The kernel of a surjection in (h) is the labels it yields for
+the map with itself, a map is mono in (e) when it yields exactly one orbit,
+and a cospan in (f) is nonempty when it yields any.  Only (d) builds the
+fiber-product object, for its universality count.
 """
 
 from __future__ import annotations
 
 from ..report import CheckResult, Report
-from .base import atom_gmap, fiber_product, kernel_pair, triple_table
+from .base import agreeing_orbits, atom_gmap, fiber_product, triple_table
 
 
 def _verdict(name, failures, counted, note=""):
@@ -120,10 +127,8 @@ def check_monos_are_isos(backend, atoms):
     for a in atoms:
         for b in atoms:
             for f in backend.hom_atoms(a, b):
-                kp_obj, _, _ = kernel_pair(backend, atom_gmap(backend, f))
-                mono = len(kp_obj.atoms) == 1
-                if not mono:
-                    continue
+                if len(list(agreeing_orbits(backend, f, f))) != 1:
+                    continue  # a mono's kernel pair is the diagonal orbit alone
                 iso = any(
                     backend.compose_maps(g, f) == backend.identity_map(a)
                     and backend.compose_maps(f, g) == backend.identity_map(b)
@@ -141,10 +146,7 @@ def check_atom_cospans_nonempty(backend, atoms):
             for b in atoms:
                 for f in backend.hom_atoms(a, c):
                     for g in backend.hom_atoms(b, c):
-                        pobj, _, _ = fiber_product(
-                            backend, atom_gmap(backend, f),
-                            atom_gmap(backend, g))
-                        if pobj.is_empty():
+                        if not any(agreeing_orbits(backend, f, g)):
                             failures.append({
                                 "cospan": f"{a.render()} -> {c.render()}"
                                           f" <- {b.render()}"})
@@ -231,16 +233,12 @@ def quotients_by_kernel(backend, x):
     the frozenset of the labels of the orbits of x x x on which the map
     agrees, is mapped to the first surjection ``(q_atom, q)`` that has it,
     in ``atoms_up_to(x.degree)`` then ``hom_atoms`` order."""
-    orbits = backend.product_decompose(x, x)
     quotients = {}
     for q_atom in backend.atoms_up_to(x.degree):
         for q in backend.hom_atoms(x, q_atom):
             if not backend.is_surjective_map(q):
                 continue
-            kernel = frozenset(
-                o.label for o in orbits
-                if backend.compose_maps(q, o.proj1)
-                == backend.compose_maps(q, o.proj2))
+            kernel = frozenset(o.label for o in agreeing_orbits(backend, q, q))
             quotients.setdefault(kernel, (q_atom, q))
     return quotients
 

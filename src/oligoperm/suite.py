@@ -82,15 +82,14 @@ def _gamma_block(backend, measure, atoms, results, kernel_dims=False):
     for a in atoms:
         for b in atoms:
             for m in backend.hom_atoms(a, b):
-                f = atom_gmap(backend, m)
                 if not backend.is_surjective_map(m):
                     continue
-                _, rep = gamma_of_projection(backend, f, measure)
+                gamma, rep = gamma_of_projection(
+                    backend, atom_gmap(backend, m), measure)
                 if not rep.passed:
                     ok = False
                     witness = {"map": f"{a.render()} -> {b.render()}"}
                 if kernel_dims:
-                    gamma = kernel_pair_gamma(backend, f, measure.field)
                     dim = bgamma_kernel_dimension(
                         backend, backend.object_of([a]), gamma, measure.field)
                     if dim != b.degree:

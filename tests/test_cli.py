@@ -187,11 +187,13 @@ SUITE_SHA256 = {
     "S4": "fe901fdc71069a06084e7b8c77373b457f043d624a6033be075803d820961372",
 }
 
-# pre-Galois reports at bound 3, pinned the same way: sym fails with its
-# swap witness, line passes
+# pre-Galois reports, pinned the same way: sym at bound 3 fails with its
+# swap witness; line at bound 3 and S3 and S4 at bound 6 pass
 PREGALOIS_SHA256 = {
     "sym": "c34c5020894117da100b05b52370930c5fdadca44e46c78dc5c27735a86e014e",
     "line": "72b31270ae26119259975df09c6d7f77ec6eea441cf19cf1d045c53f4ace5d41",
+    "S3": "bef90a5d4ebde6a40b91d53d9764381105e185ff22da70e4c184b22793491b00",
+    "S4": "f8386727770ecc0821da7126161434716768e2f98702c09ed31a215775d673cd",
 }
 
 
@@ -216,6 +218,11 @@ def test_pregalois_reports_pinned(tmp_path):
                          "--bound", "3")
         assert code == want_code
         assert report_sha256(tmp_path) == PREGALOIS_SHA256[backend]
+    for group in ("S3", "S4"):
+        code, _doc = run(tmp_path, "pregalois", "--backend", "finite",
+                         "--group", group, "--bound", "6")
+        assert code == 0
+        assert report_sha256(tmp_path) == PREGALOIS_SHA256[group]
 
 
 def test_usage_errors(tmp_path):

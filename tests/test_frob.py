@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oligoperm.coeff import Scalar, one, zero
+from oligoperm.coeff import RATIONAL, Scalar, one, zero
 from oligoperm.errors import NotSurjective
 from oligoperm.frob import (
     build_frobenius,
@@ -192,6 +192,50 @@ def test_e_idempotent_first_coordinate(mu_t):
     labels = {tensor_space(SYM, [x, x]).positions[i].meta[2]
               for i in gamma.coeffs}
     assert labels == {"[1>1]", "[1>1,2>2]"}
+
+
+def reference_kernel_pair_gamma(backend, f, field):
+    """The kernel-pair indicator position by position: a position of the
+    source square is in it when its two legs land in one target atom and
+    agree there."""
+    ps2 = tensor_space(backend, [f.source, f.source])
+    coeffs = {}
+    for idx in range(len(ps2.positions)):
+        (i, p1), (j, p2) = projection(ps2, idx, 0), projection(ps2, idx, 1)
+        (ti, m1), (tj, m2) = f.legs[i], f.legs[j]
+        if ti == tj and backend.compose_maps(m1, p1) == \
+                backend.compose_maps(m2, p2):
+            coeffs[idx] = one(field)
+    return SchwartzFn(ps2.object, coeffs)
+
+
+def two_leg_surjections():
+    """(backend, f) for surjections out of a two-atom object whose legs both
+    land in one target atom, and on sym the same legs into two copies of
+    that atom."""
+    cases = []
+    for backend, small, big in ((SYM, 1, 2), (LINE, 1, 2),
+                                (preset_backend("S3"), 1, 3)):
+        a, b = backend.atoms_up_to(6)[small], backend.atoms_up_to(6)[big]
+        legs = ((0, backend.identity_map(a)), (0, backend.hom_atoms(b, a)[-1]))
+        cases.append((backend, GMap(backend.object_of([a, b]),
+                                    backend.object_of([a]), legs)))
+    backend, f = cases[0]
+    split = ((0, f.legs[0][1]), (1, f.legs[1][1]))
+    cases.append((backend, GMap(f.source, f.target + f.target, split)))
+    return cases
+
+
+@pytest.mark.parametrize("backend, f", two_leg_surjections(),
+                         ids=["sym", "line", "S3", "sym-two-targets"])
+def test_kernel_pair_gamma_on_two_legs_matches_reference(backend, f):
+    gamma = kernel_pair_gamma(backend, f, RATIONAL)
+    assert gamma == reference_kernel_pair_gamma(backend, f, RATIONAL)
+    # pairs across the two source atoms agree only when their legs share a
+    # target atom
+    ps2 = tensor_space(backend, [f.source, f.source])
+    across = any(ps2.positions[k].meta[:2] == (0, 1) for k in gamma.coeffs)
+    assert across == (len(f.target.atoms) == 1)
 
 
 def test_e_idempotent_rejects_asymmetric(mu_t):

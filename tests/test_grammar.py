@@ -28,7 +28,7 @@ def test_parse_object_sum(backends):
 
 def test_parse_empty_object(backends):
     _, obj = parse_object(backends, "line:0")
-    assert obj.is_empty()
+    assert obj.atoms == ()
 
 
 def test_parse_selection_map(backends):

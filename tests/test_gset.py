@@ -13,11 +13,10 @@ from oligoperm.gset import (
     LineBackend,
     SymBackend,
     fiber_product,
-    kernel_pair,
     preset_backend,
 )
 from oligoperm.gset.finite import MAX_GROUP_ORDER, mulclose, parse_cycles
-from oligoperm.gset.base import triple_orbits, triple_table
+from oligoperm.gset.base import agreeing_orbits, triple_orbits, triple_table
 from oligoperm.linmat import multi_factor, projection, tensor_space
 
 
@@ -452,8 +451,33 @@ def test_kernel_pair_of_selection():
     from oligoperm.gset import GMap
 
     gmap = GMap(x, y, ((0, select_first),))
-    obj, _, _ = kernel_pair(SYM, gmap)
+    obj, _, _ = fiber_product(SYM, gmap, gmap)
     assert sorted(at.degree for at in obj.atoms) == [2, 3]
+
+
+@pytest.mark.parametrize("make, bound", [
+    (SymBackend, 3),
+    (LineBackend, 3),
+    (lambda: preset_backend("S3"), 6),
+], ids=["sym", "line", "S3"])
+def test_agreeing_orbits_matches_compose_and_compare(make, bound):
+    """For every pair of atom maps into one atom, the agreeing orbits are the
+    orbits of the product on which the two composites are equal, in
+    product_decompose order."""
+    backend = make()
+    atoms = backend.atoms_up_to(bound)
+    kept = total = 0
+    for c in atoms:
+        maps = [f for a in atoms for f in backend.hom_atoms(a, c)]
+        for f, g in itertools.product(maps, maps):
+            orbits = backend.product_decompose(f.source, g.source)
+            want = [o for o in orbits
+                    if backend.compose_maps(f, o.proj1)
+                    == backend.compose_maps(g, o.proj2)]
+            assert list(agreeing_orbits(backend, f, g)) == want
+            kept += len(want)
+            total += len(orbits)
+    assert 0 < kept < total
 
 
 # Elementary factorization

@@ -8,7 +8,9 @@ import pytest
 from oligoperm.gset import LINE, SYM, LineBackend, SymBackend, preset_backend
 from oligoperm.gset.pregalois import (
     _closure,
+    check_atom_cospans_nonempty,
     check_effective_relations,
+    check_monos_are_isos,
     internal_equivalence_relations,
     pregalois_check,
     quotients_by_kernel,
@@ -59,6 +61,42 @@ def test_final_object_fails_on_first_atom():
     assert not result.passed
     assert result.witness == {"atom": "sym:inj[0]", "maps-to-final": "2",
                               "failing-atoms": "3"}
+
+
+class MissingInverse(SymBackend):
+    """The sym fragment without the 3-cycle (3, 1, 2) of inj[3], so that the
+    mono (2, 3, 1) has no inverse among the listed maps."""
+
+    def hom_atoms(self, a, b):
+        return [m for m in super().hom_atoms(a, b) if m.data != (3, 1, 2)]
+
+
+def test_monos_are_isos_fails_on_missing_inverse():
+    backend = MissingInverse()
+    result = check_monos_are_isos(backend, backend.atoms_up_to(3))
+    assert not result.passed
+    assert result.witness == {"map": "sym:inj[3] -> sym:inj[3] (2, 3, 1)",
+                              "failing-maps": "1"}
+
+
+class NoDiagonal(SymBackend):
+    """The sym fragment with the diagonal orbit left out of every a x a."""
+
+    def _decompose(self, a, b):
+        return tuple(o for o in super()._decompose(a, b)
+                     if o.proj1 != o.proj2)
+
+
+def test_atom_cospans_fail_without_diagonal():
+    # the fiber product of an automorphism with itself is the diagonal, so
+    # each of the 1 + 1 + 2 + 6 automorphisms of inj[0..3] gives an empty
+    # cospan, first the identity of the unit atom
+    backend = NoDiagonal()
+    result = check_atom_cospans_nonempty(backend, backend.atoms_up_to(3))
+    assert not result.passed
+    assert result.witness == {
+        "cospan": "sym:inj[0] -> sym:inj[0] <- sym:inj[0]",
+        "failing-cospans": "10"}
 
 
 def test_line_first_seven_axioms_pass(line_report):
