@@ -561,6 +561,16 @@ def main(argv=None):
         # unwritable
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    # Out of memory, even a tuple of the two classes may not be allocated,
+    # so each gets its own clause, and the report waits until the handler
+    # has released the failed run's frames.
+    except MemoryError:
+        crash = "MemoryError"
+    except RecursionError:
+        crash = "RecursionError"
+    print(f"resource error: {crash}, the run stopped without a verdict",
+          file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -15,11 +15,14 @@ by matrix multiplication, so comparing it with the diagonal coevaluation
 stays a real check.
 
 All structure maps, and the associativity and coassociativity paddings, are
-pushforwards or pullbacks of explicit coordinate wirings between one flat
-product space and another.  The unit and counit paddings (``eta_id`` and
-``eps_id`` in ``verify_frobenius``, ``id_coev`` in ``trace_form``) and those
-of ``permcat.triangle_identities`` are instead tensor products of matrices,
-built by ``linmat.block_tensor``.
+pushforwards or pullbacks of explicit coordinate wirings between product
+spaces.  The unit and counit paddings (``eta_id`` and ``eps_id`` in
+``verify_frobenius``, ``id_coev`` in ``trace_form``) and those of
+``permcat.triangle_identities`` are instead tensor products of matrices,
+built by ``linmat.block_tensor``.  Every padding through ``X x X x X``
+addresses it by row through a ``linmat.RowProduct``
+(``FrobeniusStructure.ps3``, or ``triangle_identities``' own), so no check
+numbers the orbits of the triple product.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import NotSurjective
 from .gset.base import GMap, agreeing_orbits, triple_orbits, triple_table
 from .linmat import (
     InvariantMatrix,
+    RowProduct,
     SchwartzFn,
     block_tensor,
     column_to_fn,
@@ -58,16 +62,11 @@ class FrobeniusStructure:
     comult: InvariantMatrix        # A -> A (x) A
     ps1: object
     ps2: object
+    ps3: object  # a RowProduct: X x X x X by row
 
     @property
     def backend(self):
         return self.ps1.backend
-
-    @property
-    def ps3(self):
-        # only the axiom and pairing checks need the triple product space;
-        # building it is the expensive part, so it stays lazy
-        return tensor_space(self.backend, [self.carrier] * 3)
 
 
 def build_frobenius(backend, x, field):
@@ -84,6 +83,7 @@ def build_frobenius(backend, x, field):
         comult=pushforward_matrix(backend, diag, field),
         ps1=ps1,
         ps2=ps2,
+        ps3=RowProduct(backend, [x] * 3),
     )
 
 

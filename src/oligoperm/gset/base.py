@@ -32,7 +32,8 @@ b)`` its point-pair index and its ``("act", a, g)`` the permutation of a's
 points by the group element g;
 ``triple_table`` keeps its table for atoms ``a, b, c`` under ``("triples",
 a, b, c)``; ``linmat`` keeps its product spaces under ``("space", factors)``
-and its triple-orbit completions under ``("completions", ...)``.
+(a ``linmat.RowProduct`` is built per use and not kept) and its
+triple-orbit completions under ``("completions", ...)``.
 
 ``agreeing_orbits(backend, f, g)`` is the one kernel-pair and fiber-product
 filter: the orbits of ``a x b`` on which two atom maps ``f: a -> c`` and

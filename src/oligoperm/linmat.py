@@ -16,9 +16,19 @@ position's map onto any factor by walking the left chain, for the few
 positions a caller visits.  Product spaces make the wiring maps (diagonals,
 coordinate permutations and collapses) and blocked tensor products of
 morphisms computable without any associator bookkeeping: every composite in
-the category layer is expressed against one flat product space.
+the category layer is expressed against product spaces of its factors.
 
-``block_tensor`` walks neither flat space.  It enumerates the nonzero
+A ``RowProduct`` is a product that is never enumerated or numbered: a
+matrix on it is keyed by rows (left position, right position, orbit label)
+instead of positions, and its ``atoms`` maps just the rows ``multi_factor``
+has placed to their orbit atoms, read off the induced map's target.  Matrix
+operations only look up ``atoms[key]``, so they take it as they take an
+object.  The Frobenius and duality chains address ``X x X x X`` this way:
+they touch a few dozen of its orbits, and numbering all of them is what
+costs (699,121 positions for ``line:inc[4]``).  A product a map leaves, such
+as the four-fold product of ``frob.check_sum_tensor_traces``, is numbered.
+
+``block_tensor`` walks neither product space.  It enumerates the nonzero
 output orbits directly from the factor matrices' entries, as orbits of the
 products of the entries' orbit atoms, so its work follows the output.  A
 product of functions on sub-products, such as the pairing of a tensor
@@ -80,6 +90,17 @@ def tensor_space(backend, factors):
     return space
 
 
+class RowProduct:
+    """``(X1 x ... x Xk-1) x Xk`` addressed by row (left position, position
+    in Xk, orbit label), never enumerated or numbered.  It is its own object:
+    ``atoms`` maps each row ``multi_factor`` has placed to its orbit atom."""
+
+    def __init__(self, backend, factors):
+        self.backend, self.factors = backend, tuple(factors)
+        self.left = tensor_space(backend, self.factors[:-1])
+        self.object, self.atoms = self, {}
+
+
 def projection(space, p, i):
     """Position ``p``'s projection onto factor ``i``: the position in that
     factor and the AtomMap onto its atom, composed down the left chain."""
@@ -108,6 +129,9 @@ def multi_factor(backend, maps, space):
     lpos, lmap = multi_factor(backend, maps[:-1], space.left)
     rp, rmap = maps[-1]
     label, g = backend.product_factor(lmap, rmap)
+    if isinstance(space, RowProduct):
+        space.atoms[lpos, rp, label] = g.target
+        return (lpos, rp, label), g
     return space.index[(lpos, rp, label)], g
 
 
@@ -237,18 +261,19 @@ def block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
 
     ``mats[k]`` maps the sub-product of the source factors in src_blocks[k] to
     the sub-product of the target factors in tgt_blocks[k]; the blocks of a
-    side partition its factors.  The result is a matrix from the flat source
-    product to the flat target product; its value on an orbit is the product
-    of the factor entries on the orbit's marginals.
+    side partition its factors.  The result is a matrix from the whole source
+    product to the whole target product (either may be a ``RowProduct``);
+    its value on an orbit is the product of the factor entries on the
+    orbit's marginals.
 
-    The output is enumerated from the entries, never from the flat spaces.
+    The output is enumerated from the entries, never from the product spaces.
     The nonzero orbits of ``M (x) N`` are in bijection with the triples
     ``(e1, e2, o)``: an entry of ``M`` on an orbit ``O1``, an entry of ``N``
     on an orbit ``O2``, and an orbit ``o`` of ``O1.atom x O2.atom``; with
     more blocks the product nests from the left.  Each triple carries maps
     from its atom onto every factor of both sides, composed down one level
-    per block, and is placed by one ``multi_factor`` into each flat space and
-    one ``product_factor`` of the two induced maps.
+    per block, and is placed by one ``multi_factor`` into each side's
+    product and one ``product_factor`` of the two induced maps.
     """
     backend = src_ps.backend
     sides = []

@@ -27,6 +27,7 @@ from .coeff import one, zero
 from .gset.base import GMap, atom_gmap
 from .linmat import (
     InvariantMatrix,
+    RowProduct,
     SchwartzFn,
     block_tensor,
     column_matrix,
@@ -95,7 +96,7 @@ def triangle_identities(measure, x, coev, ev):
     each the identity of Vec_X, as (right_ok, left_ok).
     """
     backend = measure.backend
-    ps3 = tensor_space(backend, [x, x, x])
+    ps3 = RowProduct(backend, [x, x, x])
     right_unit = tensor_space(backend, [x, backend.unit_object()])
     left_unit = tensor_space(backend, [backend.unit_object(), x])
     ident = identity_matrix(backend, x, measure.field)

@@ -167,6 +167,17 @@ def run_suite(backend, bound):
     return Report(f"suite for {backend.backend_id} at bound {bound}", results)
 
 
+def _hom_dims_match(backend, bound, model):
+    """Whether dim Hom(Vec_a, Vec_b) is ``model(n, m)`` for the atoms a and b
+    of arities n and m up to min(bound, 3)."""
+    arities = range(min(bound, 3) + 1)
+    return all(
+        hom_dimension(backend, backend.object_of([backend.atom_of_arity(n)]),
+                      backend.object_of([backend.atom_of_arity(m)]))
+        == model(n, m)
+        for n in arities for m in arities)
+
+
 def _sym_suite(backend, family, measure, bound, results):
     field = family.field
     t = Scalar.variable(field)
@@ -202,16 +213,10 @@ def _sym_suite(backend, family, measure, bound, results):
             model_ok = False
     results.append(CheckResult("composition-identity", identity_ok and model_ok))
 
-    dims_ok = True
-    for n in range(min(bound, 3) + 1):
-        for m in range(min(bound, 3) + 1):
-            lhs = hom_dimension(
-                backend,
-                backend.object_of([backend.atom_of_arity(n)]),
-                backend.object_of([backend.atom_of_arity(m)]))
-            if lhs != sym_orbit_count_model(8, n, m):
-                dims_ok = False
-    results.append(CheckResult("hom-dims-match-model-orbits", dims_ok))
+    results.append(CheckResult(
+        "hom-dims-match-model-orbits",
+        _hom_dims_match(backend, bound,
+                        lambda n, m: sym_orbit_count_model(8, n, m))))
 
     results.append(CheckResult(
         "dimension-of-line-object",
@@ -269,16 +274,9 @@ def _line_suite(backend, family, measure, bound, results):
     results.append(CheckResult("unique-alternating-measure",
                                values_ok and oracle_ok))
 
-    dims_ok = True
-    for n in range(min(bound, 3) + 1):
-        for m in range(min(bound, 3) + 1):
-            lhs = hom_dimension(
-                backend,
-                backend.object_of([backend.atom_of_arity(n)]),
-                backend.object_of([backend.atom_of_arity(m)]))
-            if lhs != delannoy_number(n, m):
-                dims_ok = False
-    results.append(CheckResult("hom-dims-are-delannoy", dims_ok))
+    results.append(CheckResult(
+        "hom-dims-are-delannoy",
+        _hom_dims_match(backend, bound, delannoy_number)))
 
     x = backend.object_of([backend.atom_of_arity(1)])
     results.append(CheckResult(

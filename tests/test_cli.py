@@ -501,3 +501,20 @@ def test_group_order_guard(capsys, group):
     assert_usage_error(capsys, ["atoms", "--backend", "finite", "--group",
                                 group, "--bound", "2"], "group order exceeds")
     assert time.monotonic() - started < 5.0
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_exhaustion_exits_3(monkeypatch, capsys, error):
+    """Running out of memory or stack is not a failing check (exit 1): the
+    CLI exits 3 with one stderr line and no traceback."""
+    from oligoperm import cli
+
+    def exhausted(args):
+        raise error("out of room")
+
+    monkeypatch.setattr(cli, "cmd_frob_verify", exhausted)
+    assert main(["frob", "verify", "--X", "sym:inj[1]"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"resource error: {error.__name__}, the run stopped without a verdict"]

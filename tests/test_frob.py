@@ -22,18 +22,24 @@ from oligoperm.gset import LINE, SYM, GMap, preset_backend
 from oligoperm import frob
 from oligoperm.linmat import (
     InvariantMatrix,
+    RowProduct,
     SchwartzFn,
+    block_tensor,
     constant_fn,
+    identity_matrix,
     matmul,
     multi_factor,
     projection,
     pullback_fn,
+    pullback_matrix,
+    pushforward_matrix,
     row_to_fn,
     scalar_entry,
     tensor_space,
     wiring_gmap,
 )
 from oligoperm.measure import solve_measures
+from oligoperm.permcat import check_snake_identities, duality_data
 
 
 @pytest.fixture(scope="module")
@@ -532,3 +538,113 @@ def test_tensor_pairing_rhs_matches_reference(monkeypatch, mu_t, mu_line,
         result = check_sum_tensor_traces(backend, xa, xb, measure).result(
             "tensor-pairing-factorizes")
         assert not result.passed, key
+
+
+# X x X x X by row: the Frobenius and duality chains never number X^3
+
+
+@pytest.mark.parametrize("make", [type(SYM), type(LINE),
+                                  lambda: preset_backend("S3")],
+                         ids=["sym", "line", "S3"])
+def test_frobenius_chains_build_no_flat_triple_space(make):
+    """The axiom, trace, pairing and snake checks on a degree-3 atom address
+    X x X x X by row: no flat triple space enters the backend cache."""
+    backend = make()
+    measure = solve_measures(backend, 3).generic()
+    x = backend.object_of([next(a for a in backend.atoms_up_to(3)
+                                if a.degree == 3)])
+    f = build_frobenius(backend, x, measure.field)
+    for report in (verify_frobenius(f, measure), check_trace(f, measure),
+                   check_perfect_pairing(f, measure),
+                   check_snake_identities(backend, x, measure)):
+        assert report.passed, [r.name for r in report.failures()]
+    assert ("space", (x, x, x)) not in backend.cache
+    assert not [k for k in backend.cache if k[0] == "space" and len(k[1]) > 2]
+    assert f.ps3.atoms
+
+
+def triple_paddings(measure, x, ps3):
+    """The maps between X x X x X (``ps3``) and smaller products that the
+    Frobenius and duality chains compose through."""
+    backend, field = measure.backend, measure.field
+    ps2 = tensor_space(backend, [x, x])
+    unit = backend.unit_object()
+    right_unit = tensor_space(backend, [x, unit])
+    left_unit = tensor_space(backend, [unit, x])
+    ident = identity_matrix(backend, x, field)
+    coev, ev = duality_data(backend, x, field)
+    return {
+        "mu_id": pullback_matrix(backend, wiring_gmap(ps2, ps3, (0, 0, 1)),
+                                 field),
+        "id_mu": pullback_matrix(backend, wiring_gmap(ps2, ps3, (0, 1, 1)),
+                                 field),
+        "delta_id": pushforward_matrix(
+            backend, wiring_gmap(ps2, ps3, (0, 0, 1)), field),
+        "id_delta": pushforward_matrix(
+            backend, wiring_gmap(ps2, ps3, (0, 1, 1)), field),
+        "id_coev": block_tensor([ident, coev], right_unit, ps3,
+                                [[0], [1]], [[0], [1, 2]]),
+        "ev_id": block_tensor([ev, ident], ps3, left_unit,
+                              [[0, 1], [2]], [[0], [1]]),
+        "coev_id": block_tensor([coev, ident], left_unit, ps3,
+                                [[0], [1]], [[0, 1], [2]]),
+        "id_ev": block_tensor([ident, ev], ps3, right_unit,
+                              [[0], [1, 2]], [[0], [1]]),
+    }
+
+
+def numbered(matrix, rows, flat):
+    """``matrix`` with every row of ``rows`` replaced by its position in the
+    flat space of the same factors, checking the row's atom on the way."""
+    def place(obj, key):
+        if obj is not rows:
+            return key
+        assert rows.atoms[key] == flat.positions[flat.index[key]].atom
+        return flat.index[key]
+
+    return InvariantMatrix(
+        matrix.backend,
+        flat.object if matrix.source is rows else matrix.source,
+        flat.object if matrix.target is rows else matrix.target,
+        {(place(matrix.target, t), place(matrix.source, s), label): value
+         for (t, s, label), value in matrix.entries.items()})
+
+
+@pytest.mark.parametrize("name", ["sym", "line", "S3"])
+def test_row_paddings_match_flat_triple_space(request, name):
+    """Every padding on the row-keyed X x X x X, renumbered through the flat
+    ``tensor_space([X, X, X])``, is the padding built on the flat space, and
+    so are the composites the checks form with them."""
+    backend, measure = {
+        "sym": lambda: (SYM, request.getfixturevalue("mu_t")),
+        "line": lambda: (LINE, request.getfixturevalue("mu_line")),
+        "S3": lambda: (request.getfixturevalue("s3"),
+                       request.getfixturevalue("mu_s3")),
+    }[name]()
+    atoms = backend.atoms_up_to(2)
+    objects = ([backend.object_of([a]) for a in atoms]
+               + [backend.object_of(atoms[:2])])
+    for x in objects:
+        f = build_frobenius(backend, x, measure.field)
+        rows, flat = RowProduct(backend, [x] * 3), tensor_space(backend, [x] * 3)
+        by_row = triple_paddings(measure, x, rows)
+        by_position = triple_paddings(measure, x, flat)
+        for key, matrix in by_row.items():
+            assert matrix.entries, key
+            assert numbered(matrix, rows, flat) == by_position[key], key
+
+        def composites(p):
+            return [
+                matmul(measure, f.mult, p["mu_id"]),
+                matmul(measure, f.mult, p["id_mu"]),
+                matmul(measure, p["delta_id"], f.comult),
+                matmul(measure, p["id_delta"], f.comult),
+                matmul(measure, p["id_mu"], p["delta_id"]),
+                matmul(measure, p["mu_id"], p["id_delta"]),
+                matmul(measure, p["mu_id"], p["id_coev"]),
+                matmul(measure, p["ev_id"], p["id_coev"]),
+                matmul(measure, p["id_ev"], p["coev_id"]),
+            ]
+
+        for got, want in zip(composites(by_row), composites(by_position)):
+            assert numbered(got, rows, flat) == want
