@@ -8,10 +8,14 @@ Atom values are grounded in fiber values through the canonical drop chains
 which is what makes the constraint systems triangular.
 
 The solver introduces one unknown per fiber class, imposes the backends'
-point-cut decompositions (a linear system), and then verifies the remaining
-identity set (product decompositions and drop-order independence) by
-substitution.  Identities that do not vanish are reported as residual
-constraints; for the shipped backends they all vanish.
+point-cut decompositions (a linear system, eliminated on sparse rows), and
+then verifies the remaining identity set (product decompositions and
+drop-order independence) by substitution.  Identities that do not vanish are
+reported as residual constraints; for the shipped backends they all vanish.
+
+The normality classifier probes one single drop per class under the
+automorphisms of its source, which is exact for every measure (see
+``classify_measure``).
 """
 
 from __future__ import annotations
@@ -132,37 +136,52 @@ def _solve_linear(classes, relations):
     Unknown order is reversed so that the earliest class (the one atom chains
     start from) ends up as the free parameter.  More than one free class is
     an INCONSISTENT system: a family has at most one parameter.
+
+    Each row is stored as a dict of its nonzero coefficients, so elimination
+    touches only the nonzero entries (the point-cut systems are nearly
+    bidiagonal).  The reduced row echelon form is unique, so the result is
+    that of dense elimination.
     """
     cols = list(reversed(classes))
     col_index = {c: i for i, c in enumerate(cols)}
+    # a row is (column -> nonzero coefficient, constant)
     rows = []
     for rel in relations:
-        row = [Fraction(0)] * (len(cols) + 1)
-        row[col_index[rel.lhs]] += 1
+        row = {col_index[rel.lhs]: Fraction(1)}
         for cls, coeff in rel.terms:
-            row[col_index[cls]] -= coeff
-        row[-1] = Fraction(rel.const)
-        rows.append(row)
+            c = col_index[cls]
+            row[c] = row.get(c, Fraction(0)) - coeff
+        rows.append(({c: x for c, x in row.items() if x != 0}, Fraction(rel.const)))
     # Gaussian elimination to reduced row echelon form.
     pivot_of_col = {}
     r = 0
     for c in range(len(cols)):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(rows)) if c in rows[i][0]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        coeffs, const = rows[r]
+        lead = coeffs[c]
+        coeffs = {k: x / lead for k, x in coeffs.items()}
+        const = const / lead
+        rows[r] = (coeffs, const)
+        for i, (other, other_const) in enumerate(rows):
+            factor = other.get(c)
+            if i == r or factor is None:
+                continue
+            for k, x in coeffs.items():
+                y = other.get(k, 0) - factor * x
+                if y:
+                    other[k] = y
+                else:
+                    other.pop(k, None)
+            rows[i] = (other, other_const - factor * const)
         pivot_of_col[c] = r
         r += 1
         if r == len(rows):
             break
-    for i in range(r, len(rows)):
-        if all(x == 0 for x in rows[i][:-1]) and rows[i][-1] != 0:
+    for coeffs, const in rows[r:]:
+        if not coeffs and const != 0:
             raise InconsistentSystem("point-cut relations have no solution")
     free_cols = [c for c in range(len(cols)) if c not in pivot_of_col]
     if len(free_cols) > 1:
@@ -172,10 +191,10 @@ def _solve_linear(classes, relations):
     values = {}
     for c, cls in enumerate(cols):
         if c in pivot_of_col:
-            row = rows[pivot_of_col[c]]
-            values[cls] = {None: row[-1]}
-            if free_cols and row[free_cols[0]] != 0:
-                values[cls][PARAMETER] = -row[free_cols[0]]
+            coeffs, const = rows[pivot_of_col[c]]
+            values[cls] = {None: const}
+            if free_cols and free_cols[0] in coeffs:
+                values[cls][PARAMETER] = -coeffs[free_cols[0]]
         else:
             values[cls] = {PARAMETER: Fraction(1), None: Fraction(0)}
     return [PARAMETER] if free_cols else [], values
@@ -310,6 +329,17 @@ def classify_measure(measure, bound):
     isomorphism followed by a chain of single drops, so id_W x f is onto for
     every surjective f exactly when it is onto for every single drop.
 
+    One single drop per automorphism class is probed: f and f o s, for s in
+    ``hom_atoms(a, a)``, give the same verdict for every measure, perturbed
+    ones included, without appeal to functoriality.  Every such s is an
+    isomorphism (an endomorphism of an atom is invertible on the shipped
+    backends), ``id_W x (f o s) = (id_W x f) o (id_W x s)``, and
+    ``id_W x s`` permutes the orbits of W x a, so each leg of ``f o s`` is a
+    leg of f precomposed with an isomorphism.  That keeps the leg's fiber
+    classes, hence its ``mu_map``, and the set of hit target orbits is the
+    same.  On ``sym`` the 33 single drops within bound 4 are 4 classes;
+    ``line`` atoms have no automorphisms but the identity.
+
     Each probe's legs are read off the orbits of W x a: an orbit o goes to the
     orbit of W x b that factors (o.proj1, f o o.proj2).  Surjectivity is then
     a support count, not an elimination: the map is onto exactly when every
@@ -323,11 +353,15 @@ def classify_measure(measure, bound):
     regular = all(not measure.mu_atom(a).is_zero() for a in atoms)
     normal = True
     for a in atoms:
+        automorphisms = backend.hom_atoms(a, a)
         for b in atoms:
+            covered = set()
             for f in backend.hom_atoms(a, b):
-                if not (backend.is_surjective_map(f)
+                if f in covered or not (
+                        backend.is_surjective_map(f)
                         and len(backend.elementary_factorize(f)) == 1):
                     continue
+                covered.update(backend.compose_maps(f, s) for s in automorphisms)
                 for w in atoms:
                     src = linmat.tensor_space(backend, [backend.object_of([w]),
                                                         backend.object_of([a])])

@@ -17,6 +17,7 @@ from oligoperm.linmat import (
     identity_matrix,
     matmul,
     multi_factor,
+    product_gmap,
     projection,
     pullback_matrix,
     pushforward_matrix,
@@ -26,7 +27,7 @@ from oligoperm.linmat import (
     wiring_gmap,
 )
 from oligoperm.frob import build_frobenius
-from oligoperm.measure import Measure, classify_measure, solve_measures
+from oligoperm.measure import Measure, solve_measures
 from oligoperm.permcat import hom_basis, tensor
 
 
@@ -479,24 +480,43 @@ CLASSIFY_MEASURES = {
 }
 
 
+# single-drop probes per backend at bound 3: 9 sym and 6 line drops, times
+# 4 atoms W, and the S3 drops
+SINGLE_DROP_PROBES = {"sym": 36, "line": 24, "finite": 6}
+
+
+def single_drop_probes(backend, bound):
+    """``id_W x f`` for every single drop f (a surjective atom map with one
+    fiber class) and every atom W within the bound, not only one drop per
+    automorphism class as ``classify_measure`` probes."""
+    atoms = backend.atoms_up_to(bound)
+    for a in atoms:
+        for b in atoms:
+            for f in backend.hom_atoms(a, b):
+                if not (backend.is_surjective_map(f)
+                        and len(backend.elementary_factorize(f)) == 1):
+                    continue
+                for w in atoms:
+                    x = backend.object_of([w])
+                    yield product_gmap(
+                        backend, backend.identity_gmap(x), atom_gmap(backend, f),
+                        tensor_space(backend, [x, backend.object_of([a])]),
+                        tensor_space(backend, [x, backend.object_of([b])]))
+
+
 @pytest.mark.parametrize("name", list(CLASSIFY_MEASURES))
-def test_pushforward_surjective_matches_dense_rank(name, monkeypatch):
-    # every map classify_measure probes at bound 3, through the public name
+def test_pushforward_surjective_matches_dense_rank(name):
+    # every single-drop probe at bound 3, built here
     measure = CLASSIFY_MEASURES[name]()
     mismatches = []
-    calls = 0
-
-    def checked(measure, gmap):
-        nonlocal calls
-        calls += 1
-        got = pushforward_surjective_on_invariants(measure, gmap)
-        if got != dense_pushforward_surjective(measure, gmap):
+    probes = 0
+    for gmap in single_drop_probes(measure.backend, 3):
+        probes += 1
+        if (pushforward_surjective_on_invariants(measure, gmap)
+                != dense_pushforward_surjective(measure, gmap)):
             mismatches.append((gmap.source.render(), gmap.target.render()))
-        return got
-
-    monkeypatch.setattr(linmat, "pushforward_surjective_on_invariants", checked)
-    classify_measure(measure, 3)
-    assert calls > 0 and mismatches == []
+    assert probes == SINGLE_DROP_PROBES[measure.backend.backend_id]
+    assert mismatches == []
 
 
 def test_pushforward_surjective_zero_fiber_leaves_position_unhit():

@@ -9,10 +9,14 @@ import pytest
 
 from oligoperm import linmat
 from oligoperm.coeff import RATIONAL, Scalar, falling_factorial, one
-from oligoperm.errors import UnknownAtom
+from oligoperm.errors import InconsistentSystem, UnknownAtom
 from oligoperm.gset import LINE, SYM, atom_gmap, preset_backend
+from oligoperm.gset.base import LinearRelation
 from oligoperm.measure import (
+    PARAMETER,
+    SOLVE_DEPTH_FACTOR,
     Measure,
+    _solve_linear,
     check_measure_axioms,
     classify_measure,
     solve_measures,
@@ -251,8 +255,9 @@ def test_single_drop_classification_matches_every_surjection(name, verdict_cases
 
 
 def test_classification_work_is_bounded(sym_family, monkeypatch):
-    # 33 single drops inj[n] -> inj[n-1] for n <= 4, times 5 atoms W, and the
-    # zero test once per fiber-class tuple of a probe
+    # the 33 single drops inj[n] -> inj[n-1] for n <= 4 form 4 classes under
+    # the automorphisms of inj[n]: one probe per class and atom W (5 of them),
+    # and the zero test once per fiber-class tuple of a probe
     measure = sym_family.specialize(2)
     probes = 0
     mu_map_calls = 0
@@ -277,8 +282,59 @@ def test_classification_work_is_bounded(sym_family, monkeypatch):
     monkeypatch.setattr(Measure, "mu_map", counted_mu_map)
     assert classify_measure(measure, 4) == {
         "regular": False, "normal_within_bound": False}
-    assert probes == 165
-    assert mu_map_calls <= 1000
+    assert probes == 20
+    assert mu_map_calls <= 56
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("sym", 4), ("line", 4), ("S3", 6), ("C2x4", 6), ("S4", 6)])
+def test_endomorphisms_of_an_atom_are_automorphisms_keeping_fiber_classes(
+        name, bound):
+    # the premise of probing one single drop per automorphism class: every
+    # map a -> a is invertible among them, and precomposing any map a -> b
+    # (every single drop among them) with one keeps its fiber classes, so
+    # mu_map is unchanged for every measure, perturbed ones included
+    backend = {"sym": SYM, "line": LINE}.get(name) or preset_backend(name)
+    atoms = backend.atoms_up_to(bound)
+    single_drops = 0
+    for a in atoms:
+        automorphisms = backend.hom_atoms(a, a)
+        identity = backend.identity_map(a)
+        for s in automorphisms:
+            assert any(backend.compose_maps(s, u) == identity
+                       and backend.compose_maps(u, s) == identity
+                       for u in automorphisms)
+        for b in atoms:
+            for f in backend.hom_atoms(a, b):
+                classes = sorted(backend.elementary_factorize(f))
+                single_drops += (backend.is_surjective_map(f)
+                                 and len(classes) == 1)
+                for s in automorphisms:
+                    assert sorted(backend.elementary_factorize(
+                        backend.compose_maps(f, s))) == classes
+    assert single_drops > 0
+
+
+def test_bound_five_classification(monkeypatch):
+    sym = solve_measures(SYM, 5)
+    probes = 0
+    surjective = linmat.pushforward_surjective_on_invariants
+
+    def counted_probe(measure, gmap):
+        nonlocal probes
+        probes += 1
+        return surjective(measure, gmap)
+
+    monkeypatch.setattr(linmat, "pushforward_surjective_on_invariants", counted_probe)
+    assert classify_measure(sym.generic(), 5) == {
+        "regular": True, "normal_within_bound": True}
+    # 5 classes of single drops inj[n] -> inj[n-1], times 6 atoms W
+    assert probes == 30
+    # t - 4 vanishes on the drop inj[5] -> inj[4]
+    assert classify_measure(sym.specialize(4), 5) == {
+        "regular": False, "normal_within_bound": False}
+    assert classify_measure(solve_measures(LINE, 5).generic(), 5) == {
+        "regular": True, "normal_within_bound": True}
 
 
 def test_classify_raises_on_missing_top_fiber_class(sym_family):
@@ -343,3 +399,101 @@ def test_unknown_atom_extension(sym_family):
                     {}, {"omega-minus[0]": t})
     with pytest.raises(UnknownAtom):
         small.mu_atom(SYM.atom_of_arity(3))
+
+
+def dense_solve_linear(classes, relations):
+    """The solver by dense Gaussian elimination to reduced row echelon form,
+    kept as the reference for the sparse ``_solve_linear``."""
+    cols = list(reversed(classes))
+    col_index = {c: i for i, c in enumerate(cols)}
+    rows = []
+    for rel in relations:
+        row = [Fraction(0)] * (len(cols) + 1)
+        row[col_index[rel.lhs]] += 1
+        for cls, coeff in rel.terms:
+            row[col_index[cls]] -= coeff
+        row[-1] = Fraction(rel.const)
+        rows.append(row)
+    pivot_of_col = {}
+    r = 0
+    for c in range(len(cols)):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivot_of_col[c] = r
+        r += 1
+        if r == len(rows):
+            break
+    for i in range(r, len(rows)):
+        if all(x == 0 for x in rows[i][:-1]) and rows[i][-1] != 0:
+            raise InconsistentSystem("point-cut relations have no solution")
+    free_cols = [c for c in range(len(cols)) if c not in pivot_of_col]
+    if len(free_cols) > 1:
+        names = ", ".join(cols[c] for c in reversed(free_cols))
+        raise InconsistentSystem(
+            f"classes {names} are all free; a measure family has one parameter")
+    values = {}
+    for c, cls in enumerate(cols):
+        if c in pivot_of_col:
+            row = rows[pivot_of_col[c]]
+            values[cls] = {None: row[-1]}
+            if free_cols and row[free_cols[0]] != 0:
+                values[cls][PARAMETER] = -row[free_cols[0]]
+        else:
+            values[cls] = {PARAMETER: Fraction(1), None: Fraction(0)}
+    return [PARAMETER] if free_cols else [], values
+
+
+def assert_same_solution(classes, relations):
+    params, values = _solve_linear(classes, relations)
+    want_params, want_values = dense_solve_linear(classes, relations)
+    assert params == want_params
+    assert values == want_values
+    assert all(type(x) is Fraction
+               for expr in values.values() for x in expr.values())
+
+
+@pytest.mark.parametrize("name", ["sym", "line", "S3", "C2x4", "S4"])
+def test_sparse_solver_matches_dense_elimination(name):
+    backend = {"sym": SYM, "line": LINE}.get(name) or preset_backend(name)
+    for bound in range(2, 7):
+        depth = SOLVE_DEPTH_FACTOR * bound + 4
+        assert_same_solution(backend.fiber_classes(depth),
+                             backend.fiber_decompositions(depth))
+
+
+HAND_SYSTEMS = {
+    # c1 = c0 - 1 and c2 = c1 - 1 imply the third row
+    "redundant": (("c0", "c1", "c2"), (
+        LinearRelation("c1", (("c0", 1),), -1),
+        LinearRelation("c2", (("c1", 1),), -1),
+        LinearRelation("c2", (("c0", 1),), -2))),
+    # the third row contradicts the first two
+    "inconsistent": (("c0", "c1", "c2"), (
+        LinearRelation("c1", (("c0", 1),), -1),
+        LinearRelation("c2", (("c1", 1),), -1),
+        LinearRelation("c2", (("c0", 1),), -3))),
+    # c2 = c0 + c1 leaves c0 and c1 free
+    "two-free": (("c0", "c1", "c2"), (
+        LinearRelation("c2", (("c0", 1), ("c1", 1)), 0),)),
+}
+
+
+@pytest.mark.parametrize("name", list(HAND_SYSTEMS))
+def test_sparse_solver_matches_dense_on_hand_systems(name):
+    classes, relations = HAND_SYSTEMS[name]
+    if name == "redundant":
+        assert_same_solution(classes, relations)
+        return
+    with pytest.raises(InconsistentSystem) as want:
+        dense_solve_linear(classes, relations)
+    with pytest.raises(InconsistentSystem) as got:
+        _solve_linear(classes, relations)
+    assert str(got.value) == str(want.value)
