@@ -9,7 +9,6 @@ from .base import (
     LinearRelation,
     ProductOrbit,
     atom_gmap,
-    fiber_product,
 )
 from .finite import FiniteBackend, parse_cycles, preset_backend
 from .line import LineBackend
@@ -32,7 +31,6 @@ __all__ = [
     "SymBackend",
     "LineBackend",
     "atom_gmap",
-    "fiber_product",
     "parse_cycles",
     "preset_backend",
 ]

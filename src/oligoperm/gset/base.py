@@ -37,9 +37,9 @@ triple-orbit completions under ``("completions", ...)``.
 
 ``agreeing_orbits(backend, f, g)`` is the one kernel-pair and fiber-product
 filter: the orbits of ``a x b`` on which two atom maps ``f: a -> c`` and
-``g: b -> c`` agree.  ``fiber_product`` collects them per pair of legs into
-one atom; the pre-Galois checks and ``frob.kernel_pair_gamma`` read them
-without building an object.
+``g: b -> c`` agree.  Their union, with the orbit projections, is the fiber
+product of f and g; the pre-Galois checks and ``frob.kernel_pair_gamma``
+read the orbits without building an object.
 
 ``triple_orbits(backend, a, b, c)`` is the one walk of the orbits of
 ``a x b x c`` by their three pair orbits, and ``triple_table`` records which
@@ -225,15 +225,6 @@ class Backend:
         legs = tuple((i, self.identity_map(a)) for i, a in enumerate(x.atoms))
         return GMap(x, x, legs)
 
-    def compose_gmaps(self, outer, inner):
-        if inner.target != outer.source:
-            raise ValueError("gmap composition shape mismatch")
-        legs = []
-        for (mid, m1) in inner.legs:
-            tgt, m2 = outer.legs[mid]
-            legs.append((tgt, self.compose_maps(m2, m1)))
-        return GMap(inner.source, outer.target, tuple(legs))
-
     def collapse_gmap(self, x):
         """The unique map from x to the final object."""
         unit = self.unit_object()
@@ -357,31 +348,6 @@ def agreeing_orbits(backend, f, g):
         if (backend.compose_maps(f, orbit.proj1)
                 == backend.compose_maps(g, orbit.proj2)):
             yield orbit
-
-
-def fiber_product(backend, f, g):
-    """The fiber product of f: X -> Z and g: Y -> Z, with its projections:
-    the agreeing orbits of each pair of legs into one atom of Z."""
-    if f.target != g.target:
-        raise ValueError("fiber product needs a shared target")
-    x, y = f.source, g.source
-    atoms = []
-    legs1 = []
-    legs2 = []
-    for i, (zi, ma) in enumerate(f.legs):
-        for j, (zj, mb) in enumerate(g.legs):
-            if zi == zj:
-                atoms.extend((o.atom, i, o.proj1, j, o.proj2)
-                             for o in agreeing_orbits(backend, ma, mb))
-    atoms.sort(key=lambda item: (item[0], item[1], item[3]))
-    obj_atoms = []
-    for atom, i, p1, j, p2 in atoms:
-        obj_atoms.append(atom)
-        legs1.append((i, p1))
-        legs2.append((j, p2))
-    # GObject.of sorts; the explicit sort above keeps legs aligned with it.
-    obj = GObject(backend.backend_id, tuple(obj_atoms))
-    return obj, GMap(obj, x, tuple(legs1)), GMap(obj, y, tuple(legs2))
 
 
 def triple_orbits(backend, a, b, c):

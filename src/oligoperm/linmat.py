@@ -478,23 +478,3 @@ def pushforward_surjective_on_invariants(measure, gmap):
         if not zero:
             hit.add(j)
     return len(hit) == len(gmap.target.atoms)
-
-
-def _rank(grid):
-    grid = [row[:] for row in grid]
-    rank = 0
-    cols = len(grid[0]) if grid else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(grid))
-                      if not grid[r][c].is_zero()), None)
-        if pivot is None:
-            continue
-        grid[rank], grid[pivot] = grid[pivot], grid[rank]
-        inv = grid[rank][c].inv()
-        grid[rank] = [v * inv for v in grid[rank]]
-        for r in range(len(grid)):
-            if r != rank and not grid[r][c].is_zero():
-                factor = grid[r][c]
-                grid[r] = [v - factor * w for v, w in zip(grid[r], grid[rank])]
-        rank += 1
-    return rank

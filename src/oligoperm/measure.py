@@ -20,6 +20,7 @@ automorphisms of its source, which is exact for every measure (see
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -254,11 +255,10 @@ def _identity_results(measure, bound):
     for a in atoms:
         for b in atoms:
             lhs = measure.mu_atom(a) * measure.mu_atom(b)
+            orbits = backend.product_decompose(a, b)
             rhs = zero(measure.field)
-            orbit_labels = []
-            for orbit in backend.product_decompose(a, b):
-                rhs = rhs + measure.mu_atom(orbit.atom)
-                orbit_labels.append(orbit.label)
+            for atom, n in Counter(o.atom for o in orbits).items():
+                rhs = rhs + measure.mu_atom(atom) * n
             ok = lhs == rhs
             witness = {}
             if not ok:
@@ -267,7 +267,7 @@ def _identity_results(measure, bound):
                     "pair": f"{a.render()} x {b.render()}",
                     "lhs": lhs.render(),
                     "rhs": rhs.render(),
-                    "orbits": ", ".join(orbit_labels),
+                    "orbits": ", ".join(o.label for o in orbits),
                     "identity": f"{lhs.render()} = {rhs.render()}",
                     "constant_failure": "yes" if diff.is_constant() else "no",
                 }

@@ -96,6 +96,27 @@ def literal_product(bgrid, agrid, field):
     return out
 
 
+def _rank(grid):
+    """The rank of a dense grid of scalars, by Gauss-Jordan elimination."""
+    grid = [row[:] for row in grid]
+    rank = 0
+    cols = len(grid[0]) if grid else 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, len(grid))
+                      if not grid[r][c].is_zero()), None)
+        if pivot is None:
+            continue
+        grid[rank], grid[pivot] = grid[pivot], grid[rank]
+        inv = grid[rank][c].inv()
+        grid[rank] = [v * inv for v in grid[rank]]
+        for r in range(len(grid)):
+            if r != rank and not grid[r][c].is_zero():
+                factor = grid[r][c]
+                grid[r] = [v - factor * w for v, w in zip(grid[r], grid[rank])]
+        rank += 1
+    return rank
+
+
 def bgamma_kernel_dimension(backend, y_obj, gamma, field):
     """Dimension of the kernel of x -> gamma . (x (x) 1 - 1 (x) x) on the
     concrete function space of the finite backend."""
@@ -115,8 +136,6 @@ def bgamma_kernel_dimension(backend, y_obj, gamma, field):
         columns.append(column)
     rows = len(columns[0]) if columns else 0
     grid = [[columns[c][r] for c in range(len(columns))] for r in range(rows)]
-    from .linmat import _rank
-
     return len(points) - _rank(grid)
 
 

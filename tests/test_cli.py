@@ -187,13 +187,17 @@ SUITE_SHA256 = {
     "S4": "fe901fdc71069a06084e7b8c77373b457f043d624a6033be075803d820961372",
 }
 
-# pre-Galois reports, pinned the same way: sym at bound 3 fails with its
-# swap witness; line at bound 3 and S3 and S4 at bound 6 pass
+# pre-Galois reports, pinned the same way: sym at bounds 2 and 3 fails with
+# its swap witness; line at bounds 2 and 3 and S3, S4 and C2x4 at bound 6
+# pass
 PREGALOIS_SHA256 = {
     "sym": "c34c5020894117da100b05b52370930c5fdadca44e46c78dc5c27735a86e014e",
     "line": "72b31270ae26119259975df09c6d7f77ec6eea441cf19cf1d045c53f4ace5d41",
     "S3": "bef90a5d4ebde6a40b91d53d9764381105e185ff22da70e4c184b22793491b00",
     "S4": "f8386727770ecc0821da7126161434716768e2f98702c09ed31a215775d673cd",
+    "sym-2": "4ccee6523e5d74b7248481350194627024b6da365a0d9630eca5ebecb6be9f5d",
+    "line-2": "0739abf669ed65d8a8a512b7f587be240a3515885611516f2bd0bae7b228ec1d",
+    "C2x4": "343f4f0e298abd326584c46fbf1cfa369b5031e95e56e393da5b22620fb37467",
 }
 
 
@@ -218,7 +222,12 @@ def test_pregalois_reports_pinned(tmp_path):
                          "--bound", "3")
         assert code == want_code
         assert report_sha256(tmp_path) == PREGALOIS_SHA256[backend]
-    for group in ("S3", "S4"):
+        # bound 2 is the universality degree of (d): all its atoms count
+        code, _doc = run(tmp_path, "pregalois", "--backend", backend,
+                         "--bound", "2")
+        assert code == want_code
+        assert report_sha256(tmp_path) == PREGALOIS_SHA256[f"{backend}-2"]
+    for group in ("S3", "S4", "C2x4"):
         code, _doc = run(tmp_path, "pregalois", "--backend", "finite",
                          "--group", group, "--bound", "6")
         assert code == 0

@@ -12,7 +12,6 @@ from oligoperm.gset import (
     SYM,
     LineBackend,
     SymBackend,
-    fiber_product,
     preset_backend,
 )
 from oligoperm.gset.finite import MAX_GROUP_ORDER, mulclose, parse_cycles
@@ -427,32 +426,24 @@ def test_finite_swap_bijection(s3):
 
 def test_fiber_product_of_identity_is_diagonal():
     a = SYM.atom_of_arity(2)
-    x = SYM.object_of([a])
-    ident = SYM.identity_gmap(x)
-    obj, p1, p2 = fiber_product(SYM, ident, ident)
-    assert obj.atoms == (a,)
-    assert p1 == p2
+    ident = SYM.identity_map(a)
+    (orbit,) = agreeing_orbits(SYM, ident, ident)
+    assert orbit.atom == a
+    assert orbit.proj1 == orbit.proj2
 
 
 def test_fiber_product_over_point_is_product():
     a = SYM.atom_of_arity(1)
-    x = SYM.object_of([a])
-    f = SYM.collapse_gmap(x)
-    obj, _, _ = fiber_product(SYM, f, f)
-    assert sorted(at.degree for at in obj.atoms) == [1, 2]
+    (f,) = SYM.hom_atoms(a, SYM.unit_atom())
+    orbits = agreeing_orbits(SYM, f, f)
+    assert sorted(o.atom.degree for o in orbits) == [1, 2]
 
 
 def test_kernel_pair_of_selection():
     a2, a1 = SYM.atom_of_arity(2), SYM.atom_of_arity(1)
-    x = SYM.object_of([a2])
-    y = SYM.object_of([a1])
     select_first = SYM.hom_atoms(a2, a1)[0]
-    f = SYM.object_of([a2])
-    from oligoperm.gset import GMap
-
-    gmap = GMap(x, y, ((0, select_first),))
-    obj, _, _ = fiber_product(SYM, gmap, gmap)
-    assert sorted(at.degree for at in obj.atoms) == [2, 3]
+    orbits = agreeing_orbits(SYM, select_first, select_first)
+    assert sorted(o.atom.degree for o in orbits) == [2, 3]
 
 
 @pytest.mark.parametrize("make, bound", [

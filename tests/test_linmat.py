@@ -28,6 +28,7 @@ from oligoperm.linmat import (
 )
 from oligoperm.frob import build_frobenius
 from oligoperm.measure import Measure, solve_measures
+from oligoperm.oracle import _rank
 from oligoperm.permcat import hom_basis, tensor
 
 
@@ -467,7 +468,7 @@ def dense_pushforward_surjective(measure, gmap):
     grid = [[zero(field) for _ in gmap.source.atoms] for _ in range(rows)]
     for s, (j, m) in enumerate(gmap.legs):
         grid[j][s] = grid[j][s] + measure.mu_map(m)
-    return linmat._rank(grid) == rows
+    return _rank(grid) == rows
 
 
 CLASSIFY_MEASURES = {

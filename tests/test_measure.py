@@ -154,6 +154,7 @@ def test_perturbed_measure_fails_with_product_witness(sym_family):
     assert witness["pair"] == "sym:inj[1] x sym:inj[1]"
     assert witness["lhs"] == (t * t).render()
     assert witness["rhs"] == (t + t * (t - 1) + 1).render()
+    assert witness["orbits"] == "[], [1>1]"
 
 
 def test_counting_measure_passes_for_c2_on_four_points():

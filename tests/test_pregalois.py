@@ -10,6 +10,7 @@ from oligoperm.gset.pregalois import (
     _closure,
     check_atom_cospans_nonempty,
     check_effective_relations,
+    check_fiber_products,
     check_monos_are_isos,
     internal_equivalence_relations,
     pregalois_check,
@@ -97,6 +98,46 @@ def test_atom_cospans_fail_without_diagonal():
     assert result.witness == {
         "cospan": "sym:inj[0] -> sym:inj[0] <- sym:inj[0]",
         "failing-cospans": "10"}
+
+
+class FirstPointPairDropped(SymBackend):
+    """The sym fragment without the first orbit of inj[1] x inj[1]."""
+
+    def _decompose(self, a, b):
+        orbits = super()._decompose(a, b)
+        return orbits[1:] if a.degree == b.degree == 1 else orbits
+
+
+def test_fiber_products_fail_on_missing_orbit():
+    # the dropped orbit is the pairs of distinct points, so over the unit
+    # atom the two spans out of inj[2] onto distinct points have no mediator
+    backend = FirstPointPairDropped()
+    result = check_fiber_products(backend, backend.atoms_up_to(3))
+    assert not result.passed
+    assert result.witness == {
+        "cospan": "sym:inj[1] -> sym:inj[0] <- sym:inj[1]",
+        "span-source": "sym:inj[2]",
+        "mediators": "0",
+        "failing-instances": "2"}
+
+
+class DoubledEndomorphism(LineBackend):
+    """The line fragment with the one map inc[2] -> inc[2] listed twice."""
+
+    def hom_atoms(self, a, b):
+        maps = super().hom_atoms(a, b)
+        return maps + maps if a.degree == b.degree == 2 else maps
+
+
+def test_fiber_products_fail_on_doubled_map():
+    backend = DoubledEndomorphism()
+    result = check_fiber_products(backend, backend.atoms_up_to(3))
+    assert not result.passed
+    assert result.witness == {
+        "cospan": "line:inc[0] -> line:inc[0] <- line:inc[2]",
+        "span-source": "line:inc[2]",
+        "mediators": "2",
+        "failing-instances": "50"}
 
 
 def test_line_first_seven_axioms_pass(line_report):
