@@ -17,19 +17,26 @@ only when both have positive degree; against a constant it costs integer gcds
 at most.  Polynomials are dense coefficient tuples, low degree first, with no
 trailing zeros.  Degrees in this package stay small (a few dozen at most), so
 nothing sparse is needed.
+
+``Field`` and ``Scalar`` are immutable named tuples.  Every checker builds,
+hashes and compares scalars by the thousand, and a named tuple does all three
+in C where a frozen dataclass runs Python code per field.  The hash is that
+of the field tuple, as a frozen dataclass's is, so set and dict orders and
+the reports do not change.  ``Scalar`` defines every arithmetic operator with
+an int on either side, so tuple repetition and concatenation are never
+reached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import DivisionByZero, FieldMismatch, PoleAtPoint
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     """A coefficient field tag.
 
     kind is "rational" or "ratfunc".  For "ratfunc", ``char`` is 0 (rational
@@ -145,8 +152,7 @@ def _p_eval(a, point):
     return acc
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(NamedTuple):
     """An element of one of the supported fields, in canonical form."""
 
     field: Field

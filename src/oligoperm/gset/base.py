@@ -48,16 +48,23 @@ table per distinct projection of an orbit of ``a x b`` onto a or b, kept
 only for the walk, not per orbit of the triple product.  The pre-Galois
 closure reads the table as the composition table of the orbits of
 ``X x X``, and triple coherence as the pair-orbit triples of ``X x X x X``.
+
+``Atom``, ``AtomMap`` and ``ProductOrbit`` are immutable named tuples: they
+key every cache above and are built, hashed and compared in every layer, and
+a named tuple does all three in C where a frozen dataclass runs Python code
+per field.  The hash is that of the field tuple, as a frozen dataclass's is,
+and atoms order as their field tuples, as ``order=True`` ordered them, so
+set, dict and sort orders and the reports do not change.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Atom:
+class Atom(NamedTuple):
     """A transitive piece, identified by its canonical label.
 
     ``degree`` is the arity for the infinite backends and the set size for the
@@ -72,8 +79,7 @@ class Atom:
         return f"{self.backend_id}:{self.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class AtomMap:
+class AtomMap(NamedTuple):
     """An equivariant map between two atoms, in backend-specific encoding.
 
     For the infinite backends ``data`` is a 1-based selection tuple: output
@@ -86,8 +92,7 @@ class AtomMap:
     data: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class ProductOrbit:
+class ProductOrbit(NamedTuple):
     label: str
     atom: Atom
     proj1: AtomMap

@@ -82,21 +82,13 @@ class SymBackend(TupleBackend):
         return ProductOrbit(_matching_label(matching), atom, proj1, proj2)
 
     def _factor(self, f, g):
-        a, b = f.target, g.target
-        matching = tuple(
-            sorted(
-                (i, j)
-                for i in range(1, a.degree + 1)
-                for j in range(1, b.degree + 1)
-                if f.data[i - 1] == g.data[j - 1]
-            )
-        )
-        label = _matching_label(matching)
-        matched_right = {j for _, j in matching}
-        unmatched_right = [j for j in range(1, b.degree + 1) if j not in matched_right]
-        sel = tuple(f.data) + tuple(g.data[j - 1] for j in unmatched_right)
-        orbit_atom = self._atom(a.degree + b.degree - len(matching))
-        return label, AtomMap(f.source, orbit_atom, sel)
+        # both selections are injective, so a g-coordinate has at most one
+        # partner among f's
+        position = {c: i for i, c in enumerate(f.data, 1)}
+        matching = sorted((position[c], j) for j, c in enumerate(g.data, 1)
+                          if c in position)
+        sel = tuple(f.data) + tuple(c for c in g.data if c not in position)
+        return _matching_label(matching), AtomMap(f.source, self._atom(len(sel)), sel)
 
     def swap_orbit(self, a, b, label):
         matching = _parse_matching(label)

@@ -282,7 +282,8 @@ def _identity_results(measure, bound):
                         v = v * measure.fiber_values[cls]
                     values.add(v)
                 ok = len(values) == 1
-                v = values.pop()
+                # drop orders that disagree report the canonical chain's value
+                v = values.pop() if ok else measure.mu_map(f)
                 chain_ok = measure.mu_atom(a) == v * measure.mu_atom(b)
                 witness = {}
                 if not (ok and chain_ok):

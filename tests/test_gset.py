@@ -14,8 +14,14 @@ from oligoperm.gset import (
     SymBackend,
     preset_backend,
 )
-from oligoperm.gset.finite import MAX_GROUP_ORDER, mulclose, parse_cycles
-from oligoperm.gset.base import agreeing_orbits, triple_orbits, triple_table
+from oligoperm.gset.finite import (
+    MAX_GROUP_ORDER,
+    FiniteBackend,
+    mulclose,
+    parse_cycles,
+)
+from oligoperm.gset.base import AtomMap, agreeing_orbits, triple_orbits, triple_table
+from oligoperm.gset.symmetric import _matching_label
 from oligoperm.linmat import multi_factor, projection, tensor_space
 
 
@@ -175,6 +181,48 @@ def test_group_order_ceiling():
         mulclose(*parse_cycles("(1 2); (1 2 3 4 5)"))
 
 
+def reference_subgroups(backend):
+    """Every subgroup as a join of cyclic subgroups, each join closed over
+    all the elements of both: the enumeration ``FiniteBackend`` replaced by
+    generator lists, kept as its reference."""
+    cyclics = set()
+    for g in backend.elements:
+        sub = {backend.identity}
+        x = g
+        while x not in sub:
+            sub.add(x)
+            x = tuple(g[i] for i in x)
+        cyclics.add(frozenset(sub))
+    subgroups = set(cyclics)
+    frontier = set(cyclics)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in cyclics:
+                join = mulclose(list(a | b), backend.n_points)
+                if join not in subgroups:
+                    subgroups.add(join)
+                    new.add(join)
+        frontier = new
+    subgroups.add(frozenset({backend.identity}))
+    return sorted(subgroups, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+@pytest.mark.parametrize("text, n_points", [
+    ("(1 2); (1 2 3)", None),            # S3
+    ("(1 2)", 4),                        # C2x4
+    ("(1 2); (1 2 3 4)", None),          # S4
+    ("(1 2 3); (3 4 5)", None),          # A5
+    ("(1 2 3 4); (1 3)", None),          # D4
+    ("(1 2 3 4 5); (2 5)(3 4)", None),   # D5
+    ("(1 2)(3 4); (1 3)(2 4)", None),    # V4
+    ("(1 2 3)(4 5 6); (1 4)", None),
+], ids=["S3", "C2x4", "S4", "A5", "D4", "D5", "V4", "cycles"])
+def test_subgroups_by_generators_match_reference(text, n_points):
+    backend = FiniteBackend(*parse_cycles(text, n_points))
+    assert backend._subgroups == reference_subgroups(backend)
+
+
 # a fresh backend (empty cache) and the atom bound of its triple-table test;
 # 6 takes every atom of S3
 TRIPLE_BACKENDS = {
@@ -331,6 +379,36 @@ def test_product_factor_memo_matches_uncached(backend):
             assert backend.product_factor(f, g) == expected
             pairs += 1
     assert pairs == len(backend.cache[("factor",)])
+
+
+def reference_sym_factor(backend, f, g):
+    """``SymBackend._factor`` by the n x m scan of coordinate pairs, kept as
+    the reference for the position-dict version."""
+    a, b = f.target, g.target
+    matching = tuple(sorted(
+        (i, j)
+        for i in range(1, a.degree + 1)
+        for j in range(1, b.degree + 1)
+        if f.data[i - 1] == g.data[j - 1]))
+    matched_right = {j for _, j in matching}
+    unmatched_right = [j for j in range(1, b.degree + 1) if j not in matched_right]
+    sel = tuple(f.data) + tuple(g.data[j - 1] for j in unmatched_right)
+    orbit_atom = backend.atom_of_arity(a.degree + b.degree - len(matching))
+    return _matching_label(matching), AtomMap(f.source, orbit_atom, sel)
+
+
+def test_sym_factor_matches_pair_scan():
+    # every pair of selections with a common source inj[k], k <= 4
+    backend = SymBackend()
+    pairs = 0
+    for k in range(5):
+        source = backend.atom_of_arity(k)
+        maps = [f for m in range(k + 1)
+                for f in backend.hom_atoms(source, backend.atom_of_arity(m))]
+        for f, g in itertools.product(maps, repeat=2):
+            assert backend._factor(f, g) == reference_sym_factor(backend, f, g)
+            pairs += 1
+    assert pairs == 1 + 2 ** 2 + 5 ** 2 + 16 ** 2 + 65 ** 2
 
 
 @pytest.mark.parametrize("make", [SymBackend, LineBackend],

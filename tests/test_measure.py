@@ -1,12 +1,17 @@
 """Measure solving, evaluation and the axiom checker."""
 
 import functools
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import oligoperm
 from oligoperm import linmat
 from oligoperm.coeff import RATIONAL, Scalar, falling_factorial, one
 from oligoperm.errors import InconsistentSystem, UnknownAtom
@@ -155,6 +160,37 @@ def test_perturbed_measure_fails_with_product_witness(sym_family):
     assert witness["lhs"] == (t * t).render()
     assert witness["rhs"] == (t + t * (t - 1) + 1).render()
     assert witness["orbits"] == "[], [1>1]"
+
+
+# the multiplicativity witnesses of the line bound-3 measure with inc[2]
+# perturbed by +1, as JSON: inc[3] -> inc[1] (1,) has two drop orders of
+# different fiber measure
+PERTURBED_LINE_WITNESSES = """
+import json
+from oligoperm.coeff import one
+from oligoperm.gset import LINE
+from oligoperm.measure import check_measure_axioms, solve_measures
+measure = solve_measures(LINE, 3).generic()
+mutant = measure.with_perturbed_atom(LINE.atom_of_arity(2), one(measure.field))
+report = check_measure_axioms(mutant, 3)
+print(json.dumps([r.to_dict() for r in report.results
+                  if r.name.startswith("multiplicativity")]))
+"""
+
+
+def test_multiplicativity_witness_does_not_depend_on_hash_seed():
+    src = str(Path(oligoperm.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in (1, 2, 3):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", PERTURBED_LINE_WITNESSES],
+                              env=env, capture_output=True, timeout=120,
+                              check=True)
+        outputs.append(proc.stdout)
+    assert b'"mu_map"' in outputs[0]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_counting_measure_passes_for_c2_on_four_points():
