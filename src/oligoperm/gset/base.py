@@ -32,8 +32,11 @@ b)`` its point-pair index and its ``("act", a, g)`` the permutation of a's
 points by the group element g;
 ``triple_table`` keeps its table for atoms ``a, b, c`` under ``("triples",
 a, b, c)``; ``linmat`` keeps its product spaces under ``("space", factors)``
-(a ``linmat.RowProduct`` is built per use and not kept) and its
-triple-orbit completions under ``("completions", ...)``.
+(a ``linmat.RowProduct`` is built per use and not kept), the (y, x) label
+of each triple orbit of ``z x y x x`` over the orbit ``label_zy`` of ``z x
+y``, which buckets them, under ``("completion-buckets", z, y, x,
+label_zy)``, and its triple-orbit completions under ``("completions", z, y,
+x, label_zy, label_yx)``.
 
 ``agreeing_orbits(backend, f, g)`` is the one kernel-pair and fiber-product
 filter: the orbits of ``a x b`` on which two atom maps ``f: a -> c`` and

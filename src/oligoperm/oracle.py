@@ -9,6 +9,17 @@ Two expansions ground the abstract layer in literal linear algebra:
   n-tuples over N points, evaluate matrix entries at parameter value N, and
   compare against the literal product.
 
+A literal matrix is sparse: the dict ``{(row, column): value}`` of its
+nonzero entries, rows and columns numbering points (or model tuples) atom by
+atom.  Both expansions return that form and every check compares two such
+dicts, so a zero is never stored on either side.  ``literal_product``
+multiplies two of them grouped by value: for each pair of values (b, a) it
+counts with plain ints the middle indices joining each output entry, then
+adds ``b * a * count`` once per entry and pair and drops the sums that come
+to zero.  The matrices of a finite model take few distinct values, so the
+scalar arithmetic follows the distinct value pairs and not the middle
+index, and a check's work follows the nonzero entries, not the dense grid.
+
 Orbit counts back the hom dimensions of both backends, each by one
 union-find over integer points.  The finite backend counts orbits on pairs:
 it tabulates each group element's permutation of an atom's points
@@ -34,8 +45,9 @@ abstract computations.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
-from .coeff import RATIONAL, one, zero
+from .coeff import one, zero
 from .linmat import matmul, projection, tensor_space
 
 
@@ -50,50 +62,60 @@ def finite_points(obj):
     return out
 
 
-def expand_finite_matrix(backend, matrix, field):
-    """The literal matrix: rows are the target's points and columns the
-    source's, both in ``finite_points`` order.  It is filled one (target
-    atom, source atom) block at a time; a block with no entries is zero, and
-    a nonzero block writes each orbit's value at the point pairs its two
-    projections list."""
-    z = zero(field)
+def _offsets(obj):
+    """Index of each atom position's first point in ``finite_points(obj)``."""
+    out, total = [], 0
+    for atom in obj.atoms:
+        out.append(total)
+        total += atom.degree
+    return out
+
+
+def expand_finite_matrix(backend, matrix):
+    """The literal matrix, as the dict ``{(row, column): value}`` of its
+    nonzero entries: rows are the target's points and columns the source's,
+    both numbered in ``finite_points`` order.  Each entry of the invariant
+    matrix writes its value at the point pairs its orbit's two projections
+    list, one (target atom, source atom) block at a time."""
     blocks = {}
     for (tp, sp, label), value in matrix.entries.items():
         blocks.setdefault((tp, sp), {})[label] = value
-    grid = []
-    for tp, ta in enumerate(matrix.target.atoms):
-        rows = [[] for _ in range(ta.degree)]
-        for sp, sa in enumerate(matrix.source.atoms):
-            block = blocks.get((tp, sp))
-            cells = [[z] * sa.degree for _ in rows]
-            if block is not None:
-                for orbit in backend.product_decompose(ta, sa):
-                    value = block.get(orbit.label)
-                    if value is not None:
-                        for ti, si in zip(orbit.proj1.data, orbit.proj2.data):
-                            cells[ti][si] = value
-            for row, cell_row in zip(rows, cells):
-                row.extend(cell_row)
-        grid.extend(rows)
-    return grid
-
-
-def literal_product(bgrid, agrid, field):
-    rows = len(bgrid)
-    inner = len(agrid)
-    cols = len(agrid[0]) if agrid else 0
-    z = zero(field)
-    out = [[z] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            b = bgrid[i][k]
-            if b.is_zero():
-                continue
-            for j in range(cols):
-                a = agrid[k][j]
-                if not a.is_zero():
-                    out[i][j] = out[i][j] + b * a
+    row0, col0 = _offsets(matrix.target), _offsets(matrix.source)
+    out = {}
+    for (tp, sp), block in blocks.items():
+        r, c = row0[tp], col0[sp]
+        for orbit in backend.product_decompose(matrix.target.atoms[tp],
+                                               matrix.source.atoms[sp]):
+            value = block.get(orbit.label)
+            if value is not None:
+                for ti, si in zip(orbit.proj1.data, orbit.proj2.data):
+                    out[r + ti, c + si] = value
     return out
+
+
+def literal_product(bmat, amat):
+    """The product of two literal matrices in the sparse form of
+    ``expand_finite_matrix``, grouped by value.  The middle indices joining
+    an output entry are counted with plain ints, once per pair of values
+    (b, a) they carry; the entry is then the sum of ``b * a * count`` over
+    those pairs, and an entry whose sum comes to zero is left out.  The
+    matrices of a finite model take few distinct values, so the scalar
+    arithmetic follows the distinct value pairs, not the middle index."""
+    values = list(dict.fromkeys((*bmat.values(), *amat.values())))
+    codes = {value: c for c, value in enumerate(values)}
+    by_row = {}
+    for (k, j), a in amat.items():
+        by_row.setdefault(k, []).append((j, codes[a]))
+    brows = [(i, codes[b], by_row.get(k, ())) for (i, k), b in bmat.items()]
+    counts = Counter((i, j, bc, ac) for i, bc, row in brows for j, ac in row)
+    terms, out = {}, {}
+    for (i, j, bc, ac), count in counts.items():
+        term = terms.get((bc, ac, count))
+        if term is None:
+            term = terms[bc, ac, count] = values[bc] * values[ac] * count
+        key = i, j
+        out[key] = out[key] + term if key in out else term
+    return {key: value for key, value in out.items() if not value.is_zero()}
 
 
 def _rank(grid):
@@ -181,24 +203,25 @@ def sym_pair_label(u, x):
 
 
 def expand_sym_matrix(matrix, n_points):
-    """Evaluate a matrix over Q(t) at t = N and expand in the N-point model."""
-    rows = []
-    for tp, tatom in enumerate(matrix.target.atoms):
-        for u in sym_model_points(tatom.degree, n_points):
-            rows.append((tp, u))
-    cols = []
-    for sp, satom in enumerate(matrix.source.atoms):
-        for x in sym_model_points(satom.degree, n_points):
-            cols.append((sp, x))
-    z = zero(RATIONAL)
-    grid = []
-    for (tp, u) in rows:
-        row = []
-        for (sp, x) in cols:
-            entry = matrix.entries.get((tp, sp, sym_pair_label(u, x)))
-            row.append(entry.evaluate(n_points) if entry is not None else z)
-        grid.append(row)
-    return grid
+    """Evaluate a matrix over Q(t) at t = N and expand it in the N-point
+    model, as the dict ``{(row, column): value}`` of its nonzero entries;
+    rows and columns number the model tuples atom by atom."""
+    values = {}
+    for key, entry in matrix.entries.items():
+        value = entry.evaluate(n_points)
+        if not value.is_zero():
+            values[key] = value
+    rows = [(tp, u) for tp, tatom in enumerate(matrix.target.atoms)
+            for u in sym_model_points(tatom.degree, n_points)]
+    cols = [(sp, x) for sp, satom in enumerate(matrix.source.atoms)
+            for x in sym_model_points(satom.degree, n_points)]
+    out = {}
+    for r, (tp, u) in enumerate(rows):
+        for c, (sp, x) in enumerate(cols):
+            value = values.get((tp, sp, sym_pair_label(u, x)))
+            if value is not None:
+                out[r, c] = value
+    return out
 
 
 def _stabilizer_moves(n_points, n, tuples):
@@ -276,7 +299,7 @@ def finite_category_oracle(backend, measure, bound):
     from .report import CheckResult, Report
 
     field = measure.field
-    z, u = zero(field), one(field)
+    u = one(field)
     atoms = backend.atoms_up_to(bound)
     xs = {a: backend.object_of([a]) for a in atoms}
     results = []
@@ -291,18 +314,18 @@ def finite_category_oracle(backend, measure, bound):
     bases = {}
     for a in atoms:
         for b in atoms:
-            bases[a, b] = [(f, expand_finite_matrix(backend, f, field))
+            bases[a, b] = [(f, expand_finite_matrix(backend, f))
                            for f in hom_basis(backend, xs[a], xs[b], field)]
 
     compose_ok = True
     for a in atoms:
         for b in atoms:
             for c in atoms:
-                for bm, bgrid in bases[b, c]:
-                    for am, agrid in bases[a, b]:
+                for bm, bmat in bases[b, c]:
+                    for am, amat in bases[a, b]:
                         composed = matmul(measure, bm, am)
-                        if (expand_finite_matrix(backend, composed, field)
-                                != literal_product(bgrid, agrid, field)):
+                        if (expand_finite_matrix(backend, composed)
+                                != literal_product(bmat, amat)):
                             compose_ok = False
     results.append(CheckResult("composition-is-matrix-product", compose_ok))
 
@@ -310,41 +333,32 @@ def finite_category_oracle(backend, measure, bound):
     tensor_ok = True
     for a in atoms:
         rows = pair_rows[a]
-        pairs = [(y1, y2) for y1 in range(a.degree) for y2 in range(a.degree)]
-        for f, fgrid in bases[a, a]:
-            for g, ggrid in bases[a, a]:
-                pgrid = expand_finite_matrix(backend, tensor(backend, f, g),
-                                             field)
-                for y1, y2 in pairs:
-                    prow = pgrid[rows[y1][y2]]
-                    for x1, x2 in pairs:
-                        fe, ge = fgrid[y1][x1], ggrid[y2][x2]
-                        lit = z if fe.is_zero() or ge.is_zero() else fe * ge
-                        if prow[rows[x1][x2]] != lit:
-                            tensor_ok = False
+        for f, fmat in bases[a, a]:
+            for g, gmat in bases[a, a]:
+                lit = {(rows[y1][y2], rows[x1][x2]): fe * ge
+                       for (y1, x1), fe in fmat.items()
+                       for (y2, x2), ge in gmat.items()}
+                if expand_finite_matrix(backend, tensor(backend, f, g)) != lit:
+                    tensor_ok = False
     results.append(CheckResult("tensor-is-entrywise-product", tensor_ok))
 
     duality_ok = True
     frobenius_ok = True
     for a in atoms:
         rows = pair_rows[a]
+        points = range(a.degree)
         coev, _ = duality_data(backend, xs[a], field)
-        cgrid = expand_finite_matrix(backend, coev, field)
-        for y1 in range(a.degree):
-            for y2 in range(a.degree):
-                if cgrid[rows[y1][y2]][0] != (u if y1 == y2 else z):
-                    duality_ok = False
+        if (expand_finite_matrix(backend, coev)
+                != {(rows[y][y], 0): u for y in points}):
+            duality_ok = False
         frob = build_frobenius(backend, xs[a], field)
-        mgrid = expand_finite_matrix(backend, frob.mult, field)
-        ugrid = expand_finite_matrix(backend, frob.unit, field)
-        egrid = expand_finite_matrix(backend, frob.counit, field)
-        for y in range(a.degree):
-            if ugrid[y][0] != u or egrid[0][y] != u:
-                frobenius_ok = False
-            for x1 in range(a.degree):
-                for x2 in range(a.degree):
-                    if mgrid[y][rows[x1][x2]] != (u if y == x1 == x2 else z):
-                        frobenius_ok = False
+        if (expand_finite_matrix(backend, frob.unit)
+                != {(y, 0): u for y in points}
+                or expand_finite_matrix(backend, frob.counit)
+                != {(0, y): u for y in points}
+                or expand_finite_matrix(backend, frob.mult)
+                != {(y, rows[y][y]): u for y in points}):
+            frobenius_ok = False
     results.append(CheckResult("duality-data-is-diagonal", duality_ok))
     results.append(CheckResult("frobenius-structure-is-pointwise", frobenius_ok))
 

@@ -208,7 +208,7 @@ def _sym_suite(backend, family, measure, bound, results):
     for n_points in (5, 6, 7, 8):
         lhs = expand_sym_matrix(square, n_points)
         ones_minus_id = expand_sym_matrix(e_neq, n_points)
-        rhs = literal_product(ones_minus_id, ones_minus_id, RATIONAL)
+        rhs = literal_product(ones_minus_id, ones_minus_id)
         if lhs != rhs:
             model_ok = False
     results.append(CheckResult("composition-identity", identity_ok and model_ok))

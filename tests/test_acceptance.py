@@ -143,15 +143,18 @@ def test_criterion_4_composition_identity(sym_family):
     ok = square == e_eq.scale(t - 1) + e_neq.scale(t - 2)
 
     for n_points in (5, 6, 7, 8):
-        # literal (J - I)^2 over N points, built from raw integers
-        literal = [[0] * n_points for _ in range(n_points)]
+        # literal (J - I)^2 over N points, built from raw integers; the
+        # expansion lists its nonzero entries by (row, column)
+        literal = {}
         for i in range(n_points):
             for j in range(n_points):
-                literal[i][j] = sum((1 if i != k else 0) * (1 if k != j else 0)
-                                    for k in range(n_points))
+                v = sum((1 if i != k else 0) * (1 if k != j else 0)
+                        for k in range(n_points))
+                if v:
+                    literal[i, j] = Fraction(v)
         expanded = expand_sym_matrix(square, n_points)
-        got = [[entry.as_fraction() for entry in row] for row in expanded]
-        ok = ok and got == [[Fraction(v) for v in row] for row in literal]
+        got = {key: entry.as_fraction() for key, entry in expanded.items()}
+        ok = ok and got == literal
     assert verdict(4, ok)
 
 

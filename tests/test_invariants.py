@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oligoperm.coeff import RATIONAL, Scalar, one
+from oligoperm.coeff import Scalar, one
 from oligoperm.frob import build_frobenius, kernel_pair_gamma, trace_form
 from oligoperm.gset import LINE, SYM, GMap, preset_backend
 from oligoperm.linmat import (
@@ -99,11 +99,12 @@ def test_trace_form_independent_of_duality_choice(mu_t):
 
 def sym_matmul_agrees(measure, bmat, amat, n_points):
     """Integral composition against the literal product of the two matrices
-    expanded over the injective tuples of an n_points-point model."""
+    expanded over the injective tuples of an n_points-point model, both in
+    the sparse form that lists the nonzero entries by (row, column)."""
     composed = matmul(measure, bmat, amat)
     lhs = expand_sym_matrix(composed, n_points)
     rhs = literal_product(expand_sym_matrix(bmat, n_points),
-                          expand_sym_matrix(amat, n_points), RATIONAL)
+                          expand_sym_matrix(amat, n_points))
     return lhs == rhs
 
 

@@ -540,3 +540,76 @@ def test_pushforward_surjective_zero_fiber_leaves_position_unhit():
     no_fibers = Measure(SYM, RATIONAL, {}, {})
     with pytest.raises(UnknownAtom):
         pushforward_surjective_on_invariants(no_fibers, covered)
+
+
+# triple-orbit completions against one walk per label pair
+
+
+def reference_completions(backend, z, y, x, label_zy, label_yx):
+    """Every orbit of ``orbit_zy.atom x x`` walked once per label pair: its
+    (y, x) marginal factored, and for a match its (z, x) marginal."""
+    orbit_zy = next(o for o in backend.product_decompose(z, y)
+                    if o.label == label_zy)
+    out = []
+    for orbit in backend.product_decompose(orbit_zy.atom, x):
+        to_y = backend.compose_maps(orbit_zy.proj2, orbit.proj1)
+        label_mid, _ = backend.product_factor(to_y, orbit.proj2)
+        if label_mid != label_yx:
+            continue
+        to_z = backend.compose_maps(orbit_zy.proj1, orbit.proj1)
+        out.append(backend.product_factor(to_z, orbit.proj2))
+    return tuple(out)
+
+
+COMPLETION_BACKENDS = {
+    "sym": (type(SYM), 2),
+    "line": (type(LINE), 2),
+    "S3": (lambda: preset_backend("S3"), 6),
+    "C2x4": (lambda: preset_backend("C2x4"), 6),
+}
+
+
+@pytest.mark.parametrize("name", list(COMPLETION_BACKENDS))
+def test_completions_match_walk_per_label_pair(name):
+    make, bound = COMPLETION_BACKENDS[name]
+    backend, reference = make(), make()
+    atoms = backend.atoms_up_to(bound)
+    compared = 0
+    for z, y, x in itertools.product(atoms, repeat=3):
+        for o_zy in backend.product_decompose(z, y):
+            for o_yx in backend.product_decompose(y, x):
+                got = linmat._completions(backend, z, y, x,
+                                          o_zy.label, o_yx.label)
+                assert got == reference_completions(reference, z, y, x,
+                                                    o_zy.label, o_yx.label)
+                compared += bool(got)
+    assert compared
+
+
+def count_product_factor(monkeypatch, cls):
+    calls = []
+    original = cls.product_factor
+
+    def counted(self, f, g):
+        calls.append(None)
+        return original(self, f, g)
+
+    monkeypatch.setattr(cls, "product_factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make, bound, most", [
+    (lambda: preset_backend("S4"), 6, 5500),
+    (type(LINE), 3, 22634),
+    (type(SYM), 3, 11260),
+], ids=["S4", "line", "sym"])
+def test_suite_factorings_stay_within_budget(make, bound, most, monkeypatch):
+    """A suite factors each orbit's (y, x) marginal once per (z, y) orbit
+    label, not once per label pair; the budgets are the counts of the walk
+    per label pair (line, sym) or a bound well under it (S4: 6,991)."""
+    from oligoperm.suite import run_suite
+
+    backend = make()
+    calls = count_product_factor(monkeypatch, type(backend))
+    assert run_suite(backend, bound).passed
+    assert 0 < len(calls) <= most

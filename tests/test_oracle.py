@@ -1,28 +1,35 @@
 """The concrete-model oracles against plain reference implementations.
 
 The references here are the direct definitions: a union-find over tuple
-points with a callable action, the group acting on cosets as frozensets, and
-a literal matrix filled one entry at a time.  The oracles encode points as
-integers and tabulate actions; these tests pin them to the definitions, and
-the probes at the end check that a wrong answer makes the oracle FAIL.
+points with a callable action, the group acting on cosets as frozensets, a
+literal matrix filled one entry at a time, and a dense triple-loop matrix
+product.  The oracles encode points as integers, tabulate actions and keep
+literal matrices sparse; these tests pin them to the definitions, and the
+probes at the end check that a wrong answer makes the oracle FAIL.
 """
 
+import dataclasses
 import itertools
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oligoperm import oracle, suite
-from oligoperm.coeff import RATIONAL, one, zero
-from oligoperm.gset import SymBackend
+from oligoperm import frob, oracle, permcat, suite
+from oligoperm.coeff import RATIONAL, Scalar, one, ratfunc_field, zero
+from oligoperm.gset import SYM, SymBackend
 from oligoperm.gset.finite import _pcompose, preset_backend
 from oligoperm.linmat import InvariantMatrix, matmul
 from oligoperm.measure import solve_measures
 from oligoperm.oracle import (
     expand_finite_matrix,
+    expand_sym_matrix,
     finite_category_oracle,
     finite_orbit_count_on_pairs,
     finite_points,
+    literal_product,
+    sym_model_points,
     sym_orbit_count_model,
 )
 from oligoperm.permcat import hom_basis, tensor
@@ -164,8 +171,100 @@ def test_expand_finite_matrix_matches_reference(group):
                       group.object_of(atoms[-1:]), field)
     matrices += [tensor(group, f, g) for f in small for g in small]
     for matrix in matrices:
-        assert (expand_finite_matrix(group, matrix, field)
-                == reference_expand(group, matrix, field))
+        assert (expand_finite_matrix(group, matrix)
+                == sparse(reference_expand(group, matrix, field)))
+
+
+def dense_product(bgrid, agrid, field):
+    """The product of two dense grids by the naive triple loop."""
+    cols = len(agrid[0]) if agrid else 0
+    out = [[zero(field)] * cols for _ in bgrid]
+    for i, brow in enumerate(bgrid):
+        for k, b in enumerate(brow):
+            if b.is_zero():
+                continue
+            for j in range(cols):
+                out[i][j] = out[i][j] + b * agrid[k][j]
+    return out
+
+
+def sparse(grid):
+    """A dense grid's nonzero entries, keyed (row, column)."""
+    return {(r, c): value for r, row in enumerate(grid)
+            for c, value in enumerate(row) if not value.is_zero()}
+
+
+def dense(matrix, rows, cols, field):
+    """A sparse literal matrix as a rows x cols grid."""
+    return [[matrix.get((r, c), zero(field)) for c in range(cols)]
+            for r in range(rows)]
+
+
+def rational(text):
+    return Scalar.from_fraction(RATIONAL, Fraction(text))
+
+
+# negative, non-unit and repeated values, so that sums often cancel
+GRID_VALUES = ("0", "0", "0", "1", "-1", "2", "-2", "1/2", "-3/4")
+
+
+@st.composite
+def grid_pairs(draw):
+    rows, inner, cols = (draw(st.integers(1, 5)) for _ in range(3))
+    entry = st.sampled_from(GRID_VALUES).map(rational)
+
+    def grid(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    return grid(rows, inner), grid(inner, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_pairs())
+def test_literal_product_matches_dense_triple_loop(grids):
+    bgrid, agrid = grids
+    assert (literal_product(sparse(bgrid), sparse(agrid))
+            == sparse(dense_product(bgrid, agrid, RATIONAL)))
+
+
+def test_literal_product_drops_cancelling_sums():
+    brow = [rational(v) for v in ("1", "1", "-2", "1/2")]
+    columns = [("1", "1", "1", "0"),    # 1 + 1 - 2: two value pairs cancel
+               ("3", "-3", "0", "0"),   # one b value, two a values cancel
+               ("1", "0", "0", "2"),    # 1 + 1/2 * 2 = 2
+               ("0", "0", "1", "4")]    # -2 + 1/2 * 4 cancel
+    agrid = [[rational(col[k]) for col in columns] for k in range(4)]
+    product = literal_product(sparse([brow]), sparse(agrid))
+    assert product == {(0, 2): rational("2")}
+    assert product == sparse(dense_product([brow], agrid, RATIONAL))
+
+
+def sym_model_size(obj, n_points):
+    return sum(len(sym_model_points(a.degree, n_points)) for a in obj.atoms)
+
+
+@pytest.mark.parametrize("n_points", [5, 6, 7, 8])
+def test_literal_product_of_sym_models(n_points):
+    """The model products ``suite._sym_suite`` compares, (J - I)^2 on
+    inj[1] at N = 5..8, and the inj[2] basis products that
+    ``tests/test_invariants.py`` compares at N = 6."""
+    field = ratfunc_field("t")
+    x1 = SYM.object_of([SYM.atom_of_arity(1)])
+    e_neq = InvariantMatrix(SYM, x1, x1, {(0, 0, "[]"): one(field)})
+    pairs = [(e_neq, e_neq)]
+    if n_points == 6:
+        x2 = SYM.object_of([SYM.atom_of_arity(2)])
+        pairs += itertools.product(hom_basis(SYM, x2, x2, field)[:4], repeat=2)
+    for bmat, amat in pairs:
+        b = expand_sym_matrix(bmat, n_points)
+        a = expand_sym_matrix(amat, n_points)
+        rows = sym_model_size(bmat.target, n_points)
+        inner = sym_model_size(amat.target, n_points)
+        cols = sym_model_size(amat.source, n_points)
+        assert literal_product(b, a) == sparse(dense_product(
+            dense(b, rows, inner, RATIONAL), dense(a, inner, cols, RATIONAL),
+            RATIONAL))
 
 
 def test_hom_dimension_probe_fails_sym_suite(monkeypatch):
@@ -201,3 +300,71 @@ def test_flipped_composite_fails_finite_oracle(monkeypatch):
     assert flipped
     assert [r.name for r in report.failures()] == [
         "composition-is-matrix-product"]
+
+
+# one probe per oracle check and direction: each patches the producer of the
+# matrices that check alone reads, and must make exactly that check FAIL
+
+
+def drop_entry(matrix):
+    """The matrix without its first entry, or None when it has none."""
+    if not matrix.entries:
+        return None
+    key = next(iter(matrix.entries))
+    return InvariantMatrix(matrix.backend, matrix.source, matrix.target,
+                           {k: v for k, v in matrix.entries.items() if k != key})
+
+
+def extra_entry(matrix):
+    """The matrix with a one on its first zero orbit, or None when it has
+    no zero orbit."""
+    backend = matrix.backend
+    for t, ta in enumerate(matrix.target.atoms):
+        for s, sa in enumerate(matrix.source.atoms):
+            for orbit in backend.product_decompose(ta, sa):
+                key = (t, s, orbit.label)
+                if key not in matrix.entries:
+                    return InvariantMatrix(
+                        backend, matrix.source, matrix.target,
+                        {**matrix.entries, key: one(RATIONAL)})
+    return None
+
+
+# check -> (module, producer, its matrix under test, put a matrix back)
+ORACLE_PROBES = {
+    "composition-is-matrix-product": (
+        oracle, "matmul", lambda out: out, lambda out, m: m),
+    "tensor-is-entrywise-product": (
+        permcat, "tensor", lambda out: out, lambda out, m: m),
+    "duality-data-is-diagonal": (
+        permcat, "duality_data", lambda out: out[0],
+        lambda out, m: (m, out[1])),
+    "frobenius-structure-is-pointwise": (
+        frob, "build_frobenius", lambda out: out.mult,
+        lambda out, m: dataclasses.replace(out, mult=m)),
+}
+
+
+@pytest.mark.parametrize("change", [drop_entry, extra_entry],
+                         ids=["dropped", "extra"])
+@pytest.mark.parametrize("check", list(ORACLE_PROBES))
+def test_oracle_probe_fails_its_check(check, change, monkeypatch):
+    backend = preset_backend("S3")
+    measure = solve_measures(backend, 6).generic()
+    module, name, get, put = ORACLE_PROBES[check]
+    real = getattr(module, name)
+    changed = []
+
+    def probe(*args):
+        out = real(*args)
+        if not changed:
+            matrix = change(get(out))
+            if matrix is not None:
+                changed.append(matrix)
+                return put(out, matrix)
+        return out
+
+    monkeypatch.setattr(module, name, probe)
+    report = finite_category_oracle(backend, measure, 6)
+    assert changed
+    assert [r.name for r in report.failures()] == [check]
