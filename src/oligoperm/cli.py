@@ -8,7 +8,9 @@ Exit codes: 0 when every check passes, 1 when a check fails, 2 on usage
 errors.  The environment variable OLIGOPERM_MAX_BOUND (default 10) guards
 runaway enumeration: it caps ``--bound`` and the degree of every atom named in
 an object or map expression, and a value that is not an integer is a usage
-error.  Input files (matrices, ``--gamma`` tables and
+error.  So is a ``--bound`` of ``pregalois`` or ``check-linearization`` below
+the degree of the backend's unit atom, where no atom would be checked.
+Input files (matrices, ``--gamma`` tables and
 measure specs) are checked by ``_read_json`` and ``_read_entries`` before use:
 a document that is not an object, lacks a key, or has an entry that names no
 orbit is a usage error too, and so is a matrix file whose field has another
@@ -418,19 +420,27 @@ def cmd_frob_gamma_of(args):
     return _emit(args, report, payload)
 
 
+def _atom_bound(args, backend):
+    """The bound of a check over ``atoms_up_to(bound)``: below the unit
+    atom's degree that list is empty and every axiom would hold over it."""
+    return _bound(args, minimum=backend.unit_atom().degree)
+
+
 def cmd_pregalois(args):
     backend = _backend(args)
+    bound = _atom_bound(args, backend)
     started = time.monotonic()
-    report = pregalois_check(backend, _bound(args))
+    report = pregalois_check(backend, bound)
     return _emit(args, report, None, started)
 
 
 def cmd_check_linearization(args):
     backend = _backend(args)
-    measure, family = _measure_for(backend, _bound(args), _char(args.field))
+    bound = _atom_bound(args, backend)
+    measure, family = _measure_for(backend, bound, _char(args.field))
     args._measure_desc = family.description
     started = time.monotonic()
-    report = check_linearization(measure, _bound(args))
+    report = check_linearization(measure, bound)
     return _emit(args, report, None, started)
 
 

@@ -30,13 +30,11 @@ g.data)`` to what ``product_factor(f, g)`` returns; the finite backend's
 ``("hom", a, b)`` holds the tuple of maps ``a -> b``, its ``("pairs", a,
 b)`` its point-pair index and its ``("act", a, g)`` the permutation of a's
 points by the group element g;
-``triple_table`` keeps its table for atoms ``a, b, c`` under ``("triples",
-a, b, c)``; ``linmat`` keeps its product spaces under ``("space", factors)``
-(a ``linmat.RowProduct`` is built per use and not kept), the (y, x) label
-of each triple orbit of ``z x y x x`` over the orbit ``label_zy`` of ``z x
-y``, which buckets them, under ``("completion-buckets", z, y, x,
-label_zy)``, and its triple-orbit completions under ``("completions", z, y,
-x, label_zy, label_yx)``.
+``pair_images`` keeps the image table of a projection ``p`` against an
+atom ``c`` under ``("images", p, c)``; ``triple_table`` keeps its table for
+atoms ``a, b, c`` under ``("triples", a, b, c)``; ``linmat`` keeps its
+product spaces under ``("space", factors)`` (a ``linmat.RowProduct`` is
+built per use and not kept).
 
 ``agreeing_orbits(backend, f, g)`` is the one kernel-pair and fiber-product
 filter: the orbits of ``a x b`` on which two atom maps ``f: a -> c`` and
@@ -44,13 +42,18 @@ filter: the orbits of ``a x b`` on which two atom maps ``f: a -> c`` and
 product of f and g; the pre-Galois checks and ``frob.kernel_pair_gamma``
 read the orbits without building an object.
 
-``triple_orbits(backend, a, b, c)`` is the one walk of the orbits of
-``a x b x c`` by their three pair orbits, and ``triple_table`` records which
-``(ab, bc, ac)`` index triples it meets.  The walk factors through one image
-table per distinct projection of an orbit of ``a x b`` onto a or b, kept
-only for the walk, not per orbit of the triple product.  The pre-Galois
-closure reads the table as the composition table of the orbits of
-``X x X``, and triple coherence as the pair-orbit triples of ``X x X x X``.
+``pair_images(backend, p, c)`` is the one primitive of triple orbits: an
+orbit of ``a x b x c`` is an orbit of ``omega.atom x c`` for an orbit
+``omega`` of ``a x b``, and its image table under ``omega.proj1`` (or
+``omega.proj2``) names, per such orbit, its ``a x c`` (or ``b x c``) orbit
+and its map onto that orbit's atom.  ``triple_orbits(backend, a, b, c)``
+walks the orbits of ``a x b x c`` by their three pair orbits off those
+tables, and ``triple_table`` records which ``(ab, bc, ac)`` index triples it
+meets.  ``linmat.matmul`` reads the same tables for the triple orbits of
+``z x y x x`` over a pair of entries, so a table factored for one reader is
+not factored again for the other.  The pre-Galois closure reads the triple
+table as the composition table of the orbits of ``X x X``, and triple
+coherence as the pair-orbit triples of ``X x X x X``.
 
 ``Atom``, ``AtomMap`` and ``ProductOrbit`` are immutable named tuples: they
 key every cache above and are built, hashed and compared in every layer, and
@@ -63,6 +66,7 @@ set, dict and sort orders and the reports do not change.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -358,6 +362,21 @@ def agreeing_orbits(backend, f, g):
             yield orbit
 
 
+def pair_images(backend, p, c):
+    """For each orbit ``o`` of ``p.source x c``, in ``product_decompose``
+    order, where ``p x 1`` sends it: the label of the orbit of
+    ``p.target x c`` hit by ``(p o o.proj1, o.proj2)`` and the map of ``o``
+    onto that orbit's atom, as ``product_factor`` returns them.  Kept in the
+    backend cache under ``("images", p, c)``."""
+    key = ("images", p, c)
+    table = backend.cache.get(key)
+    if table is None:
+        table = backend.cache[key] = tuple(
+            backend.product_factor(backend.compose_maps(p, o.proj1), o.proj2)
+            for o in backend.product_decompose(p.source, c))
+    return table
+
+
 def triple_orbits(backend, a, b, c):
     """Each orbit of ``(a x b) x c`` as ``(i_ab, i_bc, i_ac, orbit)``: the
     indices, in ``product_decompose`` order, of the orbits of ``a x b``,
@@ -366,29 +385,23 @@ def triple_orbits(backend, a, b, c):
     ``i_ab`` of ``a x b``.
 
     The ``a x c`` index of an orbit of ``omega.atom x c`` depends only on
-    that orbit and ``p = omega.proj1``: it is where ``p x 1`` sends it.  So
-    the walk factors once per distinct projection p, for its image table
-    (the ``p.target x c`` index of each orbit of ``p.source x c``), and reads
-    both the ``a x c`` and the ``b x c`` index off those tables."""
-    index = {target: {o.label: k for k, o in
-                      enumerate(backend.product_decompose(target, c))}
-             for target in (a, b)}
-    images = {}
-
-    def image(p):
-        table = images.get(p)
-        if table is None:
-            at = index[p.target]
-            table = images[p] = [
-                at[backend.product_factor(
-                    backend.compose_maps(p, o.proj1), o.proj2)[0]]
-                for o in backend.product_decompose(p.source, c)]
-        return table
-
+    that orbit and ``p = omega.proj1``: it is where ``p x 1`` sends it, and
+    likewise its ``b x c`` index under ``omega.proj2``.  So both are read
+    off the ``pair_images`` tables of the two projections, which orbits of
+    ``a x b`` with a common projection share, and which ``linmat.matmul``
+    shares too."""
+    at_a, at_b = ({o.label: k for k, o in
+                   enumerate(backend.product_decompose(target, c))}
+                  for target in (a, b))
+    # per orbit, the labels are mapped to indices in C: a Python loop over
+    # the orbits of a x b x c costs the suites a few percent
+    label = operator.itemgetter(0)
     for i_ab, omega in enumerate(backend.product_decompose(a, b)):
-        yield from zip(itertools.repeat(i_ab), image(omega.proj2),
-                       image(omega.proj1),
-                       backend.product_decompose(omega.atom, c))
+        yield from zip(
+            itertools.repeat(i_ab),
+            map(at_b.__getitem__, map(label, pair_images(backend, omega.proj2, c))),
+            map(at_a.__getitem__, map(label, pair_images(backend, omega.proj1, c))),
+            backend.product_decompose(omega.atom, c))
 
 
 def triple_table(backend, a, b, c):

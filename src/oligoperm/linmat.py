@@ -38,15 +38,12 @@ orbits occur on ``X x X x X`` is ``gset.base.triple_table``.
 
 ``matmul`` reads the triple orbits over a pair of entries from
 ``_completions``.  The triple orbits of ``z x y x x`` over an orbit
-``orbit_zy`` of ``z x y`` are the orbits of ``orbit_zy.atom x x``.  They
-are walked once per ``(z, y, x, label_zy)``, and the label of each one's
-(y, x) marginal is kept in walk order (``_completion_buckets``): the labels
-bucket the orbits.  A ``(label_zy, label_yx)`` pair then factors the (z, x)
-marginals of its own bucket only, so no (y, x) marginal is factored twice
-and no bucket a product never asks for is factored at all.  The labels are
-one tuple per walk, not a list per bucket: lists per bucket raised the peak
-RSS of ``run_suite(LineBackend(), 3)`` by 0.13 MB, and one tuple keeps it
-where one walk per label pair left it.
+``orbit_zy`` of ``z x y`` are the orbits of ``orbit_zy.atom x x``, and
+their (z, x) and (y, x) marginals are the ``gset.base.pair_images`` tables
+of ``orbit_zy.proj1`` and ``orbit_zy.proj2`` against x.  A label pair keeps,
+in table order, the (z, x) entries whose (y, x) label it names.  The tables
+are the ones ``triple_table`` reads, and ``linmat`` keeps no cache of triple
+orbits of its own.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from dataclasses import dataclass
 
 from .coeff import one, zero
 from .errors import ShapeMismatch
-from .gset.base import GMap, GObject
+from .gset.base import GMap, GObject, pair_images
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,43 +221,18 @@ def transpose(matrix):
     return InvariantMatrix(backend, matrix.target, matrix.source, entries)
 
 
-def _completion_buckets(backend, z, y, x, label_zy):
-    """The orbit ``orbit_zy`` of z x y labelled ``label_zy``, with the label
-    of the (y, x) marginal of each orbit of ``orbit_zy.atom x x``, in the
-    order ``product_decompose`` lists them: ``(orbit_zy, labels)``.  The
-    labels bucket those orbits by their (y, x) marginal."""
-    key = ("completion-buckets", z, y, x, label_zy)
-    result = backend.cache.get(key)
-    if result is not None:
-        return result
-    orbit_zy = next(o for o in backend.product_decompose(z, y) if o.label == label_zy)
-    labels = []
-    for orbit in backend.product_decompose(orbit_zy.atom, x):
-        to_y = backend.compose_maps(orbit_zy.proj2, orbit.proj1)
-        labels.append(backend.product_factor(to_y, orbit.proj2)[0])
-    result = backend.cache[key] = orbit_zy, tuple(labels)
-    return result
-
-
 def _completions(backend, z, y, x, label_zy, label_yx):
     """Triple orbits of z x y x x with the two prescribed marginals, with the
     factor map of the (z, x) marginal: a tuple of (label_zx, map onto the
-    marginal orbit atom).  The orbits over ``label_zy`` are walked and
-    bucketed once for every ``label_yx``; only the requested bucket's (z, x)
-    marginals are factored."""
-    key = ("completions", z, y, x, label_zy, label_yx)
-    result = backend.cache.get(key)
-    if result is not None:
-        return result
-    orbit_zy, labels = _completion_buckets(backend, z, y, x, label_zy)
-    out = []
-    for orbit, label in zip(backend.product_decompose(orbit_zy.atom, x), labels):
-        if label == label_yx:
-            to_z = backend.compose_maps(orbit_zy.proj1, orbit.proj1)
-            label_zx, g = backend.product_factor(to_z, orbit.proj2)
-            out.append((label_zx, g))
-    result = backend.cache[key] = tuple(out)
-    return result
+    marginal orbit atom), in the order ``product_decompose(orbit_zy.atom,
+    x)`` lists the orbits.  Both marginals are read off the ``pair_images``
+    tables of the projections of ``orbit_zy``."""
+    orbit_zy = next(o for o in backend.product_decompose(z, y) if o.label == label_zy)
+    return tuple(
+        to_zx for to_zx, (label, _) in zip(
+            pair_images(backend, orbit_zy.proj1, x),
+            pair_images(backend, orbit_zy.proj2, x))
+        if label == label_yx)
 
 
 def matmul(measure, b, a):

@@ -305,6 +305,21 @@ def test_bound_below_command_minimum(capsys):
                                 "--bound", "-3"], "--bound -3 is below 2")
 
 
+@pytest.mark.parametrize("command", ["pregalois", "check-linearization"])
+def test_bound_below_unit_degree_is_usage_error(capsys, tmp_path, command):
+    """Finite atoms start at degree 1: at bound 0 the atom list is empty and
+    every check would PASS over it.  The infinite backends' unit atom has
+    degree 0, so they keep bound 0."""
+    assert main([command, "--backend", "finite", "--group", "(1 2 3)",
+                 "--bound", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: --bound 0 is below 1, the least this command accepts"]
+    for backend in ("sym", "line"):
+        code, doc = run(tmp_path, command, "--backend", backend,
+                        "--bound", "0")
+        assert code == 0 and doc["status"] == "PASS"
+
+
 def test_atom_degree_guard(capsys, monkeypatch):
     # refused before anything is enumerated; only the refused form is run
     assert_usage_error(capsys, ["dim", "--X", "sym:inj[40]", "--bound", "2"],

@@ -342,7 +342,7 @@ def test_product_cache_dies_with_backend(make, tags):
     backend = make()
     a, homs = fill(backend)
     present = {key[0] for key in backend.cache}
-    assert tags | {"product", "space", "triples"} <= present
+    assert tags | {"product", "space", "triples", "images"} <= present
     if "factor" in tags:
         assert backend.cache[("factor",)]
         assert backend.atoms_up_to(2)[-1] is a
@@ -363,6 +363,24 @@ def test_product_cache_dies_with_backend(make, tags):
     del backend, a, homs
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("make, bound", [
+    (SymBackend, 3),
+    (LineBackend, 3),
+    (lambda: preset_backend("S3"), 6),
+], ids=["sym", "line", "S3"])
+def test_cache_tags_are_documented(make, bound):
+    """Every tag a suite leaves in ``backend.cache`` is named, as the head
+    of a key tuple, in the module docstring that lists the cache's keys."""
+    from oligoperm.gset import base
+    from oligoperm.suite import run_suite
+
+    backend = make()
+    assert run_suite(backend, bound).passed
+    tags = {key[0] for key in backend.cache}
+    assert {"product", "images", "triples"} <= tags
+    assert {tag for tag in tags if f'("{tag}",' not in base.__doc__} == set()
 
 
 @pytest.mark.parametrize("backend", [SymBackend(), LineBackend()],
