@@ -6,6 +6,9 @@ for three groups (gset), measures and their axioms (measure), invariant
 Schwartz-function matrix calculus (linmat), the tensor category of free
 permutation objects (permcat), the Frobenius and equivalence-idempotent
 structure (frob), concrete-model oracles (oracle), and a CLI (cli).
+
+Records are named tuples; objects with state or construction logic are plain
+classes.
 """
 
 from .coeff import RATIONAL, Field, Scalar, parse_scalar, ratfunc_field

@@ -340,6 +340,8 @@ def cmd_measure_check(args):
         if doc["backend"] == "finite":
             raise UsageError("pass --group with finite measure specs")
         raise UsageError(f"unknown backend {doc['backend']!r} in spec file")
+    args.backend = doc["backend"]
+    bound = _atom_bound(args, backend)
     family = solve_measures(backend, 2, char=_char(doc.get("field")))
     field = family.field
     atom_values = {}
@@ -355,7 +357,7 @@ def cmd_measure_check(args):
                       description=f"spec file {args.spec}")
     args._measure_desc = measure.description
     started = time.monotonic()
-    report = check_measure_axioms(measure, _bound(args, default=3))
+    report = check_measure_axioms(measure, bound)
     return _emit(args, report, None, started)
 
 
@@ -496,7 +498,7 @@ def build_parser():
     common(ps, backend=True)
     ps.set_defaults(func=cmd_measure_solve)
     pc = msub.add_parser("check")
-    common(pc, backend=True)
+    common(pc)
     pc.add_argument("--spec", required=True)
     pc.set_defaults(func=cmd_measure_check)
 

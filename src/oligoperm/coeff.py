@@ -19,12 +19,11 @@ trailing zeros.  Degrees in this package stay small (a few dozen at most), so
 nothing sparse is needed.
 
 ``Field`` and ``Scalar`` are immutable named tuples.  Every checker builds,
-hashes and compares scalars by the thousand, and a named tuple does all three
-in C where a frozen dataclass runs Python code per field.  The hash is that
-of the field tuple, as a frozen dataclass's is, so set and dict orders and
-the reports do not change.  ``Scalar`` defines every arithmetic operator with
-an int on either side, so tuple repetition and concatenation are never
-reached.
+hashes and compares scalars by the thousand, and a named tuple hashes and
+compares in C.  The hash is that of the field tuple, so set and dict orders
+and the reports depend on the fields alone.  ``Scalar`` defines every
+arithmetic operator with an int on either side, so tuple repetition and
+concatenation are never reached.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ numbers the orbits of the triple product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coeff import one, zero
 from .errors import NotSurjective
@@ -43,18 +43,19 @@ from .linmat import (
     multi_factor,
     product_gmap,
     projection,
+    pullback_fn,
     pullback_matrix,
     pushforward_matrix,
+    row_to_fn,
     tensor_space,
     transpose,
     wiring_gmap,
 )
-from .permcat import duality_data, triangle_identities
+from .permcat import coproduct_with_inclusions, duality_data, triangle_identities
 from .report import CheckResult, Report
 
 
-@dataclass
-class FrobeniusStructure:
+class FrobeniusStructure(NamedTuple):
     carrier: object  # GObject
     unit: InvariantMatrix          # 1 -> A
     mult: InvariantMatrix          # A (x) A -> A
@@ -363,9 +364,6 @@ def check_sum_tensor_traces(backend, xa, xb, measure):
 
     All comparisons precompose rows with graph maps, which is function
     pullback and needs no integration."""
-    from .linmat import pullback_fn, row_to_fn
-    from .permcat import coproduct_with_inclusions
-
     field = measure.field
     results = []
 

@@ -55,19 +55,17 @@ not factored again for the other.  The pre-Galois closure reads the triple
 table as the composition table of the orbits of ``X x X``, and triple
 coherence as the pair-orbit triples of ``X x X x X``.
 
-``Atom``, ``AtomMap`` and ``ProductOrbit`` are immutable named tuples: they
-key every cache above and are built, hashed and compared in every layer, and
-a named tuple does all three in C where a frozen dataclass runs Python code
-per field.  The hash is that of the field tuple, as a frozen dataclass's is,
-and atoms order as their field tuples, as ``order=True`` ordered them, so
-set, dict and sort orders and the reports do not change.
+Every record here (``Atom``, ``AtomMap``, ``ProductOrbit``,
+``LinearRelation``, ``GObject`` and ``GMap``) is an immutable named tuple,
+hashed and compared in C.  It hashes as its field tuple, and atoms order as
+their field tuples, so set, dict and sort orders and the reports depend on
+the fields alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -106,8 +104,7 @@ class ProductOrbit(NamedTuple):
     proj2: AtomMap
 
 
-@dataclass(frozen=True)
-class LinearRelation:
+class LinearRelation(NamedTuple):
     """value(lhs) = sum of coeff * value(cls) + const, over the rationals."""
 
     lhs: str
@@ -115,8 +112,7 @@ class LinearRelation:
     const: int
 
 
-@dataclass(frozen=True)
-class GObject:
+class GObject(NamedTuple):
     """A finite multiset of atoms of one backend, stored sorted."""
 
     backend_id: str
@@ -137,8 +133,7 @@ class GObject:
         return " + ".join(a.render() for a in self.atoms)
 
 
-@dataclass(frozen=True)
-class GMap:
+class GMap(NamedTuple):
     """An object-level equivariant map: one (target position, atom map) leg
     per source atom position."""
 
@@ -171,9 +166,6 @@ class Backend:
 
     def compose_maps(self, outer, inner):
         """outer o inner, where inner: a -> b and outer: b -> c."""
-        raise NotImplementedError
-
-    def is_surjective_map(self, f):
         raise NotImplementedError
 
     # Products
@@ -260,11 +252,9 @@ class Backend:
         return out
 
     def is_surjective_gmap(self, f):
-        hit = set()
-        for j, m in f.legs:
-            if self.is_surjective_map(m):
-                hit.add(j)
-        return hit == set(range(len(f.target.atoms)))
+        """Whether the legs hit every target position: an equivariant map
+        onto a transitive atom is always onto."""
+        return {j for j, _m in f.legs} == set(range(len(f.target.atoms)))
 
     def mu_map_classes(self, f):
         """Fiber-class multiset of the canonical drop chain of an atom map."""
@@ -325,10 +315,6 @@ class TupleBackend(Backend):
     def _factor(self, f, g):
         """``product_factor`` uncached, for maps with a common source."""
         raise NotImplementedError
-
-    def is_surjective_map(self, f):
-        # Every coordinate selection is onto: any target tuple extends.
-        return True
 
     def atom_chain_parent(self, a):
         n = a.degree

@@ -237,9 +237,6 @@ class FiniteBackend(Backend):
         return AtomMap(inner.source, outer.target,
                        tuple(outer.data[i] for i in inner.data))
 
-    def is_surjective_map(self, f):
-        return len(set(f.data)) == f.target.degree
-
     def _decompose(self, a, b):
         pairs = [(i, j) for i in range(a.degree) for j in range(b.degree)]
         moves = [(self.act_table(g, a), self.act_table(g, b))

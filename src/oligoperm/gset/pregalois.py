@@ -238,8 +238,6 @@ def quotients_by_kernel(backend, x):
     quotients = {}
     for q_atom in backend.atoms_up_to(x.degree):
         for q in backend.hom_atoms(x, q_atom):
-            if not backend.is_surjective_map(q):
-                continue
             kernel = frozenset(o.label for o in agreeing_orbits(backend, q, q))
             quotients.setdefault(kernel, (q_atom, q))
     return quotients

@@ -48,30 +48,28 @@ orbits of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coeff import one, zero
 from .errors import ShapeMismatch
 from .gset.base import GMap, GObject, pair_images
 
 
-@dataclass(frozen=True, slots=True)
-class PSPosition:
+class PSPosition(NamedTuple):
     atom: object
     meta: tuple  # (left position, right position, orbit label) or ()
     orbit: object  # the ProductOrbit of the row, or None for one factor
 
 
-class ProductSpace:
+class ProductSpace(NamedTuple):
     """An iterated product of objects, built as (left space) x (last factor)."""
 
-    def __init__(self, backend, factors, obj, positions, left, index):
-        self.backend = backend
-        self.factors = factors
-        self.object = obj
-        self.positions = positions
-        self.left = left
-        self.index = index
+    backend: object
+    factors: tuple
+    object: GObject
+    positions: tuple  # of PSPosition
+    left: object  # the ProductSpace of all factors but the last, or None
+    index: dict  # meta -> position
 
 
 def tensor_space(backend, factors):
@@ -354,8 +352,7 @@ def wiring_gmap(src_ps, tgt_ps, route):
 # Invariant functions
 
 
-@dataclass
-class SchwartzFn:
+class SchwartzFn(NamedTuple):
     """An invariant function on an object: one coefficient per atom position;
     missing positions mean zero."""
 
@@ -370,6 +367,10 @@ class SchwartzFn:
         return (isinstance(other, SchwartzFn)
                 and self.carrier == other.carrier
                 and self.prune().coeffs == other.prune().coeffs)
+
+    def __ne__(self, other):
+        # a tuple's own != would compare the fields, unpruned
+        return not self == other
 
     def pointwise_mul(self, other):
         if self.carrier != other.carrier:

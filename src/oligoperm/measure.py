@@ -21,8 +21,8 @@ automorphisms of its source, which is exact for every measure (see
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeff import RATIONAL, Scalar, one, ratfunc_field, zero
 from .errors import InconsistentSystem, UnknownAtom
@@ -35,8 +35,7 @@ SOLVE_DEPTH_FACTOR = 4
 PARAMETER = "t"
 
 
-@dataclass
-class Measure:
+class Measure(NamedTuple):
     """Atom values plus elementary fiber values, mutually consistent.
 
     ``atom_values`` is extended lazily along the canonical drop chains, so the
@@ -101,8 +100,7 @@ class Measure:
                        description=f"{self.description} perturbed at {a.render()}")
 
 
-@dataclass(frozen=True)
-class MeasureFamily:
+class MeasureFamily(NamedTuple):
     """A solved family: parameter names, values over the parameter field, and
     residual constraints (empty when the family is free)."""
 
@@ -358,9 +356,7 @@ def classify_measure(measure, bound):
         for b in atoms:
             covered = set()
             for f in backend.hom_atoms(a, b):
-                if f in covered or not (
-                        backend.is_surjective_map(f)
-                        and len(backend.elementary_factorize(f)) == 1):
+                if f in covered or len(backend.elementary_factorize(f)) != 1:
                     continue
                 covered.update(backend.compose_maps(f, s) for s in automorphisms)
                 for w in atoms:

@@ -294,6 +294,7 @@ def _pair_rows(backend, x):
 def finite_category_oracle(backend, measure, bound):
     """Hom spaces, composition, tensor, duality and Frobenius structure of the
     finite backend against explicit permutation-matrix linear algebra."""
+    # bound per call: the probes of tests/test_oracle.py patch these names
     from .frob import build_frobenius
     from .permcat import duality_data, hom_basis, hom_dimension, tensor
     from .report import CheckResult, Report

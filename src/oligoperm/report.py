@@ -7,14 +7,17 @@ and rendered scalars) so a failure is reproducible from the report alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One check's verdict.  A result without a witness shares one empty
+    dict as its default: no code mutates a witness once its result is
+    built."""
+
     name: str
     passed: bool
-    witness: dict = field(default_factory=dict)
+    witness: dict = {}
     note: str = ""
 
     @property
@@ -30,8 +33,7 @@ class CheckResult:
         return out
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     title: str
     results: list
 

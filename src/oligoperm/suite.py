@@ -23,11 +23,19 @@ from .frob import (
 )
 from .gset import atom_gmap
 from .gset.pregalois import pregalois_check
-from .linmat import InvariantMatrix, column_to_fn, constant_fn, matmul, tensor_space
+from .linmat import (
+    InvariantMatrix,
+    column_to_fn,
+    constant_fn,
+    matmul,
+    pushforward_matrix,
+    tensor_space,
+)
 from .measure import check_measure_axioms, classify_measure, solve_measures
 from .oracle import (
     bgamma_kernel_dimension,
     expand_sym_matrix,
+    finite_category_oracle,
     literal_product,
     sym_orbit_count_model,
 )
@@ -82,8 +90,6 @@ def _gamma_block(backend, measure, atoms, results, kernel_dims=False):
     for a in atoms:
         for b in atoms:
             for m in backend.hom_atoms(a, b):
-                if not backend.is_surjective_map(m):
-                    continue
                 gamma, rep = gamma_of_projection(
                     backend, atom_gmap(backend, m), measure)
                 if not rep.passed:
@@ -112,7 +118,7 @@ def _eidem_block(backend, measure, results):
     smaller = [b for b in backend.atoms_up_to(a.degree) if b.degree < a.degree]
     if smaller:
         b = smaller[-1]
-        maps = [m for m in backend.hom_atoms(a, b) if backend.is_surjective_map(m)]
+        maps = backend.hom_atoms(a, b)
         if maps:
             f = atom_gmap(backend, maps[0])
             gamma = kernel_pair_gamma(backend, f, measure.field)
@@ -247,8 +253,6 @@ def _sym_suite(backend, family, measure, bound, results):
 
 
 def _associativity_breaks(backend, mutant):
-    from .linmat import pushforward_matrix
-
     x = backend.object_of([backend.atom_of_arity(1)])
     eps = pushforward_matrix(backend, backend.collapse_gmap(x), mutant.field)
     e_neq = InvariantMatrix(backend, x, x, {(0, 0, "[]"): one(mutant.field)})
@@ -298,8 +302,5 @@ def _finite_suite(backend, family, measure, bound, results):
     results.append(CheckResult("unique-counting-measure", counting_ok))
 
     _absorb(results, pregalois_check(backend, bound), "pregalois-profile")
-
-    from .oracle import finite_category_oracle
-
     _absorb(results, finite_category_oracle(backend, measure, bound),
             "permutation-matrix-oracle")

@@ -320,6 +320,32 @@ def test_bound_below_unit_degree_is_usage_error(capsys, tmp_path, command):
         assert code == 0 and doc["status"] == "PASS"
 
 
+def test_measure_check_bound_below_unit_degree_is_usage_error(capsys,
+                                                              tmp_path):
+    spec = tmp_path / "measure.json"
+    spec.write_text(json.dumps({"backend": "finite"}), encoding="utf-8")
+    argv = ["measure", "check", "--spec", str(spec), "--group", "(1 2 3)"]
+    assert main([*argv, "--bound", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: --bound 0 is below 1, the least this command accepts"]
+    code, doc = run(tmp_path, *argv, "--bound", "1")
+    assert code == 0 and doc["status"] == "PASS"
+
+
+@pytest.mark.parametrize("backend, fibers", [("sym", _sym_fibers(2)),
+                                             ("finite", {})])
+def test_measure_check_reports_the_spec_backend(tmp_path, backend, fibers):
+    spec = tmp_path / "measure.json"
+    spec.write_text(json.dumps({"backend": backend, "field": "qt",
+                                "fibers": fibers}), encoding="utf-8")
+    argv = ["measure", "check", "--spec", str(spec), "--group", "S3",
+            "--bound", "1"]
+    _code, doc = run(tmp_path, *argv)
+    assert doc["backend"] == backend
+    # the spec names the backend; the subcommand takes no --backend flag
+    assert main([*argv, "--backend", backend]) == 2
+
+
 def test_atom_degree_guard(capsys, monkeypatch):
     # refused before anything is enumerated; only the refused form is run
     assert_usage_error(capsys, ["dim", "--X", "sym:inj[40]", "--bound", "2"],

@@ -634,3 +634,16 @@ def test_finite_factorize(s3):
                 assert parent is None
             else:
                 assert parent == (backend.unit_atom(), f"size[{a.degree}]")
+
+
+@pytest.mark.parametrize("group", ["S3", "C2x4", "S4", "(1 2)(3 4 5)"])
+def test_atom_maps_are_onto(group):
+    """An equivariant map onto a transitive atom is onto, so no backend
+    keeps a surjectivity test for atom maps.  The reference is the finite
+    backend's former one: the point images cover the target."""
+    backend = preset_backend(group)
+    atoms = backend.atoms_up_to(6)
+    maps = [f for a in atoms for b in atoms for f in backend.hom_atoms(a, b)]
+    assert maps
+    for f in maps:
+        assert len(set(f.data)) == f.target.degree, f

@@ -495,8 +495,7 @@ def single_drop_probes(backend, bound):
     for a in atoms:
         for b in atoms:
             for f in backend.hom_atoms(a, b):
-                if not (backend.is_surjective_map(f)
-                        and len(backend.elementary_factorize(f)) == 1):
+                if len(backend.elementary_factorize(f)) != 1:
                     continue
                 for w in atoms:
                     x = backend.object_of([w])

@@ -8,7 +8,6 @@ literal matrices sparse; these tests pin them to the definitions, and the
 probes at the end check that a wrong answer makes the oracle FAIL.
 """
 
-import dataclasses
 import itertools
 from fractions import Fraction
 from math import comb, factorial
@@ -341,7 +340,7 @@ ORACLE_PROBES = {
         lambda out, m: (m, out[1])),
     "frobenius-structure-is-pointwise": (
         frob, "build_frobenius", lambda out: out.mult,
-        lambda out, m: dataclasses.replace(out, mult=m)),
+        lambda out, m: out._replace(mult=m)),
 }
 
 

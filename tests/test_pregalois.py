@@ -294,8 +294,6 @@ def per_relation_quotient(backend, x, relation):
     orbits = backend.product_decompose(x, x)
     for q_atom in backend.atoms_up_to(x.degree):
         for q in backend.hom_atoms(x, q_atom):
-            if not backend.is_surjective_map(q):
-                continue
             kernel = {
                 o.label for o in orbits
                 if backend.compose_maps(q, o.proj1)

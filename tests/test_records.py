@@ -1,17 +1,27 @@
-"""Semantics of the hot records that reports rely on.
+"""Semantics of the records that reports rely on.
 
-``Field``, ``Scalar``, ``Atom``, ``AtomMap`` and ``ProductOrbit`` key caches
-and sets in every layer, so their immutability, hash and order decide set,
-dict and sort orders, and through them the bytes of every report.
+Every record is a named tuple.  ``Field``, ``Scalar``, ``Atom``, ``AtomMap``
+and ``ProductOrbit`` key caches and sets in every layer, so their
+immutability, hash and order decide set, dict and sort orders, and through
+them the bytes of every report.  The other records are immutable and keep
+the hash and ``repr`` format of a dataclass.
 """
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from oligoperm.coeff import RATIONAL, Field, Scalar, ratfunc_field
+import oligoperm
+from oligoperm.coeff import RATIONAL, Field, Scalar, one, ratfunc_field
+from oligoperm.frob import build_frobenius
 from oligoperm.gset import LineBackend, SymBackend, preset_backend
 from oligoperm.gset.base import Atom, AtomMap, ProductOrbit
+from oligoperm.linmat import constant_fn, tensor_space
+from oligoperm.measure import solve_measures
+from oligoperm.report import CheckResult, Report
 
 QT = ratfunc_field("t")
 
@@ -93,3 +103,63 @@ def test_record_reprs_keep_the_dataclass_format():
                        "degree=0, label='inj[0]'), data=())")
     assert repr(ProductOrbit("[]", a, f, f)).startswith(
         "ProductOrbit(label='[]', atom=Atom(")
+
+
+def more_samples():
+    sym = SymBackend()
+    x = sym.object_of([sym.atom_of_arity(1)])
+    family = solve_measures(sym, 2)
+    result = CheckResult("product[inj[1]*inj[1]]", False,
+                         {"lhs": "t^2", "rhs": "t^2 + 1"}, note="n")
+    return {
+        "LinearRelation": sym.fiber_decompositions(2)[0],
+        "GObject": sym.object_of([sym.atom_of_arity(2), sym.atom_of_arity(1)]),
+        "GMap": sym.collapse_gmap(x),
+        "PSPosition": tensor_space(sym, [x, x]).positions[1],
+        "ProductSpace": tensor_space(sym, [x]),
+        "SchwartzFn": constant_fn(x, one(family.field)),
+        "FrobeniusStructure": build_frobenius(sym, x, family.field),
+        "Measure": family.generic(),
+        "MeasureFamily": family,
+        "CheckResult": result,
+        "Report": Report("measure axioms", [result]),
+    }
+
+
+HASHABLE = {"LinearRelation", "GObject", "GMap", "PSPosition"}
+
+
+@pytest.mark.parametrize("name", sorted(more_samples()))
+def test_records_keep_immutability_hash_and_repr(name):
+    x = more_samples()[name]
+    assert type(x).__name__ == name
+    fields = type(x)._fields
+    for attr in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, None)
+    # the repr format of a dataclass
+    assert repr(x) == f"{name}(" + ", ".join(
+        f"{attr}={getattr(x, attr)!r}" for attr in fields) + ")"
+    if name in HASHABLE:
+        assert hash(x) == hash(tuple(getattr(x, attr) for attr in fields))
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
+
+
+def test_check_result_defaults():
+    assert CheckResult._field_defaults == {"witness": {}, "note": ""}
+    result = CheckResult("normalization", True)
+    assert (result.witness, result.note) == ({}, "")
+    assert result.to_dict() == {"check": "normalization", "status": "PASS"}
+
+
+def test_cli_import_loads_no_dataclasses():
+    """A CLI process imports neither ``dataclasses`` nor the ``inspect``
+    machinery that module loads."""
+    src = str(Path(oligoperm.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import oligoperm.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
