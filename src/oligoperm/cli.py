@@ -14,7 +14,8 @@ Input files (matrices, ``--gamma`` tables and
 measure specs) are checked by ``_read_json`` and ``_read_entries`` before use:
 a document that is not an object, lacks a key, or has an entry that names no
 orbit is a usage error too, and so is a matrix file whose field has another
-characteristic than ``--field``.
+characteristic than ``--field`` and a measure spec whose fiber table lacks a
+class the bound reaches.  Each subcommand takes only the flags it reads.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 import time
 
 from .coeff import one, parse_scalar
-from .errors import DivisionByZero, OligopermError, UsageError
+from .errors import DivisionByZero, OligopermError, UnknownAtom, UsageError
 from .frob import (
     build_frobenius,
     check_perfect_pairing,
@@ -69,26 +70,19 @@ def _finite(group):
 
 
 def _backends(args):
+    """The backends by name: ``finite`` only when --group names its group."""
     table = {"sym": SYM, "line": LINE}
-    group = getattr(args, "group", None)
-    if group:
-        table["finite"] = _finite(group)
+    if args.group:
+        table["finite"] = _finite(args.group)
     return table
 
 
 def _backend(args):
-    name = getattr(args, "backend", None)
-    if name is None:
+    if args.backend is None:
         raise UsageError("--backend is required")
-    if name == "finite":
-        group = getattr(args, "group", None)
-        if not group:
-            raise UsageError("--group is required with --backend finite")
-        return _finite(group)
-    try:
-        return {"sym": SYM, "line": LINE}[name]
-    except KeyError:
-        raise UsageError(f"unknown backend {name!r}") from None
+    if args.backend == "finite" and not args.group:
+        raise UsageError("--group is required with --backend finite")
+    return _backends(args)[args.backend]
 
 
 def _char(field):
@@ -138,11 +132,13 @@ def _parse(parse, backends, text):
         raise UsageError(f"bad expression {text!r}: {exc}") from None
 
 
-def _measure_for(backend, bound, char, objects=()):
-    # deep enough fiber tables for the composites the command will build
+def _measure_for(args, backend, bound, objects=()):
+    """The generic measure over --field, deep enough for the composites of
+    objects; its description goes into the report."""
     need = max([bound, 2] + [a.degree for obj in objects for a in obj.atoms])
-    family = solve_measures(backend, need, char=char)
-    return family.generic(), family
+    family = solve_measures(backend, need, char=_char(args.field))
+    args._measure_desc = family.description
+    return family.generic()
 
 
 def _emit(args, report, payload=None, started=None):
@@ -285,9 +281,8 @@ def cmd_compose(args):
     if rhs_target != source:
         raise UsageError(f"cannot compose: lhs source {source.render()} is "
                          f"not rhs target {rhs_target.render()}")
-    measure, family = _measure_for(backend, _bound(args), char,
-                                   [source, target, rhs_source])
-    args._measure_desc = family.description
+    measure = _measure_for(args, backend, _bound(args),
+                           [source, target, rhs_source])
     # positions of target x source are the (t, s, label) keys of a matrix
     lhs, rhs = (InvariantMatrix(backend, s, t, _read_entries(
                     path, doc, tensor_space(backend, [t, s]), measure.field))
@@ -303,9 +298,7 @@ def cmd_compose(args):
 def cmd_dim(args):
     backends = _backends(args)
     backend, x = _parse(parse_object, backends, args.X)
-    measure, family = _measure_for(backend, _bound(args), _char(args.field),
-                                   [x])
-    args._measure_desc = family.description
+    measure = _measure_for(args, backend, _bound(args), [x])
     value = categorical_dim(backend, x, measure)
     report = Report("dim", [CheckResult("categorical-dimension", True)])
     return _emit(args, report, {"dim": value.render()})
@@ -357,7 +350,10 @@ def cmd_measure_check(args):
                       description=f"spec file {args.spec}")
     args._measure_desc = measure.description
     started = time.monotonic()
-    report = check_measure_axioms(measure, bound)
+    try:
+        report = check_measure_axioms(measure, bound)
+    except UnknownAtom as exc:  # the spec's fiber table stops short
+        raise UsageError(f"{args.spec}: {exc}") from None
     return _emit(args, report, None, started)
 
 
@@ -377,9 +373,7 @@ def _gamma_from_args(args, backend, x, field):
 def cmd_frob_verify(args):
     backends = _backends(args)
     backend, x = _parse(parse_object, backends, args.X)
-    measure, family = _measure_for(backend, _bound(args), _char(args.field),
-                                   [x])
-    args._measure_desc = family.description
+    measure = _measure_for(args, backend, _bound(args), [x])
     started = time.monotonic()
     frob = build_frobenius(backend, x, measure.field)
     results = []
@@ -394,9 +388,7 @@ def cmd_frob_verify(args):
 def cmd_frob_eidem(args):
     backends = _backends(args)
     backend, x = _parse(parse_object, backends, args.B)
-    measure, family = _measure_for(backend, _bound(args), _char(args.field),
-                                   [x])
-    args._measure_desc = family.description
+    measure = _measure_for(args, backend, _bound(args), [x])
     gamma = _gamma_from_args(args, backend, x, measure.field)
     report = e_idempotent_check(backend, x, gamma, measure)
     return _emit(args, report)
@@ -409,9 +401,8 @@ def cmd_frob_gamma_of(args):
         with open(text, encoding="utf-8") as handle:
             text = handle.read().strip()
     backend, m = _parse(parse_atom_map, backends, text)
-    measure, family = _measure_for(backend, _bound(args), _char(args.field),
-                                   [backend.object_of([m.source])])
-    args._measure_desc = family.description
+    measure = _measure_for(args, backend, _bound(args),
+                           [backend.object_of([m.source])])
     f = atom_gmap(backend, m)
     gamma, report = gamma_of_projection(backend, f, measure)
     ps2 = tensor_space(backend, [f.source, f.source])
@@ -439,8 +430,7 @@ def cmd_pregalois(args):
 def cmd_check_linearization(args):
     backend = _backend(args)
     bound = _atom_bound(args, backend)
-    measure, family = _measure_for(backend, bound, _char(args.field))
-    args._measure_desc = family.description
+    measure = _measure_for(args, backend, bound)
     started = time.monotonic()
     report = check_linearization(measure, bound)
     return _emit(args, report, None, started)
@@ -461,10 +451,12 @@ def build_parser():
                     "calculus over oligomorphic permutation groups.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, backend=False):
-        p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--field", default=None,
-                       help="q, qt, or fp:<p>")
+    def common(p, backend=False, bound=True, field=True):
+        if bound:
+            p.add_argument("--bound", type=int, default=None)
+        if field:
+            p.add_argument("--field", default=None,
+                           help="q, qt, or fp:<p>")
         p.add_argument("--group", default=None,
                        help="finite group: S3, C2x4, S4, or cycle notation")
         p.add_argument("--json", default=None, help="write the report here")
@@ -472,11 +464,11 @@ def build_parser():
             p.add_argument("--backend", choices=["sym", "line", "finite"])
 
     p = sub.add_parser("atoms", help="enumerate atoms within a bound")
-    common(p, backend=True)
+    common(p, backend=True, field=False)
     p.set_defaults(func=cmd_atoms)
 
     p = sub.add_parser("homdim", help="dimension of a hom space")
-    common(p)
+    common(p, bound=False, field=False)
     p.add_argument("--X", required=True)
     p.add_argument("--Y", required=True)
     p.set_defaults(func=cmd_homdim)
@@ -498,7 +490,7 @@ def build_parser():
     common(ps, backend=True)
     ps.set_defaults(func=cmd_measure_solve)
     pc = msub.add_parser("check")
-    common(pc)
+    common(pc, field=False)
     pc.add_argument("--spec", required=True)
     pc.set_defaults(func=cmd_measure_check)
 
@@ -520,7 +512,7 @@ def build_parser():
     pg.set_defaults(func=cmd_frob_gamma_of)
 
     p = sub.add_parser("pregalois", help="axiom profile of a backend")
-    common(p, backend=True)
+    common(p, backend=True, field=False)
     p.set_defaults(func=cmd_pregalois)
 
     p = sub.add_parser("check-linearization")
@@ -528,7 +520,7 @@ def build_parser():
     p.set_defaults(func=cmd_check_linearization)
 
     p = sub.add_parser("suite", help="every checker, composed")
-    common(p, backend=True)
+    common(p, backend=True, field=False)
     p.set_defaults(func=cmd_suite)
 
     return parser

@@ -125,27 +125,21 @@ class FiniteBackend(Backend):
         self.elements = sorted(mulclose(self.generators, n_points))
         self.identity = tuple(range(n_points))
         self._subgroups = self._enumerate_subgroups()
-        self._class_of = {}
-        classes = []
+        # one representative per conjugacy class of subgroups, with the
+        # class's members, ranked by index and then by sorted elements
+        classes, seen = [], set()
         for h in self._subgroups:
-            if h in self._class_of:
+            if h in seen:
                 continue
             conj = {frozenset(_pcompose(_pcompose(_pinv(g), s), g) for s in h)
                     for g in self.elements}
-            classes.append(min(conj, key=lambda sub: tuple(sorted(sub))))
-            for sub in conj:
-                self._class_of[sub] = len(classes) - 1
+            seen |= conj
+            classes.append((min(conj, key=lambda sub: tuple(sorted(sub))), conj))
         order = len(self.elements)
-        ranked = sorted(
-            range(len(classes)),
-            key=lambda k: (order // len(classes[k]), tuple(sorted(classes[k]))),
-        )
-        self._reps = [classes[k] for k in ranked]
-        self._class_index = {}
-        for new_idx, old_idx in enumerate(ranked):
-            for sub, k in list(self._class_of.items()):
-                if k == old_idx:
-                    self._class_index[sub] = new_idx
+        classes.sort(key=lambda c: (order // len(c[0]), tuple(sorted(c[0]))))
+        self._reps = [rep for rep, _ in classes]
+        self._class_index = {sub: k for k, (_, conj) in enumerate(classes)
+                             for sub in conj}
         self._atoms = [
             Atom(BACKEND_ID, order // len(rep), f"orbit#{k}")
             for k, rep in enumerate(self._reps)
@@ -357,16 +351,17 @@ class FiniteBackend(Backend):
         return self._atoms[int(digits)]
 
 
+# named example groups: cycle notation and number of points
+PRESETS = {
+    "S3": ("(1 2); (1 2 3)", None),
+    "C2X4": ("(1 2)", 4),
+    "C2-4": ("(1 2)", 4),
+    "S4": ("(1 2); (1 2 3 4)", None),
+}
+
+
 def preset_backend(name):
-    """Named example groups used throughout the test suite and CLI."""
-    if name.upper() == "S3":
-        gens, n = parse_cycles("(1 2); (1 2 3)")
-        return FiniteBackend(gens, n)
-    if name.upper() in {"C2X4", "C2-4"}:
-        gens, n = parse_cycles("(1 2)", n_points=4)
-        return FiniteBackend(gens, n)
-    if name.upper() == "S4":
-        gens, n = parse_cycles("(1 2); (1 2 3 4)")
-        return FiniteBackend(gens, n)
-    gens, n = parse_cycles(name)
-    return FiniteBackend(gens, n)
+    """A named example group (S3, C2x4 or C2-4, S4, in any case) or a group
+    in cycle notation, as used throughout the test suite and CLI."""
+    text, n_points = PRESETS.get(name.upper(), (name, None))
+    return FiniteBackend(*parse_cycles(text, n_points))

@@ -4,9 +4,8 @@ Eight axioms are verified on the fragment within a bound: existence and
 universal properties of finite coproducts (a)-(c), fiber products and the
 final object (d), monomorphisms of atoms being isomorphisms (e), non-emptiness
 of atom fiber products (f), atomicity of the final object (g), and
-effectivity of internal equivalence relations (h).  A failing axiom reports
-its first failing instance and, under a ``failing-...`` key, how many
-instances failed.
+effectivity of internal equivalence relations (h).  Each axiom reports
+through ``report.verdict``.
 
 Internal equivalence relations on an atom X are unions of orbits of X x X
 containing the diagonal, closed under the swap, and closed under relational
@@ -28,19 +27,8 @@ with an atom map into it, so no check builds a fiber-product object.
 
 from __future__ import annotations
 
-from ..report import CheckResult, Report
+from ..report import CheckResult, Report, verdict
 from .base import agreeing_orbits, triple_table
-
-
-def _verdict(name, failures, counted, note=""):
-    """A check that passes when failures is empty; otherwise its witness is
-    the first failure with the number of failures under
-    ``failing-<counted>``."""
-    witness = {}
-    if failures:
-        witness = dict(failures[0])
-        witness[f"failing-{counted}"] = str(len(failures))
-    return CheckResult(name, not failures, witness, note=note)
 
 
 def check_coproducts(backend, atoms):
@@ -56,8 +44,8 @@ def check_coproducts(backend, atoms):
                 if lhs != rhs:
                     failures.append({"objects": f"{x.render()} + {y.render()}"
                                                 f" -> {z.render()}"})
-    return _verdict("a-coproducts", failures, "instances",
-                    note="maps out of a coproduct are leg tuples")
+    return verdict("a-coproducts", failures, "instances",
+                   note="maps out of a coproduct are leg tuples")
 
 
 def check_atom_decomposition(backend, atoms):
@@ -77,7 +65,7 @@ def check_maps_into_coproducts(backend, atoms):
                 if lhs != rhs:
                     failures.append({"instance": f"{x.render()} -> "
                                                  f"{y.render()} + {z.render()}"})
-    return _verdict("c-atom-maps-into-coproducts", failures, "instances")
+    return verdict("c-atom-maps-into-coproducts", failures, "instances")
 
 
 # Universality is counted on atoms of degree at most this.  Raising it costs
@@ -120,8 +108,8 @@ def check_fiber_products(backend, atoms):
                                     "span-source": w.render(),
                                     "mediators": str(count),
                                 })
-    return _verdict("d-fiber-products", failures, "instances",
-                    note="universal property checked on enumerated spans")
+    return verdict("d-fiber-products", failures, "instances",
+                   note="universal property checked on enumerated spans")
 
 
 def check_monos_are_isos(backend, atoms):
@@ -138,7 +126,7 @@ def check_monos_are_isos(backend, atoms):
                 if not iso:
                     failures.append(
                         {"map": f"{a.render()} -> {b.render()} {f.data}"})
-    return _verdict("e-monos-are-isos", failures, "maps")
+    return verdict("e-monos-are-isos", failures, "maps")
 
 
 def check_atom_cospans_nonempty(backend, atoms):
@@ -152,7 +140,7 @@ def check_atom_cospans_nonempty(backend, atoms):
                             failures.append({
                                 "cospan": f"{a.render()} -> {c.render()}"
                                           f" <- {b.render()}"})
-    return _verdict("f-atom-cospans-nonempty", failures, "cospans")
+    return verdict("f-atom-cospans-nonempty", failures, "cospans")
 
 
 def check_final_object(backend, atoms):
@@ -162,8 +150,8 @@ def check_final_object(backend, atoms):
         count = len(backend.hom_atoms(a, unit))
         if count != 1:
             failures.append({"atom": a.render(), "maps-to-final": str(count)})
-    return _verdict("g-final-object-atomic", failures, "atoms",
-                    note="the final object is a single atom")
+    return verdict("g-final-object-atomic", failures, "atoms",
+                   note="the final object is a single atom")
 
 
 # Equivalence relations
@@ -253,8 +241,8 @@ def check_effective_relations(backend, atoms):
                     "atom": x.render(),
                     "relation-orbits": ", ".join(sorted(relation)),
                 })
-    return _verdict("h-effective-equivalence-relations", failures,
-                    "relations")
+    return verdict("h-effective-equivalence-relations", failures,
+                   "relations")
 
 
 def pregalois_check(backend, bound):

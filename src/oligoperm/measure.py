@@ -58,10 +58,7 @@ class Measure(NamedTuple):
             value = one(self.field)
         else:
             parent_atom, cls = parent
-            if cls not in self.fiber_values:
-                raise UnknownAtom(f"no fiber value for {cls} while extending to "
-                                  f"{a.render()}")
-            value = self.fiber_values[cls] * self.mu_atom(parent_atom)
+            value = self.fiber_value(cls) * self.mu_atom(parent_atom)
         self.atom_values[a] = value
         return value
 
@@ -71,14 +68,19 @@ class Measure(NamedTuple):
             total = total + self.mu_atom(a)
         return total
 
+    def fiber_value(self, cls):
+        """The value of the elementary fiber class cls; ``UnknownAtom`` when
+        the fiber table has none."""
+        if cls not in self.fiber_values:
+            raise UnknownAtom(f"no fiber value for {cls}")
+        return self.fiber_values[cls]
+
     def mu_map(self, f):
         """The fiber measure of an atom map: the product of the values of the
         fiber classes that ``backend.elementary_factorize`` lists for it."""
         value = one(self.field)
         for cls in self.backend.elementary_factorize(f):
-            if cls not in self.fiber_values:
-                raise UnknownAtom(f"no fiber value for {cls}")
-            value = value * self.fiber_values[cls]
+            value = value * self.fiber_value(cls)
         return value
 
     def with_perturbed_atom(self, a, delta):
@@ -277,7 +279,7 @@ def _identity_results(measure, bound):
                 for multiset in backend.factorization_class_multisets(f):
                     v = one(measure.field)
                     for cls in multiset:
-                        v = v * measure.fiber_values[cls]
+                        v = v * measure.fiber_value(cls)
                     values.add(v)
                 ok = len(values) == 1
                 # drop orders that disagree report the canonical chain's value

@@ -297,70 +297,81 @@ def finite_category_oracle(backend, measure, bound):
     # bound per call: the probes of tests/test_oracle.py patch these names
     from .frob import build_frobenius
     from .permcat import duality_data, hom_basis, hom_dimension, tensor
-    from .report import CheckResult, Report
+    from .report import Report, verdict
 
     field = measure.field
     u = one(field)
     atoms = backend.atoms_up_to(bound)
     xs = {a: backend.object_of([a]) for a in atoms}
-    results = []
 
-    dims_ok = all(
-        hom_dimension(backend, xs[a], xs[b])
-        == finite_orbit_count_on_pairs(backend, b, a)
-        for a in atoms for b in atoms)
-    results.append(CheckResult("hom-dimensions-count-orbits", dims_ok))
+    dims = []
+    for a in atoms:
+        for b in atoms:
+            dim = hom_dimension(backend, xs[a], xs[b])
+            count = finite_orbit_count_on_pairs(backend, b, a)
+            if dim != count:
+                dims.append({"hom": f"{a.render()} -> {b.render()}",
+                             "dim": str(dim), "orbits": str(count)})
 
-    # each hom basis with its literal matrices, once per atom pair
+    # each hom basis with its orbit labels and literal matrices, once per
+    # atom pair
     bases = {}
     for a in atoms:
         for b in atoms:
-            bases[a, b] = [(f, expand_finite_matrix(backend, f))
-                           for f in hom_basis(backend, xs[a], xs[b], field)]
+            bases[a, b] = [(label, f, expand_finite_matrix(backend, f))
+                           for f in hom_basis(backend, xs[a], xs[b], field)
+                           for _t, _s, label in f.entries]
 
-    compose_ok = True
+    composition = []
     for a in atoms:
         for b in atoms:
             for c in atoms:
-                for bm, bmat in bases[b, c]:
-                    for am, amat in bases[a, b]:
+                for bl, bm, bmat in bases[b, c]:
+                    for al, am, amat in bases[a, b]:
                         composed = matmul(measure, bm, am)
                         if (expand_finite_matrix(backend, composed)
                                 != literal_product(bmat, amat)):
-                            compose_ok = False
-    results.append(CheckResult("composition-is-matrix-product", compose_ok))
+                            composition.append({
+                                "composite": f"{a.render()} -> {b.render()}"
+                                             f" -> {c.render()}",
+                                "orbits": f"{bl} after {al}"})
 
     pair_rows = {a: _pair_rows(backend, xs[a]) for a in atoms}
-    tensor_ok = True
+    tensors = []
     for a in atoms:
         rows = pair_rows[a]
-        for f, fmat in bases[a, a]:
-            for g, gmat in bases[a, a]:
+        for fl, f, fmat in bases[a, a]:
+            for gl, g, gmat in bases[a, a]:
                 lit = {(rows[y1][y2], rows[x1][x2]): fe * ge
                        for (y1, x1), fe in fmat.items()
                        for (y2, x2), ge in gmat.items()}
                 if expand_finite_matrix(backend, tensor(backend, f, g)) != lit:
-                    tensor_ok = False
-    results.append(CheckResult("tensor-is-entrywise-product", tensor_ok))
+                    tensors.append({"atom": a.render(),
+                                    "orbits": f"{fl} (x) {gl}"})
 
-    duality_ok = True
-    frobenius_ok = True
+    duality, frobenius = [], []
     for a in atoms:
         rows = pair_rows[a]
         points = range(a.degree)
         coev, _ = duality_data(backend, xs[a], field)
         if (expand_finite_matrix(backend, coev)
                 != {(rows[y][y], 0): u for y in points}):
-            duality_ok = False
+            duality.append({"atom": a.render()})
         frob = build_frobenius(backend, xs[a], field)
-        if (expand_finite_matrix(backend, frob.unit)
-                != {(y, 0): u for y in points}
-                or expand_finite_matrix(backend, frob.counit)
-                != {(0, y): u for y in points}
-                or expand_finite_matrix(backend, frob.mult)
-                != {(y, rows[y][y]): u for y in points}):
-            frobenius_ok = False
-    results.append(CheckResult("duality-data-is-diagonal", duality_ok))
-    results.append(CheckResult("frobenius-structure-is-pointwise", frobenius_ok))
+        pointwise = {"unit": {(y, 0): u for y in points},
+                     "counit": {(0, y): u for y in points},
+                     "mult": {(y, rows[y][y]): u for y in points}}
+        wrong = [part for part, literal in pointwise.items()
+                 if expand_finite_matrix(backend, getattr(frob, part))
+                 != literal]
+        if wrong:
+            frobenius.append({"atom": a.render(), "parts": ", ".join(wrong)})
 
+    results = [
+        verdict("hom-dimensions-count-orbits", dims, "homs"),
+        verdict("composition-is-matrix-product", composition, "composites"),
+        verdict("tensor-is-entrywise-product", tensors, "products"),
+        verdict("duality-data-is-diagonal", duality, "atoms"),
+        verdict("frobenius-structure-is-pointwise", frobenius, "atoms"),
+    ]
     return Report(f"permutation-matrix oracle within {bound}", results)

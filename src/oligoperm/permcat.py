@@ -23,6 +23,8 @@ measure.
 
 from __future__ import annotations
 
+import functools
+
 from .coeff import one, zero
 from .gset.base import GMap, atom_gmap
 from .linmat import (
@@ -43,7 +45,7 @@ from .linmat import (
     transpose,
     wiring_gmap,
 )
-from .report import CheckResult, Report
+from .report import CheckResult, Report, verdict
 
 
 def hom_basis(backend, x, y, field):
@@ -152,15 +154,16 @@ def coproduct_with_inclusions(backend, x, y):
 
 
 def check_linearization(measure, bound):
-    """Additivity, plenarity, functoriality and measure re-extraction."""
+    """Additivity, plenarity, functoriality and measure re-extraction, each
+    reported through ``verdict``.  One walk over the atom maps checks the
+    last three and builds each map's pushforward and pullback matrices
+    once."""
     backend = measure.backend
     field = measure.field
     atoms = backend.atoms_up_to(bound)
-    results = []
 
     # additivity over coproduct inclusions
-    additive_ok = True
-    witness = {}
+    additive = []
     for a in atoms:
         for b in atoms:
             x = backend.object_of([a])
@@ -181,93 +184,76 @@ def check_linearization(measure, bound):
                 matmul(measure, ax, bx) + matmul(measure, ay, by) == ident_xy,
             ]
             if not all(checks):
-                additive_ok = False
-                witness = {"pair": f"{a.render()} , {b.render()}"}
-    results.append(CheckResult("additive", additive_ok, witness))
+                additive.append({"pair": f"{a.render()} , {b.render()}"})
 
     # plenarity: Hom(Vec_X, 1) is one-dimensional, spanned by the collapse
-    plenary_ok = True
-    witness = {}
+    plenary = []
+    unit = backend.unit_object()
     for a in atoms:
         x = backend.object_of([a])
-        unit = backend.unit_object()
         dim = hom_dimension(backend, x, unit)
         alpha = pushforward_matrix(backend, backend.collapse_gmap(x), field)
         basis = hom_basis(backend, x, unit, field)
         if dim != 1 or len(basis) != 1 or basis[0] != alpha:
-            plenary_ok = False
-            witness = {"atom": a.render(), "dim": str(dim)}
-    results.append(CheckResult("plenary", plenary_ok, witness))
+            plenary.append({"atom": a.render(), "dim": str(dim)})
 
-    # functoriality of the balanced pair on composable atom maps
-    functorial_ok = True
-    witness = {}
-    for a in atoms:
-        for b in atoms:
-            if b.degree > a.degree:
-                continue
-            for c in atoms:
-                if c.degree > b.degree:
-                    continue
-                for f in backend.hom_atoms(a, b)[:3]:
-                    for g in backend.hom_atoms(b, c)[:3]:
-                        gf = backend.compose_maps(g, f)
-                        a_side = matmul(
-                            measure,
-                            pushforward_matrix(backend, atom_gmap(backend, g), field),
-                            pushforward_matrix(backend, atom_gmap(backend, f), field))
-                        b_side = matmul(
-                            measure,
-                            pullback_matrix(backend, atom_gmap(backend, f), field),
-                            pullback_matrix(backend, atom_gmap(backend, g), field))
-                        ok = (a_side == pushforward_matrix(
-                                  backend, atom_gmap(backend, gf), field)
-                              and b_side == pullback_matrix(
-                                  backend, atom_gmap(backend, gf), field))
-                        if not ok:
-                            functorial_ok = False
-                            witness = {"maps": f"{f.data} then {g.data}"}
-    results.append(CheckResult("functorial", functorial_ok, witness))
+    @functools.cache
+    def push_pull(m):
+        gmap = atom_gmap(backend, m)
+        return (pushforward_matrix(backend, gmap, field),
+                pullback_matrix(backend, gmap, field))
 
-    # measure re-extraction: alpha_f beta_X = mu'(f) beta_Y, mu' must equal mu
-    extraction_ok = True
-    witness = {}
+    functorial, extraction, unit_pushforward = [], [], []
     for a in atoms:
+        x = backend.object_of([a])
+        ones_x = constant_fn(x, one(field))
+        beta_x = column_matrix(backend, ones_x)
         for b in atoms:
-            for f in backend.hom_atoms(a, b):
-                x = backend.object_of([a])
-                y = backend.object_of([b])
-                beta_x = column_matrix(backend, constant_fn(x, one(field)))
-                a_f = pushforward_matrix(backend, atom_gmap(backend, f), field)
+            y = backend.object_of([b])
+            maps_ab = backend.hom_atoms(a, b)
+            for f in maps_ab:
+                name = f"{a.render()} -> {b.render()} {f.data}"
+                # measure re-extraction: alpha_f beta_X = mu'(f) beta_Y, and
+                # mu' must equal mu
+                a_f, _ = push_pull(f)
                 image = column_to_fn(matmul(measure, a_f, beta_x))
                 extracted = image.coeffs.get(0, zero(field))
                 stored = measure.mu_map(f)
                 chain = measure.mu_atom(a) == extracted * measure.mu_atom(b)
                 if extracted != stored or not chain:
-                    extraction_ok = False
-                    witness = {
-                        "map": f"{a.render()} -> {b.render()} {f.data}",
+                    extraction.append({
+                        "map": name,
                         "extracted": extracted.render(),
                         "stored": stored.render(),
                         "chain": "ok" if chain else "violated",
-                    }
-    results.append(CheckResult("measure-extraction", extraction_ok, witness))
+                    })
+                # pushforward of the constant function: f_*(1) = mu(f) * 1
+                image = pushforward_fn(measure, atom_gmap(backend, f), ones_x)
+                if image != constant_fn(y, stored):
+                    unit_pushforward.append({"map": name})
+            # functoriality of the balanced pair on composable atom maps
+            if b.degree > a.degree:
+                continue
+            for c in atoms:
+                if c.degree > b.degree:
+                    continue
+                for f in maps_ab[:3]:
+                    push_f, pull_f = push_pull(f)
+                    for g in backend.hom_atoms(b, c)[:3]:
+                        push_g, pull_g = push_pull(g)
+                        push_gf, pull_gf = push_pull(backend.compose_maps(g, f))
+                        if (matmul(measure, push_g, push_f) != push_gf
+                                or matmul(measure, pull_f, pull_g) != pull_gf):
+                            functorial.append({
+                                "maps": f"{a.render()} -> {b.render()} -> "
+                                        f"{c.render()} {f.data} then {g.data}"})
 
-    # pushforward of the constant function: f_*(1) = mu(f) * 1
-    pushforward_ok = True
-    witness = {}
-    for a in atoms:
-        for b in atoms:
-            for f in backend.hom_atoms(a, b):
-                x = backend.object_of([a])
-                y = backend.object_of([b])
-                gmap = atom_gmap(backend, f)
-                image = pushforward_fn(measure, gmap, constant_fn(x, one(field)))
-                expected = constant_fn(y, measure.mu_map(f))
-                if image != expected:
-                    pushforward_ok = False
-                    witness = {"map": f"{a.render()} -> {b.render()} {f.data}"}
-    results.append(CheckResult("unit-pushforward", pushforward_ok, witness))
-
+    results = [
+        verdict("additive", additive, "pairs"),
+        verdict("plenary", plenary, "atoms"),
+        verdict("functorial", functorial, "composites"),
+        verdict("measure-extraction", extraction, "maps"),
+        verdict("unit-pushforward", unit_pushforward, "maps"),
+    ]
     return Report(f"linearization checks for {backend.backend_id} within {bound}",
                   results)

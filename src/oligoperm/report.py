@@ -3,6 +3,12 @@
 Checkers return lists of CheckResult; a result is PASS or FAIL, and failures
 carry a witness dictionary whose values are plain strings (canonical labels
 and rendered scalars) so a failure is reproducible from the report alone.
+
+A check over many instances reports through ``verdict``: it collects one
+entry per failing instance, in the order it visits them, each naming its
+instance (atoms by ``render()``, atom maps by their ``data``).  Its witness
+is the first failing instance with, under a ``failing-<what>`` key, how
+many instances failed.
 """
 
 from __future__ import annotations
@@ -31,6 +37,17 @@ class CheckResult(NamedTuple):
         if self.witness:
             out["witness"] = self.witness
         return out
+
+
+def verdict(name, failures, counted, note=""):
+    """A check that passes when failures is empty; otherwise its witness is
+    the first failure with the number of failures under
+    ``failing-<counted>``."""
+    witness = {}
+    if failures:
+        witness = dict(failures[0])
+        witness[f"failing-{counted}"] = str(len(failures))
+    return CheckResult(name, not failures, witness, note=note)
 
 
 class Report(NamedTuple):

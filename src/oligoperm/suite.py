@@ -46,7 +46,7 @@ from .permcat import (
     duality_data,
     hom_dimension,
 )
-from .report import CheckResult, Report
+from .report import CheckResult, Report, verdict
 
 
 def delannoy_number(m, n):
@@ -84,25 +84,25 @@ def _frobenius_block(backend, measure, atoms, results):
 
 
 def _gamma_block(backend, measure, atoms, results, kernel_dims=False):
-    ok = True
-    witness = {}
-    dims_ok = True
+    round_trips, kernels = [], []
     for a in atoms:
         for b in atoms:
             for m in backend.hom_atoms(a, b):
+                name = f"{a.render()} -> {b.render()} {m.data}"
                 gamma, rep = gamma_of_projection(
                     backend, atom_gmap(backend, m), measure)
                 if not rep.passed:
-                    ok = False
-                    witness = {"map": f"{a.render()} -> {b.render()}"}
+                    round_trips.append({"map": name, "failing": ", ".join(
+                        r.name for r in rep.failures())})
                 if kernel_dims:
                     dim = bgamma_kernel_dimension(
                         backend, backend.object_of([a]), gamma, measure.field)
                     if dim != b.degree:
-                        dims_ok = False
-    results.append(CheckResult("gamma-of-projection-round-trips", ok, witness))
+                        kernels.append({"map": name, "kernel-dim": str(dim)})
+    results.append(verdict("gamma-of-projection-round-trips", round_trips,
+                           "maps"))
     if kernel_dims:
-        results.append(CheckResult("bgamma-kernel-dimensions", dims_ok))
+        results.append(verdict("bgamma-kernel-dimensions", kernels, "maps"))
 
 
 def _eidem_block(backend, measure, results):
@@ -144,12 +144,12 @@ def run_suite(backend, bound):
         {} if not family.residual else {"residual": "; ".join(family.residual)}))
     _absorb(results, check_measure_axioms(measure, bound), "measure-axioms")
     # the generic measure is regular and normal by the classification
-    verdict = classify_measure(measure, small)
-    passed = verdict["regular"] and verdict["normal_within_bound"]
+    classes = classify_measure(measure, small)
+    passed = classes["regular"] and classes["normal_within_bound"]
     results.append(CheckResult(
-        "measure-classification", passed, {} if passed else dict(verdict),
-        note=f"regular={verdict['regular']} "
-             f"normal_within_bound={verdict['normal_within_bound']}"))
+        "measure-classification", passed, {} if passed else dict(classes),
+        note=f"regular={classes['regular']} "
+             f"normal_within_bound={classes['normal_within_bound']}"))
 
     if backend.backend_id == "sym":
         _sym_suite(backend, family, measure, bound, results)
@@ -194,30 +194,34 @@ def _sym_suite(backend, family, measure, bound, results):
         "falling-factorial-family",
         expected and family.parameters == ("t",)))
 
-    counting_ok = True
+    counting = []
     for n_points in (5, 7):
         at_n = family.specialize(n_points)
         for a in backend.atoms_up_to(min(bound, 4)):
             count = 1
             for k in range(a.degree):
                 count *= n_points - k
-            if at_n.mu_atom(a) != Scalar.from_fraction(RATIONAL, count):
-                counting_ok = False
-    results.append(CheckResult("counting-oracle", counting_ok))
+            value = at_n.mu_atom(a)
+            if value != Scalar.from_fraction(RATIONAL, count):
+                counting.append({"atom": a.render(), "points": str(n_points),
+                                 "measure": value.render(),
+                                 "count": str(count)})
+    results.append(verdict("counting-oracle", counting, "atoms"))
 
     x = backend.object_of([backend.atom_of_arity(1)])
     e_eq = InvariantMatrix(backend, x, x, {(0, 0, "[1>1]"): one(field)})
     e_neq = InvariantMatrix(backend, x, x, {(0, 0, "[]"): one(field)})
     square = matmul(measure, e_neq, e_neq)
-    identity_ok = square == e_eq.scale(t - 1) + e_neq.scale(t - 2)
-    model_ok = True
+    composition = []
+    if square != e_eq.scale(t - 1) + e_neq.scale(t - 2):
+        composition.append({"model-points": "t"})
     for n_points in (5, 6, 7, 8):
         lhs = expand_sym_matrix(square, n_points)
         ones_minus_id = expand_sym_matrix(e_neq, n_points)
         rhs = literal_product(ones_minus_id, ones_minus_id)
         if lhs != rhs:
-            model_ok = False
-    results.append(CheckResult("composition-identity", identity_ok and model_ok))
+            composition.append({"model-points": str(n_points)})
+    results.append(verdict("composition-identity", composition, "models"))
 
     results.append(CheckResult(
         "hom-dims-match-model-orbits",

@@ -346,6 +346,37 @@ def test_measure_check_reports_the_spec_backend(tmp_path, backend, fibers):
     assert main([*argv, "--backend", backend]) == 2
 
 
+@pytest.mark.parametrize("spec", [
+    {"backend": "sym", "field": "qt"},
+    {"backend": "sym", "field": "qt",
+     "atoms": {"sym:inj[0]": "1", "sym:inj[1]": "t", "sym:inj[2]": "t^2 - t"}}],
+    ids=["no-fibers", "atoms-only"])
+def test_measure_check_short_fiber_table_is_usage_error(tmp_path, capsys,
+                                                        spec):
+    # the missing class is bad input, not a failing axiom (exit 1)
+    path = write_json(tmp_path, "spec.json", spec)
+    assert main(["measure", "check", "--spec", path, "--bound", "1"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"usage error: {path}: no fiber value for "
+                           "omega-minus[0]"), line
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["homdim", "--X", "line:inc[2]", "--Y", "line:inc[2]"], ["--bound", "9"]),
+    (["homdim", "--X", "line:inc[2]", "--Y", "line:inc[2]"],
+     ["--field", "fp:7"]),
+    (["atoms", "--backend", "sym", "--bound", "2"], ["--field", "qt"]),
+    (["pregalois", "--backend", "line", "--bound", "2"], ["--field", "q"]),
+    (["suite", "--backend", "line", "--bound", "2"], ["--field", "q"]),
+    (["measure", "check", "--spec", "spec.json"], ["--field", "qt"])],
+    ids=["homdim-bound", "homdim-field", "atoms-field", "pregalois-field",
+         "suite-field", "measure-check-field"])
+def test_flag_the_subcommand_does_not_read_is_refused(capsys, argv, flag):
+    # refused by the parser, before the spec file is opened or a check runs
+    assert main([*argv, *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_atom_degree_guard(capsys, monkeypatch):
     # refused before anything is enumerated; only the refused form is run
     assert_usage_error(capsys, ["dim", "--X", "sym:inj[40]", "--bound", "2"],

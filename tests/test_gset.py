@@ -491,30 +491,31 @@ def test_finite_product_factor_round_trip(s3):
                     assert s3.compose_maps(orbit.proj2, h) == g
 
 
+def _assert_swap_bijection(backend, atoms):
+    """swap_orbit is a bijection from the orbits of a x b onto those of
+    b x a that swaps the two projections, for every pair drawn from atoms."""
+    for a in atoms:
+        for b in atoms:
+            bwd = {o.label: o for o in backend.product_decompose(b, a)}
+            seen = set()
+            for orbit in backend.product_decompose(a, b):
+                label2, iso = backend.swap_orbit(a, b, orbit.label)
+                other = bwd[label2]
+                assert backend.compose_maps(other.proj1, iso) == orbit.proj2
+                assert backend.compose_maps(other.proj2, iso) == orbit.proj1
+                seen.add(label2)
+            assert seen == set(bwd), (a, b)
+
+
 def test_swap_bijection():
-    for backend, mk in [(SYM, SYM.atom_of_arity), (LINE, LINE.atom_of_arity)]:
-        a, b = mk(2), mk(1)
-        fwd = backend.product_decompose(a, b)
-        bwd = {o.label: o for o in backend.product_decompose(b, a)}
-        seen = set()
-        for orbit in fwd:
-            label2, iso = backend.swap_orbit(a, b, orbit.label)
-            other = bwd[label2]
-            assert backend.compose_maps(other.proj1, iso) == orbit.proj2
-            assert backend.compose_maps(other.proj2, iso) == orbit.proj1
-            seen.add(label2)
-        assert seen == set(bwd)
+    """Every atom pair within degree 3 on sym and line."""
+    for backend in (SYM, LINE):
+        _assert_swap_bijection(backend, backend.atoms_up_to(3))
 
 
 def test_finite_swap_bijection(s3):
-    atoms = s3.atoms_up_to(6)
-    a, b = atoms[2], atoms[3]
-    bwd = {o.label: o for o in s3.product_decompose(b, a)}
-    for orbit in s3.product_decompose(a, b):
-        label2, iso = s3.swap_orbit(a, b, orbit.label)
-        other = bwd[label2]
-        assert s3.compose_maps(other.proj1, iso) == orbit.proj2
-        assert s3.compose_maps(other.proj2, iso) == orbit.proj1
+    """Every S3 atom pair."""
+    _assert_swap_bijection(s3, s3.atoms_up_to(6))
 
 
 # Fiber products

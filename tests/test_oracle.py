@@ -302,7 +302,9 @@ def test_flipped_composite_fails_finite_oracle(monkeypatch):
 
 
 # one probe per oracle check and direction: each patches the producer of the
-# matrices that check alone reads, and must make exactly that check FAIL
+# matrices that check alone reads, changes every matrix it can, and must make
+# exactly that check FAIL, once per changed matrix, with the first changed
+# matrix's instance as the witness
 
 
 def drop_entry(matrix):
@@ -329,18 +331,38 @@ def extra_entry(matrix):
     return None
 
 
-# check -> (module, producer, its matrix under test, put a matrix back)
+def atom_of(obj):
+    (atom,) = obj.atoms
+    return atom.render()
+
+
+def label_of(basis_matrix):
+    ((_t, _s, label),) = basis_matrix.entries
+    return label
+
+
+# check -> (module, producer, its matrix under test, put a matrix back,
+# the witness of a call's arguments)
 ORACLE_PROBES = {
     "composition-is-matrix-product": (
-        oracle, "matmul", lambda out: out, lambda out, m: m),
+        oracle, "matmul", lambda out: out, lambda out, m: m,
+        lambda _measure, bm, am: {
+            "composite": f"{atom_of(am.source)} -> {atom_of(bm.source)} -> "
+                         f"{atom_of(bm.target)}",
+            "orbits": f"{label_of(bm)} after {label_of(am)}"}),
     "tensor-is-entrywise-product": (
-        permcat, "tensor", lambda out: out, lambda out, m: m),
+        permcat, "tensor", lambda out: out, lambda out, m: m,
+        lambda _backend, f, g: {
+            "atom": atom_of(f.source),
+            "orbits": f"{label_of(f)} (x) {label_of(g)}"}),
     "duality-data-is-diagonal": (
         permcat, "duality_data", lambda out: out[0],
-        lambda out, m: (m, out[1])),
+        lambda out, m: (m, out[1]),
+        lambda _backend, x, _field: {"atom": atom_of(x)}),
     "frobenius-structure-is-pointwise": (
         frob, "build_frobenius", lambda out: out.mult,
-        lambda out, m: out._replace(mult=m)),
+        lambda out, m: out._replace(mult=m),
+        lambda _backend, x, _field: {"atom": atom_of(x), "parts": "mult"}),
 }
 
 
@@ -350,20 +372,22 @@ ORACLE_PROBES = {
 def test_oracle_probe_fails_its_check(check, change, monkeypatch):
     backend = preset_backend("S3")
     measure = solve_measures(backend, 6).generic()
-    module, name, get, put = ORACLE_PROBES[check]
+    module, name, get, put, instance = ORACLE_PROBES[check]
     real = getattr(module, name)
     changed = []
 
     def probe(*args):
         out = real(*args)
-        if not changed:
-            matrix = change(get(out))
-            if matrix is not None:
-                changed.append(matrix)
-                return put(out, matrix)
-        return out
+        matrix = change(get(out))
+        if matrix is None:
+            return out
+        changed.append(instance(*args))
+        return put(out, matrix)
 
     monkeypatch.setattr(module, name, probe)
     report = finite_category_oracle(backend, measure, 6)
-    assert changed
+    assert len(changed) > 1
     assert [r.name for r in report.failures()] == [check]
+    witness = report.result(check).witness
+    (count,) = [key for key in witness if key.startswith("failing-")]
+    assert witness == {**changed[0], count: str(len(changed))}

@@ -237,3 +237,14 @@ def test_linearization_fails_for_mutant(mu_t):
     report = check_linearization(mutant, 3)
     assert not report.passed
     assert not report.result("measure-extraction").passed
+    # the maps that break the chain mu(a) = mu(f) mu(b), in check order
+    atoms = SYM.atoms_up_to(3)
+    broken = [(a, b, f) for a in atoms for b in atoms
+              for f in SYM.hom_atoms(a, b)
+              if mutant.mu_atom(a) != mutant.mu_map(f) * mutant.mu_atom(b)]
+    assert len(broken) > 1
+    a, b, f = broken[0]
+    witness = report.result("measure-extraction").witness
+    assert witness["map"] == f"{a.render()} -> {b.render()} {f.data}"
+    assert witness["chain"] == "violated"
+    assert witness["failing-maps"] == str(len(broken))

@@ -3,7 +3,9 @@
 import pytest
 
 from oligoperm import suite
-from oligoperm.gset import SymBackend
+from oligoperm.gset import SymBackend, preset_backend
+from oligoperm.measure import solve_measures
+from oligoperm.report import CheckResult, Report
 from oligoperm.suite import run_suite
 
 
@@ -22,3 +24,46 @@ def test_measure_classification_fails_on_an_irregular_verdict(monkeypatch):
     assert not result.passed
     assert result.witness == verdict
     assert result.note == "regular=False normal_within_bound=True"
+
+
+def map_name(m):
+    return f"{m.source.render()} -> {m.target.render()} {m.data}"
+
+
+def test_gamma_block_reports_the_first_failing_map(monkeypatch):
+    backend = SymBackend()
+    measure = solve_measures(backend, 3).generic()
+    real = suite.gamma_of_projection
+    failed = []
+
+    def fail_onto_inj1(backend, f, measure):
+        gamma, report = real(backend, f, measure)
+        ((_, m),) = f.legs
+        if m.target.degree != 1:
+            return gamma, report
+        failed.append(m)
+        return gamma, Report(report.title, [CheckResult("probe", False)])
+
+    monkeypatch.setattr(suite, "gamma_of_projection", fail_onto_inj1)
+    results = []
+    suite._gamma_block(backend, measure, backend.atoms_up_to(3), results)
+    assert len(failed) > 1
+    assert [r.to_dict() for r in results] == [{
+        "check": "gamma-of-projection-round-trips", "status": "FAIL",
+        "witness": {"map": map_name(failed[0]), "failing": "probe",
+                    "failing-maps": str(len(failed))}}]
+
+
+def test_bgamma_kernel_dimensions_report_the_first_failing_map(monkeypatch):
+    backend = preset_backend("S3")
+    measure = solve_measures(backend, 6).generic()
+    atoms = backend.atoms_up_to(6)
+    monkeypatch.setattr(suite, "bgamma_kernel_dimension",
+                        lambda backend, y_obj, gamma, field: 0)
+    results = []
+    suite._gamma_block(backend, measure, atoms, results, kernel_dims=True)
+    maps = [m for a in atoms for b in atoms for m in backend.hom_atoms(a, b)]
+    assert [r.name for r in results if not r.passed] == [
+        "bgamma-kernel-dimensions"]
+    assert results[1].witness == {"map": map_name(maps[0]), "kernel-dim": "0",
+                                  "failing-maps": str(len(maps))}
