@@ -9,13 +9,15 @@ errors.  The environment variable OLIGOPERM_MAX_BOUND (default 10) guards
 runaway enumeration: it caps ``--bound`` and the degree of every atom named in
 an object or map expression, and a value that is not an integer is a usage
 error.  So is a ``--bound`` of ``pregalois`` or ``check-linearization`` below
-the degree of the backend's unit atom, where no atom would be checked.
+the degree of the backend's unit atom, and an object with no atom for
+``frob verify`` or ``frob eidem``, where no atom would be checked.
 Input files (matrices, ``--gamma`` tables and
 measure specs) are checked by ``_read_json`` and ``_read_entries`` before use:
 a document that is not an object, lacks a key, or has an entry that names no
-orbit is a usage error too, and so is a matrix file whose field has another
-characteristic than ``--field`` and a measure spec whose fiber table lacks a
-class the bound reaches.  Each subcommand takes only the flags it reads.
+orbit or repeats one is a usage error too, and so is a matrix file whose
+field has another characteristic than ``--field`` and a measure spec whose
+fiber table lacks a class the bound reaches.  Each subcommand takes only the
+flags it reads.
 """
 
 from __future__ import annotations
@@ -245,6 +247,9 @@ def _read_entries(path, doc, ps, field):
         if key not in ps.index:
             raise UsageError(f"{path}: entry {entry!r} names no orbit of "
                              f"{ps.object.render()}")
+        if key in entries:
+            raise UsageError(f"{path}: entry {entry!r} repeats the orbit "
+                             f"{list(key)!r}")
         entries[key] = _read_scalar(path, field, entry[3])
     return entries
 
@@ -370,9 +375,17 @@ def _gamma_from_args(args, backend, x, field):
     return SchwartzFn(ps2.object, coeffs)
 
 
+def _checked_object(args, flag):
+    """The object of ``--<flag>``: over no atom every check would hold."""
+    text = getattr(args, flag)
+    backend, x = _parse(parse_object, _backends(args), text)
+    if not x.atoms:
+        raise UsageError(f"--{flag} {text} has no atom to check")
+    return backend, x
+
+
 def cmd_frob_verify(args):
-    backends = _backends(args)
-    backend, x = _parse(parse_object, backends, args.X)
+    backend, x = _checked_object(args, "X")
     measure = _measure_for(args, backend, _bound(args), [x])
     started = time.monotonic()
     frob = build_frobenius(backend, x, measure.field)
@@ -386,8 +399,7 @@ def cmd_frob_verify(args):
 
 
 def cmd_frob_eidem(args):
-    backends = _backends(args)
-    backend, x = _parse(parse_object, backends, args.B)
+    backend, x = _checked_object(args, "B")
     measure = _measure_for(args, backend, _bound(args), [x])
     gamma = _gamma_from_args(args, backend, x, measure.field)
     report = e_idempotent_check(backend, x, gamma, measure)

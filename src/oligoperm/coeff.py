@@ -228,9 +228,6 @@ class Scalar(NamedTuple):
     def is_zero(self):
         return not self.num
 
-    def is_one(self):
-        return self == one(self.field)
-
     def is_constant(self):
         """Whether the value is free of the variable (always so over Q)."""
         return self.field.kind == "rational" or (len(self.num) <= 1

@@ -180,9 +180,6 @@ class InvariantMatrix:
     def entry(self, key, field):
         return self.entries.get(key, zero(field))
 
-    def is_zero(self):
-        return not self.entries
-
     def render_entries(self):
         out = []
         for (t, s, label) in sorted(self.entries, key=lambda k: (k[0], k[1], k[2])):
@@ -352,25 +349,18 @@ def wiring_gmap(src_ps, tgt_ps, route):
 # Invariant functions
 
 
-class SchwartzFn(NamedTuple):
-    """An invariant function on an object: one coefficient per atom position;
-    missing positions mean zero."""
+class SchwartzFn:
+    """An invariant function on an object: one coefficient per atom position
+    it does not vanish on.  Zero coefficients are dropped here, as
+    ``InvariantMatrix`` prunes zero entries, so equality is structural."""
 
-    carrier: GObject
-    coeffs: dict
-
-    def prune(self):
-        return SchwartzFn(self.carrier,
-                          {k: v for k, v in self.coeffs.items() if not v.is_zero()})
+    def __init__(self, carrier, coeffs):
+        self.carrier = carrier
+        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
 
     def __eq__(self, other):
-        return (isinstance(other, SchwartzFn)
-                and self.carrier == other.carrier
-                and self.prune().coeffs == other.prune().coeffs)
-
-    def __ne__(self, other):
-        # a tuple's own != would compare the fields, unpruned
-        return not self == other
+        return (isinstance(other, SchwartzFn) and self.carrier == other.carrier
+                and self.coeffs == other.coeffs)
 
     def pointwise_mul(self, other):
         if self.carrier != other.carrier:
@@ -379,11 +369,11 @@ class SchwartzFn(NamedTuple):
         for k, v in self.coeffs.items():
             if k in other.coeffs:
                 out[k] = v * other.coeffs[k]
-        return SchwartzFn(self.carrier, out).prune()
+        return SchwartzFn(self.carrier, out)
 
 
 def constant_fn(x, scalar):
-    return SchwartzFn(x, {i: scalar for i in range(len(x.atoms))}).prune()
+    return SchwartzFn(x, {i: scalar for i in range(len(x.atoms))})
 
 
 def unit_orbit_label(backend, a):
@@ -427,7 +417,7 @@ def pullback_fn(gmap, fn):
     for i, (j, _m) in enumerate(gmap.legs):
         if j in fn.coeffs:
             coeffs[i] = fn.coeffs[j]
-    return SchwartzFn(gmap.source, coeffs).prune()
+    return SchwartzFn(gmap.source, coeffs)
 
 
 def scalar_entry(matrix, field):
@@ -452,7 +442,7 @@ def pushforward_fn(measure, gmap, fn):
         j, m = gmap.legs[i]
         term = coeff * measure.mu_map(m)
         out[j] = out[j] + term if j in out else term
-    return SchwartzFn(gmap.target, out).prune()
+    return SchwartzFn(gmap.target, out)
 
 
 def pushforward_surjective_on_invariants(measure, gmap):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .coeff import RATIONAL, Scalar, one, ratfunc_field, zero
 from .errors import InconsistentSystem, UnknownAtom
 from .gset.base import GMap
-from .report import CheckResult, Report
+from .report import CheckResult, Report, equality
 
 SOLVE_DEPTH_FACTOR = 4
 
@@ -305,10 +305,8 @@ def check_measure_axioms(measure, bound):
     results = [
         CheckResult("isomorphism-invariance", True,
                     note="canonical orbit labels; equal atoms share one table entry"),
-        CheckResult("normalization",
-                    measure.mu_atom(measure.backend.unit_atom()).is_one(),
-                    {} if measure.mu_atom(measure.backend.unit_atom()).is_one()
-                    else {"mu(1)": measure.mu_atom(measure.backend.unit_atom()).render()}),
+        equality("normalization", measure.mu_atom(measure.backend.unit_atom()),
+                 one(measure.field)),
         CheckResult("conjugation-invariance", True,
                     note="labels are conjugation classes by construction"),
     ]

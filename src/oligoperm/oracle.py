@@ -297,7 +297,7 @@ def finite_category_oracle(backend, measure, bound):
     # bound per call: the probes of tests/test_oracle.py patch these names
     from .frob import build_frobenius
     from .permcat import duality_data, hom_basis, hom_dimension, tensor
-    from .report import Report, verdict
+    from .report import Report, difference, verdict
 
     field = measure.field
     u = one(field)
@@ -329,12 +329,13 @@ def finite_category_oracle(backend, measure, bound):
                 for bl, bm, bmat in bases[b, c]:
                     for al, am, amat in bases[a, b]:
                         composed = matmul(measure, bm, am)
-                        if (expand_finite_matrix(backend, composed)
-                                != literal_product(bmat, amat)):
+                        d = difference(expand_finite_matrix(backend, composed),
+                                       literal_product(bmat, amat))
+                        if d:
                             composition.append({
                                 "composite": f"{a.render()} -> {b.render()}"
                                              f" -> {c.render()}",
-                                "orbits": f"{bl} after {al}"})
+                                "orbits": f"{bl} after {al}", **d})
 
     pair_rows = {a: _pair_rows(backend, xs[a]) for a in atoms}
     tensors = []
@@ -345,27 +346,32 @@ def finite_category_oracle(backend, measure, bound):
                 lit = {(rows[y1][y2], rows[x1][x2]): fe * ge
                        for (y1, x1), fe in fmat.items()
                        for (y2, x2), ge in gmat.items()}
-                if expand_finite_matrix(backend, tensor(backend, f, g)) != lit:
+                d = difference(
+                    expand_finite_matrix(backend, tensor(backend, f, g)), lit)
+                if d:
                     tensors.append({"atom": a.render(),
-                                    "orbits": f"{fl} (x) {gl}"})
+                                    "orbits": f"{fl} (x) {gl}", **d})
 
     duality, frobenius = [], []
     for a in atoms:
         rows = pair_rows[a]
         points = range(a.degree)
         coev, _ = duality_data(backend, xs[a], field)
-        if (expand_finite_matrix(backend, coev)
-                != {(rows[y][y], 0): u for y in points}):
-            duality.append({"atom": a.render()})
+        d = difference(expand_finite_matrix(backend, coev),
+                       {(rows[y][y], 0): u for y in points})
+        if d:
+            duality.append({"atom": a.render(), **d})
         frob = build_frobenius(backend, xs[a], field)
         pointwise = {"unit": {(y, 0): u for y in points},
                      "counit": {(0, y): u for y in points},
                      "mult": {(y, rows[y][y]): u for y in points}}
-        wrong = [part for part, literal in pointwise.items()
-                 if expand_finite_matrix(backend, getattr(frob, part))
-                 != literal]
+        diffs = {part: difference(
+                     expand_finite_matrix(backend, getattr(frob, part)), literal)
+                 for part, literal in pointwise.items()}
+        wrong = [part for part, d in diffs.items() if d]
         if wrong:
-            frobenius.append({"atom": a.render(), "parts": ", ".join(wrong)})
+            frobenius.append({"atom": a.render(), "parts": ", ".join(wrong),
+                              **diffs[wrong[0]]})
 
     results = [
         verdict("hom-dimensions-count-orbits", dims, "homs"),

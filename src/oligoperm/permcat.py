@@ -45,7 +45,7 @@ from .linmat import (
     transpose,
     wiring_gmap,
 )
-from .report import CheckResult, Report, verdict
+from .report import CheckResult, Report, difference, verdict
 
 
 def hom_basis(backend, x, y, field):
@@ -94,8 +94,9 @@ def triangle_identities(measure, x, coev, ev):
     """The two triangle identities of a duality pairing on Vec_X.
 
     ``coev: 1 -> X (x) X`` and ``ev: X (x) X -> 1`` are invariant matrices.
-    Returns whether (ev (x) id)(id (x) coev) and (id (x) ev)(coev (x) id) are
-    each the identity of Vec_X, as (right_ok, left_ok).
+    Returns ``report.difference`` of (ev (x) id)(id (x) coev) and of
+    (id (x) ev)(coev (x) id) from the identity of Vec_X, as (right, left):
+    {} where the identity holds.
     """
     backend = measure.backend
     ps3 = RowProduct(backend, [x, x, x])
@@ -111,20 +112,17 @@ def triangle_identities(measure, x, coev, ev):
                            [[0], [1]], [[0, 1], [2]])
     id_ev = block_tensor([ident, ev], ps3, right_unit,
                          [[0], [1, 2]], [[0], [1]])
-    return (matmul(measure, ev_id, id_coev) == ident,
-            matmul(measure, id_ev, coev_id) == ident)
+    return (difference(matmul(measure, ev_id, id_coev), ident),
+            difference(matmul(measure, id_ev, coev_id), ident))
 
 
 def check_snake_identities(backend, x, measure):
     """The two triangle identities for the self-duality of Vec_X."""
     coev, ev = duality_data(backend, x, measure.field)
-    right_ok, left_ok = triangle_identities(measure, x, coev, ev)
+    right, left = triangle_identities(measure, x, coev, ev)
     name = f"Vec[{x.render()}]"
-    witness = {"object": name}
-    results = [
-        CheckResult("snake-right", right_ok, {} if right_ok else witness),
-        CheckResult("snake-left", left_ok, {} if left_ok else witness),
-    ]
+    results = [CheckResult(f"snake-{side}", not d, d and {"object": name, **d})
+               for side, d in (("right", right), ("left", left))]
     return Report(f"snake identities on {name}", results)
 
 
@@ -176,15 +174,16 @@ def check_linearization(measure, bound):
             ident_x = identity_matrix(backend, x, field)
             ident_y = identity_matrix(backend, y, field)
             ident_xy = identity_matrix(backend, obj, field)
-            checks = [
-                matmul(measure, bx, ax) == ident_x,
-                matmul(measure, by, ay) == ident_y,
-                matmul(measure, bx, ay).is_zero(),
-                matmul(measure, by, ax).is_zero(),
-                matmul(measure, ax, bx) + matmul(measure, ay, by) == ident_xy,
-            ]
-            if not all(checks):
-                additive.append({"pair": f"{a.render()} , {b.render()}"})
+            d = (difference(matmul(measure, bx, ax), ident_x)
+                 or difference(matmul(measure, by, ay), ident_y)
+                 or difference(matmul(measure, bx, ay),
+                               InvariantMatrix(backend, y, x))
+                 or difference(matmul(measure, by, ax),
+                               InvariantMatrix(backend, x, y))
+                 or difference(matmul(measure, ax, bx) + matmul(measure, ay, by),
+                               ident_xy))
+            if d:
+                additive.append({"pair": f"{a.render()} , {b.render()}", **d})
 
     # plenarity: Hom(Vec_X, 1) is one-dimensional, spanned by the collapse
     plenary = []
@@ -194,8 +193,9 @@ def check_linearization(measure, bound):
         dim = hom_dimension(backend, x, unit)
         alpha = pushforward_matrix(backend, backend.collapse_gmap(x), field)
         basis = hom_basis(backend, x, unit, field)
-        if dim != 1 or len(basis) != 1 or basis[0] != alpha:
-            plenary.append({"atom": a.render(), "dim": str(dim)})
+        d = difference(basis[0], alpha) if len(basis) == 1 else {}
+        if dim != 1 or len(basis) != 1 or d:
+            plenary.append({"atom": a.render(), "dim": str(dim), **d})
 
     @functools.cache
     def push_pull(m):
@@ -228,9 +228,11 @@ def check_linearization(measure, bound):
                         "chain": "ok" if chain else "violated",
                     })
                 # pushforward of the constant function: f_*(1) = mu(f) * 1
-                image = pushforward_fn(measure, atom_gmap(backend, f), ones_x)
-                if image != constant_fn(y, stored):
-                    unit_pushforward.append({"map": name})
+                d = difference(
+                    pushforward_fn(measure, atom_gmap(backend, f), ones_x),
+                    constant_fn(y, stored))
+                if d:
+                    unit_pushforward.append({"map": name, **d})
             # functoriality of the balanced pair on composable atom maps
             if b.degree > a.degree:
                 continue
@@ -242,11 +244,15 @@ def check_linearization(measure, bound):
                     for g in backend.hom_atoms(b, c)[:3]:
                         push_g, pull_g = push_pull(g)
                         push_gf, pull_gf = push_pull(backend.compose_maps(g, f))
-                        if (matmul(measure, push_g, push_f) != push_gf
-                                or matmul(measure, pull_f, pull_g) != pull_gf):
+                        d = (difference(matmul(measure, push_g, push_f),
+                                        push_gf)
+                             or difference(matmul(measure, pull_f, pull_g),
+                                           pull_gf))
+                        if d:
                             functorial.append({
                                 "maps": f"{a.render()} -> {b.render()} -> "
-                                        f"{c.render()} {f.data} then {g.data}"})
+                                        f"{c.render()} {f.data} then {g.data}",
+                                **d})
 
     results = [
         verdict("additive", additive, "pairs"),

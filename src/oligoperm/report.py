@@ -9,6 +9,18 @@ entry per failing instance, in the order it visits them, each naming its
 instance (atoms by ``render()``, atom maps by their ``data``).  Its witness
 is the first failing instance with, under a ``failing-<what>`` key, how
 many instances failed.
+
+A check that compares two sides reports through ``equality``, and a check
+over many instances adds ``difference`` of the two sides to its failure
+entry.  Matrices, invariant functions and literal matrices (``{(row,
+column): value}``) keep no zero entry, so two sides, scalars too, are equal
+exactly when ``==`` holds.  When they are not, the witness is the first
+key, in sorted order, at which the two differ: ``target``, ``source`` and
+``orbit`` (positions and orbit label) for a matrix, ``position`` and
+``atom`` for a function, ``row`` and ``column`` for a literal matrix and
+nothing for a scalar, with both values rendered under ``lhs`` and ``rhs``
+(a missing entry renders as ``0``).  Sides of different shapes give
+``lhs-shape`` and ``rhs-shape`` instead.
 """
 
 from __future__ import annotations
@@ -48,6 +60,44 @@ def verdict(name, failures, counted, note=""):
         witness = dict(failures[0])
         witness[f"failing-{counted}"] = str(len(failures))
     return CheckResult(name, not failures, witness, note=note)
+
+
+def _parts(side):
+    """One side of a comparison: its shape (the objects it lives on), its
+    entries and the witness keys that name an entry."""
+    if isinstance(side, dict):  # a literal matrix
+        return (), side, lambda key: {"row": str(key[0]), "column": str(key[1])}
+    if hasattr(side, "entries"):  # an InvariantMatrix
+        return (side.source, side.target), side.entries, lambda key: {
+            "target": str(key[0]), "source": str(key[1]), "orbit": key[2]}
+    if hasattr(side, "coeffs"):  # a SchwartzFn
+        return (side.carrier,), side.coeffs, lambda pos: {
+            "position": str(pos), "atom": side.carrier.atoms[pos].render()}
+    return (), {(): side}, lambda key: {}  # a scalar
+
+
+def difference(lhs, rhs):
+    """{} when lhs == rhs; otherwise the first differing entry with both
+    sides rendered, or both shapes when they differ."""
+    if lhs == rhs:
+        return {}
+    (shape, left, name), (rshape, right, _) = _parts(lhs), _parts(rhs)
+    if shape != rshape:
+        return {f"{side}-shape": " -> ".join(o.render() for o in objects)
+                for side, objects in (("lhs", shape), ("rhs", rshape))}
+    key = min(k for k in left.keys() | right.keys()
+              if left.get(k) != right.get(k))
+    witness = name(key)
+    for side, entries in (("lhs", left), ("rhs", right)):
+        witness[side] = entries[key].render() if key in entries else "0"
+    return witness
+
+
+def equality(name, lhs, rhs):
+    """A check that passes when lhs == rhs; otherwise its witness is
+    ``difference(lhs, rhs)``."""
+    witness = difference(lhs, rhs)
+    return CheckResult(name, not witness, witness)
 
 
 class Report(NamedTuple):

@@ -46,7 +46,7 @@ from .permcat import (
     duality_data,
     hom_dimension,
 )
-from .report import CheckResult, Report, verdict
+from .report import CheckResult, Report, difference, equality, verdict
 
 
 def delannoy_number(m, n):
@@ -213,14 +213,15 @@ def _sym_suite(backend, family, measure, bound, results):
     e_neq = InvariantMatrix(backend, x, x, {(0, 0, "[]"): one(field)})
     square = matmul(measure, e_neq, e_neq)
     composition = []
-    if square != e_eq.scale(t - 1) + e_neq.scale(t - 2):
-        composition.append({"model-points": "t"})
+    d = difference(square, e_eq.scale(t - 1) + e_neq.scale(t - 2))
+    if d:
+        composition.append({"model-points": "t", **d})
     for n_points in (5, 6, 7, 8):
-        lhs = expand_sym_matrix(square, n_points)
         ones_minus_id = expand_sym_matrix(e_neq, n_points)
-        rhs = literal_product(ones_minus_id, ones_minus_id)
-        if lhs != rhs:
-            composition.append({"model-points": str(n_points)})
+        d = difference(expand_sym_matrix(square, n_points),
+                       literal_product(ones_minus_id, ones_minus_id))
+        if d:
+            composition.append({"model-points": str(n_points), **d})
     results.append(verdict("composition-identity", composition, "models"))
 
     results.append(CheckResult(
@@ -228,9 +229,8 @@ def _sym_suite(backend, family, measure, bound, results):
         _hom_dims_match(backend, bound,
                         lambda n, m: sym_orbit_count_model(8, n, m))))
 
-    results.append(CheckResult(
-        "dimension-of-line-object",
-        categorical_dim(backend, x, measure) == t))
+    results.append(equality("dimension-of-line-object",
+                            categorical_dim(backend, x, measure), t))
 
     mutant = measure.with_perturbed_atom(backend.atom_of_arity(2), one(field))
     mutant_report = check_measure_axioms(mutant, 3)
@@ -287,9 +287,9 @@ def _line_suite(backend, family, measure, bound, results):
         _hom_dims_match(backend, bound, delannoy_number)))
 
     x = backend.object_of([backend.atom_of_arity(1)])
-    results.append(CheckResult(
-        "dimension-of-line-object",
-        categorical_dim(backend, x, measure) == Scalar.from_int(field, -1)))
+    results.append(equality("dimension-of-line-object",
+                            categorical_dim(backend, x, measure),
+                            Scalar.from_int(field, -1)))
 
     profile = pregalois_check(backend, min(bound, 3))
     non_effectivity = [r for r in profile.results if not r.name.startswith("h-")]

@@ -160,6 +160,61 @@ def test_frob_eidem_reports_triple_coherence_witness(tmp_path):
         "orbit-12", "orbit-13", "orbit-23"]
 
 
+ASYMMETRIC_GAMMA = [[0, 0, "B", "1"], [0, 0, "LR", "1"]]
+
+
+def test_gamma_file_zero_entry_is_no_entry(tmp_path):
+    """An explicit zero in a --gamma file is dropped as it is read: the report
+    is the one of the file without it, byte for byte, and its FAIL names
+    the entry where gamma is not symmetric with both sides."""
+    gamma = tmp_path / "gamma.json"
+    argv = ["frob", "eidem", "--B", "line:inc[1]", "--gamma", str(gamma)]
+    reports = []
+    for entries in (ASYMMETRIC_GAMMA, [*ASYMMETRIC_GAMMA, [0, 0, "RL", "0"]]):
+        gamma.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+        code, doc = run(tmp_path, *argv)
+        assert code == 1
+        reports.append((tmp_path / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    failing = {r["check"]: r.get("witness") for r in doc["results"]
+               if r["status"] == "FAIL"}
+    # position 1 of line:inc[1] x line:inc[1] is the orbit LR, on inc[2]
+    assert failing["symmetric"] == {"position": "1", "atom": "line:inc[2]",
+                                    "lhs": "0", "rhs": "1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["frob", "verify", "--X", "sym:0"],
+    ["frob", "eidem", "--B", "sym:0", "--gamma", "diagonal"],
+    ["frob", "verify", "--X", "line:0"]],
+    ids=["verify", "eidem", "verify-line"])
+def test_object_with_no_atom_is_usage_error(capsys, tmp_path, argv):
+    """Every frob check runs over the atoms of its object: with none each
+    would PASS over nothing.  dim and homdim keep X:0, where 0 is a value."""
+    assert main(argv) == 2
+    flag, text = argv[2:4]
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: {flag} {text} has no atom to check"]
+    code, doc = run(tmp_path, "dim", "--X", "sym:0")
+    assert code == 0 and doc["payload"]["dim"] == "0"
+
+
+@pytest.mark.parametrize("command", ["compose", "eidem"])
+def test_repeated_entry_key_is_usage_error(tmp_path, capsys, command):
+    """A key that repeats would keep only its last value: the file is
+    refused, naming the entry."""
+    entries = [[0, 0, "B", "1"], [0, 0, "B", "2"]]
+    if command == "compose":
+        path = write_json(tmp_path, "m.json", {**LINE_IDENTITY, "field": "q",
+                                               "entries": entries})
+        argv = ["compose", "--lhs", path, "--rhs", path]
+    else:
+        path = write_json(tmp_path, "gamma.json", {"entries": entries})
+        argv = ["frob", "eidem", "--B", "line:inc[1]", "--gamma", path]
+    assert_usage_error(capsys, argv, f"{path}: entry [0, 0, 'B', '2'] "
+                                     "repeats the orbit [0, 0, 'B']")
+
+
 def test_frob_gamma_of(tmp_path):
     code, doc = run(tmp_path, "frob", "gamma-of",
                     "--map", "sym:inj[2] -> sym:inj[1] : [1]",

@@ -136,6 +136,24 @@ def test_trace_form_equals_counit(mu_t, mu_line):
             assert report.passed, [r.name for r in report.failures()]
 
 
+def test_trace_witness_names_the_flipped_entry(mu_t):
+    """Doubling the unit's entry on the inj[2] atom breaks counit = unit
+    transpose there alone: the witness names that entry of the counit with
+    both values."""
+    x = SYM.object_of([SYM.atom_of_arity(1), SYM.atom_of_arity(2)])
+    f = build_frobenius(SYM, x, mu_t.field)
+    key = max(f.unit.entries)
+    unit = InvariantMatrix(SYM, f.unit.source, f.unit.target, {
+        **f.unit.entries, key: Scalar.from_int(mu_t.field, 2)})
+    report = check_trace(f._replace(unit=unit), mu_t)
+    assert [r.name for r in report.failures()] == ["counit-is-unit-transpose"]
+    ((target, source, label),) = [k for k in f.counit.entries
+                                  if k[1] == key[0]]
+    assert report.result("counit-is-unit-transpose").witness == {
+        "target": str(target), "source": str(source), "orbit": label,
+        "lhs": "1", "rhs": "2"}
+
+
 def test_trace_pairing_is_diagonal_indicator(mu_t):
     f = build_frobenius(SYM, sym_obj(1), mu_t.field)
     beta = trace_pairing(f, mu_t)
@@ -467,7 +485,7 @@ def test_invariant_algebra_idempotents_are_atom_subsets(mu_t):
     idempotents = []
     zero_one = [Scalar.from_int(field, 0), Scalar.from_int(field, 1)]
     for combo in itertools.product(zero_one, repeat=len(x.atoms)):
-        fn = SchwartzFn(x, {i: c for i, c in enumerate(combo)}).prune()
+        fn = SchwartzFn(x, dict(enumerate(combo)))
         if fn.pointwise_mul(fn) == fn:
             idempotents.append(fn)
     assert len(idempotents) == 2 ** len(x.atoms)
@@ -499,7 +517,7 @@ def reference_pairing_product(backend, xa, xb, measure):
                   for (beta, ps), (u, v) in zip(betas, ((0, 2), (1, 3)))]
         if None not in values:
             coeffs[p] = values[0] * values[1]
-    return SchwartzFn(flat4.object, coeffs).prune()
+    return SchwartzFn(flat4.object, coeffs)
 
 
 @pytest.mark.parametrize("name, na, nb", [("sym", 1, 1), ("line", 1, 2),

@@ -222,6 +222,24 @@ def test_column_matrix_round_trip(mu_t):
     assert col.target == x
 
 
+def test_functions_keep_no_zero_coefficient(mu_t):
+    """A function drops its zero coefficients where it is built, so an
+    explicit zero, a sum that cancels and a missing position are one and the
+    same function."""
+    field = mu_t.field
+    t = Scalar.variable(field)
+    x = SYM.object_of([SYM.atom_of_arity(1), SYM.atom_of_arity(2)])
+    fn = SchwartzFn(x, {0: one(field), 1: t - t})
+    assert fn.coeffs == {0: one(field)}
+    assert fn == indicator_fn(x, 0, field)
+    assert constant_fn(x, zero(field)).coeffs == {}
+    # along the collapse of inj[1] + inj[1], 1 and -1 push forward to t - t
+    xx = SYM.object_of([SYM.atom_of_arity(1)] * 2)
+    opposite = SchwartzFn(xx, {0: one(field), 1: -one(field)})
+    assert linmat.pushforward_fn(mu_t, SYM.collapse_gmap(xx),
+                                 opposite).coeffs == {}
+
+
 # block_tensor against a dense reference
 
 
@@ -352,7 +370,7 @@ def test_block_tensor_with_an_empty_block_is_zero(backend, shape):
         mats = block_mats(src_ps, tgt_ps, src_blocks, tgt_blocks, field, 1)
         mats[k] = InvariantMatrix(backend, mats[k].source, mats[k].target)
         got = block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks)
-        assert got.is_zero()
+        assert not got.entries
         assert got == reference_block_tensor(field, mats, src_ps, tgt_ps,
                                               src_blocks, tgt_blocks)
 

@@ -162,6 +162,15 @@ def test_perturbed_measure_fails_with_product_witness(sym_family):
     assert witness["orbits"] == "[], [1>1]"
 
 
+def test_normalization_witness_gives_both_sides(sym_family):
+    """mu(1) shifted by one: the normalization FAIL gives both scalars."""
+    mutant = sym_family.generic().with_perturbed_atom(
+        SYM.unit_atom(), one(sym_family.field))
+    result = check_measure_axioms(mutant, 1).result("normalization")
+    assert not result.passed
+    assert result.witness == {"lhs": "2", "rhs": "1"}
+
+
 # the multiplicativity witnesses of the line bound-3 measure with inc[2]
 # perturbed by +1, as JSON: inc[3] -> inc[1] (1,) has two drop orders of
 # different fiber measure

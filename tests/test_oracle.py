@@ -331,6 +331,15 @@ def extra_entry(matrix):
     return None
 
 
+def literal_difference(lhs, rhs):
+    """The first (row, column), in sorted order, where two literal matrices
+    differ, with both values rendered and a missing entry as 0."""
+    key = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
+    return {"row": str(key[0]), "column": str(key[1]),
+            **{side: lit[key].render() if key in lit else "0"
+               for side, lit in (("lhs", lhs), ("rhs", rhs))}}
+
+
 def atom_of(obj):
     (atom,) = obj.atoms
     return atom.render()
@@ -381,7 +390,7 @@ def test_oracle_probe_fails_its_check(check, change, monkeypatch):
         matrix = change(get(out))
         if matrix is None:
             return out
-        changed.append(instance(*args))
+        changed.append((instance(*args), matrix, get(out)))
         return put(out, matrix)
 
     monkeypatch.setattr(module, name, probe)
@@ -390,4 +399,10 @@ def test_oracle_probe_fails_its_check(check, change, monkeypatch):
     assert [r.name for r in report.failures()] == [check]
     witness = report.result(check).witness
     (count,) = [key for key in witness if key.startswith("failing-")]
-    assert witness == {**changed[0], count: str(len(changed))}
+    # the first changed instance, its first wrong literal entry (the changed
+    # matrix's expansion against the true one's) and the failure count
+    first, matrix, true = changed[0]
+    assert witness == {
+        **first, **literal_difference(expand_finite_matrix(backend, matrix),
+                                      expand_finite_matrix(backend, true)),
+        count: str(len(changed))}

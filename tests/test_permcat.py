@@ -133,15 +133,41 @@ def test_triangle_identities_are_not_vacuous(mu_t, monkeypatch):
     coev, ev = duality_data(SYM, x, mu_t.field)
     doubled = coev.scale(Scalar.from_int(mu_t.field, 2))
     halved = ev.scale(Scalar.from_fraction(mu_t.field, Fraction(1, 2)))
-    assert triangle_identities(mu_t, x, doubled, ev) == (False, False)
-    assert triangle_identities(mu_t, x, doubled, halved) == (True, True)
+    # both composites are twice the identity: the diagonal entry reads 2
+    entry = {"target": "0", "source": "0", "orbit": "[1>1]",
+             "lhs": "2", "rhs": "1"}
+    assert triangle_identities(mu_t, x, doubled, ev) == (entry, entry)
+    assert triangle_identities(mu_t, x, doubled, halved) == ({}, {})
 
     monkeypatch.setattr(permcat, "duality_data",
                         lambda backend, x, field: (doubled, ev))
     report = check_snake_identities(SYM, x, mu_t)
     assert [r.name for r in report.failures()] == ["snake-right", "snake-left"]
     for r in report.failures():
-        assert r.witness == {"object": "Vec[sym:inj[1]]"}
+        assert r.witness == {"object": "Vec[sym:inj[1]]", **entry}
+
+
+def test_unit_pushforward_names_the_wrong_coefficient(mu_t, monkeypatch):
+    """Every pushforward of the constant function with its coefficient
+    doubled: the FAIL names the first map, the coefficient's position and
+    atom, and both values."""
+    real = permcat.pushforward_fn
+
+    def doubled(measure, gmap, fn):
+        out = real(measure, gmap, fn)
+        return SchwartzFn(out.carrier,
+                          {p: v * 2 for p, v in out.coeffs.items()})
+
+    monkeypatch.setattr(permcat, "pushforward_fn", doubled)
+    report = check_linearization(mu_t, 2)
+    assert [r.name for r in report.failures()] == ["unit-pushforward"]
+    atoms = SYM.atoms_up_to(2)
+    maps = sum(len(SYM.hom_atoms(a, b)) for a in atoms for b in atoms)
+    # the first map is the identity of the unit atom, of measure 1
+    assert report.result("unit-pushforward").witness == {
+        "map": "sym:inj[0] -> sym:inj[0] ()", "position": "0",
+        "atom": "sym:inj[0]", "lhs": "2", "rhs": "1",
+        "failing-maps": str(maps)}
 
 
 def diagonal_labels(backend, x):

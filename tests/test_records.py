@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 
 import oligoperm
-from oligoperm.coeff import RATIONAL, Field, Scalar, one, ratfunc_field
+from oligoperm.coeff import RATIONAL, Field, Scalar, ratfunc_field
 from oligoperm.frob import build_frobenius
 from oligoperm.gset import LineBackend, SymBackend, preset_backend
 from oligoperm.gset.base import Atom, AtomMap, ProductOrbit
-from oligoperm.linmat import constant_fn, tensor_space
+from oligoperm.linmat import tensor_space
 from oligoperm.measure import solve_measures
 from oligoperm.report import CheckResult, Report
 
@@ -117,7 +117,6 @@ def more_samples():
         "GMap": sym.collapse_gmap(x),
         "PSPosition": tensor_space(sym, [x, x]).positions[1],
         "ProductSpace": tensor_space(sym, [x]),
-        "SchwartzFn": constant_fn(x, one(family.field)),
         "FrobeniusStructure": build_frobenius(sym, x, family.field),
         "Measure": family.generic(),
         "MeasureFamily": family,

@@ -26,6 +26,25 @@ def test_measure_classification_fails_on_an_irregular_verdict(monkeypatch):
     assert result.note == "regular=False normal_within_bound=True"
 
 
+def test_composition_identity_names_the_wrong_literal_entry(monkeypatch):
+    """One entry of the model's literal product shifted by one: the FAIL
+    names that entry, in the first model, with both values."""
+    real = suite.literal_product
+
+    def shifted(bmat, amat):
+        out = real(bmat, amat)
+        out[0, 0] = out[0, 0] + 1
+        return out
+
+    monkeypatch.setattr(suite, "literal_product", shifted)
+    report = run_suite(SymBackend(), 2)
+    assert [r.name for r in report.failures()] == ["composition-identity"]
+    # on 5 points the diagonal of (J - I)^2 is 4
+    assert report.result("composition-identity").witness == {
+        "model-points": "5", "row": "0", "column": "0", "lhs": "4",
+        "rhs": "5", "failing-models": "4"}
+
+
 def map_name(m):
     return f"{m.source.render()} -> {m.target.render()} {m.data}"
 
