@@ -48,12 +48,19 @@ orbit of ``a x b x c`` is an orbit of ``omega.atom x c`` for an orbit
 ``omega.proj2``) names, per such orbit, its ``a x c`` (or ``b x c``) orbit
 and its map onto that orbit's atom.  ``triple_orbits(backend, a, b, c)``
 walks the orbits of ``a x b x c`` by their three pair orbits off those
-tables, and ``triple_table`` records which ``(ab, bc, ac)`` index triples it
-meets.  ``linmat.matmul`` reads the same tables for the triple orbits of
-``z x y x x`` over a pair of entries, so a table factored for one reader is
-not factored again for the other.  The pre-Galois closure reads the triple
-table as the composition table of the orbits of ``X x X``, and triple
-coherence as the pair-orbit triples of ``X x X x X``.
+tables, and ``linmat.matmul`` reads the same tables for the triple orbits of
+``z x y x x`` over a pair of entries, so a table is factored once.
+
+``triple_table(backend, a, b, c)`` records which ``(ab, bc, ac)`` index
+triples occur on the orbits of ``a x b x c``; ``backend._triple_table``
+builds it.  The default, which ``finite`` keeps, is one walk of
+``triple_orbits``: a triple orbit of a finite group need not be the only
+one over its pair orbits.  On ``sym`` and ``line`` it is, so there the table
+is composed from the labels of ``a x b`` and ``b x c`` (partial matchings
+through b, merge words cut at b's coordinates) and factors no map.  The
+pre-Galois closure reads the triple table as the composition table of the
+orbits of ``X x X``, and triple coherence as the pair-orbit triples of
+``X x X x X``.
 
 Every record here (``Atom``, ``AtomMap``, ``ProductOrbit``,
 ``LinearRelation``, ``GObject`` and ``GMap``) is an immutable named tuple,
@@ -183,6 +190,17 @@ class Backend:
 
     def product_factor(self, f, g):
         raise NotImplementedError
+
+    def _triple_table(self, a, b, c):
+        """``triple_table`` uncached.  By default one walk of the orbits of
+        ``a x b x c`` by ``triple_orbits``, which reads every orbit's pair
+        orbits off image tables: a triple orbit of a finite group need not be
+        the only one over its three pair orbits."""
+        table = {}
+        for i_ab, i_bc, i_ac, _orbit in triple_orbits(self, a, b, c):
+            pair = (i_ab, i_bc)
+            table[pair] = table.get(pair, 0) | 1 << i_ac
+        return table
 
     def swap_orbit(self, a, b, label):
         """Label of the transposed orbit of (b, a), with the realizing iso."""
@@ -392,13 +410,10 @@ def triple_orbits(backend, a, b, c):
 
 def triple_table(backend, a, b, c):
     """``(i_ab, i_bc) -> bit mask of the i_ac`` over the orbits of
-    ``a x b x c``, kept in the backend cache under ``("triples", a, b, c)``."""
+    ``a x b x c``, built by ``backend._triple_table`` and kept in the backend
+    cache under ``("triples", a, b, c)``."""
     key = ("triples", a, b, c)
     table = backend.cache.get(key)
     if table is None:
-        table = {}
-        for i_ab, i_bc, i_ac, _orbit in triple_orbits(backend, a, b, c):
-            pair = (i_ab, i_bc)
-            table[pair] = table.get(pair, 0) | 1 << i_ac
-        backend.cache[key] = table
+        table = backend.cache[key] = backend._triple_table(a, b, c)
     return table

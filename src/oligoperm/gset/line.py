@@ -37,6 +37,26 @@ def _word_key(word):
     return tuple(_ORDER[ch] for ch in word)
 
 
+def _cut(word, free):
+    """A merge word cut at its other side's coordinates: the numbers of
+    ``free`` letters in the gaps before, between and after them, and per
+    coordinate whether a free letter coincides with it (a ``B``)."""
+    gaps, flags = [0], []
+    for ch in word:
+        if ch == free:
+            gaps[-1] += 1
+        else:
+            flags.append(ch == "B")
+            gaps.append(0)
+    return gaps, flags
+
+
+# the letter of a x c at a coordinate of b, by whether a's and c's coincide
+# with it: both (B), only a's (L), only c's (R) or neither (no letter)
+_MEET = {(True, True): ("B",), (True, False): ("L",),
+         (False, True): ("R",), (False, False): ("",)}
+
+
 class LineBackend(TupleBackend):
     backend_id = "line"
     prefix = "inc"
@@ -84,6 +104,35 @@ class LineBackend(TupleBackend):
                 word.append("R")
         orbit_atom = self._atom(len(union))
         return "".join(word), AtomMap(f.source, orbit_atom, tuple(union))
+
+    def _triple_table(self, a, b, c):
+        # An orbit of a x b x c is the merge word of all three.  Cut at b's
+        # coordinates, the words of a x b and b x c fix which gap each a- and
+        # c-letter lies in and which of them coincide with a b-coordinate, and
+        # nothing else: within a gap the a's and c's merge freely.  So the
+        # a x c words over a pair are the products, gap by gap, of the merge
+        # words of (a's in the gap, c's in the gap), joined by the letters
+        # the b-coordinates leave.  The words are distinct, so a sum of their
+        # bits is the mask.
+        bit = {o.label: 1 << k
+               for k, o in enumerate(self.product_decompose(a, c))}
+        merges = {}
+        for p in range(a.degree + 1):
+            for q in range(c.degree + 1):
+                merges[p, q] = tuple(o.label for o in self.product_decompose(
+                    self._atom(p), self._atom(q)))
+        cuts_ab = [_cut(o.label, "L") for o in self.product_decompose(a, b)]
+        cuts_bc = [_cut(o.label, "R") for o in self.product_decompose(b, c)]
+        table = {}
+        for i_ab, (gaps_a, flags_a) in enumerate(cuts_ab):
+            for i_bc, (gaps_c, flags_c) in enumerate(cuts_bc):
+                parts = [merges[gaps_a[0], gaps_c[0]]]
+                for j, meet in enumerate(zip(flags_a, flags_c), 1):
+                    parts.append(_MEET[meet])
+                    parts.append(merges[gaps_a[j], gaps_c[j]])
+                table[i_ab, i_bc] = sum(map(bit.__getitem__, map(
+                    "".join, itertools.product(*parts))))
+        return table
 
     def swap_orbit(self, a, b, label):
         swapped = label.translate(str.maketrans("LR", "RL"))

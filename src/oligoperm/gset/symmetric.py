@@ -90,6 +90,49 @@ class SymBackend(TupleBackend):
         sel = tuple(f.data) + tuple(c for c in g.data if c not in position)
         return _matching_label(matching), AtomMap(f.source, self._atom(len(sel)), sel)
 
+    def _triple_table(self, a, b, c):
+        # An orbit of a x b x c is the partial matching of all three
+        # coordinate sets.  An a- and a c-coordinate equal to one b-coordinate
+        # are matched; one equal to a b-coordinate that the other side misses
+        # is matched to nothing.  On top of those forced pairs, the a's equal
+        # to no b may match the c's equal to no b by any partial matching.
+        # A matching is the sum of one bit per pair (i, k), forced and free
+        # pairs share no a-coordinate, and the a x c matchings over a pair are
+        # distinct, so sums stand for unions and a sum of orbit bits is the
+        # mask.
+        width = c.degree
+
+        def pairs_bit(pairs):
+            return sum(1 << (i - 1) * width + k - 1 for i, k in pairs)
+
+        bit = {pairs_bit(_parse_matching(o.label)): 1 << k
+               for k, o in enumerate(self.product_decompose(a, c))}
+        rows_ab = [dict(_parse_matching(o.label))
+                   for o in self.product_decompose(a, b)]
+        rows_bc = []
+        for o in self.product_decompose(b, c):
+            b_to_c = dict(_parse_matching(o.label))
+            free_c = tuple(k for k in range(1, width + 1)
+                           if k not in b_to_c.values())
+            rows_bc.append((b_to_c, free_c))
+        free = {}  # (free a's, free c's) -> the bits of their matchings
+        table = {}
+        for i_ab, a_to_b in enumerate(rows_ab):
+            free_a = tuple(i for i in range(1, a.degree + 1) if i not in a_to_b)
+            for i_bc, (b_to_c, free_c) in enumerate(rows_bc):
+                forced = pairs_bit((i, b_to_c[j]) for i, j in a_to_b.items()
+                                   if j in b_to_c)
+                extras = free.get((free_a, free_c))
+                if extras is None:
+                    extras = free[free_a, free_c] = [
+                        pairs_bit((free_a[u - 1], free_c[v - 1])
+                                  for u, v in _parse_matching(o.label))
+                        for o in self.product_decompose(
+                            self._atom(len(free_a)), self._atom(len(free_c)))]
+                table[i_ab, i_bc] = sum(map(bit.__getitem__,
+                                            map(forced.__add__, extras)))
+        return table
+
     def swap_orbit(self, a, b, label):
         matching = _parse_matching(label)
         transposed = tuple(sorted((j, i) for i, j in matching))

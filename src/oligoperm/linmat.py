@@ -42,8 +42,9 @@ orbits occur on ``X x X x X`` is ``gset.base.triple_table``.
 their (z, x) and (y, x) marginals are the ``gset.base.pair_images`` tables
 of ``orbit_zy.proj1`` and ``orbit_zy.proj2`` against x.  A label pair keeps,
 in table order, the (z, x) entries whose (y, x) label it names.  The tables
-are the ones ``triple_table`` reads, and ``linmat`` keeps no cache of triple
-orbits of its own.
+are the ones the ``finite`` triple tables walk; ``sym`` and ``line`` compose
+their triple tables from labels and read none of them.  ``linmat`` keeps
+no cache of triple orbits of its own.
 """
 
 from __future__ import annotations

@@ -20,7 +20,14 @@ from oligoperm.gset.finite import (
     mulclose,
     parse_cycles,
 )
-from oligoperm.gset.base import AtomMap, agreeing_orbits, triple_orbits, triple_table
+from oligoperm.gset.base import (
+    AtomMap,
+    Backend,
+    agreeing_orbits,
+    pair_images,
+    triple_orbits,
+    triple_table,
+)
 from oligoperm.gset.symmetric import _matching_label
 from oligoperm.linmat import multi_factor, projection, tensor_space
 
@@ -303,22 +310,48 @@ def test_triple_orbits_match_per_orbit_walk(name):
             (a, b, c)
 
 
+def count_calls(monkeypatch, backend, name):
+    """A list that grows by one per call of the backend's method ``name``."""
+    original = getattr(backend, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(backend, name, counted)
+    return calls
+
+
 def test_triple_table_factors_once_per_projection(monkeypatch):
-    """A cold table of inc[3]^3 factors the orbits of omega.atom x c once per
-    distinct projection of an omega, not twice per orbit of the triple
-    product (16,081 orbits, 32,162 factorings)."""
+    """The walk behind the default triple table (the one ``finite`` builds)
+    factors the orbits of omega.atom x c once per distinct projection of an
+    omega, not twice per orbit of the triple product: on inc[3]^3, 16,081
+    orbits, 32,162 factorings."""
     backend = LineBackend()
     x = backend.atom_of_arity(3)
-    original = backend.product_factor
-    calls = [0]
+    calls = count_calls(monkeypatch, backend, "product_factor")
+    assert Backend._triple_table(backend, x, x, x)
+    assert 0 < len(calls) <= 11_000
 
-    def counted(f, g):
-        calls[0] += 1
-        return original(f, g)
 
-    monkeypatch.setattr(backend, "product_factor", counted)
-    assert triple_table(backend, x, x, x)
-    assert calls[0] <= 11_000
+@pytest.mark.parametrize("make", [SymBackend, LineBackend],
+                         ids=["sym", "line"])
+def test_composed_triple_table_matches_walk(make, monkeypatch):
+    """On sym and line the triple table is composed from the labels of
+    a x b and b x c: on every atom triple within degree 3, equal atoms or
+    not, it equals the table of a walk over ``triple_orbits`` on a second
+    backend, and building it factors and composes no map."""
+    backend, reference = make(), make()
+    factored = count_calls(monkeypatch, backend, "product_factor")
+    composed = count_calls(monkeypatch, backend, "compose_maps")
+    for a, b, c in itertools.product(backend.atoms_up_to(3), repeat=3):
+        want = {}
+        for i_ab, i_bc, i_ac, _orbit in triple_orbits(reference, a, b, c):
+            want[i_ab, i_bc] = want.get((i_ab, i_bc), 0) | 1 << i_ac
+        assert triple_table(backend, a, b, c) == want, (a, b, c)
+    assert factored == composed == []
+    assert not any(key[0] == "images" for key in backend.cache)
 
 
 @pytest.mark.parametrize("make, tags", [
@@ -329,7 +362,8 @@ def test_triple_table_factors_once_per_projection(monkeypatch):
 def test_product_cache_dies_with_backend(make, tags):
     # the memo of product structure belongs to the instance, not the class,
     # and so do the interned atoms, the factor table, the finite hom sets,
-    # the triple tables and the product spaces linmat keeps in it
+    # the triple tables, the image tables matmul reads and the product
+    # spaces linmat keeps in it
     def fill(backend):
         a = backend.atoms_up_to(2)[-1]
         assert backend.product_decompose(a, a)
@@ -337,6 +371,8 @@ def test_product_cache_dies_with_backend(make, tags):
         x = backend.object_of([a])
         assert tensor_space(backend, [x, x, x]).positions
         assert triple_table(backend, a, a, a)
+        omega = backend.product_decompose(a, a)[-1]
+        assert pair_images(backend, omega.proj1, a)
         return a, homs
 
     backend = make()
