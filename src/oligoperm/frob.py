@@ -22,7 +22,10 @@ spaces.  The unit and counit paddings (``eta_id`` and ``eps_id`` in
 built by ``linmat.block_tensor``.  Every padding through ``X x X x X``
 addresses it by row through a ``linmat.RowProduct``
 (``FrobeniusStructure.ps3``, or ``triangle_identities``' own), so no check
-numbers the orbits of the triple product.
+numbers the orbits of the triple product.  ``check_sum_tensor_traces``
+builds the product of two pairings by row on ``X_a x X_b x X_a x X_b`` in
+the same way and carries its few rows to ``(X_a x X_b)^2`` one at a time,
+so no check numbers a four-fold product either.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import NamedTuple
 
 from .coeff import one, zero
 from .errors import NotSurjective
-from .gset.base import GMap, agreeing_orbits, triple_orbits, triple_table
+from .gset.base import agreeing_orbits, triple_orbits, triple_table
 from .linmat import (
     InvariantMatrix,
     RowProduct,
@@ -52,7 +55,7 @@ from .linmat import (
     wiring_gmap,
 )
 from .permcat import coproduct_with_inclusions, duality_data, triangle_identities
-from .report import CheckResult, Report, difference, equality
+from .report import CheckResult, Report, difference, equality, verdict
 
 
 class FrobeniusStructure(NamedTuple):
@@ -352,8 +355,12 @@ def gamma_of_projection(backend, f, measure):
 def check_sum_tensor_traces(backend, xa, xb, measure):
     """Trace data of sums and products against blockwise assembly.
 
-    All comparisons precompose rows with graph maps, which is function
-    pullback and needs no integration."""
+    The direct-sum comparisons precompose rows with graph maps, which is
+    function pullback and needs no integration.  The tensor comparison
+    builds the product of the two pairings by row on X_a x X_b x X_a x X_b,
+    carries each of its rows to its position in (X_a x X_b)^2 through the
+    row's four factor projections, and compares the result with the pairing
+    of X_a x X_b there; two rows carried to one position fail the check."""
     field = measure.field
     results = []
 
@@ -384,28 +391,39 @@ def check_sum_tensor_traces(backend, xa, xb, measure):
                             SchwartzFn(ps_ab.object, {})))
 
     # tensor product: the pairing of the product object is the tensor product
-    # of the pairings, compared on the flattened four-fold product
+    # of the pairings, compared on (X_a x X_b)^2
     prod = tensor_space(backend, [xa, xb])
     fprod = build_frobenius(backend, prod.object, field)
-    flat4 = tensor_space(backend, [xa, xb, xa, xb])
-    square = tensor_space(backend, [prod.object, prod.object])
-    unflatten = _unflatten_gmap(backend, flat4, square, prod)
-    lhs = pullback_fn(unflatten, row_to_fn(trace_pairing(fprod, measure)))
-
+    lhs = row_to_fn(trace_pairing(fprod, measure))
+    rows = RowProduct(backend, [xa, xb, xa, xb])
     unit_sq = tensor_space(backend, [backend.unit_object()] * 2)
-    rhs = row_to_fn(block_tensor([pairing_a, trace_pairing(fb, measure)],
-                                 flat4, unit_sq, [[0, 2], [1, 3]], [[0], [1]]))
-    results.append(equality("tensor-pairing-factorizes", lhs, rhs))
+    beta_ab = block_tensor([pairing_a, trace_pairing(fb, measure)],
+                           rows, unit_sq, [[0, 2], [1, 3]], [[0], [1]])
+    carried, doubled = {}, []
+    for (_unit, row, _label), value in beta_ab.entries.items():
+        p = _square_position(backend, rows, row, prod, fprod.ps2)
+        if p in carried:
+            doubled.append({"position": str(p),
+                            "atom": fprod.ps2.object.atoms[p].render()})
+        carried[p] = value
+    results.append(
+        verdict("tensor-pairing-factorizes", doubled, "positions") if doubled
+        else equality("tensor-pairing-factorizes", lhs,
+                      SchwartzFn(fprod.ps2.object, carried)))
 
     return Report("sum and tensor trace assembly", results)
 
 
-def _unflatten_gmap(backend, flat4, square, prod):
-    """(a, b, a', b') -> ((a, b), (a', b')) between the two product spaces."""
-    legs = []
-    for p in range(len(flat4.positions)):
-        maps = [projection(flat4, p, i) for i in range(4)]
-        left = multi_factor(backend, maps[:2], prod)
-        right = multi_factor(backend, maps[2:], prod)
-        legs.append(multi_factor(backend, [left, right], square))
-    return GMap(flat4.object, square.object, tuple(legs))
+def _square_position(backend, rows, row, prod, square):
+    """The position ((a, b), (a', b')) in ``square`` of a row (a, b, a', b')
+    of the ``RowProduct`` ``rows``, from the row's four factor projections."""
+    lp, rp, label = row
+    orbit = next(o for o in backend.product_decompose(
+        rows.left.positions[lp].atom, rows.factors[3].atoms[rp])
+        if o.label == label)
+    maps = [(fp, backend.compose_maps(m, orbit.proj1))
+            for fp, m in (projection(rows.left, lp, i) for i in range(3))]
+    maps.append((rp, orbit.proj2))
+    halves = [multi_factor(backend, maps[:2], prod),
+              multi_factor(backend, maps[2:], prod)]
+    return multi_factor(backend, halves, square)[0]

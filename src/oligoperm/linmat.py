@@ -23,17 +23,18 @@ matrix on it is keyed by rows (left position, right position, orbit label)
 instead of positions, and its ``atoms`` maps just the rows ``multi_factor``
 has placed to their orbit atoms, read off the induced map's target.  Matrix
 operations only look up ``atoms[key]``, so they take it as they take an
-object.  The Frobenius and duality chains address ``X x X x X`` this way:
-they touch a few dozen of its orbits, and numbering all of them is what
-costs (699,121 positions for ``line:inc[4]``).  A product a map leaves, such
-as the four-fold product of ``frob.check_sum_tensor_traces``, is numbered.
+object.  The Frobenius and duality chains address ``X x X x X`` this way,
+and ``frob.check_sum_tensor_traces`` addresses ``X x Y x X x Y`` so: they
+touch a few dozen of its orbits, and numbering all of them is what costs
+(699,121 positions for ``line:inc[4]``).  A product a map leaves is
+numbered, since the map keeps one leg per position of it.
 
 ``block_tensor`` walks neither product space.  It enumerates the nonzero
 output orbits directly from the factor matrices' entries, as orbits of the
 products of the entries' orbit atoms, so its work follows the output.  A
-product of functions on sub-products, such as the pairing of a tensor
-product read on ``X x Y x X x Y``, is a ``block_tensor`` of rows, so no
-table of where each flat position lands is kept.  Which triples of pair
+product of functions on sub-products, such as the product of two pairings
+on ``X x Y x X x Y``, is a ``block_tensor`` of rows into a ``RowProduct``,
+so no table of where each flat position lands is kept.  Which triples of pair
 orbits occur on ``X x X x X`` is ``gset.base.triple_table``.
 
 ``matmul`` reads the triple orbits over a pair of entries from

@@ -1,5 +1,7 @@
 """Frobenius structure, trace data, splitting and equivalence idempotents."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,7 @@ from oligoperm.frob import (
     verify_frobenius,
 )
 from oligoperm.gset import LINE, SYM, GMap, preset_backend
-from oligoperm import frob
+from oligoperm import frob, linmat
 from oligoperm.linmat import (
     InvariantMatrix,
     RowProduct,
@@ -503,59 +505,143 @@ def test_sum_tensor_traces(mu_t, mu_line):
 
 
 def reference_pairing_product(backend, xa, xb, measure):
-    """beta_a(a, a') beta_b(b, b') on each position (a, b, a', b') of
-    X_a x X_b x X_a x X_b, from its projections one position at a time."""
-    flat4 = tensor_space(backend, [xa, xb, xa, xb])
+    """beta_a(a, a') beta_b(b, b') on each position ((a, b), (a', b')) of
+    (X_a x X_b)^2, from its projections one position at a time."""
+    prod = tensor_space(backend, [xa, xb])
+    square = tensor_space(backend, [prod.object, prod.object])
     betas = [(row_to_fn(trace_pairing(build_frobenius(backend, x, measure.field),
                                       measure)), tensor_space(backend, [x, x]))
              for x in (xa, xb)]
     coeffs = {}
-    for p in range(len(flat4.positions)):
-        maps = [projection(flat4, p, i) for i in range(4)]
+    for p in range(len(square.positions)):
+        maps = []  # onto a, b, a', b'
+        for half in range(2):
+            q, m = projection(square, p, half)
+            for i in range(2):
+                fp, pm = projection(prod, q, i)
+                maps.append((fp, backend.compose_maps(pm, m)))
         values = [beta.coeffs.get(multi_factor(backend, [maps[u], maps[v]],
                                                ps)[0])
                   for (beta, ps), (u, v) in zip(betas, ((0, 2), (1, 3)))]
         if None not in values:
             coeffs[p] = values[0] * values[1]
-    return SchwartzFn(flat4.object, coeffs)
+    return SchwartzFn(square.object, coeffs)
 
 
 @pytest.mark.parametrize("name, na, nb", [("sym", 1, 1), ("line", 1, 2),
                                           ("sym", 0, 2)])
 def test_tensor_pairing_rhs_matches_reference(monkeypatch, mu_t, mu_line,
                                               name, na, nb):
-    """The block_tensor side of tensor-pairing-factorizes is the product of
-    the two pairings position by position, and dropping any one of its
-    entries turns the check to FAIL."""
+    """The right side of tensor-pairing-factorizes, carried onto
+    (X_a x X_b)^2, is the product of the two pairings position by position.
+    Dropping, doubling or adding one right-side entry, or perturbing one
+    value of the product's pairing, turns the check to FAIL."""
     backend, measure, obj = {"sym": (SYM, mu_t, sym_obj),
                              "line": (LINE, mu_line, line_obj)}[name]
     xa, xb = obj(na), obj(nb)
-    real = frob.block_tensor
+    real_equality, real_block_tensor = frob.equality, frob.block_tensor
+    sides, perturb = [], []
+
+    def record(check, lhs, rhs):
+        if check == "tensor-pairing-factorizes":
+            sides.append((lhs, rhs))
+            for change in perturb:
+                lhs = SchwartzFn(lhs.carrier, change(dict(lhs.coeffs)))
+        return real_equality(check, lhs, rhs)
+
+    def fails():
+        return not check_sum_tensor_traces(backend, xa, xb, measure).result(
+            "tensor-pairing-factorizes").passed
+
+    monkeypatch.setattr(frob, "equality", record)
+    assert not fails()
+    ((lhs, rhs),) = sides
+    assert rhs == reference_pairing_product(backend, xa, xb, measure)
+    assert rhs.coeffs
+
     seen = []
 
-    def record(mats, src_ps, *rest):
-        out = real(mats, src_ps, *rest)
-        if len(src_ps.factors) == 4:
-            seen.append(out)
-        return out
-
-    monkeypatch.setattr(frob, "block_tensor", record)
-    assert check_sum_tensor_traces(backend, xa, xb, measure).passed
-    (rhs,) = seen
-    assert row_to_fn(rhs) == reference_pairing_product(backend, xa, xb,
-                                                       measure)
-    assert rhs.entries
-    for key in rhs.entries:
-        def drop_one(*args, key=key):
-            out = real(*args)
-            entries = {k: v for k, v in out.entries.items() if k != key}
+    def mutate(change):
+        def patched(mats, src_ps, *rest):
+            out = real_block_tensor(mats, src_ps, *rest)
+            if len(src_ps.factors) != 4:
+                return out
+            seen.append((src_ps, out))
             return InvariantMatrix(out.backend, out.source, out.target,
-                                   entries)
+                                   change(dict(out.entries)))
+        monkeypatch.setattr(frob, "block_tensor", patched)
 
-        monkeypatch.setattr(frob, "block_tensor", drop_one)
-        result = check_sum_tensor_traces(backend, xa, xb, measure).result(
-            "tensor-pairing-factorizes")
-        assert not result.passed, key
+    mutate(lambda entries: entries)
+    assert not fails()
+    ((rows, beta_ab),) = seen
+    for key, value in beta_ab.entries.items():
+        mutate(lambda e, key=key: {k: v for k, v in e.items() if k != key})
+        assert fails(), ("dropped", key)
+        mutate(lambda e, key=key, value=value: {**e, key: value + value})
+        assert fails(), ("doubled", key)
+
+    # an entry on the first row of X_a x X_b x X_a x X_b off the support
+    support = {row for _unit, row, _label in beta_ab.entries}
+    extra_row, atom = next(
+        ((lp, rp, o.label), o.atom)
+        for lp, lpos in enumerate(rows.left.positions)
+        for rp, ratom in enumerate(xb.atoms)
+        for o in backend.product_decompose(lpos.atom, ratom)
+        if (lp, rp, o.label) not in support)
+    w = next(iter(beta_ab.entries))[0]
+    extra = (w, extra_row,
+             backend.product_decompose(beta_ab.target.atoms[w], atom)[0].label)
+    mutate(lambda e: {**e, extra: one(measure.field)})
+    assert fails(), ("extra", extra)
+
+    monkeypatch.setattr(frob, "block_tensor", real_block_tensor)
+    for pos, value in lhs.coeffs.items():
+        perturb[:] = [lambda c, pos=pos, value=value:
+                      {**c, pos: value + one(measure.field)}]
+        assert fails(), ("perturbed", pos)
+
+
+def test_tensor_pairing_numbers_no_four_fold_product(monkeypatch, mu_line):
+    """sum-tensor-traces builds the product of the pairings by row, so no
+    product space of four or more factors is asked for."""
+    real = linmat.tensor_space
+    arities = []
+
+    def counted(backend, factors):
+        factors = tuple(factors)
+        arities.append(len(factors))
+        return real(backend, factors)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("oligoperm")
+                and getattr(module, "tensor_space", None) is real):
+            monkeypatch.setattr(module, "tensor_space", counted)
+    report = check_sum_tensor_traces(LINE, line_obj(2), line_obj(1), mu_line)
+    assert report.passed, [r.name for r in report.failures()]
+    assert arities and max(arities) < 4
+
+
+def test_tensor_pairing_fails_when_rows_share_a_position(monkeypatch, mu_line):
+    """Two right-side rows carried onto one position of (X_a x X_b)^2 turn
+    tensor-pairing-factorizes to FAIL instead of overwriting each other."""
+    xa, xb = line_obj(2), line_obj(1)
+    square = tensor_space(LINE, [tensor_space(LINE, [xa, xb]).object] * 2)
+    real, first = frob.multi_factor, []
+
+    def collide(backend, maps, space):
+        p, g = real(backend, maps, space)
+        if space is square:
+            first.append(p)
+            return first[0], g
+        return p, g
+
+    monkeypatch.setattr(frob, "multi_factor", collide)
+    result = check_sum_tensor_traces(LINE, xa, xb, mu_line).result(
+        "tensor-pairing-factorizes")
+    assert len(set(first)) > 1
+    assert not result.passed
+    assert result.witness["failing-positions"] == str(len(first) - 1)
+    assert result.witness["position"] == str(first[0])
 
 
 # X x X x X by row: the Frobenius and duality chains never number X^3
