@@ -30,6 +30,8 @@ so no check numbers a four-fold product either.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from .coeff import one, zero
@@ -239,10 +241,12 @@ def e_idempotent_check(backend, x, gamma, measure):
     to c = b and a = c.  So the check multiplies nothing: it gives each
     distinct nonzero value of gamma an id and tests the distinct id triples
     on the orbits of X x X x X.  It never builds X x X x X: per atom triple
-    of X it reads ``triple_table`` (which 13 orbits occur with each pair of
-    12 and 23 orbits).  On a failure it reports the first bad position in
-    ``tensor_space([X, X, X])`` order: its atom, its three pair orbits and
-    gamma's three values there.
+    of X it reads the rows of ``triple_table`` (per 12 orbit, the mask of
+    the 13 orbits that occur with each 23 orbit) and ORs each row's entries
+    by the ids of their 12 and 23 orbits, so the id triples are tested once
+    per pair of 12 and 23 ids rather than once per entry.  On a failure it
+    reports the first bad position in ``tensor_space([X, X, X])`` order: its
+    atom, its three pair orbits and gamma's three values there.
     """
     field = measure.field
     ps2 = tensor_space(backend, [x, x])
@@ -272,18 +276,25 @@ def e_idempotent_check(backend, x, gamma, measure):
     bad = []
     for (i, j), at_ij in where.items():
         for k in range(len(atoms)):
-            ids_23 = [ids[h] for h in where[j, k]]
+            by_id_23 = {}
+            for i_23, h in enumerate(where[j, k]):
+                by_id_23.setdefault(ids[h], []).append(i_23)
             id_masks = {}
             for i_13, h in enumerate(where[i, k]):
                 id_masks[ids[h]] = id_masks.get(ids[h], 0) | 1 << i_13
-            found = set()
-            for (i_12, i_23), mask in triple_table(
-                    backend, atoms[i], atoms[j], atoms[k]).items():
-                a, c = ids[at_ij[i_12]], ids_23[i_23]
-                if a or c:  # with g12 = g23 = 0 every position is coherent
-                    found.update((a, b, c) for b, m in id_masks.items()
-                                 if mask & m)
-            if not all(_coherent(*t) for t in found):
+            # per (a, c), the union of the 13 masks of the entries whose 12
+            # and 23 orbits have ids a and c: (a, b, c) occurs exactly when
+            # that union meets b's 13 mask
+            unions = {}
+            for i_12, row in enumerate(triple_table(
+                    backend, atoms[i], atoms[j], atoms[k])):
+                a = ids[at_ij[i_12]]
+                for c, cols in by_id_23.items():
+                    if a or c:  # with g12 = g23 = 0 every position is coherent
+                        unions[a, c] = unions.get((a, c), 0) | reduce(
+                            or_, map(row.__getitem__, cols))
+            if not all(_coherent(a, b, c) for (a, c), union in unions.items()
+                       for b, m in id_masks.items() if union & m):
                 bad.append((i, j, k))
     witness = {}
     if bad:

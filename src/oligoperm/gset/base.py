@@ -52,15 +52,18 @@ tables, and ``linmat.matmul`` reads the same tables for the triple orbits of
 ``z x y x x`` over a pair of entries, so a table is factored once.
 
 ``triple_table(backend, a, b, c)`` records which ``(ab, bc, ac)`` index
-triples occur on the orbits of ``a x b x c``; ``backend._triple_table``
-builds it.  The default, which ``finite`` keeps, is one walk of
-``triple_orbits``: a triple orbit of a finite group need not be the only
-one over its pair orbits.  On ``sym`` and ``line`` it is, so there the table
-is composed from the labels of ``a x b`` and ``b x c`` (partial matchings
-through b, merge words cut at b's coordinates) and factors no map.  The
-pre-Galois closure reads the triple table as the composition table of the
-orbits of ``X x X``, and triple coherence as the pair-orbit triples of
-``X x X x X``.
+triples occur on the orbits of ``a x b x c`` as dense rows: one tuple per
+orbit of ``a x b`` with one entry per orbit of ``b x c``, the bit mask of
+the ``a x c`` indices over that pair.  b is transitive, so every pair occurs
+and no entry is 0.  ``backend._triple_table`` builds it.  The default, which
+``finite`` keeps, is one walk of ``triple_orbits``: a triple orbit of a
+finite group need not be the only one over its pair orbits.  On ``sym`` and
+``line`` it is, so there the table is composed from the labels of ``a x b``
+and ``b x c`` (partial matchings through b, merge words cut at b's
+coordinates) and factors no map.  The pre-Galois closure reads the rows
+and their transpose as the composition table of the orbits of ``X x X``,
+and triple coherence ORs each row's entries by gamma's values on the pair
+orbits; both OR whole rows in C instead of probing one pair at a time.
 
 Every record here (``Atom``, ``AtomMap``, ``ProductOrbit``,
 ``LinearRelation``, ``GObject`` and ``GMap``) is an immutable named tuple,
@@ -196,11 +199,11 @@ class Backend:
         ``a x b x c`` by ``triple_orbits``, which reads every orbit's pair
         orbits off image tables: a triple orbit of a finite group need not be
         the only one over its three pair orbits."""
-        table = {}
+        width = len(self.product_decompose(b, c))
+        rows = [[0] * width for _ in self.product_decompose(a, b)]
         for i_ab, i_bc, i_ac, _orbit in triple_orbits(self, a, b, c):
-            pair = (i_ab, i_bc)
-            table[pair] = table.get(pair, 0) | 1 << i_ac
-        return table
+            rows[i_ab][i_bc] |= 1 << i_ac
+        return tuple(map(tuple, rows))
 
     def swap_orbit(self, a, b, label):
         """Label of the transposed orbit of (b, a), with the realizing iso."""
@@ -409,9 +412,13 @@ def triple_orbits(backend, a, b, c):
 
 
 def triple_table(backend, a, b, c):
-    """``(i_ab, i_bc) -> bit mask of the i_ac`` over the orbits of
-    ``a x b x c``, built by ``backend._triple_table`` and kept in the backend
-    cache under ``("triples", a, b, c)``."""
+    """The orbits of ``a x b x c`` as rows: ``table[i_ab][i_bc]`` is the
+    bit mask of the ``i_ac`` that occur with the orbits ``i_ab`` of
+    ``a x b`` and ``i_bc`` of ``b x c``, indices in ``product_decompose``
+    order.  A tuple of tuples with one row per orbit of ``a x b`` and one
+    entry per orbit of ``b x c``, none of them 0, built by
+    ``backend._triple_table`` and kept in the backend cache under
+    ``("triples", a, b, c)``."""
     key = ("triples", a, b, c)
     table = backend.cache.get(key)
     if table is None:

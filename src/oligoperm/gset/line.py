@@ -123,16 +123,18 @@ class LineBackend(TupleBackend):
                     self._atom(p), self._atom(q)))
         cuts_ab = [_cut(o.label, "L") for o in self.product_decompose(a, b)]
         cuts_bc = [_cut(o.label, "R") for o in self.product_decompose(b, c)]
-        table = {}
-        for i_ab, (gaps_a, flags_a) in enumerate(cuts_ab):
-            for i_bc, (gaps_c, flags_c) in enumerate(cuts_bc):
+        table = []
+        for gaps_a, flags_a in cuts_ab:
+            row = []
+            for gaps_c, flags_c in cuts_bc:
                 parts = [merges[gaps_a[0], gaps_c[0]]]
                 for j, meet in enumerate(zip(flags_a, flags_c), 1):
                     parts.append(_MEET[meet])
                     parts.append(merges[gaps_a[j], gaps_c[j]])
-                table[i_ab, i_bc] = sum(map(bit.__getitem__, map(
-                    "".join, itertools.product(*parts))))
-        return table
+                row.append(sum(map(bit.__getitem__, map(
+                    "".join, itertools.product(*parts)))))
+            table.append(tuple(row))
+        return tuple(table)
 
     def swap_orbit(self, a, b, label):
         swapped = label.translate(str.maketrans("LR", "RL"))

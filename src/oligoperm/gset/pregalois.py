@@ -27,6 +27,9 @@ with an atom map into it, so no check builds a fiber-product object.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from ..report import CheckResult, Report, verdict
 from .base import agreeing_orbits, triple_table
 
@@ -165,10 +168,16 @@ def _bits(mask):
         mask ^= low
 
 
-def _closure(closed, extra, swap, table):
+def _closure(closed, extra, swap, rows, cols):
     """The least relation containing the masks closed | extra that is closed
     under swap and composition, where closed is already closed: only pairs
-    with a newly added orbit can compose to anything new (semi-naive)."""
+    with a newly added orbit can compose to anything new (semi-naive).
+
+    ``rows`` is the triple table of X x X x X, so ``rows[k][j]`` is the mask
+    of the orbits that k then j compose to, and ``cols`` is its transpose,
+    ``cols[k][j] = rows[j][k]``.  A new orbit k composes with the members on
+    either side, so its additions are the OR of its row and its column over
+    the members, both taken in C."""
     full = (1 << len(swap)) - 1
     current = closed | extra
     members = list(_bits(closed))
@@ -176,9 +185,9 @@ def _closure(closed, extra, swap, table):
     while work:
         k = work.pop()
         members.append(k)
-        found = 1 << swap[k]
-        for j in members:
-            found |= table.get((k, j), 0) | table.get((j, k), 0)
+        found = (1 << swap[k]
+                 | reduce(or_, map(rows[k].__getitem__, members))
+                 | reduce(or_, map(cols[k].__getitem__, members)))
         found &= ~current
         if found:
             current |= found
@@ -196,9 +205,10 @@ def internal_equivalence_relations(backend, x):
     ident = backend.identity_map(x)
     diag, _ = backend.product_factor(ident, ident)
     swap = [index[backend.swap_orbit(x, x, label)[0]] for label in labels]
-    table = triple_table(backend, x, x, x)
-    least = _closure(0, 1 << index[diag], swap, table)
-    principal = {_closure(least, 1 << k, swap, table)
+    rows = triple_table(backend, x, x, x)
+    cols = tuple(zip(*rows))
+    least = _closure(0, 1 << index[diag], swap, rows, cols)
+    principal = {_closure(least, 1 << k, swap, rows, cols)
                  for k in range(len(labels))}
     principal.add(least)
     relations = set(principal)
@@ -209,7 +219,7 @@ def internal_equivalence_relations(backend, x):
             for p in principal:
                 if p & ~r == 0:
                     continue  # r is closed, so joining p gives r again
-                joined = _closure(r, p, swap, table)
+                joined = _closure(r, p, swap, rows, cols)
                 if joined not in relations:
                     relations.add(joined)
                     new.add(joined)

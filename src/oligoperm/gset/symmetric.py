@@ -116,10 +116,11 @@ class SymBackend(TupleBackend):
                            if k not in b_to_c.values())
             rows_bc.append((b_to_c, free_c))
         free = {}  # (free a's, free c's) -> the bits of their matchings
-        table = {}
-        for i_ab, a_to_b in enumerate(rows_ab):
+        table = []
+        for a_to_b in rows_ab:
             free_a = tuple(i for i in range(1, a.degree + 1) if i not in a_to_b)
-            for i_bc, (b_to_c, free_c) in enumerate(rows_bc):
+            row = []
+            for b_to_c, free_c in rows_bc:
                 forced = pairs_bit((i, b_to_c[j]) for i, j in a_to_b.items()
                                    if j in b_to_c)
                 extras = free.get((free_a, free_c))
@@ -129,9 +130,10 @@ class SymBackend(TupleBackend):
                                   for u, v in _parse_matching(o.label))
                         for o in self.product_decompose(
                             self._atom(len(free_a)), self._atom(len(free_c)))]
-                table[i_ab, i_bc] = sum(map(bit.__getitem__,
-                                            map(forced.__add__, extras)))
-        return table
+                row.append(sum(map(bit.__getitem__,
+                                   map(forced.__add__, extras))))
+            table.append(tuple(row))
+        return tuple(table)
 
     def swap_orbit(self, a, b, label):
         matching = _parse_matching(label)

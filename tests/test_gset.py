@@ -240,8 +240,8 @@ TRIPLE_BACKENDS = {
 
 
 def brute_triple_table(backend, a, b, c):
-    """(i_ab, i_bc) -> mask of i_ac, read position by position off
-    tensor_space([a, b, c]) through projection and multi_factor, and the
+    """Rows ``table[i_ab][i_bc]`` = mask of i_ac, read position by position
+    off tensor_space([a, b, c]) through projection and multi_factor, and the
     number of positions."""
     objs = [backend.object_of([atom]) for atom in (a, b, c)]
     ps = tensor_space(backend, objs)
@@ -250,15 +250,16 @@ def brute_triple_table(backend, a, b, c):
         order = {o.label: k for k, o in enumerate(backend.product_decompose(
             objs[u].atoms[0], objs[v].atoms[0]))}
         pairs.append((u, v, tensor_space(backend, [objs[u], objs[v]]), order))
-    table = {}
+    table = [[0] * len(backend.product_decompose(b, c))
+             for _ in backend.product_decompose(a, b)]
     for p in range(len(ps.positions)):
         maps = [projection(ps, p, i) for i in range(3)]
         i_ab, i_bc, i_ac = (
             order[sub.positions[multi_factor(
                 backend, [maps[u], maps[v]], sub)[0]].meta[2]]
             for u, v, sub, order in pairs)
-        table[i_ab, i_bc] = table.get((i_ab, i_bc), 0) | 1 << i_ac
-    return table, len(ps.positions)
+        table[i_ab][i_bc] |= 1 << i_ac
+    return tuple(map(tuple, table)), len(ps.positions)
 
 
 @pytest.mark.parametrize("name", list(TRIPLE_BACKENDS))
@@ -278,6 +279,26 @@ def test_triple_table_matches_brute_force(name):
     for (a, b, c), table in tables.items():
         assert triple_table(backend, a, b, c) is table
     assert len({len(t) for t in tables.values()}) > 1
+
+
+@pytest.mark.parametrize("name", list(TRIPLE_BACKENDS))
+def test_triple_table_is_dense_rows(name):
+    """On every atom triple, a table is a tuple with one row per orbit of
+    a x b, each a tuple with one entry per orbit of b x c.  No entry is 0:
+    b is transitive, so every pair of an a x b and a b x c orbit meets on
+    some orbit of a x b x c.  A reread returns the cached tuple itself."""
+    make, bound = TRIPLE_BACKENDS[name]
+    backend = make()
+    atoms = backend.atoms_up_to(bound)
+    for a, b, c in itertools.product(atoms, repeat=3):
+        table = triple_table(backend, a, b, c)
+        assert type(table) is tuple, (a, b, c)
+        assert len(table) == len(backend.product_decompose(a, b)), (a, b, c)
+        width = len(backend.product_decompose(b, c))
+        for row in table:
+            assert type(row) is tuple and len(row) == width, (a, b, c)
+            assert all(row), (a, b, c)
+        assert triple_table(backend, a, b, c) is table
 
 
 def per_orbit_triple_orbits(backend, a, b, c):
@@ -346,10 +367,12 @@ def test_composed_triple_table_matches_walk(make, monkeypatch):
     factored = count_calls(monkeypatch, backend, "product_factor")
     composed = count_calls(monkeypatch, backend, "compose_maps")
     for a, b, c in itertools.product(backend.atoms_up_to(3), repeat=3):
-        want = {}
+        want = [[0] * len(reference.product_decompose(b, c))
+                for _ in reference.product_decompose(a, b)]
         for i_ab, i_bc, i_ac, _orbit in triple_orbits(reference, a, b, c):
-            want[i_ab, i_bc] = want.get((i_ab, i_bc), 0) | 1 << i_ac
-        assert triple_table(backend, a, b, c) == want, (a, b, c)
+            want[i_ab][i_bc] |= 1 << i_ac
+        assert triple_table(backend, a, b, c) == tuple(map(tuple, want)), \
+            (a, b, c)
     assert factored == composed == []
     assert not any(key[0] == "images" for key in backend.cache)
 

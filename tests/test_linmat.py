@@ -253,9 +253,11 @@ def small_objects(backend):
             + [backend.object_of(atoms[:2])])
 
 
-def reference_block_tensor(field, mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
-    """Every (w, u, orbit): each block's label from multi_factor and
-    product_factor, and the product of the block entries."""
+def reference_block_keys(src_ps, tgt_ps, src_blocks, tgt_blocks):
+    """Every (w, u, orbit) of the product, with per block the key of the
+    entry it reads: the block's positions from multi_factor and its label
+    from product_factor.  The keys do not depend on the block matrices, so
+    a test that checks many matrices on one pair of spaces walks once."""
     backend = src_ps.backend
 
     def factored(ps, blocks):
@@ -268,19 +270,32 @@ def reference_block_tensor(field, mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
 
     src_data = factored(src_ps, src_blocks)
     tgt_data = factored(tgt_ps, tgt_blocks)
-    out = {}
+    keys = []
     for w, wpos in enumerate(tgt_ps.positions):
         for u, upos in enumerate(src_ps.positions):
             for orbit in backend.product_decompose(wpos.atom, upos.atom):
-                value = one(field)
-                for mat, (tpos, tmap), (spos, smap) in zip(
-                        mats, tgt_data[w], src_data[u]):
+                entries = []
+                for (tpos, tmap), (spos, smap) in zip(tgt_data[w],
+                                                      src_data[u]):
                     label, _ = backend.product_factor(
                         backend.compose_maps(tmap, orbit.proj1),
                         backend.compose_maps(smap, orbit.proj2))
-                    value = value * mat.entry((tpos, spos, label), field)
-                out[(w, u, orbit.label)] = value
-    return InvariantMatrix(backend, src_ps.object, tgt_ps.object, out)
+                    entries.append((tpos, spos, label))
+                keys.append(((w, u, orbit.label), entries))
+    return src_ps, tgt_ps, keys
+
+
+def reference_block_tensor(field, mats, block_keys):
+    """At every (w, u, orbit) of ``reference_block_keys``, the product of
+    the block entries."""
+    src_ps, tgt_ps, keys = block_keys
+    out = {}
+    for key, entries in keys:
+        value = one(field)
+        for mat, entry in zip(mats, entries):
+            value = value * mat.entry(entry, field)
+        out[key] = value
+    return InvariantMatrix(src_ps.backend, src_ps.object, tgt_ps.object, out)
 
 
 def generic_matrix(backend, source, target, field, keep_every=1):
@@ -348,12 +363,12 @@ def test_block_tensor_matches_reference(backend, shape):
     cases = 0
     for src_ps, tgt_ps in block_cases(backend, shape):
         cases += 1
+        keys = reference_block_keys(src_ps, tgt_ps, src_blocks, tgt_blocks)
         for keep_every in (1, 3):
             mats = block_mats(src_ps, tgt_ps, src_blocks, tgt_blocks, field,
                               keep_every)
             got = block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks)
-            want = reference_block_tensor(field, mats, src_ps, tgt_ps,
-                                          src_blocks, tgt_blocks)
+            want = reference_block_tensor(field, mats, keys)
             assert got == want
             assert got.entries or not want.entries
     assert cases >= 3
@@ -366,13 +381,13 @@ def test_block_tensor_with_an_empty_block_is_zero(backend, shape):
     _, _, src_blocks, tgt_blocks = shape
     field = RATIONAL
     src_ps, tgt_ps = list(block_cases(backend, shape))[1]
+    keys = reference_block_keys(src_ps, tgt_ps, src_blocks, tgt_blocks)
     for k in range(len(src_blocks)):
         mats = block_mats(src_ps, tgt_ps, src_blocks, tgt_blocks, field, 1)
         mats[k] = InvariantMatrix(backend, mats[k].source, mats[k].target)
         got = block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks)
         assert not got.entries
-        assert got == reference_block_tensor(field, mats, src_ps, tgt_ps,
-                                              src_blocks, tgt_blocks)
+        assert got == reference_block_tensor(field, mats, keys)
 
 
 def test_block_tensor_rejects_blocks_that_miss_a_factor():
@@ -414,12 +429,12 @@ def test_permcat_tensor_matches_reference(backend):
     field = RATIONAL
     objects = small_objects(backend)
     x, y = objects[1], objects[-1]
+    keys = reference_block_keys(tensor_space(backend, [x, y]),
+                                tensor_space(backend, [y, x]),
+                                [[0], [1]], [[0], [1]])
     for f, g in itertools.product(hom_basis(backend, x, y, field),
                                   hom_basis(backend, y, x, field)):
-        src = tensor_space(backend, [x, y])
-        tgt = tensor_space(backend, [y, x])
-        want = reference_block_tensor(field, [f, g], src, tgt,
-                                      [[0], [1]], [[0], [1]])
+        want = reference_block_tensor(field, [f, g], keys)
         got = tensor(backend, f, g)
         assert got == want and got.entries
 
