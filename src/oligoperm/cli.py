@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 
-from .coeff import one, parse_scalar
+from .coeff import MAX_CHAR, is_field_char, one, parse_scalar
 from .errors import DivisionByZero, OligopermError, UnknownAtom, UsageError
 from .frob import (
     build_frobenius,
@@ -93,9 +92,13 @@ def _char(field):
     if field in {"q", "qt"}:
         return 0
     digits = field[3:] if field.startswith("fp:") else ""
-    p = int(digits) if digits.isdecimal() else 0
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise UsageError(f"unknown field {field!r}: use q, qt or fp:<prime>")
+    # more digits than MAX_CHAR has are over it, and int() refuses a string
+    # of more than 4,300 digits
+    p = (int(digits) if digits.isdecimal()
+         and len(digits) <= len(str(MAX_CHAR)) else 0)
+    if not is_field_char(p):
+        raise UsageError(f"unknown field {field!r}: use q, qt or fp:<p> with "
+                         f"p a prime at most {MAX_CHAR}")
     return p
 
 

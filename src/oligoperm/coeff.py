@@ -29,7 +29,7 @@ concatenation are never reached.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .errors import DivisionByZero, FieldMismatch, PoleAtPoint
@@ -56,10 +56,20 @@ class Field(NamedTuple):
 RATIONAL = Field("rational")
 
 
+# The largest characteristic a field may have.  Primality is trial division
+# up to the square root, so this caps the test at 46,340 divisions.
+MAX_CHAR = 2**31 - 1
+
+
+def is_field_char(p):
+    """Whether p is a prime at most MAX_CHAR."""
+    return 2 <= p <= MAX_CHAR and all(p % q for q in range(2, isqrt(p) + 1))
+
+
 def ratfunc_field(var, char=0):
-    if char:
-        if char < 2 or any(char % q == 0 for q in range(2, int(char**0.5) + 1)):
-            raise ValueError(f"characteristic must be prime, got {char}")
+    if char and not is_field_char(char):
+        raise ValueError(f"characteristic must be a prime at most {MAX_CHAR}, "
+                         f"got {char}")
     return Field("ratfunc", char, var)
 
 

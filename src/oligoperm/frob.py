@@ -286,8 +286,8 @@ def e_idempotent_check(backend, x, gamma, measure):
             # and 23 orbits have ids a and c: (a, b, c) occurs exactly when
             # that union meets b's 13 mask
             unions = {}
-            for i_12, row in enumerate(triple_table(
-                    backend, atoms[i], atoms[j], atoms[k])):
+            table = triple_table(backend, atoms[i], atoms[j], atoms[k])
+            for i_12, row in enumerate(table):
                 a = ids[at_ij[i_12]]
                 for c, cols in by_id_23.items():
                     if a or c:  # with g12 = g23 = 0 every position is coherent
@@ -295,7 +295,8 @@ def e_idempotent_check(backend, x, gamma, measure):
                             or_, map(row.__getitem__, cols))
             if not all(_coherent(a, b, c) for (a, c), union in unions.items()
                        for b, m in id_masks.items() if union & m):
-                bad.append((i, j, k))
+                bad.append((i, j, k, list(_failing_rows(
+                    table, [ids[h] for h in at_ij], by_id_23, id_masks))))
     witness = {}
     if bad:
         witness = _coherence_witness(backend, ps2, gamma, ids, where, bad,
@@ -305,18 +306,33 @@ def e_idempotent_check(backend, x, gamma, measure):
     return Report("equivalence idempotent checks", results)
 
 
+def _failing_rows(table, ids_12, by_id_23, id_masks):
+    """The rows ``i_12`` of an atom triple's triple table that hold an
+    incoherent position: the union of the row's entries over the 23 orbits
+    of some id c meets the 13 mask of an id b with (a, b, c) incoherent, a
+    the row's 12 id."""
+    for i_12, row in enumerate(table):
+        a = ids_12[i_12]
+        if any(union & m and not _coherent(a, b, c)
+               for c, cols in by_id_23.items()
+               for union in [reduce(or_, map(row.__getitem__, cols))]
+               for b, m in id_masks.items()):
+            yield i_12
+
+
 def _coherence_witness(backend, ps2, gamma, ids, where, bad, field):
     """The first triple-space position where triple coherence fails: its
     atom, and per factor pair the pair orbit it projects to and gamma there.
     A position of ``tensor_space([X, X, X])`` sorts by its atom, then its row
     (12 position, third factor, label), so the minimum of that key over the
-    failing orbits of the failing atom triples is the first one."""
+    failing orbits of the failing atom triples is the first one.  Those
+    orbits lie in the failing rows alone, so only those rows are walked."""
     atoms = ps2.factors[0].atoms
     atom, h12, _k, _label, h13, h23 = min(
         (orbit.atom, h12, k, orbit.label, h13, h23)
-        for i, j, k in bad
+        for i, j, k, rows in bad
         for i_12, i_23, i_13, orbit in triple_orbits(
-            backend, atoms[i], atoms[j], atoms[k])
+            backend, atoms[i], atoms[j], atoms[k], rows)
         for h12, h13, h23 in [(where[i, j][i_12], where[i, k][i_13],
                                where[j, k][i_23])]
         if not _coherent(ids[h12], ids[h13], ids[h23]))

@@ -21,20 +21,21 @@ Conventions used throughout:
 
 Every backend instance owns one cache, the plain dict ``backend.cache``,
 created empty with the instance and never shared: a backend and all it has
-memoized are freed together.  It is the only memo of product structure.  Keys
+memoized are freed together.  It is the only memo of product structure, and
+``Backend._memo(key, build, *args)`` is the only code that reads or writes
+it: it returns ``cache[key]``, calling ``build(*args)`` the first time.  Keys
 are tagged tuples: ``("product", a, b)`` holds the orbits of ``a x b``
 (filled by ``product_decompose``); the tuple backends keep their one atom
-per degree under ``("atom", n)`` and their factor table under
-``("factor",)``, a dict from the plain-int key ``(source degree, f.data,
-g.data)`` to what ``product_factor(f, g)`` returns; the finite backend's
-``("hom", a, b)`` holds the tuple of maps ``a -> b``, its ``("pairs", a,
-b)`` its point-pair index and its ``("act", a, g)`` the permutation of a's
-points by the group element g;
-``pair_images`` keeps the image table of a projection ``p`` against an
-atom ``c`` under ``("images", p, c)``; ``triple_table`` keeps its table for
-atoms ``a, b, c`` under ``("triples", a, b, c)``; ``linmat`` keeps its
-product spaces under ``("space", factors)`` (a ``linmat.RowProduct`` is
-built per use and not kept).
+per degree under ``("atom", n)`` and what ``product_factor(f, g)`` returns
+under ``("factor", source degree, f.data, g.data)``, plain ints only; the
+finite backend's ``("hom", a, b)`` holds the tuple of maps ``a -> b``, its
+``("pairs", a, b)`` its point-pair index and its ``("act", a, g)`` the
+permutation of a's points by the group element g; ``pair_images`` keeps the
+image table of a projection ``p`` against an atom ``c`` under ``("images",
+p, c)``; ``triple_table`` keeps its table for atoms ``a, b, c`` under
+``("triples", a, b, c)``; ``linmat`` keeps its product spaces under
+``("space", factors)`` (a ``linmat.RowProduct`` is built per use and not
+kept).
 
 ``agreeing_orbits(backend, f, g)`` is the one kernel-pair and fiber-product
 filter: the orbits of ``a x b`` on which two atom maps ``f: a -> c`` and
@@ -160,6 +161,13 @@ class Backend:
     def __init__(self):
         self.cache = {}
 
+    def _memo(self, key, build, *args):
+        """``cache[key]``, built by ``build(*args)`` on first use."""
+        value = self.cache.get(key)
+        if value is None:
+            value = self.cache[key] = build(*args)
+        return value
+
     # Atoms and maps
 
     def unit_atom(self):
@@ -181,11 +189,7 @@ class Backend:
     # Products
 
     def product_decompose(self, a, b):
-        key = ("product", a, b)
-        orbits = self.cache.get(key)
-        if orbits is None:
-            orbits = self.cache[key] = self._decompose(a, b)
-        return orbits
+        return self._memo(("product", a, b), self._decompose, a, b)
 
     def _decompose(self, a, b):
         """The orbits of a x b, uncached."""
@@ -292,12 +296,10 @@ class TupleBackend(Backend):
     prefix = ""
 
     def _atom(self, n):
-        key = ("atom", n)
-        atom = self.cache.get(key)
-        if atom is None:
-            atom = self.cache[key] = Atom(self.backend_id, n,
-                                          f"{self.prefix}[{n}]")
-        return atom
+        return self._memo(("atom", n), self._build_atom, n)
+
+    def _build_atom(self, n):
+        return Atom(self.backend_id, n, f"{self.prefix}[{n}]")
 
     def unit_atom(self):
         return self._atom(0)
@@ -324,14 +326,8 @@ class TupleBackend(Backend):
             raise ValueError("product factor needs a common source")
         # a coordinate selection is its own value: the factoring depends on
         # the source degree and the two selections alone
-        table = self.cache.get(("factor",))
-        if table is None:
-            table = self.cache[("factor",)] = {}
-        key = (source.degree, f.data, g.data)
-        found = table.get(key)
-        if found is None:
-            found = table[key] = self._factor(f, g)
-        return found
+        return self._memo(("factor", source.degree, f.data, g.data),
+                          self._factor, f, g)
 
     def _factor(self, f, g):
         """``product_factor`` uncached, for maps with a common source."""
@@ -375,21 +371,23 @@ def pair_images(backend, p, c):
     ``p.target x c`` hit by ``(p o o.proj1, o.proj2)`` and the map of ``o``
     onto that orbit's atom, as ``product_factor`` returns them.  Kept in the
     backend cache under ``("images", p, c)``."""
-    key = ("images", p, c)
-    table = backend.cache.get(key)
-    if table is None:
-        table = backend.cache[key] = tuple(
-            backend.product_factor(backend.compose_maps(p, o.proj1), o.proj2)
-            for o in backend.product_decompose(p.source, c))
-    return table
+    return backend._memo(("images", p, c), _pair_images, backend, p, c)
 
 
-def triple_orbits(backend, a, b, c):
+def _pair_images(backend, p, c):
+    """``pair_images`` uncached."""
+    return tuple(
+        backend.product_factor(backend.compose_maps(p, o.proj1), o.proj2)
+        for o in backend.product_decompose(p.source, c))
+
+
+def triple_orbits(backend, a, b, c, rows=None):
     """Each orbit of ``(a x b) x c`` as ``(i_ab, i_bc, i_ac, orbit)``: the
     indices, in ``product_decompose`` order, of the orbits of ``a x b``,
     ``b x c`` and ``a x c`` it projects to, and the orbit itself, one of
     ``product_decompose(omega.atom, c)`` for the orbit ``omega`` number
-    ``i_ab`` of ``a x b``.
+    ``i_ab`` of ``a x b``.  ``rows``, if given, lists the ``i_ab`` to walk;
+    by default all of them, in order.
 
     The ``a x c`` index of an orbit of ``omega.atom x c`` depends only on
     that orbit and ``p = omega.proj1``: it is where ``p x 1`` sends it, and
@@ -403,7 +401,9 @@ def triple_orbits(backend, a, b, c):
     # per orbit, the labels are mapped to indices in C: a Python loop over
     # the orbits of a x b x c costs the suites a few percent
     label = operator.itemgetter(0)
-    for i_ab, omega in enumerate(backend.product_decompose(a, b)):
+    orbits = backend.product_decompose(a, b)
+    for i_ab in range(len(orbits)) if rows is None else rows:
+        omega = orbits[i_ab]
         yield from zip(
             itertools.repeat(i_ab),
             map(at_b.__getitem__, map(label, pair_images(backend, omega.proj2, c))),
@@ -419,8 +419,4 @@ def triple_table(backend, a, b, c):
     entry per orbit of ``b x c``, none of them 0, built by
     ``backend._triple_table`` and kept in the backend cache under
     ``("triples", a, b, c)``."""
-    key = ("triples", a, b, c)
-    table = backend.cache.get(key)
-    if table is None:
-        table = backend.cache[key] = backend._triple_table(a, b, c)
-    return table
+    return backend._memo(("triples", a, b, c), backend._triple_table, a, b, c)

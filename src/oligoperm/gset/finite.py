@@ -187,15 +187,14 @@ class FiniteBackend(Backend):
 
     def act_table(self, g, a):
         """The permutation of a's points by the group element g, as a tuple:
-        g maps the coset x.H to the coset of g.x.  Built on first use and
-        kept in ``cache`` under ``("act", a, g)``."""
-        key = ("act", a, g)
-        table = self.cache.get(key)
-        if table is None:
-            coset_of = self._coset_of[a]
-            table = self.cache[key] = tuple(
-                coset_of[_pcompose(g, min(coset))] for coset in self._points[a])
-        return table
+        g maps the coset x.H to the coset of g.x.  Kept in the backend cache
+        under ``("act", a, g)``."""
+        return self._memo(("act", a, g), self._act_table, g, a)
+
+    def _act_table(self, g, a):
+        coset_of = self._coset_of[a]
+        return tuple(coset_of[_pcompose(g, min(coset))]
+                     for coset in self._points[a])
 
     def act(self, g, a, idx):
         return self.act_table(g, a)[idx]
@@ -209,18 +208,17 @@ class FiniteBackend(Backend):
         return [a for a in self._atoms if a.degree <= bound]
 
     def hom_atoms(self, a, b):
-        """The maps a -> b, one per point of b fixed by a's subgroup.  Built
-        on first use and kept in ``cache`` under ``("hom", a, b)``."""
-        key = ("hom", a, b)
-        maps = self.cache.get(key)
-        if maps is None:
-            h_rep = self._reps[int(a.label.split("#")[1])]
-            maps = self.cache[key] = tuple(
-                AtomMap(a, b, tuple(self.act(min(src), b, q)
-                                    for src in self._points[a]))
-                for q in range(b.degree)
-                if all(self.act(h, b, q) == q for h in h_rep))
-        return maps
+        """The maps a -> b, one per point of b fixed by a's subgroup.  Kept in
+        the backend cache under ``("hom", a, b)``."""
+        return self._memo(("hom", a, b), self._hom_atoms, a, b)
+
+    def _hom_atoms(self, a, b):
+        h_rep = self._reps[int(a.label.split("#")[1])]
+        return tuple(
+            AtomMap(a, b, tuple(self.act(min(src), b, q)
+                                for src in self._points[a]))
+            for q in range(b.degree)
+            if all(self.act(h, b, q) == q for h in h_rep))
 
     def identity_map(self, a):
         return AtomMap(a, a, tuple(range(a.degree)))
@@ -283,14 +281,12 @@ class FiniteBackend(Backend):
 
     def _pair_index(self, a, b):
         """(point of a, point of b) -> (orbit index, point of its atom)."""
-        key = ("pairs", a, b)
-        index = self.cache.get(key)
-        if index is None:
-            index = self.cache[key] = {
-                (o.proj1.data[p], o.proj2.data[p]): (k, p)
+        return self._memo(("pairs", a, b), self._build_pair_index, a, b)
+
+    def _build_pair_index(self, a, b):
+        return {(o.proj1.data[p], o.proj2.data[p]): (k, p)
                 for k, o in enumerate(self.product_decompose(a, b))
                 for p in range(o.atom.degree)}
-        return index
 
     def pair_label(self, a, b, pa, pb):
         """Label of the orbit of a x b through the point pair (pa, pb)."""

@@ -76,27 +76,24 @@ class ProductSpace(NamedTuple):
 
 def tensor_space(backend, factors):
     factors = tuple(factors)
-    key = ("space", factors)
-    space = backend.cache.get(key)
-    if space is not None:
-        return space
+    return backend._memo(("space", factors), _tensor_space, backend, factors)
+
+
+def _tensor_space(backend, factors):
+    """``tensor_space`` uncached."""
     if len(factors) == 1:
         obj = factors[0]
         positions = tuple(PSPosition(a, (), None) for a in obj.atoms)
-        space = ProductSpace(backend, factors, obj, positions, None, {})
-    else:
-        left = tensor_space(backend, factors[:-1])
-        raw = [PSPosition(orbit.atom, (lp, rp, orbit.label), orbit)
-               for lp, lpos in enumerate(left.positions)
-               for rp, ratom in enumerate(factors[-1].atoms)
-               for orbit in backend.product_decompose(lpos.atom, ratom)]
-        rank = {a: r for r, a in enumerate(sorted({p.atom for p in raw}))}
-        raw.sort(key=lambda p: (rank[p.atom], p.meta))
-        obj = GObject(backend.backend_id, tuple(p.atom for p in raw))
-        index = {p.meta: i for i, p in enumerate(raw)}
-        space = ProductSpace(backend, factors, obj, tuple(raw), left, index)
-    backend.cache[key] = space
-    return space
+        return ProductSpace(backend, factors, obj, positions, None, {})
+    left = tensor_space(backend, factors[:-1])
+    raw = [PSPosition(orbit.atom, (lp, rp, orbit.label), orbit)
+           for lp, lpos in enumerate(left.positions)
+           for rp, ratom in enumerate(factors[-1].atoms)
+           for orbit in backend.product_decompose(lpos.atom, ratom)]
+    raw.sort(key=lambda p: (p.atom, p.meta))
+    obj = GObject(backend.backend_id, tuple(p.atom for p in raw))
+    index = {p.meta: i for i, p in enumerate(raw)}
+    return ProductSpace(backend, factors, obj, tuple(raw), left, index)
 
 
 class RowProduct:

@@ -59,13 +59,10 @@ def delannoy_number(m, n):
 
 
 def _absorb(results, report, prefix):
-    ok = report.passed
-    witness = {}
-    if not ok:
-        first = report.failures()[0]
-        witness = dict(first.witness)
-        witness["failing"] = ", ".join(r.name for r in report.failures())
-    results.append(CheckResult(prefix, ok, witness))
+    """A sub-report as one check: a FAIL names its first failing check,
+    with that check's witness."""
+    results.append(verdict(prefix, [{"check": r.name, **r.witness}
+                                    for r in report.failures()], "checks"))
 
 
 def _frobenius_block(backend, measure, atoms, results):

@@ -300,6 +300,37 @@ def test_field_flag_rejects_non_prime(tmp_path):
         assert main(["dim", "--X", "sym:inj[1]", "--field", field]) == 2
 
 
+@pytest.mark.parametrize("field", ["fp:1000000000000000003",
+                                   "fp:1000000000000000001"],
+                         ids=["prime", "composite"])
+def test_field_characteristic_over_the_limit_is_refused(capsys, field):
+    # 10**18 + 3 is prime and 10**18 + 1 = 101 * 9901 * ...; both are over
+    # coeff.MAX_CHAR and refused before a trial division runs
+    started = time.monotonic()
+    assert_usage_error(capsys, ["dim", "--X", "sym:inj[1]", "--field", field],
+                       "a prime at most 2147483647")
+    assert time.monotonic() - started < 1.0
+
+
+# reports over F_7, pinned byte for byte across the field check
+FP7_SHA256 = {
+    ("dim", "--X", "sym:inj[2]"):
+        "408295c2afb8bf94dff254a459f2bcfd5cc3123f804e219c01c4d9b075195699",
+    ("measure", "solve", "--backend", "sym", "--bound", "3"):
+        "f0a6fba4d20d7bedcaf56236ff48d6dfd2f9d840b14b3cffcffe938171e7f562",
+    ("frob", "verify", "--X", "sym:inj[2]"):
+        "3f4936d6f0f48039ef11d169afbff0aee940345832700ae222c54e6a7c383e4a",
+}
+
+
+@pytest.mark.parametrize("argv", list(FP7_SHA256), ids=["dim", "measure-solve",
+                                                         "frob-verify"])
+def test_fp7_reports_are_pinned(tmp_path, argv):
+    code, _doc = run(tmp_path, *argv, "--field", "fp:7")
+    assert code == 0
+    assert report_sha256(tmp_path) == FP7_SHA256[argv]
+
+
 def test_spec_file_rejects_bad_field(tmp_path):
     spec = tmp_path / "measure.json"
     spec.write_text(json.dumps({"backend": "sym", "field": "fp"}),

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oligoperm.coeff import (
+    MAX_CHAR,
     MAX_POWER_SIZE,
     RATIONAL,
     Scalar,
     _size,
     falling_factorial,
+    is_field_char,
     one,
     parse_scalar,
     ratfunc_field,
@@ -78,6 +80,23 @@ def test_field_mismatch():
     other = ratfunc_field("t")
     assert other is not QT and other == QT
     assert Scalar.variable(other) + t() == t() * 2
+
+
+def test_field_characteristics():
+    """A characteristic is a prime at most MAX_CHAR (the Mersenne prime
+    2**31 - 1); the test agrees with a sieve below 1000, and a larger
+    prime is refused at once, before any trial division."""
+    sieve = set(range(2, 1000))
+    for p in range(2, 32):
+        sieve -= set(range(p * p, 1000, p))
+    assert {p for p in range(-5, 1000) if is_field_char(p)} == sieve
+    assert MAX_CHAR == 2**31 - 1 and is_field_char(MAX_CHAR)
+    started = time.monotonic()
+    for char in (4, 2**31 + 11, 10**18 + 3, 10**18 + 1):
+        with pytest.raises(ValueError, match=f"at most {MAX_CHAR}"):
+            ratfunc_field("t", char)
+    assert time.monotonic() - started < 0.5
+    assert ratfunc_field("t", MAX_CHAR).char == MAX_CHAR
 
 
 def test_char_p_arithmetic():

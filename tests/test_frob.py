@@ -1,9 +1,10 @@
 """Frobenius structure, trace data, splitting and equivalence idempotents."""
 
+import itertools
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oligoperm.coeff import RATIONAL, Scalar, one, zero
 from oligoperm.errors import NotSurjective
@@ -21,6 +22,7 @@ from oligoperm.frob import (
     verify_frobenius,
 )
 from oligoperm.gset import LINE, SYM, GMap, preset_backend
+from oligoperm.gset.base import triple_orbits
 from oligoperm import frob, linmat
 from oligoperm.linmat import (
     InvariantMatrix,
@@ -448,6 +450,64 @@ def test_triple_coherence_matches_reference(eidem_cases, eidem_wirings, case,
     # on a FAIL the witness is the first bad position of X x X x X
     expected = reference_triple_coherence(backend, x, gamma, field, wired)
     assert result.passed == (not expected)
+    assert result.witness == expected
+
+
+def full_walk_witness(backend, x, gamma, field):
+    """The triple-coherence witness off a ``triple_orbits`` walk of every
+    row of every atom triple of X: the minimum of (orbit atom, 12 position,
+    third factor, orbit label) over the orbits where the three products of
+    gamma's values differ, or {} when there is none."""
+    ps2 = tensor_space(backend, [x, x])
+    z = zero(field)
+    atoms = x.atoms
+    where = {(i, j): [ps2.index[(i, j, o.label)]
+                      for o in backend.product_decompose(atoms[i], atoms[j])]
+             for i in range(len(atoms)) for j in range(len(atoms))}
+
+    def incoherent(h12, h13, h23):
+        v12, v13, v23 = (gamma.coeffs.get(h, z) for h in (h12, h13, h23))
+        return not v12 * v23 == v12 * v13 == v13 * v23
+
+    first = min(
+        ((orbit.atom, h12, k, orbit.label, h13, h23)
+         for i, j, k in itertools.product(range(len(atoms)), repeat=3)
+         for i_12, i_23, i_13, orbit in triple_orbits(
+             backend, atoms[i], atoms[j], atoms[k])
+         for h12, h13, h23 in [(where[i, j][i_12], where[i, k][i_13],
+                                where[j, k][i_23])]
+         if incoherent(h12, h13, h23)), default=None)
+    if first is None:
+        return {}
+    atom, h12, _k, _label, h13, h23 = first
+    witness = {"atom": atom.render()}
+    for pair, h in zip(("12", "13", "23"), (h12, h13, h23)):
+        witness[f"orbit-{pair}"] = ps2.positions[h].meta[2]
+        witness[f"gamma-{pair}"] = gamma.coeffs.get(h, z).render()
+    return witness
+
+
+@pytest.mark.parametrize("case", [
+    "sym:inj[2]", "sym:inj[3]", "sym:inj[1]+inj[1]", "line:inc[2]",
+    "line:inc[3]", "S3:degree-3", "S3:degree-6", "S3:degree-2+3"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_coherence_witness_matches_full_walk(eidem_cases, case, data):
+    """A failing gamma's witness, found by walking the failing rows alone,
+    is the one a walk of every row of every atom triple finds."""
+    backend, x, measure = eidem_cases[case]
+    field = measure.field
+    ps2 = tensor_space(backend, [x, x])
+    values = [one(field), Scalar.from_int(field, 2)]
+    drawn = data.draw(st.dictionaries(st.integers(0, len(ps2.positions) - 1),
+                                      st.sampled_from(values), min_size=1),
+                      label="gamma")
+    gamma = SchwartzFn(ps2.object, drawn)
+    result = e_idempotent_check(backend, x, gamma, measure).result(
+        "triple-coherence")
+    expected = full_walk_witness(backend, x, gamma, field)
+    assume(expected)
+    assert not result.passed
     assert result.witness == expected
 
 

@@ -1,12 +1,15 @@
 """Backend combinatorics against independent counting oracles."""
 
+import ast
 import gc
 import itertools
 import weakref
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
+import oligoperm
 from oligoperm.gset import (
     LINE,
     SYM,
@@ -384,7 +387,7 @@ def test_composed_triple_table_matches_walk(make, monkeypatch):
 ], ids=["SymBackend", "LineBackend", "S3"])
 def test_product_cache_dies_with_backend(make, tags):
     # the memo of product structure belongs to the instance, not the class,
-    # and so do the interned atoms, the factor table, the finite hom sets,
+    # and so do the interned atoms, the factorings, the finite hom sets,
     # the triple tables, the image tables matmul reads and the product
     # spaces linmat keeps in it
     def fill(backend):
@@ -403,25 +406,53 @@ def test_product_cache_dies_with_backend(make, tags):
     present = {key[0] for key in backend.cache}
     assert tags | {"product", "space", "triples", "images"} <= present
     if "factor" in tags:
-        assert backend.cache[("factor",)]
         assert backend.atoms_up_to(2)[-1] is a
     if "hom" in tags:
         assert isinstance(homs, tuple)
         assert backend.hom_atoms(a, backend.unit_atom()) is homs
-    # a second backend builds its own entries and shares none
+    # a second backend builds its own entries, factorings included, and
+    # shares none
     other = make()
     fill(other)
-    for key, value in backend.cache.items():
-        if key in other.cache and value != ():
-            assert other.cache[key] is not value, key
-    if "factor" in tags:
-        theirs = other.cache[("factor",)]
-        for key, value in backend.cache[("factor",)].items():
-            assert theirs.get(key) is not value
+    shared = [key for key in backend.cache.keys() & other.cache.keys()
+              if backend.cache[key] != ()]
+    assert tags <= {key[0] for key in shared}
+    for key in shared:
+        assert other.cache[key] is not backend.cache[key], key
     ref = weakref.ref(backend)
     del backend, a, homs
     gc.collect()
     assert ref() is None
+
+
+def cache_accesses(path):
+    """``(enclosing function, line)`` of every attribute ``cache`` a module
+    names, ``functools.cache`` aside."""
+    tree = ast.parse(path.read_text())
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                owner.setdefault(node, func.name)
+    return [(owner.get(node), node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "cache"
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id == "functools")]
+
+
+def test_only_backend_memo_touches_the_cache():
+    """``Backend._memo`` is the one reader and writer of ``backend.cache``,
+    which ``Backend.__init__`` creates: no other module under
+    ``src/oligoperm`` names an attribute ``cache``, and no other function
+    of ``gset/base.py`` does."""
+    package = Path(oligoperm.__file__).parent
+    base = package / "gset" / "base.py"
+    outside = {f"{path.relative_to(package)}:{line}"
+               for path in package.rglob("*.py") if path != base
+               for _func, line in cache_accesses(path)}
+    assert outside == set()
+    assert {func for func, _line in cache_accesses(base)} == {
+        "__init__", "_memo"}
 
 
 @pytest.mark.parametrize("make, bound", [
@@ -455,7 +486,7 @@ def test_product_factor_memo_matches_uncached(backend):
             assert backend.product_factor(f, g) == expected
             assert backend.product_factor(f, g) == expected
             pairs += 1
-    assert pairs == len(backend.cache[("factor",)])
+    assert pairs == sum(1 for key in backend.cache if key[0] == "factor")
 
 
 def reference_sym_factor(backend, f, g):

@@ -86,3 +86,27 @@ def test_bgamma_kernel_dimensions_report_the_first_failing_map(monkeypatch):
         "bgamma-kernel-dimensions"]
     assert results[1].witness == {"map": map_name(maps[0]), "kernel-dim": "0",
                                   "failing-maps": str(len(maps))}
+
+
+def test_absorbed_report_names_its_first_failing_check(monkeypatch):
+    """A sub-report folds into one check as every check over many instances
+    does: a FAIL names its first failing check with that check's witness
+    and counts the failing checks; a PASS carries no witness."""
+    def two_failures(backend, xa, xb, measure):
+        return Report("sum and tensor trace data", [
+            CheckResult("sum-counit-left", True),
+            CheckResult("sum-pairing-cross-block", False,
+                        {"position": "3", "atom": "sym:inj[2]", "lhs": "1",
+                         "rhs": "0"}),
+            CheckResult("tensor-pairing-factorizes", False, {"position": "0"})])
+
+    monkeypatch.setattr(suite, "check_sum_tensor_traces", two_failures)
+    report = run_suite(SymBackend(), 2)
+    assert [r.name for r in report.failures()] == ["sum-tensor-traces"]
+    assert report.result("sum-tensor-traces").to_dict() == {
+        "check": "sum-tensor-traces", "status": "FAIL",
+        "witness": {"check": "sum-pairing-cross-block", "position": "3",
+                    "atom": "sym:inj[2]", "lhs": "1", "rhs": "0",
+                    "failing-checks": "2"}}
+    assert report.result("measure-axioms").to_dict() == {
+        "check": "measure-axioms", "status": "PASS"}
