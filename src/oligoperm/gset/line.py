@@ -26,7 +26,9 @@ cutting an interval gives interval = 2 interval + 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from operator import mul
 
 from .base import AtomMap, LinearRelation, ProductOrbit, TupleBackend
 
@@ -38,23 +40,18 @@ def _word_key(word):
 
 
 def _cut(word, free):
-    """A merge word cut at its other side's coordinates: the numbers of
-    ``free`` letters in the gaps before, between and after them, and per
-    coordinate whether a free letter coincides with it (a ``B``)."""
-    gaps, flags = [0], []
+    """A merge word cut at its other side's coordinates, as one pair
+    (count, letters left) per part: the number of ``free`` letters in the
+    gap before the first coordinate, then per coordinate 1 if a free letter
+    coincides with it (a ``B``) or 0, the gap after it, and so on; letters
+    left counts the free letters from that part on."""
+    counts = [0]
     for ch in word:
         if ch == free:
-            gaps[-1] += 1
+            counts[-1] += 1
         else:
-            flags.append(ch == "B")
-            gaps.append(0)
-    return gaps, flags
-
-
-# the letter of a x c at a coordinate of b, by whether a's and c's coincide
-# with it: both (B), only a's (L), only c's (R) or neither (no letter)
-_MEET = {(True, True): ("B",), (True, False): ("L",),
-         (False, True): ("R",), (False, False): ("",)}
+            counts += [int(ch == "B"), 0]
+    return tuple(zip(counts, list(itertools.accumulate(reversed(counts)))[::-1]))
 
 
 class LineBackend(TupleBackend):
@@ -109,32 +106,68 @@ class LineBackend(TupleBackend):
         # An orbit of a x b x c is the merge word of all three.  Cut at b's
         # coordinates, the words of a x b and b x c fix which gap each a- and
         # c-letter lies in and which of them coincide with a b-coordinate, and
-        # nothing else: within a gap the a's and c's merge freely.  So the
-        # a x c words over a pair are the products, gap by gap, of the merge
-        # words of (a's in the gap, c's in the gap), joined by the letters
-        # the b-coordinates leave.  The words are distinct, so a sum of their
-        # bits is the mask.
-        bit = {o.label: 1 << k
-               for k, o in enumerate(self.product_decompose(a, c))}
-        merges = {}
-        for p in range(a.degree + 1):
-            for q in range(c.degree + 1):
-                merges[p, q] = tuple(o.label for o in self.product_decompose(
-                    self._atom(p), self._atom(q)))
-        cuts_ab = [_cut(o.label, "L") for o in self.product_decompose(a, b)]
-        cuts_bc = [_cut(o.label, "R") for o in self.product_decompose(b, c)]
-        table = []
-        for gaps_a, flags_a in cuts_ab:
-            row = []
-            for gaps_c, flags_c in cuts_bc:
-                parts = [merges[gaps_a[0], gaps_c[0]]]
-                for j, meet in enumerate(zip(flags_a, flags_c), 1):
-                    parts.append(_MEET[meet])
-                    parts.append(merges[gaps_a[j], gaps_c[j]])
-                row.append(sum(map(bit.__getitem__, map(
-                    "".join, itertools.product(*parts)))))
-            table.append(tuple(row))
-        return tuple(table)
+        # nothing else: within a gap the a's and c's merge freely, and a
+        # b-coordinate leaves one letter (B, L, R or none).  A word's index
+        # in product_decompose order is the sum, over its letters, of the
+        # number of words left that start with a smaller letter, so a part
+        # of the word with (i, j) letters left adds the index of its minimal
+        # completion (the part, then its remaining L's, then its R's) among
+        # the orbits of inc[i] x inc[j].  The bit of a word is then the
+        # product of the bits of its parts, and the mask of a pair, the sum
+        # over all choices of parts, is the product of the parts' masks.
+        # Split after the first half of b's coordinates (rounded up, which
+        # balances the numbers of distinct halves), a pair's mask is a
+        # prefix mask times a suffix mask, each keyed by the halves of the
+        # two cuts.
+        @functools.cache
+        def index(i, j):  # the merge words of inc[i] x inc[j], numbered
+            return {o.label: k for k, o in enumerate(
+                self.product_decompose(self._atom(i), self._atom(j)))}
+
+        @functools.cache
+        def part(coordinate, a_part, c_part):
+            (p, i), (q, j) = a_part, c_part
+            if coordinate:  # the one letter a b-coordinate leaves
+                words = ("LB"[q] if p else "R" * q,)
+            else:
+                words = index(p, q)
+            at, rest = index(i, j), "L" * (i - p) + "R" * (j - q)
+            return sum(1 << at[w + rest] for w in words)
+
+        def mask(keys_a, keys_c):
+            # the product over the parts of a half for every key pair, taken
+            # a part at a time for all of c's keys at once
+            by_part = tuple(zip(*keys_c))
+            out = []
+            for key_a in keys_a:
+                row = [1] * len(keys_c)
+                for s, (a_part, c_parts) in enumerate(zip(key_a, by_part)):
+                    row = list(map(mul, row, map(
+                        part, itertools.repeat(s & 1), itertools.repeat(a_part),
+                        c_parts)))
+                out.append(row)
+            return out
+
+        middle = 2 * ((b.degree + 1) // 2)
+
+        def halves(cuts):
+            # each cut's prefix and suffix key numbers, and the keys
+            keys = ({}, {})
+            ids = [(keys[0].setdefault(cut[:middle], len(keys[0])),
+                    keys[1].setdefault(cut[middle:], len(keys[1])))
+                   for cut in cuts]
+            return ids, keys
+
+        rows, (pre_a, suf_a) = halves(
+            [_cut(o.label, "L") for o in self.product_decompose(a, b)])
+        cols, (pre_c, suf_c) = halves(
+            [_cut(o.label, "R") for o in self.product_decompose(b, c)])
+        prefix, suffix = mask(pre_a, pre_c), mask(suf_a, suf_c)
+        col_pre, col_suf = zip(*cols)
+        return tuple(
+            tuple(map(mul, map(prefix[i].__getitem__, col_pre),
+                      map(suffix[k].__getitem__, col_suf)))
+            for i, k in rows)
 
     def swap_orbit(self, a, b, label):
         swapped = label.translate(str.maketrans("LR", "RL"))

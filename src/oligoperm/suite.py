@@ -170,15 +170,22 @@ def run_suite(backend, bound):
     return Report(f"suite for {backend.backend_id} at bound {bound}", results)
 
 
-def _hom_dims_match(backend, bound, model):
-    """Whether dim Hom(Vec_a, Vec_b) is ``model(n, m)`` for the atoms a and b
-    of arities n and m up to min(bound, 3)."""
+def _hom_dims_check(name, backend, bound, model):
+    """The check that dim Hom(Vec_a, Vec_b) is ``model(n, m)`` for the atoms
+    a and b of arities n and m up to min(bound, 3); a FAIL names the first
+    pair that differs, with its dimension and the model's count."""
     arities = range(min(bound, 3) + 1)
-    return all(
-        hom_dimension(backend, backend.object_of([backend.atom_of_arity(n)]),
-                      backend.object_of([backend.atom_of_arity(m)]))
-        == model(n, m)
-        for n in arities for m in arities)
+    failures = []
+    for n in arities:
+        for m in arities:
+            a, b = backend.atom_of_arity(n), backend.atom_of_arity(m)
+            dim = hom_dimension(backend, backend.object_of([a]),
+                                backend.object_of([b]))
+            count = model(n, m)
+            if dim != count:
+                failures.append({"hom": f"{a.render()} -> {b.render()}",
+                                 "dim": str(dim), "model-count": str(count)})
+    return verdict(name, failures, "pairs")
 
 
 def _sym_suite(backend, family, measure, bound, results):
@@ -221,10 +228,9 @@ def _sym_suite(backend, family, measure, bound, results):
             composition.append({"model-points": str(n_points), **d})
     results.append(verdict("composition-identity", composition, "models"))
 
-    results.append(CheckResult(
-        "hom-dims-match-model-orbits",
-        _hom_dims_match(backend, bound,
-                        lambda n, m: sym_orbit_count_model(8, n, m))))
+    results.append(_hom_dims_check(
+        "hom-dims-match-model-orbits", backend, bound,
+        lambda n, m: sym_orbit_count_model(8, n, m)))
 
     results.append(equality("dimension-of-line-object",
                             categorical_dim(backend, x, measure), t))
@@ -279,9 +285,8 @@ def _line_suite(backend, family, measure, bound, results):
     results.append(CheckResult("unique-alternating-measure",
                                values_ok and oracle_ok))
 
-    results.append(CheckResult(
-        "hom-dims-are-delannoy",
-        _hom_dims_match(backend, bound, delannoy_number)))
+    results.append(_hom_dims_check("hom-dims-are-delannoy", backend, bound,
+                                   delannoy_number))
 
     x = backend.object_of([backend.atom_of_arity(1)])
     results.append(equality("dimension-of-line-object",
@@ -289,11 +294,12 @@ def _line_suite(backend, family, measure, bound, results):
                             Scalar.from_int(field, -1)))
 
     profile = pregalois_check(backend, min(bound, 3))
-    non_effectivity = [r for r in profile.results if not r.name.startswith("h-")]
-    results.append(CheckResult(
-        "pregalois-profile", all(r.passed for r in non_effectivity),
-        note="effectivity outcome reported, not gated: "
-             + profile.result("h-effective-equivalence-relations").status))
+    results.append(verdict(
+        "pregalois-profile",
+        [{"check": r.name, **r.witness} for r in profile.failures()
+         if not r.name.startswith("h-")],
+        "checks", note="effectivity outcome reported, not gated: "
+        + profile.result("h-effective-equivalence-relations").status))
 
 
 def _finite_suite(backend, family, measure, bound, results):

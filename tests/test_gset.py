@@ -380,6 +380,94 @@ def test_composed_triple_table_matches_walk(make, monkeypatch):
     assert not any(key[0] == "images" for key in backend.cache)
 
 
+def line_words(backend, i, j):
+    """The merge words of inc[i] x inc[j] in product_decompose order."""
+    return [o.label for o in backend.product_decompose(
+        backend.atom_of_arity(i), backend.atom_of_arity(j))]
+
+
+def test_line_word_index_is_a_sum_of_letter_counts():
+    """The two identities the line triple table rests on, for every word
+    with n, m <= 5.  A merge word's index in product_decompose order is the
+    sum, over its letters, of the number of words left that start with a
+    smaller letter.  A word w of (p a's, q c's) with (i, j) letters left
+    adds that sum's share of w, which is the index of its minimal
+    completion w + L^(i-p) + R^(j-q) among the words of inc[i] x inc[j]."""
+    backend = LineBackend()
+    count = {(i, j): len(line_words(backend, i, j))
+             for i, j in itertools.product(range(6), repeat=2)}
+
+    def letter_sum(word, i, j):
+        total = 0
+        for ch in word:
+            if ch in "BR":  # the words left that start with an L
+                total += count.get((i - 1, j), 0)
+            if ch == "R":  # and with a B
+                total += count.get((i - 1, j - 1), 0)
+            i, j = i - (ch in "LB"), j - (ch in "RB")
+        return total
+
+    gap_words = 0
+    for i, j in itertools.product(range(6), repeat=2):
+        index = {w: k for k, w in enumerate(line_words(backend, i, j))}
+        for word, k in index.items():
+            assert letter_sum(word, i, j) == k, word
+        for p, q in itertools.product(range(i + 1), range(j + 1)):
+            for word in line_words(backend, p, q):
+                completion = word + "L" * (i - p) + "R" * (j - q)
+                assert index[completion] == letter_sum(word, i, j), \
+                    (word, i, j)
+                gap_words += 1
+    assert gap_words == 12_135
+
+
+def reference_line_triple_table(backend, a, b, c):
+    """The line triple table by forming every a x c word over each pair:
+    cut the a x b and b x c words at b's coordinates and join, gap by gap,
+    each merge word of the gap's a's and c's with the letter each
+    b-coordinate leaves, then sum the words' bits."""
+    def cut(word, free):
+        gaps, flags = [0], []
+        for ch in word:
+            if ch == free:
+                gaps[-1] += 1
+            else:
+                flags.append(ch == "B")
+                gaps.append(0)
+        return gaps, flags
+
+    meet = {(True, True): ("B",), (True, False): ("L",),
+            (False, True): ("R",), (False, False): ("",)}
+    bit = {o.label: 1 << k
+           for k, o in enumerate(backend.product_decompose(a, c))}
+    merges = {(p, q): line_words(backend, p, q)
+              for p in range(a.degree + 1) for q in range(c.degree + 1)}
+    cuts_bc = [cut(o.label, "R") for o in backend.product_decompose(b, c)]
+    table = []
+    for o in backend.product_decompose(a, b):
+        gaps_a, flags_a = cut(o.label, "L")
+        row = []
+        for gaps_c, flags_c in cuts_bc:
+            parts = [merges[gaps_a[0], gaps_c[0]]]
+            for j, flags in enumerate(zip(flags_a, flags_c), 1):
+                parts += [meet[flags], merges[gaps_a[j], gaps_c[j]]]
+            row.append(sum(map(bit.__getitem__, map(
+                "".join, itertools.product(*parts)))))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+@pytest.mark.parametrize("degrees", [(4, 4, 4), (4, 2, 3), (1, 4, 4)],
+                         ids=["444", "423", "144"])
+def test_line_triple_table_matches_word_products(degrees):
+    """At degree 4, where the walk test does not reach, the table built
+    from per-part masks equals the one that forms every a x c word."""
+    backend = LineBackend()
+    a, b, c = map(backend.atom_of_arity, degrees)
+    assert triple_table(backend, a, b, c) == reference_line_triple_table(
+        backend, a, b, c)
+
+
 @pytest.mark.parametrize("make, tags", [
     (SymBackend, {"atom", "factor"}),
     (LineBackend, {"atom", "factor"}),

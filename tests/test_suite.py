@@ -3,7 +3,7 @@
 import pytest
 
 from oligoperm import suite
-from oligoperm.gset import SymBackend, preset_backend
+from oligoperm.gset import LineBackend, SymBackend, preset_backend
 from oligoperm.measure import solve_measures
 from oligoperm.report import CheckResult, Report
 from oligoperm.suite import run_suite
@@ -110,3 +110,64 @@ def test_absorbed_report_names_its_first_failing_check(monkeypatch):
                     "failing-checks": "2"}}
     assert report.result("measure-axioms").to_dict() == {
         "check": "measure-axioms", "status": "PASS"}
+
+
+@pytest.mark.parametrize("make, model, check, expect", [
+    (LineBackend, "delannoy_number", "hom-dims-are-delannoy",
+     {"hom": "line:inc[1] -> line:inc[2]", "dim": "5", "model-count": "6"}),
+    (SymBackend, "sym_orbit_count_model", "hom-dims-match-model-orbits",
+     {"hom": "sym:inj[1] -> sym:inj[2]", "dim": "3", "model-count": "4"}),
+], ids=["line", "sym"])
+def test_hom_dims_report_the_first_failing_pair(monkeypatch, make, model,
+                                                 check, expect):
+    """A model count that is wrong on two atom pairs fails the hom-dims
+    check, naming the first pair with its dimension and the model's count
+    and counting both pairs; the unpatched check passes with no witness."""
+    assert run_suite(make(), 2).result(check).to_dict() == {
+        "check": check, "status": "PASS"}
+    original = getattr(suite, model)
+
+    def wrong_on_one_two(*args):
+        return original(*args) + (sorted(args[-2:]) == [1, 2])
+
+    monkeypatch.setattr(suite, model, wrong_on_one_two)
+    report = run_suite(make(), 2)
+    assert [r.name for r in report.failures()] == [check]
+    assert report.result(check).to_dict() == {
+        "check": check, "status": "FAIL",
+        "witness": {**expect, "failing-pairs": "2"}}
+
+
+def test_line_pregalois_profile_names_its_first_failing_check(monkeypatch):
+    """The line suite gates the pre-Galois profile on every check but the
+    effectivity (h): a FAIL names the first failing one with its witness,
+    counts the failing ones but (h), and keeps the effectivity note."""
+    def profile(backend, bound):
+        return Report("pre-Galois axioms", [
+            CheckResult("a-coproducts", True),
+            CheckResult("c-atom-maps-into-coproducts", False,
+                        {"atom": "line:inc[2]"}),
+            CheckResult("e-monos-are-isos", False, {"map": "[1]"}),
+            CheckResult("h-effective-equivalence-relations", False,
+                        {"atom": "line:inc[1]"})])
+
+    monkeypatch.setattr(suite, "pregalois_check", profile)
+    report = run_suite(LineBackend(), 2)
+    assert [r.name for r in report.failures()] == ["pregalois-profile"]
+    assert report.result("pregalois-profile").to_dict() == {
+        "check": "pregalois-profile", "status": "FAIL",
+        "note": "effectivity outcome reported, not gated: FAIL",
+        "witness": {"check": "c-atom-maps-into-coproducts",
+                    "atom": "line:inc[2]", "failing-checks": "2"}}
+
+    def only_h_fails(backend, bound):
+        return Report("pre-Galois axioms", [
+            CheckResult("a-coproducts", True),
+            CheckResult("h-effective-equivalence-relations", False,
+                        {"atom": "line:inc[1]"})])
+
+    monkeypatch.setattr(suite, "pregalois_check", only_h_fails)
+    assert run_suite(LineBackend(), 2).result(
+        "pregalois-profile").to_dict() == {
+        "check": "pregalois-profile", "status": "PASS",
+        "note": "effectivity outcome reported, not gated: FAIL"}
