@@ -261,14 +261,19 @@ def e_idempotent_check(backend, x, gamma, measure):
     results.append(equality("dominates-diagonal",
                             alpha_fn.pointwise_mul(gamma), alpha_fn))
 
-    swap = wiring_gmap(ps2, ps2, (1, 0))
-    results.append(equality("symmetric", pullback_fn(swap, gamma), gamma))
+    # gamma moved along the swap, an involution, is gamma pulled back by it
+    atoms = x.atoms
+    swapped = {}
+    for pos, value in gamma.coeffs.items():
+        i, j, label = ps2.positions[pos].meta
+        label = backend.swap_label(atoms[i], atoms[j], label)
+        swapped[ps2.index[j, i, label]] = value
+    results.append(equality("symmetric", SchwartzFn(ps2.object, swapped), gamma))
 
     value_ids = {}
     ids = [0] * len(ps2.positions)
     for pos, value in gamma.coeffs.items():
         ids[pos] = value_ids.setdefault(value, len(value_ids) + 1)
-    atoms = x.atoms
     # per atom pair (i, j) of X, the ps2 position of each orbit of the pair
     where = {(i, j): [ps2.index[(i, j, o.label)]
                       for o in backend.product_decompose(atoms[i], atoms[j])]

@@ -209,8 +209,9 @@ class Backend:
             rows[i_ab][i_bc] |= 1 << i_ac
         return tuple(map(tuple, rows))
 
-    def swap_orbit(self, a, b, label):
-        """Label of the transposed orbit of (b, a), with the realizing iso."""
+    def swap_label(self, a, b, label):
+        """Label of the orbit of b x a that swapping the two factors sends
+        the orbit ``label`` of a x b onto.  The swap is an involution."""
         raise NotImplementedError
 
     # Elementary fiber structure

@@ -14,6 +14,8 @@ it is why counting is the only measure here.
 
 from __future__ import annotations
 
+import re
+
 from .base import Atom, AtomMap, Backend, LinearRelation, ProductOrbit
 
 BACKEND_ID = "finite"
@@ -22,6 +24,9 @@ BACKEND_ID = "finite"
 # fast with the order: on a 2-core Xeon VM, A5 (order 60) builds in about
 # 0.3 s and S5 (order 120) in about 3 s.
 MAX_GROUP_ORDER = 60
+# The largest point cycle notation may name: every permutation is a tuple
+# over all points up to the largest named.  The presets move at most 4.
+MAX_POINT = 60
 
 
 def _pcompose(p, q):
@@ -57,28 +62,31 @@ def mulclose(generators, n_points):
     return frozenset(elements)
 
 
+def _point(token, text):
+    """One point of cycle notation: an integer from 1 to MAX_POINT."""
+    digits = token[1:] if token[0] in "+-" else token
+    if not digits.isdecimal():
+        raise ValueError(f"{token!r} is not an integer point in {text!r}")
+    # the length test spares int() a string of thousands of digits
+    if len(digits.lstrip("0")) > len(str(MAX_POINT)) or int(digits) > MAX_POINT:
+        raise ValueError(f"point {token} is above MAX_POINT = {MAX_POINT}")
+    if token[0] == "-" or int(digits) < 1:
+        raise ValueError(f"points are numbered from 1: {text!r}")
+    return int(digits)
+
+
 def parse_cycles(text, n_points=None):
     """Parse cycle notation like "(1 2)(3 4); (1 2 3)" into permutation tuples.
 
     Points are 1-based in the notation.  Separate generators with ';' or ','
-    outside parentheses.  Text that names no point, an empty cycle, a point
-    below 1 and a point repeated within one generator raise ValueError.
+    outside parentheses.  Text that names no point, an empty, unclosed or
+    nested cycle, a token that is not an integer, a point below 1 or above
+    MAX_POINT and a point repeated within one generator raise ValueError.
     """
-    gens_txt = []
-    depth = 0
-    current = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in ";," and depth == 0:
-            gens_txt.append(current)
-            current = ""
-        else:
-            current += ch
-    if current.strip():
-        gens_txt.append(current)
+    # a separator is inside a cycle when the next parenthesis closes it
+    gens_txt = re.split(r"[;,](?![^()]*\))", text)
+    if not gens_txt[-1].strip():
+        gens_txt.pop()
     cycles_per_gen = []
     max_point = 0
     for txt in gens_txt:
@@ -88,12 +96,15 @@ def parse_cycles(text, n_points=None):
         while body:
             if not body.startswith("("):
                 raise ValueError(f"bad cycle notation: {text!r}")
-            end = body.index(")")
-            pts = [int(tok) for tok in body[1:end].replace(",", " ").split()]
+            end = body.find(")")
+            if end < 0:
+                raise ValueError(f"unclosed parenthesis in {text!r}")
+            if "(" in body[1:end]:
+                raise ValueError(f"nested parenthesis in {text!r}")
+            pts = [_point(tok, text)
+                   for tok in body[1:end].replace(",", " ").split()]
             if not pts:
                 raise ValueError(f"empty cycle in {text!r}")
-            if min(pts) < 1:
-                raise ValueError(f"points are numbered from 1: {text!r}")
             if len(set(pts)) < len(pts) or moved.intersection(pts):
                 raise ValueError(
                     f"a point repeats within the generator {txt.strip()!r}")
@@ -304,15 +315,9 @@ class FiniteBackend(Backend):
         data = tuple(lookup[(f.data[i], g.data[i])][1] for i in range(f.source.degree))
         return orbit.label, AtomMap(f.source, orbit.atom, data)
 
-    def swap_orbit(self, a, b, label):
-        k = int(label[1:])
-        orbit = self.product_decompose(a, b)[k]
-        lookup_ba = self._pair_index(b, a)
-        p1, p2 = orbit.proj1.data, orbit.proj2.data
-        k2, _ = lookup_ba[(p2[0], p1[0])]
-        data = tuple(lookup_ba[(p2[i], p1[i])][1] for i in range(orbit.atom.degree))
-        target = self.product_decompose(b, a)[k2].atom
-        return f"#{k2}", AtomMap(orbit.atom, target, data)
+    def swap_label(self, a, b, label):
+        orbit = self.product_decompose(a, b)[int(label[1:])]
+        return self.pair_label(b, a, orbit.proj2.data[0], orbit.proj1.data[0])
 
     # Elementary structure
 

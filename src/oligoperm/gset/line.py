@@ -33,6 +33,8 @@ from operator import mul
 from .base import AtomMap, LinearRelation, ProductOrbit, TupleBackend
 
 _ORDER = {"L": 0, "B": 1, "R": 2}
+# swapping the two factors exchanges the letters L and R
+_SWAP = str.maketrans("LR", "RL")
 
 
 def _word_key(word):
@@ -169,10 +171,8 @@ class LineBackend(TupleBackend):
                       map(suffix[k].__getitem__, col_suf)))
             for i, k in rows)
 
-    def swap_orbit(self, a, b, label):
-        swapped = label.translate(str.maketrans("LR", "RL"))
-        atom = self._atom(len(label))
-        return swapped, AtomMap(atom, atom, tuple(range(1, len(label) + 1)))
+    def swap_label(self, a, b, label):
+        return label.translate(_SWAP)
 
     # Elementary structure
 

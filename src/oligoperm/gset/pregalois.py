@@ -204,7 +204,7 @@ def internal_equivalence_relations(backend, x):
     index = {label: k for k, label in enumerate(labels)}
     ident = backend.identity_map(x)
     diag, _ = backend.product_factor(ident, ident)
-    swap = [index[backend.swap_orbit(x, x, label)[0]] for label in labels]
+    swap = [index[backend.swap_label(x, x, label)] for label in labels]
     rows = triple_table(backend, x, x, x)
     cols = tuple(zip(*rows))
     least = _closure(0, 1 << index[diag], swap, rows, cols)

@@ -135,25 +135,8 @@ class SymBackend(TupleBackend):
             table.append(tuple(row))
         return tuple(table)
 
-    def swap_orbit(self, a, b, label):
-        matching = _parse_matching(label)
-        transposed = tuple(sorted((j, i) for i, j in matching))
-        n, m = a.degree, b.degree
-        matched_left = {i for i, _ in matching}
-        matched_right = {j for _, j in matching}
-        unmatched_left = [i for i in range(1, n + 1) if i not in matched_left]
-        unmatched_right = [j for j in range(1, m + 1) if j not in matched_right]
-        partner_of_right = {j: i for i, j in matching}
-        # Source orbit coordinates: a-coordinates 1..n, then unmatched b's.
-        # Target orbit coordinates: b-coordinates 1..m, then unmatched a's.
-        right_pos = {j: n + rank + 1 for rank, j in enumerate(unmatched_right)}
-        sel = []
-        for j in range(1, m + 1):
-            sel.append(partner_of_right[j] if j in matched_right else right_pos[j])
-        for i in unmatched_left:
-            sel.append(i)
-        src_atom = self._atom(n + m - len(matching))
-        return _matching_label(transposed), AtomMap(src_atom, src_atom, tuple(sel))
+    def swap_label(self, a, b, label):
+        return _matching_label(sorted((j, i) for i, j in _parse_matching(label)))
 
     # Elementary structure
 

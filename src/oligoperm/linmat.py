@@ -206,12 +206,9 @@ def pullback_matrix(backend, f, field):
 
 def transpose(matrix):
     backend = matrix.backend
-    entries = {}
-    for (t, s, label), value in matrix.entries.items():
-        a = matrix.target.atoms[t]
-        b = matrix.source.atoms[s]
-        label2, _ = backend.swap_orbit(a, b, label)
-        entries[(s, t, label2)] = value
+    targets, sources = matrix.target.atoms, matrix.source.atoms
+    entries = {(s, t, backend.swap_label(targets[t], sources[s], label)): value
+               for (t, s, label), value in matrix.entries.items()}
     return InvariantMatrix(backend, matrix.target, matrix.source, entries)
 
 

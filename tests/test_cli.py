@@ -631,12 +631,24 @@ def test_spec_integer_literal_guard(tmp_path, capsys):
                        "scalar size limit")
 
 
-@pytest.mark.parametrize("group", ["()", "(1 2 1)", "(1 2)(2 3)", "(0 1)", "   "],
-                         ids=["empty-cycle", "repeated-point",
-                              "overlapping-cycles", "point-zero", "blank"])
-def test_group_that_is_not_a_permutation_is_usage_error(capsys, group):
+@pytest.mark.parametrize("group, expect", [
+    ("()", "empty cycle"), ("(1 2 1)", "a point repeats"),
+    ("(1 2)(2 3)", "a point repeats"), ("(0 1)", "points are numbered from 1"),
+    ("   ", "no cycle"),
+    ("(1 99999999999999999999)",
+     "point 99999999999999999999 is above MAX_POINT = 60"),
+    ("(1 10000000)", "point 10000000 is above MAX_POINT = 60"),
+    ("(1 2", "unclosed parenthesis"), ("(1 a)", "'a' is not an integer"),
+    ("((1 2)", "nested parenthesis")],
+    ids=["empty-cycle", "repeated-point", "overlapping-cycles", "point-zero",
+         "blank", "point-overflow", "point-far-off", "unclosed", "not-integer",
+         "nested"])
+def test_group_that_is_not_a_permutation_is_usage_error(capsys, group, expect):
+    start = time.perf_counter()
     assert_usage_error(capsys, ["atoms", "--backend", "finite", "--group",
-                                group, "--bound", "2"], "bad --group")
+                                group, "--bound", "2"],
+                       f"bad --group {group!r}: {expect}")
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("flag", ["--spec", "--lhs", "--rhs", "--gamma",

@@ -1,6 +1,7 @@
 """Frobenius structure, trace data, splitting and equivalence idempotents."""
 
 import itertools
+import random
 import sys
 
 import pytest
@@ -44,6 +45,7 @@ from oligoperm.linmat import (
 )
 from oligoperm.measure import solve_measures
 from oligoperm.permcat import check_snake_identities, duality_data
+from oligoperm.report import difference
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +278,47 @@ def test_e_idempotent_rejects_asymmetric(mu_t):
     gamma = SchwartzFn(ps2.object, coeffs)
     report = e_idempotent_check(SYM, x, gamma, mu_t)
     assert not report.result("symmetric").passed
+
+
+@pytest.fixture(scope="module")
+def swap_cases(mu_t, mu_line, s3, mu_s3):
+    """Objects of two atoms, so gamma has positions across the atoms."""
+    sym = [SYM.atom_of_arity(n) for n in (1, 2)]
+    line = [LINE.atom_of_arity(n) for n in (1, 2)]
+    return {
+        "sym:inj[1]+inj[2]": (SYM, SYM.object_of(sym), mu_t),
+        "line:inc[1]+inc[2]": (LINE, LINE.object_of(line), mu_line),
+        "S3:degree-2+3": (s3, s3.object_of(s3.atoms_up_to(3)[1:]), mu_s3),
+    }
+
+
+@pytest.mark.parametrize("case", ["sym:inj[1]+inj[2]", "line:inc[1]+inc[2]",
+                                  "S3:degree-2+3"])
+def test_symmetric_check_matches_swap_pullback(swap_cases, case):
+    """The symmetric check moves gamma's values to the swapped positions.
+    On seeded random gammas, symmetric and not, its verdict and witness are
+    those of comparing gamma with its pullback along the swap wiring."""
+    backend, x, measure = swap_cases[case]
+    ps2 = tensor_space(backend, [x, x])
+    swap = wiring_gmap(ps2, ps2, (1, 0))
+    values = [Scalar.from_int(measure.field, k) for k in (1, 2, 3)]
+    size = len(ps2.positions)
+    verdicts = []
+    for seed in range(24):
+        rng = random.Random(seed)
+        coeffs = {}
+        for p in rng.sample(range(size), rng.randint(1, size // 2)):
+            coeffs[p] = rng.choice(values)
+            if seed % 2:  # make gamma symmetric
+                coeffs[swap.legs[p][0]] = coeffs[p]
+        gamma = SchwartzFn(ps2.object, coeffs)
+        result = e_idempotent_check(backend, x, gamma, measure).result(
+            "symmetric")
+        expected = difference(pullback_fn(swap, gamma), gamma)
+        assert result.passed == (not expected), seed
+        assert result.witness == expected, seed
+        verdicts.append(result.passed)
+    assert all(verdicts[1::2]) and not all(verdicts[::2])
 
 
 def test_coordinate_agreement_fails_only_triple_coherence(mu_t):

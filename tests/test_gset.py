@@ -19,6 +19,8 @@ from oligoperm.gset import (
 )
 from oligoperm.gset.finite import (
     MAX_GROUP_ORDER,
+    MAX_POINT,
+    PRESETS,
     FiniteBackend,
     mulclose,
     parse_cycles,
@@ -189,6 +191,19 @@ def test_group_order_ceiling():
     assert len(mulclose(*parse_cycles("(1 2 3); (3 4 5)"))) == MAX_GROUP_ORDER
     with pytest.raises(ValueError, match="group order exceeds"):
         mulclose(*parse_cycles("(1 2); (1 2 3 4 5)"))
+
+
+def test_point_ceiling():
+    # the presets, and a group moving MAX_POINT points in disjoint
+    # transpositions, are admitted; one point further is not
+    for text, n_points in PRESETS.values():
+        parse_cycles(text, n_points)
+    pairs = "".join(f"({i} {i + 1})" for i in range(1, MAX_POINT, 2))
+    assert parse_cycles(pairs)[1] == MAX_POINT
+    with pytest.raises(ValueError, match="MAX_POINT"):
+        parse_cycles(f"(1 {MAX_POINT + 1})")
+    with pytest.raises(ValueError, match="MAX_POINT"):
+        parse_cycles("(1 " + "9" * 5000 + ")")
 
 
 def reference_subgroups(backend):
@@ -670,19 +685,20 @@ def test_finite_product_factor_round_trip(s3):
 
 
 def _assert_swap_bijection(backend, atoms):
-    """swap_orbit is a bijection from the orbits of a x b onto those of
-    b x a that swaps the two projections, for every pair drawn from atoms."""
+    """swap_label is a bijection from the orbits of a x b onto those of
+    b x a and an involution, and it names the orbit that factoring the
+    swapped projections finds, for every pair drawn from atoms."""
     for a in atoms:
         for b in atoms:
-            bwd = {o.label: o for o in backend.product_decompose(b, a)}
+            bwd = {o.label for o in backend.product_decompose(b, a)}
             seen = set()
             for orbit in backend.product_decompose(a, b):
-                label2, iso = backend.swap_orbit(a, b, orbit.label)
-                other = bwd[label2]
-                assert backend.compose_maps(other.proj1, iso) == orbit.proj2
-                assert backend.compose_maps(other.proj2, iso) == orbit.proj1
+                label2 = backend.swap_label(a, b, orbit.label)
+                assert label2 == backend.product_factor(orbit.proj2,
+                                                        orbit.proj1)[0]
+                assert backend.swap_label(b, a, label2) == orbit.label
                 seen.add(label2)
-            assert seen == set(bwd), (a, b)
+            assert seen == bwd, (a, b)
 
 
 def test_swap_bijection():
@@ -694,6 +710,12 @@ def test_swap_bijection():
 def test_finite_swap_bijection(s3):
     """Every S3 atom pair."""
     _assert_swap_bijection(s3, s3.atoms_up_to(6))
+
+
+def test_s4_swap_bijection():
+    """Every S4 atom pair: 11 atoms up to degree 24."""
+    s4 = preset_backend("S4")
+    _assert_swap_bijection(s4, s4.atoms_up_to(24))
 
 
 # Fiber products

@@ -201,7 +201,7 @@ def naive_relations(backend, x):
     ident = backend.identity_map(x)
     diag, _ = backend.product_factor(ident, ident)
     orbits = backend.product_decompose(x, x)
-    swap = {o.label: backend.swap_orbit(x, x, o.label)[0] for o in orbits}
+    swap = {o.label: backend.swap_label(x, x, o.label) for o in orbits}
 
     def closure(labels):
         current = set(labels) | {diag}
