@@ -29,8 +29,9 @@ are tagged tuples: ``("product", a, b)`` holds the orbits of ``a x b``
 per degree under ``("atom", n)`` and what ``product_factor(f, g)`` returns
 under ``("factor", source degree, f.data, g.data)``, plain ints only; the
 finite backend's ``("hom", a, b)`` holds the tuple of maps ``a -> b``, its
-``("pairs", a, b)`` its point-pair index and its ``("act", a, g)`` the
-permutation of a's points by the group element g; ``pair_images`` keeps the
+``("pairs", a, b)`` its point-pair index and its ``("act", a)`` the
+permutation of a's points by every group element, one row per element
+index; ``pair_images`` keeps the
 image table of a projection ``p`` against an atom ``c`` under ``("images",
 p, c)``; ``triple_table`` keeps its table for atoms ``a, b, c`` under
 ``("triples", a, b, c)``; ``linmat`` keeps its product spaces under

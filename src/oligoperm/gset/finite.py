@@ -1,10 +1,19 @@
 """Finite permutation group backend.
 
 The group is given by explicit generators on {0, .., n-1}.  Everything is
-computed by closure on concrete points, which makes this backend a total
-brute-force oracle for the category layer: atoms are canonical coset spaces
-(one per conjugacy class of subgroup), maps are explicit point functions, and
-product orbits are literal orbits of the product action.
+computed on concrete points, which makes this backend a total brute-force
+oracle for the category layer: atoms are canonical coset spaces (one per
+conjugacy class of subgroup), maps are explicit point functions, and product
+orbits are literal orbits of the product action.
+
+The group is closed once by composing permutation tuples, and its elements
+are numbered in tuple order, so the identity is 0.  One Cayley table
+``mul[i][j]`` (the index of e_i after e_j) and the inverses ``inv[i]`` are
+then all the group arithmetic: subgroups, conjugacy classes, cosets, the
+action on an atom's points, hom sets and orbit stabilizers are sets and
+tables of element indices.  Index order is tuple order, so every choice by
+least element, and with it every label and map, is the one the tuples
+themselves would give.
 
 Elementary fiber classes are indexed by cardinality, ``size[m]``.  Restricting
 a fiber to the trivial subgroup splits it into m fixed points, which pins the
@@ -14,15 +23,17 @@ it is why counting is the only measure here.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .base import Atom, AtomMap, Backend, LinearRelation, ProductOrbit
 
 BACKEND_ID = "finite"
 
-# The largest group order ``mulclose`` builds.  Subgroup enumeration grows
-# fast with the order: on a 2-core Xeon VM, A5 (order 60) builds in about
-# 0.3 s and S5 (order 120) in about 3 s.
+# The largest group order ``mulclose`` builds.  The Cayley table has order^2
+# entries and subgroup enumeration grows fast with the order: on a 2-core
+# Xeon VM, A5 (order 60) builds in about 0.03 s and S5 (order 120, with the
+# cap raised) in about 0.2 s.
 MAX_GROUP_ORDER = 60
 # The largest point cycle notation may name: every permutation is a tuple
 # over all points up to the largest named.  The presets move at most 4.
@@ -31,14 +42,7 @@ MAX_POINT = 60
 
 def _pcompose(p, q):
     """p after q, as permutation tuples."""
-    return tuple(p[i] for i in q)
-
-
-def _pinv(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
+    return tuple(map(p.__getitem__, q))
 
 
 def mulclose(generators, n_points):
@@ -135,19 +139,30 @@ class FiniteBackend(Backend):
         self.generators = [tuple(g) for g in generators]
         self.elements = sorted(mulclose(self.generators, n_points))
         self.identity = tuple(range(n_points))
-        self._subgroups = self._enumerate_subgroups()
+        # from here on an element is its index in self.elements, and the
+        # identity is 0
+        self._index = {g: i for i, g in enumerate(self.elements)}
+        mul = self._mul = tuple(
+            tuple(self._index[_pcompose(g, h)] for h in self.elements)
+            for g in self.elements)
+        self._inv = tuple(row.index(0) for row in mul)
+        # conjugation rows: _conj[h][s] is the index of h^-1.s.h
+        self._conj = tuple(tuple(mul[x][h] for x in mul[self._inv[h]])
+                           for h in range(len(mul)))
+        subgroups = self._enumerate_subgroups()
+        self._subgroups = [frozenset(map(self.elements.__getitem__, sub))
+                           for sub in subgroups]
         # one representative per conjugacy class of subgroups, with the
         # class's members, ranked by index and then by sorted elements
         classes, seen = [], set()
-        for h in self._subgroups:
+        for h in subgroups:
             if h in seen:
                 continue
-            conj = {frozenset(_pcompose(_pcompose(_pinv(g), s), g) for s in h)
-                    for g in self.elements}
+            conj = {frozenset(map(row.__getitem__, h)) for row in self._conj}
             seen |= conj
-            classes.append((min(conj, key=lambda sub: tuple(sorted(sub))), conj))
-        order = len(self.elements)
-        classes.sort(key=lambda c: (order // len(c[0]), tuple(sorted(c[0]))))
+            classes.append((min(conj, key=sorted), conj))
+        order = len(mul)
+        classes.sort(key=lambda c: (order // len(c[0]), sorted(c[0])))
         self._reps = [rep for rep, _ in classes]
         self._class_index = {sub: k for k, (_, conj) in enumerate(classes)
                              for sub in conj}
@@ -155,31 +170,55 @@ class FiniteBackend(Backend):
             Atom(BACKEND_ID, order // len(rep), f"orbit#{k}")
             for k, rep in enumerate(self._reps)
         ]
-        # an atom's points are the left cosets g.H of its subgroup H, and
-        # _coset_of maps each group element to the point of its coset
+        # an atom's points are the left cosets g.H of its subgroup H, in the
+        # order of their least elements; _coset_reps lists those elements and
+        # _coset_of maps each element to the point of its coset
         self._points = {}
+        self._coset_reps = {}
         self._coset_of = {}
         for atom, rep in zip(self._atoms, self._reps):
-            cosets = set()
-            for g in self.elements:
-                cosets.add(frozenset(_pcompose(g, h) for h in rep))
-            pts = sorted(cosets, key=lambda c: min(c))
-            self._points[atom] = pts
-            self._coset_of[atom] = {x: i for i, c in enumerate(pts) for x in c}
+            coset_of = [-1] * order
+            reps = []
+            for g, row in enumerate(mul):
+                # scanned in index order, g is the least of a new coset
+                if coset_of[g] < 0:
+                    for h in rep:
+                        coset_of[row[h]] = len(reps)
+                    reps.append(g)
+            self._coset_reps[atom] = reps
+            self._coset_of[atom] = coset_of
+            self._points[atom] = [
+                frozenset(self.elements[mul[g][h]] for h in rep)
+                for g in reps]
 
     # Group plumbing
+
+    def _close(self, gens):
+        """The subgroup the element indices gens generate."""
+        sub = {0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = self._mul[g][x]
+                    if y not in sub:
+                        sub.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return frozenset(sub)
 
     def _enumerate_subgroups(self):
         """Every subgroup, as a join of cyclic subgroups.  Each subgroup found
         keeps one generator list, and its join with a cyclic <g> not inside
         it is the closure of that list and g."""
         cyclic = {}  # cyclic subgroup -> one generator
-        for g in self.elements:
-            sub = {self.identity}
+        for g, row in enumerate(self._mul):
+            sub = {0}
             x = g
             while x not in sub:
                 sub.add(x)
-                x = _pcompose(g, x)
+                x = row[x]
             cyclic.setdefault(frozenset(sub), g)
         gens = {sub: [g] for sub, g in cyclic.items()}
         frontier = list(gens)
@@ -189,26 +228,28 @@ class FiniteBackend(Backend):
                 for g in cyclic.values():
                     if g in a:
                         continue
-                    join = mulclose(gens[a] + [g], self.n_points)
+                    join = self._close(gens[a] + [g])
                     if join not in gens:
                         gens[join] = gens[a] + [g]
                         new.append(join)
             frontier = new
-        return sorted(gens, key=lambda s: (len(s), tuple(sorted(s))))
+        return sorted(gens, key=lambda s: (len(s), sorted(s)))
 
     def act_table(self, g, a):
         """The permutation of a's points by the group element g, as a tuple:
-        g maps the coset x.H to the coset of g.x.  Kept in the backend cache
-        under ``("act", a, g)``."""
-        return self._memo(("act", a, g), self._act_table, g, a)
+        g maps the coset x.H to the coset of g.x."""
+        return self._act_rows(a)[self._index[g]]
 
-    def _act_table(self, g, a):
-        coset_of = self._coset_of[a]
-        return tuple(coset_of[_pcompose(g, min(coset))]
-                     for coset in self._points[a])
+    def _act_rows(self, a):
+        """``act_table`` of every element, by element index.  Kept in the
+        backend cache under ``("act", a)``."""
+        return self._memo(("act", a), self._build_act_rows, a)
 
-    def act(self, g, a, idx):
-        return self.act_table(g, a)[idx]
+    def _build_act_rows(self, a):
+        coset_of = self._coset_of[a].__getitem__
+        reps = self._coset_reps[a]
+        return tuple(tuple(map(coset_of, map(row.__getitem__, reps)))
+                     for row in self._mul)
 
     # Backend interface
 
@@ -225,11 +266,11 @@ class FiniteBackend(Backend):
 
     def _hom_atoms(self, a, b):
         h_rep = self._reps[int(a.label.split("#")[1])]
+        rows = self._act_rows(b)
         return tuple(
-            AtomMap(a, b, tuple(self.act(min(src), b, q)
-                                for src in self._points[a]))
+            AtomMap(a, b, tuple(rows[x][q] for x in self._coset_reps[a]))
             for q in range(b.degree)
-            if all(self.act(h, b, q) == q for h in h_rep))
+            if all(rows[h][q] == q for h in h_rep))
 
     def identity_map(self, a):
         return AtomMap(a, a, tuple(range(a.degree)))
@@ -238,15 +279,15 @@ class FiniteBackend(Backend):
         if inner.target != outer.source:
             raise ValueError("atom map composition shape mismatch")
         return AtomMap(inner.source, outer.target,
-                       tuple(outer.data[i] for i in inner.data))
+                       tuple(map(outer.data.__getitem__, inner.data)))
 
     def _decompose(self, a, b):
-        pairs = [(i, j) for i in range(a.degree) for j in range(b.degree)]
-        moves = [(self.act_table(g, a), self.act_table(g, b))
+        rows_a, rows_b = self._act_rows(a), self._act_rows(b)
+        moves = [(rows_a[self._index[g]], rows_b[self._index[g]])
                  for g in self.generators]
         seen = set()
         orbit_sets = []
-        for p in pairs:
+        for p in itertools.product(range(a.degree), range(b.degree)):
             if p in seen:
                 continue
             orbit = {p}
@@ -262,31 +303,23 @@ class FiniteBackend(Backend):
                 frontier = nxt
             seen |= orbit
             orbit_sets.append(orbit)
-        orbit_sets.sort(key=lambda o: min(o))
+        orbit_sets.sort(key=min)
         orbits = []
         for k, orbit in enumerate(orbit_sets):
-            rep = min(orbit)
-            stab = frozenset(
-                g for g in self.elements
-                if (self.act(g, a, rep[0]), self.act(g, b, rep[1])) == rep
-            )
+            i, j = min(orbit)
+            stab = frozenset(g for g, (ra, rb) in enumerate(zip(rows_a, rows_b))
+                             if ra[i] == i and rb[j] == j)
             c = self._atoms[self._class_index[stab]]
             h_rep = self._reps[self._class_index[stab]]
-            conj = next(
-                h for h in self.elements
-                if frozenset(_pcompose(_pcompose(_pinv(h), s), h) for s in stab) == h_rep
-            )
-            data1 = []
-            data2 = []
-            for coset in self._points[c]:
-                x = min(coset)
-                g = _pcompose(x, _pinv(conj))
-                data1.append(self.act(g, a, rep[0]))
-                data2.append(self.act(g, b, rep[1]))
+            # the least h with h^-1.stab.h the class representative
+            conj = next(h for h, row in enumerate(self._conj)
+                        if frozenset(map(row.__getitem__, stab)) == h_rep)
+            back = self._inv[conj]
+            moved = [self._mul[x][back] for x in self._coset_reps[c]]
             orbits.append(
                 ProductOrbit(f"#{k}", c,
-                             AtomMap(c, a, tuple(data1)),
-                             AtomMap(c, b, tuple(data2)))
+                             AtomMap(c, a, tuple(rows_a[g][i] for g in moved)),
+                             AtomMap(c, b, tuple(rows_b[g][j] for g in moved)))
             )
         return tuple(orbits)
 
@@ -312,7 +345,7 @@ class FiniteBackend(Backend):
         lookup = self._pair_index(a, b)
         k, _ = lookup[(f.data[0], g.data[0])]
         orbit = orbits[k]
-        data = tuple(lookup[(f.data[i], g.data[i])][1] for i in range(f.source.degree))
+        data = tuple(lookup[pair][1] for pair in zip(f.data, g.data))
         return orbit.label, AtomMap(f.source, orbit.atom, data)
 
     def swap_label(self, a, b, label):
@@ -335,7 +368,7 @@ class FiniteBackend(Backend):
     def fiber_classes(self, depth):
         degrees = {a.degree for a in self._atoms}
         sizes = sorted({x // y for x in degrees for y in degrees if x % y == 0})
-        return [f"size[{m}]" for m in sizes if m <= max(degrees)]
+        return [f"size[{m}]" for m in sizes]
 
     def fiber_decompositions(self, depth):
         # restricting a size-m fiber to the trivial subgroup gives m points

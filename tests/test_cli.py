@@ -240,6 +240,14 @@ SUITE_SHA256 = {
     "line": "b30c055eb4932d8dfe957ba98c0c74070e256dd96043e7bb0ed15ab664a31e59",
     "S3": "0b48a3e677eb27595aa7c7cc828bbc404ecdb2e9498d8bbf02184a970baed91c",
     "S4": "fe901fdc71069a06084e7b8c77373b457f043d624a6033be075803d820961372",
+    "C2x4": "e5f4eded8ccfa66bb857f2e69b37e2f4f26bc66604c70252c18da648c16c4f4e",
+    # D4 and an intransitive group on 6 points: both have non-normal
+    # subgroups, so the orbit projections depend on which conjugator the
+    # backend picks
+    "(1 2 3 4); (1 3)":
+        "d5b12c8a9ab293561da4e1739fb44f61c4ae2cf459eac3fca3acc9a1d953cfc4",
+    "(1 2 3)(4 5 6); (1 4)":
+        "b9c5b441f3e69d63d0e905642bf0a0dfd737e17afcae7a5b59dca3007121bc2c",
 }
 
 # pre-Galois reports, pinned the same way: sym at bounds 2 and 3 fails with
@@ -257,7 +265,8 @@ PREGALOIS_SHA256 = {
 
 
 def test_suite_finite(tmp_path):
-    for group in ("S3", "S4"):
+    for group in ("S3", "S4", "C2x4", "(1 2 3 4); (1 3)",
+                  "(1 2 3)(4 5 6); (1 4)"):
         code, doc = run(tmp_path, "suite", "--backend", "finite",
                         "--group", group, "--bound", "6")
         assert code == 0

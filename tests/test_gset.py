@@ -8,6 +8,7 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oligoperm
 from oligoperm.gset import (
@@ -26,8 +27,10 @@ from oligoperm.gset.finite import (
     parse_cycles,
 )
 from oligoperm.gset.base import (
+    Atom,
     AtomMap,
     Backend,
+    ProductOrbit,
     agreeing_orbits,
     pair_images,
     triple_orbits,
@@ -35,6 +38,7 @@ from oligoperm.gset.base import (
 )
 from oligoperm.gset.symmetric import _matching_label
 from oligoperm.linmat import multi_factor, projection, tensor_space
+from oligoperm.oracle import finite_orbit_count_on_pairs
 
 
 def delannoy(m, n):
@@ -246,6 +250,196 @@ def reference_subgroups(backend):
 def test_subgroups_by_generators_match_reference(text, n_points):
     backend = FiniteBackend(*parse_cycles(text, n_points))
     assert backend._subgroups == reference_subgroups(backend)
+
+
+def compose(p, q):
+    """p after q, as permutation tuples."""
+    return tuple(p[i] for i in q)
+
+
+def inverse(p):
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+class TupleReference:
+    """The finite backend built by composing permutation tuples, as
+    ``FiniteBackend`` was before it moved to a Cayley table of element
+    indices, kept as its reference: conjugates, cosets, actions, hom sets
+    and orbit stabilizers straight from the tuples, on the subgroups of
+    ``reference_subgroups``."""
+
+    def __init__(self, generators, n_points):
+        self.n_points = n_points
+        self.generators = [tuple(g) for g in generators]
+        self.elements = sorted(mulclose(self.generators, n_points))
+        self.identity = tuple(range(n_points))
+        classes, seen = [], set()
+        for h in reference_subgroups(self):
+            if h in seen:
+                continue
+            conj = {frozenset(compose(compose(inverse(g), s), g) for s in h)
+                    for g in self.elements}
+            seen |= conj
+            classes.append((min(conj, key=lambda sub: tuple(sorted(sub))),
+                            conj))
+        order = len(self.elements)
+        classes.sort(key=lambda c: (order // len(c[0]), tuple(sorted(c[0]))))
+        self.reps = [rep for rep, _ in classes]
+        self.class_index = {sub: k for k, (_, conj) in enumerate(classes)
+                            for sub in conj}
+        self.atoms = [Atom("finite", order // len(rep), f"orbit#{k}")
+                      for k, rep in enumerate(self.reps)]
+        self.points = {}
+        self.coset_of = {}
+        for atom, rep in zip(self.atoms, self.reps):
+            cosets = {frozenset(compose(g, h) for h in rep)
+                      for g in self.elements}
+            self.points[atom] = sorted(cosets, key=min)
+            self.coset_of[atom] = {x: i for i, c in
+                                   enumerate(self.points[atom]) for x in c}
+        self.tables = {}
+
+    def act_table(self, g, a):
+        if (g, a) not in self.tables:
+            self.tables[g, a] = tuple(
+                self.coset_of[a][compose(g, min(coset))]
+                for coset in self.points[a])
+        return self.tables[g, a]
+
+    def hom_atoms(self, a, b):
+        h_rep = self.reps[int(a.label.split("#")[1])]
+        return tuple(
+            AtomMap(a, b, tuple(self.act_table(min(src), b)[q]
+                                for src in self.points[a]))
+            for q in range(b.degree)
+            if all(self.act_table(h, b)[q] == q for h in h_rep))
+
+    def product_decompose(self, a, b):
+        seen, orbit_sets = set(), []
+        for p in itertools.product(range(a.degree), range(b.degree)):
+            if p in seen:
+                continue
+            orbit, frontier = {p}, [p]
+            while frontier:
+                frontier = [q for i, j in frontier for g in self.generators
+                            for q in [(self.act_table(g, a)[i],
+                                       self.act_table(g, b)[j])]
+                            if q not in orbit and not orbit.add(q)]
+            seen |= orbit
+            orbit_sets.append(orbit)
+        orbit_sets.sort(key=min)
+        orbits = []
+        for k, orbit in enumerate(orbit_sets):
+            i, j = min(orbit)
+            stab = frozenset(g for g in self.elements
+                             if self.act_table(g, a)[i] == i
+                             and self.act_table(g, b)[j] == j)
+            c = self.atoms[self.class_index[stab]]
+            h_rep = self.reps[self.class_index[stab]]
+            conj = next(
+                h for h in self.elements
+                if frozenset(compose(compose(inverse(h), s), h)
+                             for s in stab) == h_rep)
+            moved = [compose(min(coset), inverse(conj))
+                     for coset in self.points[c]]
+            orbits.append(ProductOrbit(
+                f"#{k}", c,
+                AtomMap(c, a, tuple(self.act_table(g, a)[i] for g in moved)),
+                AtomMap(c, b, tuple(self.act_table(g, b)[j] for g in moved))))
+        return tuple(orbits)
+
+
+def assert_matches_tuple_reference(backend, bound):
+    """Atoms, class representatives, points, act tables, hom sets and pair
+    orbits of ``backend`` equal the tuple reference's, on the atoms of
+    degree at most bound."""
+    ref = TupleReference(backend.generators, backend.n_points)
+    assert backend.elements == ref.elements
+    assert backend.atoms_up_to(len(ref.elements)) == ref.atoms
+    assert [frozenset(backend.elements[i] for i in rep)
+            for rep in backend._reps] == ref.reps
+    atoms = [a for a in ref.atoms if a.degree <= bound]
+    for a in atoms:
+        assert backend._points[a] == ref.points[a]
+        for g in ref.elements:
+            assert backend.act_table(g, a) == ref.act_table(g, a)
+    for a, b in itertools.product(atoms, repeat=2):
+        assert backend.hom_atoms(a, b) == ref.hom_atoms(a, b)
+        assert backend.product_decompose(a, b) == ref.product_decompose(a, b)
+
+
+@pytest.mark.parametrize("text, n_points", [
+    ("(1 2); (1 2 3)", None),            # S3
+    ("(1 2)", 4),                        # C2x4
+    ("(1 2); (1 2 3 4)", None),          # S4
+    ("(1 2 3); (3 4 5)", None),          # A5
+    ("(1 2 3 4); (1 3)", None),          # D4
+    ("(1 2 3 4 5); (2 5)(3 4)", None),   # D5
+    ("(1 2)(3 4); (1 3)(2 4)", None),    # V4
+    ("(1 2 3)(4 5 6); (1 4)", None),
+    ("(1 2 3 4 5 6)", None),             # C6, regular
+    ("(1)", None),                       # trivial
+], ids=["S3", "C2x4", "S4", "A5", "D4", "D5", "V4", "cycles", "C6",
+        "trivial"])
+def test_finite_backend_matches_tuple_reference(text, n_points):
+    backend = FiniteBackend(*parse_cycles(text, n_points))
+    assert_matches_tuple_reference(backend, len(backend.elements))
+
+
+def group_order(generators, n_points):
+    """The order of the group, by closure with no ceiling."""
+    elements = {tuple(range(n_points))}
+    frontier = list(elements)
+    while frontier:
+        frontier = [y for x in frontier for g in generators
+                    for y in [compose(g, x)]
+                    if y not in elements and not elements.add(y)]
+    return len(elements)
+
+
+@st.composite
+def permutation_groups(draw):
+    """1-3 generators on at most 7 points.  Each is a product of disjoint
+    cycles over a drawn list of at least two points (fewer if there are
+    fewer), cut where a drawn flag says; the points left out and cycles of
+    length 1 are fixed, so fixed points and intransitive groups occur."""
+    n_points = draw(st.integers(1, 7))
+    point = st.integers(0, n_points - 1)
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        support = draw(st.lists(point, unique=True, min_size=min(2, n_points)))
+        ends = draw(st.lists(st.booleans(), min_size=len(support),
+                             max_size=len(support)))
+        perm = list(range(n_points))
+        start = 0
+        for k, end in enumerate(ends):
+            if end or k == len(support) - 1:
+                cycle = support[start:k + 1]
+                for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
+                    perm[src] = dst
+                start = k + 1
+        generators.append(tuple(perm))
+    return generators, n_points
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(permutation_groups())
+def test_random_groups_match_tuple_reference(group):
+    generators, n_points = group
+    if group_order(generators, n_points) > MAX_GROUP_ORDER:
+        with pytest.raises(ValueError,
+                           match=f"group order exceeds {MAX_GROUP_ORDER}"):
+            FiniteBackend(generators, n_points)
+        return
+    backend = FiniteBackend(generators, n_points)
+    assert_matches_tuple_reference(backend, 6)
+    atoms = backend.atoms_up_to(len(backend.elements))
+    for a, b in itertools.product(atoms, repeat=2):
+        assert (finite_orbit_count_on_pairs(backend, a, b)
+                == len(backend.product_decompose(a, b)))
 
 
 # a fresh backend (empty cache) and the atom bound of its triple-table test;
