@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .coeff import one, zero
 from .errors import NotSurjective
-from .gset.base import agreeing_orbits, triple_orbits, triple_table
+from .gset.base import agreeing_orbits, orbit_by_label, triple_row, triple_table
 from .linmat import (
     InvariantMatrix,
     RowProduct,
@@ -336,10 +336,10 @@ def _coherence_witness(backend, ps2, gamma, ids, where, bad, field):
     atom, h12, _k, _label, h13, h23 = min(
         (orbit.atom, h12, k, orbit.label, h13, h23)
         for i, j, k, rows in bad
-        for i_12, i_23, i_13, orbit in triple_orbits(
-            backend, atoms[i], atoms[j], atoms[k], rows)
-        for h12, h13, h23 in [(where[i, j][i_12], where[i, k][i_13],
-                               where[j, k][i_23])]
+        for h12 in map(where[i, j].__getitem__, rows)
+        for orbit, (label_23, _), (label_13, _) in triple_row(
+            backend, ps2.positions[h12].orbit, atoms[k])
+        for h13, h23 in [(ps2.index[i, k, label_13], ps2.index[j, k, label_23])]
         if not _coherent(ids[h12], ids[h13], ids[h23]))
     witness = {"atom": atom.render()}
     for pair, h in zip(("12", "13", "23"), (h12, h13, h23)):
@@ -450,9 +450,8 @@ def _square_position(backend, rows, row, prod, square):
     """The position ((a, b), (a', b')) in ``square`` of a row (a, b, a', b')
     of the ``RowProduct`` ``rows``, from the row's four factor projections."""
     lp, rp, label = row
-    orbit = next(o for o in backend.product_decompose(
-        rows.left.positions[lp].atom, rows.factors[3].atoms[rp])
-        if o.label == label)
+    orbit = orbit_by_label(backend, rows.left.positions[lp].atom,
+                           rows.factors[3].atoms[rp], label)
     maps = [(fp, backend.compose_maps(m, orbit.proj1))
             for fp, m in (projection(rows.left, lp, i) for i in range(3))]
     maps.append((rp, orbit.proj2))

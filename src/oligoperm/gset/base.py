@@ -44,28 +44,31 @@ filter: the orbits of ``a x b`` on which two atom maps ``f: a -> c`` and
 product of f and g; the pre-Galois checks and ``frob.kernel_pair_gamma``
 read the orbits without building an object.
 
-``pair_images(backend, p, c)`` is the one primitive of triple orbits: an
+``triple_row(backend, omega, c)`` is the one walk of triple orbits: an
 orbit of ``a x b x c`` is an orbit of ``omega.atom x c`` for an orbit
-``omega`` of ``a x b``, and its image table under ``omega.proj1`` (or
-``omega.proj2``) names, per such orbit, its ``a x c`` (or ``b x c``) orbit
-and its map onto that orbit's atom.  ``triple_orbits(backend, a, b, c)``
-walks the orbits of ``a x b x c`` by their three pair orbits off those
-tables, and ``linmat.matmul`` reads the same tables for the triple orbits of
-``z x y x x`` over a pair of entries, so a table is factored once.
+``omega`` of ``a x b``, and ``triple_row`` lists those orbits, each with its
+``b x c`` and ``a x c`` orbit and its map onto that orbit's atom.  It reads
+both off ``pair_images(backend, p, c)``, the image table of a projection
+``p = omega.proj2`` (or ``omega.proj1``) against c, which orbits of
+``a x b`` with a common projection share, so a table is factored once.
+``linmat.matmul`` reads the rows over its entries' orbits, the ``finite``
+triple tables walk every row, and the triple-coherence witness walks the
+failing rows.  ``orbit_by_label(backend, a, b, label)`` finds the orbit of
+``a x b`` a matrix entry names.
 
 ``triple_table(backend, a, b, c)`` records which ``(ab, bc, ac)`` index
 triples occur on the orbits of ``a x b x c`` as dense rows: one tuple per
 orbit of ``a x b`` with one entry per orbit of ``b x c``, the bit mask of
 the ``a x c`` indices over that pair.  b is transitive, so every pair occurs
-and no entry is 0.  ``backend._triple_table`` builds it.  The default, which
-``finite`` keeps, is one walk of ``triple_orbits``: a triple orbit of a
-finite group need not be the only one over its pair orbits.  On ``sym`` and
-``line`` it is, so there the table is composed from the labels of ``a x b``
-and ``b x c`` (partial matchings through b, merge words cut at b's
-coordinates) and factors no map.  The pre-Galois closure reads the rows
-and their transpose as the composition table of the orbits of ``X x X``,
-and triple coherence ORs each row's entries by gamma's values on the pair
-orbits; both OR whole rows in C instead of probing one pair at a time.
+and no entry is 0.  ``backend._triple_table`` builds it.  ``finite`` walks
+every ``triple_row``: a triple orbit of a finite group need not be the only
+one over its pair orbits.  On ``sym`` and ``line`` it is, so there the table
+is composed from the labels of ``a x b`` and ``b x c`` (partial matchings
+through b, merge words cut at b's coordinates) and factors no map.  The
+pre-Galois closure reads the rows and their transpose as the composition
+table of the orbits of ``X x X``, and triple coherence ORs each row's
+entries by gamma's values on the pair orbits; both OR whole rows in C
+instead of probing one pair at a time.
 
 Every record here (``Atom``, ``AtomMap``, ``ProductOrbit``,
 ``LinearRelation``, ``GObject`` and ``GMap``) is an immutable named tuple,
@@ -77,7 +80,6 @@ the fields alone.
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import NamedTuple
 
 
@@ -200,15 +202,8 @@ class Backend:
         raise NotImplementedError
 
     def _triple_table(self, a, b, c):
-        """``triple_table`` uncached.  By default one walk of the orbits of
-        ``a x b x c`` by ``triple_orbits``, which reads every orbit's pair
-        orbits off image tables: a triple orbit of a finite group need not be
-        the only one over its three pair orbits."""
-        width = len(self.product_decompose(b, c))
-        rows = [[0] * width for _ in self.product_decompose(a, b)]
-        for i_ab, i_bc, i_ac, _orbit in triple_orbits(self, a, b, c):
-            rows[i_ab][i_bc] |= 1 << i_ac
-        return tuple(map(tuple, rows))
+        """``triple_table`` uncached."""
+        raise NotImplementedError
 
     def swap_label(self, a, b, label):
         """Label of the orbit of b x a that swapping the two factors sends
@@ -367,6 +362,11 @@ def agreeing_orbits(backend, f, g):
             yield orbit
 
 
+def orbit_by_label(backend, a, b, label):
+    """The orbit of ``a x b`` labelled ``label``."""
+    return next(o for o in backend.product_decompose(a, b) if o.label == label)
+
+
 def pair_images(backend, p, c):
     """For each orbit ``o`` of ``p.source x c``, in ``product_decompose``
     order, where ``p x 1`` sends it: the label of the orbit of
@@ -383,34 +383,16 @@ def _pair_images(backend, p, c):
         for o in backend.product_decompose(p.source, c))
 
 
-def triple_orbits(backend, a, b, c, rows=None):
-    """Each orbit of ``(a x b) x c`` as ``(i_ab, i_bc, i_ac, orbit)``: the
-    indices, in ``product_decompose`` order, of the orbits of ``a x b``,
-    ``b x c`` and ``a x c`` it projects to, and the orbit itself, one of
-    ``product_decompose(omega.atom, c)`` for the orbit ``omega`` number
-    ``i_ab`` of ``a x b``.  ``rows``, if given, lists the ``i_ab`` to walk;
-    by default all of them, in order.
-
-    The ``a x c`` index of an orbit of ``omega.atom x c`` depends only on
-    that orbit and ``p = omega.proj1``: it is where ``p x 1`` sends it, and
-    likewise its ``b x c`` index under ``omega.proj2``.  So both are read
-    off the ``pair_images`` tables of the two projections, which orbits of
-    ``a x b`` with a common projection share, and which ``linmat.matmul``
-    shares too."""
-    at_a, at_b = ({o.label: k for k, o in
-                   enumerate(backend.product_decompose(target, c))}
-                  for target in (a, b))
-    # per orbit, the labels are mapped to indices in C: a Python loop over
-    # the orbits of a x b x c costs the suites a few percent
-    label = operator.itemgetter(0)
-    orbits = backend.product_decompose(a, b)
-    for i_ab in range(len(orbits)) if rows is None else rows:
-        omega = orbits[i_ab]
-        yield from zip(
-            itertools.repeat(i_ab),
-            map(at_b.__getitem__, map(label, pair_images(backend, omega.proj2, c))),
-            map(at_a.__getitem__, map(label, pair_images(backend, omega.proj1, c))),
-            backend.product_decompose(omega.atom, c))
+def triple_row(backend, omega, c):
+    """The orbits of ``a x b x c`` over an orbit ``omega`` of ``a x b``:
+    those of ``omega.atom x c`` in ``product_decompose`` order, each as
+    ``(orbit, to_bc, to_ac)``, the label of its ``b x c`` (or ``a x c``)
+    orbit and its map onto that orbit's atom.  These are where
+    ``omega.proj2 x 1`` (or ``omega.proj1 x 1``) sends it, so they are read
+    off the ``pair_images`` tables of the two projections."""
+    return zip(backend.product_decompose(omega.atom, c),
+               pair_images(backend, omega.proj2, c),
+               pair_images(backend, omega.proj1, c))
 
 
 def triple_table(backend, a, b, c):
@@ -419,6 +401,7 @@ def triple_table(backend, a, b, c):
     ``a x b`` and ``i_bc`` of ``b x c``, indices in ``product_decompose``
     order.  A tuple of tuples with one row per orbit of ``a x b`` and one
     entry per orbit of ``b x c``, none of them 0, built by
-    ``backend._triple_table`` and kept in the backend cache under
-    ``("triples", a, b, c)``."""
+    ``backend._triple_table`` (a walk of every ``triple_row`` on ``finite``,
+    composed from labels on ``sym`` and ``line``) and kept in the backend
+    cache under ``("triples", a, b, c)``."""
     return backend._memo(("triples", a, b, c), backend._triple_table, a, b, c)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from .base import Atom, AtomMap, Backend, LinearRelation, ProductOrbit
+from .base import Atom, AtomMap, Backend, LinearRelation, ProductOrbit, triple_row
 
 BACKEND_ID = "finite"
 
@@ -347,6 +347,21 @@ class FiniteBackend(Backend):
         orbit = orbits[k]
         data = tuple(lookup[pair][1] for pair in zip(f.data, g.data))
         return orbit.label, AtomMap(f.source, orbit.atom, data)
+
+    def _triple_table(self, a, b, c):
+        """``triple_table`` by a walk of every ``triple_row`` of ``a x b x c``:
+        a triple orbit of a finite group need not be the only one over its
+        three pair orbits.  One dict per pair maps labels to b x c indices
+        and a x c bits."""
+        at_bc = {o.label: k for k, o in enumerate(self.product_decompose(b, c))}
+        bit_ac = {o.label: 1 << k for k, o in enumerate(self.product_decompose(a, c))}
+        rows = []
+        for omega in self.product_decompose(a, b):
+            row = [0] * len(at_bc)
+            for _orbit, (label_bc, _), (label_ac, _) in triple_row(self, omega, c):
+                row[at_bc[label_bc]] |= bit_ac[label_ac]
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def swap_label(self, a, b, label):
         orbit = self.product_decompose(a, b)[int(label[1:])]

@@ -38,12 +38,12 @@ so no table of where each flat position lands is kept.  Which triples of pair
 orbits occur on ``X x X x X`` is ``gset.base.triple_table``.
 
 ``matmul`` reads the triple orbits over a pair of entries from
-``_completions``.  The triple orbits of ``z x y x x`` over an orbit
-``orbit_zy`` of ``z x y`` are the orbits of ``orbit_zy.atom x x``, and
-their (z, x) and (y, x) marginals are the ``gset.base.pair_images`` tables
-of ``orbit_zy.proj1`` and ``orbit_zy.proj2`` against x.  A label pair keeps,
-in table order, the (z, x) entries whose (y, x) label it names.  The tables
-are the ones the ``finite`` triple tables walk; ``sym`` and ``line`` compose
+``gset.base.triple_row``.  The triple orbits of ``z x y x x`` over an orbit
+``orbit_zy`` of ``z x y`` are its row against x, and each names its (y, x)
+and (z, x) marginals, read off the ``pair_images`` tables of
+``orbit_zy.proj2`` and ``orbit_zy.proj1``.  A pair of entries keeps, in row
+order, the orbits whose (y, x) label is the source entry's.  The tables are
+the ones the ``finite`` triple tables walk; ``sym`` and ``line`` compose
 their triple tables from labels and read none of them.  ``linmat`` keeps
 no cache of triple orbits of its own.
 """
@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 from .coeff import one, zero
 from .errors import ShapeMismatch
-from .gset.base import GMap, GObject, pair_images
+from .gset.base import GMap, GObject, orbit_by_label, triple_row
 
 
 class PSPosition(NamedTuple):
@@ -212,20 +212,6 @@ def transpose(matrix):
     return InvariantMatrix(backend, matrix.target, matrix.source, entries)
 
 
-def _completions(backend, z, y, x, label_zy, label_yx):
-    """Triple orbits of z x y x x with the two prescribed marginals, with the
-    factor map of the (z, x) marginal: a tuple of (label_zx, map onto the
-    marginal orbit atom), in the order ``product_decompose(orbit_zy.atom,
-    x)`` lists the orbits.  Both marginals are read off the ``pair_images``
-    tables of the projections of ``orbit_zy``."""
-    orbit_zy = next(o for o in backend.product_decompose(z, y) if o.label == label_zy)
-    return tuple(
-        to_zx for to_zx, (label, _) in zip(
-            pair_images(backend, orbit_zy.proj1, x),
-            pair_images(backend, orbit_zy.proj2, x))
-        if label == label_yx)
-
-
 def matmul(measure, b, a):
     """Integral matrix product: (BA)(z, x) integrates B(z, y) A(y, x) over y."""
     if a.target != b.source:
@@ -241,7 +227,10 @@ def matmul(measure, b, a):
             z = b.target.atoms[iz]
             y = a.target.atoms[iy]
             x = a.source.atoms[ix]
-            for label_zx, g in _completions(backend, z, y, x, label_zy, label_yx):
+            orbit_zy = orbit_by_label(backend, z, y, label_zy)
+            for _orbit, (label, _), (label_zx, g) in triple_row(backend, orbit_zy, x):
+                if label != label_yx:
+                    continue
                 term = b_val * a_val * measure.mu_map(g)
                 key = (iz, ix, label_zx)
                 out[key] = out[key] + term if key in out else term
@@ -291,8 +280,8 @@ def block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
         tsub, ssub = sub_tgt[k], sub_src[k]
         out = []
         for (t, s, label), value in mats[k].entries.items():
-            orbit = next(o for o in backend.product_decompose(
-                tsub.object.atoms[t], ssub.object.atoms[s]) if o.label == label)
+            orbit = orbit_by_label(backend, tsub.object.atoms[t],
+                                   ssub.object.atoms[s], label)
             out.append((
                 orbit.atom, value,
                 along([projection(tsub, t, j) for j in range(len(tsub.factors))],

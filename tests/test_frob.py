@@ -23,7 +23,7 @@ from oligoperm.frob import (
     verify_frobenius,
 )
 from oligoperm.gset import LINE, SYM, GMap, preset_backend
-from oligoperm.gset.base import triple_orbits
+from oligoperm.gset.base import triple_row
 from oligoperm import frob, linmat
 from oligoperm.linmat import (
     InvariantMatrix,
@@ -496,30 +496,32 @@ def test_triple_coherence_matches_reference(eidem_cases, eidem_wirings, case,
     assert result.witness == expected
 
 
-def full_walk_witness(backend, x, gamma, field):
-    """The triple-coherence witness off a ``triple_orbits`` walk of every
-    row of every atom triple of X: the minimum of (orbit atom, 12 position,
-    third factor, orbit label) over the orbits where the three products of
-    gamma's values differ, or {} when there is none."""
+def full_walk_keys(backend, x):
+    """Every orbit of every atom triple of X, off a ``triple_row`` walk of
+    every row, as (orbit atom, 12 position, third factor, orbit label, 13
+    position, 23 position), sorted.  The keys do not depend on gamma."""
     ps2 = tensor_space(backend, [x, x])
-    z = zero(field)
     atoms = x.atoms
-    where = {(i, j): [ps2.index[(i, j, o.label)]
-                      for o in backend.product_decompose(atoms[i], atoms[j])]
-             for i in range(len(atoms)) for j in range(len(atoms))}
+    return sorted(
+        (orbit.atom, ps2.index[i, j, omega.label], k, orbit.label,
+         ps2.index[i, k, to_13[0]], ps2.index[j, k, to_23[0]])
+        for i, j, k in itertools.product(range(len(atoms)), repeat=3)
+        for omega in backend.product_decompose(atoms[i], atoms[j])
+        for orbit, to_23, to_13 in triple_row(backend, omega, atoms[k]))
+
+
+def full_walk_witness(keys, ps2, gamma, field):
+    """The triple-coherence witness off the ``full_walk_keys`` of X: the
+    first key, hence the minimum of (orbit atom, 12 position, third factor,
+    orbit label) over the orbits where the three products of gamma's values
+    differ, or {} when there is none."""
+    z = zero(field)
 
     def incoherent(h12, h13, h23):
         v12, v13, v23 = (gamma.coeffs.get(h, z) for h in (h12, h13, h23))
         return not v12 * v23 == v12 * v13 == v13 * v23
 
-    first = min(
-        ((orbit.atom, h12, k, orbit.label, h13, h23)
-         for i, j, k in itertools.product(range(len(atoms)), repeat=3)
-         for i_12, i_23, i_13, orbit in triple_orbits(
-             backend, atoms[i], atoms[j], atoms[k])
-         for h12, h13, h23 in [(where[i, j][i_12], where[i, k][i_13],
-                                where[j, k][i_23])]
-         if incoherent(h12, h13, h23)), default=None)
+    first = next((key for key in keys if incoherent(key[1], *key[4:])), None)
     if first is None:
         return {}
     atom, h12, _k, _label, h13, h23 = first
@@ -530,15 +532,26 @@ def full_walk_witness(backend, x, gamma, field):
     return witness
 
 
+@pytest.fixture(scope="module")
+def eidem_walks():
+    """Per case of ``eidem_cases``, its ``full_walk_keys``, built on first
+    use: on line:inc[3] they walk 16,081 orbits."""
+    return {}
+
+
 @pytest.mark.parametrize("case", [
     "sym:inj[2]", "sym:inj[3]", "sym:inj[1]+inj[1]", "line:inc[2]",
     "line:inc[3]", "S3:degree-3", "S3:degree-6", "S3:degree-2+3"])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_coherence_witness_matches_full_walk(eidem_cases, case, data):
+def test_coherence_witness_matches_full_walk(eidem_cases, eidem_walks, case,
+                                            data):
     """A failing gamma's witness, found by walking the failing rows alone,
     is the one a walk of every row of every atom triple finds."""
     backend, x, measure = eidem_cases[case]
+    keys = eidem_walks.get(case)
+    if keys is None:
+        keys = eidem_walks[case] = full_walk_keys(backend, x)
     field = measure.field
     ps2 = tensor_space(backend, [x, x])
     values = [one(field), Scalar.from_int(field, 2)]
@@ -548,7 +561,7 @@ def test_coherence_witness_matches_full_walk(eidem_cases, case, data):
     gamma = SchwartzFn(ps2.object, drawn)
     result = e_idempotent_check(backend, x, gamma, measure).result(
         "triple-coherence")
-    expected = full_walk_witness(backend, x, gamma, field)
+    expected = full_walk_witness(keys, ps2, gamma, field)
     assume(expected)
     assert not result.passed
     assert result.witness == expected

@@ -29,16 +29,16 @@ from oligoperm.gset.finite import (
 from oligoperm.gset.base import (
     Atom,
     AtomMap,
-    Backend,
     ProductOrbit,
     agreeing_orbits,
     pair_images,
-    triple_orbits,
+    triple_row,
     triple_table,
 )
 from oligoperm.gset.symmetric import _matching_label
 from oligoperm.linmat import multi_factor, projection, tensor_space
 from oligoperm.oracle import finite_orbit_count_on_pairs
+from test_linmat import reference_completions
 
 
 def delannoy(m, n):
@@ -477,8 +477,8 @@ def brute_triple_table(backend, a, b, c):
 @pytest.mark.parametrize("name", list(TRIPLE_BACKENDS))
 def test_triple_table_matches_brute_force(name):
     """Every atom triple, equal atoms or not: the table built cold equals
-    the brute-force read, the walk meets each orbit of a x b x c once, and a
-    reread returns the cached table itself."""
+    the brute-force read, the rows of ``triple_row`` meet each orbit of
+    a x b x c once, and a reread returns the cached table itself."""
     make, bound = TRIPLE_BACKENDS[name]
     backend = make()
     atoms = backend.atoms_up_to(bound)
@@ -487,7 +487,8 @@ def test_triple_table_matches_brute_force(name):
         want, size = brute_triple_table(backend, a, b, c)
         table = tables[a, b, c] = triple_table(backend, a, b, c)
         assert table == want, (a, b, c)
-        assert sum(1 for _ in triple_orbits(backend, a, b, c)) == size
+        assert sum(1 for omega in backend.product_decompose(a, b)
+                   for _ in triple_row(backend, omega, c)) == size
     for (a, b, c), table in tables.items():
         assert triple_table(backend, a, b, c) is table
     assert len({len(t) for t in tables.values()}) > 1
@@ -528,19 +529,44 @@ def per_orbit_triple_orbits(backend, a, b, c):
             yield i_ab, index_bc[l_bc], index_ac[l_ac], orbit.label
 
 
-@pytest.mark.parametrize("name", list(TRIPLE_BACKENDS))
-def test_triple_orbits_match_per_orbit_walk(name):
-    """The walk through per-projection image tables yields the reference's
-    index triples and orbits in the reference's order, on every atom
-    triple, equal atoms or not."""
-    make, bound = TRIPLE_BACKENDS[name]
-    backend = make()
-    atoms = backend.atoms_up_to(bound)
-    for a, b, c in itertools.product(atoms, repeat=3):
-        got = [(i_ab, i_bc, i_ac, orbit.label)
-               for i_ab, i_bc, i_ac, orbit in triple_orbits(backend, a, b, c)]
-        assert got == list(per_orbit_triple_orbits(backend, a, b, c)), \
+# a fresh backend, the atom bound of the per-orbit walk and that of the walk
+# per label pair of ``tests/test_linmat.py``
+TRIPLE_ROW_BACKENDS = {
+    "sym": (SymBackend, 3, 2),
+    "line": (LineBackend, 3, 2),
+    "S3": (lambda: preset_backend("S3"), 6, 6),
+    "C2x4": (lambda: preset_backend("C2x4"), 6, 6),
+}
+
+
+@pytest.mark.parametrize("name", list(TRIPLE_ROW_BACKENDS))
+def test_triple_row_matches_both_walks(name):
+    """``triple_row`` against two walks on a second backend, equal atoms or
+    not.  On every atom triple, its rows over the orbits of a x b yield the
+    per-orbit walk's index triples and orbits in that walk's order.  On
+    every label pair of every atom triple, the row over the (z, y) orbit
+    keeps, in order, the (z, x) labels and maps that ``matmul`` reads."""
+    make, walk_bound, pair_bound = TRIPLE_ROW_BACKENDS[name]
+    backend, reference = make(), make()
+    for a, b, c in itertools.product(backend.atoms_up_to(walk_bound), repeat=3):
+        index_bc, index_ac = ({o.label: k for k, o in enumerate(
+            backend.product_decompose(target, c))} for target in (b, a))
+        got = [(i_ab, index_bc[to_bc[0]], index_ac[to_ac[0]], orbit.label)
+               for i_ab, omega in enumerate(backend.product_decompose(a, b))
+               for orbit, to_bc, to_ac in triple_row(backend, omega, c)]
+        assert got == list(per_orbit_triple_orbits(reference, a, b, c)), \
             (a, b, c)
+    compared = 0
+    for z, y, x in itertools.product(backend.atoms_up_to(pair_bound), repeat=3):
+        for o_zy in backend.product_decompose(z, y):
+            row = list(triple_row(backend, o_zy, x))
+            for o_yx in backend.product_decompose(y, x):
+                got = tuple(to_zx for _orbit, (label, _), to_zx in row
+                            if label == o_yx.label)
+                assert got == reference_completions(reference, z, y, x,
+                                                    o_zy.label, o_yx.label)
+                compared += bool(got)
+    assert compared
 
 
 def count_calls(monkeypatch, backend, name):
@@ -557,14 +583,15 @@ def count_calls(monkeypatch, backend, name):
 
 
 def test_triple_table_factors_once_per_projection(monkeypatch):
-    """The walk behind the default triple table (the one ``finite`` builds)
-    factors the orbits of omega.atom x c once per distinct projection of an
-    omega, not twice per orbit of the triple product: on inc[3]^3, 16,081
-    orbits, 32,162 factorings."""
+    """Walking every ``triple_row`` of a triple product, as the ``finite``
+    triple table does, factors the orbits of omega.atom x c once per
+    distinct projection of an omega, not twice per orbit of the triple
+    product: on inc[3]^3, 16,081 orbits, 32,162 factorings."""
     backend = LineBackend()
     x = backend.atom_of_arity(3)
     calls = count_calls(monkeypatch, backend, "product_factor")
-    assert Backend._triple_table(backend, x, x, x)
+    assert sum(1 for omega in backend.product_decompose(x, x)
+               for _ in triple_row(backend, omega, x)) == 16_081
     assert 0 < len(calls) <= 11_000
 
 
@@ -573,15 +600,16 @@ def test_triple_table_factors_once_per_projection(monkeypatch):
 def test_composed_triple_table_matches_walk(make, monkeypatch):
     """On sym and line the triple table is composed from the labels of
     a x b and b x c: on every atom triple within degree 3, equal atoms or
-    not, it equals the table of a walk over ``triple_orbits`` on a second
-    backend, and building it factors and composes no map."""
+    not, it equals the table of the per-orbit walk on a second backend,
+    and building it factors and composes no map."""
     backend, reference = make(), make()
     factored = count_calls(monkeypatch, backend, "product_factor")
     composed = count_calls(monkeypatch, backend, "compose_maps")
     for a, b, c in itertools.product(backend.atoms_up_to(3), repeat=3):
         want = [[0] * len(reference.product_decompose(b, c))
                 for _ in reference.product_decompose(a, b)]
-        for i_ab, i_bc, i_ac, _orbit in triple_orbits(reference, a, b, c):
+        for i_ab, i_bc, i_ac, _label in per_orbit_triple_orbits(
+                reference, a, b, c):
             want[i_ab][i_bc] |= 1 << i_ac
         assert triple_table(backend, a, b, c) == tuple(map(tuple, want)), \
             (a, b, c)
@@ -722,15 +750,22 @@ def test_product_cache_dies_with_backend(make, tags):
     assert ref() is None
 
 
-def cache_accesses(path):
-    """``(enclosing function, line)`` of every attribute ``cache`` a module
-    names, ``functools.cache`` aside."""
-    tree = ast.parse(path.read_text())
+def enclosing_functions(tree):
+    """Each node of a module's tree mapped to the name of its outermost
+    enclosing function; module-level nodes are absent."""
     owner = {}
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(func):
                 owner.setdefault(node, func.name)
+    return owner
+
+
+def cache_accesses(path):
+    """``(enclosing function, line)`` of every attribute ``cache`` a module
+    names, ``functools.cache`` aside."""
+    tree = ast.parse(path.read_text())
+    owner = enclosing_functions(tree)
     return [(owner.get(node), node.lineno) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "cache"
             and not (isinstance(node.value, ast.Name)
@@ -750,6 +785,27 @@ def test_only_backend_memo_touches_the_cache():
     assert outside == set()
     assert {func for func, _line in cache_accesses(base)} == {
         "__init__", "_memo"}
+
+
+def test_only_triple_row_reads_pair_images():
+    """Under ``src/oligoperm`` the name ``pair_images`` (defined, imported,
+    called or read as an attribute) occurs only in its own definition and
+    in ``triple_row``, the one walk of triple orbits, so a second walk of
+    the image tables cannot come back."""
+    package = Path(oligoperm.__file__).parent
+    uses = set()
+    for path in package.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = enclosing_functions(tree)
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else getattr(node, "name", None))
+            if name == "pair_images":
+                uses.add((path.relative_to(package).as_posix(),
+                          owner.get(node)))
+    assert uses == {("gset/base.py", "pair_images"),
+                    ("gset/base.py", "triple_row")}
 
 
 @pytest.mark.parametrize("make, bound", [

@@ -575,7 +575,8 @@ def test_pushforward_surjective_zero_fiber_leaves_position_unhit():
         pushforward_surjective_on_invariants(no_fibers, covered)
 
 
-# triple-orbit completions against one walk per label pair
+# triple-orbit completions by one walk per label pair, the reference that
+# ``tests/test_gset.py`` holds ``gset.base.triple_row`` to
 
 
 def reference_completions(backend, z, y, x, label_zy, label_yx):
@@ -592,31 +593,6 @@ def reference_completions(backend, z, y, x, label_zy, label_yx):
         to_z = backend.compose_maps(orbit_zy.proj1, orbit.proj1)
         out.append(backend.product_factor(to_z, orbit.proj2))
     return tuple(out)
-
-
-COMPLETION_BACKENDS = {
-    "sym": (type(SYM), 2),
-    "line": (type(LINE), 2),
-    "S3": (lambda: preset_backend("S3"), 6),
-    "C2x4": (lambda: preset_backend("C2x4"), 6),
-}
-
-
-@pytest.mark.parametrize("name", list(COMPLETION_BACKENDS))
-def test_completions_match_walk_per_label_pair(name):
-    make, bound = COMPLETION_BACKENDS[name]
-    backend, reference = make(), make()
-    atoms = backend.atoms_up_to(bound)
-    compared = 0
-    for z, y, x in itertools.product(atoms, repeat=3):
-        for o_zy in backend.product_decompose(z, y):
-            for o_yx in backend.product_decompose(y, x):
-                got = linmat._completions(backend, z, y, x,
-                                          o_zy.label, o_yx.label)
-                assert got == reference_completions(reference, z, y, x,
-                                                    o_zy.label, o_yx.label)
-                compared += bool(got)
-    assert compared
 
 
 def count_product_factor(monkeypatch, cls):
@@ -637,11 +613,11 @@ def count_product_factor(monkeypatch, cls):
     (lambda: preset_backend("S3"), lambda backend: backend.atoms_up_to(6), True),
 ], ids=["sym", "line", "S3"])
 def test_completions_share_triple_table_images(make, pick, walked, monkeypatch):
-    """``matmul``'s completions over x x x x x factor each image table they
-    read once, however many label pairs read it.  S3's triple table of x
-    walks those tables, so after it the completions factor nothing (a
-    separate completion walk made 92 calls).  The sym and line triple tables
-    are composed from labels and factor nothing, so there the completions
+    """The ``triple_row`` reads of ``matmul`` over x x x x x factor each
+    image table they read once, however many label pairs read it.  S3's
+    triple table of x walks those rows, so after it the reads factor nothing
+    (a separate completion walk made 92 calls).  The sym and line triple
+    tables are composed from labels and factor nothing, so there the reads
     factor each table of a projection of an orbit of x x x once, in the
     first pass over the label pairs, and nothing in a second."""
     backend = make()
@@ -658,10 +634,10 @@ def test_completions_share_triple_table_images(make, pick, walked, monkeypatch):
         del calls[:]
         pairs = 0
         for x in atoms:
-            labels = [o.label for o in backend.product_decompose(x, x)]
-            for label_zy, label_yx in itertools.product(labels, repeat=2):
-                pairs += bool(linmat._completions(backend, x, x, x,
-                                                  label_zy, label_yx))
+            orbits = backend.product_decompose(x, x)
+            for omega, o_yx in itertools.product(orbits, repeat=2):
+                pairs += any(label == o_yx.label for _orbit, (label, _), _to_zx
+                             in gset_base.triple_row(backend, omega, x))
         assert pairs and len(calls) == want
 
 
@@ -672,7 +648,7 @@ def test_completions_share_triple_table_images(make, pick, walked, monkeypatch):
 ], ids=["S4", "line", "sym"])
 def test_suite_factorings_stay_within_budget(make, bound, exact, monkeypatch):
     """A suite factors each projection's image table once, shared by the
-    triple tables of S4 and ``matmul``'s completions; the triple tables of
+    triple tables of S4 and ``matmul``'s triple rows; the triple tables of
     line and sym are composed from labels and factor nothing, and
     sum-tensor-traces factors only the few rows of its pairing product.
     The symmetric check of ``e_idempotent_check`` swaps labels and factors
