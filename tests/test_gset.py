@@ -38,7 +38,6 @@ from oligoperm.gset.base import (
 from oligoperm.gset.symmetric import _matching_label
 from oligoperm.linmat import multi_factor, projection, tensor_space
 from oligoperm.oracle import finite_orbit_count_on_pairs
-from test_linmat import reference_completions
 
 
 def delannoy(m, n):
@@ -529,26 +528,21 @@ def per_orbit_triple_orbits(backend, a, b, c):
             yield i_ab, index_bc[l_bc], index_ac[l_ac], orbit.label
 
 
-# a fresh backend, the atom bound of the per-orbit walk and that of the walk
-# per label pair of ``tests/test_linmat.py``
-TRIPLE_ROW_BACKENDS = {
-    "sym": (SymBackend, 3, 2),
-    "line": (LineBackend, 3, 2),
-    "S3": (lambda: preset_backend("S3"), 6, 6),
-    "C2x4": (lambda: preset_backend("C2x4"), 6, 6),
+# the backends of ``test_triple_table_matches_brute_force`` and C2x4
+PER_ORBIT_BACKENDS = {
+    **TRIPLE_BACKENDS,
+    "C2x4": (lambda: preset_backend("C2x4"), 6),
 }
 
 
-@pytest.mark.parametrize("name", list(TRIPLE_ROW_BACKENDS))
-def test_triple_row_matches_both_walks(name):
-    """``triple_row`` against two walks on a second backend, equal atoms or
-    not.  On every atom triple, its rows over the orbits of a x b yield the
-    per-orbit walk's index triples and orbits in that walk's order.  On
-    every label pair of every atom triple, the row over the (z, y) orbit
-    keeps, in order, the (z, x) labels and maps that ``matmul`` reads."""
-    make, walk_bound, pair_bound = TRIPLE_ROW_BACKENDS[name]
+@pytest.mark.parametrize("name", list(PER_ORBIT_BACKENDS))
+def test_triple_orbits_match_per_orbit_walk(name):
+    """The rows of ``triple_row`` over the orbits of a x b yield the index
+    triples and orbits of the per-orbit walk on a second backend, in that
+    walk's order, on every atom triple, equal atoms or not."""
+    make, bound = PER_ORBIT_BACKENDS[name]
     backend, reference = make(), make()
-    for a, b, c in itertools.product(backend.atoms_up_to(walk_bound), repeat=3):
+    for a, b, c in itertools.product(backend.atoms_up_to(bound), repeat=3):
         index_bc, index_ac = ({o.label: k for k, o in enumerate(
             backend.product_decompose(target, c))} for target in (b, a))
         got = [(i_ab, index_bc[to_bc[0]], index_ac[to_ac[0]], orbit.label)
@@ -556,17 +550,6 @@ def test_triple_row_matches_both_walks(name):
                for orbit, to_bc, to_ac in triple_row(backend, omega, c)]
         assert got == list(per_orbit_triple_orbits(reference, a, b, c)), \
             (a, b, c)
-    compared = 0
-    for z, y, x in itertools.product(backend.atoms_up_to(pair_bound), repeat=3):
-        for o_zy in backend.product_decompose(z, y):
-            row = list(triple_row(backend, o_zy, x))
-            for o_yx in backend.product_decompose(y, x):
-                got = tuple(to_zx for _orbit, (label, _), to_zx in row
-                            if label == o_yx.label)
-                assert got == reference_completions(reference, z, y, x,
-                                                    o_zy.label, o_yx.label)
-                compared += bool(got)
-    assert compared
 
 
 def count_calls(monkeypatch, backend, name):

@@ -575,8 +575,8 @@ def test_pushforward_surjective_zero_fiber_leaves_position_unhit():
         pushforward_surjective_on_invariants(no_fibers, covered)
 
 
-# triple-orbit completions by one walk per label pair, the reference that
-# ``tests/test_gset.py`` holds ``gset.base.triple_row`` to
+# the triple-orbit completions of ``gset.base.triple_row`` against one walk
+# per label pair
 
 
 def reference_completions(backend, z, y, x, label_zy, label_yx):
@@ -593,6 +593,34 @@ def reference_completions(backend, z, y, x, label_zy, label_yx):
         to_z = backend.compose_maps(orbit_zy.proj1, orbit.proj1)
         out.append(backend.product_factor(to_z, orbit.proj2))
     return tuple(out)
+
+
+COMPLETION_BACKENDS = {
+    "sym": (type(SYM), 2),
+    "line": (type(LINE), 2),
+    "S3": (lambda: preset_backend("S3"), 6),
+    "C2x4": (lambda: preset_backend("C2x4"), 6),
+}
+
+
+@pytest.mark.parametrize("name", list(COMPLETION_BACKENDS))
+def test_completions_match_walk_per_label_pair(name):
+    """On every label pair of every atom triple, the ``triple_row`` of the
+    (z, y) orbit keeps, in order, the (z, x) labels and maps of the walk per
+    label pair on a second backend: what ``matmul`` reads."""
+    make, bound = COMPLETION_BACKENDS[name]
+    backend, reference = make(), make()
+    compared = 0
+    for z, y, x in itertools.product(backend.atoms_up_to(bound), repeat=3):
+        for o_zy in backend.product_decompose(z, y):
+            row = list(gset_base.triple_row(backend, o_zy, x))
+            for o_yx in backend.product_decompose(y, x):
+                got = tuple(to_zx for _orbit, (label, _), to_zx in row
+                            if label == o_yx.label)
+                assert got == reference_completions(reference, z, y, x,
+                                                    o_zy.label, o_yx.label)
+                compared += bool(got)
+    assert compared
 
 
 def count_product_factor(monkeypatch, cls):
