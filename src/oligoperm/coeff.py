@@ -14,9 +14,12 @@ monic-denominator form over Q, the form reports print.
 Sums and products cancel across their operands before they multiply
 (Henrici's method, as in ``fractions.Fraction``), so a gcd of polynomials runs
 only when both have positive degree; against a constant it costs integer gcds
-at most.  Polynomials are dense coefficient tuples, low degree first, with no
-trailing zeros.  Degrees in this package stay small (a few dozen at most), so
-nothing sparse is needed.
+at most.  A product with the field's one as an operand is the other operand
+and runs no gcd at all (``Scalar.__mul__``): orbit indicators, pullbacks and
+running products of fiber measures make most of the products over Q(t).
+Polynomials are dense coefficient tuples, low degree first, with no trailing
+zeros.  Degrees in this package stay small (a few dozen at most), so nothing
+sparse is needed.
 
 ``Field`` and ``Scalar`` are immutable named tuples.  Every checker builds,
 hashes and compares scalars by the thousand, and a named tuple hashes and
@@ -298,11 +301,19 @@ class Scalar(NamedTuple):
         return (-self) + other
 
     def __mul__(self, other):
+        """The cross-cancelled product.  When either operand is the field's
+        one (a fraction with num == den), it is the other operand, with no
+        gcd.  That test follows ``_check``, so an int is coerced first and a
+        one of another field raises ``FieldMismatch``."""
         other = self._check(other)
         if other is NotImplemented:
             return other
         field = self.field
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if n2 == d2:
+            return self
+        if n1 == d1:
+            return other
         if field.kind == "rational":
             g1, g2 = gcd(n1, d2), gcd(n2, d1)
             return Scalar(field, (n1 // g1) * (n2 // g2),

@@ -106,6 +106,10 @@ class RowProduct:
         self.left = tensor_space(backend, self.factors[:-1])
         self.object, self.atoms = self, {}
 
+    def render(self):
+        """Its factors, since its orbits are not enumerated."""
+        return " x ".join(f"({f.render()})" for f in self.factors)
+
 
 def projection(space, p, i):
     """Position ``p``'s projection onto factor ``i``: the position in that
@@ -228,10 +232,12 @@ def matmul(measure, b, a):
             y = a.target.atoms[iy]
             x = a.source.atoms[ix]
             orbit_zy = orbit_by_label(backend, z, y, label_zy)
+            # y is transitive, so every pair of entries has a completion
+            ba_val = b_val * a_val
             for _orbit, (label, _), (label_zx, g) in triple_row(backend, orbit_zy, x):
                 if label != label_yx:
                     continue
-                term = b_val * a_val * measure.mu_map(g)
+                term = ba_val * measure.mu_map(g)
                 key = (iz, ix, label_zx)
                 out[key] = out[key] + term if key in out else term
     return InvariantMatrix(backend, a.source, b.target, out)
@@ -254,7 +260,8 @@ def block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
     more blocks the product nests from the left.  Each triple carries maps
     from its atom onto every factor of both sides, composed down one level
     per block, and is placed by one ``multi_factor`` into each side's
-    product and one ``product_factor`` of the two induced maps.
+    product and one ``product_factor`` of the two induced maps.  The value
+    of a pair of entries is multiplied once and shared by all its orbits.
     """
     backend = src_ps.backend
     sides = []
@@ -292,12 +299,15 @@ def block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
 
     partial = entries(0)
     for k in range(1, len(mats)):
-        partial = [(o.atom, v1 * v2,
-                    along(t1, o.proj1) + along(t2, o.proj2),
-                    along(s1, o.proj1) + along(s2, o.proj2))
-                   for a2, v2, t2, s2 in entries(k)
-                   for a1, v1, t1, s1 in partial
-                   for o in backend.product_decompose(a1, a2)]
+        grown = []
+        for a2, v2, t2, s2 in entries(k):
+            for a1, v1, t1, s1 in partial:
+                value = v1 * v2
+                grown.extend((o.atom, value,
+                              along(t1, o.proj1) + along(t2, o.proj2),
+                              along(s1, o.proj1) + along(s2, o.proj2))
+                             for o in backend.product_decompose(a1, a2))
+        partial = grown
     out = {}
     for _atom, value, tlegs, slegs in partial:
         w, gw = multi_factor(backend, [tlegs[j] for j in tgt_slot], tgt_ps)

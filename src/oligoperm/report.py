@@ -20,7 +20,8 @@ key, in sorted order, at which the two differ: ``target``, ``source`` and
 ``atom`` for a function, ``row`` and ``column`` for a literal matrix and
 nothing for a scalar, with both values rendered under ``lhs`` and ``rhs``
 (a missing entry renders as ``0``).  Sides of different shapes give
-``lhs-shape`` and ``rhs-shape`` instead.
+``lhs-shape`` and ``rhs-shape`` instead, each object rendered by its
+``render()`` (a ``linmat.RowProduct`` by its factors).
 """
 
 from __future__ import annotations

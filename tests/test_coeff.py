@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oligoperm import coeff
 from oligoperm.coeff import (
     MAX_CHAR,
     MAX_POWER_SIZE,
@@ -241,6 +242,36 @@ def test_constants_are_interned():
         assert zero(field).is_zero()
         assert one(field) == Scalar.from_int(field, 1)
         assert zero(field) == Scalar.from_int(field, 0)
+
+
+def test_unit_operand_returns_the_other_without_a_gcd(monkeypatch):
+    """A product with the field's one, as a Scalar or the int 1, on either
+    side, is the other operand and runs no gcd, polynomial or integer.  The
+    field check still comes first: a one of another field is refused."""
+    other_field = {RATIONAL: QT, QT: F7, F7: RATIONAL}
+    values = {}
+    for field in other_field:
+        values[field] = [zero(field), one(field), one(field) * 3 / 5]
+        if field is not RATIONAL:
+            x = Scalar.variable(field)
+            values[field] += [x, (x * x + 1) / (x - 2)]
+    gcds = []
+    for name in ("_p_gcd", "gcd"):
+        original = getattr(coeff, name)
+        monkeypatch.setattr(coeff, name, lambda *args, original=original: (
+            gcds.append(args), original(*args))[1])
+    for field, xs in values.items():
+        unit = one(field)
+        for x in xs:
+            for product in (x * unit, unit * x, x * 1, 1 * x):
+                assert product == x, (field, x)
+        assert gcds == [], field
+        foreign = one(other_field[field])
+        for x in xs:
+            with pytest.raises(FieldMismatch):
+                x * foreign
+            with pytest.raises(FieldMismatch):
+                foreign * x
 
 
 # Reports print scalars, so these strings are pinned byte for byte, quirks

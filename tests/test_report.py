@@ -1,8 +1,14 @@
 """The equality primitive: ``report.difference`` and ``report.equality``."""
 
 from oligoperm.coeff import RATIONAL, Scalar
-from oligoperm.gset import SYM
-from oligoperm.linmat import InvariantMatrix, SchwartzFn, identity_matrix
+from oligoperm.gset import LINE, SYM
+from oligoperm.linmat import (
+    InvariantMatrix,
+    RowProduct,
+    SchwartzFn,
+    identity_matrix,
+    tensor_space,
+)
 from oligoperm.report import CheckResult, difference, equality
 
 
@@ -63,3 +69,13 @@ def test_sides_of_different_shapes_name_both_shapes():
         "rhs-shape": "sym:inj[1] -> sym:inj[1]"}
     assert difference(SchwartzFn(X, {}), SchwartzFn(y, {})) == {
         "lhs-shape": "sym:inj[1] + sym:inj[2]", "rhs-shape": "sym:inj[1]"}
+
+
+def test_a_row_product_shape_renders_by_its_factors():
+    x = LINE.object_of([LINE.atom_of_arity(1)])
+    lhs = InvariantMatrix(LINE, x, RowProduct(LINE, [x, x, x]), {})
+    rhs = InvariantMatrix(LINE, x, tensor_space(LINE, [x, x]).object, {})
+    assert equality("probe", lhs, rhs) == CheckResult("probe", False, {
+        "lhs-shape": "line:inc[1] -> (line:inc[1]) x (line:inc[1]) x "
+                     "(line:inc[1])",
+        "rhs-shape": "line:inc[1] -> line:inc[1] + line:inc[2] + line:inc[2]"})
