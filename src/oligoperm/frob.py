@@ -240,12 +240,15 @@ def e_idempotent_check(backend, x, gamma, measure):
     other two are zero; if all three are nonzero, ac = ab and ab = bc cancel
     to c = b and a = c.  So the check multiplies nothing: it gives each
     distinct nonzero value of gamma an id and tests the distinct id triples
-    on the orbits of X x X x X.  It never builds X x X x X: per atom triple
-    of X it reads the rows of ``triple_table`` (per 12 orbit, the mask of
-    the 13 orbits that occur with each 23 orbit) and ORs each row's entries
-    by the ids of their 12 and 23 orbits, so the id triples are tested once
-    per pair of 12 and 23 ids rather than once per entry.  On a failure it
-    reports the first bad position in ``tensor_space([X, X, X])`` order: its
+    on the orbits of X x X x X.  It never builds X x X x X.  Per atom triple
+    of X it first forms, from the ids alone, for each 12 id a and 23 id c
+    the mask of the 13 orbits whose id b makes (a, b, c) incoherent; a
+    triple whose masks are all 0 cannot fail and reads no table.  Otherwise
+    it tests each row of ``triple_table`` (per 12 orbit, the mask of the 13
+    orbits that occur with each 23 orbit) once: the row fails when the OR
+    of its entries over the 23 orbits of some id c meets the mask of its
+    12 id and c.  On a failure it reports the first bad position in
+    ``tensor_space([X, X, X])`` order, found among the failing rows: its
     atom, its three pair orbits and gamma's three values there.
     """
     field = measure.field
@@ -280,6 +283,7 @@ def e_idempotent_check(backend, x, gamma, measure):
              for i in range(len(atoms)) for j in range(len(atoms))}
     bad = []
     for (i, j), at_ij in where.items():
+        ids_12 = [ids[h] for h in at_ij]
         for k in range(len(atoms)):
             by_id_23 = {}
             for i_23, h in enumerate(where[j, k]):
@@ -287,21 +291,23 @@ def e_idempotent_check(backend, x, gamma, measure):
             id_masks = {}
             for i_13, h in enumerate(where[i, k]):
                 id_masks[ids[h]] = id_masks.get(ids[h], 0) | 1 << i_13
-            # per (a, c), the union of the 13 masks of the entries whose 12
-            # and 23 orbits have ids a and c: (a, b, c) occurs exactly when
-            # that union meets b's 13 mask
-            unions = {}
+            # per 12 id a, the 23 columns of each id c with the mask of the
+            # 13 orbits whose id b makes (a, b, c) incoherent (the id masks
+            # are disjoint, so their sum is their union): a row fails when
+            # its entries over the columns meet the mask
+            tests = {a: [(cols, bad_13) for c, cols in by_id_23.items()
+                         for bad_13 in [sum(m for b, m in id_masks.items()
+                                            if not _coherent(a, b, c))]
+                         if bad_13]
+                     for a in set(ids_12)}
+            if not any(tests.values()):
+                continue  # no id triple here is incoherent
             table = triple_table(backend, atoms[i], atoms[j], atoms[k])
-            for i_12, row in enumerate(table):
-                a = ids[at_ij[i_12]]
-                for c, cols in by_id_23.items():
-                    if a or c:  # with g12 = g23 = 0 every position is coherent
-                        unions[a, c] = unions.get((a, c), 0) | reduce(
-                            or_, map(row.__getitem__, cols))
-            if not all(_coherent(a, b, c) for (a, c), union in unions.items()
-                       for b, m in id_masks.items() if union & m):
-                bad.append((i, j, k, list(_failing_rows(
-                    table, [ids[h] for h in at_ij], by_id_23, id_masks))))
+            rows = [i_12 for i_12, row in enumerate(table)
+                    if any(reduce(or_, map(row.__getitem__, cols)) & bad_13
+                           for cols, bad_13 in tests[ids_12[i_12]])]
+            if rows:
+                bad.append((i, j, k, rows))
     witness = {}
     if bad:
         witness = _coherence_witness(backend, ps2, gamma, ids, where, bad,
@@ -309,20 +315,6 @@ def e_idempotent_check(backend, x, gamma, measure):
     results.append(CheckResult("triple-coherence", not bad, witness))
 
     return Report("equivalence idempotent checks", results)
-
-
-def _failing_rows(table, ids_12, by_id_23, id_masks):
-    """The rows ``i_12`` of an atom triple's triple table that hold an
-    incoherent position: the union of the row's entries over the 23 orbits
-    of some id c meets the 13 mask of an id b with (a, b, c) incoherent, a
-    the row's 12 id."""
-    for i_12, row in enumerate(table):
-        a = ids_12[i_12]
-        if any(union & m and not _coherent(a, b, c)
-               for c, cols in by_id_23.items()
-               for union in [reduce(or_, map(row.__getitem__, cols))]
-               for b, m in id_masks.items()):
-            yield i_12
 
 
 def _coherence_witness(backend, ps2, gamma, ids, where, bad, field):

@@ -66,9 +66,10 @@ one over its pair orbits.  On ``sym`` and ``line`` it is, so there the table
 is composed from the labels of ``a x b`` and ``b x c`` (partial matchings
 through b, merge words cut at b's coordinates) and factors no map.  The
 pre-Galois closure reads the rows and their transpose as the composition
-table of the orbits of ``X x X``, and triple coherence ORs each row's
-entries by gamma's values on the pair orbits; both OR whole rows in C
-instead of probing one pair at a time.
+table of the orbits of ``X x X``, and triple coherence tests each row
+once, ORing its entries over the ``b x c`` orbits of each gamma value
+against the ``a x c`` orbits that value and the row's make incoherent;
+both OR whole rows in C instead of probing one pair at a time.
 
 Every record here (``Atom``, ``AtomMap``, ``ProductOrbit``,
 ``LinearRelation``, ``GObject`` and ``GMap``) is an immutable named tuple,
@@ -219,7 +220,7 @@ class Backend:
     def factorization_class_multisets(self, f):
         """All multisets of fiber classes over the admissible drop orders.
         By default only the canonical chain is admissible."""
-        return {self.mu_map_classes(f)}
+        return {tuple(sorted(self.elementary_factorize(f)))}
 
     def atom_chain_parent(self, a):
         """``(parent atom, fiber class)`` of a's canonical one-drop map, or
@@ -277,10 +278,6 @@ class Backend:
         """Whether the legs hit every target position: an equivariant map
         onto a transitive atom is always onto."""
         return {j for j, _m in f.legs} == set(range(len(f.target.atoms)))
-
-    def mu_map_classes(self, f):
-        """Fiber-class multiset of the canonical drop chain of an atom map."""
-        return tuple(sorted(self.elementary_factorize(f)))
 
 
 class TupleBackend(Backend):

@@ -52,16 +52,13 @@ class SymBackend(TupleBackend):
 
     def _decompose(self, a, b):
         n, m = a.degree, b.degree
-        orbits = []
-        for k in range(min(n, m) + 1):
-            for left in itertools.combinations(range(1, n + 1), k):
-                for right in itertools.permutations(range(1, m + 1), k):
-                    matching = tuple(sorted(zip(left, right)))
-                    if len({j for _, j in matching}) != k:
-                        continue
-                    orbits.append(matching)
-        orbits = sorted(set(orbits))
-        return tuple(self._orbit_of_matching(a, b, mu) for mu in orbits)
+        # a k-combination of a's coordinates zipped with a k-permutation of
+        # b's is a partial matching in a's order, each met once
+        matchings = sorted(tuple(zip(left, right))
+                           for k in range(min(n, m) + 1)
+                           for left in itertools.combinations(range(1, n + 1), k)
+                           for right in itertools.permutations(range(1, m + 1), k))
+        return tuple(self._orbit_of_matching(a, b, mu) for mu in matchings)
 
     def _orbit_of_matching(self, a, b, matching):
         n, m = a.degree, b.degree

@@ -106,6 +106,15 @@ class RowProduct:
         self.left = tensor_space(backend, self.factors[:-1])
         self.object, self.atoms = self, {}
 
+    def __eq__(self, other):
+        """Equal on one backend (by identity, as a ``ProductSpace``
+        compares it) and equal factors."""
+        return (isinstance(other, RowProduct) and self.backend is other.backend
+                and self.factors == other.factors)
+
+    def __hash__(self):
+        return hash((id(self.backend), self.factors))
+
     def render(self):
         """Its factors, since its orbits are not enumerated."""
         return " x ".join(f"({f.render()})" for f in self.factors)

@@ -449,9 +449,13 @@ def eidem_cases(mu_t, mu_line, s3, mu_s3):
         "sym:inj[2]": (SYM, sym_obj(2), mu_t),
         "sym:inj[3]": (SYM, sym_obj(3), mu_t),
         "sym:inj[1]+inj[1]": (SYM, SYM.object_of([sym1, sym1]), mu_t),
+        "sym:inj[1]+inj[2]": (SYM, SYM.object_of([sym1, SYM.atom_of_arity(2)]),
+                              mu_t),
         "line:inc[1]": (LINE, line_obj(1), mu_line),
         "line:inc[2]": (LINE, line_obj(2), mu_line),
         "line:inc[3]": (LINE, line_obj(3), mu_line),
+        "line:inc[1]+inc[2]": (LINE, LINE.object_of(
+            [LINE.atom_of_arity(1), LINE.atom_of_arity(2)]), mu_line),
         "S3:degree-3": (s3, s3.object_of([a3]), mu_s3),
         "S3:degree-6": (s3, s3.object_of([a6]), mu_s3),
         "S3:degree-2+3": (s3, s3.object_of([a2, a3]), mu_s3),
@@ -467,8 +471,8 @@ def eidem_wirings():
 
 @pytest.mark.parametrize("case", [
     "sym:inj[1]", "sym:inj[2]", "sym:inj[3]", "sym:inj[1]+inj[1]",
-    "line:inc[1]", "line:inc[2]", "line:inc[3]", "S3:degree-3",
-    "S3:degree-6", "S3:degree-2+3"])
+    "sym:inj[1]+inj[2]", "line:inc[1]", "line:inc[2]", "line:inc[3]",
+    "line:inc[1]+inc[2]", "S3:degree-3", "S3:degree-6", "S3:degree-2+3"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_triple_coherence_matches_reference(eidem_cases, eidem_wirings, case,
@@ -540,8 +544,9 @@ def eidem_walks():
 
 
 @pytest.mark.parametrize("case", [
-    "sym:inj[2]", "sym:inj[3]", "sym:inj[1]+inj[1]", "line:inc[2]",
-    "line:inc[3]", "S3:degree-3", "S3:degree-6", "S3:degree-2+3"])
+    "sym:inj[2]", "sym:inj[3]", "sym:inj[1]+inj[1]", "sym:inj[1]+inj[2]",
+    "line:inc[2]", "line:inc[3]", "line:inc[1]+inc[2]", "S3:degree-3",
+    "S3:degree-6", "S3:degree-2+3"])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_coherence_witness_matches_full_walk(eidem_cases, eidem_walks, case,

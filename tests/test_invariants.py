@@ -40,12 +40,13 @@ def test_fiber_class_multisets_concatenate():
         a, b, c = arity(3), arity(2), arity(1)
         for f in backend.hom_atoms(a, b):
             for g in backend.hom_atoms(b, c):
-                combined = tuple(sorted(backend.mu_map_classes(f)
-                                        + backend.mu_map_classes(g)))
+                combined = tuple(sorted(backend.elementary_factorize(f)
+                                        + backend.elementary_factorize(g)))
                 composite = backend.compose_maps(g, f)
                 assert combined in backend.factorization_class_multisets(composite)
                 if backend is SYM:
-                    assert combined == backend.mu_map_classes(composite)
+                    assert combined == tuple(sorted(
+                        backend.elementary_factorize(composite)))
 
 
 def test_finite_chain_multiplicativity():

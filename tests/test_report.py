@@ -1,7 +1,7 @@
 """The equality primitive: ``report.difference`` and ``report.equality``."""
 
 from oligoperm.coeff import RATIONAL, Scalar
-from oligoperm.gset import LINE, SYM
+from oligoperm.gset import LINE, SYM, LineBackend
 from oligoperm.linmat import (
     InvariantMatrix,
     RowProduct,
@@ -79,3 +79,19 @@ def test_a_row_product_shape_renders_by_its_factors():
         "lhs-shape": "line:inc[1] -> (line:inc[1]) x (line:inc[1]) x "
                      "(line:inc[1])",
         "rhs-shape": "line:inc[1] -> line:inc[1] + line:inc[2] + line:inc[2]"})
+
+
+def test_row_products_of_one_backend_and_factors_are_equal():
+    x = LINE.object_of([LINE.atom_of_arity(1)])
+    y = LINE.object_of([LINE.atom_of_arity(2)])
+
+    def on(backend, factors):
+        return InvariantMatrix(backend, x, RowProduct(backend, factors), {})
+
+    assert equality("probe", on(LINE, [x, x, x]), on(LINE, [x, x, x])) == \
+        CheckResult("probe", True)
+    assert len({RowProduct(LINE, [x, x, x]), RowProduct(LINE, [x, x, x])}) == 1
+    for other in (on(LINE, [x, x, y]), on(LINE, [x, x]),
+                  on(LineBackend(), [x, x, x])):
+        assert on(LINE, [x, x, x]) != other
+        assert not equality("probe", on(LINE, [x, x, x]), other).passed
