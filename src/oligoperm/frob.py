@@ -356,7 +356,8 @@ def gamma_of_projection(backend, f, measure):
     """Kernel-pair idempotent of a surjection, with its verifications.
 
     Checks that the indicator is an equivalence idempotent and that it is the
-    pullback along f x f of the splitting idempotent of the image."""
+    pullback along f x f of the splitting idempotent of the image.  That
+    pullback precomposes a function with ``f x f``, so no measure enters."""
     field = measure.field
     gamma = kernel_pair_gamma(backend, f, field)
     y, x = f.source, f.target
@@ -368,9 +369,8 @@ def gamma_of_projection(backend, f, measure):
     fxf = product_gmap(backend, f, f, ps2_y, ps2_x)
     frob_x = build_frobenius(backend, x, field)
     alpha_x = matmul(measure, frob_x.comult, frob_x.unit)
-    pulled = matmul(measure, pullback_matrix(backend, fxf, field), alpha_x)
     results.append(equality("pullback-of-target-splitting",
-                            column_to_fn(pulled), gamma))
+                            pullback_fn(fxf, column_to_fn(alpha_x)), gamma))
 
     return gamma, Report(
         f"kernel-pair idempotent of {y.render()} -> {x.render()}", results)

@@ -15,6 +15,11 @@ Conventions used throughout:
 * ``product_factor(f, g)`` factors a joint map ``(f, g): T -> a x b`` through
   the decomposition: it returns the label of the orbit hit by the image and
   the induced map from ``T`` onto the orbit atom.
+* ``product_images(backend, f, g)`` is the one image walk: where ``f x g``
+  sends each orbit of ``f.source x g.source``, one ``product_factor`` per
+  orbit.  ``pair_images`` keeps its tables for ``p x 1``,
+  ``linmat.product_gmap`` places them for each pair of legs and
+  ``measure.classify_measure`` reads them for ``1 x f``.
 * ``elementary_factorize(f)`` returns the fiber-class labels of one canonical
   chain of elementary drops that realizes the atom map, in drop order.  The
   measure of the map is the product of the class values.
@@ -32,11 +37,11 @@ finite backend's ``("hom", a, b)`` holds the tuple of maps ``a -> b``, its
 ``("pairs", a, b)`` its point-pair index and its ``("act", a)`` the
 permutation of a's points by every group element, one row per element
 index; ``pair_images`` keeps the
-image table of a projection ``p`` against an atom ``c`` under ``("images",
-p, c)``; ``triple_table`` keeps its table for atoms ``a, b, c`` under
-``("triples", a, b, c)``; ``linmat`` keeps its product spaces under
-``("space", factors)`` (a ``linmat.RowProduct`` is built per use and not
-kept).
+image table of a projection ``p`` against an atom ``c``, built by
+``product_images``, under ``("images", p, c)``; ``triple_table`` keeps its
+table for atoms ``a, b, c`` under ``("triples", a, b, c)``; ``linmat``
+keeps its product spaces under ``("space", factors)`` (a
+``linmat.RowProduct`` is built per use and not kept).
 
 ``agreeing_orbits(backend, f, g)`` is the one kernel-pair and fiber-product
 filter: the orbits of ``a x b`` on which two atom maps ``f: a -> c`` and
@@ -364,20 +369,23 @@ def orbit_by_label(backend, a, b, label):
     return next(o for o in backend.product_decompose(a, b) if o.label == label)
 
 
-def pair_images(backend, p, c):
-    """For each orbit ``o`` of ``p.source x c``, in ``product_decompose``
-    order, where ``p x 1`` sends it: the label of the orbit of
-    ``p.target x c`` hit by ``(p o o.proj1, o.proj2)`` and the map of ``o``
-    onto that orbit's atom, as ``product_factor`` returns them.  Kept in the
-    backend cache under ``("images", p, c)``."""
-    return backend._memo(("images", p, c), _pair_images, backend, p, c)
-
-
-def _pair_images(backend, p, c):
-    """``pair_images`` uncached."""
+def product_images(backend, f, g):
+    """Where ``f x g`` sends each orbit ``o`` of ``f.source x g.source``, in
+    ``product_decompose`` order: the label of the orbit of
+    ``f.target x g.target`` hit by ``(f o o.proj1, g o o.proj2)`` and the
+    map of ``o`` onto that orbit's atom, as ``product_factor`` returns
+    them.  Uncached."""
     return tuple(
-        backend.product_factor(backend.compose_maps(p, o.proj1), o.proj2)
-        for o in backend.product_decompose(p.source, c))
+        backend.product_factor(backend.compose_maps(f, o.proj1),
+                               backend.compose_maps(g, o.proj2))
+        for o in backend.product_decompose(f.source, g.source))
+
+
+def pair_images(backend, p, c):
+    """``product_images`` of ``p x 1`` for an atom c, kept in the backend
+    cache under ``("images", p, c)``."""
+    return backend._memo(("images", p, c), product_images, backend, p,
+                         backend.identity_map(c))
 
 
 def triple_row(backend, omega, c):

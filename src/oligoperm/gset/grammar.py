@@ -1,6 +1,7 @@
 """Textual grammar for objects and maps.
 
-Atoms: ``sym:inj[2]``, ``line:inc[3]``, ``finite:orbit#2``.
+Atoms: ``sym:inj[2]``, ``line:inc[3]``, ``finite:orbit#2``, each under its
+canonical label only (``sym:inj[02]`` is refused).
 Objects: atoms joined with ``+``; the empty object is ``<backend>:0``.
 Atom maps: ``SRC -> TGT : PATTERN`` where PATTERN is a selection list
 ``[2,1]``, a drop set ``drop{1,3}`` (complement selection in order), or a
@@ -20,13 +21,19 @@ def _backend(backends, backend_id):
 
 
 def parse_atom(backends, text, max_degree=None):
-    """Parse one atom; an atom of degree above ``max_degree`` is refused."""
+    """Parse one atom; a label that is not its atom's canonical one, such
+    as ``inj[03]``, and an atom of degree above ``max_degree`` are
+    refused."""
     text = text.strip()
     if ":" not in text:
         raise ValueError(f"atom expression needs a backend prefix: {text!r}")
     backend_id, label = text.split(":", 1)
     backend = _backend(backends, backend_id)
-    atom = backend.parse_atom_label(label.strip())
+    label = label.strip()
+    atom = backend.parse_atom_label(label)
+    if atom.label != label:
+        raise ValueError(f"atom label {label!r} is not canonical: "
+                         f"write {atom.render()}")
     if max_degree is not None and atom.degree > max_degree:
         raise ValueError(f"atom {atom.render()} has degree {atom.degree}, "
                          f"above the limit {max_degree}")
@@ -39,14 +46,14 @@ def parse_object(backends, text, max_degree=None):
     atoms = []
     for part in parts:
         if part.endswith(":0"):
-            backend = _backend(backends, part.split(":")[0])
-            continue
-        b, atom = parse_atom(backends, part, max_degree)
+            b = _backend(backends, part.split(":")[0])
+        else:
+            b, atom = parse_atom(backends, part, max_degree)
+            atoms.append(atom)
         if backend is None:
             backend = b
         elif b is not backend:
             raise ValueError("mixed backends in object expression")
-        atoms.append(atom)
     if backend is None:
         raise ValueError(f"cannot parse object expression {text!r}")
     return backend, GObject.of(backend.backend_id, atoms)

@@ -17,6 +17,9 @@ positions a caller visits.  Product spaces make the wiring maps (diagonals,
 coordinate permutations and collapses) and blocked tensor products of
 morphisms computable without any associator bookkeeping: every composite in
 the category layer is expressed against product spaces of its factors.
+``product_gmap`` maps between two-factor spaces only, and derives no
+projection: a row of ``Y1 x Y2`` is an orbit of its two atoms, so the map
+places ``gset.base.product_images`` of each pair of legs by row.
 
 A ``RowProduct`` is a product that is never enumerated or numbered: a
 matrix on it is keyed by rows (left position, right position, orbit label)
@@ -54,7 +57,8 @@ from typing import NamedTuple
 
 from .coeff import one, zero
 from .errors import ShapeMismatch
-from .gset.base import GMap, GObject, orbit_by_label, triple_row
+from .gset.base import (GMap, GObject, orbit_by_label, product_images,
+                        triple_row)
 
 
 class PSPosition(NamedTuple):
@@ -326,14 +330,18 @@ def block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
 
 
 def product_gmap(backend, f, g, src_ps, tgt_ps):
-    """The object-level map f x g between the given product spaces."""
-    legs = []
-    for p in range(len(src_ps.positions)):
-        (i, p1), (j, p2) = projection(src_ps, p, 0), projection(src_ps, p, 1)
-        ti, m1 = f.legs[i]
-        tj, m2 = g.legs[j]
-        maps = [(ti, backend.compose_maps(m1, p1)), (tj, backend.compose_maps(m2, p2))]
-        legs.append(multi_factor(backend, maps, tgt_ps))
+    """The object-level map f x g between two-factor product spaces
+    ``Y1 x Y2 -> X1 x X2``.  A row (i, j, label) of ``src_ps`` is an orbit
+    of the atoms at positions i and j, so each pair of legs places
+    ``product_images`` of its two atom maps, row by row, through the two
+    spaces' indexes."""
+    legs = [None] * len(src_ps.positions)
+    for i, (ti, m1) in enumerate(f.legs):
+        for j, (tj, m2) in enumerate(g.legs):
+            orbits = backend.product_decompose(m1.source, m2.source)
+            for o, (label, m) in zip(orbits, product_images(backend, m1, m2)):
+                legs[src_ps.index[(i, j, o.label)]] = (
+                    tgt_ps.index[(ti, tj, label)], m)
     return GMap(src_ps.object, tgt_ps.object, tuple(legs))
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .coeff import RATIONAL, Scalar, one, ratfunc_field, zero
 from .errors import InconsistentSystem, UnknownAtom
-from .gset.base import GMap
+from .gset.base import GMap, product_images
 from .report import CheckResult, Report, equality
 
 SOLVE_DEPTH_FACTOR = 4
@@ -340,7 +340,8 @@ def classify_measure(measure, bound):
     ``line`` atoms have no automorphisms but the identity.
 
     Each probe's legs are read off the orbits of W x a: an orbit o goes to the
-    orbit of W x b that factors (o.proj1, f o o.proj2).  Surjectivity is then
+    orbit of W x b that factors (o.proj1, f o o.proj2), as
+    ``gset.base.product_images`` of ``1 x f`` lists it.  Surjectivity is then
     a support count, not an elimination: the map is onto exactly when every
     target orbit is hit by a source orbit whose fiber measure is nonzero (see
     ``linmat.pushforward_surjective_on_invariants``).
@@ -364,12 +365,12 @@ def classify_measure(measure, bound):
                                                         backend.object_of([a])])
                     tgt = linmat.tensor_space(backend, [backend.object_of([w]),
                                                         backend.object_of([b])])
-                    legs = []
-                    for pos in src.positions:
-                        orbit = pos.orbit
-                        label, m = backend.product_factor(
-                            orbit.proj1, backend.compose_maps(f, orbit.proj2))
-                        legs.append((tgt.index[(0, 0, label)], m))
+                    legs = [None] * len(src.positions)
+                    images = product_images(backend, backend.identity_map(w), f)
+                    for o, (label, m) in zip(backend.product_decompose(w, a),
+                                             images):
+                        legs[src.index[(0, 0, o.label)]] = (
+                            tgt.index[(0, 0, label)], m)
                     gmap = GMap(src.object, tgt.object, tuple(legs))
                     if not linmat.pushforward_surjective_on_invariants(measure, gmap):
                         normal = False

@@ -379,6 +379,22 @@ def test_bad_atom_label_is_usage_error(capsys):
     assert_usage_error(capsys, ["dim", "--X", "sym:inj[x]"], "inj[x]")
 
 
+@pytest.mark.parametrize("argv, canonical", [
+    (["dim", "--X", "sym:inj[00003]"], "sym:inj[3]"),
+    (["dim", "--X", "sym:inj[٣]"], "sym:inj[3]"),
+    (["dim", "--group", "S3", "--X", "finite:orbit#02"], "finite:orbit#2"),
+], ids=["leading-zeros", "arabic-indic-digit", "finite-leading-zero"])
+def test_non_canonical_atom_label_is_usage_error(capsys, argv, canonical):
+    # each names an existing atom, but only its canonical label is accepted
+    assert_usage_error(capsys, argv, f"is not canonical: write {canonical}")
+
+
+def test_empty_summand_of_another_backend_is_usage_error(capsys):
+    # the empty summand is read after the atom, which fixed the backend
+    assert_usage_error(capsys, ["dim", "--X", "sym:inj[1] + line:0"],
+                       "mixed backends in object expression")
+
+
 def test_unknown_backend_prefix_is_usage_error(capsys):
     assert_usage_error(capsys, ["dim", "--X", "foo:inj[1]"],
                        "unknown backend 'foo'")

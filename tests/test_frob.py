@@ -30,10 +30,13 @@ from oligoperm.linmat import (
     RowProduct,
     SchwartzFn,
     block_tensor,
+    column_matrix,
+    column_to_fn,
     constant_fn,
     identity_matrix,
     matmul,
     multi_factor,
+    product_gmap,
     projection,
     pullback_fn,
     pullback_matrix,
@@ -583,6 +586,68 @@ def test_gamma_of_projection_round_trips(mu_t, mu_line):
                     gamma, report = gamma_of_projection(backend, f, measure)
                     assert report.passed, (a, b, m.data,
                                            [r.name for r in report.failures()])
+
+
+def gamma_block_maps(backend):
+    """The maps of a bound-3 suite's gamma block, as one-leg object maps."""
+    atoms = backend.atoms_up_to(3)
+    return [GMap(backend.object_of([a]), backend.object_of([b]), ((0, m),))
+            for a in atoms for b in atoms for m in backend.hom_atoms(a, b)]
+
+
+def square_gmap(backend, f):
+    """f x f between the squares of its source and its target."""
+    return product_gmap(backend, f, f, tensor_space(backend, [f.source] * 2),
+                        tensor_space(backend, [f.target] * 2))
+
+
+@pytest.mark.parametrize("name", ["sym", "line", "S3"])
+def test_function_pullback_matches_matrix_route(name, mu_t, mu_line, mu_s3):
+    """Pulling a function on X x X back along f x f reads its value at each
+    image orbit, which is what integrating it against the pullback matrix
+    gives: for a seeded non-constant function on the target square of every
+    map of a bound-3 gamma block."""
+    measure = {"sym": mu_t, "line": mu_line, "S3": mu_s3}[name]
+    backend, field = measure.backend, measure.field
+    rng = random.Random(41)
+    for f in gamma_block_maps(backend):
+        fxf = square_gmap(backend, f)
+        values = [rng.randint(-3, 5) for _ in fxf.target.atoms]
+        if len(values) > 1 and len(set(values)) == 1:
+            values[0] += 1
+        fn = SchwartzFn(fxf.target, {i: Scalar.from_int(field, v)
+                                     for i, v in enumerate(values)})
+        by_matrix = matmul(measure, pullback_matrix(backend, fxf, field),
+                           column_matrix(backend, fn))
+        assert pullback_fn(fxf, fn) == column_to_fn(by_matrix), f
+
+
+@pytest.mark.parametrize("name", ["sym", "line", "S3"])
+def test_wrong_product_images_fail_the_pullback_check(name, mu_t, mu_line,
+                                                      mu_s3, monkeypatch):
+    """A ``product_images`` that sends every orbit to the next orbit of the
+    target product makes ``pullback-of-target-splitting`` fail on every map
+    of a bound-3 gamma block whose target square has another orbit to send
+    to, and on no other map."""
+    measure = {"sym": mu_t, "line": mu_line, "S3": mu_s3}[name]
+    backend = measure.backend
+    real = linmat.product_images
+
+    def shifted(backend, f, g):
+        labels = [o.label for o in backend.product_decompose(f.target, g.target)]
+        return tuple((labels[(labels.index(label) + 1) % len(labels)], m)
+                     for label, m in real(backend, f, g))
+
+    monkeypatch.setattr(linmat, "product_images", shifted)
+    failing, movable = [], []
+    for f in gamma_block_maps(backend):
+        _gamma, report = gamma_of_projection(backend, f, measure)
+        if not report.result("pullback-of-target-splitting").passed:
+            failing.append(f)
+        (x,) = f.target.atoms
+        if len(backend.product_decompose(x, x)) > 1:
+            movable.append(f)
+    assert failing and failing == movable
 
 
 def test_gamma_of_identity_is_diagonal(mu_t):

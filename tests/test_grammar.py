@@ -31,6 +31,14 @@ def test_parse_empty_object(backends):
     assert obj.atoms == ()
 
 
+@pytest.mark.parametrize("text", ["sym:inj[1] + line:0", "line:0 + sym:inj[1]",
+                                  "sym:0 + line:0"])
+def test_parse_object_refuses_an_empty_summand_of_another_backend(backends,
+                                                                  text):
+    with pytest.raises(ValueError, match="mixed backends"):
+        parse_object(backends, text)
+
+
 def test_parse_selection_map(backends):
     backend, m = parse_atom_map(backends, "sym:inj[2] -> sym:inj[1] : [2]")
     assert m.data == (2,)

@@ -844,6 +844,34 @@ def test_only_triple_row_reads_pair_images():
                     ("gset/base.py", "triple_row")}
 
 
+def called_name(node):
+    """The name a call node calls, as a plain or an attribute name."""
+    func = node.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def test_only_product_images_walks_images():
+    """Under ``src/oligoperm`` a ``product_factor`` call with a
+    ``compose_maps`` call among its arguments, which factors where a map
+    sends an orbit, occurs only in ``product_images``, the one image walk,
+    so a second hand-written walk cannot come back."""
+    package = Path(oligoperm.__file__).parent
+    walks = set()
+    for path in package.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and called_name(node) == "product_factor"
+                    and any(isinstance(inner, ast.Call)
+                            and called_name(inner) == "compose_maps"
+                            for arg in node.args for inner in ast.walk(arg))):
+                walks.add((path.relative_to(package).as_posix(),
+                           owner.get(node)))
+    assert walks == {("gset/base.py", "product_images")}
+
+
 @pytest.mark.parametrize("make, bound", [
     (SymBackend, 3),
     (LineBackend, 3),
