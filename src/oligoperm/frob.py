@@ -9,10 +9,23 @@ the trace pairing; splitting idempotents; and the correspondence between
 equivalence idempotents and kernel pairs of backend surjections.
 
 The perfect-pairing check is ``permcat.triangle_identities`` applied to the
-Frobenius duality (comult o unit, counit o mult); the snake check applies it
-to the diagonal duality.  Checks that verify comult o unit still compute it
-by matrix multiplication, so comparing it with the diagonal coevaluation
-stays a real check.
+Frobenius duality (comult o unit, counit o mult, ``frobenius_duality``); the
+snake check applies it to the diagonal duality.  Checks that verify comult o
+unit still compute it by matrix multiplication, so comparing it with the
+diagonal coevaluation stays a real check.  ``check_perfect_pairing`` and
+``permcat.check_snake_identities`` each run the identities and fold the
+result into a report (``pairing_report``, ``permcat.snake_report``).  The
+suite's Frobenius block shares one run between the two reports only when
+the two dualities compare equal, as they do on a correct structure; when
+they differ, as with a wrong comult, the snake check runs its own, so a wrong
+comult fails the pairing check alone.
+
+``build_frobenius`` reads no measure, so the backend cache keeps one
+structure per object and field.  ``gamma_of_projection`` is
+``e_idempotent_check`` of the kernel-pair gamma, the target's
+``splitting_fn`` and ``kernel_pair_report``, which adds the pullback check;
+the suite's gamma block calls the same three, sharing the first per source
+atom and gamma and the second per target atom within one call.
 
 All structure maps, and the associativity and coassociativity paddings, are
 pushforwards or pullbacks of explicit coordinate wirings between product
@@ -76,7 +89,15 @@ class FrobeniusStructure(NamedTuple):
 
 
 def build_frobenius(backend, x, field):
-    """The natural Frobenius structure on Vec_X."""
+    """The natural Frobenius structure on Vec_X over ``field``.  It reads no
+    measure, so it is built once per object and field and kept in the
+    backend cache under ``("frobenius", x, field)``."""
+    return backend._memo(("frobenius", x, field), _build_frobenius,
+                         backend, x, field)
+
+
+def _build_frobenius(backend, x, field):
+    """``build_frobenius`` uncached."""
     ps1 = tensor_space(backend, [x])
     ps2 = tensor_space(backend, [x, x])
     collapse = backend.collapse_gmap(x)
@@ -173,17 +194,29 @@ def check_trace(f, measure):
     return Report(f"trace checks on Vec[{f.carrier.render()}]", results)
 
 
-def check_perfect_pairing(f, measure):
-    """The pairing counit o mult is perfect: the candidate coevaluation
-    comult o unit satisfies both triangle identities."""
-    alpha = matmul(measure, f.comult, f.unit)
-    right, left = triangle_identities(measure, f.carrier, alpha,
-                                      trace_pairing(f, measure))
+def frobenius_duality(f, measure):
+    """The Frobenius duality on Vec_X: the candidate coevaluation
+    comult o unit and the pairing counit o mult, each by ``matmul``."""
+    return matmul(measure, f.comult, f.unit), trace_pairing(f, measure)
+
+
+def pairing_report(x, sides):
+    """The perfect-pairing report on Vec_X from ``sides``, the (right, left)
+    result of ``triangle_identities`` on the Frobenius duality."""
+    right, left = sides
     results = [
         CheckResult("pairing-triangle-right", not right, right),
         CheckResult("pairing-triangle-left", not left, left),
     ]
-    return Report(f"perfect pairing on Vec[{f.carrier.render()}]", results)
+    return Report(f"perfect pairing on Vec[{x.render()}]", results)
+
+
+def check_perfect_pairing(f, measure):
+    """The pairing counit o mult is perfect: the candidate coevaluation
+    comult o unit satisfies both triangle identities."""
+    coev, ev = frobenius_duality(f, measure)
+    return pairing_report(f.carrier,
+                          triangle_identities(measure, f.carrier, coev, ev))
 
 
 def splitting_idempotent(f, measure):
@@ -259,8 +292,7 @@ def e_idempotent_check(backend, x, gamma, measure):
 
     results.append(equality("idempotent", gamma.pointwise_mul(gamma), gamma))
 
-    frob = build_frobenius(backend, x, field)
-    alpha_fn = column_to_fn(matmul(measure, frob.comult, frob.unit))
+    alpha_fn = splitting_fn(backend, x, measure)
     results.append(equality("dominates-diagonal",
                             alpha_fn.pointwise_mul(gamma), alpha_fn))
 
@@ -352,28 +384,37 @@ def kernel_pair_gamma(backend, f, field):
     return SchwartzFn(ps2.object, coeffs)
 
 
+def splitting_fn(backend, x, measure):
+    """The splitting idempotent comult(1) of Vec_X, as a function on
+    X x X."""
+    frob = build_frobenius(backend, x, measure.field)
+    return column_to_fn(matmul(measure, frob.comult, frob.unit))
+
+
+def kernel_pair_report(backend, f, gamma, eidem, alpha):
+    """The report of ``gamma_of_projection`` from its parts: ``eidem``, the
+    ``e_idempotent_check`` report of the kernel-pair gamma on the source,
+    followed by the check that gamma is ``alpha``, the target's
+    ``splitting_fn``, pulled back along ``f x f``.  That pullback
+    precomposes a function with ``f x f``, so no measure enters."""
+    y, x = f.source, f.target
+    fxf = product_gmap(backend, f, f, tensor_space(backend, [y, y]),
+                       tensor_space(backend, [x, x]))
+    results = [*eidem.results, equality("pullback-of-target-splitting",
+                                         pullback_fn(fxf, alpha), gamma)]
+    return Report(f"kernel-pair idempotent of {y.render()} -> {x.render()}",
+                  results)
+
+
 def gamma_of_projection(backend, f, measure):
     """Kernel-pair idempotent of a surjection, with its verifications.
 
     Checks that the indicator is an equivalence idempotent and that it is the
-    pullback along f x f of the splitting idempotent of the image.  That
-    pullback precomposes a function with ``f x f``, so no measure enters."""
-    field = measure.field
-    gamma = kernel_pair_gamma(backend, f, field)
-    y, x = f.source, f.target
-    report = e_idempotent_check(backend, y, gamma, measure)
-    results = list(report.results)
-
-    ps2_y = tensor_space(backend, [y, y])
-    ps2_x = tensor_space(backend, [x, x])
-    fxf = product_gmap(backend, f, f, ps2_y, ps2_x)
-    frob_x = build_frobenius(backend, x, field)
-    alpha_x = matmul(measure, frob_x.comult, frob_x.unit)
-    results.append(equality("pullback-of-target-splitting",
-                            pullback_fn(fxf, column_to_fn(alpha_x)), gamma))
-
-    return gamma, Report(
-        f"kernel-pair idempotent of {y.render()} -> {x.render()}", results)
+    pullback along f x f of the splitting idempotent of the image."""
+    gamma = kernel_pair_gamma(backend, f, measure.field)
+    eidem = e_idempotent_check(backend, f.source, gamma, measure)
+    return gamma, kernel_pair_report(backend, f, gamma, eidem,
+                                     splitting_fn(backend, f.target, measure))
 
 
 def check_sum_tensor_traces(backend, xa, xb, measure):

@@ -17,9 +17,11 @@ Conventions used throughout:
   the induced map from ``T`` onto the orbit atom.
 * ``product_images(backend, f, g)`` is the one image walk: where ``f x g``
   sends each orbit of ``f.source x g.source``, one ``product_factor`` per
-  orbit.  ``pair_images`` keeps its tables for ``p x 1``,
-  ``linmat.product_gmap`` places them for each pair of legs and
-  ``measure.classify_measure`` reads them for ``1 x f``.
+  orbit.  An atom given in place of a map stands for its identity, whose
+  leg is the orbit's projection with no composition.  ``pair_images``
+  keeps its tables for ``p x 1``, ``linmat.product_gmap`` places them for
+  each pair of legs and ``measure.classify_measure`` reads them for
+  ``1 x f``.
 * ``elementary_factorize(f)`` returns the fiber-class labels of one canonical
   chain of elementary drops that realizes the atom map, in drop order.  The
   measure of the map is the product of the class values.
@@ -41,7 +43,13 @@ image table of a projection ``p`` against an atom ``c``, built by
 ``product_images``, under ``("images", p, c)``; ``triple_table`` keeps its
 table for atoms ``a, b, c`` under ``("triples", a, b, c)``; ``linmat``
 keeps its product spaces under ``("space", factors)`` (a
-``linmat.RowProduct`` is built per use and not kept).
+``linmat.RowProduct`` is built per use and not kept, but for the one a
+Frobenius structure holds); ``frob.build_frobenius`` keeps the Frobenius
+structure of an object ``x`` over a field under ``("frobenius", x,
+field)``.  That structure reads no measure, and no entry of the cache
+depends on one: one backend serves several measures, so a measure's
+results live as long as the call that computes them.  A cached matrix is
+shared, and no code changes a matrix in place.
 
 ``agreeing_orbits(backend, f, g)`` is the one kernel-pair and fiber-product
 filter: the orbits of ``a x b`` on which two atom maps ``f: a -> c`` and
@@ -374,18 +382,22 @@ def product_images(backend, f, g):
     ``product_decompose`` order: the label of the orbit of
     ``f.target x g.target`` hit by ``(f o o.proj1, g o o.proj2)`` and the
     map of ``o`` onto that orbit's atom, as ``product_factor`` returns
-    them.  Uncached."""
+    them.  An ``Atom`` in place of f or g stands for its identity map, and
+    that leg is the orbit's projection itself, composed with nothing.
+    Uncached."""
+    a = f if isinstance(f, Atom) else f.source
+    b = g if isinstance(g, Atom) else g.source
     return tuple(
-        backend.product_factor(backend.compose_maps(f, o.proj1),
-                               backend.compose_maps(g, o.proj2))
-        for o in backend.product_decompose(f.source, g.source))
+        backend.product_factor(
+            o.proj1 if f is a else backend.compose_maps(f, o.proj1),
+            o.proj2 if g is b else backend.compose_maps(g, o.proj2))
+        for o in backend.product_decompose(a, b))
 
 
 def pair_images(backend, p, c):
     """``product_images`` of ``p x 1`` for an atom c, kept in the backend
     cache under ``("images", p, c)``."""
-    return backend._memo(("images", p, c), product_images, backend, p,
-                         backend.identity_map(c))
+    return backend._memo(("images", p, c), product_images, backend, p, c)
 
 
 def triple_row(backend, omega, c):

@@ -341,7 +341,8 @@ def classify_measure(measure, bound):
 
     Each probe's legs are read off the orbits of W x a: an orbit o goes to the
     orbit of W x b that factors (o.proj1, f o o.proj2), as
-    ``gset.base.product_images`` of ``1 x f`` lists it.  Surjectivity is then
+    ``gset.base.product_images`` of ``1 x f`` lists it, with W passed as an
+    atom so that o.proj1 is composed with nothing.  Surjectivity is then
     a support count, not an elimination: the map is onto exactly when every
     target orbit is hit by a source orbit whose fiber measure is nonzero (see
     ``linmat.pushforward_surjective_on_invariants``).
@@ -366,7 +367,7 @@ def classify_measure(measure, bound):
                     tgt = linmat.tensor_space(backend, [backend.object_of([w]),
                                                         backend.object_of([b])])
                     legs = [None] * len(src.positions)
-                    images = product_images(backend, backend.identity_map(w), f)
+                    images = product_images(backend, w, f)
                     for o, (label, m) in zip(backend.product_decompose(w, a),
                                              images):
                         legs[src.index[(0, 0, o.label)]] = (

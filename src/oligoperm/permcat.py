@@ -116,14 +116,19 @@ def triangle_identities(measure, x, coev, ev):
             difference(matmul(measure, id_ev, coev_id), ident))
 
 
+def snake_report(x, sides):
+    """The snake report on Vec_X from ``sides``, the (right, left) result of
+    ``triangle_identities`` on the self-duality of Vec_X."""
+    name = f"Vec[{x.render()}]"
+    results = [CheckResult(f"snake-{side}", not d, d and {"object": name, **d})
+               for side, d in zip(("right", "left"), sides)]
+    return Report(f"snake identities on {name}", results)
+
+
 def check_snake_identities(backend, x, measure):
     """The two triangle identities for the self-duality of Vec_X."""
     coev, ev = duality_data(backend, x, measure.field)
-    right, left = triangle_identities(measure, x, coev, ev)
-    name = f"Vec[{x.render()}]"
-    results = [CheckResult(f"snake-{side}", not d, d and {"object": name, **d})
-               for side, d in (("right", right), ("left", left))]
-    return Report(f"snake identities on {name}", results)
+    return snake_report(x, triangle_identities(measure, x, coev, ev))
 
 
 def categorical_dim(backend, x, measure):

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oligoperm.coeff import RATIONAL, Scalar, one, zero
+from oligoperm.coeff import RATIONAL, Scalar, one, ratfunc_field, zero
 from oligoperm.errors import NotSurjective
 from oligoperm.frob import (
     build_frobenius,
@@ -851,6 +851,28 @@ def test_tensor_pairing_fails_when_rows_share_a_position(monkeypatch, mu_line):
     assert not result.passed
     assert result.witness["failing-positions"] == str(len(first) - 1)
     assert result.witness["position"] == str(first[0])
+
+
+@pytest.mark.parametrize("make", [type(SYM), type(LINE),
+                                  lambda: preset_backend("S3")],
+                         ids=["sym", "line", "S3"])
+def test_frobenius_structure_is_built_once_per_object_and_field(make):
+    """``build_frobenius`` reads no measure, so the backend cache keeps one
+    structure per object and field: a second call returns it, another
+    field gets its own, and each equals an uncached build."""
+    backend = make()
+    x = backend.object_of(backend.atoms_up_to(2)[1:])
+    fields = [RATIONAL, ratfunc_field("t")]
+    built = [build_frobenius(backend, x, field) for field in fields]
+    for f, field in zip(built, fields):
+        assert build_frobenius(backend, x, field) is f
+        fresh = frob._build_frobenius(backend, x, field)
+        assert f is not fresh and f.carrier == x
+        for part in ("unit", "mult", "counit", "comult"):
+            assert getattr(f, part) == getattr(fresh, part), part
+            assert next(iter(getattr(f, part).entries.values())) == one(field)
+    assert [key for key in backend.cache if key[0] == "frobenius"] == [
+        ("frobenius", x, field) for field in fields]
 
 
 # X x X x X by row: the Frobenius and duality chains never number X^3

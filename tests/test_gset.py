@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oligoperm
+from oligoperm.coeff import RATIONAL
+from oligoperm.frob import build_frobenius
 from oligoperm.gset import (
     LINE,
     SYM,
@@ -32,6 +34,7 @@ from oligoperm.gset.base import (
     ProductOrbit,
     agreeing_orbits,
     pair_images,
+    product_images,
     triple_row,
     triple_table,
 )
@@ -749,8 +752,8 @@ def test_sym_triple_table_rows_share_one_int_per_key():
 def test_product_cache_dies_with_backend(make, tags):
     # the memo of product structure belongs to the instance, not the class,
     # and so do the interned atoms, the factorings, the finite hom sets,
-    # the triple tables, the image tables matmul reads and the product
-    # spaces linmat keeps in it
+    # the triple tables, the image tables matmul reads, the product
+    # spaces linmat keeps in it and the Frobenius structures frob keeps
     def fill(backend):
         a = backend.atoms_up_to(2)[-1]
         assert backend.product_decompose(a, a)
@@ -760,12 +763,14 @@ def test_product_cache_dies_with_backend(make, tags):
         assert triple_table(backend, a, a, a)
         omega = backend.product_decompose(a, a)[-1]
         assert pair_images(backend, omega.proj1, a)
+        assert build_frobenius(backend, x, RATIONAL).comult.entries
         return a, homs
 
     backend = make()
     a, homs = fill(backend)
     present = {key[0] for key in backend.cache}
-    assert tags | {"product", "space", "triples", "images"} <= present
+    assert tags | {"product", "space", "triples", "images",
+                   "frobenius"} <= present
     if "factor" in tags:
         assert backend.atoms_up_to(2)[-1] is a
     if "hom" in tags:
@@ -870,6 +875,47 @@ def test_only_product_images_walks_images():
                 walks.add((path.relative_to(package).as_posix(),
                            owner.get(node)))
     assert walks == {("gset/base.py", "product_images")}
+
+
+@pytest.mark.parametrize("make, bound", [
+    (SymBackend, 3),
+    (LineBackend, 3),
+    (lambda: preset_backend("S3"), 6),
+], ids=["sym", "line", "S3"])
+def test_an_atom_leg_is_its_identity_composed_with_nothing(make, bound,
+                                                           monkeypatch):
+    """``product_images`` with an atom in place of a map, on either side,
+    equals it with that atom's identity map, for every atom map and atom
+    within the bound; ``1 x 1`` sends each orbit to itself.  An atom leg
+    composes nothing, so neither a ``1 x 1`` walk nor a cold
+    ``pair_images`` table of ``p x 1`` builds an identity or composes one."""
+    backend = make()
+    atoms = backend.atoms_up_to(bound)
+    maps = [m for a in atoms for b in atoms for m in backend.hom_atoms(a, b)]
+    for f in maps:
+        for c in atoms:
+            one_c = backend.identity_map(c)
+            assert (product_images(backend, c, f)
+                    == product_images(backend, one_c, f))
+            assert (product_images(backend, f, c)
+                    == product_images(backend, f, one_c))
+    backend = make()
+    calls = []
+    cls = type(backend)
+    for name in ("identity_map", "compose_maps"):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *args, real=real, name=name:
+                            calls.append(name) or real(self, *args))
+    for a in atoms:
+        for c in atoms:
+            assert [label for label, _m in product_images(backend, a, c)] == [
+                o.label for o in backend.product_decompose(a, c)]
+    assert not calls
+    composed = 0  # one composition with p per orbit of a table's p x 1
+    for a in atoms:
+        for p in {omega.proj1 for omega in backend.product_decompose(a, a)}:
+            composed += len(pair_images(backend, p, a))
+    assert composed and calls == ["compose_maps"] * composed
 
 
 @pytest.mark.parametrize("make, bound", [

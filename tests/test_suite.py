@@ -2,9 +2,12 @@
 
 import pytest
 
-from oligoperm import suite
+from oligoperm import frob, permcat, suite
+from oligoperm.coeff import Scalar
+from oligoperm.frob import check_perfect_pairing, gamma_of_projection
 from oligoperm.gset import LineBackend, SymBackend, preset_backend
 from oligoperm.measure import solve_measures
+from oligoperm.permcat import check_snake_identities
 from oligoperm.report import CheckResult, Report
 from oligoperm.suite import run_suite
 
@@ -52,18 +55,18 @@ def map_name(m):
 def test_gamma_block_reports_the_first_failing_map(monkeypatch):
     backend = SymBackend()
     measure = solve_measures(backend, 3).generic()
-    real = suite.gamma_of_projection
+    real = suite.kernel_pair_report
     failed = []
 
-    def fail_onto_inj1(backend, f, measure):
-        gamma, report = real(backend, f, measure)
+    def fail_onto_inj1(backend, f, gamma, eidem, alpha):
+        report = real(backend, f, gamma, eidem, alpha)
         ((_, m),) = f.legs
         if m.target.degree != 1:
-            return gamma, report
+            return report
         failed.append(m)
-        return gamma, Report(report.title, [CheckResult("probe", False)])
+        return Report(report.title, [CheckResult("probe", False)])
 
-    monkeypatch.setattr(suite, "gamma_of_projection", fail_onto_inj1)
+    monkeypatch.setattr(suite, "kernel_pair_report", fail_onto_inj1)
     results = []
     suite._gamma_block(backend, measure, backend.atoms_up_to(3), results)
     assert len(failed) > 1
@@ -71,6 +74,137 @@ def test_gamma_block_reports_the_first_failing_map(monkeypatch):
         "check": "gamma-of-projection-round-trips", "status": "FAIL",
         "witness": {"map": map_name(failed[0]), "failing": "probe",
                     "failing-maps": str(len(failed))}}]
+
+
+@pytest.mark.parametrize("make, bound", [
+    (SymBackend, 3),
+    (LineBackend, 3),
+    (lambda: preset_backend("S3"), 6),
+], ids=["sym", "line", "S3"])
+def test_gamma_block_gives_each_map_its_gamma_of_projection(make, bound,
+                                                            monkeypatch):
+    """The gamma block shares one ``e_idempotent_check`` per source atom and
+    gamma and one splitting function per target atom, yet every map gets
+    the gamma and the report ``gamma_of_projection`` gives it."""
+    backend = make()
+    measure = solve_measures(backend, bound).generic()
+    real = suite.kernel_pair_report
+    seen = []
+
+    def recorded(backend, f, gamma, eidem, alpha):
+        report = real(backend, f, gamma, eidem, alpha)
+        seen.append((f, gamma, report))
+        return report
+
+    monkeypatch.setattr(suite, "kernel_pair_report", recorded)
+    atoms = backend.atoms_up_to(min(bound, 3))
+    results = []
+    suite._gamma_block(backend, measure, atoms, results)
+    assert len(seen) == sum(len(backend.hom_atoms(a, b))
+                            for a in atoms for b in atoms)
+    for f, gamma, report in seen:
+        assert gamma_of_projection(backend, f, measure) == (gamma, report)
+
+
+def absorbed(report, name):
+    """``report`` folded into one check, as the suite folds it."""
+    results = []
+    suite._absorb(results, report, name)
+    return results[0]
+
+
+def doubled(matrix, field):
+    return matrix.scale(Scalar.from_int(field, 2))
+
+
+@pytest.mark.parametrize("make", [SymBackend, LineBackend], ids=["sym", "line"])
+def test_a_wrong_comult_fails_the_pairing_alone(make, monkeypatch):
+    """With the comultiplication doubled, comult o unit is not the diagonal
+    coevaluation, so the snake check runs the triangle identities on the
+    diagonal duality itself: every ``pairing[...]`` fails, with the verdict
+    ``check_perfect_pairing`` gives on that structure, and every
+    ``snake[...]`` passes."""
+    real = suite.build_frobenius
+
+    def doubled_comult(backend, x, field):
+        f = real(backend, x, field)
+        return f._replace(comult=doubled(f.comult, field))
+
+    monkeypatch.setattr(suite, "build_frobenius", doubled_comult)
+    backend = make()
+    report = run_suite(backend, 3)
+    measure = solve_measures(backend, 3).generic()
+    for atom in backend.atoms_up_to(3):
+        f = doubled_comult(backend, backend.object_of([atom]), measure.field)
+        name = f"pairing[{atom.label}]"
+        assert not report.result(name).passed
+        assert report.result(name) == absorbed(
+            check_perfect_pairing(f, measure), name)
+        assert report.result(f"snake[{atom.label}]").passed
+
+
+@pytest.mark.parametrize("make", [SymBackend, LineBackend], ids=["sym", "line"])
+def test_a_wrong_diagonal_duality_fails_the_snake_alone(make, monkeypatch):
+    """With the diagonal coevaluation doubled, the Frobenius duality is not
+    the diagonal one, so the pairing check keeps its own run: every
+    ``snake[...]`` fails, with the verdict ``check_snake_identities`` gives
+    under the same patch, and every ``pairing[...]`` passes."""
+    real = permcat.duality_data
+
+    def doubled_coev(backend, x, field):
+        coev, ev = real(backend, x, field)
+        return doubled(coev, field), ev
+
+    for module in (suite, permcat):
+        monkeypatch.setattr(module, "duality_data", doubled_coev)
+    backend = make()
+    report = run_suite(backend, 3)
+    measure = solve_measures(backend, 3).generic()
+    for atom in backend.atoms_up_to(3):
+        x = backend.object_of([atom])
+        name = f"snake[{atom.label}]"
+        assert not report.result(name).passed
+        assert report.result(name) == absorbed(
+            check_snake_identities(backend, x, measure), name)
+        assert report.result(f"pairing[{atom.label}]").passed
+
+
+@pytest.mark.parametrize("make, bound, triangles, eidems, structures", [
+    (SymBackend, 3, 4, 18, 6),
+    (LineBackend, 3, 4, 18, 6),
+    (lambda: preset_backend("S4"), 6, 3, 8, 8),
+], ids=["sym", "line", "S4"])
+def test_suite_derives_each_structure_once(make, bound, triangles, eidems,
+                                           structures, monkeypatch):
+    """A passing suite runs the triangle identities once per atom of its
+    Frobenius block (4 within degree 3 on sym and line, 3 on S4), runs
+    ``e_idempotent_check`` on the 3 eidem-block gammas and once per distinct
+    source atom and gamma of the gamma block (sym: 24 maps with 15; line:
+    15 maps, all distinct; S4: 6 maps with 5), and builds one Frobenius
+    structure per object: 4 atoms plus the sum and the product of
+    sum-tensor-traces on sym and line; on S4 its 7 atoms within degree 6,
+    which the oracle reads, and one sum, which is also the product.  The
+    counts are exact (before these were shared: 8, 8 and 6 triangle runs,
+    27, 18 and 9 checks, 59, 41 and 29 structures)."""
+    counts = {"triangles": 0, "eidems": 0, "structures": 0}
+
+    def counted(real, what):
+        def call(*args, **kwargs):
+            counts[what] += 1
+            return real(*args, **kwargs)
+        return call
+
+    triangle_identities = counted(permcat.triangle_identities, "triangles")
+    for module in (permcat, frob, suite):
+        monkeypatch.setattr(module, "triangle_identities", triangle_identities)
+    e_idempotent_check = counted(frob.e_idempotent_check, "eidems")
+    for module in (frob, suite):
+        monkeypatch.setattr(module, "e_idempotent_check", e_idempotent_check)
+    monkeypatch.setattr(frob, "FrobeniusStructure",
+                        counted(frob.FrobeniusStructure, "structures"))
+    assert run_suite(make(), bound).passed
+    assert counts == {"triangles": triangles, "eidems": eidems,
+                      "structures": structures}
 
 
 def test_bgamma_kernel_dimensions_report_the_first_failing_map(monkeypatch):
