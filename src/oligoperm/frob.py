@@ -49,7 +49,8 @@ from typing import NamedTuple
 
 from .coeff import one, zero
 from .errors import NotSurjective
-from .gset.base import agreeing_orbits, orbit_by_label, triple_row, triple_table
+from .gset.base import (agreeing_orbits, kernel_pair, orbit_by_label,
+                        triple_row, triple_table)
 from .linmat import (
     InvariantMatrix,
     RowProduct,
@@ -380,7 +381,8 @@ def kernel_pair_gamma(backend, f, field):
     coeffs = {ps2.index[(i, j, o.label)]: one(field)
               for i, (ti, m1) in enumerate(f.legs)
               for j, (tj, m2) in enumerate(f.legs) if ti == tj
-              for o in agreeing_orbits(backend, m1, m2)}
+              for o in (kernel_pair(backend, m1) if m1 == m2
+                        else agreeing_orbits(backend, m1, m2))}
     return SchwartzFn(ps2.object, coeffs)
 
 

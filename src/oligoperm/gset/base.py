@@ -44,18 +44,31 @@ image table of a projection ``p`` against an atom ``c``, built by
 table for atoms ``a, b, c`` under ``("triples", a, b, c)``; ``linmat``
 keeps its product spaces under ``("space", factors)`` (a
 ``linmat.RowProduct`` is built per use and not kept, but for the one a
-Frobenius structure holds); ``frob.build_frobenius`` keeps the Frobenius
-structure of an object ``x`` over a field under ``("frobenius", x,
-field)``.  That structure reads no measure, and no entry of the cache
-depends on one: one backend serves several measures, so a measure's
-results live as long as the call that computes them.  A cached matrix is
-shared, and no code changes a matrix in place.
+Frobenius structure holds); ``kernel_pair`` keeps the kernel pair of an
+atom map ``f``, the tuple of orbits ``agreeing_orbits(backend, f, f)``
+yields, under ``("kernel", f)``, one entry per map it is asked about;
+``frob.build_frobenius`` keeps the Frobenius structure of an object ``x``
+over a field under ``("frobenius", x, field)``.  That structure reads no
+measure, and no entry of the cache depends on one: one backend serves
+several measures, so a measure's results live as long as the call that
+computes them.  A cached matrix is shared, and no code changes a matrix in
+place.
 
 ``agreeing_orbits(backend, f, g)`` is the one kernel-pair and fiber-product
 filter: the orbits of ``a x b`` on which two atom maps ``f: a -> c`` and
 ``g: b -> c`` agree.  Their union, with the orbit projections, is the fiber
 product of f and g; the pre-Galois checks and ``frob.kernel_pair_gamma``
-read the orbits without building an object.
+read the orbits without building an object.  Agreement on an orbit o is
+``f o o.proj1 == g o o.proj2``, which the uncached backend hook
+``backend._agree(f, g, o.proj1, o.proj2)`` tests on the maps' data and
+composes no map: the tuple backends compare ``o.proj1.data[i - 1]`` with
+``o.proj2.data[j - 1]`` over the pairs ``(i, j)`` of ``zip(f.data,
+g.data)``, and ``finite`` compares ``f.data[x]`` with ``g.data[y]`` over
+the point pairs of ``zip(o.proj1.data, o.proj2.data)``.  The fiber-product
+check of the pre-Galois axioms tests its spans ``f o u == g o v`` with the
+same hook.  ``kernel_pair(backend, f)`` is the filter's output for f with
+itself, kept once per map, which the mono and effectivity checks and
+``kernel_pair_gamma`` read.
 
 ``triple_row(backend, omega, c)`` is the one walk of triple orbits: an
 orbit of ``a x b x c`` is an orbit of ``omega.atom x c`` for an orbit
@@ -203,6 +216,12 @@ class Backend:
         """outer o inner, where inner: a -> b and outer: b -> c."""
         raise NotImplementedError
 
+    def _agree(self, f, g, u, v):
+        """Whether ``f o u == g o v``, for maps f and g into one atom and a
+        span u, v out of one atom, tested on the maps' data without
+        composing them.  Uncached."""
+        raise NotImplementedError
+
     # Products
 
     def product_decompose(self, a, b):
@@ -327,6 +346,14 @@ class TupleBackend(Backend):
         sel = tuple([data[j - 1] for j in outer.data])
         return AtomMap(inner.source, outer.target, sel)
 
+    def _agree(self, f, g, u, v):
+        # output coordinate k of f o u is coordinate u.data[f.data[k] - 1]
+        p1, p2 = u.data, v.data
+        for i, j in zip(f.data, g.data):
+            if p1[i - 1] != p2[j - 1]:
+                return False
+        return True
+
     def product_factor(self, f, g):
         source = f.source
         if g.source is not source and g.source != source:
@@ -364,12 +391,27 @@ def atom_gmap(backend, f):
 
 
 def agreeing_orbits(backend, f, g):
-    """The orbits of ``f.source x g.source``, in ``product_decompose`` order,
-    on which the atom maps f and g into one atom agree."""
+    """The orbits o of ``f.source x g.source``, in ``product_decompose``
+    order, on which the atom maps f and g into one atom agree:
+    ``f o o.proj1 == g o o.proj2``, tested by ``backend._agree`` on the
+    maps' data.  Maps into two different atoms agree nowhere."""
+    if f.target != g.target:
+        return
+    agree = backend._agree
     for orbit in backend.product_decompose(f.source, g.source):
-        if (backend.compose_maps(f, orbit.proj1)
-                == backend.compose_maps(g, orbit.proj2)):
+        if agree(f, g, orbit.proj1, orbit.proj2):
             yield orbit
+
+
+def kernel_pair(backend, f):
+    """The kernel pair of the atom map f: ``agreeing_orbits(backend, f,
+    f)`` as a tuple, kept in the backend cache under ``("kernel", f)``."""
+    return backend._memo(("kernel", f), _kernel_pair, backend, f)
+
+
+def _kernel_pair(backend, f):
+    """``kernel_pair`` uncached."""
+    return tuple(agreeing_orbits(backend, f, f))
 
 
 def orbit_by_label(backend, a, b, label):

@@ -193,25 +193,29 @@ class FiniteBackend(Backend):
 
     # Group plumbing
 
-    def _close(self, gens):
-        """The subgroup the element indices gens generate."""
-        sub = {0}
-        frontier = [0]
+    def _close(self, sub, gens):
+        """The subgroup the element indices gens generate, closed from sub,
+        a subgroup of it: it is a union of cosets x.sub, so one
+        representative x per coset is multiplied by gens, and a product
+        outside the cosets found adds its whole coset."""
+        mul = self._mul
+        found = set(sub)
+        frontier = [0]  # the identity represents sub
         while frontier:
             nxt = []
             for x in frontier:
                 for g in gens:
-                    y = self._mul[g][x]
-                    if y not in sub:
-                        sub.add(y)
+                    y = mul[g][x]
+                    if y not in found:
+                        found.update(map(mul[y].__getitem__, sub))
                         nxt.append(y)
             frontier = nxt
-        return frozenset(sub)
+        return frozenset(found)
 
     def _enumerate_subgroups(self):
         """Every subgroup, as a join of cyclic subgroups.  Each subgroup found
         keeps one generator list, and its join with a cyclic <g> not inside
-        it is the closure of that list and g."""
+        it is closed from its own elements under that list and g."""
         cyclic = {}  # cyclic subgroup -> one generator
         for g, row in enumerate(self._mul):
             sub = {0}
@@ -228,7 +232,7 @@ class FiniteBackend(Backend):
                 for g in cyclic.values():
                     if g in a:
                         continue
-                    join = self._close(gens[a] + [g])
+                    join = self._close(a, gens[a] + [g])
                     if join not in gens:
                         gens[join] = gens[a] + [g]
                         new.append(join)
@@ -280,6 +284,14 @@ class FiniteBackend(Backend):
             raise ValueError("atom map composition shape mismatch")
         return AtomMap(inner.source, outer.target,
                        tuple(map(outer.data.__getitem__, inner.data)))
+
+    def _agree(self, f, g, u, v):
+        # f o u sends point p of the span's source to f.data[u.data[p]]
+        fd, gd = f.data, g.data
+        for x, y in zip(u.data, v.data):
+            if fd[x] != gd[y]:
+                return False
+        return True
 
     def _decompose(self, a, b):
         rows_a, rows_b = self._act_rows(a), self._act_rows(b)

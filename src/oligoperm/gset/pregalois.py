@@ -18,9 +18,11 @@ relation as a witness when no surjection has it as its kernel pair.
 
 Kernel pairs and fiber products of atom maps are read off one filter,
 ``base.agreeing_orbits``: the orbits of ``a x b`` on which two maps into one
-atom agree.  The kernel of a surjection in (h) is the labels it yields for
-the map with itself, a map is mono in (e) when it yields exactly one orbit,
-and a cospan in (f) is nonempty when it yields any.  The universality count
+atom agree, tested by ``backend._agree`` on the maps' data.  The kernel of a
+surjection in (h) is the labels of its ``base.kernel_pair``, the orbits the
+filter yields for the map with itself, kept once per map; a map is mono in
+(e) when its kernel pair is exactly one orbit, and a cospan in (f) is
+nonempty when the filter yields any orbit.  The universality count
 of (d) reads a map from an atom into the fiber product as one of the orbits
 with an atom map into it, so no check builds a fiber-product object.
 """
@@ -31,7 +33,7 @@ from functools import reduce
 from operator import or_
 
 from ..report import CheckResult, Report, verdict
-from .base import agreeing_orbits, triple_table
+from .base import agreeing_orbits, kernel_pair, triple_table
 
 
 def check_coproducts(backend, atoms):
@@ -100,8 +102,7 @@ def check_fiber_products(backend, atoms):
                             mediators[key] = mediators.get(key, 0) + 1
                     for u in backend.hom_atoms(w, a):
                         for v in backend.hom_atoms(w, b):
-                            if backend.compose_maps(f, u) != \
-                                    backend.compose_maps(g, v):
+                            if not backend._agree(f, g, u, v):
                                 continue
                             count = mediators.get((u, v), 0)
                             if count != 1:
@@ -120,7 +121,7 @@ def check_monos_are_isos(backend, atoms):
     for a in atoms:
         for b in atoms:
             for f in backend.hom_atoms(a, b):
-                if len(list(agreeing_orbits(backend, f, f))) != 1:
+                if len(kernel_pair(backend, f)) != 1:
                     continue  # a mono's kernel pair is the diagonal orbit alone
                 iso = any(
                     backend.compose_maps(g, f) == backend.identity_map(a)
@@ -236,7 +237,7 @@ def quotients_by_kernel(backend, x):
     quotients = {}
     for q_atom in backend.atoms_up_to(x.degree):
         for q in backend.hom_atoms(x, q_atom):
-            kernel = frozenset(o.label for o in agreeing_orbits(backend, q, q))
+            kernel = frozenset(o.label for o in kernel_pair(backend, q))
             quotients.setdefault(kernel, (q_atom, q))
     return quotients
 

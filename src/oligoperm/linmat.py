@@ -34,7 +34,12 @@ numbered, since the map keeps one leg per position of it.
 
 ``block_tensor`` walks neither product space.  It enumerates the nonzero
 output orbits directly from the factor matrices' entries, as orbits of the
-products of the entries' orbit atoms, so its work follows the output.  A
+products of the entries' orbit atoms, so its work follows the output.  An
+identity leg composes nothing: a one-factor block's leg is the entry
+orbit's projection itself, and an entry's leg that is an identity map (an
+identity matrix's, on its diagonal orbit) is carried as its atom, so its
+leg on each orbit of the next product is that orbit's projection, as
+``gset.base.product_images`` takes an atom for its identity.  A
 product of functions on sub-products, such as the product of two pairings
 on ``X x Y x X x Y``, is a ``block_tensor`` of rows into a ``RowProduct``,
 so no table of where each flat position lands is kept.  Which triples of pair
@@ -57,7 +62,7 @@ from typing import NamedTuple
 
 from .coeff import one, zero
 from .errors import ShapeMismatch
-from .gset.base import (GMap, GObject, orbit_by_label, product_images,
+from .gset.base import (Atom, GMap, GObject, orbit_by_label, product_images,
                         triple_row)
 
 
@@ -274,7 +279,8 @@ def block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
     from its atom onto every factor of both sides, composed down one level
     per block, and is placed by one ``multi_factor`` into each side's
     product and one ``product_factor`` of the two induced maps.  The value
-    of a pair of entries is multiplied once and shared by all its orbits.
+    of a pair of entries is multiplied once and shared by all its orbits,
+    and an entry's identity leg composes nothing (see the module docstring).
     """
     backend = src_ps.backend
     sides = []
@@ -292,7 +298,16 @@ def block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
             raise ShapeMismatch(f"block {k} does not match its sub-product")
 
     def along(legs, m):
-        return [(fp, backend.compose_maps(lm, m)) for fp, lm in legs]
+        """Each leg composed with m; a leg given as an atom is m itself."""
+        return [(fp, m if isinstance(lm, Atom)
+                 else backend.compose_maps(lm, m)) for fp, lm in legs]
+
+    def onto_factors(sub, p, m):
+        """Position p's maps onto sub's factors, composed with m."""
+        if len(sub.factors) == 1:
+            return [(p, m)]
+        return along([projection(sub, p, j) for j in range(len(sub.factors))],
+                     m)
 
     def entries(k):
         """Block k's entries: (orbit atom, value, legs onto its target
@@ -302,19 +317,23 @@ def block_tensor(mats, src_ps, tgt_ps, src_blocks, tgt_blocks):
         for (t, s, label), value in mats[k].entries.items():
             orbit = orbit_by_label(backend, tsub.object.atoms[t],
                                    ssub.object.atoms[s], label)
-            out.append((
-                orbit.atom, value,
-                along([projection(tsub, t, j) for j in range(len(tsub.factors))],
-                      orbit.proj1),
-                along([projection(ssub, s, j) for j in range(len(ssub.factors))],
-                      orbit.proj2)))
+            out.append((orbit.atom, value, onto_factors(tsub, t, orbit.proj1),
+                        onto_factors(ssub, s, orbit.proj2)))
         return out
+
+    def carried(legs):
+        """The legs, each identity map given as its atom."""
+        return [(fp, lm.source if lm == backend.identity_map(lm.source)
+                 else lm) for fp, lm in legs]
 
     partial = entries(0)
     for k in range(1, len(mats)):
         grown = []
+        left = [(a1, v1, carried(t1), carried(s1))
+                for a1, v1, t1, s1 in partial]
         for a2, v2, t2, s2 in entries(k):
-            for a1, v1, t1, s1 in partial:
+            t2, s2 = carried(t2), carried(s2)
+            for a1, v1, t1, s1 in left:
                 value = v1 * v2
                 grown.extend((o.atom, value,
                               along(t1, o.proj1) + along(t2, o.proj2),

@@ -33,6 +33,7 @@ from oligoperm.gset.base import (
     AtomMap,
     ProductOrbit,
     agreeing_orbits,
+    kernel_pair,
     pair_images,
     product_images,
     triple_row,
@@ -1107,11 +1108,15 @@ def test_kernel_pair_of_selection():
     (SymBackend, 3),
     (LineBackend, 3),
     (lambda: preset_backend("S3"), 6),
-], ids=["sym", "line", "S3"])
+    (lambda: preset_backend("S4"), 6),
+], ids=["sym", "line", "S3", "S4"])
 def test_agreeing_orbits_matches_compose_and_compare(make, bound):
-    """For every pair of atom maps into one atom, the agreeing orbits are the
-    orbits of the product on which the two composites are equal, in
-    product_decompose order."""
+    """For every cospan of atom maps within the bound, the agreeing orbits
+    are the orbits of the product on which the two composites are equal, in
+    product_decompose order, and the kernel pair of a map is its agreeing
+    orbits with itself; maps into two different atoms agree nowhere.  The
+    reference composes both legs and compares the maps, which
+    ``backend._agree`` does on their data without composing."""
     backend = make()
     atoms = backend.atoms_up_to(bound)
     kept = total = 0
@@ -1123,9 +1128,57 @@ def test_agreeing_orbits_matches_compose_and_compare(make, bound):
                     if backend.compose_maps(f, o.proj1)
                     == backend.compose_maps(g, o.proj2)]
             assert list(agreeing_orbits(backend, f, g)) == want
+            if f == g:
+                assert kernel_pair(backend, f) == tuple(want)
             kept += len(want)
             total += len(orbits)
     assert 0 < kept < total
+    maps = [f for a in atoms for b in atoms for f in backend.hom_atoms(a, b)]
+    for f, g in itertools.product(maps, maps):
+        if f.target != g.target:
+            assert not any(agreeing_orbits(backend, f, g))
+
+
+@pytest.mark.parametrize("make, bound, composed, agreed", [
+    (SymBackend, 3, 2356, 1966),
+    (LineBackend, 3, 3170, 1513),
+    (lambda: preset_backend("S4"), 6, 1835, 431),
+], ids=["sym", "line", "S4"])
+def test_suite_compositions_stay_within_budget(make, bound, composed, agreed,
+                                               monkeypatch):
+    """A suite composes only the atom maps it reads.  Agreement on an orbit
+    is tested on the maps' data by ``backend._agree`` (the pre-Galois
+    fiber-product spans too), each map's kernel pair is built once per
+    backend and read by the mono and effectivity checks and the gamma
+    block, and ``linmat.block_tensor`` composes nothing with an identity
+    leg.  The counts are exact, so a change in either direction shows
+    (building two composites per orbit to compare them made 9,895 sym,
+    10,675 line and 4,145 S4 compositions)."""
+    from oligoperm.gset import base
+    from oligoperm.suite import run_suite
+
+    backend = make()
+    cls = type(backend)
+    calls = {"compose_maps": 0, "_agree": 0}
+    for name in calls:
+        real = getattr(cls, name)
+
+        def counted(self, *args, real=real, name=name):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    built = []
+    real_build = base._kernel_pair
+    monkeypatch.setattr(base, "_kernel_pair", lambda backend, f: (
+        built.append(f) or real_build(backend, f)))
+    assert run_suite(backend, bound).passed
+    assert calls == {"compose_maps": composed, "_agree": agreed}
+    # once per map, for every map between atoms within the bound
+    maps = {f for a in backend.atoms_up_to(bound)
+            for b in backend.atoms_up_to(bound)
+            for f in backend.hom_atoms(a, b)}
+    assert len(built) == len(set(built)) and set(built) == maps
 
 
 # Elementary factorization
