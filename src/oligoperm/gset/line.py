@@ -8,7 +8,11 @@ Equivariant maps ``inc[n] -> inc[m]`` are increasing coordinate selections.
 Orbits of ``inc[n] x inc[m]`` are merge words over the alphabet {L, B, R}: one
 letter per value of the merged tuple, recording whether the value came from
 the left tuple, both, or the right tuple.  A word with c letters B is a copy
-of ``inc[n+m-c]``.  Word order is lexicographic with L < B < R.
+of ``inc[n+m-c]``.  Word order is lexicographic with L < B < R.  The words
+are listed by one depth-first walk that appends L, then B, then R.  Each
+subtree holds the words with one prefix, and no word of a pair is a proper
+prefix of another (both spend all n + m coordinates), so the walk meets them
+in lexicographic order without a sort.
 
 Elementary fiber classes: dropping an extremal coordinate leaves a one-sided
 cut region (class ``ray``), dropping an interior coordinate leaves the region
@@ -32,13 +36,8 @@ from operator import mul
 
 from .base import AtomMap, LinearRelation, ProductOrbit, TupleBackend
 
-_ORDER = {"L": 0, "B": 1, "R": 2}
 # swapping the two factors exchanges the letters L and R
 _SWAP = str.maketrans("LR", "RL")
-
-
-def _word_key(word):
-    return tuple(_ORDER[ch] for ch in word)
 
 
 def _cut(word, free):
@@ -66,28 +65,25 @@ class LineBackend(TupleBackend):
 
     def _decompose(self, a, b):
         n, m = a.degree, b.degree
-        words = []
+        orbits = []
 
-        def extend(word, used_l, used_r):
-            if used_l == n and used_r == m:
-                words.append("".join(word))
-                return
-            if used_l < n:
-                extend(word + ["L"], used_l + 1, used_r)
-            if used_l < n and used_r < m:
-                extend(word + ["B"], used_l + 1, used_r + 1)
-            if used_r < m:
-                extend(word + ["R"], used_l, used_r + 1)
+        def extend(word, sel1, sel2):
+            # the next letter is value len(word) + 1 of the merged tuple
+            p = len(word) + 1
+            more_l, more_r = len(sel1) < n, len(sel2) < m
+            if more_l:
+                extend(word + "L", sel1 + (p,), sel2)
+            if more_l and more_r:
+                extend(word + "B", sel1 + (p,), sel2 + (p,))
+            if more_r:
+                extend(word + "R", sel1, sel2 + (p,))
+            if not (more_l or more_r):
+                atom = self._atom(len(word))
+                orbits.append(ProductOrbit(word, atom, AtomMap(atom, a, sel1),
+                                           AtomMap(atom, b, sel2)))
 
-        extend([], 0, 0)
-        words.sort(key=_word_key)
-        return tuple(self._orbit_of_word(a, b, w) for w in words)
-
-    def _orbit_of_word(self, a, b, word):
-        atom = self._atom(len(word))
-        sel1 = tuple(i + 1 for i, ch in enumerate(word) if ch in "LB")
-        sel2 = tuple(i + 1 for i, ch in enumerate(word) if ch in "RB")
-        return ProductOrbit(word, atom, AtomMap(atom, a, sel1), AtomMap(atom, b, sel2))
+        extend("", (), ())
+        return tuple(orbits)
 
     def _factor(self, f, g):
         left = set(f.data)

@@ -9,7 +9,13 @@ Equivariant maps ``inj[n] -> inj[m]`` are coordinate selections: injections
 from the m target slots into the n source slots.  Orbits of a product
 ``inj[n] x inj[m]`` are indexed by partial injective matchings between the two
 coordinate sets; the orbit whose matching has size k is a copy of
-``inj[n+m-k]``.
+``inj[n+m-k]``.  A matching is listed as its pairs (i, j) in ascending i,
+and the orbits are in the order of these pair sequences.  One depth-first
+walk lists them so: a matching is extended by a pair (i, j) with i above its
+last a-coordinate and j unmatched, in ascending (i, j) order, and emitted
+before its extensions.  A sequence comes before its extensions and, with
+them, before the sequences with a larger next pair, so the walk's pre-order
+is label order and nothing is sorted.
 
 Elementary fiber classes are ``omega-minus[c]``: the complement of c named
 points.  Dropping one coordinate from ``inj[k]`` leaves such a fiber with
@@ -52,32 +58,28 @@ class SymBackend(TupleBackend):
 
     def _decompose(self, a, b):
         n, m = a.degree, b.degree
-        # a k-combination of a's coordinates zipped with a k-permutation of
-        # b's is a partial matching in a's order, each met once
-        matchings = sorted(tuple(zip(left, right))
-                           for k in range(min(n, m) + 1)
-                           for left in itertools.combinations(range(1, n + 1), k)
-                           for right in itertools.permutations(range(1, m + 1), k))
-        return tuple(self._orbit_of_matching(a, b, mu) for mu in matchings)
+        atoms = [self._atom(n + m - k) for k in range(min(n, m) + 1)]
+        sel1 = tuple(range(1, n + 1))
+        orbits = []
 
-    def _orbit_of_matching(self, a, b, matching):
-        n, m = a.degree, b.degree
-        k = len(matching)
-        atom = self._atom(n + m - k)
-        matched_right = {j for _, j in matching}
-        unmatched_right = [j for j in range(1, m + 1) if j not in matched_right]
-        proj1 = AtomMap(atom, a, tuple(range(1, n + 1)))
-        sel2 = []
-        right_pos = {}
-        for rank, j in enumerate(unmatched_right):
-            right_pos[j] = n + rank + 1
-        for j in range(1, m + 1):
-            if j in matched_right:
-                sel2.append(next(i for i, jj in matching if jj == j))
-            else:
-                sel2.append(right_pos[j])
-        proj2 = AtomMap(atom, b, tuple(sel2))
-        return ProductOrbit(_matching_label(matching), atom, proj1, proj2)
+        def walk(body, pairs, last, sel2):
+            # body is the matching's _matching_label without its brackets;
+            # sel2 reads the partner i of a matched b-coordinate and numbers
+            # the unmatched ones n + 1, n + 2, ... in order; each extension
+            # pairs an a-coordinate above the last with an unmatched j
+            atom = atoms[pairs]
+            orbits.append(ProductOrbit(f"[{body}]", atom, AtomMap(atom, a, sel1),
+                                       AtomMap(atom, b, sel2)))
+            for i in range(last + 1, n + 1):
+                for j, c in enumerate(sel2):
+                    if c > n:
+                        walk(f"{body},{i}>{j + 1}" if body else f"{i}>{j + 1}",
+                             pairs + 1, i,
+                             sel2[:j] + (i,) + tuple(x - 1 if x > n else x
+                                                     for x in sel2[j + 1:]))
+
+        walk("", 0, 0, tuple(range(n + 1, n + m + 1)))
+        return tuple(orbits)
 
     def _factor(self, f, g):
         # both selections are injective, so a g-coordinate has at most one

@@ -138,64 +138,93 @@ def _solve_linear(classes, relations):
     start from) ends up as the free parameter.  More than one free class is
     an INCONSISTENT system: a family has at most one parameter.
 
-    Each row is stored as a dict of its nonzero coefficients, so elimination
-    touches only the nonzero entries (the point-cut systems are nearly
-    bidiagonal).  The reduced row echelon form is unique, so the result is
-    that of dense elimination.
+    Each row is stored as a dict of its nonzero coefficients, and each column
+    keeps the set of rows not yet taken as pivots that hold it.  The forward
+    pass takes the columns in order: the column's pivot row is scaled to a
+    leading 1, and the column is eliminated from the other non-pivot rows
+    that hold it, never from an earlier pivot row.  So there is no fill-in
+    above the pivots: on the ``sym`` chain value(c) = value(c+1) + 1 every
+    column is held by one non-pivot row and the pass does no row update at
+    all.  The pivot rows then form an echelon form, each holding only its
+    pivot column and later ones, and the rows left over are empty; one with
+    a nonzero constant has no solution.  Back-substitution in reverse pivot
+    order gives each class its value as an affine pair, the constant and
+    the coefficient of the free class, from the pairs of the later columns.
+
+    A matrix has one reduced row echelon form, and a pivot row of it reads
+    exactly these pairs (its constant, and minus its free-class entry), so
+    the pivot and free columns, both errors (checked in the order of dense
+    elimination) and every value are those of dense elimination to reduced
+    row echelon form.
     """
     cols = list(reversed(classes))
     col_index = {c: i for i, c in enumerate(cols)}
     # a row is (column -> nonzero coefficient, constant)
     rows = []
-    for rel in relations:
+    holders = [set() for _ in cols]  # per column, the non-pivot rows with it
+    for i, rel in enumerate(relations):
         row = {col_index[rel.lhs]: Fraction(1)}
         for cls, coeff in rel.terms:
             c = col_index[cls]
             row[c] = row.get(c, Fraction(0)) - coeff
-        rows.append(({c: x for c, x in row.items() if x != 0}, Fraction(rel.const)))
-    # Gaussian elimination to reduced row echelon form.
+        row = {c: x for c, x in row.items() if x != 0}
+        for c in row:
+            holders[c].add(i)
+        rows.append((row, Fraction(rel.const)))
+    # forward elimination below the pivots
     pivot_of_col = {}
-    r = 0
-    for c in range(len(cols)):
-        pivot = next((i for i in range(r, len(rows)) if c in rows[i][0]), None)
-        if pivot is None:
+    for c, held in enumerate(holders):
+        if not held:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        r = min(held)
         coeffs, const = rows[r]
+        for k in coeffs:
+            holders[k].discard(r)
         lead = coeffs[c]
         coeffs = {k: x / lead for k, x in coeffs.items()}
         const = const / lead
         rows[r] = (coeffs, const)
-        for i, (other, other_const) in enumerate(rows):
-            factor = other.get(c)
-            if i == r or factor is None:
-                continue
+        for i in list(held):
+            other, other_const = rows[i]
+            factor = other[c]
             for k, x in coeffs.items():
                 y = other.get(k, 0) - factor * x
                 if y:
                     other[k] = y
+                    holders[k].add(i)
                 else:
                     other.pop(k, None)
+                    holders[k].discard(i)
             rows[i] = (other, other_const - factor * const)
         pivot_of_col[c] = r
-        r += 1
-        if r == len(rows):
-            break
-    for coeffs, const in rows[r:]:
-        if not coeffs and const != 0:
+    # every row left over is empty
+    pivot_rows = set(pivot_of_col.values())
+    for i, (_coeffs, const) in enumerate(rows):
+        if i not in pivot_rows and const != 0:
             raise InconsistentSystem("point-cut relations have no solution")
     free_cols = [c for c in range(len(cols)) if c not in pivot_of_col]
     if len(free_cols) > 1:
         names = ", ".join(cols[c] for c in reversed(free_cols))
         raise InconsistentSystem(
             f"classes {names} are all free; a measure family has one parameter")
+    # back-substitution: (constant, coefficient of the free class) per column
+    pair = {c: (Fraction(0), Fraction(1)) for c in free_cols}
+    for c in reversed(pivot_of_col):
+        coeffs, const = rows[pivot_of_col[c]]
+        param = Fraction(0)
+        for k, x in coeffs.items():
+            if k != c:
+                k_const, k_param = pair[k]
+                const -= x * k_const
+                param -= x * k_param
+        pair[c] = (const, param)
     values = {}
     for c, cls in enumerate(cols):
         if c in pivot_of_col:
-            coeffs, const = rows[pivot_of_col[c]]
+            const, param = pair[c]
             values[cls] = {None: const}
-            if free_cols and free_cols[0] in coeffs:
-                values[cls][PARAMETER] = -coeffs[free_cols[0]]
+            if param:
+                values[cls][PARAMETER] = param
         else:
             values[cls] = {PARAMETER: Fraction(1), None: Fraction(0)}
     return [PARAMETER] if free_cols else [], values

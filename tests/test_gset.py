@@ -183,6 +183,72 @@ def test_line_orbits_from_sampled_tuples():
     assert seen == labels
 
 
+def sorted_matching_orbits(backend, a, b):
+    """The orbits of inj[n] x inj[m] without a walk: every partial matching,
+    sorted, then each orbit built from its matching alone."""
+    n, m = a.degree, b.degree
+    matchings = sorted(tuple(zip(left, right))
+                       for k in range(min(n, m) + 1)
+                       for left in itertools.combinations(range(1, n + 1), k)
+                       for right in itertools.permutations(range(1, m + 1), k))
+    orbits = []
+    for matching in matchings:
+        atom = backend.atom_of_arity(n + m - len(matching))
+        matched_right = {j for _, j in matching}
+        unmatched_right = [j for j in range(1, m + 1) if j not in matched_right]
+        right_pos = {j: n + rank + 1 for rank, j in enumerate(unmatched_right)}
+        sel2 = tuple(next(i for i, jj in matching if jj == j)
+                     if j in matched_right else right_pos[j]
+                     for j in range(1, m + 1))
+        orbits.append(ProductOrbit(
+            _matching_label(matching), atom,
+            AtomMap(atom, a, tuple(range(1, n + 1))), AtomMap(atom, b, sel2)))
+    return tuple(orbits)
+
+
+def sorted_word_orbits(backend, a, b):
+    """The orbits of inc[n] x inc[m] without a walk in label order: the
+    merge words by recursion, sorted with L < B < R, then each orbit built
+    from its word alone."""
+    n, m = a.degree, b.degree
+    words = []
+
+    def extend(word, used_l, used_r):
+        if used_l == n and used_r == m:
+            words.append("".join(word))
+            return
+        if used_l < n:
+            extend(word + ["L"], used_l + 1, used_r)
+        if used_l < n and used_r < m:
+            extend(word + ["B"], used_l + 1, used_r + 1)
+        if used_r < m:
+            extend(word + ["R"], used_l, used_r + 1)
+
+    extend([], 0, 0)
+    words.sort(key=lambda word: tuple("LBR".index(ch) for ch in word))
+    orbits = []
+    for word in words:
+        atom = backend.atom_of_arity(len(word))
+        sel1 = tuple(i + 1 for i, ch in enumerate(word) if ch in "LB")
+        sel2 = tuple(i + 1 for i, ch in enumerate(word) if ch in "RB")
+        orbits.append(ProductOrbit(word, atom, AtomMap(atom, a, sel1),
+                                   AtomMap(atom, b, sel2)))
+    return tuple(orbits)
+
+
+@pytest.mark.parametrize("make, reference", [
+    (SymBackend, sorted_matching_orbits),
+    (LineBackend, sorted_word_orbits),
+], ids=["sym", "line"])
+def test_label_order_walk_matches_sorted_orbits(make, reference):
+    # in order, with the same labels, atoms and both projections
+    backend = make()
+    for n, m in itertools.product(range(6), repeat=2):
+        a, b = backend.atom_of_arity(n), backend.atom_of_arity(m)
+        assert backend.product_decompose(a, b) == reference(backend, a, b), \
+            (n, m)
+
+
 def test_finite_product_sizes(s3):
     atoms = s3.atoms_up_to(6)
     for a in atoms:

@@ -10,6 +10,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oligoperm
 from oligoperm import linmat
@@ -469,7 +470,8 @@ def dense_solve_linear(classes, relations):
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - factor * y if y else x
+                           for x, y in zip(rows[i], rows[r])]
         pivot_of_col[c] = r
         r += 1
         if r == len(rows):
@@ -498,15 +500,30 @@ def assert_same_solution(classes, relations):
     params, values = _solve_linear(classes, relations)
     want_params, want_values = dense_solve_linear(classes, relations)
     assert params == want_params
-    assert values == want_values
+    # the classes and each value's keys in the same order, too
+    assert ([(cls, list(expr.items())) for cls, expr in values.items()]
+            == [(cls, list(expr.items())) for cls, expr in want_values.items()])
     assert all(type(x) is Fraction
                for expr in values.values() for x in expr.values())
 
 
+def assert_same_outcome(classes, relations):
+    """The same solution as dense elimination, or the same error."""
+    try:
+        dense_solve_linear(classes, relations)
+    except InconsistentSystem as want:
+        with pytest.raises(InconsistentSystem) as got:
+            _solve_linear(classes, relations)
+        assert str(got.value) == str(want)
+        return
+    assert_same_solution(classes, relations)
+
+
 @pytest.mark.parametrize("name", ["sym", "line", "S3", "C2x4", "S4"])
 def test_sparse_solver_matches_dense_elimination(name):
+    # every depth that OLIGOPERM_MAX_BOUND admits
     backend = {"sym": SYM, "line": LINE}.get(name) or preset_backend(name)
-    for bound in range(2, 7):
+    for bound in range(2, 11):
         depth = SOLVE_DEPTH_FACTOR * bound + 4
         assert_same_solution(backend.fiber_classes(depth),
                              backend.fiber_decompositions(depth))
@@ -531,12 +548,38 @@ HAND_SYSTEMS = {
 
 @pytest.mark.parametrize("name", list(HAND_SYSTEMS))
 def test_sparse_solver_matches_dense_on_hand_systems(name):
-    classes, relations = HAND_SYSTEMS[name]
-    if name == "redundant":
-        assert_same_solution(classes, relations)
-        return
-    with pytest.raises(InconsistentSystem) as want:
-        dense_solve_linear(classes, relations)
-    with pytest.raises(InconsistentSystem) as got:
-        _solve_linear(classes, relations)
-    assert str(got.value) == str(want.value)
+    assert_same_outcome(*HAND_SYSTEMS[name])
+
+
+@st.composite
+def sparse_systems(draw):
+    """A chain value(c) = k value(c') + const through the classes in a
+    shuffled order, some links cut (each cut frees one more class), maybe a
+    random sparse row, and sums of two rows that are redundant or, with
+    the constant shifted, contradicting; the rows in a shuffled order."""
+    classes = tuple(f"c{i}" for i in range(draw(st.integers(1, 8))))
+    chain = draw(st.permutations(classes))
+    coeff = st.integers(-3, 3).filter(bool)
+    const = st.integers(-3, 3)
+    relations = [LinearRelation(lhs, ((rhs, draw(coeff)),), draw(const))
+                 for lhs, rhs in zip(chain, chain[1:])
+                 if draw(st.integers(0, 5))]
+    if draw(st.booleans()):
+        terms = draw(st.lists(st.tuples(st.sampled_from(classes), coeff),
+                              max_size=3))
+        relations.append(LinearRelation(draw(st.sampled_from(classes)),
+                                        tuple(terms), draw(const)))
+    if relations:
+        for _ in range(draw(st.integers(0, 2))):
+            first = draw(st.sampled_from(relations))
+            second = draw(st.sampled_from(relations))
+            relations.append(LinearRelation(
+                first.lhs, first.terms + second.terms + ((second.lhs, -1),),
+                first.const + second.const + draw(st.sampled_from((0, 0, 1)))))
+    return classes, tuple(draw(st.permutations(relations)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sparse_systems())
+def test_sparse_solver_matches_dense_on_random_systems(system):
+    assert_same_outcome(*system)
