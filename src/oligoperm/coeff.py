@@ -31,7 +31,6 @@ concatenation are never reached.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
@@ -183,8 +182,10 @@ class Scalar(NamedTuple):
 
     @staticmethod
     def from_fraction(field, q):
-        q = Fraction(q)
-        n, d = q.numerator, q.denominator
+        """The image of a rational q: an int or ``fractions.Fraction`` read
+        through numerator/denominator, or a Scalar over Q through num/den."""
+        n, d = ((q.num, q.den) if isinstance(q, Scalar)
+                else (q.numerator, q.denominator))
         if field.kind == "rational":
             return Scalar(field, n, d)
         char = field.char
@@ -368,17 +369,20 @@ class Scalar(NamedTuple):
     # Specialization
 
     def evaluate(self, point):
-        """Substitute a rational number for the variable of a Q(var) scalar."""
+        """Substitute a rational number (an int, a Fraction or a Scalar over
+        Q) for the variable of a Q(var) scalar: Horner's rule over Q."""
         if self.field.kind != "ratfunc" or self.field.char != 0:
             raise FieldMismatch("evaluate applies to rational function fields over Q")
-        point = Fraction(point)
+        point = Scalar.from_fraction(RATIONAL, point)
         den = _p_eval(self.den, point)
-        if den == 0:
+        if den.is_zero():
             raise PoleAtPoint(f"denominator vanishes at {point}")
-        return Scalar.from_fraction(RATIONAL, _p_eval(self.num, point) / den)
+        return _p_eval(self.num, point) / den
 
     def as_fraction(self):
-        """Return the value as a Fraction when it is a constant over Q."""
+        """Return the value as a ``fractions.Fraction`` when it is a constant
+        over Q.  The package loads ``fractions`` here and nowhere else."""
+        from fractions import Fraction
         if self.field.kind == "rational":
             return Fraction(self.num, self.den)
         if self.field.char == 0 and self.is_constant():
@@ -389,16 +393,16 @@ class Scalar(NamedTuple):
 
     def _monic(self):
         """Numerator and denominator coefficients with the denominator monic:
-        Fractions over Q(t), the stored ints over F_p(t)."""
+        over Q(t) as Scalars over Q, over F_p(t) the stored ints."""
         if self.field.char:
             return self.num, self.den
         lead = self.den[-1]
-        return (tuple(Fraction(c, lead) for c in self.num),
-                tuple(Fraction(c, lead) for c in self.den))
+        return (tuple(Scalar.make(RATIONAL, c, lead) for c in self.num),
+                tuple(Scalar.make(RATIONAL, c, lead) for c in self.den))
 
     def render(self):
         if self.field.kind == "rational":
-            return str(Fraction(self.num, self.den))
+            return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
         num_coeffs, den_coeffs = self._monic()
         num = _poly_render(self.field, num_coeffs)
         if len(den_coeffs) == 1:
@@ -432,24 +436,21 @@ def one(field):
 
 
 def _poly_render(field, coeffs):
+    """A polynomial from ``_monic``'s coefficients, read through their text
+    (a Scalar over Q and an int in 0..p-1 print alike)."""
     if not coeffs:
         return "0"
     var = field.var
     parts = []
     for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
+        c = str(coeffs[i])
+        if c == "0":
             continue
         if i == 0:
-            mon = str(c)
+            mon = c
         else:
             head = f"{var}^{i}" if i > 1 else var
-            if c == 1:
-                mon = head
-            elif field.char == 0 and c == -1:
-                mon = f"-{head}"
-            else:
-                mon = f"{c}*{head}"
+            mon = head if c == "1" else f"-{head}" if c == "-1" else f"{c}*{head}"
         parts.append(mon)
     out = parts[0]
     for mon in parts[1:]:
@@ -481,9 +482,7 @@ def _size(value):
     num, den = value._monic()
     size = max(len(num), len(den)) - 1
     if value.field.char == 0:
-        for c in num + den:
-            size = max(size, abs(c.numerator).bit_length(),
-                       c.denominator.bit_length())
+        size = max(size, *map(_size, num + den))
     return size
 
 

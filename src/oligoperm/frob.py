@@ -102,13 +102,14 @@ def _build_frobenius(backend, x, field):
     ps1 = tensor_space(backend, [x])
     ps2 = tensor_space(backend, [x, x])
     collapse = backend.collapse_gmap(x)
-    diag = wiring_gmap(ps1, ps2, (0, 0))
+    counit = pushforward_matrix(backend, collapse, field)
+    comult = pushforward_matrix(backend, wiring_gmap(ps1, ps2, (0, 0)), field)
     return FrobeniusStructure(
         carrier=x,
-        unit=pullback_matrix(backend, collapse, field),
-        mult=pullback_matrix(backend, diag, field),
-        counit=pushforward_matrix(backend, collapse, field),
-        comult=pushforward_matrix(backend, diag, field),
+        unit=transpose(counit),
+        mult=transpose(comult),
+        counit=counit,
+        comult=comult,
         ps1=ps1,
         ps2=ps2,
         ps3=RowProduct(backend, [x] * 3),
@@ -126,8 +127,11 @@ def verify_frobenius(f, measure):
 
     # (a) commutative associative unital algebra
     swap = pushforward_matrix(backend, wiring_gmap(f.ps2, f.ps2, (1, 0)), field)
-    mu_id = pullback_matrix(backend, wiring_gmap(f.ps2, f.ps3, (0, 0, 1)), field)
-    id_mu = pullback_matrix(backend, wiring_gmap(f.ps2, f.ps3, (0, 1, 1)), field)
+    delta_id = pushforward_matrix(backend,
+                                  wiring_gmap(f.ps2, f.ps3, (0, 0, 1)), field)
+    id_delta = pushforward_matrix(backend,
+                                  wiring_gmap(f.ps2, f.ps3, (0, 1, 1)), field)
+    mu_id, id_mu = transpose(delta_id), transpose(id_delta)
     results.append(equality("algebra-associativity",
                             matmul(measure, f.mult, mu_id),
                             matmul(measure, f.mult, id_mu)))
@@ -139,10 +143,6 @@ def verify_frobenius(f, measure):
                             ident))
 
     # (b) cocommutative coassociative counital coalgebra
-    delta_id = pushforward_matrix(backend,
-                                  wiring_gmap(f.ps2, f.ps3, (0, 0, 1)), field)
-    id_delta = pushforward_matrix(backend,
-                                  wiring_gmap(f.ps2, f.ps3, (0, 1, 1)), field)
     results.append(equality("coalgebra-coassociativity",
                             matmul(measure, delta_id, f.comult),
                             matmul(measure, id_delta, f.comult)))

@@ -21,7 +21,6 @@ automorphisms of its source, which is exact for every measure (see
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import NamedTuple
 
 from .coeff import RATIONAL, Scalar, one, ratfunc_field, zero
@@ -130,10 +129,11 @@ class MeasureFamily(NamedTuple):
 
 
 def _solve_linear(classes, relations):
-    """Solve the point-cut relations over Q.
+    """Solve the point-cut relations over Q, computing in Scalars over Q.
 
     Returns (parameters, values) where values maps each class to an affine
-    expression {PARAMETER or None: Fraction}; the None key is the constant.
+    expression {PARAMETER or None: Scalar over Q}; the None key is the
+    constant.
     Unknown order is reversed so that the earliest class (the one atom chains
     start from) ends up as the free parameter.  More than one free class is
     an INCONSISTENT system: a family has at most one parameter.
@@ -163,14 +163,14 @@ def _solve_linear(classes, relations):
     rows = []
     holders = [set() for _ in cols]  # per column, the non-pivot rows with it
     for i, rel in enumerate(relations):
-        row = {col_index[rel.lhs]: Fraction(1)}
+        row = {col_index[rel.lhs]: one(RATIONAL)}
         for cls, coeff in rel.terms:
             c = col_index[cls]
-            row[c] = row.get(c, Fraction(0)) - coeff
-        row = {c: x for c, x in row.items() if x != 0}
+            row[c] = row.get(c, zero(RATIONAL)) - coeff
+        row = {c: x for c, x in row.items() if not x.is_zero()}
         for c in row:
             holders[c].add(i)
-        rows.append((row, Fraction(rel.const)))
+        rows.append((row, Scalar.from_int(RATIONAL, rel.const)))
     # forward elimination below the pivots
     pivot_of_col = {}
     for c, held in enumerate(holders):
@@ -189,7 +189,7 @@ def _solve_linear(classes, relations):
             factor = other[c]
             for k, x in coeffs.items():
                 y = other.get(k, 0) - factor * x
-                if y:
+                if not y.is_zero():
                     other[k] = y
                     holders[k].add(i)
                 else:
@@ -200,7 +200,7 @@ def _solve_linear(classes, relations):
     # every row left over is empty
     pivot_rows = set(pivot_of_col.values())
     for i, (_coeffs, const) in enumerate(rows):
-        if i not in pivot_rows and const != 0:
+        if i not in pivot_rows and not const.is_zero():
             raise InconsistentSystem("point-cut relations have no solution")
     free_cols = [c for c in range(len(cols)) if c not in pivot_of_col]
     if len(free_cols) > 1:
@@ -208,10 +208,10 @@ def _solve_linear(classes, relations):
         raise InconsistentSystem(
             f"classes {names} are all free; a measure family has one parameter")
     # back-substitution: (constant, coefficient of the free class) per column
-    pair = {c: (Fraction(0), Fraction(1)) for c in free_cols}
+    pair = {c: (zero(RATIONAL), one(RATIONAL)) for c in free_cols}
     for c in reversed(pivot_of_col):
         coeffs, const = rows[pivot_of_col[c]]
-        param = Fraction(0)
+        param = zero(RATIONAL)
         for k, x in coeffs.items():
             if k != c:
                 k_const, k_param = pair[k]
@@ -223,10 +223,10 @@ def _solve_linear(classes, relations):
         if c in pivot_of_col:
             const, param = pair[c]
             values[cls] = {None: const}
-            if param:
+            if not param.is_zero():
                 values[cls][PARAMETER] = param
         else:
-            values[cls] = {PARAMETER: Fraction(1), None: Fraction(0)}
+            values[cls] = {PARAMETER: one(RATIONAL), None: zero(RATIONAL)}
     return [PARAMETER] if free_cols else [], values
 
 

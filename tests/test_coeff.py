@@ -1,7 +1,10 @@
 import operator
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -475,3 +478,178 @@ def test_rational_matches_fraction(tree):
     assert value == Scalar.from_fraction(RATIONAL, want)
     assert _size(value) == max(abs(want.numerator).bit_length(),
                                want.denominator.bit_length())
+
+
+# Rendering, size and evaluation computed with fractions.Fraction, an
+# independent reference for the package's own, which computes in Scalars.
+
+def reference_monic(value):
+    if value.field.char:
+        return value.num, value.den
+    lead = value.den[-1]
+    return (tuple(Fraction(c, lead) for c in value.num),
+            tuple(Fraction(c, lead) for c in value.den))
+
+
+def reference_poly_render(field, coeffs):
+    if not coeffs:
+        return "0"
+    var = field.var
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if not c:
+            continue
+        if i == 0:
+            mon = str(c)
+        else:
+            head = f"{var}^{i}" if i > 1 else var
+            if c == 1:
+                mon = head
+            elif field.char == 0 and c == -1:
+                mon = f"-{head}"
+            else:
+                mon = f"{c}*{head}"
+        parts.append(mon)
+    out = parts[0]
+    for mon in parts[1:]:
+        out += f" - {mon[1:]}" if mon.startswith("-") else f" + {mon}"
+    return out
+
+
+def reference_render(value):
+    if value.field.kind == "rational":
+        return str(Fraction(value.num, value.den))
+    num_coeffs, den_coeffs = reference_monic(value)
+    num = reference_poly_render(value.field, num_coeffs)
+    if len(den_coeffs) == 1:
+        return num
+    if len(value.num) > 1 or "/" in num or num.startswith("-"):
+        num = f"({num})"
+    return f"{num}/({reference_poly_render(value.field, den_coeffs)})"
+
+
+def reference_size(value):
+    if value.field.kind == "rational":
+        return max(abs(value.num).bit_length(), value.den.bit_length())
+    num, den = reference_monic(value)
+    size = max(len(num), len(den)) - 1
+    if value.field.char == 0:
+        for c in num + den:
+            size = max(size, abs(c.numerator).bit_length(),
+                       c.denominator.bit_length())
+    return size
+
+
+def reference_evaluate(value, point):
+    """The value at a rational point as a Fraction, or PoleAtPoint."""
+    def horner(coeffs):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * point + c
+        return acc
+
+    point = Fraction(point)
+    den = horner(value.den)
+    if den == 0:
+        raise PoleAtPoint(f"denominator vanishes at {point}")
+    return horner(value.num) / den
+
+
+RENDER_FIELDS = {"Q": RATIONAL, "Q(t)": QT,
+                 **{f"F{p}(t)": ratfunc_field("t", p) for p in (2, 3, 7, MAX_CHAR)}}
+
+# small, unit and zero coefficients, and a few past a machine word either sign
+render_ints = st.one_of(st.integers(-3, 3), st.sampled_from(
+    [2**31 - 1, 2**31, -(2**40) - 5, 3**45, -(10**30) + 7]))
+render_points = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def render_cases(draw, field):
+    """A scalar of the field and rational points, some of them roots of a
+    factor (q t - p) the denominator may take on, so that they are poles
+    unless the numerator cancels it."""
+    points = draw(st.lists(render_points, min_size=1, max_size=3))
+    if field.kind == "rational":
+        den = draw(render_ints.filter(bool))
+        return Scalar.make(field, draw(render_ints), den), points
+    coeff = (render_ints if field.char else
+             st.one_of(render_ints, st.builds(Fraction, render_ints,
+                                              st.integers(1, 6))))
+    num = draw(st.lists(coeff, max_size=4))
+    den = draw(st.lists(coeff, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        root = points[0]
+        den = coeff_product(den, [-root.numerator, root.denominator])
+    try:
+        return Scalar.make(field, num, den), points
+    except DivisionByZero:
+        assume(False)
+
+
+def coeff_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("field", list(RENDER_FIELDS.values()),
+                         ids=list(RENDER_FIELDS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_render_size_and_evaluate_match_fraction_reference(field, data):
+    value, points = data.draw(render_cases(field))
+    assert value.render() == reference_render(value)
+    assert _size(value) == reference_size(value)
+    assert (-value).render() == reference_render(-value)
+    if field.kind == "rational" or field.char:
+        return
+    for point in points:
+        try:
+            want = reference_evaluate(value, point)
+        except PoleAtPoint as pole:
+            for arg in (point, Scalar.from_fraction(RATIONAL, point)):
+                with pytest.raises(PoleAtPoint) as got:
+                    value.evaluate(arg)
+                assert str(got.value) == str(pole)
+            continue
+        got = value.evaluate(point)
+        assert got.field == RATIONAL and got.as_fraction() == want
+        assert value.evaluate(Scalar.from_fraction(RATIONAL, point)) == got
+        if point.denominator == 1:
+            assert value.evaluate(point.numerator) == got
+
+
+@pytest.mark.parametrize("field", [QT, F7], ids=["Q(t)", "F7(t)"])
+def test_render_fixed_forms(field):
+    """Unit, negative and non-monic leading coefficients, as printed."""
+    x = Scalar.variable(field)
+    if field.char:
+        cases = {x * x - x: "t^2 + 6*t", (3 * x + 1) / (2 * x - 1):
+                 "(5*t + 4)/(t + 3)", -x: "6*t"}
+    else:
+        cases = {x * x - x: "t^2 - t", (3 * x + 1) / (2 * x - 1):
+                 "(3/2*t + 1/2)/(t - 1/2)", -x: "-t", -x / 2: "-1/2*t",
+                 one(field) / (-3 * x * x + 1): "(-1/3)/(t^2 - 1/3)"}
+    for value, text in cases.items():
+        assert value.render() == reference_render(value) == text
+
+
+def test_fractions_only_behind_as_fraction():
+    """Importing the package and its CLI loads none of ``fractions`` and the
+    ``decimal`` and ``numbers`` modules it pulls in; ``as_fraction`` still
+    returns a ``fractions.Fraction`` of the same value."""
+    src = str(Path(coeff.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import oligoperm, oligoperm.cli; "
+            "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
+    for value, want in [(q(-7, 3), Fraction(-7, 3)), (q(0), Fraction(0)),
+                        (Scalar.from_fraction(QT, Fraction(5, 4)), Fraction(5, 4))]:
+        got = value.as_fraction()
+        assert type(got) is Fraction and got == want

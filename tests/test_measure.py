@@ -497,13 +497,16 @@ def dense_solve_linear(classes, relations):
 
 
 def assert_same_solution(classes, relations):
+    """The solver's Scalars over Q equal the reference's Fractions, with the
+    classes and each value's keys in the same order."""
     params, values = _solve_linear(classes, relations)
     want_params, want_values = dense_solve_linear(classes, relations)
     assert params == want_params
-    # the classes and each value's keys in the same order, too
     assert ([(cls, list(expr.items())) for cls, expr in values.items()]
-            == [(cls, list(expr.items())) for cls, expr in want_values.items()])
-    assert all(type(x) is Fraction
+            == [(cls, [(key, Scalar.from_fraction(RATIONAL, x))
+                       for key, x in expr.items()])
+                for cls, expr in want_values.items()])
+    assert all(type(x) is Scalar and x.field == RATIONAL
                for expr in values.values() for x in expr.values())
 
 
