@@ -17,7 +17,8 @@ a document that is not an object, lacks a key, or has an entry that names no
 orbit or repeats one is a usage error too, and so is a matrix file whose
 field has another characteristic than ``--field`` and a measure spec whose
 fiber table lacks a class the bound reaches.  Each subcommand takes only the
-flags it reads.
+flags it reads.  A call builds the parser of the subcommand it names only;
+help and errors read as they do with every subparser built.
 """
 
 from __future__ import annotations
@@ -459,85 +460,126 @@ def cmd_suite(args):
     return _emit(args, report, None, started)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="oligoperm",
-        description="Exact workbench for measures and invariant-matrix "
-                    "calculus over oligomorphic permutation groups.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+def _common(p, backend=False, bound=True, field=True):
+    if bound:
+        p.add_argument("--bound", type=int, default=None)
+    if field:
+        p.add_argument("--field", default=None,
+                       help="q, qt, or fp:<p>")
+    p.add_argument("--group", default=None,
+                   help="finite group: S3, C2x4, S4, or cycle notation")
+    p.add_argument("--json", default=None, help="write the report here")
+    if backend:
+        p.add_argument("--backend", choices=["sym", "line", "finite"])
 
-    def common(p, backend=False, bound=True, field=True):
-        if bound:
-            p.add_argument("--bound", type=int, default=None)
-        if field:
-            p.add_argument("--field", default=None,
-                           help="q, qt, or fp:<p>")
-        p.add_argument("--group", default=None,
-                       help="finite group: S3, C2x4, S4, or cycle notation")
-        p.add_argument("--json", default=None, help="write the report here")
-        if backend:
-            p.add_argument("--backend", choices=["sym", "line", "finite"])
 
-    p = sub.add_parser("atoms", help="enumerate atoms within a bound")
-    common(p, backend=True, field=False)
+def _atoms_parser(p):
+    _common(p, backend=True, field=False)
     p.set_defaults(func=cmd_atoms)
 
-    p = sub.add_parser("homdim", help="dimension of a hom space")
-    common(p, bound=False, field=False)
+
+def _homdim_parser(p):
+    _common(p, bound=False, field=False)
     p.add_argument("--X", required=True)
     p.add_argument("--Y", required=True)
     p.set_defaults(func=cmd_homdim)
 
-    p = sub.add_parser("compose", help="compose two matrices from files")
-    common(p)
+
+def _compose_parser(p):
+    _common(p)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("dim", help="categorical dimension of an object")
-    common(p)
+
+def _dim_parser(p):
+    _common(p)
     p.add_argument("--X", required=True)
     p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("measure", help="measure solving and checking")
+
+def _measure_parser(p):
     msub = p.add_subparsers(dest="measure_cmd", required=True)
     ps = msub.add_parser("solve")
-    common(ps, backend=True)
+    _common(ps, backend=True)
     ps.set_defaults(func=cmd_measure_solve)
     pc = msub.add_parser("check")
-    common(pc, field=False)
+    _common(pc, field=False)
     pc.add_argument("--spec", required=True)
     pc.set_defaults(func=cmd_measure_check)
 
-    p = sub.add_parser("frob", help="frobenius and idempotent checks")
+
+def _frob_parser(p):
     fsub = p.add_subparsers(dest="frob_cmd", required=True)
     pv = fsub.add_parser("verify")
-    common(pv)
+    _common(pv)
     pv.add_argument("--X", required=True)
     pv.set_defaults(func=cmd_frob_verify)
     pe = fsub.add_parser("eidem")
-    common(pe)
+    _common(pe)
     pe.add_argument("--B", required=True)
     pe.add_argument("--gamma", required=True,
                     help="diagonal, all-ones, or a JSON file")
     pe.set_defaults(func=cmd_frob_eidem)
     pg = fsub.add_parser("gamma-of")
-    common(pg)
+    _common(pg)
     pg.add_argument("--map", required=True)
     pg.set_defaults(func=cmd_frob_gamma_of)
 
-    p = sub.add_parser("pregalois", help="axiom profile of a backend")
-    common(p, backend=True, field=False)
+
+def _pregalois_parser(p):
+    _common(p, backend=True, field=False)
     p.set_defaults(func=cmd_pregalois)
 
-    p = sub.add_parser("check-linearization")
-    common(p, backend=True)
+
+def _check_linearization_parser(p):
+    _common(p, backend=True)
     p.set_defaults(func=cmd_check_linearization)
 
-    p = sub.add_parser("suite", help="every checker, composed")
-    common(p, backend=True, field=False)
+
+def _suite_parser(p):
+    _common(p, backend=True, field=False)
     p.set_defaults(func=cmd_suite)
 
+
+# subcommand -> (the keywords of its add_parser call, the builder of its
+# arguments); a command without "help" is left out of the top-level help
+_COMMANDS = {
+    "atoms": ({"help": "enumerate atoms within a bound"}, _atoms_parser),
+    "homdim": ({"help": "dimension of a hom space"}, _homdim_parser),
+    "compose": ({"help": "compose two matrices from files"}, _compose_parser),
+    "dim": ({"help": "categorical dimension of an object"}, _dim_parser),
+    "measure": ({"help": "measure solving and checking"}, _measure_parser),
+    "frob": ({"help": "frobenius and idempotent checks"}, _frob_parser),
+    "pregalois": ({"help": "axiom profile of a backend"}, _pregalois_parser),
+    "check-linearization": ({}, _check_linearization_parser),
+    "suite": ({"help": "every checker, composed"}, _suite_parser),
+}
+
+
+def build_parser(command=None):
+    """The command-line parser.  When ``command`` names a subcommand, only
+    that subcommand's parser (with its nested ones) is built; its usage line
+    still lists every subcommand, as the full parser's does.  Otherwise (no
+    command, a help flag or an unknown name) every subparser is built, so
+    help and the invalid-choice error read as they always have."""
+    parser = argparse.ArgumentParser(
+        prog="oligoperm",
+        description="Exact workbench for measures and invariant-matrix "
+                    "calculus over oligomorphic permutation groups.")
+    if command in _COMMANDS:
+        # a metavar would also rename the action in the full parser's
+        # "argument cmd: invalid choice" error, which cannot arise here
+        sub = parser.add_subparsers(
+            dest="cmd", required=True,
+            metavar="{" + ",".join(_COMMANDS) + "}")
+        names = [command]
+    else:
+        sub = parser.add_subparsers(dest="cmd", required=True)
+        names = list(_COMMANDS)
+    for name in names:
+        keywords, build = _COMMANDS[name]
+        build(sub.add_parser(name, **keywords))
     return parser
 
 
@@ -560,7 +602,7 @@ def _echo(argv):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

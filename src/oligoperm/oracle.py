@@ -19,6 +19,11 @@ adds ``b * a * count`` once per entry and pair and drops the sums that come
 to zero.  The matrices of a finite model take few distinct values, so the
 scalar arithmetic follows the distinct value pairs and not the middle
 index, and a check's work follows the nonzero entries, not the dense grid.
+The composition check stacks its composites per middle and target atom
+(``_composition_failures``), so one ``matmul``, one expansion and one
+``literal_product`` check every composite of two basis matrices through that
+pair of atoms, and the stacked sides are sliced into per-composite blocks
+only when they differ.
 
 Orbit counts back the hom dimensions of both backends, each by one
 union-find over integer points.  The finite backend counts orbits on pairs:
@@ -48,7 +53,7 @@ import itertools
 from collections import Counter
 
 from .coeff import one, zero
-from .linmat import matmul, projection, tensor_space
+from .linmat import InvariantMatrix, matmul, projection, tensor_space
 
 
 # Finite backend expansion
@@ -291,6 +296,78 @@ def _pair_rows(backend, x):
             for y1 in range(degree)]
 
 
+def _composition_failures(backend, measure, atoms, bases):
+    """The composites of two hom-basis matrices whose ``matmul`` differs from
+    the literal product, in the order (a, b, c, bl, al) of the source, middle
+    and target atoms and the two basis matrices' orbits.
+
+    ``bases[a, b]`` lists the (orbit label, basis matrix, literal matrix)
+    triples of Hom(a, b).  Per middle atom b and target atom c, every basis
+    matrix of Hom(b, c) is stacked into one matrix onto one copy of c per
+    basis matrix, and every basis matrix into b, over all source atoms a,
+    into one matrix from one copy of a per basis matrix; block (p, q) of
+    their product is the composite of the p-th and q-th basis matrices.  One
+    ``matmul``, one expansion and one ``literal_product`` of the stacked
+    literal matrices check every composite through b into c, and only when
+    the two sides differ are they sliced into blocks, numbered locally as the
+    composites' own literal matrices are."""
+    from .report import difference
+
+    failures = []
+    for ib, b in enumerate(atoms):
+        ins = [(ia, a, al, am, amat) for ia, a in enumerate(atoms)
+               for al, am, amat in bases[a, b]]
+        # cols[j] is column j's (block column, column within the block)
+        ams, amats, cols = {}, {}, []
+        for q, (_ia, a, _al, am, amat) in enumerate(ins):
+            for (_t, _s, label), value in am.entries.items():
+                ams[0, q, label] = value
+            for (k, j), value in amat.items():
+                amats[k, len(cols) + j] = value
+            cols += [(q, j) for j in range(a.degree)]
+        stacked_a = InvariantMatrix(backend, backend.object_of(
+            [a for _ia, a, *_ in ins]), backend.object_of([b]), ams)
+        for ic, c in enumerate(atoms):
+            outs, height = bases[b, c], c.degree
+            stacked_b = InvariantMatrix(
+                backend, backend.object_of([b]),
+                backend.object_of([c] * len(outs)),
+                {(p, s, label): value
+                 for p, (_bl, bm, _bmat) in enumerate(outs)
+                 for (_t, s, label), value in bm.entries.items()})
+            bmats = {(p * height + i, k): value
+                     for p, (_bl, _bm, bmat) in enumerate(outs)
+                     for (i, k), value in bmat.items()}
+            lhs = expand_finite_matrix(
+                backend, matmul(measure, stacked_b, stacked_a))
+            rhs = literal_product(bmats, amats)
+            if lhs == rhs:
+                continue
+            blocks = _blocks(lhs, height, cols), _blocks(rhs, height, cols)
+            for p, q in blocks[0].keys() | blocks[1].keys():
+                d = difference(*(side.get((p, q), {}) for side in blocks))
+                if d:
+                    ia, a, al = ins[q][:3]
+                    failures.append(((ia, ib, ic, p, q), {
+                        "composite": f"{a.render()} -> {b.render()}"
+                                     f" -> {c.render()}",
+                        "orbits": f"{outs[p][0]} after {al}", **d}))
+    failures.sort(key=lambda failure: failure[0])
+    return [failure for _order, failure in failures]
+
+
+def _blocks(literal, height, cols):
+    """A stacked literal matrix sliced into its blocks, {(p, q): block}:
+    row r lies in block row r // height, and ``cols[j]`` is column j's
+    (block column, column within the block)."""
+    out = {}
+    for (r, j), value in literal.items():
+        p, i = divmod(r, height)
+        q, k = cols[j]
+        out.setdefault((p, q), {})[i, k] = value
+    return out
+
+
 def finite_category_oracle(backend, measure, bound):
     """Hom spaces, composition, tensor, duality and Frobenius structure of the
     finite backend against explicit permutation-matrix linear algebra."""
@@ -322,20 +399,7 @@ def finite_category_oracle(backend, measure, bound):
                            for f in hom_basis(backend, xs[a], xs[b], field)
                            for _t, _s, label in f.entries]
 
-    composition = []
-    for a in atoms:
-        for b in atoms:
-            for c in atoms:
-                for bl, bm, bmat in bases[b, c]:
-                    for al, am, amat in bases[a, b]:
-                        composed = matmul(measure, bm, am)
-                        d = difference(expand_finite_matrix(backend, composed),
-                                       literal_product(bmat, amat))
-                        if d:
-                            composition.append({
-                                "composite": f"{a.render()} -> {b.render()}"
-                                             f" -> {c.render()}",
-                                "orbits": f"{bl} after {al}", **d})
+    composition = _composition_failures(backend, measure, atoms, bases)
 
     pair_rows = {a: _pair_rows(backend, xs[a]) for a in atoms}
     tensors = []

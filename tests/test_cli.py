@@ -722,3 +722,102 @@ def test_resource_exhaustion_exits_3(monkeypatch, capsys, error):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"resource error: {error.__name__}, the run stopped without a verdict"]
+
+
+def perfbench_cli_calls():
+    """The argv lists of the benchmark's ``cli-mix`` workload."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CLI_CALLS
+
+
+# one valid call per leaf subcommand, with flags in their short, long and
+# --flag=value forms
+SUBCOMMAND_CALLS = [
+    ["atoms", "--backend", "finite", "--group", "S3", "--bound", "2",
+     "--json", "r.json"],
+    ["homdim", "--X", "sym:inj[1]", "--Y", "sym:inj[2]", "--group", "S3"],
+    ["compose", "--lhs", "a.json", "--rhs", "b.json", "--field", "qt",
+     "--bound", "3"],
+    ["dim", "--X", "sym:inj[1]", "--field", "fp:7", "--bound", "2"],
+    ["measure", "solve", "--backend", "line", "--bound", "5", "--field", "qt"],
+    ["measure", "check", "--spec", "spec.json", "--bound", "3"],
+    ["frob", "verify", "--X", "line:inc[1]", "--js", "r.json"],
+    ["frob", "eidem", "--B", "sym:inj[2]", "--gamma", "all-ones"],
+    ["frob", "gamma-of", "--map=sym:inj[2] -> sym:inj[1] : [1]"],
+    ["pregalois", "--backend", "sym", "--bound", "3"],
+    ["check-linearization", "--backend", "finite", "--group", "S4"],
+    ["suite", "--backend", "finite", "--group", "S3", "--bound", "6"],
+]
+
+# help and parse errors, of the top-level parser and of subparsers
+PARSER_EXITS = [
+    [], ["--help"], ["bogus"], ["suite", "--backend", "sym", "extra"],
+    ["frob"], ["measure", "solve", "--bogus"], ["atoms", "--help"],
+    ["frob", "gamma-of", "--help"], ["measure", "bogus"],
+    ["atoms", "--bound", "x"], ["suite", "--backend", "nope"],
+    ["homdim", "--X", "sym:inj[1]"],
+] + [[name, "--help"] for name in ("homdim", "compose", "dim", "measure",
+                                   "frob", "pregalois", "check-linearization",
+                                   "suite")]
+
+
+def parse_outcome(parser, argv):
+    """What parsing argv prints and returns: (namespace or None, stdout,
+    stderr, exit code or None)."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = parser.parse_args(argv), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return args, out.getvalue(), err.getvalue(), code
+
+
+def test_subcommand_parser_matches_the_full_parser():
+    """``main`` builds the parser of the subcommand argv[0] names only; it
+    must parse every call as the parser of all subcommands does, and print
+    the same help and errors with the same exit code."""
+    from oligoperm.cli import _COMMANDS, build_parser
+
+    calls = perfbench_cli_calls()
+    assert len(calls) == 16
+    assert {argv[0] for argv in SUBCOMMAND_CALLS} == set(_COMMANDS)
+    for argv in calls + SUBCOMMAND_CALLS:
+        args, *printed = parse_outcome(build_parser(argv[0]), argv)
+        assert args is not None and printed == ["", "", None], argv
+        assert args == parse_outcome(build_parser(), argv)[0], argv
+    for argv in PARSER_EXITS:
+        command = argv[0] if argv else None
+        outcome = parse_outcome(build_parser(command), argv)
+        assert outcome == parse_outcome(build_parser(), argv), argv
+        assert outcome[0] is None and outcome[3] in (0, 2), argv
+
+
+def test_main_builds_only_the_named_subcommand(monkeypatch, capsys):
+    import argparse
+
+    from oligoperm import cli
+
+    real, built = cli.build_parser, []
+
+    def recording(command=None):
+        built.append(real(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert main(["atoms", "--backend", "sym", "--bound", "1"]) == 0
+    assert main(["bogus"]) == 2
+    capsys.readouterr()
+    assert [list(action.choices) for parser in built
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)] == [
+        ["atoms"], list(cli._COMMANDS)]

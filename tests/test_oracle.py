@@ -11,6 +11,7 @@ probes at the end check that a wrong answer makes the oracle FAIL.
 import itertools
 from fractions import Fraction
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -301,6 +302,75 @@ def test_flipped_composite_fails_finite_oracle(monkeypatch):
         "composition-is-matrix-product"]
 
 
+def reference_composition_failures(backend, measure, atoms, bases):
+    """The composition check one composite of two basis matrices at a time,
+    each with its own ``matmul``, expansion and literal product: the loop
+    ``oracle._composition_failures`` stacks."""
+    from oligoperm.report import difference
+
+    failures = []
+    for a in atoms:
+        for b in atoms:
+            for c in atoms:
+                for bl, bm, bmat in bases[b, c]:
+                    for al, am, amat in bases[a, b]:
+                        composed = oracle.matmul(measure, bm, am)
+                        d = difference(expand_finite_matrix(backend, composed),
+                                       literal_product(bmat, amat))
+                        if d:
+                            failures.append({
+                                "composite": f"{a.render()} -> {b.render()}"
+                                             f" -> {c.render()}",
+                                "orbits": f"{bl} after {al}", **d})
+    return failures
+
+
+def unmeasured_matmul(measure, bmat, amat):
+    """``matmul`` with the measure factor dropped from every term: under a
+    measure whose every map measures one."""
+    unit = one(measure.field)
+    return matmul(SimpleNamespace(field=measure.field, mu_map=lambda _g: unit),
+                  bmat, amat)
+
+
+def shifted_matmul(measure, bmat, amat):
+    """``matmul`` with the first entry, in sorted order, of each (target
+    position, source position) block shifted by one: the same change
+    whether the composites come one at a time or stacked."""
+    out = matmul(measure, bmat, amat)
+    first = {}
+    for key in sorted(out.entries):
+        first.setdefault(key[:2], key)
+    entries = dict(out.entries)
+    for key in first.values():
+        entries[key] = entries[key] + one(measure.field)
+    return InvariantMatrix(out.backend, out.source, out.target, entries)
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("S3", [0, 29, 245]), ("C2x4", [0, 1, 13]), ("S4", [0, 379, 1081])])
+def test_stacked_composition_matches_per_pair_loop(name, counts, monkeypatch):
+    """The stacked composition check finds the failures the per-pair loop
+    finds, entry by entry and in its order, on the real ``matmul`` and on
+    two mutants of it."""
+    backend = preset_backend(name)
+    measure = solve_measures(backend, 6).generic()
+    atoms = backend.atoms_up_to(6)
+    xs = {a: backend.object_of([a]) for a in atoms}
+    bases = {(a, b): [(label, f, expand_finite_matrix(backend, f))
+                      for f in hom_basis(backend, xs[a], xs[b], measure.field)
+                      for _t, _s, label in f.entries]
+             for a in atoms for b in atoms}
+    found = []
+    for mutant in (matmul, unmeasured_matmul, shifted_matmul):
+        monkeypatch.setattr(oracle, "matmul", mutant)
+        stacked = oracle._composition_failures(backend, measure, atoms, bases)
+        assert stacked == reference_composition_failures(
+            backend, measure, atoms, bases)
+        found.append(len(stacked))
+    assert found == counts
+
+
 # one probe per oracle check and direction: each patches the producer of the
 # matrices that check alone reads, changes every matrix it can, and must make
 # exactly that check FAIL, once per changed matrix, with the first changed
@@ -350,28 +420,71 @@ def label_of(basis_matrix):
     return label
 
 
-# check -> (module, producer, its matrix under test, put a matrix back,
-# the witness of a call's arguments)
+def one_matrix(get, put, instance):
+    """A probe on a producer whose output holds one matrix under test:
+    (its parts, put changed parts back).  A part is (order, the instance it
+    names, the matrix); one order for all, so the calls keep their order."""
+    return (lambda args, out: [((), instance(*args), get(out))],
+            lambda args, out, matrices: put(out, matrices[0]))
+
+
+def composite_blocks(args, out):
+    """The parts of a stacked product (see ``oracle._composition_failures``):
+    one per block (p, q), the composite of the p-th basis matrix of the
+    left factor and the q-th of the right one, as a matrix between the two
+    atoms, ordered as the check visits composites, by (source, middle and
+    target atom, p, q)."""
+    _measure, bm, am = args
+    backend = out.backend
+    order = backend.atoms_up_to(6).index
+    labels = {}
+    for factor, side in ((bm, 0), (am, 1)):
+        for key in factor.entries:
+            labels[side, key[side]] = key[2]
+    blocks = {}
+    for (p, q, label), value in out.entries.items():
+        blocks.setdefault((p, q), {})[0, 0, label] = value
+    b = bm.source.atoms[0]
+    parts = []
+    for p, c in enumerate(out.target.atoms):
+        for q, a in enumerate(out.source.atoms):
+            parts.append((
+                (order(a), order(b), order(c), p, q),
+                {"composite": f"{a.render()} -> {b.render()} -> {c.render()}",
+                 "orbits": f"{labels[0, p]} after {labels[1, q]}"},
+                InvariantMatrix(backend, backend.object_of([a]),
+                                backend.object_of([c]), blocks.get((p, q)))))
+    return parts
+
+
+def composite_put(args, out, matrices):
+    """The stacked product with block (p, q) read off its part's matrix."""
+    blocks = [(p, q) for p in range(len(out.target.atoms))
+              for q in range(len(out.source.atoms))]
+    return InvariantMatrix(out.backend, out.source, out.target, {
+        (p, q, label): value for (p, q), matrix in zip(blocks, matrices)
+        for (_t, _s, label), value in matrix.entries.items()})
+
+
+# check -> (module, producer, the parts of its output, put changed parts back)
 ORACLE_PROBES = {
     "composition-is-matrix-product": (
-        oracle, "matmul", lambda out: out, lambda out, m: m,
-        lambda _measure, bm, am: {
-            "composite": f"{atom_of(am.source)} -> {atom_of(bm.source)} -> "
-                         f"{atom_of(bm.target)}",
-            "orbits": f"{label_of(bm)} after {label_of(am)}"}),
+        oracle, "matmul", composite_blocks, composite_put),
     "tensor-is-entrywise-product": (
-        permcat, "tensor", lambda out: out, lambda out, m: m,
-        lambda _backend, f, g: {
-            "atom": atom_of(f.source),
-            "orbits": f"{label_of(f)} (x) {label_of(g)}"}),
+        permcat, "tensor", *one_matrix(
+            lambda out: out, lambda out, m: m,
+            lambda _backend, f, g: {
+                "atom": atom_of(f.source),
+                "orbits": f"{label_of(f)} (x) {label_of(g)}"})),
     "duality-data-is-diagonal": (
-        permcat, "duality_data", lambda out: out[0],
-        lambda out, m: (m, out[1]),
-        lambda _backend, x, _field: {"atom": atom_of(x)}),
+        permcat, "duality_data", *one_matrix(
+            lambda out: out[0], lambda out, m: (m, out[1]),
+            lambda _backend, x, _field: {"atom": atom_of(x)})),
     "frobenius-structure-is-pointwise": (
-        frob, "build_frobenius", lambda out: out.mult,
-        lambda out, m: out._replace(mult=m),
-        lambda _backend, x, _field: {"atom": atom_of(x), "parts": "mult"}),
+        frob, "build_frobenius", *one_matrix(
+            lambda out: out.mult, lambda out, m: out._replace(mult=m),
+            lambda _backend, x, _field: {"atom": atom_of(x),
+                                         "parts": "mult"})),
 }
 
 
@@ -381,17 +494,22 @@ ORACLE_PROBES = {
 def test_oracle_probe_fails_its_check(check, change, monkeypatch):
     backend = preset_backend("S3")
     measure = solve_measures(backend, 6).generic()
-    module, name, get, put, instance = ORACLE_PROBES[check]
+    module, name, parts_of, put = ORACLE_PROBES[check]
     real = getattr(module, name)
     changed = []
 
     def probe(*args):
         out = real(*args)
-        matrix = change(get(out))
-        if matrix is None:
+        parts = parts_of(args, out)
+        matrices = [change(matrix) for _order, _instance, matrix in parts]
+        if all(matrix is None for matrix in matrices):
             return out
-        changed.append((instance(*args), matrix, get(out)))
-        return put(out, matrix)
+        changed.extend((order, instance, matrix, true)
+                       for (order, instance, true), matrix
+                       in zip(parts, matrices) if matrix is not None)
+        return put(args, out, [true if matrix is None else matrix
+                               for (_o, _i, true), matrix
+                               in zip(parts, matrices)])
 
     monkeypatch.setattr(module, name, probe)
     report = finite_category_oracle(backend, measure, 6)
@@ -399,9 +517,10 @@ def test_oracle_probe_fails_its_check(check, change, monkeypatch):
     assert [r.name for r in report.failures()] == [check]
     witness = report.result(check).witness
     (count,) = [key for key in witness if key.startswith("failing-")]
-    # the first changed instance, its first wrong literal entry (the changed
-    # matrix's expansion against the true one's) and the failure count
-    first, matrix, true = changed[0]
+    # the first changed instance in the check's order, its first wrong
+    # literal entry (the changed matrix's expansion against the true one's)
+    # and the failure count
+    _order, first, matrix, true = min(changed, key=lambda part: part[0])
     assert witness == {
         **first, **literal_difference(expand_finite_matrix(backend, matrix),
                                       expand_finite_matrix(backend, true)),
