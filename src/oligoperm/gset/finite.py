@@ -215,7 +215,9 @@ class FiniteBackend(Backend):
     def _enumerate_subgroups(self):
         """Every subgroup, as a join of cyclic subgroups.  Each subgroup found
         keeps one generator list, and its join with a cyclic <g> not inside
-        it is closed from its own elements under that list and g."""
+        it is closed from its own elements under that list and g.  The join
+        depends only on the union of a and <g>, so a union met before, or one
+        that is already a subgroup, is skipped."""
         cyclic = {}  # cyclic subgroup -> one generator
         for g, row in enumerate(self._mul):
             sub = {0}
@@ -225,14 +227,20 @@ class FiniteBackend(Backend):
                 x = row[x]
             cyclic.setdefault(frozenset(sub), g)
         gens = {sub: [g] for sub, g in cyclic.items()}
+        closed = set(gens)  # the unions closed so far, and every subgroup
         frontier = list(gens)
         while frontier:
             new = []
             for a in frontier:
-                for g in cyclic.values():
+                for c, g in cyclic.items():
                     if g in a:
                         continue
+                    union = a | c
+                    if union in closed:
+                        continue
+                    closed.add(union)
                     join = self._close(a, gens[a] + [g])
+                    closed.add(join)
                     if join not in gens:
                         gens[join] = gens[a] + [g]
                         new.append(join)

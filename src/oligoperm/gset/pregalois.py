@@ -9,9 +9,22 @@ through ``report.verdict``.
 
 Internal equivalence relations on an atom X are unions of orbits of X x X
 containing the diagonal, closed under the swap, and closed under relational
-composition.  They are enumerated as joins of principal closures, which is
-exhaustive: every relation is the join of the closures of the orbits it
-contains.  Axiom (h) asks each of them to be the kernel pair of a surjection
+composition.  Every relation is the join of the principal closures of the
+orbits it contains, so they are enumerated as joins of principal closures,
+each distinct set closed once (``_relation_masks``):
+
+- one principal closure per swap pair: a relation is closed under swap, so
+  an orbit and its swap have the same closure, and an orbit already in the
+  least relation has that relation as its closure;
+- joins with join-irreducible generators only: a principal closure that is
+  the closure of the union of the principal closures strictly below it is
+  their join, so by induction on size every principal closure, and hence
+  every relation, is a join of the principal closures that are not;
+- each distinct union closed once: the closure of a relation r joined with
+  p depends only on the union r | p, so a union met before, or one that is
+  already a relation, is skipped.
+
+Axiom (h) asks each of them to be the kernel pair of a surjection
 onto an object of the fragment.  The checker computes the kernel pair of
 every surjection out of X once (``quotients_by_kernel``), and reports a
 relation as a witness when no surjection has it as its kernel pair.
@@ -198,6 +211,47 @@ def _closure(closed, extra, swap, rows, cols):
     return current
 
 
+def _relation_masks(seed, swap, rows, cols):
+    """Every mask that contains seed and is closed under swap and
+    composition, as a set; ``swap``, ``rows`` and ``cols`` are as in
+    ``_closure``.  Each distinct union is closed once: the principal
+    closures one per swap pair, then breadth-first joins of the relations
+    found with the join-irreducible principal closures (see the module
+    docstring)."""
+    least = _closure(0, seed, swap, rows, cols)
+    principal = [least]
+    for k, s in enumerate(swap):
+        if k <= s and not least >> k & 1:
+            p = _closure(least, 1 << k, swap, rows, cols)
+            if p not in principal:
+                principal.append(p)
+    generators = []
+    for p in principal[1:]:
+        below = [q for q in principal if q != p and q & ~p == 0]
+        union = reduce(or_, below)
+        if union in below or _closure(max(below, key=int.bit_count), union,
+                                      swap, rows, cols) != p:
+            generators.append(p)
+    relations = set(principal)
+    closed = set(principal)  # the unions closed so far, and every relation
+    frontier = principal
+    while frontier:
+        new = []
+        for r in frontier:
+            for p in generators:
+                union = r | p
+                if union in closed:
+                    continue
+                closed.add(union)
+                joined = _closure(r, p, swap, rows, cols)
+                if joined not in relations:
+                    relations.add(joined)
+                    closed.add(joined)
+                    new.append(joined)
+        frontier = new
+    return relations
+
+
 def internal_equivalence_relations(backend, x):
     """All orbit-unions of X x X that are reflexive, symmetric, transitive."""
     orbits = backend.product_decompose(x, x)
@@ -208,23 +262,7 @@ def internal_equivalence_relations(backend, x):
     swap = [index[backend.swap_label(x, x, label)] for label in labels]
     rows = triple_table(backend, x, x, x)
     cols = tuple(zip(*rows))
-    least = _closure(0, 1 << index[diag], swap, rows, cols)
-    principal = {_closure(least, 1 << k, swap, rows, cols)
-                 for k in range(len(labels))}
-    principal.add(least)
-    relations = set(principal)
-    frontier = set(principal)
-    while frontier:
-        new = set()
-        for r in frontier:
-            for p in principal:
-                if p & ~r == 0:
-                    continue  # r is closed, so joining p gives r again
-                joined = _closure(r, p, swap, rows, cols)
-                if joined not in relations:
-                    relations.add(joined)
-                    new.add(joined)
-        frontier = new
+    relations = _relation_masks(1 << index[diag], swap, rows, cols)
     out = [frozenset(labels[k] for k in _bits(r)) for r in relations]
     return sorted(out, key=lambda r: (len(r), sorted(r)))
 

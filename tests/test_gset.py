@@ -321,6 +321,65 @@ def test_subgroups_by_generators_match_reference(text, n_points):
     assert backend._subgroups == reference_subgroups(backend)
 
 
+def per_pair_subgroups(backend):
+    """``FiniteBackend._enumerate_subgroups`` as it was before it skipped
+    unions met before: every frontier subgroup joined with every cyclic
+    subgroup not inside it, each join closed under the frontier subgroup's
+    generator list and the cyclic generator.  Kept as its reference."""
+    cyclic = {}
+    for g, row in enumerate(backend._mul):
+        sub = {0}
+        x = g
+        while x not in sub:
+            sub.add(x)
+            x = row[x]
+        cyclic.setdefault(frozenset(sub), g)
+    gens = {sub: [g] for sub, g in cyclic.items()}
+    frontier = list(gens)
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in cyclic.values():
+                if g in a:
+                    continue
+                join = backend._close(a, gens[a] + [g])
+                if join not in gens:
+                    gens[join] = gens[a] + [g]
+                    new.append(join)
+        frontier = new
+    return sorted(gens, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize("text, n_points, exact", [
+    ("(1 2); (1 2 3)", None, 6),             # S3
+    ("(1 2)", 4, 0),                         # C2x4
+    ("(1 2); (1 2 3 4)", None, 256),         # S4
+    ("(1 2 3); (3 4 5)", None, 1145),        # A5
+    ("(1 2 3 4); (1 3)", None, 20),          # D4
+    ("(1 2 3 4 5); (2 5)(3 4)", None, 15),   # D5
+    ("(1 2)(3 4); (1 3)(2 4)", None, 3),     # V4
+    ("(1 2 3)(4 5 6); (1 4)", None, 197),
+], ids=["S3", "C2x4", "S4", "A5", "D4", "D5", "V4", "cycles"])
+def test_subgroup_joins_close_each_union_once(text, n_points, exact,
+                                              monkeypatch):
+    """Building a backend closes each distinct union of a subgroup and a
+    cyclic subgroup once, and none that is already a subgroup, and finds
+    the subgroups of the per-pair joins.  The counts are exact, so a change
+    in either direction shows (closing every join made 16 S3, 1 C2x4, 392
+    S4, 1,641 A5, 41 D4, 36 D5, 9 V4 and 317 cycles calls)."""
+    calls = []
+    close = FiniteBackend._close
+
+    def counting(self, sub, gens):
+        calls.append(sub)
+        return close(self, sub, gens)
+
+    monkeypatch.setattr(FiniteBackend, "_close", counting)
+    backend = FiniteBackend(*parse_cycles(text, n_points))
+    assert len(calls) == exact
+    assert backend._enumerate_subgroups() == per_pair_subgroups(backend)
+
+
 def compose(p, q):
     """p after q, as permutation tuples."""
     return tuple(p[i] for i in q)
@@ -509,6 +568,18 @@ def test_random_groups_match_tuple_reference(group):
     for a, b in itertools.product(atoms, repeat=2):
         assert (finite_orbit_count_on_pairs(backend, a, b)
                 == len(backend.product_decompose(a, b)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(permutation_groups())
+def test_random_groups_subgroups_match_per_pair_joins(group):
+    """On the draws of ``test_random_groups_match_tuple_reference``, the
+    subgroups found with each union closed once are the per-pair joins'."""
+    generators, n_points = group
+    if group_order(generators, n_points) > MAX_GROUP_ORDER:
+        return
+    backend = FiniteBackend(generators, n_points)
+    assert backend._enumerate_subgroups() == per_pair_subgroups(backend)
 
 
 # a fresh backend (empty cache) and the atom bound of its triple-table test;
