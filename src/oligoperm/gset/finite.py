@@ -149,13 +149,10 @@ class FiniteBackend(Backend):
         # conjugation rows: _conj[h][s] is the index of h^-1.s.h
         self._conj = tuple(tuple(mul[x][h] for x in mul[self._inv[h]])
                            for h in range(len(mul)))
-        subgroups = self._enumerate_subgroups()
-        self._subgroups = [frozenset(map(self.elements.__getitem__, sub))
-                           for sub in subgroups]
         # one representative per conjugacy class of subgroups, with the
         # class's members, ranked by index and then by sorted elements
         classes, seen = [], set()
-        for h in subgroups:
+        for h in self._enumerate_subgroups():
             if h in seen:
                 continue
             conj = {frozenset(map(row.__getitem__, h)) for row in self._conj}
@@ -173,7 +170,6 @@ class FiniteBackend(Backend):
         # an atom's points are the left cosets g.H of its subgroup H, in the
         # order of their least elements; _coset_reps lists those elements and
         # _coset_of maps each element to the point of its coset
-        self._points = {}
         self._coset_reps = {}
         self._coset_of = {}
         for atom, rep in zip(self._atoms, self._reps):
@@ -187,9 +183,6 @@ class FiniteBackend(Backend):
                     reps.append(g)
             self._coset_reps[atom] = reps
             self._coset_of[atom] = coset_of
-            self._points[atom] = [
-                frozenset(self.elements[mul[g][h]] for h in rep)
-                for g in reps]
 
     # Group plumbing
 
@@ -352,11 +345,6 @@ class FiniteBackend(Backend):
                 for k, o in enumerate(self.product_decompose(a, b))
                 for p in range(o.atom.degree)}
 
-    def pair_label(self, a, b, pa, pb):
-        """Label of the orbit of a x b through the point pair (pa, pb)."""
-        k, _ = self._pair_index(a, b)[(pa, pb)]
-        return self.product_decompose(a, b)[k].label
-
     def product_factor(self, f, g):
         if f.source != g.source:
             raise ValueError("product factor needs a common source")
@@ -385,7 +373,8 @@ class FiniteBackend(Backend):
 
     def swap_label(self, a, b, label):
         orbit = self.product_decompose(a, b)[int(label[1:])]
-        return self.pair_label(b, a, orbit.proj2.data[0], orbit.proj1.data[0])
+        k, _ = self._pair_index(b, a)[orbit.proj2.data[0], orbit.proj1.data[0]]
+        return self.product_decompose(b, a)[k].label
 
     # Elementary structure
 

@@ -39,9 +39,11 @@ of 112,896 pairs.  The counts use only the generators' action on model
 points and never ``product_decompose``, ``product_factor`` or ``linmat``, so
 they stay independent of the orbit enumeration they check; the reduction is
 a fact about the group action, not about how the backend enumerates orbits.
-The matrix checks use orbit projections, ``pair_label``, ``tensor_space``
-and ``projection`` only to address entries of the matrices under test and
-compute the products they compare against literally.
+The matrix checks address a point of an object as its atom position's
+offset (``_offsets``) plus its index in that atom, and an entry of a matrix
+under test through orbit projections and ``tensor_space`` positions only:
+the orbit of a x b through a point pair is the one whose two projections
+list it.  The products they compare against are computed literally.
 
 Both are used by the acceptance suite; nothing here feeds back into the
 abstract computations.
@@ -53,22 +55,18 @@ import itertools
 from collections import Counter
 
 from .coeff import one, zero
-from .linmat import InvariantMatrix, matmul, projection, tensor_space
+from .frob import build_frobenius
+from .linmat import InvariantMatrix, matmul, tensor_space
+from .permcat import duality_data, hom_basis, hom_dimension, tensor
+from .report import Report, difference, verdict
 
 
 # Finite backend expansion
 
-def finite_points(obj):
-    """Global point list of an object: (atom position, point index) pairs."""
-    out = []
-    for pos, atom in enumerate(obj.atoms):
-        for idx in range(atom.degree):
-            out.append((pos, idx))
-    return out
-
-
 def _offsets(obj):
-    """Index of each atom position's first point in ``finite_points(obj)``."""
+    """Each atom position's first point: an object's points are numbered
+    atom by atom, so point i of the atom at position p is ``offsets[p] + i``.
+    """
     out, total = [], 0
     for atom in obj.atoms:
         out.append(total)
@@ -79,7 +77,7 @@ def _offsets(obj):
 def expand_finite_matrix(backend, matrix):
     """The literal matrix, as the dict ``{(row, column): value}`` of its
     nonzero entries: rows are the target's points and columns the source's,
-    both numbered in ``finite_points`` order.  Each entry of the invariant
+    both numbered by ``_offsets``.  Each entry of the invariant
     matrix writes its value at the point pairs its orbit's two projections
     list, one (target atom, source atom) block at a time."""
     blocks = {}
@@ -146,24 +144,25 @@ def _rank(grid):
 
 def bgamma_kernel_dimension(backend, y_obj, gamma, field):
     """Dimension of the kernel of x -> gamma . (x (x) 1 - 1 (x) x) on the
-    concrete function space of the finite backend."""
+    concrete function space of the finite backend.  Gamma, a function on
+    Y x Y, is expanded as the literal matrix Y -> Y of its values at point
+    pairs (u, v).  The grid has a row per pair (u, v) and a column per point
+    y, and row (u, v) holds gamma(u, v) at y = u and -gamma(u, v) at y = v,
+    zero when u = v."""
     ps2 = tensor_space(backend, [y_obj, y_obj])
-    points = finite_points(y_obj)
+    values = expand_finite_matrix(backend, InvariantMatrix(
+        backend, y_obj, y_obj,
+        {ps2.positions[k].meta: g for k, g in gamma.coeffs.items()}))
+    n = sum(a.degree for a in y_obj.atoms)
     z = zero(field)
-    columns = []
-    for y in points:
-        column = []
-        for (p1, i1) in points:
-            for (p2, i2) in points:
-                label = backend.pair_label(y_obj.atoms[p1], y_obj.atoms[p2],
-                                           i1, i2)
-                g = gamma.coeffs.get(ps2.index[(p1, p2, label)], z)
-                at1, at2 = (p1, i1) == y, (p2, i2) == y
-                column.append(z if at1 == at2 else g if at1 else -g)
-        columns.append(column)
-    rows = len(columns[0]) if columns else 0
-    grid = [[columns[c][r] for c in range(len(columns))] for r in range(rows)]
-    return len(points) - _rank(grid)
+    grid = []
+    for u, v in itertools.product(range(n), repeat=2):
+        line = [z] * n
+        if u != v and (u, v) in values:
+            line[u] = values[u, v]
+            line[v] = -values[u, v]
+        grid.append(line)
+    return n - _rank(grid)
 
 
 def _count_orbits(size, moves):
@@ -275,25 +274,20 @@ def finite_orbit_count_on_pairs(backend, a, b):
          for g in backend.generators])
 
 
-def _pair_point_index(ps2):
-    """(factor positions and factor points) -> (product position, point)."""
-    out = {}
-    for w, pos in enumerate(ps2.positions):
-        (i, p1), (j, p2) = projection(ps2, w, 0), projection(ps2, w, 1)
-        for k in range(pos.atom.degree):
-            out[(i, p1.data[k], j, p2.data[k])] = (w, k)
-    return out
-
-
 def _pair_rows(backend, x):
     """Row of x (x) x's literal matrix through each point pair (y1, y2) of the
-    one-atom object x, as a nested list indexed [y1][y2]."""
+    one-atom object x, as a nested list indexed [y1][y2]: the k-th point of
+    an orbit of a x a is the pair its two projections list at k, and that
+    orbit's position in ``tensor_space`` is a block of rows."""
+    (a,) = x.atoms
     ps2 = tensor_space(backend, [x, x])
-    lookup = _pair_point_index(ps2)
-    flat = {pt: n for n, pt in enumerate(finite_points(ps2.object))}
-    degree = x.atoms[0].degree
-    return [[flat[lookup[(0, y1, 0, y2)]] for y2 in range(degree)]
-            for y1 in range(degree)]
+    row0 = _offsets(ps2.object)
+    rows = [[None] * a.degree for _ in range(a.degree)]
+    for orbit in backend.product_decompose(a, a):
+        r = row0[ps2.index[0, 0, orbit.label]]
+        for k, (y1, y2) in enumerate(zip(orbit.proj1.data, orbit.proj2.data)):
+            rows[y1][y2] = r + k
+    return rows
 
 
 def _composition_failures(backend, measure, atoms, bases):
@@ -311,8 +305,6 @@ def _composition_failures(backend, measure, atoms, bases):
     literal matrices check every composite through b into c, and only when
     the two sides differ are they sliced into blocks, numbered locally as the
     composites' own literal matrices are."""
-    from .report import difference
-
     failures = []
     for ib, b in enumerate(atoms):
         ins = [(ia, a, al, am, amat) for ia, a in enumerate(atoms)
@@ -371,55 +363,43 @@ def _blocks(literal, height, cols):
 def finite_category_oracle(backend, measure, bound):
     """Hom spaces, composition, tensor, duality and Frobenius structure of the
     finite backend against explicit permutation-matrix linear algebra."""
-    # bound per call: the probes of tests/test_oracle.py patch these names
-    from .frob import build_frobenius
-    from .permcat import duality_data, hom_basis, hom_dimension, tensor
-    from .report import Report, difference, verdict
-
     field = measure.field
     u = one(field)
     atoms = backend.atoms_up_to(bound)
     xs = {a: backend.object_of([a]) for a in atoms}
+    pairs = list(itertools.product(atoms, repeat=2))
 
     dims = []
-    for a in atoms:
-        for b in atoms:
-            dim = hom_dimension(backend, xs[a], xs[b])
-            count = finite_orbit_count_on_pairs(backend, b, a)
-            if dim != count:
-                dims.append({"hom": f"{a.render()} -> {b.render()}",
-                             "dim": str(dim), "orbits": str(count)})
+    for a, b in pairs:
+        dim = hom_dimension(backend, xs[a], xs[b])
+        count = finite_orbit_count_on_pairs(backend, b, a)
+        if dim != count:
+            dims.append({"hom": f"{a.render()} -> {b.render()}",
+                         "dim": str(dim), "orbits": str(count)})
 
     # each hom basis with its orbit labels and literal matrices, once per
     # atom pair
-    bases = {}
-    for a in atoms:
-        for b in atoms:
-            bases[a, b] = [(label, f, expand_finite_matrix(backend, f))
-                           for f in hom_basis(backend, xs[a], xs[b], field)
-                           for _t, _s, label in f.entries]
+    bases = {(a, b): [(label, f, expand_finite_matrix(backend, f))
+                      for f in hom_basis(backend, xs[a], xs[b], field)
+                      for _t, _s, label in f.entries]
+             for a, b in pairs}
 
     composition = _composition_failures(backend, measure, atoms, bases)
 
-    pair_rows = {a: _pair_rows(backend, xs[a]) for a in atoms}
-    tensors = []
+    tensors, duality, frobenius = [], [], []
     for a in atoms:
-        rows = pair_rows[a]
-        for fl, f, fmat in bases[a, a]:
-            for gl, g, gmat in bases[a, a]:
-                lit = {(rows[y1][y2], rows[x1][x2]): fe * ge
-                       for (y1, x1), fe in fmat.items()
-                       for (y2, x2), ge in gmat.items()}
-                d = difference(
-                    expand_finite_matrix(backend, tensor(backend, f, g)), lit)
-                if d:
-                    tensors.append({"atom": a.render(),
-                                    "orbits": f"{fl} (x) {gl}", **d})
-
-    duality, frobenius = [], []
-    for a in atoms:
-        rows = pair_rows[a]
+        rows = _pair_rows(backend, xs[a])
         points = range(a.degree)
+        for (fl, f, fmat), (gl, g, gmat) in itertools.product(bases[a, a],
+                                                               repeat=2):
+            lit = {(rows[y1][y2], rows[x1][x2]): fe * ge
+                   for (y1, x1), fe in fmat.items()
+                   for (y2, x2), ge in gmat.items()}
+            d = difference(
+                expand_finite_matrix(backend, tensor(backend, f, g)), lit)
+            if d:
+                tensors.append({"atom": a.render(),
+                                "orbits": f"{fl} (x) {gl}", **d})
         coev, _ = duality_data(backend, xs[a], field)
         d = difference(expand_finite_matrix(backend, coev),
                        {(rows[y][y], 0): u for y in points})

@@ -1,6 +1,7 @@
 """Frobenius structure, trace data, splitting and equivalence idempotents."""
 
 import itertools
+import math
 import random
 import sys
 
@@ -22,7 +23,7 @@ from oligoperm.frob import (
     trace_pairing,
     verify_frobenius,
 )
-from oligoperm.gset import LINE, SYM, GMap, preset_backend
+from oligoperm.gset import LINE, SYM, GMap, atom_gmap, preset_backend
 from oligoperm.gset.base import triple_row
 from oligoperm import frob, linmat
 from oligoperm.linmat import (
@@ -269,6 +270,39 @@ def test_kernel_pair_gamma_on_two_legs_matches_reference(backend, f):
     ps2 = tensor_space(backend, [f.source, f.source])
     across = any(ps2.positions[k].meta[:2] == (0, 1) for k in gamma.coeffs)
     assert across == (len(f.target.atoms) == 1)
+
+
+def central_delannoy(g):
+    """D(g, g): the ways to interleave two increasing g-tuples in a chain."""
+    return sum(math.comb(g, j) ** 2 * 2 ** j for j in range(g + 1))
+
+
+def test_kernel_pair_supports_have_closed_form_sizes():
+    """The support of the kernel-pair gamma of every atom map within degree
+    4 (89 on sym, 31 on line) has its closed-form size.  On sym, f:
+    inj[n] -> inj[k] forgets n - k coordinates, and a pair it identifies is
+    an orbit of inj[n-k] x inj[n-k]: sum_j C(n-k, j)^2 j! of them.  On line,
+    f keeps k coordinates of inc[n], and the dropped coordinates of two
+    points interleave independently in each gap between kept ones: a gap
+    of g dropped coordinates gives D(g, g) ways."""
+    maps = 0
+    for backend in (SYM, LINE):
+        atoms = backend.atoms_up_to(4)
+        for a, b in itertools.product(atoms, repeat=2):
+            n, k = a.degree, b.degree
+            for m in backend.hom_atoms(a, b):
+                if backend is SYM:
+                    size = sum(math.comb(n - k, j) ** 2 * math.factorial(j)
+                               for j in range(n - k + 1))
+                else:
+                    kept = (0, *m.data, n + 1)
+                    size = math.prod(central_delannoy(hi - lo - 1)
+                                     for lo, hi in zip(kept, kept[1:]))
+                gamma = kernel_pair_gamma(backend, atom_gmap(backend, m),
+                                          RATIONAL)
+                assert len(gamma.coeffs) == size
+                maps += 1
+    assert maps == 120
 
 
 def test_e_idempotent_rejects_asymmetric(mu_t):

@@ -3,6 +3,7 @@
 import ast
 import gc
 import itertools
+import types
 import weakref
 from math import comb, factorial
 from pathlib import Path
@@ -318,7 +319,9 @@ def reference_subgroups(backend):
 ], ids=["S3", "C2x4", "S4", "A5", "D4", "D5", "V4", "cycles"])
 def test_subgroups_by_generators_match_reference(text, n_points):
     backend = FiniteBackend(*parse_cycles(text, n_points))
-    assert backend._subgroups == reference_subgroups(backend)
+    assert [frozenset(map(backend.elements.__getitem__, sub))
+            for sub in backend._enumerate_subgroups()] == \
+        reference_subgroups(backend)
 
 
 def per_pair_subgroups(backend):
@@ -483,7 +486,8 @@ class TupleReference:
 def assert_matches_tuple_reference(backend, bound):
     """Atoms, class representatives, points, act tables, hom sets and pair
     orbits of ``backend`` equal the tuple reference's, on the atoms of
-    degree at most bound."""
+    degree at most bound.  An atom's points are its cosets: each coset's
+    least element and the coset of every element match the reference's."""
     ref = TupleReference(backend.generators, backend.n_points)
     assert backend.elements == ref.elements
     assert backend.atoms_up_to(len(ref.elements)) == ref.atoms
@@ -491,7 +495,10 @@ def assert_matches_tuple_reference(backend, bound):
             for rep in backend._reps] == ref.reps
     atoms = [a for a in ref.atoms if a.degree <= bound]
     for a in atoms:
-        assert backend._points[a] == ref.points[a]
+        assert ([backend.elements[g] for g in backend._coset_reps[a]]
+                == [min(coset) for coset in ref.points[a]])
+        assert backend._coset_of[a] == [ref.coset_of[a][x]
+                                        for x in backend.elements]
         for g in ref.elements:
             assert backend.act_table(g, a) == ref.act_table(g, a)
     for a, b in itertools.product(atoms, repeat=2):
@@ -515,6 +522,48 @@ def assert_matches_tuple_reference(backend, bound):
 def test_finite_backend_matches_tuple_reference(text, n_points):
     backend = FiniteBackend(*parse_cycles(text, n_points))
     assert_matches_tuple_reference(backend, len(backend.elements))
+
+
+# a mutant of the backend that the tuple reference must catch, as (file under
+# the package, old text, new text): ``_decompose`` conjugates each orbit's
+# stabilizer onto its class representative by the last element that does so
+# instead of the least
+LAST_CONJUGATOR = (
+    "gset/finite.py",
+    "conj = next(h for h, row in enumerate(self._conj)\n",
+    "conj = max(h for h, row in enumerate(self._conj)\n")
+
+
+def mutant_backend_class(mutant):
+    """``FiniteBackend`` of a mutated ``gset/finite.py``: the mutation is
+    applied to the module's text in memory, and the text is run as a scratch
+    module of ``oligoperm.gset``, so nothing under the package changes."""
+    path, old, new = mutant
+    text = (Path(oligoperm.__file__).parent / path).read_text()
+    assert text.count(old) == 1
+    module = types.ModuleType("oligoperm.gset._mutant")
+    module.__package__ = "oligoperm.gset"
+    exec(compile(text.replace(old, new), f"<mutant of {path}>", "exec"),
+         module.__dict__)
+    return module.FiniteBackend
+
+
+@pytest.mark.parametrize("text, n_points", [
+    ("(1 2)", 2),                        # C2, regular
+    ("(1 2)", 3),                        # C2 with a fixed point
+    ("(1 2); (1 2 3)", None),            # S3
+    ("(1 2 3 4); (1 3)", None),          # D4
+], ids=["C2", "C2-on-3", "S3", "D4"])
+def test_tuple_reference_catches_the_last_conjugator(text, n_points):
+    """The scratch module run from the unmutated text matches the tuple
+    reference, and the mutant does not."""
+    generators, n = parse_cycles(text, n_points)
+    path, old, _new = LAST_CONJUGATOR
+    unmutated = mutant_backend_class((path, old, old))(generators, n)
+    assert_matches_tuple_reference(unmutated, 8)
+    mutant = mutant_backend_class(LAST_CONJUGATOR)(generators, n)
+    with pytest.raises(AssertionError):
+        assert_matches_tuple_reference(mutant, 8)
 
 
 def group_order(generators, n_points):

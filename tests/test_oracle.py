@@ -9,6 +9,7 @@ probes at the end check that a wrong answer makes the oracle FAIL.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb, factorial
 from types import SimpleNamespace
@@ -16,18 +17,19 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oligoperm import frob, oracle, permcat, suite
+from oligoperm import oracle, suite
 from oligoperm.coeff import RATIONAL, Scalar, one, ratfunc_field, zero
-from oligoperm.gset import SYM, SymBackend
+from oligoperm.frob import kernel_pair_gamma
+from oligoperm.gset import SYM, GMap, SymBackend
 from oligoperm.gset.finite import _pcompose, preset_backend
-from oligoperm.linmat import InvariantMatrix, matmul
+from oligoperm.linmat import InvariantMatrix, SchwartzFn, matmul, tensor_space
 from oligoperm.measure import solve_measures
 from oligoperm.oracle import (
+    bgamma_kernel_dimension,
     expand_finite_matrix,
     expand_sym_matrix,
     finite_category_oracle,
     finite_orbit_count_on_pairs,
-    finite_points,
     literal_product,
     sym_model_points,
     sym_orbit_count_model,
@@ -115,8 +117,11 @@ def test_sym_orbit_count_rejects_too_few_points(n_points, n, m):
 
 
 def coset_action(backend, g, a, idx):
-    """g acting on the idx-th coset of a, straight from the definition."""
-    cosets = backend._points[a]
+    """g acting on the idx-th coset of a, straight from the definition: the
+    cosets are the element sets the backend numbers as a's points."""
+    coset_of = backend._coset_of[a]
+    cosets = [frozenset(x for x, k in zip(backend.elements, coset_of)
+                        if k == point) for point in range(a.degree)]
     image = frozenset(_pcompose(g, x) for x in cosets[idx])
     return cosets.index(image)
 
@@ -142,16 +147,29 @@ def test_finite_pair_orbit_count_matches_reference(group):
             assert finite_orbit_count_on_pairs(group, a, b) == expected
 
 
+def points_of(obj):
+    """An object's points, atom by atom: (atom position, point) pairs."""
+    return [(pos, i) for pos, atom in enumerate(obj.atoms)
+            for i in range(atom.degree)]
+
+
+def label_through(backend, a, b, i, j):
+    """The label of the orbit of a x b whose two projections pass through
+    the point pair (i, j), by a search of every orbit."""
+    (label,) = [o.label for o in backend.product_decompose(a, b)
+                if (i, j) in zip(o.proj1.data, o.proj2.data)]
+    return label
+
+
 def reference_expand(backend, matrix, field):
     """The literal matrix, one entry at a time: each point pair's label is
     that of the orbit whose two projections pass through it."""
     grid = []
-    for (tp, ti) in finite_points(matrix.target):
+    for (tp, ti) in points_of(matrix.target):
         row = []
-        for (sp, si) in finite_points(matrix.source):
-            (label,) = [o.label for o in backend.product_decompose(
-                            matrix.target.atoms[tp], matrix.source.atoms[sp])
-                        if (ti, si) in zip(o.proj1.data, o.proj2.data)]
+        for (sp, si) in points_of(matrix.source):
+            label = label_through(backend, matrix.target.atoms[tp],
+                                  matrix.source.atoms[sp], ti, si)
             row.append(matrix.entries.get((tp, sp, label), zero(field)))
         grid.append(row)
     return grid
@@ -173,6 +191,58 @@ def test_expand_finite_matrix_matches_reference(group):
     for matrix in matrices:
         assert (expand_finite_matrix(group, matrix)
                 == sparse(reference_expand(group, matrix, field)))
+
+
+def reference_bgamma_kernel_dimension(backend, y_obj, gamma, field):
+    """The kernel dimension of x -> gamma . (x (x) 1 - 1 (x) x), its grid
+    built one column per point y and one entry per point pair (u, v), each
+    pair's label found by a search of every orbit."""
+    ps2 = tensor_space(backend, [y_obj, y_obj])
+    points = points_of(y_obj)
+    z = zero(field)
+    columns = []
+    for y in points:
+        column = []
+        for (p1, i1) in points:
+            for (p2, i2) in points:
+                label = label_through(backend, y_obj.atoms[p1],
+                                      y_obj.atoms[p2], i1, i2)
+                g = gamma.coeffs.get(ps2.index[p1, p2, label], z)
+                at1, at2 = (p1, i1) == y, (p2, i2) == y
+                column.append(z if at1 == at2 else g if at1 else -g)
+        columns.append(column)
+    return len(points) - oracle._rank([list(row) for row in zip(*columns)])
+
+
+@pytest.mark.parametrize("name", ["S3", "(1 2 3 4); (1 3)"], ids=["S3", "D4"])
+def test_bgamma_kernel_dimension_on_two_atoms(name):
+    """On an object of two atoms a + b, a surjection onto a has a
+    kernel-pair gamma whose kernel is the functions constant on its fibers,
+    one dimension per point of a; and on sparse random gammas, whose
+    kernels vary in dimension, it is the one of the grid built entry by
+    entry."""
+    backend = preset_backend(name)
+    rng = random.Random(48)
+    values = [rational(v) for v in ("1", "-1", "2")]
+    checked = 0
+    for a, b in itertools.product(backend.atoms_up_to(4), repeat=2):
+        y_obj = backend.object_of([a, b])
+        maps = backend.hom_atoms(b, a)
+        if maps:
+            f = GMap(y_obj, backend.object_of([a]),
+                     ((0, backend.identity_map(a)), (0, maps[-1])))
+            gamma = kernel_pair_gamma(backend, f, RATIONAL)
+            assert bgamma_kernel_dimension(backend, y_obj, gamma,
+                                           RATIONAL) == a.degree
+            checked += 1
+        ps2 = tensor_space(backend, [y_obj, y_obj])
+        gamma = SchwartzFn(ps2.object, {
+            k: rng.choice(values) for k in range(len(ps2.positions))
+            if rng.random() < 0.2})
+        assert (bgamma_kernel_dimension(backend, y_obj, gamma, RATIONAL)
+                == reference_bgamma_kernel_dimension(backend, y_obj, gamma,
+                                                     RATIONAL))
+    assert checked > len(backend.atoms_up_to(4))
 
 
 def dense_product(bgrid, agrid, field):
@@ -471,17 +541,17 @@ ORACLE_PROBES = {
     "composition-is-matrix-product": (
         oracle, "matmul", composite_blocks, composite_put),
     "tensor-is-entrywise-product": (
-        permcat, "tensor", *one_matrix(
+        oracle, "tensor", *one_matrix(
             lambda out: out, lambda out, m: m,
             lambda _backend, f, g: {
                 "atom": atom_of(f.source),
                 "orbits": f"{label_of(f)} (x) {label_of(g)}"})),
     "duality-data-is-diagonal": (
-        permcat, "duality_data", *one_matrix(
+        oracle, "duality_data", *one_matrix(
             lambda out: out[0], lambda out, m: (m, out[1]),
             lambda _backend, x, _field: {"atom": atom_of(x)})),
     "frobenius-structure-is-pointwise": (
-        frob, "build_frobenius", *one_matrix(
+        oracle, "build_frobenius", *one_matrix(
             lambda out: out.mult, lambda out, m: out._replace(mult=m),
             lambda _backend, x, _field: {"atom": atom_of(x),
                                          "parts": "mult"})),

@@ -183,12 +183,49 @@ def test_finite_relations_all_effective():
         assert quotients.get(relation) is not None
 
 
+def overgroup_count(backend, a):
+    """The number of subgroups V >= U, U the stabilizer of point 0 of the
+    atom a, read off ``act_table``.  Every such V is U joined with elements
+    one at a time, so each V found is joined with each element outside it,
+    and each join is closed over the permutation tuples of
+    ``backend.elements``."""
+    identity = backend.identity
+
+    def close(generators):
+        group, frontier = {identity}, [identity]
+        while frontier:
+            frontier = [y for x in frontier for g in generators
+                        for y in [tuple(g[i] for i in x)]
+                        if y not in group and not group.add(y)]
+        return frozenset(group)
+
+    stabilizer = frozenset(g for g in backend.elements
+                           if backend.act_table(g, a)[0] == 0)
+    found, frontier = {stabilizer}, [stabilizer]
+    while frontier:
+        frontier = [join for v in frontier
+                    for g in backend.elements if g not in v
+                    for join in [close([*v, g])]
+                    if join not in found and not found.add(join)]
+    return len(found)
+
+
 def test_finite_relation_count_matches_subgroups():
-    # relations on the regular orbit = overgroups of the point stabilizer;
-    # for the regular G-set that is all subgroups of S3
-    backend = preset_backend("S3")
-    regular = backend.atoms_up_to(6)[-1]
-    assert len(internal_equivalence_relations(backend, regular)) == 6
+    """The relations on an atom G/U are its quotients G/V, one per subgroup
+    V >= U (on the regular atom of S3, all 6 subgroups of S3), and each is
+    the kernel pair of a surjection: on every atom of S3, C2x4, S4 and D4."""
+    atoms = 0
+    for name in ("S3", "C2x4", "S4", "(1 2 3 4); (1 3)"):
+        backend = preset_backend(name)
+        for a in backend.atoms_up_to(len(backend.elements)):
+            relations = internal_equivalence_relations(backend, a)
+            assert len(relations) == overgroup_count(backend, a)
+            quotients = quotients_by_kernel(backend, a)
+            assert all(relation in quotients for relation in relations)
+            atoms += 1
+    assert atoms == 25
+    s3 = preset_backend("S3")
+    assert overgroup_count(s3, s3.atoms_up_to(6)[-1]) == 6
 
 
 def naive_relations(backend, x):
