@@ -156,10 +156,13 @@ def _p_cancel(char, a, b):
     return _p_divmod(char, a, g)[0], _p_divmod(char, b, g)[0]
 
 
-def _p_eval(a, point):
-    acc = 0
+def _p_eval_homogeneous(a, p, q):
+    """q^n a(p/q) for the int polynomial a of degree n, by Horner's rule
+    over Z: sum a_i p^i q^(n-i)."""
+    acc, q_power = 0, 1
     for c in reversed(a):
-        acc = acc * point + c
+        acc = acc * p + c * q_power
+        q_power *= q
     return acc
 
 
@@ -370,14 +373,25 @@ class Scalar(NamedTuple):
 
     def evaluate(self, point):
         """Substitute a rational number (an int, a Fraction or a Scalar over
-        Q) for the variable of a Q(var) scalar: Horner's rule over Q."""
+        Q) for the variable of a Q(var) scalar.  The coefficients are ints,
+        so at p/q Horner's rule runs over Z on the homogenized numerator and
+        denominator, sum c_i p^i q^(n-i) for a polynomial of degree n, and
+        the quotient is reduced once by ``Scalar.make``."""
         if self.field.kind != "ratfunc" or self.field.char != 0:
             raise FieldMismatch("evaluate applies to rational function fields over Q")
         point = Scalar.from_fraction(RATIONAL, point)
-        den = _p_eval(self.den, point)
-        if den.is_zero():
+        p, q = point.num, point.den
+        num = _p_eval_homogeneous(self.num, p, q)
+        den = _p_eval_homogeneous(self.den, p, q)
+        if den == 0:
             raise PoleAtPoint(f"denominator vanishes at {point}")
-        return _p_eval(self.num, point) / den
+        # a(p/q) is its homogenized value over q^deg(a)
+        shift = len(self.den) - len(self.num)
+        if shift > 0:
+            num *= q ** shift
+        else:
+            den *= q ** -shift
+        return Scalar.make(RATIONAL, num, den)
 
     def as_fraction(self):
         """Return the value as a ``fractions.Fraction`` when it is a constant

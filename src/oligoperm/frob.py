@@ -21,11 +21,16 @@ they differ, as with a wrong comult, the snake check runs its own, so a wrong
 comult fails the pairing check alone.
 
 ``build_frobenius`` reads no measure, so the backend cache keeps one
-structure per object and field.  ``gamma_of_projection`` is
-``e_idempotent_check`` of the kernel-pair gamma, the target's
-``splitting_fn`` and ``kernel_pair_report``, which adds the pullback check;
-the suite's gamma block calls the same three, sharing the first per source
-atom and gamma and the second per target atom within one call.
+structure per object and field.  Its X^3 padding ``delta_id`` (comult (x) 1)
+reads no measure either and is built on its first call: the axioms of
+``verify_frobenius`` read it and ``trace_form`` its transpose, while the
+structures that no check pads through X^3 (the sum and product of
+``check_sum_tensor_traces``, the finite oracle's) never build it.
+``gamma_of_projection`` is ``e_idempotent_check`` of the kernel-pair gamma,
+the target's ``splitting_fn`` and ``kernel_pair_report``, which adds the
+pullback check; the suite's gamma block calls the same three, sharing the
+first per source atom and gamma and the second per target atom within one
+call.
 
 All structure maps, and the associativity and coassociativity paddings, are
 pushforwards or pullbacks of explicit coordinate wirings between product
@@ -43,7 +48,7 @@ so no check numbers a four-fold product either.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 from typing import NamedTuple
 
@@ -83,6 +88,8 @@ class FrobeniusStructure(NamedTuple):
     ps1: object
     ps2: object
     ps3: object  # a RowProduct: X x X x X by row
+    # comult (x) 1: A (x) A -> A (x) A (x) A, built on its first call
+    delta_id: object
 
     @property
     def backend(self):
@@ -104,6 +111,7 @@ def _build_frobenius(backend, x, field):
     collapse = backend.collapse_gmap(x)
     counit = pushforward_matrix(backend, collapse, field)
     comult = pushforward_matrix(backend, wiring_gmap(ps1, ps2, (0, 0)), field)
+    ps3 = RowProduct(backend, [x] * 3)
     return FrobeniusStructure(
         carrier=x,
         unit=transpose(counit),
@@ -112,7 +120,9 @@ def _build_frobenius(backend, x, field):
         comult=comult,
         ps1=ps1,
         ps2=ps2,
-        ps3=RowProduct(backend, [x] * 3),
+        ps3=ps3,
+        delta_id=cache(lambda: pushforward_matrix(
+            backend, wiring_gmap(ps2, ps3, (0, 0, 1)), field)),
     )
 
 
@@ -127,8 +137,7 @@ def verify_frobenius(f, measure):
 
     # (a) commutative associative unital algebra
     swap = pushforward_matrix(backend, wiring_gmap(f.ps2, f.ps2, (1, 0)), field)
-    delta_id = pushforward_matrix(backend,
-                                  wiring_gmap(f.ps2, f.ps3, (0, 0, 1)), field)
+    delta_id = f.delta_id()
     id_delta = pushforward_matrix(backend,
                                   wiring_gmap(f.ps2, f.ps3, (0, 1, 1)), field)
     mu_id, id_mu = transpose(delta_id), transpose(id_delta)
@@ -176,9 +185,8 @@ def trace_form(f, measure):
     right_unit = tensor_space(backend, [x, backend.unit_object()])
     id_coev = block_tensor([ident, coev], right_unit, f.ps3,
                            [[0], [1]], [[0], [1, 2]])
-    mu_id = pullback_matrix(backend, wiring_gmap(f.ps2, f.ps3, (0, 0, 1)), field)
-    trace = matmul(measure, ev, matmul(measure, mu_id, id_coev))
-    return trace
+    mu_id = transpose(f.delta_id())
+    return matmul(measure, ev, matmul(measure, mu_id, id_coev))
 
 
 def trace_pairing(f, measure):

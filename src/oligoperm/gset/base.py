@@ -36,9 +36,12 @@ are tagged tuples: ``("product", a, b)`` holds the orbits of ``a x b``
 per degree under ``("atom", n)`` and what ``product_factor(f, g)`` returns
 under ``("factor", source degree, f.data, g.data)``, plain ints only; the
 finite backend's ``("hom", a, b)`` holds the tuple of maps ``a -> b``, its
-``("pairs", a, b)`` its point-pair index (read by ``product_factor`` and
-``swap_label``) and its ``("act", a)`` the permutation of a's points by
-every group element, one row per element index; ``pair_images`` keeps the
+``("pairs", a, b)`` maps each point pair of ``a x b`` straight to
+``(orbit, point)``, the orbit holding the pair and the pair's point of the
+orbit's atom (so ``product_factor`` makes one lookup per point and
+``swap_label`` reads the swapped orbit's label off one entry), and its
+``("act", a)`` the permutation of a's points by every group element, one
+row per element index; ``pair_images`` keeps the
 image table of a projection ``p`` against an atom ``c``, built by
 ``product_images``, under ``("images", p, c)``; ``triple_table`` keeps its
 table for atoms ``a, b, c`` under ``("triples", a, b, c)``; ``linmat``

@@ -23,7 +23,6 @@ it is why counting is the only measure here.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 from .base import Atom, AtomMap, Backend, LinearRelation, ProductOrbit, triple_row
@@ -296,30 +295,30 @@ class FiniteBackend(Backend):
 
     def _decompose(self, a, b):
         rows_a, rows_b = self._act_rows(a), self._act_rows(b)
-        moves = [(rows_a[self._index[g]], rows_b[self._index[g]])
-                 for g in self.generators]
-        seen = set()
-        orbit_sets = []
-        for p in itertools.product(range(a.degree), range(b.degree)):
-            if p in seen:
+        width = b.degree
+        # the pair (i, j) is the int i * width + j, so int order is pair order
+        moves = [[x * width + y for x in rows_a[g] for y in rows_b[g]]
+                 for g in map(self._index.__getitem__, self.generators)]
+        seen = bytearray(a.degree * width)
+        firsts = []  # each orbit's least pair, met in increasing order
+        for p in range(len(seen)):
+            if seen[p]:
                 continue
-            orbit = {p}
+            seen[p] = 1
+            firsts.append(p)
             frontier = [p]
             while frontier:
                 nxt = []
-                for (i, j) in frontier:
-                    for ta, tb in moves:
-                        q = (ta[i], tb[j])
-                        if q not in orbit:
-                            orbit.add(q)
-                            nxt.append(q)
+                for q in frontier:
+                    for move in moves:
+                        r = move[q]
+                        if not seen[r]:
+                            seen[r] = 1
+                            nxt.append(r)
                 frontier = nxt
-            seen |= orbit
-            orbit_sets.append(orbit)
-        orbit_sets.sort(key=min)
         orbits = []
-        for k, orbit in enumerate(orbit_sets):
-            i, j = min(orbit)
+        for k, p in enumerate(firsts):
+            i, j = divmod(p, width)
             stab = frozenset(g for g, (ra, rb) in enumerate(zip(rows_a, rows_b))
                              if ra[i] == i and rb[j] == j)
             c = self._atoms[self._class_index[stab]]
@@ -337,23 +336,20 @@ class FiniteBackend(Backend):
         return tuple(orbits)
 
     def _pair_index(self, a, b):
-        """(point of a, point of b) -> (orbit index, point of its atom)."""
+        """(point of a, point of b) -> (orbit of a x b, point of its atom)."""
         return self._memo(("pairs", a, b), self._build_pair_index, a, b)
 
     def _build_pair_index(self, a, b):
-        return {(o.proj1.data[p], o.proj2.data[p]): (k, p)
-                for k, o in enumerate(self.product_decompose(a, b))
+        return {(o.proj1.data[p], o.proj2.data[p]): (o, p)
+                for o in self.product_decompose(a, b)
                 for p in range(o.atom.degree)}
 
     def product_factor(self, f, g):
         if f.source != g.source:
             raise ValueError("product factor needs a common source")
-        a, b = f.target, g.target
-        orbits = self.product_decompose(a, b)
-        lookup = self._pair_index(a, b)
-        k, _ = lookup[(f.data[0], g.data[0])]
-        orbit = orbits[k]
-        data = tuple(lookup[pair][1] for pair in zip(f.data, g.data))
+        lookup = self._pair_index(f.target, g.target)
+        orbit, _ = lookup[f.data[0], g.data[0]]
+        data = tuple([lookup[pair][1] for pair in zip(f.data, g.data)])
         return orbit.label, AtomMap(f.source, orbit.atom, data)
 
     def _triple_table(self, a, b, c):
@@ -373,8 +369,9 @@ class FiniteBackend(Backend):
 
     def swap_label(self, a, b, label):
         orbit = self.product_decompose(a, b)[int(label[1:])]
-        k, _ = self._pair_index(b, a)[orbit.proj2.data[0], orbit.proj1.data[0]]
-        return self.product_decompose(b, a)[k].label
+        swapped, _ = self._pair_index(b, a)[orbit.proj2.data[0],
+                                            orbit.proj1.data[0]]
+        return swapped.label
 
     # Elementary structure
 

@@ -102,8 +102,9 @@ class Measure(NamedTuple):
 
 
 class MeasureFamily(NamedTuple):
-    """A solved family: parameter names, values over the parameter field, and
-    residual constraints (empty when the family is free)."""
+    """A solved family: parameter names, values over the parameter field,
+    residual constraints (empty when the family is free) and the failing
+    identity results they come from."""
 
     backend: object
     field: object
@@ -111,6 +112,7 @@ class MeasureFamily(NamedTuple):
     fiber_values: dict
     atom_values: dict
     residual: tuple
+    identity_failures: tuple
     description: str = ""
 
     def generic(self):
@@ -235,7 +237,12 @@ def solve_measures(backend, bound, char=0):
 
     Raises INCONSISTENT when no assignment satisfies the point-cut relations,
     or when they leave more than one fiber class free.
-    Residual identities that fail to vanish are returned on the family.
+    Residual identities that fail to vanish are returned on the family, and
+    so are their failing check results (``identity_failures``): the identity
+    checks of ``check_measure_axioms(family.generic(), bound)`` read the same
+    values, so a caller holding the family passes them on instead of running
+    the checks again.  Only the failures are kept; on the shipped backends
+    there are none.
     """
     if bound < 2:
         raise ValueError("solve needs bound >= 2")
@@ -263,17 +270,15 @@ def solve_measures(backend, bound, char=0):
         measure.mu_atom(a)
     atom_values = measure.atom_values
 
-    residual = []
-    for result in _identity_results(measure, bound):
-        if not result.passed:
-            residual.append(result.witness.get("identity", result.name))
-            if result.witness.get("constant_failure") == "yes":
-                raise InconsistentSystem(result.witness["identity"])
+    failures = [r for r in _identity_results(measure, bound) if not r.passed]
+    for result in failures:
+        if result.witness.get("constant_failure") == "yes":
+            raise InconsistentSystem(result.witness["identity"])
+    residual = tuple(r.witness.get("identity", r.name) for r in failures)
     name = backend.backend_id
     description = f"{name} measure" + (f" family in {params[0]}" if params else "")
-    family = MeasureFamily(backend, field, tuple(params), fiber_values,
-                           atom_values, tuple(residual), description)
-    return family
+    return MeasureFamily(backend, field, tuple(params), fiber_values,
+                         atom_values, residual, tuple(failures), description)
 
 
 def _identity_results(measure, bound):
@@ -329,8 +334,12 @@ def _identity_results(measure, bound):
     return results
 
 
-def check_measure_axioms(measure, bound):
-    """Verify the measure axioms on the fragment within the bound."""
+def check_measure_axioms(measure, bound, identities=None):
+    """Verify the measure axioms on the fragment within the bound.
+
+    ``identities``, when given, stands in for the product and
+    multiplicativity results: ``run_suite`` passes the ``identity_failures``
+    that ``solve_measures`` found on the same values at the same bound."""
     results = [
         CheckResult("isomorphism-invariance", True,
                     note="canonical orbit labels; equal atoms share one table entry"),
@@ -339,7 +348,8 @@ def check_measure_axioms(measure, bound):
         CheckResult("conjugation-invariance", True,
                     note="labels are conjugation classes by construction"),
     ]
-    results.extend(_identity_results(measure, bound))
+    results.extend(_identity_results(measure, bound) if identities is None
+                   else identities)
     return Report(f"measure axioms for {measure.backend.backend_id} within {bound}",
                   results)
 

@@ -13,17 +13,21 @@ A literal matrix is sparse: the dict ``{(row, column): value}`` of its
 nonzero entries, rows and columns numbering points (or model tuples) atom by
 atom.  Both expansions return that form and every check compares two such
 dicts, so a zero is never stored on either side.  ``literal_product``
-multiplies two of them grouped by value: for each pair of values (b, a) it
-counts with plain ints the middle indices joining each output entry, then
-adds ``b * a * count`` once per entry and pair and drops the sums that come
-to zero.  The matrices of a finite model take few distinct values, so the
-scalar arithmetic follows the distinct value pairs and not the middle
-index, and a check's work follows the nonzero entries, not the dense grid.
-The composition check stacks its composites per middle and target atom
-(``_composition_failures``), so one ``matmul``, one expansion and one
-``literal_product`` check every composite of two basis matrices through that
-pair of atoms, and the stacked sides are sliced into per-composite blocks
-only when they differ.
+multiplies two of them grouped by value: each row of B and each column of A
+is an int bit mask over the middle indices, one per value it holds, so the
+middle indices joining an output entry through a pair of values (b, a)
+count as ``(row & column).bit_count()``; it adds ``b * a * count`` once per
+entry and pair and drops the sums that come to zero.  The matrices of a
+finite model take few distinct values, so the scalar arithmetic follows the
+distinct value pairs and not the middle index.  The composition check
+stacks its composites per middle and target atom (``_composition_failures``),
+so one ``matmul``, one expansion and one product check every composite of
+two basis matrices through that pair of atoms, and the stacked sides are
+sliced into per-composite blocks only when they differ.  The stacked matrix
+into the middle atom is the same for every target atom, so its column masks
+are built once per middle atom.  The tensor check's literal side multiplies
+two basis matrices' values once per pair of distinct values and writes the
+product at each pair of points that carries it.
 
 Orbit counts back the hom dimensions of both backends, each by one
 union-find over integer points.  The finite backend counts orbits on pairs:
@@ -52,7 +56,6 @@ abstract computations.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 from .coeff import one, zero
 from .frob import build_frobenius
@@ -96,28 +99,60 @@ def expand_finite_matrix(backend, matrix):
     return out
 
 
+def _masks(entries):
+    """Literal entries ``((index, k), value)`` as bit masks, grouped by
+    value: ``{value: [(index, mask)]}``, where bit k of an index's mask is
+    set when entry (index, k) holds that value."""
+    out = {}
+    for (index, k), value in entries:
+        masks = out.setdefault(value, {})
+        masks[index] = masks.get(index, 0) | 1 << k
+    return {value: list(masks.items()) for value, masks in out.items()}
+
+
+def _columns(amat):
+    """The columns of a literal matrix as ``_masks`` over its rows."""
+    return _masks(((j, k), a) for (k, j), a in amat.items())
+
+
 def literal_product(bmat, amat):
     """The product of two literal matrices in the sparse form of
-    ``expand_finite_matrix``, grouped by value.  The middle indices joining
-    an output entry are counted with plain ints, once per pair of values
-    (b, a) they carry; the entry is then the sum of ``b * a * count`` over
-    those pairs, and an entry whose sum comes to zero is left out.  The
-    matrices of a finite model take few distinct values, so the scalar
-    arithmetic follows the distinct value pairs, not the middle index."""
-    values = list(dict.fromkeys((*bmat.values(), *amat.values())))
-    codes = {value: c for c, value in enumerate(values)}
-    by_row = {}
-    for (k, j), a in amat.items():
-        by_row.setdefault(k, []).append((j, codes[a]))
-    brows = [(i, codes[b], by_row.get(k, ())) for (i, k), b in bmat.items()]
-    counts = Counter((i, j, bc, ac) for i, bc, row in brows for j, ac in row)
-    terms, out = {}, {}
-    for (i, j, bc, ac), count in counts.items():
-        term = terms.get((bc, ac, count))
-        if term is None:
-            term = terms[bc, ac, count] = values[bc] * values[ac] * count
-        key = i, j
-        out[key] = out[key] + term if key in out else term
+    ``expand_finite_matrix``, grouped by value.  Each row of ``bmat`` and
+    each column of ``amat`` is a bit mask over the middle indices, one per
+    value it holds, so the middle indices joining an output entry through a
+    pair of values (b, a) count as ``(row & column).bit_count()``.  The
+    entry is then the sum of ``b * a * count`` over those pairs, and an
+    entry whose sum comes to zero is left out.  The matrices of a finite
+    model take few distinct values, so the scalar arithmetic follows the
+    distinct value pairs, not the middle index."""
+    return _masked_product(bmat, _columns(amat))
+
+
+def _masked_product(bmat, columns):
+    """``literal_product`` of ``bmat`` and the matrix whose ``_columns``
+    are ``columns``.  Only a sum of terms, or a term that is zero in
+    characteristic p, can come to zero, so with neither no entry is
+    tested."""
+    out, may_vanish = {}, False
+    for b, rows in _masks(bmat.items()).items():
+        for a, cols in columns.items():
+            ba, terms = b * a, {}
+            for i, row in rows:
+                for j, col in cols:
+                    count = (row & col).bit_count()
+                    if count:
+                        term = terms.get(count)
+                        if term is None:
+                            term = terms[count] = ba * count
+                            may_vanish = may_vanish or term.is_zero()
+                        key = i, j
+                        if key in out:
+                            out[key] = out[key] + term
+                            may_vanish = True
+                        else:
+                            out[key] = term
+    if not may_vanish:
+        return out
     return {key: value for key, value in out.items() if not value.is_zero()}
 
 
@@ -319,6 +354,8 @@ def _composition_failures(backend, measure, atoms, bases):
             cols += [(q, j) for j in range(a.degree)]
         stacked_a = InvariantMatrix(backend, backend.object_of(
             [a for _ia, a, *_ in ins]), backend.object_of([b]), ams)
+        # every target atom's product reads the same columns of stacked A
+        columns = _columns(amats)
         for ic, c in enumerate(atoms):
             outs, height = bases[b, c], c.degree
             stacked_b = InvariantMatrix(
@@ -332,7 +369,7 @@ def _composition_failures(backend, measure, atoms, bases):
                      for (i, k), value in bmat.items()}
             lhs = expand_finite_matrix(
                 backend, matmul(measure, stacked_b, stacked_a))
-            rhs = literal_product(bmats, amats)
+            rhs = _masked_product(bmats, columns)
             if lhs == rhs:
                 continue
             blocks = _blocks(lhs, height, cols), _blocks(rhs, height, cols)
@@ -346,6 +383,15 @@ def _composition_failures(backend, measure, atoms, bases):
                         "orbits": f"{outs[p][0]} after {al}", **d}))
     failures.sort(key=lambda failure: failure[0])
     return [failure for _order, failure in failures]
+
+
+def _by_value(literal):
+    """The entries of a literal matrix grouped by value:
+    ``{value: [(row, column)]}``."""
+    out = {}
+    for key, value in literal.items():
+        out.setdefault(value, []).append(key)
+    return out
 
 
 def _blocks(literal, height, cols):
@@ -390,11 +436,19 @@ def finite_category_oracle(backend, measure, bound):
     for a in atoms:
         rows = _pair_rows(backend, xs[a])
         points = range(a.degree)
-        for (fl, f, fmat), (gl, g, gmat) in itertools.product(bases[a, a],
-                                                               repeat=2):
-            lit = {(rows[y1][y2], rows[x1][x2]): fe * ge
-                   for (y1, x1), fe in fmat.items()
-                   for (y2, x2), ge in gmat.items()}
+        grouped = [(label, f, _by_value(fmat))
+                   for label, f, fmat in bases[a, a]]
+        for (fl, f, fvalues), (gl, g, gvalues) in itertools.product(grouped,
+                                                                   repeat=2):
+            # one product per pair of values, written at each pair of points
+            lit = {}
+            for fe, fpoints in fvalues.items():
+                for ge, gpoints in gvalues.items():
+                    value = fe * ge
+                    for y1, x1 in fpoints:
+                        row_y, row_x = rows[y1], rows[x1]
+                        for y2, x2 in gpoints:
+                            lit[row_y[y2], row_x[x2]] = value
             d = difference(
                 expand_finite_matrix(backend, tensor(backend, f, g)), lit)
             if d:

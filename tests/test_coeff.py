@@ -211,6 +211,55 @@ def test_evaluate_is_ring_hom(x, y, n):
     assert (x + y).evaluate(n) == ex + ey
 
 
+def horner_in_scalars(x, point):
+    """x at a rational point by Horner's rule in Scalar arithmetic over Q,
+    numerator and denominator each, then one division."""
+    def at(coeffs):
+        acc = zero(RATIONAL)
+        for c in reversed(coeffs):
+            acc = acc * point + c
+        return acc
+
+    den = at(x.den)
+    if den.is_zero():
+        raise PoleAtPoint(f"denominator vanishes at {point}")
+    return at(x.num) / den
+
+
+@given(scalars_qt, st.one_of(
+    st.integers(-6, 8),
+    st.fractions(min_value=-6, max_value=8, max_denominator=7)))
+def test_evaluate_matches_horner_in_scalars(x, point):
+    """``evaluate`` runs Horner's rule over Z; it gives the value of Horner's
+    rule in Scalar arithmetic, at ints and at non-integer rationals, given as
+    Fractions or as Scalars over Q, and raises at the same poles."""
+    p = q(point)
+    try:
+        want = horner_in_scalars(x, p)
+    except PoleAtPoint:
+        for at in (point, p):
+            with pytest.raises(PoleAtPoint):
+                x.evaluate(at)
+        return
+    assert x.evaluate(point) == x.evaluate(p) == want
+    assert x.evaluate(point).field is RATIONAL
+
+
+def test_evaluate_at_poles_and_reduces_once():
+    x = t()
+    f = (x * x - 2) / (3 * x + 1)
+    assert f.evaluate(Fraction(1, 2)) == q(-7, 10)
+    assert f.evaluate(q(-1, 3) + q(1, 1)) == horner_in_scalars(f, q(2, 3))
+    with pytest.raises(PoleAtPoint):
+        f.evaluate(Fraction(-1, 3))
+    with pytest.raises(PoleAtPoint):
+        (one(QT) / (x * x - 4)).evaluate(-2)
+    # the quotient is reduced: 0 over a nonzero denominator, 2/4 to 1/2
+    assert (x - 2).evaluate(2) == zero(RATIONAL)
+    assert ((x + 1) / (x * x)).evaluate(2) == q(3, 4)
+    assert (x / (x + 2)).evaluate(2) == q(1, 2)
+
+
 @given(scalars_qt, st.integers(-5, 8))
 def test_power_matches_repeated_product_qt(x, n):
     if n < 0 and x.is_zero():

@@ -1265,6 +1265,50 @@ def test_s4_swap_bijection():
     _assert_swap_bijection(s4, s4.atoms_up_to(24))
 
 
+def point_pairs(orbit):
+    """The point pairs of an orbit of a x b, in the order of its atom's
+    points."""
+    return list(zip(orbit.proj1.data, orbit.proj2.data))
+
+
+def reference_finite_factor(backend, f, g):
+    """``product_factor`` by a scan of point pairs: the orbit of a x b whose
+    pairs hold (f(p), g(p)) for the first point p, and per point p the index
+    of that pair among the orbit's pairs."""
+    for orbit in backend.product_decompose(f.target, g.target):
+        pairs = point_pairs(orbit)
+        if (f.data[0], g.data[0]) in pairs:
+            return orbit.label, AtomMap(
+                f.source, orbit.atom,
+                tuple(pairs.index(pair) for pair in zip(f.data, g.data)))
+    raise AssertionError("no orbit holds the pair")
+
+
+@pytest.mark.parametrize("text", ["S3", "S4", "(1 2 3 4); (1 3)"],
+                         ids=["S3", "S4", "D4"])
+def test_finite_factor_and_swap_match_point_scan(text):
+    """On every atom pair (a, b) within degree 6, ``product_factor`` of every
+    pair of maps s -> a, s -> b from an atom s within degree 6 names the
+    orbit and the points that the point-pair scan finds, and ``swap_label``
+    names the orbit of b x a that holds each orbit's pairs swapped."""
+    backend = preset_backend(text)
+    atoms = backend.atoms_up_to(6)
+    factored = 0
+    for a, b in itertools.product(atoms, repeat=2):
+        for s in atoms:
+            for f, g in itertools.product(backend.hom_atoms(s, a),
+                                          backend.hom_atoms(s, b)):
+                assert (backend.product_factor(f, g)
+                        == reference_finite_factor(backend, f, g))
+                factored += 1
+        swapped = {frozenset(point_pairs(o)): o.label
+                   for o in backend.product_decompose(b, a)}
+        for orbit in backend.product_decompose(a, b):
+            pairs = frozenset((y, x) for x, y in point_pairs(orbit))
+            assert backend.swap_label(a, b, orbit.label) == swapped[pairs]
+    assert factored > len(atoms) ** 2
+
+
 # Fiber products
 
 

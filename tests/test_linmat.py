@@ -704,9 +704,9 @@ def test_completions_share_triple_table_images(make, pick, walked, monkeypatch):
 
 
 @pytest.mark.parametrize("make, bound, exact", [
-    (lambda: preset_backend("S4"), 6, 2351),
-    (type(LINE), 3, 5312),
-    (type(SYM), 3, 3192),
+    (lambda: preset_backend("S4"), 6, 2336),
+    (type(LINE), 3, 5072),
+    (type(SYM), 3, 3060),
 ], ids=["S4", "line", "sym"])
 def test_suite_factorings_stay_within_budget(make, bound, exact, monkeypatch):
     """A suite factors each projection's image table once, shared by the
@@ -719,15 +719,18 @@ def test_suite_factorings_stay_within_budget(make, bound, exact, monkeypatch):
     object, the triangle identities run once per atom, and the gamma block
     checks each distinct gamma once.  A Frobenius structure's unit and
     multiplication, and the axioms' X^3 pullbacks, are transposes of the
-    pushforwards already built.  The counts are exact, so a change in
-    either direction shows (the image-table walk made 21,808 line and 9,344
+    pushforwards already built, and the trace form reads the transpose of
+    the structure's ``comult (x) 1`` that the axioms built.  The counts are
+    exact, so a change in either direction shows (the image-table walk
+    made 21,808 line and 9,344
     sym calls, numbering the four-fold product of sum-tensor-traces 2,638
     S4, 11,196 line and 5,990 sym calls, the symmetric check's swap wiring
     2,620 S4, 8,454 line and 5,657 sym calls, the gamma check's matrix
     pullback 2,603 S4, 7,852 line and 5,052 sym calls, and building each
     check's own Frobenius structure, triangle identities and gamma checks
-    2,592 S4, 7,273 line and 4,447 sym calls, and building each pullback's
-    wiring again 2,399 S4, 5,814 line and 3,474 sym calls)."""
+    2,592 S4, 7,273 line and 4,447 sym calls, building each pullback's
+    wiring again 2,399 S4, 5,814 line and 3,474 sym calls, and the trace
+    form's own X^3 wiring 2,351 S4, 5,312 line and 3,192 sym calls)."""
     from oligoperm.suite import run_suite
 
     backend = make()

@@ -279,23 +279,44 @@ GRID_VALUES = ("0", "0", "0", "1", "-1", "2", "-2", "1/2", "-3/4")
 
 
 @st.composite
-def grid_pairs(draw):
-    rows, inner, cols = (draw(st.integers(1, 5)) for _ in range(3))
+def grid_products(draw):
+    """One grid A and one to three grids B to multiply it by.  Entry (0, 0)
+    of every grid and the first column of A hold three distinct nonzero
+    values, so every product sums over several value pairs."""
+    inner = draw(st.integers(3, 6))
+    cols = draw(st.integers(1, 5))
     entry = st.sampled_from(GRID_VALUES).map(rational)
+    nonzero = [v for v in dict.fromkeys(GRID_VALUES) if v != "0"]
+    planted = [rational(v) for v in draw(st.permutations(nonzero))[:3]]
 
     def grid(r, c):
         return draw(st.lists(st.lists(entry, min_size=c, max_size=c),
                              min_size=r, max_size=r))
 
-    return grid(rows, inner), grid(inner, cols)
+    agrid = grid(inner, cols)
+    for k, value in enumerate(planted):
+        agrid[k][0] = value
+    bgrids = [grid(draw(st.integers(1, 5)), inner)
+              for _ in range(draw(st.integers(1, 3)))]
+    for bgrid in bgrids:
+        bgrid[0][:3] = planted[::-1]
+    return agrid, bgrids
 
 
 @settings(max_examples=200, deadline=None)
-@given(grid_pairs())
+@given(grid_products())
 def test_literal_product_matches_dense_triple_loop(grids):
-    bgrid, agrid = grids
-    assert (literal_product(sparse(bgrid), sparse(agrid))
-            == sparse(dense_product(bgrid, agrid, RATIONAL)))
+    """Each product equals the dense triple loop, both by itself and with
+    A's column masks built once and shared by every B, as the stacked
+    composition check shares them across target atoms."""
+    agrid, bgrids = grids
+    amat = sparse(agrid)
+    assert len(set(amat.values())) >= 3
+    columns = oracle._columns(amat)
+    for bgrid in bgrids:
+        want = sparse(dense_product(bgrid, agrid, RATIONAL))
+        assert literal_product(sparse(bgrid), amat) == want
+        assert oracle._masked_product(sparse(bgrid), columns) == want
 
 
 def test_literal_product_drops_cancelling_sums():
@@ -308,6 +329,15 @@ def test_literal_product_drops_cancelling_sums():
     product = literal_product(sparse([brow]), sparse(agrid))
     assert product == {(0, 2): rational("2")}
     assert product == sparse(dense_product([brow], agrid, RATIONAL))
+
+
+def test_literal_product_drops_counts_divisible_by_the_characteristic():
+    """Over F_3(a) an entry joined by three middle indices of one value pair
+    is zero, though no two terms were summed."""
+    u = one(ratfunc_field("a", 3))
+    bmat = {(0, 0): u, (0, 1): u, (0, 2): u, (1, 0): u}
+    amat = {(0, 0): u, (1, 0): u, (2, 0): u}
+    assert literal_product(bmat, amat) == {(1, 0): u}
 
 
 def sym_model_size(obj, n_points):

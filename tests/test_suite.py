@@ -3,6 +3,7 @@
 import pytest
 
 from oligoperm import frob, permcat, suite
+from oligoperm import measure as measure_layer
 from oligoperm.coeff import Scalar
 from oligoperm.frob import check_perfect_pairing, gamma_of_projection
 from oligoperm.gset import LineBackend, SymBackend, preset_backend
@@ -205,6 +206,49 @@ def test_suite_derives_each_structure_once(make, bound, triangles, eidems,
     assert run_suite(make(), bound).passed
     assert counts == {"triangles": triangles, "eidems": eidems,
                       "structures": structures}
+
+
+@pytest.mark.parametrize("make, bound, runs", [
+    (SymBackend, 3, 2),
+    (LineBackend, 3, 1),
+    (lambda: preset_backend("S3"), 6, 1),
+], ids=["sym", "line", "S3"])
+def test_suite_checks_the_measure_identities_once(make, bound, runs,
+                                                  monkeypatch):
+    """``solve_measures`` checks the product and multiplicativity identities
+    of the family's values, and the measure-axioms check reads the family's
+    failures instead of checking the same values again; only the sym
+    suite's mutation-sensitivity check runs them once more, on its perturbed
+    measure.  The counts are exact (before: 3 on sym, 2 on line and S3)."""
+    measures = []
+    real = measure_layer._identity_results
+
+    def counted(measure, bound):
+        measures.append(measure)
+        return real(measure, bound)
+
+    monkeypatch.setattr(measure_layer, "_identity_results", counted)
+    assert run_suite(make(), bound).passed
+    assert len(measures) == runs
+
+
+def test_measure_axioms_report_the_family_identity_failures(monkeypatch):
+    """A failing identity the solver found fails the suite's measure-axioms
+    check with that identity's witness, though the suite checks no identity
+    itself."""
+    failure = CheckResult("product[inj[1]*inj[1]]", False,
+                          {"pair": "sym:inj[1] x sym:inj[1]", "lhs": "t^2",
+                           "rhs": "t^2 + 1"})
+
+    def failing_family(backend, bound):
+        family = solve_measures(backend, bound)
+        return family._replace(identity_failures=(failure,))
+
+    monkeypatch.setattr(suite, "solve_measures", failing_family)
+    report = run_suite(SymBackend(), 2)
+    assert report.result("measure-axioms").witness == {
+        "check": "product[inj[1]*inj[1]]", **failure.witness,
+        "failing-checks": "1"}
 
 
 def test_bgamma_kernel_dimensions_report_the_first_failing_map(monkeypatch):
