@@ -23,6 +23,7 @@ it is why counting is the only measure here.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .base import Atom, AtomMap, Backend, LinearRelation, ProductOrbit, triple_row
@@ -295,30 +296,30 @@ class FiniteBackend(Backend):
 
     def _decompose(self, a, b):
         rows_a, rows_b = self._act_rows(a), self._act_rows(b)
-        width = b.degree
-        # the pair (i, j) is the int i * width + j, so int order is pair order
-        moves = [[x * width + y for x in rows_a[g] for y in rows_b[g]]
-                 for g in map(self._index.__getitem__, self.generators)]
-        seen = bytearray(a.degree * width)
-        firsts = []  # each orbit's least pair, met in increasing order
-        for p in range(len(seen)):
-            if seen[p]:
+        moves = [(rows_a[self._index[g]], rows_b[self._index[g]])
+                 for g in self.generators]
+        seen = set()
+        orbit_sets = []
+        for p in itertools.product(range(a.degree), range(b.degree)):
+            if p in seen:
                 continue
-            seen[p] = 1
-            firsts.append(p)
+            orbit = {p}
             frontier = [p]
             while frontier:
                 nxt = []
-                for q in frontier:
-                    for move in moves:
-                        r = move[q]
-                        if not seen[r]:
-                            seen[r] = 1
-                            nxt.append(r)
+                for (i, j) in frontier:
+                    for ta, tb in moves:
+                        q = (ta[i], tb[j])
+                        if q not in orbit:
+                            orbit.add(q)
+                            nxt.append(q)
                 frontier = nxt
+            seen |= orbit
+            orbit_sets.append(orbit)
+        orbit_sets.sort(key=min)
         orbits = []
-        for k, p in enumerate(firsts):
-            i, j = divmod(p, width)
+        for k, orbit in enumerate(orbit_sets):
+            i, j = min(orbit)
             stab = frozenset(g for g, (ra, rb) in enumerate(zip(rows_a, rows_b))
                              if ra[i] == i and rb[j] == j)
             c = self._atoms[self._class_index[stab]]

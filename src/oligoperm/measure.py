@@ -103,17 +103,23 @@ class Measure(NamedTuple):
 
 class MeasureFamily(NamedTuple):
     """A solved family: parameter names, values over the parameter field,
-    residual constraints (empty when the family is free) and the failing
-    identity results they come from."""
+    the bound its identities were checked within, and the identity checks
+    that failed there (none when the family is free)."""
 
     backend: object
     field: object
     parameters: tuple
     fiber_values: dict
     atom_values: dict
-    residual: tuple
+    bound: int
     identity_failures: tuple
     description: str = ""
+
+    @property
+    def residual(self):
+        """The residual constraints: the identities that fail to vanish."""
+        return tuple(r.witness.get("identity", r.name)
+                     for r in self.identity_failures)
 
     def generic(self):
         return Measure(self.backend, self.field, dict(self.atom_values),
@@ -237,12 +243,11 @@ def solve_measures(backend, bound, char=0):
 
     Raises INCONSISTENT when no assignment satisfies the point-cut relations,
     or when they leave more than one fiber class free.
-    Residual identities that fail to vanish are returned on the family, and
-    so are their failing check results (``identity_failures``): the identity
-    checks of ``check_measure_axioms(family.generic(), bound)`` read the same
-    values, so a caller holding the family passes them on instead of running
-    the checks again.  Only the failures are kept; on the shipped backends
-    there are none.
+    The family keeps the identity checks that fail on its values
+    (``identity_failures``, read as its ``residual``) and no passing one, so
+    ``check_family_axioms`` reports the measure axioms of
+    ``family.generic()`` without checking the same values again.  On the
+    shipped backends there are no failures.
     """
     if bound < 2:
         raise ValueError("solve needs bound >= 2")
@@ -274,11 +279,10 @@ def solve_measures(backend, bound, char=0):
     for result in failures:
         if result.witness.get("constant_failure") == "yes":
             raise InconsistentSystem(result.witness["identity"])
-    residual = tuple(r.witness.get("identity", r.name) for r in failures)
     name = backend.backend_id
     description = f"{name} measure" + (f" family in {params[0]}" if params else "")
     return MeasureFamily(backend, field, tuple(params), fiber_values,
-                         atom_values, residual, tuple(failures), description)
+                         atom_values, bound, tuple(failures), description)
 
 
 def _identity_results(measure, bound):
@@ -334,12 +338,21 @@ def _identity_results(measure, bound):
     return results
 
 
-def check_measure_axioms(measure, bound, identities=None):
-    """Verify the measure axioms on the fragment within the bound.
+def check_measure_axioms(measure, bound):
+    """Verify the measure axioms on the fragment within the bound."""
+    return _axioms_report(measure, bound, _identity_results(measure, bound))
 
-    ``identities``, when given, stands in for the product and
-    multiplicativity results: ``run_suite`` passes the ``identity_failures``
-    that ``solve_measures`` found on the same values at the same bound."""
+
+def check_family_axioms(family):
+    """``check_measure_axioms(family.generic(), family.bound)`` from the
+    identity checks the solver found failing on the same values: it passes
+    and fails where that does, with the same failing results, and lists no
+    passing identity."""
+    return _axioms_report(family.generic(), family.bound,
+                          family.identity_failures)
+
+
+def _axioms_report(measure, bound, identities):
     results = [
         CheckResult("isomorphism-invariance", True,
                     note="canonical orbit labels; equal atoms share one table entry"),
@@ -348,8 +361,7 @@ def check_measure_axioms(measure, bound, identities=None):
         CheckResult("conjugation-invariance", True,
                     note="labels are conjugation classes by construction"),
     ]
-    results.extend(_identity_results(measure, bound) if identities is None
-                   else identities)
+    results.extend(identities)
     return Report(f"measure axioms for {measure.backend.backend_id} within {bound}",
                   results)
 

@@ -130,10 +130,8 @@ def literal_product(bmat, amat):
 
 def _masked_product(bmat, columns):
     """``literal_product`` of ``bmat`` and the matrix whose ``_columns``
-    are ``columns``.  Only a sum of terms, or a term that is zero in
-    characteristic p, can come to zero, so with neither no entry is
-    tested."""
-    out, may_vanish = {}, False
+    are ``columns``."""
+    out = {}
     for b, rows in _masks(bmat.items()).items():
         for a, cols in columns.items():
             ba, terms = b * a, {}
@@ -144,15 +142,8 @@ def _masked_product(bmat, columns):
                         term = terms.get(count)
                         if term is None:
                             term = terms[count] = ba * count
-                            may_vanish = may_vanish or term.is_zero()
                         key = i, j
-                        if key in out:
-                            out[key] = out[key] + term
-                            may_vanish = True
-                        else:
-                            out[key] = term
-    if not may_vanish:
-        return out
+                        out[key] = out[key] + term if key in out else term
     return {key: value for key, value in out.items() if not value.is_zero()}
 
 

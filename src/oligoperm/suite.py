@@ -6,17 +6,17 @@ profile of the backend, and the concrete-model oracles.  Its pass set is the
 acceptance surface of the package; the CLI ``suite`` subcommand returns exit
 code 0 exactly when every entry passes.
 
-A run computes each shared piece once.  The measure axioms take the
-identity failures that ``solve_measures`` found on the same values instead
-of checking the identities again.  The Frobenius structure of an object,
-which reads no measure, is kept in the backend cache.  Per atom of
-the Frobenius block, the triangle identities run once when the Frobenius
-duality equals the diagonal one, and serve the pairing and snake checks
-both.  Within one gamma block, ``e_idempotent_check`` runs once per source
-atom and kernel-pair gamma, and the splitting function once per target
-atom.  Measure-dependent results are held only for the call that computes
-them, never in the backend cache, since one backend serves several
-measures.
+A run computes each shared piece once.  The measure axioms read the identity
+failures that ``solve_measures`` found on the same values
+(``check_family_axioms``) instead of checking the identities again.  The
+Frobenius structure of an object, which reads no measure, is kept in the
+backend cache.  Per atom of the Frobenius block, the triangle identities run
+once when the Frobenius duality equals the diagonal one, and serve the
+pairing and snake checks both.  Within one gamma block,
+``e_idempotent_check`` runs once per source atom and kernel-pair gamma, and
+the splitting function once per target atom.  Measure-dependent results are
+held only for the call that computes them, never in the backend cache, since
+one backend serves several measures.
 """
 
 from __future__ import annotations
@@ -45,7 +45,12 @@ from .linmat import (
     pushforward_matrix,
     tensor_space,
 )
-from .measure import check_measure_axioms, classify_measure, solve_measures
+from .measure import (
+    check_family_axioms,
+    check_measure_axioms,
+    classify_measure,
+    solve_measures,
+)
 from .oracle import (
     bgamma_kernel_dimension,
     expand_sym_matrix,
@@ -178,9 +183,7 @@ def run_suite(backend, bound):
         "solver-residual-empty", not family.residual,
         {} if not family.residual else {"residual": "; ".join(family.residual)}))
     # the solver has just checked the identities on the same values
-    _absorb(results, check_measure_axioms(measure, bound,
-                                          family.identity_failures),
-            "measure-axioms")
+    _absorb(results, check_family_axioms(family), "measure-axioms")
     # the generic measure is regular and normal by the classification
     classes = classify_measure(measure, small)
     passed = classes["regular"] and classes["normal_within_bound"]

@@ -233,9 +233,9 @@ def test_suite_checks_the_measure_identities_once(make, bound, runs,
 
 
 def test_measure_axioms_report_the_family_identity_failures(monkeypatch):
-    """A failing identity the solver found fails the suite's measure-axioms
-    check with that identity's witness, though the suite checks no identity
-    itself."""
+    """A failing identity the solver found is the family's residual, and it
+    fails the suite's measure-axioms check with that identity's witness,
+    though the suite checks no identity itself."""
     failure = CheckResult("product[inj[1]*inj[1]]", False,
                           {"pair": "sym:inj[1] x sym:inj[1]", "lhs": "t^2",
                            "rhs": "t^2 + 1"})
@@ -246,6 +246,8 @@ def test_measure_axioms_report_the_family_identity_failures(monkeypatch):
 
     monkeypatch.setattr(suite, "solve_measures", failing_family)
     report = run_suite(SymBackend(), 2)
+    assert report.result("solver-residual-empty").witness == {
+        "residual": "product[inj[1]*inj[1]]"}
     assert report.result("measure-axioms").witness == {
         "check": "product[inj[1]*inj[1]]", **failure.witness,
         "failing-checks": "1"}
