@@ -476,28 +476,31 @@ def pushforward_fn(measure, gmap, fn):
     return SchwartzFn(gmap.target, out)
 
 
-def pushforward_surjective_on_invariants(measure, gmap):
-    """Whether pushforward along ``gmap`` is onto the target's invariant
+def pushforward_surjective_on_invariants(measure, legs, targets):
+    """Whether pushforward along a map is onto the target's invariant
     functions.
 
-    In the target-by-source matrix of the pushforward, column ``s`` has one
-    possibly nonzero entry, ``mu_map(m)`` in row ``j`` for the leg
-    ``(j, m) = gmap.legs[s]``.  With at most one nonzero entry per column the
-    rank is the number of rows some nonzero entry hits, so the map is onto
-    exactly when every target position is hit by a leg of nonzero fiber
-    measure.  ``mu_map`` depends on a leg only through its tuple of fiber
-    classes, so whether it vanishes is decided once per distinct tuple among
-    the legs; every tuple is evaluated, so a measure missing a fiber value
-    raises ``UnknownAtom`` whatever the answer.
+    ``legs`` lists the map's legs, one ``(target key, AtomMap)`` per source
+    orbit, the key naming the target orbit the leg lands in (a position of
+    a ``GMap``'s target, or an orbit label of one product); ``targets`` is
+    the number of target orbits.  In the target-by-source matrix of the
+    pushforward, the column of a leg ``(j, m)`` has one possibly nonzero
+    entry, ``mu_map(m)`` in row ``j``.  With at most one nonzero entry per
+    column the rank is the number of rows some nonzero entry hits, so the
+    map is onto exactly when every target orbit is hit by a leg of nonzero
+    fiber measure.  ``mu_map`` depends on a leg only through its tuple of
+    fiber classes, so whether it vanishes is decided once per distinct
+    tuple among the legs; every tuple is evaluated, so a measure missing a
+    fiber value raises ``UnknownAtom`` whatever the answer.
     """
     factorize = measure.backend.elementary_factorize
     vanishes = {}
     hit = set()
-    for j, m in gmap.legs:
+    for j, m in legs:
         classes = factorize(m)
         zero = vanishes.get(classes)
         if zero is None:
             zero = vanishes[classes] = measure.mu_map(m).is_zero()
         if not zero:
             hit.add(j)
-    return len(hit) == len(gmap.target.atoms)
+    return len(hit) == targets

@@ -12,6 +12,10 @@ point-cut decompositions (a linear system, eliminated on sparse rows), and
 then verifies the remaining identity set (product decompositions and
 drop-order independence) by substitution.  Identities that do not vanish are
 reported as residual constraints; for the shipped backends they all vanish.
+Each distinct identity is evaluated once per check: the two sides of a
+product identity once per unordered atom pair and orbit-atom counts, the
+product of a fiber-class multiset once, and a chain test once per source,
+target and map value (see ``_identity_results``).
 
 The normality classifier probes one single drop per class under the
 automorphisms of its source, which is exact for every measure (see
@@ -25,7 +29,7 @@ from typing import NamedTuple
 
 from .coeff import RATIONAL, Scalar, one, ratfunc_field, zero
 from .errors import InconsistentSystem, UnknownAtom
-from .gset.base import GMap, product_images
+from .gset.base import product_images
 from .report import CheckResult, Report, equality
 
 SOLVE_DEPTH_FACTOR = 4
@@ -286,17 +290,36 @@ def solve_measures(backend, bound, char=0):
 
 
 def _identity_results(measure, bound):
-    """Product identities and drop-order independence, as check results."""
+    """Product identities and drop-order independence, as check results.
+
+    There is one result per ordered atom pair and one per atom map, but
+    each distinct identity is evaluated once.  The product identity of
+    ``(a, b)`` reads mu(a) mu(b) and the orbit atoms of ``a x b`` with their
+    counts, so its two sides are computed once per unordered pair and
+    counts: ``(b, a)`` has the same.  A map's values are the products of
+    its fiber-class multisets, each computed once, and its chain test
+    ``mu(a) == v * mu(b)`` is decided once per ``(a, b, v)``.  Scalars are
+    exact and canonical, so every result, witness included, is the one
+    that evaluating each identity afresh gives, and the first identity to
+    miss a fiber value raises the same ``UnknownAtom``.
+    """
     backend = measure.backend
     atoms = backend.atoms_up_to(bound)
+    mu = measure.mu_atom
     results = []
+    sides = {}  # (unordered atom pair, orbit-atom counts) -> (lhs, rhs)
     for a in atoms:
         for b in atoms:
-            lhs = measure.mu_atom(a) * measure.mu_atom(b)
             orbits = backend.product_decompose(a, b)
-            rhs = zero(measure.field)
-            for atom, n in Counter(o.atom for o in orbits).items():
-                rhs = rhs + measure.mu_atom(atom) * n
+            counts = Counter(o.atom for o in orbits)
+            key = (frozenset((a, b)), frozenset(counts.items()))
+            if key not in sides:
+                lhs = mu(a) * mu(b)
+                rhs = zero(measure.field)
+                for atom, n in counts.items():
+                    rhs = rhs + mu(atom) * n
+                sides[key] = lhs, rhs
+            lhs, rhs = sides[key]
             ok = lhs == rhs
             witness = {}
             if not ok:
@@ -310,27 +333,34 @@ def _identity_results(measure, bound):
                     "constant_failure": "yes" if diff.is_constant() else "no",
                 }
             results.append(CheckResult(f"product[{a.label}*{b.label}]", ok, witness))
+    products = {}  # fiber-class multiset -> the product of its values
+    chains = {}  # (a, b, v) -> whether mu(a) == v * mu(b)
     for a in atoms:
         for b in atoms:
             for f in backend.hom_atoms(a, b):
                 values = set()
                 for multiset in backend.factorization_class_multisets(f):
-                    v = one(measure.field)
-                    for cls in multiset:
-                        v = v * measure.fiber_value(cls)
+                    v = products.get(multiset)
+                    if v is None:
+                        v = one(measure.field)
+                        for cls in multiset:
+                            v = v * measure.fiber_value(cls)
+                        products[multiset] = v
                     values.add(v)
                 ok = len(values) == 1
                 # drop orders that disagree report the canonical chain's value
                 v = values.pop() if ok else measure.mu_map(f)
-                chain_ok = measure.mu_atom(a) == v * measure.mu_atom(b)
+                chain_ok = chains.get((a, b, v))
+                if chain_ok is None:
+                    chain_ok = chains[a, b, v] = mu(a) == v * mu(b)
                 witness = {}
                 if not (ok and chain_ok):
                     witness = {
                         "map": f"{a.render()} -> {b.render()} {f.data}",
                         "identity": f"mu({a.label}) = mu(f) * mu({b.label})",
                         "mu_map": v.render(),
-                        "mu_source": measure.mu_atom(a).render(),
-                        "mu_target": measure.mu_atom(b).render(),
+                        "mu_source": mu(a).render(),
+                        "mu_target": mu(b).render(),
                     }
                 results.append(
                     CheckResult(f"multiplicativity[{a.label}->{b.label}:{f.data}]",
@@ -390,12 +420,14 @@ def classify_measure(measure, bound):
     same.  On ``sym`` the 33 single drops within bound 4 are 4 classes;
     ``line`` atoms have no automorphisms but the identity.
 
-    Each probe's legs are read off the orbits of W x a: an orbit o goes to the
-    orbit of W x b that factors (o.proj1, f o o.proj2), as
-    ``gset.base.product_images`` of ``1 x f`` lists it, with W passed as an
-    atom so that o.proj1 is composed with nothing.  Surjectivity is then
-    a support count, not an elimination: the map is onto exactly when every
-    target orbit is hit by a source orbit whose fiber measure is nonzero (see
+    Each probe's legs are ``gset.base.product_images`` of ``1 x f``, with W
+    passed as an atom so that o.proj1 is composed with nothing: per orbit o
+    of W x a, the label of the orbit of W x b that (o.proj1, f o o.proj2)
+    factors through and the map onto its atom.  Keyed by those target
+    labels, they are all the probe reads, so no product space and no
+    ``GMap`` is built.  Surjectivity is then a support count, not an
+    elimination: the map is onto exactly when every orbit of W x b is hit
+    by a source orbit whose fiber measure is nonzero (see
     ``linmat.pushforward_surjective_on_invariants``).
     """
     from . import linmat
@@ -413,17 +445,8 @@ def classify_measure(measure, bound):
                     continue
                 covered.update(backend.compose_maps(f, s) for s in automorphisms)
                 for w in atoms:
-                    src = linmat.tensor_space(backend, [backend.object_of([w]),
-                                                        backend.object_of([a])])
-                    tgt = linmat.tensor_space(backend, [backend.object_of([w]),
-                                                        backend.object_of([b])])
-                    legs = [None] * len(src.positions)
-                    images = product_images(backend, w, f)
-                    for o, (label, m) in zip(backend.product_decompose(w, a),
-                                             images):
-                        legs[src.index[(0, 0, o.label)]] = (
-                            tgt.index[(0, 0, label)], m)
-                    gmap = GMap(src.object, tgt.object, tuple(legs))
-                    if not linmat.pushforward_surjective_on_invariants(measure, gmap):
+                    if not linmat.pushforward_surjective_on_invariants(
+                            measure, product_images(backend, w, f),
+                            len(backend.product_decompose(w, b))):
                         normal = False
     return {"regular": regular, "normal_within_bound": normal}

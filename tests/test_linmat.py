@@ -580,7 +580,8 @@ def test_pushforward_surjective_matches_dense_rank(name):
     probes = 0
     for gmap in single_drop_probes(measure.backend, 3):
         probes += 1
-        if (pushforward_surjective_on_invariants(measure, gmap)
+        if (pushforward_surjective_on_invariants(
+                measure, gmap.legs, len(gmap.target.atoms))
                 != dense_pushforward_surjective(measure, gmap)):
             mismatches.append((gmap.source.render(), gmap.target.render()))
     assert probes == SINGLE_DROP_PROBES[measure.backend.backend_id]
@@ -600,13 +601,15 @@ def test_pushforward_surjective_zero_fiber_leaves_position_unhit():
         measure = family.specialize(t)
         assert measure.mu_map(select).is_zero() is (t == 1)
         for gmap, want in ((unhit, want_unhit), (covered, True)):
-            assert pushforward_surjective_on_invariants(measure, gmap) is want
+            assert pushforward_surjective_on_invariants(
+                measure, gmap.legs, len(gmap.target.atoms)) is want
             assert dense_pushforward_surjective(measure, gmap) is want
     # every leg is evaluated: a missing fiber value raises even after the
     # identity leg has already hit the only target position
     no_fibers = Measure(SYM, RATIONAL, {}, {})
     with pytest.raises(UnknownAtom):
-        pushforward_surjective_on_invariants(no_fibers, covered)
+        pushforward_surjective_on_invariants(
+            no_fibers, covered.legs, len(covered.target.atoms))
 
 
 # the triple-orbit completions of ``gset.base.triple_row`` against one walk

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -14,14 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 import oligoperm
 from oligoperm import linmat
-from oligoperm.coeff import RATIONAL, Scalar, falling_factorial, one
+from oligoperm.coeff import RATIONAL, Scalar, falling_factorial, one, zero
 from oligoperm.errors import InconsistentSystem, UnknownAtom
 from oligoperm.gset import LINE, SYM, atom_gmap, preset_backend
 from oligoperm.gset.base import LinearRelation
+from oligoperm.report import CheckResult
 from oligoperm.measure import (
     PARAMETER,
     SOLVE_DEPTH_FACTOR,
     Measure,
+    _identity_results,
     _solve_linear,
     check_measure_axioms,
     classify_measure,
@@ -210,6 +213,142 @@ def test_counting_measure_passes_for_c2_on_four_points():
     assert check_measure_axioms(family.generic(), 4).passed
 
 
+def reference_identity_results(measure, bound):
+    """``_identity_results`` evaluating every identity afresh: one product
+    identity per ordered atom pair and one multiplicativity identity per
+    atom map, each multiplied out on its own."""
+    backend = measure.backend
+    atoms = backend.atoms_up_to(bound)
+    results = []
+    for a in atoms:
+        for b in atoms:
+            lhs = measure.mu_atom(a) * measure.mu_atom(b)
+            orbits = backend.product_decompose(a, b)
+            rhs = zero(measure.field)
+            for atom, n in Counter(o.atom for o in orbits).items():
+                rhs = rhs + measure.mu_atom(atom) * n
+            ok = lhs == rhs
+            witness = {}
+            if not ok:
+                diff = lhs - rhs
+                witness = {
+                    "pair": f"{a.render()} x {b.render()}",
+                    "lhs": lhs.render(),
+                    "rhs": rhs.render(),
+                    "orbits": ", ".join(o.label for o in orbits),
+                    "identity": f"{lhs.render()} = {rhs.render()}",
+                    "constant_failure": "yes" if diff.is_constant() else "no",
+                }
+            results.append(CheckResult(f"product[{a.label}*{b.label}]", ok, witness))
+    for a in atoms:
+        for b in atoms:
+            for f in backend.hom_atoms(a, b):
+                values = set()
+                for multiset in backend.factorization_class_multisets(f):
+                    v = one(measure.field)
+                    for cls in multiset:
+                        v = v * measure.fiber_value(cls)
+                    values.add(v)
+                ok = len(values) == 1
+                v = values.pop() if ok else measure.mu_map(f)
+                chain_ok = measure.mu_atom(a) == v * measure.mu_atom(b)
+                witness = {}
+                if not (ok and chain_ok):
+                    witness = {
+                        "map": f"{a.render()} -> {b.render()} {f.data}",
+                        "identity": f"mu({a.label}) = mu(f) * mu({b.label})",
+                        "mu_map": v.render(),
+                        "mu_source": measure.mu_atom(a).render(),
+                        "mu_target": measure.mu_atom(b).render(),
+                    }
+                results.append(
+                    CheckResult(f"multiplicativity[{a.label}->{b.label}:{f.data}]",
+                                ok and chain_ok, witness))
+    return results
+
+
+def assert_same_identity_results(measure, bound):
+    got = _identity_results(measure, bound)
+    want = reference_identity_results(measure, bound)
+    assert [tuple(r) for r in got] == [tuple(r) for r in want]
+    return got
+
+
+def test_identity_results_match_one_evaluation_per_identity(
+        sym_family, line_family, s3_measure):
+    assert_same_identity_results(sym_family.generic(), 4)
+    assert_same_identity_results(line_family.generic(), 4)
+    for t in range(6):
+        assert_same_identity_results(sym_family.specialize(t), 4)
+    assert_same_identity_results(s3_measure, 6)
+    s4 = solve_measures(preset_backend("S4"), 6).generic()
+    assert_same_identity_results(s4, 6)
+
+
+def test_identity_results_match_on_perturbed_measures(verdict_cases):
+    failing = 0
+    for name, (measure, bound) in verdict_cases.items():
+        if "@" in name:
+            got = assert_same_identity_results(measure, bound)
+            failing += not all(r.passed for r in got)
+    # every perturbed measure fails some identity, so witnesses are compared
+    assert failing == 3 * 2 * len(PERTURBED)
+
+
+@pytest.mark.parametrize("atoms_given", [True, False])
+def test_identity_results_raise_on_the_same_missing_fiber_class(
+        sym_family, atoms_given):
+    # with the atom values given, the maps of inj[4] reach omega-minus[3];
+    # without, the product inj[4] x inj[4] extends atoms to inj[8], which
+    # reaches omega-minus[7]; the table stops one class short of either
+    bound = 4
+    top = bound - 1 if atoms_given else 2 * bound - 1
+    fibers = {f"omega-minus[{c}]": sym_family.fiber_values[f"omega-minus[{c}]"]
+              for c in range(top)}
+    raised = []
+    for identities in (_identity_results, reference_identity_results):
+        atom_values = dict(sym_family.atom_values) if atoms_given else {}
+        measure = Measure(SYM, sym_family.field, atom_values, fibers)
+        with pytest.raises(UnknownAtom) as info:
+            identities(measure, bound)
+        raised.append(str(info.value))
+    assert raised[0] == raised[1] == f"no fiber value for omega-minus[{top}]"
+
+
+@pytest.mark.parametrize("name, bound, muls, adds", [
+    ("sym", 4, 85, 35), ("sym-t2", 4, 85, 35), ("line", 4, 94, 35),
+    ("S4", 6, 84, 35)])
+def test_identity_arithmetic_stays_within_budget(
+        name, bound, muls, adds, sym_family, line_family, monkeypatch):
+    """``Scalar.__mul__`` and ``__add__`` calls in one ``_identity_results``
+    run.  Evaluating every identity afresh took, in the same order of
+    cases, 253, 253, 197 and 149 multiplications and 55, 55, 55 and 59
+    additions: ``sym`` at bound 4 checks 89 maps but 15 distinct
+    multiplicativity identities, and the product identities of ``(a, b)``
+    and ``(b, a)`` are one."""
+    measure = {
+        "sym": lambda: sym_family.generic(),
+        "sym-t2": lambda: sym_family.specialize(2),
+        "line": lambda: line_family.generic(),
+        "S4": lambda: solve_measures(preset_backend("S4"), bound).generic(),
+    }[name]()
+    calls = Counter()
+    mul, add = Scalar.__mul__, Scalar.__add__
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counted_add(self, other):
+        calls["add"] += 1
+        return add(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted_mul)
+    monkeypatch.setattr(Scalar, "__add__", counted_add)
+    assert all(r.passed for r in _identity_results(measure, bound))
+    assert (calls["mul"], calls["add"]) == (muls, adds)
+
+
 def test_classification(sym_family, line_family):
     assert classify_measure(sym_family.generic(), 3) == {
         "regular": True, "normal_within_bound": True}
@@ -309,10 +448,10 @@ def test_classification_work_is_bounded(sym_family, monkeypatch):
     surjective = linmat.pushforward_surjective_on_invariants
     mu_map = Measure.mu_map
 
-    def counted_probe(measure, gmap):
+    def counted_probe(measure, legs, targets):
         nonlocal probes
         probes += 1
-        return surjective(measure, gmap)
+        return surjective(measure, legs, targets)
 
     def counted_mu_map(self, f):
         nonlocal mu_map_calls
@@ -322,8 +461,12 @@ def test_classification_work_is_bounded(sym_family, monkeypatch):
     def no_product_gmap(*args):
         raise AssertionError("classify_measure built a product_gmap")
 
+    def no_tensor_space(*args):
+        raise AssertionError("classify_measure built a product space")
+
     monkeypatch.setattr(linmat, "pushforward_surjective_on_invariants", counted_probe)
     monkeypatch.setattr(linmat, "product_gmap", no_product_gmap)
+    monkeypatch.setattr(linmat, "tensor_space", no_tensor_space)
     monkeypatch.setattr(Measure, "mu_map", counted_mu_map)
     assert classify_measure(measure, 4) == {
         "regular": False, "normal_within_bound": False}
@@ -364,10 +507,10 @@ def test_bound_five_classification(monkeypatch):
     probes = 0
     surjective = linmat.pushforward_surjective_on_invariants
 
-    def counted_probe(measure, gmap):
+    def counted_probe(measure, legs, targets):
         nonlocal probes
         probes += 1
-        return surjective(measure, gmap)
+        return surjective(measure, legs, targets)
 
     monkeypatch.setattr(linmat, "pushforward_surjective_on_invariants", counted_probe)
     assert classify_measure(sym.generic(), 5) == {
