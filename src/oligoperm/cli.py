@@ -37,6 +37,7 @@ from .frob import (
     check_trace,
     e_idempotent_check,
     gamma_of_projection,
+    splitting_fn,
     splitting_idempotent,
     verify_frobenius,
 )
@@ -308,7 +309,8 @@ def cmd_dim(args):
     backends = _backends(args)
     backend, x = _parse(parse_object, backends, args.X)
     measure = _measure_for(args, backend, _bound(args), [x])
-    value = categorical_dim(backend, x, measure)
+    value = categorical_dim(measure, x,
+                            *duality_data(backend, x, measure.field))
     report = Report("dim", [CheckResult("categorical-dimension", True)])
     return _emit(args, report, {"dim": value.render()})
 
@@ -406,7 +408,8 @@ def cmd_frob_eidem(args):
     backend, x = _checked_object(args, "B")
     measure = _measure_for(args, backend, _bound(args), [x])
     gamma = _gamma_from_args(args, backend, x, measure.field)
-    report = e_idempotent_check(backend, x, gamma, measure)
+    report = e_idempotent_check(backend, x, gamma, measure,
+                                splitting_fn(backend, x, measure))
     return _emit(args, report)
 
 

@@ -25,12 +25,15 @@ structure per object and field.  Its X^3 padding ``delta_id`` (comult (x) 1)
 reads no measure either and is built on its first call: the axioms of
 ``verify_frobenius`` read it and ``trace_form`` its transpose, while the
 structures that no check pads through X^3 (the sum and product of
-``check_sum_tensor_traces``, the finite oracle's) never build it.
+``check_sum_tensor_traces``, the finite oracle's) never build it.  Its
+``diagonal``, the diagonal duality ``permcat.duality_data``, is built on
+its first call too, so ``trace_form``, ``splitting_idempotent`` and the
+suite share one per object and field.
 ``gamma_of_projection`` is ``e_idempotent_check`` of the kernel-pair gamma,
-the target's ``splitting_fn`` and ``kernel_pair_report``, which adds the
-pullback check; the suite's gamma block calls the same three, sharing the
-first per source atom and gamma and the second per target atom within one
-call.
+which takes the source's ``splitting_fn``, the target's ``splitting_fn``
+and ``kernel_pair_report``, which adds the pullback check.  The suite
+calls the same three, with the splitting function that
+``splitting_idempotent`` returns for each atom, so it computes each once.
 
 All structure maps, and the associativity and coassociativity paddings, are
 pushforwards or pullbacks of explicit coordinate wirings between product
@@ -90,6 +93,8 @@ class FrobeniusStructure(NamedTuple):
     ps3: object  # a RowProduct: X x X x X by row
     # comult (x) 1: A (x) A -> A (x) A (x) A, built on its first call
     delta_id: object
+    # the diagonal duality (coev, ev) of Vec_X, built on its first call
+    diagonal: object
 
     @property
     def backend(self):
@@ -123,6 +128,7 @@ def _build_frobenius(backend, x, field):
         ps3=ps3,
         delta_id=cache(lambda: pushforward_matrix(
             backend, wiring_gmap(ps2, ps3, (0, 0, 1)), field)),
+        diagonal=cache(lambda: duality_data(backend, x, field)),
     )
 
 
@@ -181,7 +187,7 @@ def trace_form(f, measure):
     field = measure.field
     x = f.carrier
     ident = identity_matrix(backend, x, field)
-    coev, ev = duality_data(backend, x, field)
+    coev, ev = f.diagonal()
     right_unit = tensor_space(backend, [x, backend.unit_object()])
     id_coev = block_tensor([ident, coev], right_unit, f.ps3,
                            [[0], [1]], [[0], [1, 2]])
@@ -255,7 +261,7 @@ def splitting_idempotent(f, measure):
     # round trips: x -> (x(x)1)alpha recovers the comultiplication, and
     # evaluating the comultiplication at the unit recovers alpha
     results.append(equality("splitting-recovers-comult", left, f.comult))
-    coev, _ = duality_data(backend, f.carrier, field)
+    coev, _ = f.diagonal()
     results.append(equality("equals-diagonal-coevaluation", alpha_col, coev))
 
     report = Report(f"splitting idempotent on Vec[{f.carrier.render()}]", results)
@@ -271,8 +277,9 @@ def _coherent(a, b, c):
     return (a, b, c).count(0) >= 2
 
 
-def e_idempotent_check(backend, x, gamma, measure):
-    """Equivalence-idempotent conditions for an invariant function on X x X.
+def e_idempotent_check(backend, x, gamma, measure, alpha):
+    """Equivalence-idempotent conditions for an invariant function on X x X,
+    where ``alpha`` is the splitting function of X (``splitting_fn``).
 
     Triple coherence asks that g12 g23, g12 g13 and g13 g23 agree on X x X x X,
     where gij is gamma pulled back along the projection onto factors i and j.
@@ -301,9 +308,8 @@ def e_idempotent_check(backend, x, gamma, measure):
 
     results.append(equality("idempotent", gamma.pointwise_mul(gamma), gamma))
 
-    alpha_fn = splitting_fn(backend, x, measure)
     results.append(equality("dominates-diagonal",
-                            alpha_fn.pointwise_mul(gamma), alpha_fn))
+                            alpha.pointwise_mul(gamma), alpha))
 
     # gamma moved along the swap, an involution, is gamma pulled back by it
     atoms = x.atoms
@@ -422,7 +428,8 @@ def gamma_of_projection(backend, f, measure):
     Checks that the indicator is an equivalence idempotent and that it is the
     pullback along f x f of the splitting idempotent of the image."""
     gamma = kernel_pair_gamma(backend, f, measure.field)
-    eidem = e_idempotent_check(backend, f.source, gamma, measure)
+    eidem = e_idempotent_check(backend, f.source, gamma, measure,
+                               splitting_fn(backend, f.source, measure))
     return gamma, kernel_pair_report(backend, f, gamma, eidem,
                                      splitting_fn(backend, f.target, measure))
 

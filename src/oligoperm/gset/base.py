@@ -16,12 +16,21 @@ Conventions used throughout:
   the decomposition: it returns the label of the orbit hit by the image and
   the induced map from ``T`` onto the orbit atom.
 * ``product_images(backend, f, g)`` is the one image walk: where ``f x g``
-  sends each orbit of ``f.source x g.source``, one ``product_factor`` per
-  orbit.  An atom given in place of a map stands for its identity, whose
-  leg is the orbit's projection with no composition.  ``pair_images``
-  keeps its tables for ``p x 1``, ``linmat.product_gmap`` places them for
-  each pair of legs and ``measure.classify_measure`` reads them for
-  ``1 x f``.
+  sends each orbit of ``f.source x g.source``, what ``product_factor``
+  would return for the orbit's image.  It is one call of the backend hook
+  ``_images(f, g, orbits)``, with None for a leg given as an atom (which
+  stands for its identity) and the orbits of the product.  The hook reads
+  each orbit's own selections through f and g, and composes no map and
+  reads no ``("factor", ...)`` entry: on ``sym`` every orbit's ``proj1`` is
+  the identity selection, so ``f o proj1`` is f's own selection, inverted
+  once per call, and only ``proj2`` is read through g; on ``line`` the two
+  read-through selections are merged; on ``finite`` the point pairs are
+  looked up in the ``("pairs", ...)`` index.  On each backend one helper
+  turns two selections into a label and a selection (two point functions
+  into a label and a map, on ``finite``), and ``product_factor`` calls the
+  same one.  ``pair_images`` keeps its tables
+  for ``p x 1``, ``linmat.product_gmap`` places them for each pair of legs
+  and ``measure.classify_measure`` reads them for ``1 x f``.
 * ``elementary_factorize(f)`` returns the fiber-class labels of one canonical
   chain of elementary drops that realizes the atom map, in drop order.  The
   measure of the map is the product of the class values.
@@ -34,7 +43,9 @@ it: it returns ``cache[key]``, calling ``build(*args)`` the first time.  Keys
 are tagged tuples: ``("product", a, b)`` holds the orbits of ``a x b``
 (filled by ``product_decompose``); the tuple backends keep their one atom
 per degree under ``("atom", n)`` and what ``product_factor(f, g)`` returns
-under ``("factor", source degree, f.data, g.data)``, plain ints only; the
+under ``("factor", source degree, f.data, g.data)``, plain ints only, which
+``linmat.multi_factor``, ``pushforward_matrix``, ``block_tensor`` and the
+pre-Galois checks read (the image walk neither reads nor fills it); the
 finite backend's ``("hom", a, b)`` holds the tuple of maps ``a -> b``, its
 ``("pairs", a, b)`` maps each point pair of ``a x b`` straight to
 ``(orbit, point)``, the orbit holding the pair and the pair's point of the
@@ -79,7 +90,7 @@ orbit of ``a x b x c`` is an orbit of ``omega.atom x c`` for an orbit
 ``b x c`` and ``a x c`` orbit and its map onto that orbit's atom.  It reads
 both off ``pair_images(backend, p, c)``, the image table of a projection
 ``p = omega.proj2`` (or ``omega.proj1``) against c, which orbits of
-``a x b`` with a common projection share, so a table is factored once.
+``a x b`` with a common projection share, so a table is built once.
 ``linmat.matmul`` reads the rows over its entries' orbits, the ``finite``
 triple tables walk every row, and the triple-coherence witness walks the
 failing rows.  ``orbit_by_label(backend, a, b, label)`` finds the orbit of
@@ -235,6 +246,14 @@ class Backend:
         raise NotImplementedError
 
     def product_factor(self, f, g):
+        raise NotImplementedError
+
+    def _images(self, f, g, orbits):
+        """``product_images`` of f and g over ``orbits``, the orbits of
+        their sources' product, with None for an identity leg: per orbit o,
+        ``product_factor`` of ``(f o o.proj1, g o o.proj2)``, read off o's
+        projections without composing a map or reading the cache's
+        ``("factor", ...)`` entries.  Uncached."""
         raise NotImplementedError
 
     def _triple_table(self, a, b, c):
@@ -426,17 +445,15 @@ def product_images(backend, f, g):
     """Where ``f x g`` sends each orbit ``o`` of ``f.source x g.source``, in
     ``product_decompose`` order: the label of the orbit of
     ``f.target x g.target`` hit by ``(f o o.proj1, g o o.proj2)`` and the
-    map of ``o`` onto that orbit's atom, as ``product_factor`` returns
+    map of ``o`` onto that orbit's atom, as ``product_factor`` would return
     them.  An ``Atom`` in place of f or g stands for its identity map, and
-    that leg is the orbit's projection itself, composed with nothing.
-    Uncached."""
+    that leg is the orbit's projection itself.  One call of
+    ``backend._images``, which reads the orbits' own selections through f
+    and g and composes no map.  Uncached."""
     a = f if isinstance(f, Atom) else f.source
     b = g if isinstance(g, Atom) else g.source
-    return tuple(
-        backend.product_factor(
-            o.proj1 if f is a else backend.compose_maps(f, o.proj1),
-            o.proj2 if g is b else backend.compose_maps(g, o.proj2))
-        for o in backend.product_decompose(a, b))
+    return backend._images(None if f is a else f, None if g is b else g,
+                           backend.product_decompose(a, b))
 
 
 def pair_images(backend, p, c):

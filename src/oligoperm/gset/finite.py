@@ -348,10 +348,32 @@ class FiniteBackend(Backend):
     def product_factor(self, f, g):
         if f.source != g.source:
             raise ValueError("product factor needs a common source")
-        lookup = self._pair_index(f.target, g.target)
-        orbit, _ = lookup[f.data[0], g.data[0]]
-        data = tuple([lookup[pair][1] for pair in zip(f.data, g.data)])
-        return orbit.label, AtomMap(f.source, orbit.atom, data)
+        return self._place(self._pair_index(f.target, g.target), f.source,
+                           f.data, g.data)
+
+    @staticmethod
+    def _place(lookup, source, xs, ys):
+        """The orbit hit by the point pairs of ``xs`` and ``ys``, the point
+        functions of two maps out of ``source``, found in the ``lookup`` of
+        ``_pair_index``: its label and the map onto its atom."""
+        orbit, _ = lookup[xs[0], ys[0]]
+        data = tuple([lookup[pair][1] for pair in zip(xs, ys)])
+        return orbit.label, AtomMap(source, orbit.atom, data)
+
+    def _images(self, f, g, orbits):
+        first = orbits[0]
+        lookup = self._pair_index(
+            first.proj1.target if f is None else f.target,
+            first.proj2.target if g is None else g.target)
+        out = []
+        for o in orbits:
+            xs, ys = o.proj1.data, o.proj2.data
+            if f is not None:
+                xs = list(map(f.data.__getitem__, xs))
+            if g is not None:
+                ys = list(map(g.data.__getitem__, ys))
+            out.append(self._place(lookup, o.atom, xs, ys))
+        return tuple(out)
 
     def _triple_table(self, a, b, c):
         """``triple_table`` by a walk of every ``triple_row`` of ``a x b x c``:

@@ -85,20 +85,31 @@ class LineBackend(TupleBackend):
         extend("", (), ())
         return tuple(orbits)
 
+    @staticmethod
+    def _merge(sel1, sel2):
+        """The orbit hit by two selections from one source: its merge word
+        and the selection onto its atom, the union of the two in order."""
+        letters = dict.fromkeys(sel1, "L")
+        for u in sel2:
+            letters[u] = "B" if u in letters else "R"
+        union = sorted(letters)
+        return "".join(map(letters.__getitem__, union)), tuple(union)
+
     def _factor(self, f, g):
-        left = set(f.data)
-        right = set(g.data)
-        union = sorted(left | right)
-        word = []
-        for u in union:
-            if u in left and u in right:
-                word.append("B")
-            elif u in left:
-                word.append("L")
-            else:
-                word.append("R")
-        orbit_atom = self._atom(len(union))
-        return "".join(word), AtomMap(f.source, orbit_atom, tuple(union))
+        word, union = self._merge(f.data, g.data)
+        return word, AtomMap(f.source, self._atom(len(union)), union)
+
+    def _images(self, f, g, orbits):
+        out = []
+        for o in orbits:
+            sel1, sel2 = o.proj1.data, o.proj2.data
+            if f is not None:
+                sel1 = [sel1[j - 1] for j in f.data]
+            if g is not None:
+                sel2 = [sel2[j - 1] for j in g.data]
+            word, union = self._merge(sel1, sel2)
+            out.append((word, AtomMap(o.atom, self._atom(len(union)), union)))
+        return tuple(out)
 
     def _triple_table(self, a, b, c):
         # An orbit of a x b x c is the merge word of all three.  Cut at b's

@@ -9,13 +9,15 @@ Equivariant maps ``inj[n] -> inj[m]`` are coordinate selections: injections
 from the m target slots into the n source slots.  Orbits of a product
 ``inj[n] x inj[m]`` are indexed by partial injective matchings between the two
 coordinate sets; the orbit whose matching has size k is a copy of
-``inj[n+m-k]``.  A matching is listed as its pairs (i, j) in ascending i,
-and the orbits are in the order of these pair sequences.  One depth-first
-walk lists them so: a matching is extended by a pair (i, j) with i above its
-last a-coordinate and j unmatched, in ascending (i, j) order, and emitted
-before its extensions.  A sequence comes before its extensions and, with
-them, before the sequences with a larger next pair, so the walk's pre-order
-is label order and nothing is sorted.
+``inj[n+m-k]``.  Its first n coordinates are a's, so every orbit's
+projection onto a is the identity selection, and the others are b's
+unmatched coordinates in order.  A matching is listed as its pairs (i, j)
+in ascending i, and the orbits are in the order of these pair sequences.
+One depth-first walk lists them so: a matching is extended by a pair
+(i, j) with i above its last a-coordinate and j unmatched, in ascending
+(i, j) order, and emitted before its extensions.  A sequence comes before
+its extensions and, with them, before the sequences with a larger next
+pair, so the walk's pre-order is label order and nothing is sorted.
 
 Elementary fiber classes are ``omega-minus[c]``: the complement of c named
 points.  Dropping one coordinate from ``inj[k]`` leaves such a fiber with
@@ -60,6 +62,8 @@ class SymBackend(TupleBackend):
         n, m = a.degree, b.degree
         atoms = [self._atom(n + m - k) for k in range(min(n, m) + 1)]
         sel1 = tuple(range(1, n + 1))
+        # the orbits with k pairs share one atom and one projection onto a
+        proj1 = [AtomMap(atom, a, sel1) for atom in atoms]
         orbits = []
 
         def walk(body, pairs, last, sel2):
@@ -68,27 +72,53 @@ class SymBackend(TupleBackend):
             # the unmatched ones n + 1, n + 2, ... in order; each extension
             # pairs an a-coordinate above the last with an unmatched j
             atom = atoms[pairs]
-            orbits.append(ProductOrbit(f"[{body}]", atom, AtomMap(atom, a, sel1),
+            orbits.append(ProductOrbit(f"[{body}]", atom, proj1[pairs],
                                        AtomMap(atom, b, sel2)))
             for i in range(last + 1, n + 1):
                 for j, c in enumerate(sel2):
                     if c > n:
                         walk(f"{body},{i}>{j + 1}" if body else f"{i}>{j + 1}",
                              pairs + 1, i,
-                             sel2[:j] + (i,) + tuple(x - 1 if x > n else x
-                                                     for x in sel2[j + 1:]))
+                             sel2[:j] + (i,) + tuple([x - 1 if x > n else x
+                                                      for x in sel2[j + 1:]]))
 
         walk("", 0, 0, tuple(range(n + 1, n + m + 1)))
         return tuple(orbits)
 
+    @staticmethod
+    def _join(sel1, position, sel2):
+        """The orbit hit by two selections from one source, sel1 with its
+        inverse ``position`` (coordinate -> slot): its label and the
+        selection onto its atom.  Both selections are injective, so a
+        sel2-coordinate has at most one partner among sel1's."""
+        matching = sorted([(position[c], j) for j, c in enumerate(sel2, 1)
+                           if c in position])
+        return (_matching_label(matching),
+                sel1 + tuple([c for c in sel2 if c not in position]))
+
     def _factor(self, f, g):
-        # both selections are injective, so a g-coordinate has at most one
-        # partner among f's
-        position = {c: i for i, c in enumerate(f.data, 1)}
-        matching = sorted((position[c], j) for j, c in enumerate(g.data, 1)
-                          if c in position)
-        sel = tuple(f.data) + tuple(c for c in g.data if c not in position)
-        return _matching_label(matching), AtomMap(f.source, self._atom(len(sel)), sel)
+        label, sel = self._join(f.data, {c: i for i, c in enumerate(f.data, 1)},
+                                g.data)
+        return label, AtomMap(f.source, self._atom(len(sel)), sel)
+
+    def _images(self, f, g, orbits):
+        # every orbit's proj1 is the identity selection of a, so f o proj1
+        # is f's own selection, inverted once; a repeated g o proj2 meets
+        # the same orbit with the same selection
+        sel1 = orbits[0].proj1.data if f is None else f.data
+        position = {c: i for i, c in enumerate(sel1, 1)}
+        hits = {}
+        out = []
+        for o in orbits:
+            sel2 = o.proj2.data
+            if g is not None:
+                sel2 = tuple([sel2[j - 1] for j in g.data])
+            hit = hits.get(sel2)
+            if hit is None:
+                label, sel = self._join(sel1, position, sel2)
+                hit = hits[sel2] = label, self._atom(len(sel)), sel
+            out.append((hit[0], AtomMap(o.atom, hit[1], hit[2])))
+        return tuple(out)
 
     def _triple_table(self, a, b, c):
         # An orbit of a x b x c is the partial matching of all three

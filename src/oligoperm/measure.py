@@ -421,13 +421,16 @@ def classify_measure(measure, bound):
     ``line`` atoms have no automorphisms but the identity.
 
     Each probe's legs are ``gset.base.product_images`` of ``1 x f``, with W
-    passed as an atom so that o.proj1 is composed with nothing: per orbit o
-    of W x a, the label of the orbit of W x b that (o.proj1, f o o.proj2)
-    factors through and the map onto its atom.  Keyed by those target
-    labels, they are all the probe reads, so no product space and no
-    ``GMap`` is built.  Surjectivity is then a support count, not an
-    elimination: the map is onto exactly when every orbit of W x b is hit
-    by a source orbit whose fiber measure is nonzero (see
+    passed as an atom for its identity: per orbit o of W x a, the label of
+    the orbit of W x b that (o.proj1, f o o.proj2) factors through and the
+    map onto its atom.  They are one call of the backend's image walk,
+    which reads o's selections through f and composes no map and calls no
+    ``product_factor`` (on ``sym``, o.proj1 is the identity selection, so
+    only o.proj2 is read through f).  Keyed by those target labels, they are
+    all the probe reads, so no product space and no ``GMap`` is built.
+    Surjectivity is then a support count, not an elimination: the map is
+    onto exactly when every orbit of W x b is hit by a source orbit whose
+    fiber measure is nonzero (see
     ``linmat.pushforward_surjective_on_invariants``).
     """
     from . import linmat

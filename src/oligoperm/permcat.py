@@ -131,11 +131,11 @@ def check_snake_identities(backend, x, measure):
     return snake_report(x, triangle_identities(measure, x, coev, ev))
 
 
-def categorical_dim(backend, x, measure):
-    """The closed loop ev o swap o coev; equals the measure of X."""
+def categorical_dim(measure, x, coev, ev):
+    """The closed loop ev o swap o coev of the duality ``coev``, ``ev`` on
+    Vec_X (``duality_data``); equals the measure of X."""
     field = measure.field
-    coev, ev = duality_data(backend, x, field)
-    swap = symmetry(backend, x, x, field)
+    swap = symmetry(measure.backend, x, x, field)
     loop = matmul(measure, ev, matmul(measure, swap, coev))
     return scalar_entry(loop, field)
 

@@ -10,13 +10,15 @@ A run computes each shared piece once.  The measure axioms read the identity
 failures that ``solve_measures`` found on the same values
 (``check_family_axioms``) instead of checking the identities again.  The
 Frobenius structure of an object, which reads no measure, is kept in the
-backend cache.  Per atom of the Frobenius block, the triangle identities run
-once when the Frobenius duality equals the diagonal one, and serve the
-pairing and snake checks both.  Within one gamma block,
-``e_idempotent_check`` runs once per source atom and kernel-pair gamma, and
-the splitting function once per target atom.  Measure-dependent results are
-held only for the call that computes them, never in the backend cache, since
-one backend serves several measures.
+backend cache, with its diagonal duality, which the Frobenius, eidem and
+dimension checks read.  Per atom of the Frobenius block, the triangle
+identities run once when the Frobenius duality equals the diagonal one, and
+serve the pairing and snake checks both, and the splitting function that
+``splitting_idempotent`` returns is kept for the eidem and gamma blocks.
+Within one gamma block, ``e_idempotent_check`` runs once per source atom and
+kernel-pair gamma.  Measure-dependent results are held only for the call
+that computes them, never in the backend cache, since one backend serves
+several measures.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .frob import (
     kernel_pair_gamma,
     kernel_pair_report,
     pairing_report,
-    splitting_fn,
     splitting_idempotent,
     verify_frobenius,
 )
@@ -62,7 +63,6 @@ from .permcat import (
     categorical_dim,
     check_linearization,
     check_snake_identities,
-    duality_data,
     hom_dimension,
     snake_report,
     triangle_identities,
@@ -90,7 +90,9 @@ def _frobenius_block(backend, measure, atoms, results):
     """Per atom, the Frobenius axiom, trace, perfect-pairing, splitting and
     snake checks.  The pairing and snake checks are the triangle identities
     of the Frobenius and of the diagonal duality; when the two dualities
-    compare equal, one run of the identities serves both."""
+    compare equal, one run of the identities serves both.  Returns the
+    splitting function of each atom."""
+    splittings = {}
     for atom in atoms:
         obj = backend.object_of([atom])
         frob = build_frobenius(backend, obj, measure.field)
@@ -100,25 +102,26 @@ def _frobenius_block(backend, measure, atoms, results):
         duality = frobenius_duality(frob, measure)
         sides = triangle_identities(measure, obj, *duality)
         _absorb(results, pairing_report(obj, sides), f"pairing[{atom.label}]")
-        _, rep = splitting_idempotent(frob, measure)
+        splittings[atom], rep = splitting_idempotent(frob, measure)
         _absorb(results, rep, f"splitting[{atom.label}]")
-        if duality == duality_data(backend, obj, measure.field):
+        if duality == frob.diagonal():
             rep = snake_report(obj, sides)
         else:
             rep = check_snake_identities(backend, obj, measure)
         _absorb(results, rep, f"snake[{atom.label}]")
+    return splittings
 
 
-def _gamma_block(backend, measure, atoms, results, kernel_dims=False):
-    """``gamma_of_projection`` of every map between the atoms, from its
-    parts: maps out of one atom with equal kernel-pair gammas (on sym and
-    line, the maps that keep the same coordinates) share one
-    ``e_idempotent_check``, and maps into one atom share its splitting
-    function.  Each map keeps its own pullback check."""
+def _gamma_block(backend, measure, splittings, results, kernel_dims=False):
+    """``gamma_of_projection`` of every map between the atoms of
+    ``splittings``, the splitting function of each, from its parts: maps out
+    of one atom with equal kernel-pair gammas (on sym and line, the maps
+    that keep the same coordinates) share one ``e_idempotent_check``.  Each
+    map keeps its own pullback check."""
     round_trips, kernels = [], []
-    eidems, splittings = {}, {}
-    for a in atoms:
-        for b in atoms:
+    eidems = {}
+    for a in splittings:
+        for b in splittings:
             for m in backend.hom_atoms(a, b):
                 name = f"{a.render()} -> {b.render()} {m.data}"
                 f = atom_gmap(backend, m)
@@ -126,9 +129,7 @@ def _gamma_block(backend, measure, atoms, results, kernel_dims=False):
                 key = a, frozenset(gamma.coeffs.items())
                 if key not in eidems:
                     eidems[key] = e_idempotent_check(backend, f.source, gamma,
-                                                     measure)
-                if b not in splittings:
-                    splittings[b] = splitting_fn(backend, f.target, measure)
+                                                     measure, splittings[a])
                 rep = kernel_pair_report(backend, f, gamma, eidems[key],
                                          splittings[b])
                 if not rep.passed:
@@ -145,16 +146,20 @@ def _gamma_block(backend, measure, atoms, results, kernel_dims=False):
         results.append(verdict("bgamma-kernel-dimensions", kernels, "maps"))
 
 
-def _eidem_block(backend, measure, results):
-    x = backend.object_of([backend.atoms_up_to(2)[-1]])
-    coev, _ = duality_data(backend, x, measure.field)
+def _eidem_block(backend, measure, splittings, results):
+    """The eidem checks of the diagonal, all-ones and one kernel-pair gamma
+    on the largest atom of degree 2 at most, with its splitting function
+    from ``splittings``."""
+    a = backend.atoms_up_to(2)[-1]
+    x = backend.object_of([a])
+    alpha = splittings[a]
+    coev, _ = build_frobenius(backend, x, measure.field).diagonal()
     ps2 = tensor_space(backend, [x, x])
     ones = constant_fn(ps2.object, one(measure.field))
-    _absorb(results, e_idempotent_check(backend, x, column_to_fn(coev), measure),
-            "eidem-diagonal")
-    _absorb(results, e_idempotent_check(backend, x, ones, measure),
+    _absorb(results, e_idempotent_check(backend, x, column_to_fn(coev), measure,
+                                        alpha), "eidem-diagonal")
+    _absorb(results, e_idempotent_check(backend, x, ones, measure, alpha),
             "eidem-all-ones")
-    a = x.atoms[0]
     smaller = [b for b in backend.atoms_up_to(a.degree) if b.degree < a.degree]
     if smaller:
         b = smaller[-1]
@@ -162,8 +167,8 @@ def _eidem_block(backend, measure, results):
         if maps:
             f = atom_gmap(backend, maps[0])
             gamma = kernel_pair_gamma(backend, f, measure.field)
-            _absorb(results, e_idempotent_check(backend, x, gamma, measure),
-                    "eidem-kernel-pair")
+            _absorb(results, e_idempotent_check(backend, x, gamma, measure,
+                                                alpha), "eidem-kernel-pair")
 
 
 def run_suite(backend, bound):
@@ -200,9 +205,10 @@ def run_suite(backend, bound):
         _finite_suite(backend, family, measure, bound, results)
 
     _absorb(results, check_linearization(measure, small), "linearization")
-    _frobenius_block(backend, measure, backend.atoms_up_to(small), results)
-    _eidem_block(backend, measure, results)
-    _gamma_block(backend, measure, backend.atoms_up_to(small), results,
+    splittings = _frobenius_block(backend, measure,
+                                  backend.atoms_up_to(small), results)
+    _eidem_block(backend, measure, splittings, results)
+    _gamma_block(backend, measure, splittings, results,
                  kernel_dims=(backend.backend_id == "finite"))
 
     small_atoms = backend.atoms_up_to(min(bound, 2))
@@ -276,8 +282,8 @@ def _sym_suite(backend, family, measure, bound, results):
         "hom-dims-match-model-orbits", backend, bound,
         lambda n, m: sym_orbit_count_model(8, n, m)))
 
-    results.append(equality("dimension-of-line-object",
-                            categorical_dim(backend, x, measure), t))
+    results.append(equality("dimension-of-line-object", categorical_dim(
+        measure, x, *build_frobenius(backend, x, field).diagonal()), t))
 
     mutant = measure.with_perturbed_atom(backend.atom_of_arity(2), one(field))
     mutant_report = check_measure_axioms(mutant, 3)
@@ -333,9 +339,9 @@ def _line_suite(backend, family, measure, bound, results):
                                    delannoy_number))
 
     x = backend.object_of([backend.atom_of_arity(1)])
-    results.append(equality("dimension-of-line-object",
-                            categorical_dim(backend, x, measure),
-                            Scalar.from_int(field, -1)))
+    results.append(equality("dimension-of-line-object", categorical_dim(
+        measure, x, *build_frobenius(backend, x, field).diagonal()),
+        Scalar.from_int(field, -1)))
 
     profile = pregalois_check(backend, min(bound, 3))
     results.append(verdict(

@@ -22,6 +22,7 @@ from oligoperm.frob import (
     e_idempotent_check,
     gamma_of_projection,
     kernel_pair_gamma,
+    splitting_fn,
     splitting_idempotent,
     verify_frobenius,
 )
@@ -41,7 +42,8 @@ from oligoperm.oracle import (
     finite_category_oracle,
     sym_orbit_count_model,
 )
-from oligoperm.permcat import categorical_dim, check_linearization, hom_dimension
+from oligoperm.permcat import (categorical_dim, check_linearization,
+                               duality_data, hom_dimension)
 
 pytestmark = pytest.mark.acceptance
 
@@ -241,7 +243,8 @@ def test_criterion_9_e_idempotents(sym_family, line_family):
     select_first = [m for m in SYM.hom_atoms(a2, a1) if m.data == (1,)][0]
     first_map = GMap(x, SYM.object_of([a1]), ((0, select_first),))
     first_coord = kernel_pair_gamma(SYM, first_map, field)
-    ok = all(e_idempotent_check(SYM, x, gamma, measure).passed
+    alpha = splitting_fn(SYM, x, measure)
+    ok = all(e_idempotent_check(SYM, x, gamma, measure, alpha).passed
              for gamma in (diagonal, all_ones, first_coord))
 
     for backend, family in ((SYM, sym_family), (LINE, line_family)):
@@ -281,10 +284,12 @@ def test_criterion_10_pregalois_and_dims(sym_family, line_family):
 
     mu_t = sym_family.generic()
     t = Scalar.variable(mu_t.field)
+    x = SYM.object_of([SYM.atom_of_arity(1)])
     ok = ok and categorical_dim(
-        SYM, SYM.object_of([SYM.atom_of_arity(1)]), mu_t) == t
+        mu_t, x, *duality_data(SYM, x, mu_t.field)) == t
     mu_line = line_family.generic()
+    x = LINE.object_of([LINE.atom_of_arity(1)])
     ok = ok and categorical_dim(
-        LINE, LINE.object_of([LINE.atom_of_arity(1)]), mu_line) == \
+        mu_line, x, *duality_data(LINE, x, mu_line.field)) == \
         Scalar.from_int(mu_line.field, -1)
     assert verdict(10, ok)

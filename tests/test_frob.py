@@ -18,6 +18,7 @@ from oligoperm.frob import (
     e_idempotent_check,
     gamma_of_projection,
     kernel_pair_gamma,
+    splitting_fn,
     splitting_idempotent,
     trace_form,
     trace_pairing,
@@ -206,10 +207,12 @@ def test_e_idempotent_diagonal_and_all_ones(mu_t):
     from oligoperm.linmat import column_to_fn
 
     alpha = column_to_fn(matmul(mu_t, f.comult, f.unit))
-    assert e_idempotent_check(SYM, x, alpha, mu_t).passed
+    assert e_idempotent_check(SYM, x, alpha, mu_t,
+                              splitting_fn(SYM, x, mu_t)).passed
 
     all_ones = constant_fn(ps2.object, one(mu_t.field))
-    assert e_idempotent_check(SYM, x, all_ones, mu_t).passed
+    assert e_idempotent_check(SYM, x, all_ones, mu_t,
+                              splitting_fn(SYM, x, mu_t)).passed
 
 
 def test_e_idempotent_first_coordinate(mu_t):
@@ -219,7 +222,8 @@ def test_e_idempotent_first_coordinate(mu_t):
     select_first = [m for m in SYM.hom_atoms(a2, a1) if m.data == (1,)][0]
     f = GMap(x, SYM.object_of([a1]), ((0, select_first),))
     gamma = kernel_pair_gamma(SYM, f, mu_t.field)
-    report = e_idempotent_check(SYM, x, gamma, mu_t)
+    report = e_idempotent_check(SYM, x, gamma, mu_t,
+                                splitting_fn(SYM, x, mu_t))
     assert report.passed, [r.name for r in report.failures()]
     assert report.result("triple-coherence").to_dict() == {
         "check": "triple-coherence", "status": "PASS"}
@@ -313,7 +317,8 @@ def test_e_idempotent_rejects_asymmetric(mu_t):
         if p.meta[2] in {"[1>1,2>2]", "[1>2]"}:
             coeffs[i] = one(mu_t.field)
     gamma = SchwartzFn(ps2.object, coeffs)
-    report = e_idempotent_check(SYM, x, gamma, mu_t)
+    report = e_idempotent_check(SYM, x, gamma, mu_t,
+                                splitting_fn(SYM, x, mu_t))
     assert not report.result("symmetric").passed
 
 
@@ -349,7 +354,9 @@ def test_symmetric_check_matches_swap_pullback(swap_cases, case):
             if seed % 2:  # make gamma symmetric
                 coeffs[swap.legs[p][0]] = coeffs[p]
         gamma = SchwartzFn(ps2.object, coeffs)
-        result = e_idempotent_check(backend, x, gamma, measure).result(
+        result = e_idempotent_check(
+            backend, x, gamma, measure,
+            splitting_fn(backend, x, measure)).result(
             "symmetric")
         expected = difference(pullback_fn(swap, gamma), gamma)
         assert result.passed == (not expected), seed
@@ -367,7 +374,8 @@ def test_coordinate_agreement_fails_only_triple_coherence(mu_t):
     gamma = SchwartzFn(ps2.object, {i: one(mu_t.field)
                                     for i, p in enumerate(ps2.positions)
                                     if p.meta[2] in related})
-    report = e_idempotent_check(SYM, x, gamma, mu_t)
+    report = e_idempotent_check(SYM, x, gamma, mu_t,
+                                splitting_fn(SYM, x, mu_t))
     assert [r.name for r in report.failures()] == ["triple-coherence"]
     witness = report.result("triple-coherence").witness
     assert witness["atom"].startswith("sym:inj[")
@@ -385,13 +393,15 @@ def test_flipped_kernel_pair_entry_fails_triple_coherence(mu_line):
     for m in LINE.hom_atoms(x.atoms[0], a1):
         f = GMap(x, LINE.object_of([a1]), ((0, m),))
         gamma = kernel_pair_gamma(LINE, f, mu_line.field)
-        assert e_idempotent_check(LINE, x, gamma, mu_line).passed
+        assert e_idempotent_check(LINE, x, gamma, mu_line,
+                                  splitting_fn(LINE, x, mu_line)).passed
         for i in range(len(ps2.positions)):
             coeffs = dict(gamma.coeffs)
             if coeffs.pop(i, None) is None:
                 coeffs[i] = one(mu_line.field)
             report = e_idempotent_check(LINE, x, SchwartzFn(ps2.object, coeffs),
-                                        mu_line)
+                                        mu_line,
+                                        splitting_fn(LINE, x, mu_line))
             result = report.result("triple-coherence")
             assert not result.passed
             assert set(result.witness) == {
@@ -411,7 +421,8 @@ def test_two_equal_of_three_nonzero_fails_triple_coherence(mu_t):
         gamma = SchwartzFn(ps2.object, {
             i: one(mu_t.field) if p.meta[side] == 0 else t
             for i, p in enumerate(ps2.positions)})
-        result = e_idempotent_check(SYM, x, gamma, mu_t).result(
+        result = e_idempotent_check(SYM, x, gamma, mu_t,
+                                    splitting_fn(SYM, x, mu_t)).result(
             "triple-coherence")
         assert not result.passed
         assert result.witness == reference_triple_coherence(
@@ -529,7 +540,8 @@ def test_triple_coherence_matches_reference(eidem_cases, eidem_wirings, case,
             lambda v: st.sampled_from(VALUE_ROUTES[v]))), label="gamma")
     gamma = SchwartzFn(ps2.object, {i: route(field)
                                     for i, route in drawn.items()})
-    result = e_idempotent_check(backend, x, gamma, measure).result(
+    result = e_idempotent_check(backend, x, gamma, measure,
+                                splitting_fn(backend, x, measure)).result(
         "triple-coherence")
     # on a FAIL the witness is the first bad position of X x X x X
     expected = reference_triple_coherence(backend, x, gamma, field, wired)
@@ -601,7 +613,8 @@ def test_coherence_witness_matches_full_walk(eidem_cases, eidem_walks, case,
                                       st.sampled_from(values), min_size=1),
                       label="gamma")
     gamma = SchwartzFn(ps2.object, drawn)
-    result = e_idempotent_check(backend, x, gamma, measure).result(
+    result = e_idempotent_check(backend, x, gamma, measure,
+                                splitting_fn(backend, x, measure)).result(
         "triple-coherence")
     expected = full_walk_witness(keys, ps2, gamma, field)
     assume(expected)

@@ -755,17 +755,33 @@ def count_calls(monkeypatch, backend, name):
     return calls
 
 
+def count_imaged(monkeypatch, cls):
+    """A list that grows by one per orbit the backend class's image walk
+    ``_images`` reads, the walk's unit of work."""
+    imaged = []
+    real = cls._images
+
+    def counted(self, f, g, orbits):
+        imaged.extend([None] * len(orbits))
+        return real(self, f, g, orbits)
+
+    monkeypatch.setattr(cls, "_images", counted)
+    return imaged
+
+
 def test_triple_table_factors_once_per_projection(monkeypatch):
     """Walking every ``triple_row`` of a triple product, as the ``finite``
-    triple table does, factors the orbits of omega.atom x c once per
+    triple table does, images the orbits of omega.atom x c once per
     distinct projection of an omega, not twice per orbit of the triple
-    product: on inc[3]^3, 16,081 orbits, 32,162 factorings."""
+    product: on inc[3]^3, 16,081 orbits, 32,162 images (10,429 orbits
+    imaged in 35 tables; the same count as ``product_factor`` calls when
+    the walk factored each orbit's composed map)."""
     backend = LineBackend()
     x = backend.atom_of_arity(3)
-    calls = count_calls(monkeypatch, backend, "product_factor")
+    imaged = count_imaged(monkeypatch, LineBackend)
     assert sum(1 for omega in backend.product_decompose(x, x)
                for _ in triple_row(backend, omega, x)) == 16_081
-    assert 0 < len(calls) <= 11_000
+    assert 0 < len(imaged) <= 11_000
 
 
 @pytest.mark.parametrize("make", [SymBackend, LineBackend],
@@ -1044,24 +1060,29 @@ def called_name(node):
 
 
 def test_only_product_images_walks_images():
-    """Under ``src/oligoperm`` a ``product_factor`` call with a
-    ``compose_maps`` call among its arguments, which factors where a map
-    sends an orbit, occurs only in ``product_images``, the one image walk,
-    so a second hand-written walk cannot come back."""
+    """Under ``src/oligoperm`` the backend hook ``_images`` is called only
+    by ``product_images``, the one image walk, and no ``product_factor``
+    call has a ``compose_maps`` call among its arguments, which would
+    factor where a map sends an orbit by hand, so a second walk cannot come
+    back."""
     package = Path(oligoperm.__file__).parent
-    walks = set()
+    walks, hooks = set(), set()
     for path in package.rglob("*.py"):
         tree = ast.parse(path.read_text())
         owner = enclosing_functions(tree)
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and called_name(node) == "product_factor"
+            if not isinstance(node, ast.Call):
+                continue
+            where = (path.relative_to(package).as_posix(), owner.get(node))
+            if called_name(node) == "_images":
+                hooks.add(where)
+            if (called_name(node) == "product_factor"
                     and any(isinstance(inner, ast.Call)
                             and called_name(inner) == "compose_maps"
                             for arg in node.args for inner in ast.walk(arg))):
-                walks.add((path.relative_to(package).as_posix(),
-                           owner.get(node)))
-    assert walks == {("gset/base.py", "product_images")}
+                walks.add(where)
+    assert hooks == {("gset/base.py", "product_images")}
+    assert walks == set()
 
 
 @pytest.mark.parametrize("make, bound", [
@@ -1073,9 +1094,12 @@ def test_an_atom_leg_is_its_identity_composed_with_nothing(make, bound,
                                                            monkeypatch):
     """``product_images`` with an atom in place of a map, on either side,
     equals it with that atom's identity map, for every atom map and atom
-    within the bound; ``1 x 1`` sends each orbit to itself.  An atom leg
-    composes nothing, so neither a ``1 x 1`` walk nor a cold
-    ``pair_images`` table of ``p x 1`` builds an identity or composes one."""
+    within the bound; ``1 x 1`` sends each orbit to itself.  The walk reads
+    the orbits' selections through its legs and composes nothing, so
+    neither a ``1 x 1`` walk nor a cold ``pair_images`` table of ``p x 1``
+    builds an identity or composes a map, and a table images each of its
+    orbits once (the walk composed p with each orbit's projection, one
+    composition per orbit, before it read the selections)."""
     backend = make()
     atoms = backend.atoms_up_to(bound)
     maps = [m for a in atoms for b in atoms for m in backend.hom_atoms(a, b)]
@@ -1098,11 +1122,12 @@ def test_an_atom_leg_is_its_identity_composed_with_nothing(make, bound,
             assert [label for label, _m in product_images(backend, a, c)] == [
                 o.label for o in backend.product_decompose(a, c)]
     assert not calls
-    composed = 0  # one composition with p per orbit of a table's p x 1
+    imaged = count_imaged(monkeypatch, cls)
+    rows = 0  # one image per orbit of a table's p x 1
     for a in atoms:
         for p in {omega.proj1 for omega in backend.product_decompose(a, a)}:
-            composed += len(pair_images(backend, p, a))
-    assert composed and calls == ["compose_maps"] * composed
+            rows += len(pair_images(backend, p, a))
+    assert rows and len(imaged) == rows and not calls
 
 
 @pytest.mark.parametrize("make, bound", [
@@ -1334,6 +1359,47 @@ def test_kernel_pair_of_selection():
     assert sorted(o.atom.degree for o in orbits) == [2, 3]
 
 
+def composed_images(backend, f, g):
+    """``product_images`` of f and g by composing: per orbit o of their
+    sources' product, ``product_factor`` of ``f o o.proj1`` and
+    ``g o o.proj2``, an atom leg standing for the orbit's projection."""
+    a = f if isinstance(f, Atom) else f.source
+    b = g if isinstance(g, Atom) else g.source
+    return tuple(
+        backend.product_factor(
+            o.proj1 if f is a else backend.compose_maps(f, o.proj1),
+            o.proj2 if g is b else backend.compose_maps(g, o.proj2))
+        for o in backend.product_decompose(a, b))
+
+
+@pytest.mark.parametrize("make, bound", [
+    (SymBackend, 3),
+    (LineBackend, 3),
+    (lambda: preset_backend("S3"), 6),
+    (lambda: preset_backend("(1 2 3 4); (1 3)"), 6),
+], ids=["sym", "line", "S3", "D4"])
+def test_images_match_composed_factorings(make, bound):
+    """The backend's image walk ``_images``, which reads the orbits' own
+    selections through its legs, equals composing each leg with the
+    orbit's projection and factoring the pair, for every pair of legs
+    within the bound: every atom map, and every atom standing for its
+    identity (passed as None).  The reference runs on a second backend,
+    so no ``("factor", ...)`` entry it fills is read."""
+    backend, reference = make(), make()
+    atoms = backend.atoms_up_to(bound)
+    legs = atoms + [m for a in atoms for b in atoms
+                    for m in backend.hom_atoms(a, b)]
+    imaged = 0
+    for f, g in itertools.product(legs, repeat=2):
+        a = f if isinstance(f, Atom) else f.source
+        b = g if isinstance(g, Atom) else g.source
+        got = backend._images(None if f is a else f, None if g is b else g,
+                              backend.product_decompose(a, b))
+        assert got == composed_images(reference, f, g), (f, g)
+        imaged += len(got)
+    assert imaged > len(legs) ** 2
+
+
 @pytest.mark.parametrize("make, bound", [
     (SymBackend, 3),
     (LineBackend, 3),
@@ -1370,9 +1436,9 @@ def test_agreeing_orbits_matches_compose_and_compare(make, bound):
 
 
 @pytest.mark.parametrize("make, bound, composed, agreed", [
-    (SymBackend, 3, 2356, 1966),
-    (LineBackend, 3, 3170, 1513),
-    (lambda: preset_backend("S4"), 6, 1835, 431),
+    (SymBackend, 3, 596, 1966),
+    (LineBackend, 3, 748, 1513),
+    (lambda: preset_backend("S4"), 6, 954, 431),
 ], ids=["sym", "line", "S4"])
 def test_suite_compositions_stay_within_budget(make, bound, composed, agreed,
                                                monkeypatch):
@@ -1380,10 +1446,13 @@ def test_suite_compositions_stay_within_budget(make, bound, composed, agreed,
     is tested on the maps' data by ``backend._agree`` (the pre-Galois
     fiber-product spans too), each map's kernel pair is built once per
     backend and read by the mono and effectivity checks and the gamma
-    block, and ``linmat.block_tensor`` composes nothing with an identity
-    leg.  The counts are exact, so a change in either direction shows
-    (building two composites per orbit to compare them made 9,895 sym,
-    10,675 line and 4,145 S4 compositions)."""
+    block, ``linmat.block_tensor`` composes nothing with an identity
+    leg, and the image walk ``product_images`` reads the orbits'
+    selections through its legs.  The counts are exact, so a change in
+    either direction shows (building two composites per orbit to compare
+    them made 9,895 sym, 10,675 line and 4,145 S4 compositions, and
+    composing each leg of the image walk with the orbit's projection
+    2,356 sym, 3,170 line and 1,835 S4)."""
     from oligoperm.gset import base
     from oligoperm.suite import run_suite
 

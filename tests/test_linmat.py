@@ -672,22 +672,39 @@ def count_product_factor(monkeypatch, cls):
     return calls
 
 
+def count_imaged(monkeypatch, cls):
+    """A list that grows by one per orbit the image walk ``_images``
+    reads, the walk's unit of work."""
+    imaged = []
+    original = cls._images
+
+    def counted(self, f, g, orbits):
+        imaged.extend([None] * len(orbits))
+        return original(self, f, g, orbits)
+
+    monkeypatch.setattr(cls, "_images", counted)
+    return imaged
+
+
 @pytest.mark.parametrize("make, pick, walked", [
     (type(SYM), lambda backend: [backend.atom_of_arity(2)], False),
     (type(LINE), lambda backend: [backend.atom_of_arity(2)], False),
     (lambda: preset_backend("S3"), lambda backend: backend.atoms_up_to(6), True),
 ], ids=["sym", "line", "S3"])
 def test_completions_share_triple_table_images(make, pick, walked, monkeypatch):
-    """The ``triple_row`` reads of ``matmul`` over x x x x x factor each
-    image table they read once, however many label pairs read it.  S3's
-    triple table of x walks those rows, so after it the reads factor nothing
-    (a separate completion walk made 92 calls).  The sym and line triple
-    tables are composed from labels and factor nothing, so there the reads
-    factor each table of a projection of an orbit of x x x once, in the
-    first pass over the label pairs, and nothing in a second."""
+    """The ``triple_row`` reads of ``matmul`` over x x x x x image each
+    table they read once, however many label pairs read it.  S3's triple
+    table of x walks those rows, so after it the reads image nothing (a
+    separate completion walk made 92 ``product_factor`` calls).  The sym
+    and line triple tables are composed from labels and image nothing, so
+    there the reads image each table of a projection of an orbit of
+    x x x once, one per orbit of the table, in the first pass over the
+    label pairs, and nothing in a second.  (These counted
+    ``product_factor`` calls when the walk factored one per orbit: the
+    same numbers.)"""
     backend = make()
     atoms = pick(backend)
-    calls = count_product_factor(monkeypatch, type(backend))
+    calls = count_imaged(monkeypatch, type(backend))
     for x in atoms:
         assert gset_base.triple_table(backend, x, x, x)
     assert bool(calls) == walked
@@ -706,12 +723,13 @@ def test_completions_share_triple_table_images(make, pick, walked, monkeypatch):
         assert pairs and len(calls) == want
 
 
-@pytest.mark.parametrize("make, bound, exact", [
-    (lambda: preset_backend("S4"), 6, 2336),
-    (type(LINE), 3, 5072),
-    (type(SYM), 3, 3060),
+@pytest.mark.parametrize("make, bound, factored, imaged", [
+    (lambda: preset_backend("S4"), 6, 1463, 866),
+    (type(LINE), 3, 3221, 1841),
+    (type(SYM), 3, 1884, 1166),
 ], ids=["S4", "line", "sym"])
-def test_suite_factorings_stay_within_budget(make, bound, exact, monkeypatch):
+def test_suite_factorings_stay_within_budget(make, bound, factored, imaged,
+                                             monkeypatch):
     """A suite factors each projection's image table once, shared by the
     triple tables of S4 and ``matmul``'s triple rows; the triple tables of
     line and sym are composed from labels and factor nothing, and
@@ -733,10 +751,16 @@ def test_suite_factorings_stay_within_budget(make, bound, exact, monkeypatch):
     check's own Frobenius structure, triangle identities and gamma checks
     2,592 S4, 7,273 line and 4,447 sym calls, building each pullback's
     wiring again 2,399 S4, 5,814 line and 3,474 sym calls, and the trace
-    form's own X^3 wiring 2,351 S4, 5,312 line and 3,192 sym calls)."""
+    form's own X^3 wiring 2,351 S4, 5,312 line and 3,192 sym calls).  The
+    image walk reads each orbit's selections through its legs and calls no
+    ``product_factor``, so a factoring is a ``product_factor`` call or an
+    orbit imaged, and both are pinned (one ``product_factor`` per orbit
+    imaged, with each check's own diagonal duality and splitting function,
+    made 2,336 S4, 5,072 line and 3,060 sym calls)."""
     from oligoperm.suite import run_suite
 
     backend = make()
     calls = count_product_factor(monkeypatch, type(backend))
+    images = count_imaged(monkeypatch, type(backend))
     assert run_suite(backend, bound).passed
-    assert len(calls) == exact
+    assert (len(calls), len(images)) == (factored, imaged)

@@ -206,22 +206,26 @@ def test_diagonal_structure_maps_match_hand_built(backend):
         assert ev == InvariantMatrix(backend, ps2.object, unit, ev_entries)
 
 
+def dim(backend, x, measure):
+    """The categorical dimension of x for its diagonal duality."""
+    return categorical_dim(measure, x,
+                           *duality_data(backend, x, measure.field))
+
+
 def test_categorical_dims(mu_t, mu_line):
     t = Scalar.variable(mu_t.field)
-    assert categorical_dim(SYM, sym_obj(1), mu_t) == t
-    assert categorical_dim(SYM, SYM.unit_object(), mu_t) == one(mu_t.field)
-    assert categorical_dim(LINE, line_obj(1), mu_line) == \
+    assert dim(SYM, sym_obj(1), mu_t) == t
+    assert dim(SYM, SYM.unit_object(), mu_t) == one(mu_t.field)
+    assert dim(LINE, line_obj(1), mu_line) == \
         Scalar.from_int(mu_line.field, -1)
 
 
 def test_dim_multiplicative_additive(mu_t):
     x, y = sym_obj(1), sym_obj(2)
     prod = tensor_space(SYM, [x, y]).object
-    assert categorical_dim(SYM, prod, mu_t) == \
-        categorical_dim(SYM, x, mu_t) * categorical_dim(SYM, y, mu_t)
+    assert dim(SYM, prod, mu_t) == dim(SYM, x, mu_t) * dim(SYM, y, mu_t)
     both = x + y
-    assert categorical_dim(SYM, both, mu_t) == \
-        categorical_dim(SYM, x, mu_t) + categorical_dim(SYM, y, mu_t)
+    assert dim(SYM, both, mu_t) == dim(SYM, x, mu_t) + dim(SYM, y, mu_t)
 
 
 def indicator_fn(x, pos, field):

@@ -5,7 +5,8 @@ import pytest
 from oligoperm import frob, permcat, suite
 from oligoperm import measure as measure_layer
 from oligoperm.coeff import Scalar
-from oligoperm.frob import check_perfect_pairing, gamma_of_projection
+from oligoperm.frob import (check_perfect_pairing, gamma_of_projection,
+                            splitting_fn)
 from oligoperm.gset import LineBackend, SymBackend, preset_backend
 from oligoperm.measure import solve_measures
 from oligoperm.permcat import check_snake_identities
@@ -49,6 +50,13 @@ def test_composition_identity_names_the_wrong_literal_entry(monkeypatch):
         "rhs": "5", "failing-models": "4"}
 
 
+def splittings_of(backend, measure, atoms):
+    """The splitting function of each atom, as the Frobenius block hands
+    them to the eidem and gamma blocks."""
+    return {a: splitting_fn(backend, backend.object_of([a]), measure)
+            for a in atoms}
+
+
 def map_name(m):
     return f"{m.source.render()} -> {m.target.render()} {m.data}"
 
@@ -69,7 +77,8 @@ def test_gamma_block_reports_the_first_failing_map(monkeypatch):
 
     monkeypatch.setattr(suite, "kernel_pair_report", fail_onto_inj1)
     results = []
-    suite._gamma_block(backend, measure, backend.atoms_up_to(3), results)
+    suite._gamma_block(backend, measure, splittings_of(
+        backend, measure, backend.atoms_up_to(3)), results)
     assert len(failed) > 1
     assert [r.to_dict() for r in results] == [{
         "check": "gamma-of-projection-round-trips", "status": "FAIL",
@@ -85,8 +94,9 @@ def test_gamma_block_reports_the_first_failing_map(monkeypatch):
 def test_gamma_block_gives_each_map_its_gamma_of_projection(make, bound,
                                                             monkeypatch):
     """The gamma block shares one ``e_idempotent_check`` per source atom and
-    gamma and one splitting function per target atom, yet every map gets
-    the gamma and the report ``gamma_of_projection`` gives it."""
+    gamma and reads each atom's splitting function from the block's
+    argument, yet every map gets the gamma and the report
+    ``gamma_of_projection`` gives it."""
     backend = make()
     measure = solve_measures(backend, bound).generic()
     real = suite.kernel_pair_report
@@ -100,7 +110,8 @@ def test_gamma_block_gives_each_map_its_gamma_of_projection(make, bound,
     monkeypatch.setattr(suite, "kernel_pair_report", recorded)
     atoms = backend.atoms_up_to(min(bound, 3))
     results = []
-    suite._gamma_block(backend, measure, atoms, results)
+    suite._gamma_block(backend, measure,
+                       splittings_of(backend, measure, atoms), results)
     assert len(seen) == sum(len(backend.hom_atoms(a, b))
                             for a in atoms for b in atoms)
     for f, gamma, report in seen:
@@ -156,7 +167,7 @@ def test_a_wrong_diagonal_duality_fails_the_snake_alone(make, monkeypatch):
         coev, ev = real(backend, x, field)
         return doubled(coev, field), ev
 
-    for module in (suite, permcat):
+    for module in (frob, permcat):
         monkeypatch.setattr(module, "duality_data", doubled_coev)
     backend = make()
     report = run_suite(backend, 3)
@@ -206,6 +217,47 @@ def test_suite_derives_each_structure_once(make, bound, triangles, eidems,
     assert run_suite(make(), bound).passed
     assert counts == {"triangles": triangles, "eidems": eidems,
                       "structures": structures}
+
+
+@pytest.mark.parametrize("make, bound", [
+    (SymBackend, 3),
+    (LineBackend, 3),
+    (lambda: preset_backend("S3"), 6),
+], ids=["sym", "line", "S3"])
+def test_suite_derives_each_duality_and_splitting_once(make, bound,
+                                                       monkeypatch):
+    """A suite builds the diagonal duality of each atom of its Frobenius
+    block once, kept with the atom's Frobenius structure and read by the
+    trace, splitting, snake, eidem and dimension checks; and it splits each
+    atom once, in ``splitting_idempotent``, whose splitting function the
+    eidem and gamma blocks read, so it calls ``splitting_fn`` never.  The
+    finite oracle's own check of ``duality_data`` is not counted.  (A
+    bound-3 suite made 14 ``duality_data`` and 22 ``splitting_fn`` calls
+    for 4 atoms on sym and on line, each check deriving its own.)"""
+    calls = {"duality_data": [], "splitting_fn": [],
+             "splitting_idempotent": []}
+
+    def counted(name, real, carrier):
+        def call(*args):
+            calls[name].append(carrier(*args))
+            return real(*args)
+        return call
+
+    duality_data = counted("duality_data", permcat.duality_data,
+                           lambda backend, x, field: x)
+    for module in (frob, permcat):
+        monkeypatch.setattr(module, "duality_data", duality_data)
+    monkeypatch.setattr(frob, "splitting_fn", counted(
+        "splitting_fn", frob.splitting_fn, lambda backend, x, measure: x))
+    monkeypatch.setattr(suite, "splitting_idempotent", counted(
+        "splitting_idempotent", suite.splitting_idempotent,
+        lambda f, measure: f.carrier))
+    backend = make()
+    assert run_suite(backend, bound).passed
+    objects = [backend.object_of([a]) for a in backend.atoms_up_to(3)]
+    assert sorted(calls["duality_data"]) == objects
+    assert calls["splitting_fn"] == []
+    assert calls["splitting_idempotent"] == objects
 
 
 @pytest.mark.parametrize("make, bound, runs", [
@@ -260,7 +312,9 @@ def test_bgamma_kernel_dimensions_report_the_first_failing_map(monkeypatch):
     monkeypatch.setattr(suite, "bgamma_kernel_dimension",
                         lambda backend, y_obj, gamma, field: 0)
     results = []
-    suite._gamma_block(backend, measure, atoms, results, kernel_dims=True)
+    suite._gamma_block(backend, measure,
+                       splittings_of(backend, measure, atoms), results,
+                       kernel_dims=True)
     maps = [m for a in atoms for b in atoms for m in backend.hom_atoms(a, b)]
     assert [r.name for r in results if not r.passed] == [
         "bgamma-kernel-dimensions"]
