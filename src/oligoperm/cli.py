@@ -33,13 +33,10 @@ from .coeff import MAX_CHAR, is_field_char, one, parse_scalar
 from .errors import DivisionByZero, OligopermError, UnknownAtom, UsageError
 from .frob import (
     build_frobenius,
-    check_perfect_pairing,
-    check_trace,
+    check_frobenius,
     e_idempotent_check,
     gamma_of_projection,
     splitting_fn,
-    splitting_idempotent,
-    verify_frobenius,
 )
 from .gset import LINE, SYM, atom_gmap, preset_backend
 from .gset.grammar import parse_atom_map, parse_object
@@ -394,12 +391,10 @@ def cmd_frob_verify(args):
     backend, x = _checked_object(args, "X")
     measure = _measure_for(args, backend, _bound(args), [x])
     started = time.monotonic()
-    frob = build_frobenius(backend, x, measure.field)
-    results = []
-    for rep in (verify_frobenius(frob, measure), check_trace(frob, measure),
-                check_perfect_pairing(frob, measure),
-                splitting_idempotent(frob, measure)[1]):
-        results.extend(rep.results)
+    _, reports = check_frobenius(build_frobenius(backend, x, measure.field),
+                                 measure)
+    results = [r for name in ("frobenius", "trace", "pairing", "splitting")
+               for r in reports[name].results]
     return _emit(args, Report(f"frobenius on {x.render()}", results), None,
                  started)
 

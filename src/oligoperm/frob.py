@@ -8,17 +8,17 @@ compatibility and specialness laws; the trace form composite; perfectness of
 the trace pairing; splitting idempotents; and the correspondence between
 equivalence idempotents and kernel pairs of backend surjections.
 
-The perfect-pairing check is ``permcat.triangle_identities`` applied to the
-Frobenius duality (comult o unit, counit o mult, ``frobenius_duality``); the
-snake check applies it to the diagonal duality.  Checks that verify comult o
-unit still compute it by matrix multiplication, so comparing it with the
-diagonal coevaluation stays a real check.  ``check_perfect_pairing`` and
-``permcat.check_snake_identities`` each run the identities and fold the
-result into a report (``pairing_report``, ``permcat.snake_report``).  The
-suite's Frobenius block shares one run between the two reports only when
-the two dualities compare equal, as they do on a correct structure; when
-they differ, as with a wrong comult, the snake check runs its own, so a wrong
-comult fails the pairing check alone.
+``check_frobenius`` is the one composition of the per-object checks, which
+the suite's Frobenius block and ``frob verify`` both call.  It forms
+comult o unit once, as the candidate coevaluation of the Frobenius duality
+(comult o unit, counit o mult) and as the splitting column, so comparing it
+with the diagonal coevaluation stays a real check.  The perfect-pairing and
+snake checks are ``permcat.triangle_identities`` on the Frobenius and on the
+diagonal duality, folded into reports by ``check_perfect_pairing`` and
+``permcat.check_snake_identities``.  One run of the identities serves both
+reports when the two dualities compare equal, as they do on a correct
+structure; when they differ, as with a wrong comult, the snake check runs
+its own, so a wrong comult fails the pairing check alone.
 
 ``build_frobenius`` reads no measure, so the backend cache keeps one
 structure per object and field.  Its X^3 padding ``delta_id`` (comult (x) 1)
@@ -28,12 +28,12 @@ structures that no check pads through X^3 (the sum and product of
 ``check_sum_tensor_traces``, the finite oracle's) never build it.  Its
 ``diagonal``, the diagonal duality ``permcat.duality_data``, is built on
 its first call too, so ``trace_form``, ``splitting_idempotent`` and the
-suite share one per object and field.
+snake check share one per object and field.
 ``gamma_of_projection`` is ``e_idempotent_check`` of the kernel-pair gamma,
 which takes the source's ``splitting_fn``, the target's ``splitting_fn``
 and ``kernel_pair_report``, which adds the pullback check.  The suite
 calls the same three, with the splitting function that
-``splitting_idempotent`` returns for each atom, so it computes each once.
+``check_frobenius`` returns for each atom, so it computes each once.
 
 All structure maps, and the associativity and coassociativity paddings, are
 pushforwards or pullbacks of explicit coordinate wirings between product
@@ -78,7 +78,8 @@ from .linmat import (
     transpose,
     wiring_gmap,
 )
-from .permcat import coproduct_with_inclusions, duality_data, triangle_identities
+from .permcat import (check_snake_identities, coproduct_with_inclusions,
+                      duality_data, triangle_identities)
 from .report import CheckResult, Report, difference, equality, verdict
 
 
@@ -209,15 +210,11 @@ def check_trace(f, measure):
     return Report(f"trace checks on Vec[{f.carrier.render()}]", results)
 
 
-def frobenius_duality(f, measure):
-    """The Frobenius duality on Vec_X: the candidate coevaluation
-    comult o unit and the pairing counit o mult, each by ``matmul``."""
-    return matmul(measure, f.comult, f.unit), trace_pairing(f, measure)
-
-
-def pairing_report(x, sides):
+def check_perfect_pairing(x, sides):
     """The perfect-pairing report on Vec_X from ``sides``, the (right, left)
-    result of ``triangle_identities`` on the Frobenius duality."""
+    result of ``triangle_identities`` on the Frobenius duality: the pairing
+    counit o mult is perfect when the candidate coevaluation comult o unit
+    satisfies both triangle identities."""
     right, left = sides
     results = [
         CheckResult("pairing-triangle-right", not right, right),
@@ -226,19 +223,11 @@ def pairing_report(x, sides):
     return Report(f"perfect pairing on Vec[{x.render()}]", results)
 
 
-def check_perfect_pairing(f, measure):
-    """The pairing counit o mult is perfect: the candidate coevaluation
-    comult o unit satisfies both triangle identities."""
-    coev, ev = frobenius_duality(f, measure)
-    return pairing_report(f.carrier,
-                          triangle_identities(measure, f.carrier, coev, ev))
-
-
-def splitting_idempotent(f, measure):
-    """The splitting idempotent comult(1), with its defining verifications."""
+def splitting_idempotent(f, measure, alpha_col):
+    """The splitting idempotent comult(1), given as ``alpha_col``, the
+    column comult o unit, with its defining verifications."""
     backend = f.backend
     field = measure.field
-    alpha_col = matmul(measure, f.comult, f.unit)
     alpha_fn = column_to_fn(alpha_col)
     results = []
 
@@ -266,6 +255,31 @@ def splitting_idempotent(f, measure):
 
     report = Report(f"splitting idempotent on Vec[{f.carrier.render()}]", results)
     return alpha_fn, report
+
+
+def check_frobenius(f, measure):
+    """Every per-object check of the Frobenius structure ``f``: returns its
+    splitting function and the reports by name, ``frobenius``, ``trace``,
+    ``pairing``, ``splitting`` and ``snake``, in that order.  The triangle
+    identities run once when the Frobenius duality equals ``f.diagonal()``,
+    and once more for the snake report when it does not."""
+    x = f.carrier
+    frobenius = verify_frobenius(f, measure)
+    trace = check_trace(f, measure)
+    alpha_col = matmul(measure, f.comult, f.unit)
+    duality = alpha_col, trace_pairing(f, measure)
+    sides = triangle_identities(measure, x, *duality)
+    alpha_fn, splitting = splitting_idempotent(f, measure, alpha_col)
+    diagonal = f.diagonal()
+    snake_sides = (sides if duality == diagonal
+                   else triangle_identities(measure, x, *diagonal))
+    return alpha_fn, {
+        "frobenius": frobenius,
+        "trace": trace,
+        "pairing": check_perfect_pairing(x, sides),
+        "splitting": splitting,
+        "snake": check_snake_identities(x, snake_sides),
+    }
 
 
 def _coherent(a, b, c):

@@ -45,7 +45,13 @@ are tagged tuples: ``("product", a, b)`` holds the orbits of ``a x b``
 per degree under ``("atom", n)`` and what ``product_factor(f, g)`` returns
 under ``("factor", source degree, f.data, g.data)``, plain ints only, which
 ``linmat.multi_factor``, ``pushforward_matrix``, ``block_tensor`` and the
-pre-Galois checks read (the image walk neither reads nor fills it); the
+pre-Galois checks read (the image walk neither reads nor fills it).  The
+memo stays because it pays: in a bound-3 ``run_suite`` it answers 1,623
+of 1,884 ``product_factor`` calls on ``sym`` and 2,896 of 3,221 on
+``line``, 1,527 and 2,749 of them with an entry an earlier call of those
+readers filled, and without it the suite took 36 ms instead of 30 on
+``sym`` and 41 instead of 30 on ``line`` (medians of 12 alternating
+in-process runs on a 2-core Xeon); the
 finite backend's ``("hom", a, b)`` holds the tuple of maps ``a -> b``, its
 ``("pairs", a, b)`` maps each point pair of ``a x b`` straight to
 ``(orbit, point)``, the orbit holding the pair and the pair's point of the

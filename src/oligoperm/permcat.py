@@ -9,10 +9,11 @@ objects is ``tensor_space(backend, [x, y]).object``.  Reports render X as
 ``Vec[X]``.
 
 Every object is self-dual: its duality data is the indicator of the diagonal
-of X x X as a column (coevaluation) and its transpose (evaluation).  The
-snake check here and the perfect-pairing check in ``frob`` are
-``triangle_identities`` applied to two dualities, this one and the Frobenius
-pairing.  The categorical dimension of Vec_X is the measure of X.
+of X x X as a column (coevaluation) and its transpose (evaluation).
+``frob.check_frobenius`` applies ``triangle_identities`` to two dualities,
+this one and the Frobenius pairing, and folds the results into the snake
+report here (``check_snake_identities``) and the perfect-pairing report in
+``frob``.  The categorical dimension of Vec_X is the measure of X.
 
 The linearization checker verifies that the pushforward/pullback assignment is
 an additive, plenary balanced functor, and re-extracts the measure from it in
@@ -116,19 +117,13 @@ def triangle_identities(measure, x, coev, ev):
             difference(matmul(measure, id_ev, coev_id), ident))
 
 
-def snake_report(x, sides):
+def check_snake_identities(x, sides):
     """The snake report on Vec_X from ``sides``, the (right, left) result of
     ``triangle_identities`` on the self-duality of Vec_X."""
     name = f"Vec[{x.render()}]"
     results = [CheckResult(f"snake-{side}", not d, d and {"object": name, **d})
                for side, d in zip(("right", "left"), sides)]
     return Report(f"snake identities on {name}", results)
-
-
-def check_snake_identities(backend, x, measure):
-    """The two triangle identities for the self-duality of Vec_X."""
-    coev, ev = duality_data(backend, x, measure.field)
-    return snake_report(x, triangle_identities(measure, x, coev, ev))
 
 
 def categorical_dim(measure, x, coev, ev):

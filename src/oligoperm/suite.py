@@ -11,10 +11,11 @@ failures that ``solve_measures`` found on the same values
 (``check_family_axioms``) instead of checking the identities again.  The
 Frobenius structure of an object, which reads no measure, is kept in the
 backend cache, with its diagonal duality, which the Frobenius, eidem and
-dimension checks read.  Per atom of the Frobenius block, the triangle
-identities run once when the Frobenius duality equals the diagonal one, and
-serve the pairing and snake checks both, and the splitting function that
-``splitting_idempotent`` returns is kept for the eidem and gamma blocks.
+dimension checks read.  The Frobenius block is ``frob.check_frobenius``
+per atom, the composition ``frob verify`` calls too: it forms comult o unit
+once, runs the triangle identities once when the Frobenius duality equals
+the diagonal one, and returns the splitting function, which is kept for the
+eidem and gamma blocks.
 Within one gamma block, ``e_idempotent_check`` runs once per source atom and
 kernel-pair gamma.  Measure-dependent results are held only for the call
 that computes them, never in the backend cache, since one backend serves
@@ -26,15 +27,11 @@ from __future__ import annotations
 from .coeff import RATIONAL, Scalar, falling_factorial, one
 from .frob import (
     build_frobenius,
+    check_frobenius,
     check_sum_tensor_traces,
-    check_trace,
     e_idempotent_check,
-    frobenius_duality,
     kernel_pair_gamma,
     kernel_pair_report,
-    pairing_report,
-    splitting_idempotent,
-    verify_frobenius,
 )
 from .gset import atom_gmap
 from .gset.pregalois import pregalois_check
@@ -59,14 +56,7 @@ from .oracle import (
     literal_product,
     sym_orbit_count_model,
 )
-from .permcat import (
-    categorical_dim,
-    check_linearization,
-    check_snake_identities,
-    hom_dimension,
-    snake_report,
-    triangle_identities,
-)
+from .permcat import categorical_dim, check_linearization, hom_dimension
 from .report import CheckResult, Report, difference, equality, verdict
 
 
@@ -87,28 +77,15 @@ def _absorb(results, report, prefix):
 
 
 def _frobenius_block(backend, measure, atoms, results):
-    """Per atom, the Frobenius axiom, trace, perfect-pairing, splitting and
-    snake checks.  The pairing and snake checks are the triangle identities
-    of the Frobenius and of the diagonal duality; when the two dualities
-    compare equal, one run of the identities serves both.  Returns the
-    splitting function of each atom."""
+    """Per atom, the reports of ``check_frobenius``, each absorbed as
+    ``name[label]``.  Returns the splitting function of each atom."""
     splittings = {}
     for atom in atoms:
-        obj = backend.object_of([atom])
-        frob = build_frobenius(backend, obj, measure.field)
-        _absorb(results, verify_frobenius(frob, measure),
-                f"frobenius[{atom.label}]")
-        _absorb(results, check_trace(frob, measure), f"trace[{atom.label}]")
-        duality = frobenius_duality(frob, measure)
-        sides = triangle_identities(measure, obj, *duality)
-        _absorb(results, pairing_report(obj, sides), f"pairing[{atom.label}]")
-        splittings[atom], rep = splitting_idempotent(frob, measure)
-        _absorb(results, rep, f"splitting[{atom.label}]")
-        if duality == frob.diagonal():
-            rep = snake_report(obj, sides)
-        else:
-            rep = check_snake_identities(backend, obj, measure)
-        _absorb(results, rep, f"snake[{atom.label}]")
+        frob = build_frobenius(backend, backend.object_of([atom]),
+                               measure.field)
+        splittings[atom], reports = check_frobenius(frob, measure)
+        for name, report in reports.items():
+            _absorb(results, report, f"{name}[{atom.label}]")
     return splittings
 
 

@@ -17,14 +17,11 @@ import pytest
 from oligoperm.coeff import RATIONAL, Scalar, one
 from oligoperm.frob import (
     build_frobenius,
-    check_perfect_pairing,
-    check_trace,
+    check_frobenius,
     e_idempotent_check,
     gamma_of_projection,
     kernel_pair_gamma,
     splitting_fn,
-    splitting_idempotent,
-    verify_frobenius,
 )
 from oligoperm.gset import LINE, SYM, GMap, preset_backend
 from oligoperm.gset.pregalois import pregalois_check
@@ -185,11 +182,9 @@ def test_criterion_6_frobenius_suite(sym_family, line_family):
         for atom in atoms:
             frob = build_frobenius(backend, backend.object_of([atom]),
                                    measure.field)
-            ok = ok and verify_frobenius(frob, measure).passed
-            ok = ok and check_perfect_pairing(frob, measure).passed
-            _, rep = splitting_idempotent(frob, measure)
-            ok = ok and rep.passed
-            ok = ok and check_trace(frob, measure).passed
+            _, reports = check_frobenius(frob, measure)
+            for name in ("frobenius", "pairing", "splitting", "trace"):
+                ok = ok and reports[name].passed
     assert verdict(6, ok)
 
 

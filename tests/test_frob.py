@@ -12,14 +12,13 @@ from oligoperm.coeff import RATIONAL, Scalar, one, ratfunc_field, zero
 from oligoperm.errors import NotSurjective
 from oligoperm.frob import (
     build_frobenius,
-    check_perfect_pairing,
+    check_frobenius,
     check_sum_tensor_traces,
     check_trace,
     e_idempotent_check,
     gamma_of_projection,
     kernel_pair_gamma,
     splitting_fn,
-    splitting_idempotent,
     trace_form,
     trace_pairing,
     verify_frobenius,
@@ -49,7 +48,7 @@ from oligoperm.linmat import (
     wiring_gmap,
 )
 from oligoperm.measure import solve_measures
-from oligoperm.permcat import check_snake_identities, duality_data
+from oligoperm.permcat import duality_data
 from oligoperm.report import difference
 
 
@@ -180,7 +179,7 @@ def test_perfect_pairing(mu_t, mu_line):
         (LINE, mu_line, line_obj(2)),
     ]:
         f = build_frobenius(backend, obj, measure.field)
-        report = check_perfect_pairing(f, measure)
+        report = check_frobenius(f, measure)[1]["pairing"]
         assert report.passed, [r.name for r in report.failures()]
 
 
@@ -191,7 +190,8 @@ def test_splitting_idempotent(mu_t, mu_line, s3, mu_s3):
         (s3, mu_s3, s3.object_of([s3.atoms_up_to(3)[2]])),
     ]:
         f = build_frobenius(backend, obj, measure.field)
-        alpha, report = splitting_idempotent(f, measure)
+        alpha, reports = check_frobenius(f, measure)
+        report = reports["splitting"]
         assert report.passed, [r.name for r in report.failures()]
         ps2 = tensor_space(backend, [obj, obj])
         diag = {i for i, p in enumerate(ps2.positions)
@@ -936,9 +936,7 @@ def test_frobenius_chains_build_no_flat_triple_space(make):
     x = backend.object_of([next(a for a in backend.atoms_up_to(3)
                                 if a.degree == 3)])
     f = build_frobenius(backend, x, measure.field)
-    for report in (verify_frobenius(f, measure), check_trace(f, measure),
-                   check_perfect_pairing(f, measure),
-                   check_snake_identities(backend, x, measure)):
+    for report in check_frobenius(f, measure)[1].values():
         assert report.passed, [r.name for r in report.failures()]
     assert ("space", (x, x, x)) not in backend.cache
     assert not [k for k in backend.cache if k[0] == "space" and len(k[1]) > 2]

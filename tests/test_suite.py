@@ -1,16 +1,19 @@
 """The composite suite's library entry point."""
 
+import json
+
 import pytest
 
-from oligoperm import frob, permcat, suite
+from oligoperm import cli, frob, linmat, permcat, suite
 from oligoperm import measure as measure_layer
 from oligoperm.coeff import Scalar
-from oligoperm.frob import (check_perfect_pairing, gamma_of_projection,
-                            splitting_fn)
-from oligoperm.gset import LineBackend, SymBackend, preset_backend
+from oligoperm.frob import gamma_of_projection, splitting_fn, trace_pairing
+from oligoperm.gset import LINE, SYM, LineBackend, SymBackend, preset_backend
+from oligoperm.gset.grammar import parse_object
+from oligoperm.linmat import matmul
 from oligoperm.measure import solve_measures
-from oligoperm.permcat import check_snake_identities
-from oligoperm.report import CheckResult, Report
+from oligoperm.permcat import triangle_identities
+from oligoperm.report import CheckResult, Report, verdict
 from oligoperm.suite import run_suite
 
 
@@ -118,15 +121,35 @@ def test_gamma_block_gives_each_map_its_gamma_of_projection(make, bound,
         assert gamma_of_projection(backend, f, measure) == (gamma, report)
 
 
-def absorbed(report, name):
-    """``report`` folded into one check, as the suite folds it."""
-    results = []
-    suite._absorb(results, report, name)
-    return results[0]
+def triangle_verdict(name, check, sides, **extra):
+    """The suite's verdict ``name`` on a triangle-identity check from
+    ``sides``, the (right, left) result of ``triangle_identities``: built
+    here, independently of the report steps under test, as ``_absorb``
+    folds a report whose failing checks are ``check-right`` and
+    ``check-left`` with ``extra`` in their witnesses."""
+    return verdict(name, [{"check": f"{check}-{side}", **extra, **d}
+                          for side, d in zip(("right", "left"), sides) if d],
+                   "checks")
+
+
+def frobenius_sides(f, measure):
+    """The triangle identities of the Frobenius duality of ``f``,
+    (comult o unit, counit o mult), composed here."""
+    return triangle_identities(measure, f.carrier,
+                               matmul(measure, f.comult, f.unit),
+                               trace_pairing(f, measure))
 
 
 def doubled(matrix, field):
     return matrix.scale(Scalar.from_int(field, 2))
+
+
+def doubled_comult(real):
+    """``build_frobenius`` with the comultiplication doubled."""
+    def build(backend, x, field):
+        f = real(backend, x, field)
+        return f._replace(comult=doubled(f.comult, field))
+    return build
 
 
 @pytest.mark.parametrize("make", [SymBackend, LineBackend], ids=["sym", "line"])
@@ -134,24 +157,19 @@ def test_a_wrong_comult_fails_the_pairing_alone(make, monkeypatch):
     """With the comultiplication doubled, comult o unit is not the diagonal
     coevaluation, so the snake check runs the triangle identities on the
     diagonal duality itself: every ``pairing[...]`` fails, with the verdict
-    ``check_perfect_pairing`` gives on that structure, and every
-    ``snake[...]`` passes."""
-    real = suite.build_frobenius
-
-    def doubled_comult(backend, x, field):
-        f = real(backend, x, field)
-        return f._replace(comult=doubled(f.comult, field))
-
-    monkeypatch.setattr(suite, "build_frobenius", doubled_comult)
+    that the triangle identities of (comult o unit, counit o mult) give on
+    that structure, and every ``snake[...]`` passes."""
+    wrong = doubled_comult(suite.build_frobenius)
+    monkeypatch.setattr(suite, "build_frobenius", wrong)
     backend = make()
     report = run_suite(backend, 3)
     measure = solve_measures(backend, 3).generic()
     for atom in backend.atoms_up_to(3):
-        f = doubled_comult(backend, backend.object_of([atom]), measure.field)
+        f = wrong(backend, backend.object_of([atom]), measure.field)
         name = f"pairing[{atom.label}]"
         assert not report.result(name).passed
-        assert report.result(name) == absorbed(
-            check_perfect_pairing(f, measure), name)
+        assert report.result(name) == triangle_verdict(
+            name, "pairing-triangle", frobenius_sides(f, measure))
         assert report.result(f"snake[{atom.label}]").passed
 
 
@@ -159,8 +177,9 @@ def test_a_wrong_comult_fails_the_pairing_alone(make, monkeypatch):
 def test_a_wrong_diagonal_duality_fails_the_snake_alone(make, monkeypatch):
     """With the diagonal coevaluation doubled, the Frobenius duality is not
     the diagonal one, so the pairing check keeps its own run: every
-    ``snake[...]`` fails, with the verdict ``check_snake_identities`` gives
-    under the same patch, and every ``pairing[...]`` passes."""
+    ``snake[...]`` fails, with the verdict that the triangle identities of
+    ``duality_data`` give under the same patch, and every ``pairing[...]``
+    passes."""
     real = permcat.duality_data
 
     def doubled_coev(backend, x, field):
@@ -175,19 +194,85 @@ def test_a_wrong_diagonal_duality_fails_the_snake_alone(make, monkeypatch):
     for atom in backend.atoms_up_to(3):
         x = backend.object_of([atom])
         name = f"snake[{atom.label}]"
+        sides = triangle_identities(measure, x, *permcat.duality_data(
+            backend, x, measure.field))
         assert not report.result(name).passed
-        assert report.result(name) == absorbed(
-            check_snake_identities(backend, x, measure), name)
+        assert report.result(name) == triangle_verdict(
+            name, "snake", sides, object=f"Vec[{x.render()}]")
         assert report.result(f"pairing[{atom.label}]").passed
 
 
-@pytest.mark.parametrize("make, bound, triangles, eidems, structures", [
-    (SymBackend, 3, 4, 18, 6),
-    (LineBackend, 3, 4, 18, 6),
-    (lambda: preset_backend("S4"), 6, 3, 8, 8),
+def frob_verify_results(tmp_path, x, field):
+    """The results of ``frob verify`` on ``x``, by check name."""
+    out = tmp_path / "report.json"
+    cli.main(["frob", "verify", "--X", x, "--field", field,
+              "--json", str(out)])
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    return {r["check"]: r for r in doc["results"]}
+
+
+FROB_VERIFY_CASES = pytest.mark.parametrize("x, field", [
+    ("sym:inj[2]", "qt"),
+    ("line:inc[1] + line:inc[2]", "q"),
+], ids=["sym", "line-sum"])
+
+
+@FROB_VERIFY_CASES
+def test_frob_verify_fails_the_pairing_on_a_wrong_comult(tmp_path, x, field,
+                                                         monkeypatch):
+    """The doubled comultiplication through ``frob verify``: both
+    ``pairing-triangle-*`` results fail, each with the witness the triangle
+    identities of (comult o unit, counit o mult) give."""
+    wrong = doubled_comult(cli.build_frobenius)
+    monkeypatch.setattr(cli, "build_frobenius", wrong)
+    results = frob_verify_results(tmp_path, x, field)
+    backend, obj = parse_object({"sym": SYM, "line": LINE}, x)
+    measure = solve_measures(backend, 3).generic()  # frob verify's default
+    sides = frobenius_sides(wrong(backend, obj, measure.field), measure)
+    pairing = {name: r for name, r in results.items()
+               if name.startswith("pairing-triangle-")}
+    assert pairing == {
+        f"pairing-triangle-{side}": CheckResult(
+            f"pairing-triangle-{side}", False, d).to_dict()
+        for side, d in zip(("right", "left"), sides)}
+
+
+@FROB_VERIFY_CASES
+def test_frob_verify_passes_the_pairing_on_a_wrong_diagonal(tmp_path, x, field,
+                                                           monkeypatch):
+    """The doubled diagonal coevaluation through ``frob verify``: the
+    Frobenius duality is untouched, so no ``pairing-triangle-*`` result
+    fails, though the checks that read the diagonal duality do."""
+    real = cli.build_frobenius
+
+    def wrong(backend, obj, field):
+        f = real(backend, obj, field)
+        coev, ev = f.diagonal()
+        return f._replace(diagonal=lambda: (doubled(coev, field), ev))
+
+    monkeypatch.setattr(cli, "build_frobenius", wrong)
+    results = frob_verify_results(tmp_path, x, field)
+    failing = [name for name, r in results.items() if r["status"] == "FAIL"]
+    assert failing == ["trace-form-is-counit", "equals-diagonal-coevaluation"]
+    assert {name for name in results if name.startswith("pairing-triangle-")
+            } == {"pairing-triangle-right", "pairing-triangle-left"}
+
+
+def counted(counts, what, real):
+    """``real``, counting its calls in ``counts[what]``."""
+    def call(*args, **kwargs):
+        counts[what] += 1
+        return real(*args, **kwargs)
+    return call
+
+
+@pytest.mark.parametrize("make, bound, triangles, eidems, structures, products", [
+    (SymBackend, 3, 4, 18, 6, 357),
+    (LineBackend, 3, 4, 18, 6, 281),
+    (lambda: preset_backend("S4"), 6, 3, 8, 8, 149),
 ], ids=["sym", "line", "S4"])
 def test_suite_derives_each_structure_once(make, bound, triangles, eidems,
-                                           structures, monkeypatch):
+                                           structures, products, monkeypatch):
     """A passing suite runs the triangle identities once per atom of its
     Frobenius block (4 within degree 3 on sym and line, 3 on S4), runs
     ``e_idempotent_check`` on the 3 eidem-block gammas and once per distinct
@@ -195,28 +280,56 @@ def test_suite_derives_each_structure_once(make, bound, triangles, eidems,
     15 maps, all distinct; S4: 6 maps with 5), and builds one Frobenius
     structure per object: 4 atoms plus the sum and the product of
     sum-tensor-traces on sym and line; on S4 its 7 atoms within degree 6,
-    which the oracle reads, and one sum, which is also the product.  The
-    counts are exact (before these were shared: 8, 8 and 6 triangle runs,
-    27, 18 and 9 checks, 59, 41 and 29 structures)."""
-    counts = {"triangles": 0, "eidems": 0, "structures": 0}
-
-    def counted(real, what):
-        def call(*args, **kwargs):
-            counts[what] += 1
-            return real(*args, **kwargs)
-        return call
-
-    triangle_identities = counted(permcat.triangle_identities, "triangles")
-    for module in (permcat, frob, suite):
+    which the oracle reads, and one sum, which is also the product.  It
+    forms comult o unit once per atom of the Frobenius block, so the
+    ``matmul`` calls of the category, Frobenius and suite layers are 357 on
+    sym, 281 on line and 149 on S4 (the finite oracle's own products, its
+    reference computation, are not counted).  The counts are exact (before
+    these were shared: 8, 8 and 6 triangle runs, 27, 18 and 9 checks, 59,
+    41 and 29 structures; with comult o unit formed twice per atom, 361,
+    285 and 152 products)."""
+    counts = dict.fromkeys(("triangles", "eidems", "structures", "products"),
+                           0)
+    triangle_identities = counted(counts, "triangles",
+                                  permcat.triangle_identities)
+    for module in (permcat, frob):
         monkeypatch.setattr(module, "triangle_identities", triangle_identities)
-    e_idempotent_check = counted(frob.e_idempotent_check, "eidems")
+    e_idempotent_check = counted(counts, "eidems", frob.e_idempotent_check)
     for module in (frob, suite):
         monkeypatch.setattr(module, "e_idempotent_check", e_idempotent_check)
     monkeypatch.setattr(frob, "FrobeniusStructure",
-                        counted(frob.FrobeniusStructure, "structures"))
+                        counted(counts, "structures", frob.FrobeniusStructure))
+    matmul = counted(counts, "products", linmat.matmul)
+    for module in (permcat, frob, suite):
+        monkeypatch.setattr(module, "matmul", matmul)
     assert run_suite(make(), bound).passed
     assert counts == {"triangles": triangles, "eidems": eidems,
-                      "structures": structures}
+                      "structures": structures, "products": products}
+
+
+@pytest.mark.parametrize("x, field", [
+    ("sym:inj[2]", "qt"),
+    ("line:inc[1] + line:inc[2]", "q"),
+    ("sym:inj[1] + sym:inj[2]", "qt"),
+], ids=["sym", "line-sum", "sym-sum"])
+def test_frob_verify_forms_comult_unit_once(tmp_path, x, field, monkeypatch):
+    """One ``frob verify`` multiplies comult by unit once for its object:
+    the product is both the pairing's candidate coevaluation and the
+    splitting column (before, each formed its own)."""
+    real = linmat.matmul
+    products = []
+
+    def recorded(measure, a, b):
+        products.append((measure.field, a, b))
+        return real(measure, a, b)
+
+    for module in (permcat, frob):
+        monkeypatch.setattr(module, "matmul", recorded)
+    assert frob_verify_results(tmp_path, x, field)
+    backend, obj = parse_object({"sym": SYM, "line": LINE}, x)
+    (field,) = {k for k, _a, _b in products}
+    f = frob.build_frobenius(backend, obj, field)
+    assert sum(a == f.comult and b == f.unit for _k, a, b in products) == 1
 
 
 @pytest.mark.parametrize("make, bound", [
@@ -237,21 +350,21 @@ def test_suite_derives_each_duality_and_splitting_once(make, bound,
     calls = {"duality_data": [], "splitting_fn": [],
              "splitting_idempotent": []}
 
-    def counted(name, real, carrier):
+    def recorded(name, real, carrier):
         def call(*args):
             calls[name].append(carrier(*args))
             return real(*args)
         return call
 
-    duality_data = counted("duality_data", permcat.duality_data,
+    duality_data = recorded("duality_data", permcat.duality_data,
                            lambda backend, x, field: x)
     for module in (frob, permcat):
         monkeypatch.setattr(module, "duality_data", duality_data)
-    monkeypatch.setattr(frob, "splitting_fn", counted(
+    monkeypatch.setattr(frob, "splitting_fn", recorded(
         "splitting_fn", frob.splitting_fn, lambda backend, x, measure: x))
-    monkeypatch.setattr(suite, "splitting_idempotent", counted(
-        "splitting_idempotent", suite.splitting_idempotent,
-        lambda f, measure: f.carrier))
+    monkeypatch.setattr(frob, "splitting_idempotent", recorded(
+        "splitting_idempotent", frob.splitting_idempotent,
+        lambda f, measure, alpha_col: f.carrier))
     backend = make()
     assert run_suite(backend, bound).passed
     objects = [backend.object_of([a]) for a in backend.atoms_up_to(3)]
